@@ -275,8 +275,8 @@ def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
                     seed=negsampler.derive_seed(cfg.seed, "neg", j),
                 )
             )
-        except ValueError:
-            negsets.append(None)  # nothing confusable; sentence leaves training
+        except negsampler.NoConfusablePosition:
+            negsets.append(None)  # sentence leaves training
             dropped += 1
     negsampler.save_negative_sets(negsets, paths.negatives)
     print(f"negatives: {len(corpus) - dropped} sentences sampled, {dropped} dropped")
@@ -427,21 +427,22 @@ def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_models(cfg: PipelineConfig, paths: Paths, scorer: str) -> evaluation.RerankModels:
+def _load_models(paths: Paths, components) -> evaluation.RerankModels:
+    """Load the models that scoring the given components needs."""
     models = evaluation.RerankModels()
-    if scorer == "first-pass":
+    if not components:
         return models
     vocab = _load_vocab_checked(paths)
     models.vocab = vocab
-    if scorer in ("ngram", "reranker", "reranker+lstm"):
+    if "ngram" in components or "reranker" in components:
         models.ngram = _load_ngram_checked(paths.ngram_full, vocab)
-    if scorer in ("lstm", "reranker+lstm"):
+    if "lstm" in components:
         lstm, lstm_hash = trainer.LstmLmParams.load(
             _require_file(paths.lstm, "run train-lstm-lm first")
         )
         check_vocab_hash(lstm_hash, vocab.content_hash(), str(paths.lstm))
         models.lstm = lstm
-    if scorer in ("reranker", "reranker+lstm"):
+    if "reranker" in components:
         reranker, rr_hash = RerankerParams.load(
             _require_file(paths.reranker, "run train-reranker first")
         )
@@ -465,7 +466,7 @@ def _parse_weights(raw: str) -> dict:
 def cmd_rerank(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     dataset = evaluation.load_nbest(_require_file(Path(args.nbest), "n-best file"))
-    models = _load_models(cfg, paths, args.scorer)
+    models = _load_models(paths, evaluation.SCORER_COMPONENTS[args.scorer])
     weights = _parse_weights(args.weights)
     out_path = paths.out / f"selections_{args.scorer.replace('+', '_')}.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -486,28 +487,33 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
 
 
 def run_table_evaluation(cfg: PipelineConfig, heldout_path, test_path):
-    """Tune each scorer's weights on held-out data, then score both splits."""
+    """Score both splits once, tune each scorer's weights on the held-out
+    scores, then decode both splits with them."""
     paths = Paths(cfg.out_dir)
-    heldout = evaluation.load_nbest(heldout_path)
-    test = evaluation.load_nbest(test_path)
-    for dataset, name in ((heldout, "heldout"), (test, "test")):
+    splits = {
+        "heldout": evaluation.load_nbest(heldout_path),
+        "test": evaluation.load_nbest(test_path),
+    }
+    for name, dataset in splits.items():
         if any(n.reference is None for n in dataset):
             raise ValueError(f"references required in {name} data")
+    models = _load_models(paths, evaluation.COMPONENTS)
+    scored = {
+        split: evaluation.score_split(dataset, evaluation.COMPONENTS, models)
+        for split, dataset in splits.items()
+    }
     rows = []
     tuned: dict = {}
     for scorer in evaluation.SCORERS:
-        models = _load_models(cfg, paths, scorer)
-        weights = evaluation.tune_weights(heldout, scorer, models, cfg.weight_grid)
+        weights = evaluation.tune_weights(scored["heldout"], scorer, cfg.weight_grid)
         tuned[scorer] = weights
         split_reports = {}
-        for split, dataset in (("heldout", heldout), ("test", test)):
-            report = evaluation.evaluate(dataset, scorer, weights, models)
+        for split, split_scores in scored.items():
+            report = evaluation.evaluate(split_scores, scorer, weights)
             evaluation.write_utterance_csv(report, paths.report(split, scorer))
             split_reports[split] = report
         rows.append((scorer, split_reports))
-    rows.append(
-        ("oracle", {"heldout": evaluation.oracle_wer(heldout), "test": evaluation.oracle_wer(test)})
-    )
+    rows.append(("oracle", {split: evaluation.oracle_wer(ss) for split, ss in scored.items()}))
     table = evaluation.summary_table(rows)
     weight_lines = "\n".join(f"# {s}: weights {json.dumps(tuned[s])}" for s in tuned)
     paths.summary.write_text(table + "\n" + weight_lines + "\n", encoding="utf-8")
@@ -520,8 +526,9 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
         dataset = evaluation.load_nbest(_require_file(Path(args.nbest), "n-best file"))
         if any(n.reference is None for n in dataset):
             raise ValueError("references required")
-        models = _load_models(cfg, paths, args.scorer)
-        report = evaluation.evaluate(dataset, args.scorer, _parse_weights(args.weights), models)
+        models = _load_models(paths, evaluation.SCORER_COMPONENTS[args.scorer])
+        scored = evaluation.score_split(dataset, args.scorer, models)
+        report = evaluation.evaluate(scored, args.scorer, _parse_weights(args.weights))
         evaluation.write_utterance_csv(report, paths.report("custom", args.scorer))
         print(f"{args.scorer}: WER {100.0 * report.wer:.2f}")
         return 0

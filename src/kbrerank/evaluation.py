@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -13,7 +14,19 @@ from .kb import KBIndex
 from .neural import RerankerParams, score_batch, stack_bundles
 from .ngram import NGramModel, score_sentence
 
-SCORERS = ("first-pass", "ngram", "lstm", "reranker", "reranker+lstm")
+# the components each scorer interpolates with the first pass, in the order
+# its weights are swept and reported
+SCORER_COMPONENTS = {
+    "first-pass": (),
+    "ngram": ("ngram",),
+    "lstm": ("lstm",),
+    "reranker": ("reranker",),
+    "reranker+lstm": ("reranker", "lstm"),
+}
+SCORERS = tuple(SCORER_COMPONENTS)
+# the components interpolated with the first pass, in the order combine()
+# adds them; the order fixes the totals' rounding
+COMPONENTS = ("ngram", "lstm", "reranker")
 
 
 @dataclass(frozen=True)
@@ -108,10 +121,23 @@ class RerankModels:
     vocab: Vocabulary | None = None
 
 
-def _require(models: RerankModels, scorer: str, *names):
+def _require(models: RerankModels, component: str, *names):
     for name in names:
         if getattr(models, name) is None:
-            raise ValueError(f"scorer {scorer!r} requires a loaded {name} model")
+            raise ValueError(f"component {component!r} requires a loaded {name} model")
+
+
+def _component_names(scorer) -> tuple:
+    """Components of a scorer name or of a collection of component names, in
+    ``COMPONENTS`` order."""
+    if isinstance(scorer, str):
+        if scorer not in SCORER_COMPONENTS:
+            raise ValueError(f"unknown scorer {scorer!r}")
+        scorer = SCORER_COMPONENTS[scorer]
+    unknown = set(scorer) - set(COMPONENTS)
+    if unknown:
+        raise ValueError(f"unknown components: {', '.join(sorted(unknown))}")
+    return tuple(name for name in COMPONENTS if name in scorer)
 
 
 def reranker_scores(nbest: NBestList, models: RerankModels) -> np.ndarray:
@@ -136,28 +162,33 @@ def reranker_scores(nbest: NBestList, models: RerankModels) -> np.ndarray:
     return out
 
 
-def component_scores(nbest: NBestList, scorer: str, models: RerankModels) -> dict:
-    """Per-hypothesis score arrays for each component the mode interpolates."""
-    if scorer not in SCORERS:
-        raise ValueError(f"unknown scorer {scorer!r}")
+def component_scores(nbest: NBestList, scorer, models: RerankModels) -> dict:
+    """Per-hypothesis score arrays: the first pass and each component of
+    ``scorer``, a scorer name or a collection of component names.
+
+    The first pass comes first and the rest in ``COMPONENTS`` order, the
+    order ``combine`` sums them in.
+    """
+    names = _component_names(scorer)
     comps = {"first_pass": np.array([fp for _, fp in nbest.hypotheses], dtype=float)}
-    if scorer == "ngram":
-        _require(models, scorer, "ngram")
+    if "ngram" in names:
+        _require(models, "ngram", "ngram")
         comps["ngram"] = np.array(
             [score_sentence(models.ngram, h) for h, _ in nbest.hypotheses]
         )
-    if scorer in ("lstm", "reranker+lstm"):
-        _require(models, scorer, "lstm")
+    if "lstm" in names:
+        _require(models, "lstm", "lstm")
         comps["lstm"] = np.array(
             [models.lstm.sentence_logprob(h) for h, _ in nbest.hypotheses]
         )
-    if scorer in ("reranker", "reranker+lstm"):
-        _require(models, scorer, "reranker", "ngram", "kb_index", "vocab")
+    if "reranker" in names:
+        _require(models, "reranker", "reranker", "ngram", "kb_index", "vocab")
         comps["reranker"] = reranker_scores(nbest, models)
     return comps
 
 
 def combine(comps: dict, weights: dict) -> np.ndarray:
+    """First-pass score plus each weighted component, summed in ``comps`` order."""
     total = comps["first_pass"].copy()
     for name, arr in comps.items():
         if name != "first_pass":
@@ -171,80 +202,102 @@ def rerank(nbest: NBestList, scorer: str, weights: dict, models: RerankModels) -
     return int(np.argmax(totals))
 
 
-def score_utterance(nbest: NBestList, chosen: int) -> UtteranceResult:
-    s, d, i, n = wer(nbest.reference, nbest.hypotheses[chosen][0])
-    return UtteranceResult(nbest.utt_id, chosen, s, d, i, n)
+def hypothesis_errors(nbest: NBestList) -> tuple[np.ndarray, int]:
+    """(hypotheses, 3) substitution, deletion and insertion counts of every
+    hypothesis against the reference, and the reference length."""
+    if nbest.reference is None:
+        raise ValueError("references required")
+    counts = [wer(nbest.reference, h)[:3] for h, _ in nbest.hypotheses]
+    return np.array(counts, dtype=np.int64), len(nbest.reference)
 
 
-def evaluate(dataset, scorer: str, weights: dict, models: RerankModels) -> WerReport:
+@dataclass
+class ScoredSplit:
+    """Every hypothesis of a split with references, scored once per component.
+
+    Row u holds utterance u's hypotheses in list order, padded to the longest
+    list. Padding scores and counts are 0, so a zero weight times padding is
+    never NaN, and ``valid`` keeps padding from being chosen.
+    """
+
+    utt_ids: list
+    scores: dict  # first_pass, then COMPONENTS -> (utterances, hypotheses)
+    errors: np.ndarray  # (utterances, hypotheses, 3) S/D/I
+    ref_words: np.ndarray  # (utterances,)
+    valid: np.ndarray  # (utterances, hypotheses) real hypotheses
+
+    def scorer_scores(self, scorer: str) -> dict:
+        """The arrays ``scorer`` interpolates, in the order ``combine`` sums them."""
+        return {name: self.scores[name] for name in ("first_pass",) + _component_names(scorer)}
+
+
+def score_split(dataset, components, models: RerankModels) -> ScoredSplit:
+    """Score each hypothesis once per requested component and count its errors.
+
+    ``components`` is a scorer name or a collection of component names.
+    """
+    names = _component_names(components)
+    shape = (len(dataset), max((len(n.hypotheses) for n in dataset), default=0))
+    scores = {name: np.zeros(shape) for name in ("first_pass",) + names}
+    errors = np.zeros(shape + (3,), dtype=np.int64)
+    ref_words = np.zeros(len(dataset), dtype=np.int64)
+    valid = np.zeros(shape, dtype=bool)
+    for u, nbest in enumerate(dataset):
+        counts, ref_words[u] = hypothesis_errors(nbest)
+        width = len(counts)
+        errors[u, :width] = counts
+        valid[u, :width] = True
+        for name, arr in component_scores(nbest, names, models).items():
+            scores[name][u, :width] = arr
+    return ScoredSplit([n.utt_id for n in dataset], scores, errors, ref_words, valid)
+
+
+def _choose(scored: ScoredSplit, comps: dict, weights: dict) -> np.ndarray:
+    """Best hypothesis per utterance; ties keep first-pass order."""
+    return np.argmax(np.where(scored.valid, combine(comps, weights), -np.inf), axis=1)
+
+
+def _report(scored: ScoredSplit, chosen: np.ndarray) -> WerReport:
     report = WerReport()
-    for nbest in dataset:
-        if nbest.reference is None:
-            raise ValueError("references required")
-        report.add(score_utterance(nbest, rerank(nbest, scorer, weights, models)))
+    picked = scored.errors[np.arange(len(chosen)), chosen]
+    for utt_id, c, (s, d, i), n in zip(
+        scored.utt_ids, chosen.tolist(), picked.tolist(), scored.ref_words.tolist()
+    ):
+        report.add(UtteranceResult(utt_id, c, s, d, i, n))
     return report
 
 
-def oracle_wer(dataset) -> WerReport:
+def evaluate(scored: ScoredSplit, scorer: str, weights: dict) -> WerReport:
+    return _report(scored, _choose(scored, scored.scorer_scores(scorer), weights))
+
+
+def oracle_wer(scored: ScoredSplit) -> WerReport:
     """Pick the hypothesis with the fewest errors per utterance (ties: first)."""
-    report = WerReport()
-    for nbest in dataset:
-        if nbest.reference is None:
-            raise ValueError("references required")
-        best = None
-        best_idx = 0
-        for idx, (hyp, _) in enumerate(nbest.hypotheses):
-            s, d, i, n = wer(nbest.reference, hyp)
-            if best is None or s + d + i < best[0] + best[1] + best[2]:
-                best = (s, d, i, n)
-                best_idx = idx
-        report.add(UtteranceResult(nbest.utt_id, best_idx, *best))
-    return report
+    totals = np.where(scored.valid, scored.errors.sum(axis=2), np.iinfo(np.int64).max)
+    return _report(scored, np.argmin(totals, axis=1))
 
 
-def precompute_components(dataset, scorer: str, models: RerankModels) -> list[dict]:
-    return [component_scores(nbest, scorer, models) for nbest in dataset]
-
-
-def evaluate_precomputed(dataset, comps_per_utt, weights: dict) -> WerReport:
-    report = WerReport()
-    for nbest, comps in zip(dataset, comps_per_utt):
-        chosen = int(np.argmax(combine(comps, weights)))
-        report.add(score_utterance(nbest, chosen))
-    return report
-
-
-def tune_weights(dataset, scorer: str, models: RerankModels, grid) -> dict:
+def tune_weights(scored: ScoredSplit, scorer: str, grid) -> dict:
     """Grid-search interpolation weights by corpus WER; ties keep grid order.
 
     Zero weights are part of the grid, so a tuned mode can never do worse on
-    the tuning data than the plain first pass.
+    the tuning data than the plain first pass. The grid is swept with the
+    first of the scorer's components in the outermost loop.
     """
-    names = {
-        "first-pass": (),
-        "ngram": ("ngram",),
-        "lstm": ("lstm",),
-        "reranker": ("reranker",),
-        "reranker+lstm": ("reranker", "lstm"),
-    }[scorer]
+    comps = scored.scorer_scores(scorer)
+    names = SCORER_COMPONENTS[scorer]
     if not names:
         return {}
-    comps = precompute_components(dataset, scorer, models)
+    errors = scored.errors.sum(axis=2)
+    rows = np.arange(len(scored.utt_ids))
+    ref_words = int(scored.ref_words.sum())
     best_weights = None
     best_wer = None
-    def sweep(prefix: dict, remaining):
-        nonlocal best_weights, best_wer
-        if not remaining:
-            w = evaluate_precomputed(dataset, comps, prefix).wer
-            if best_wer is None or w < best_wer:
-                best_wer, best_weights = w, dict(prefix)
-            return
-        for value in grid:
-            prefix[remaining[0]] = value
-            sweep(prefix, remaining[1:])
-        del prefix[remaining[0]]
-
-    sweep({}, names)
+    for values in itertools.product(grid, repeat=len(names)):
+        weights = dict(zip(names, values))
+        w = int(errors[rows, _choose(scored, comps, weights)].sum()) / ref_words
+        if best_wer is None or w < best_wer:
+            best_wer, best_weights = w, weights
     return best_weights
 
 

@@ -84,6 +84,7 @@ class PairTable:
         self.n_support = (
             len(self.left_vocab) * len(self.right_vocab) - overlap * (overlap - 1) // 2
         )
+        self._n_union = len(self.left_vocab | self.right_vocab)
         self.total = sum(self._raw.values()) + self.n_support
         row: dict = {}
         for (a, b), wt in self._raw.items():
@@ -120,7 +121,7 @@ class PairTable:
         in_left = w in self.left_vocab
         in_right = w in self.right_vocab
         if in_left and in_right:
-            n_partners = len(self.left_vocab | self.right_vocab)
+            n_partners = self._n_union
         elif in_left:
             n_partners = len(self.right_vocab)
         elif in_right:

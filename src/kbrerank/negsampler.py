@@ -157,6 +157,11 @@ class NegativeSet:
         return sum(self.lm_logprobs) / len(self.lm_logprobs)
 
 
+class NoConfusablePosition(ValueError):
+    """No word of the sentence has a phonetic neighbour, so nothing can be
+    substituted."""
+
+
 def sample_negatives(
     sentence: Sentence,
     table: ConfusionTable,
@@ -181,7 +186,7 @@ def sample_negatives(
         if table.candidates_of(tok)
     ]
     if not confusable:
-        raise ValueError("no confusable position")
+        raise NoConfusablePosition("no confusable position")
 
     rng = random.Random(seed)
     seen: dict = {}

@@ -21,6 +21,7 @@ from .negsampler import NegativeSet, derive_seed
 from .neural import (
     RerankerParams,
     _lstm_forward,
+    _sigmoid,
     backprop_batch,
     contrastive_loss,
     score_batch,
@@ -92,13 +93,15 @@ class EpochLog:
 
 @dataclass
 class PreparedNBest:
-    """Held-out n-best list with ids and feature bundles resolved up front."""
+    """Held-out n-best list with ids, feature bundles and per-hypothesis
+    error counts resolved up front."""
 
-    nbest: evaluation.NBestList
     ids_per_hyp: list
     bins: dict
     ngram_feats: np.ndarray
     first_pass: np.ndarray
+    errors: np.ndarray  # (hypotheses, 3) S/D/I against the reference
+    ref_words: int
     equal_length: bool
 
 
@@ -115,15 +118,17 @@ def prepare_heldout(
             for s in sentences
         ]
         bins, feats = stack_bundles(bundles)
+        errors, ref_words = evaluation.hypothesis_errors(nbest)
         prepared.append(
             PreparedNBest(
-                nbest=nbest,
                 ids_per_hyp=[
                     np.array(vocab.encode(s.tokens), dtype=np.intp) for s in sentences
                 ],
                 bins=bins,
                 ngram_feats=feats,
                 first_pass=np.array([fp for _, fp in nbest.hypotheses], dtype=float),
+                errors=errors,
+                ref_words=ref_words,
                 equal_length=len({len(s) for s in sentences}) == 1,
             )
         )
@@ -132,7 +137,7 @@ def prepare_heldout(
 
 def heldout_wer(params: RerankerParams, prepared, reranker_weight: float = 1.0) -> float:
     """WER when decoding with first-pass score plus the interpolated u score."""
-    report = evaluation.WerReport()
+    errors = ref_words = 0
     for item in prepared:
         if item.equal_length:
             ids = np.stack(item.ids_per_hyp)
@@ -146,8 +151,9 @@ def heldout_wer(params: RerankerParams, prepared, reranker_weight: float = 1.0) 
                 )
                 u[i] = out[0]
         chosen = int(np.argmax(item.first_pass + reranker_weight * u))
-        report.add(evaluation.score_utterance(item.nbest, chosen))
-    return report.wer
+        errors += int(item.errors[chosen].sum())
+        ref_words += item.ref_words
+    return errors / ref_words
 
 
 def train_reranker(
@@ -380,8 +386,8 @@ def _lm_forward_backward_nce(
         return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
 
     loss = float(-np.sum(log_sigmoid(tgt_logit)) - np.sum(log_sigmoid(-noise_logit)))
-    d_tgt = _np_sigmoid(tgt_logit) - 1.0
-    d_noise = _np_sigmoid(noise_logit)
+    d_tgt = _sigmoid(tgt_logit) - 1.0
+    d_noise = _sigmoid(noise_logit)
 
     np.add.at(grads["out_w"], targets, d_tgt[:, None] * hs)
     np.add.at(grads["out_b"], targets, d_tgt)
@@ -390,15 +396,6 @@ def _lm_forward_backward_nce(
     dh = d_tgt[:, None] * tgt_w + d_noise @ t["out_w"][noise_ids]
     _lm_backprop_lstm(params, ids, steps, dh, grads)
     return loss
-
-
-def _np_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def unigram_distribution(corpus: Corpus, vocab: Vocabulary) -> np.ndarray:

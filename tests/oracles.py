@@ -61,3 +61,60 @@ def finite_difference_check(params, loss_fn, grads, h=1e-5, rel=1e-4):
         if not gradients_match(grads[name], numeric, rel=rel):
             return name
     return None
+
+
+# Per-utterance reference for the array path in ``kbrerank.evaluation``: one
+# n-best list at a time, components summed in a fixed order, every decoding
+# re-aligned against the reference, and the weight grid swept recursively.
+
+SUM_ORDER = ("ngram", "lstm", "reranker")
+
+
+def reference_combine(comps, names, weights):
+    """First-pass score plus each weighted component of ``names``, added in
+    ``SUM_ORDER``."""
+    total = np.array(comps["first_pass"], dtype=float)
+    for name in SUM_ORDER:
+        if name in names:
+            total += weights.get(name, 0.0) * np.array(comps[name], dtype=float)
+    return total
+
+
+def reference_counts(ref, hyp):
+    errors, insertions, deletions = exhaustive_wer(ref, hyp)
+    return errors - insertions - deletions, deletions, insertions
+
+
+def reference_decode(dataset, comps_per_utt, names, weights):
+    """[(chosen index, (S, D, I))] per utterance, and the corpus WER."""
+    picks = []
+    errors = words = 0
+    for nbest, comps in zip(dataset, comps_per_utt):
+        chosen = int(np.argmax(reference_combine(comps, names, weights)))
+        counts = reference_counts(nbest.reference.tokens, nbest.hypotheses[chosen][0].tokens)
+        picks.append((chosen, counts))
+        errors += sum(counts)
+        words += len(nbest.reference.tokens)
+    return picks, errors / words
+
+
+def reference_tune(dataset, comps_per_utt, names, grid):
+    """Recursive sweep over ``grid`` for each of ``names``, first name in the
+    outermost loop; only a strictly lower WER replaces the best, so the first
+    grid point wins a tie."""
+    best = {"weights": {}, "wer": None}
+
+    def sweep(prefix, remaining):
+        if not remaining:
+            _, w = reference_decode(dataset, comps_per_utt, names, prefix)
+            if best["wer"] is None or w < best["wer"]:
+                best["weights"], best["wer"] = dict(prefix), w
+            return
+        for value in grid:
+            prefix[remaining[0]] = value
+            sweep(prefix, remaining[1:])
+        del prefix[remaining[0]]
+
+    if names:
+        sweep({}, tuple(names))
+    return best["weights"]

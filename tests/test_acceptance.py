@@ -11,16 +11,19 @@ least 10% relative WER.
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import exhaustive_wer, finite_difference_check
 
+import kbrerank
 from kbrerank import synth
 from kbrerank.cli import PipelineConfig, Paths, main, run_table_evaluation
 from kbrerank.corpus import (
@@ -30,7 +33,7 @@ from kbrerank.corpus import (
     build_vocabulary,
     corpus_from_lines,
 )
-from kbrerank.evaluation import oracle_wer, wer
+from kbrerank.evaluation import RerankModels, oracle_wer, score_split, wer
 from kbrerank.features import FeatureBundle, cooccurrence_total, extract_features, npmi_bin
 from kbrerank.kb import KBEntry, build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
@@ -165,7 +168,7 @@ def test_c3_wer_oracle_equivalence(capsys):
                 hyp.pop(rng.randrange(len(hyp)))
             cands.append((Sentence(tuple(hyp)), -rng.random()))
         dataset.append(NBestList(f"u{u}", Sentence(ref), tuple(cands)))
-    report = oracle_wer(dataset)
+    report = oracle_wer(score_split(dataset, (), RerankModels()))
     s = d = i = n = 0
     for lists in dataset:
         errs = [wer(lists.reference, h) for h, _ in lists.hypotheses]
@@ -335,6 +338,15 @@ STAGES = ("synth-world", "build-vocab", "build-kb-index", "train-ngram",
           "gen-negatives", "extract-features", "train-reranker", "train-lstm-lm")
 
 
+# fresh interpreters import the same kbrerank package as this process
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(kbrerank.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+}
+
+
 def run_pipeline(out_dir, sets, seed=SEED, evaluate=True, fresh_process=False):
     common = ["--out-dir", str(out_dir), "--seed", str(seed)]
     for key, value in sets.items():
@@ -346,7 +358,7 @@ def run_pipeline(out_dir, sets, seed=SEED, evaluate=True, fresh_process=False):
             # checked across runs, not just within one process
             proc = subprocess.run(
                 [sys.executable, "-m", "kbrerank.cli", stage, *common],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=_CHILD_ENV,
             )
             assert proc.returncode == 0, f"stage {stage} failed: {proc.stderr}"
         else:

@@ -87,6 +87,20 @@ class TestCliErrors:
         assert code == 1
         assert "references required" in capsys.readouterr().err
 
+    def test_gen_negatives_fails_on_bad_sampler_config(self, tmp_path, capsys):
+        # only "no confusable position" drops a sentence; any other sampler
+        # error fails the stage instead of silently dropping every sentence
+        common = ["--out-dir", str(tmp_path), "--seed", "5", *MINI_SETS]
+        for command in ("synth-world", "build-vocab", "train-ngram"):
+            assert main([command, *common]) == 0, command
+        capsys.readouterr()
+        code = main(
+            ["gen-negatives", *common, "--set", "neg_samples=4", "--set", "neg_keep=5"]
+        )
+        assert code == 1
+        assert "need 1 <= keep_k <= n_samples" in capsys.readouterr().err
+        assert not (tmp_path / "negatives.jsonl").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):

@@ -2,8 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from kbrerank import evaluation
 from kbrerank.corpus import Sentence, build_vocabulary, corpus_from_lines
 from kbrerank.evaluation import (
     NBestList,
@@ -13,6 +15,7 @@ from kbrerank.evaluation import (
     oracle_wer,
     rerank,
     save_nbest,
+    score_split,
     summary_table,
     tune_weights,
     wer,
@@ -33,7 +36,11 @@ def nbest(utt_id, ref, hyps_with_scores):
     )
 
 
-from oracles import exhaustive_wer
+from oracles import exhaustive_wer, reference_counts, reference_decode, reference_tune
+
+
+def scored(dataset, scorer="first-pass", models=None):
+    return score_split(dataset, scorer, models or RerankModels())
 
 
 class TestWer:
@@ -136,7 +143,7 @@ class TestOracle:
             nbest("u1", "a b", [("a x", -1.0), ("a b", -2.0)]),
             nbest("u2", "c", [("c", -1.0)]),
         ]
-        assert oracle_wer(dataset).wer == 0.0
+        assert oracle_wer(scored(dataset)).wer == 0.0
 
     def test_oracle_never_above_any_policy(self):
         rng = random.Random(3)
@@ -151,8 +158,8 @@ class TestOracle:
                 )
                 hyps.append((" ".join(hyp), -rng.random()))
             dataset.append(nbest(f"u{u}", " ".join(ref), hyps))
-        oracle = oracle_wer(dataset).wer
-        first = evaluate(dataset, "first-pass", {}, RerankModels()).wer
+        oracle = oracle_wer(scored(dataset)).wer
+        first = evaluate(scored(dataset), "first-pass", {}).wer
         assert oracle <= first
 
     def test_matches_choice_enumeration_on_three_utterances(self):
@@ -175,7 +182,7 @@ class TestOracle:
             total = (s + d + i) / n
             if best is None or total < best:
                 best = total
-        assert math.isclose(oracle_wer(dataset).wer, best, rel_tol=1e-12)
+        assert math.isclose(oracle_wer(scored(dataset)).wer, best, rel_tol=1e-12)
 
     def test_matches_per_utterance_brute_force_on_random_data(self):
         rng = random.Random(17)
@@ -190,7 +197,7 @@ class TestOracle:
                     hyp.pop(rng.randrange(len(hyp)))
                 hyps.append((" ".join(hyp), -rng.random()))
             dataset.append(nbest(f"u{u}", " ".join(ref), hyps))
-        report = oracle_wer(dataset)
+        report = oracle_wer(scored(dataset))
         s = d = i = n = 0
         for lists in dataset:
             errs = [wer(lists.reference, h) for h, _ in lists.hypotheses]
@@ -201,7 +208,7 @@ class TestOracle:
 
     def test_requires_references(self):
         with pytest.raises(ValueError, match="references required"):
-            oracle_wer([nbest("u1", None, [("a", -1.0)])])
+            oracle_wer(scored([nbest("u1", None, [("a", -1.0)])]))
 
 
 class TestEvaluate:
@@ -210,7 +217,7 @@ class TestEvaluate:
             nbest("u1", "a b", [("a b", -1.0), ("a x", -2.0)]),
             nbest("u2", "c", [("c", -0.5), ("a", -1.0)]),
         ]
-        report = evaluate(dataset, "first-pass", {}, RerankModels())
+        report = evaluate(scored(dataset), "first-pass", {})
         assert report.wer == 0.0
 
     def test_report_identity(self):
@@ -218,7 +225,7 @@ class TestEvaluate:
             nbest("u1", "a b c", [("a x c", -1.0)]),
             nbest("u2", "a", [("a b", -1.0)]),
         ]
-        report = evaluate(dataset, "first-pass", {}, RerankModels())
+        report = evaluate(scored(dataset), "first-pass", {})
         assert report.wer == (report.substitutions + report.deletions + report.insertions) / report.ref_words
 
     def test_micro_average_recomputable_from_per_utterance(self):
@@ -229,7 +236,7 @@ class TestEvaluate:
             ref = tuple(rng.choice(words) for _ in range(rng.randint(1, 4)))
             hyp = tuple(rng.choice(words) for _ in range(rng.randint(1, 4)))
             dataset.append(nbest(f"u{u}", " ".join(ref), [(" ".join(hyp), -1.0)]))
-        report = evaluate(dataset, "first-pass", {}, RerankModels())
+        report = evaluate(scored(dataset), "first-pass", {})
         total_errors = sum(r.substitutions + r.deletions + r.insertions for r in report.per_utterance)
         total_words = sum(r.ref_words for r in report.per_utterance)
         assert math.isclose(report.wer, total_errors / total_words, rel_tol=1e-12)
@@ -248,10 +255,127 @@ class TestEvaluate:
             nbest("u2", "c", [("c", -0.5), ("d", -1.0)]),
         ]
         models = RerankModels(lstm=lm)
-        weights = tune_weights(dataset, "lstm", models, (0.0, 1.0, 4.0))
-        tuned = evaluate(dataset, "lstm", weights, models).wer
-        first = evaluate(dataset, "first-pass", {}, models).wer
+        split = scored(dataset, "lstm", models)
+        weights = tune_weights(split, "lstm", (0.0, 1.0, 4.0))
+        tuned = evaluate(split, "lstm", weights).wer
+        first = evaluate(split, "first-pass", {}).wer
         assert tuned <= first
+
+
+class TestArrayPathMatchesReference:
+    """score_split with tune_weights, evaluate and oracle_wer against the
+    per-utterance reference in oracles.py."""
+
+    GRID = (0.0, 0.5, 1.0, 2.0)
+
+    def random_split(self, rng, n_utts):
+        dataset = []
+        for u in range(n_utts):
+            # words of their own per utterance, so a component can score a
+            # hypothesis by its errors against this utterance's reference
+            words = [f"{w}{u}" for w in "abcd"]
+            ref = [rng.choice(words) for _ in range(rng.randint(1, 5))]
+            hyps = []
+            for _ in range(rng.choice((1, 3, 5))):
+                hyp = [rng.choice(words) if rng.random() < 0.4 else t for t in ref]
+                if len(hyp) > 1 and rng.random() < 0.3:
+                    hyp.pop(rng.randrange(len(hyp)))
+                elif rng.random() < 0.2:
+                    hyp.insert(rng.randrange(len(hyp) + 1), rng.choice(words))
+                # three first-pass values over up to five hypotheses, and
+                # repeated hypotheses, give exact ties in the totals
+                hyps.append((" ".join(hyp), rng.choice((-1.0, -2.0, -3.0))))
+            dataset.append(nbest(f"u{u}", " ".join(ref), hyps))
+        return dataset
+
+    @staticmethod
+    def stub_models(monkeypatch, tables):
+        """Models whose component scores are looked up by hypothesis tokens."""
+        monkeypatch.setattr(
+            evaluation, "score_sentence", lambda model, s: tables["ngram"][s.tokens]
+        )
+        monkeypatch.setattr(
+            evaluation,
+            "reranker_scores",
+            lambda lists, models: np.array(
+                [tables["reranker"][h.tokens] for h, _ in lists.hypotheses]
+            ),
+        )
+        present = object()
+        return RerankModels(
+            ngram=present, lstm=StubLm(tables["lstm"]), reranker=present,
+            kb_index=present, vocab=present,
+        )
+
+    @staticmethod
+    def reference_components(dataset, tables):
+        return [
+            {
+                "first_pass": [fp for _, fp in lists.hypotheses],
+                **{
+                    name: [table[h.tokens] for h, _ in lists.hypotheses]
+                    for name, table in tables.items()
+                },
+            }
+            for lists in dataset
+        ]
+
+    def test_components_added_in_fixed_order(self, monkeypatch):
+        # (0.3 + 0.1) + 0.2 rounds above 0.6 and (0.3 + 0.2) + 0.1 does not,
+        # so adding the reranker before the LSTM would turn the win into a
+        # tie that the first hypothesis takes
+        dataset = [nbest("u0", "a", [("a", 0.6), ("b", 0.3)])]
+        tables = {
+            "ngram": {("a",): 0.0, ("b",): 0.0},
+            "lstm": {("a",): 0.0, ("b",): 0.1},
+            "reranker": {("a",): 0.0, ("b",): 0.2},
+        }
+        split = score_split(dataset, "reranker+lstm", self.stub_models(monkeypatch, tables))
+        weights = {"reranker": 1.0, "lstm": 1.0}
+        comps = self.reference_components(dataset, tables)
+        picks, _ = reference_decode(dataset, comps, ("reranker", "lstm"), weights)
+        assert picks[0][0] == 1
+        assert [r.chosen for r in evaluate(split, "reranker+lstm", weights).per_utterance] == [1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tuning_decoding_and_oracle_match(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        dataset = self.random_split(rng, 40)
+        counts = [
+            [reference_counts(lists.reference.tokens, h.tokens) for h, _ in lists.hypotheses]
+            for lists in dataset
+        ]
+        # coarse, partly informative component scores: fewer errors tend to
+        # score higher, and equal values are common
+        tables = {name: {} for name in evaluation.COMPONENTS}
+        for lists, utt_counts in zip(dataset, counts):
+            for (h, _), c in zip(lists.hypotheses, utt_counts):
+                for table in tables.values():
+                    table.setdefault(h.tokens, -float(sum(c)) + rng.choice((0.0, -1.0, -2.0)))
+        models = self.stub_models(monkeypatch, tables)
+        split = score_split(dataset, evaluation.COMPONENTS, models)
+        comps = self.reference_components(dataset, tables)
+        assert {len(lists.hypotheses) for lists in dataset} == {1, 3, 5}
+        tuned_nonzero = 0
+        for scorer, names in evaluation.SCORER_COMPONENTS.items():
+            weights = tune_weights(split, scorer, self.GRID)
+            expected = reference_tune(dataset, comps, names, self.GRID)
+            assert list(weights.items()) == list(expected.items()), scorer
+            tuned_nonzero += any(weights.values())
+            report = evaluate(split, scorer, weights)
+            picks, expected_wer = reference_decode(dataset, comps, names, weights)
+            got = [
+                (r.chosen, (r.substitutions, r.deletions, r.insertions))
+                for r in report.per_utterance
+            ]
+            assert got == picks, scorer
+            assert report.wer == expected_wer, scorer
+        assert tuned_nonzero > 0
+
+        oracle = oracle_wer(split)
+        assert [r.chosen for r in oracle.per_utterance] == [
+            min(range(len(c)), key=lambda k: sum(c[k])) for c in counts
+        ]
 
 
 class TestSerialization:
@@ -273,7 +397,7 @@ class TestSerialization:
 
     def test_utterance_csv(self, tmp_path):
         dataset = [nbest("u1", "a b", [("a x", -1.0)])]
-        report = evaluate(dataset, "first-pass", {}, RerankModels())
+        report = evaluate(scored(dataset), "first-pass", {})
         path = tmp_path / "report.csv"
         write_utterance_csv(report, path)
         lines = path.read_text().splitlines()
@@ -282,7 +406,7 @@ class TestSerialization:
 
     def test_summary_table_layout(self):
         dataset = [nbest("u1", "a b", [("a b", -1.0)])]
-        report = evaluate(dataset, "first-pass", {}, RerankModels())
+        report = evaluate(scored(dataset), "first-pass", {})
         table = summary_table(
             [("first-pass", {"heldout": report, "test": report}), ("oracle", {"test": report})]
         )

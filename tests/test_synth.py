@@ -3,7 +3,7 @@ import io
 import pytest
 
 from kbrerank import synth
-from kbrerank.evaluation import oracle_wer, evaluate, RerankModels
+from kbrerank.evaluation import RerankModels, evaluate, oracle_wer, score_split
 from kbrerank.kb import build_index
 
 
@@ -51,17 +51,17 @@ class TestGeneration:
 
     def test_zero_noise_gives_zero_first_pass_wer(self):
         world = synth.generate_world(small_config(noise_rate=0.0))
-        report = evaluate(world.test, "first-pass", {}, RerankModels())
+        report = evaluate(score_split(world.test, "first-pass", RerankModels()), "first-pass", {})
         assert report.wer == 0.0
 
     def test_reference_reachable_gives_zero_oracle(self):
         world = synth.generate_world(small_config())
-        assert oracle_wer(world.test).wer == 0.0
-        assert oracle_wer(world.heldout).wer == 0.0
+        assert oracle_wer(score_split(world.test, (), RerankModels())).wer == 0.0
+        assert oracle_wer(score_split(world.heldout, (), RerankModels())).wer == 0.0
 
     def test_unreachable_rate_lifts_oracle(self):
         world = synth.generate_world(small_config(noise_unreachable_rate=1.0))
-        assert oracle_wer(world.test).wer > 0.0
+        assert oracle_wer(score_split(world.test, (), RerankModels())).wer > 0.0
 
     def test_queries_mention_kb_entities(self):
         world = synth.generate_world(small_config())
