@@ -293,12 +293,7 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
     negsets = negsampler.load_negative_sets(
         _require_file(paths.negatives, "run gen-negatives first"), corpus
     )
-    ranked = [
-        i
-        for i in negsampler.negative_quality_ranking(negsets)
-        if negsets[i] is not None
-    ]
-    kept = sorted(ranked[: cfg.keep_top_m])
+    kept = negsampler.filter_corpus_by_negative_quality(corpus, negsets, cfg.keep_top_m)
     with open(paths.features, "w", encoding="utf-8") as fh:
         for sid in kept:
             negset = negsets[sid]
@@ -352,6 +347,12 @@ def load_feature_instances(path, vocab) -> list:
     return instances
 
 
+def _train_config(cfg: PipelineConfig, **overrides) -> trainer.TrainConfig:
+    """TrainConfig from the pipeline fields of the same names, then ``overrides``."""
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(trainer.TrainConfig)}
+    return trainer.TrainConfig(**{**fields, **overrides})
+
+
 def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     vocab = _load_vocab_checked(paths)
@@ -369,18 +370,7 @@ def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
         hidden_dim=cfg.hidden_dim,
     )
     params = RerankerParams.initialize(dims, seed=cfg.seed)
-    config = trainer.TrainConfig(
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        lr_decay=cfg.lr_decay,
-        l2=cfg.l2,
-        dropout=cfg.dropout,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        seed=cfg.seed,
-    )
-    best, logs = trainer.train_reranker(instances, prepared, params, config)
+    best, logs = trainer.train_reranker(instances, prepared, params, _train_config(cfg))
     best.save(paths.reranker, vocab.content_hash())
     trainer.save_training_log(logs, paths.train_log)
     print(
@@ -399,17 +389,6 @@ def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
         refs = [n.reference for n in evaluation.load_nbest(paths.heldout) if n.reference]
         if refs:
             heldout = Corpus(tuple(refs), source_path=str(paths.heldout))
-    config = trainer.TrainConfig(
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        lr_decay=cfg.lr_decay,
-        l2=cfg.l2,
-        dropout=cfg.dropout,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.lm_max_epochs,
-        patience=cfg.patience,
-        seed=cfg.seed,
-    )
     dims = trainer.LstmLmDims(
         vocab_size=vocab.size, word_dim=cfg.lm_word_dim, lstm_dim=cfg.lm_lstm_dim
     )
@@ -418,7 +397,7 @@ def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
         vocab,
         mode=cfg.lm_mode,
         nce_samples=cfg.lm_nce_samples,
-        config=config,
+        config=_train_config(cfg, max_epochs=cfg.lm_max_epochs),
         dims=dims,
         heldout=heldout,
     )
@@ -468,10 +447,10 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
     dataset = evaluation.load_nbest(_require_file(Path(args.nbest), "n-best file"))
     models = _load_models(paths, evaluation.SCORER_COMPONENTS[args.scorer])
     weights = _parse_weights(args.weights)
+    choices = [evaluation.rerank(n, args.scorer, weights, models) for n in dataset]
     out_path = paths.out / f"selections_{args.scorer.replace('+', '_')}.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
-        for nbest in dataset:
-            chosen = evaluation.rerank(nbest, args.scorer, weights, models)
+        for nbest, chosen in zip(dataset, choices):
             fh.write(
                 json.dumps(
                     {

@@ -11,7 +11,7 @@ import numpy as np
 from .corpus import Sentence, Vocabulary
 from .features import extract_features
 from .kb import KBIndex
-from .neural import RerankerParams, score_batch, stack_bundles
+from .neural import RerankerParams, pad_ids, score_batch, stack_bundles
 from .ngram import NGramModel, score_sentence
 
 # the components each scorer interpolates with the first pass, in the order
@@ -140,26 +140,35 @@ def _component_names(scorer) -> tuple:
     return tuple(name for name in COMPONENTS if name in scorer)
 
 
-def reranker_scores(nbest: NBestList, models: RerankModels) -> np.ndarray:
-    """Interpolated deep score u for every hypothesis."""
+@dataclass
+class RerankerInputs:
+    """An n-best list as the reranker reads it: word ids right-padded to the
+    longest hypothesis, each hypothesis's length, its feature bins and its
+    n-gram feature."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    bins: dict
+    ngram_feats: np.ndarray
+
+
+def reranker_inputs(
+    nbest: NBestList, vocab: Vocabulary, kb_index: KBIndex, ngram_model: NGramModel
+) -> RerankerInputs:
     sentences = [h for h, _ in nbest.hypotheses]
     bundles = [
-        extract_features(s, score_sentence(models.ngram, s), models.kb_index)
-        for s in sentences
+        extract_features(s, score_sentence(ngram_model, s), kb_index) for s in sentences
     ]
     bins, feats = stack_bundles(bundles)
-    lengths = {len(s) for s in sentences}
-    if len(lengths) == 1:
-        ids = np.array([models.vocab.encode(s.tokens) for s in sentences], dtype=np.intp)
-        u, _ = score_batch(models.reranker, ids, bins, feats)
-        return u
-    out = np.empty(len(sentences))
-    for i, s in enumerate(sentences):
-        ids = np.array([models.vocab.encode(s.tokens)], dtype=np.intp)
-        one_bins = {k: v[i : i + 1] for k, v in bins.items()}
-        u, _ = score_batch(models.reranker, ids, one_bins, feats[i : i + 1])
-        out[i] = u[0]
-    return out
+    ids, lengths = pad_ids([vocab.encode(s.tokens) for s in sentences])
+    return RerankerInputs(ids, lengths, bins, feats)
+
+
+def reranker_scores(nbest: NBestList, models: RerankModels) -> np.ndarray:
+    """Interpolated deep score u for every hypothesis, the list as one batch."""
+    x = reranker_inputs(nbest, models.vocab, models.kb_index, models.ngram)
+    u, _ = score_batch(models.reranker, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
+    return u
 
 
 def component_scores(nbest: NBestList, scorer, models: RerankModels) -> dict:
@@ -188,7 +197,18 @@ def component_scores(nbest: NBestList, scorer, models: RerankModels) -> dict:
 
 
 def combine(comps: dict, weights: dict) -> np.ndarray:
-    """First-pass score plus each weighted component, summed in ``comps`` order."""
+    """First-pass score plus each weighted component, summed in ``comps`` order.
+
+    A component without a weight adds nothing; a weight naming no component
+    of ``comps`` is an error, not a silent no-op.
+    """
+    unused = [name for name in weights if name == "first_pass" or name not in comps]
+    if unused:
+        used = ", ".join(name for name in comps if name != "first_pass") or "none"
+        raise ValueError(
+            f"weights for components the scorer does not use: {', '.join(unused)} "
+            f"(its components: {used})"
+        )
     total = comps["first_pass"].copy()
     for name, arr in comps.items():
         if name != "first_pass":

@@ -232,18 +232,15 @@ def negative_quality_ranking(negsets) -> list[int]:
     return sorted(range(len(negsets)), key=sort_key)
 
 
-def filter_corpus_by_negative_quality(corpus: Corpus, negsets, top_m: int) -> Corpus:
-    """Keep the sentences whose negatives the n-gram model likes most."""
+def filter_corpus_by_negative_quality(corpus: Corpus, negsets, top_m: int) -> list[int]:
+    """Indices, in corpus order, of the ``top_m`` sentences whose negatives
+    the n-gram model likes most; sentences without negatives are never kept."""
     if top_m <= 0:
         raise ValueError("top_m must be positive")
     if len(negsets) != len(corpus):
         raise ValueError("negative sets must align with the corpus")
     ranked = [i for i in negative_quality_ranking(negsets) if negsets[i] is not None]
-    kept = sorted(ranked[:top_m])
-    return Corpus(
-        tuple(corpus[i] for i in kept),
-        source_path=f"{corpus.source_path}#top{top_m}",
-    )
+    return sorted(ranked[:top_m])
 
 
 def save_negative_sets(negsets, path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import load_artifact, save_artifact
-from .features import COOC_BINS, FREQ_BINS, NPMI_BINS, FeatureBundle
+from .features import COOC_BINS, FREQ_BINS, NPMI_BINS
 
 _BIN_LIMITS = (
     ("co", COOC_BINS),
@@ -121,27 +121,20 @@ def _sigmoid(x):
     return out
 
 
-def lstm_step(w, b, h_prev, c_prev, x_emb):
-    """One LSTM cell update. Gate order in the fused kernel: i, f, o, g."""
-    hid = b.shape[0] // 4
-    if w.shape != (4 * hid, x_emb.shape[-1] + hid) or h_prev.shape[-1] != hid or c_prev.shape[-1] != hid:
-        raise ValueError("shape mismatch between LSTM weights and inputs")
-    z = w @ np.concatenate([x_emb, h_prev]) + b
-    i = _sigmoid(z[:hid])
-    f = _sigmoid(z[hid : 2 * hid])
-    o = _sigmoid(z[2 * hid : 3 * hid])
-    g = np.tanh(z[3 * hid :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
-
-
 def _lstm_forward(w, b, emb_seq):
-    """Batched sweep over (B, l, E); returns the final hidden state and the
-    per-step activations the backward pass needs."""
+    """Sweep over right-padded (B, L, E) inputs.
+
+    Returns the hidden state after every step as a (B, L + 1, H) array
+    (``hs[:, 0]`` is the zero start state) and the per-step activations the
+    backward pass needs. The LSTM is causal, so ``hs[r, n]`` is row r's state
+    after its first n tokens whatever follows them; a padded row's final
+    state is read at its own length, and the steps past its end are never
+    read.
+    """
     bsz, length, _ = emb_seq.shape
     hid = b.shape[0] // 4
-    h = np.zeros((bsz, hid))
+    hs = np.zeros((bsz, length + 1, hid))
+    h = hs[:, 0]
     c = np.zeros((bsz, hid))
     steps = []
     for t in range(length):
@@ -155,20 +148,27 @@ def _lstm_forward(w, b, emb_seq):
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
+        hs[:, t + 1] = h
         steps.append((inp, i, f, o, g, c_prev, tanh_c))
-    return h, steps
+    return hs, steps
 
 
-def _lstm_backward(w, steps, dh, step_ids, d_w, d_b, d_emb):
-    """Backward through time from the gradient at the final hidden state.
+def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
+    """Backward through time with a gradient arriving at any state.
 
-    ``step_ids[:, t]`` are the embedding rows consumed at step t, already in
-    the direction's own order.
+    ``dhs[t]`` is the (B, H) gradient w.r.t. ``hs[:, t]`` of ``_lstm_forward``,
+    or None where none arrives (``dhs[0]`` is ignored: the start state is
+    constant). ``step_ids[:, t]`` are the embedding rows consumed at step t,
+    in the direction's own order. A row's steps after its last gradient get
+    exactly zero.
     """
     e_dim = d_emb.shape[1]
+    dh = np.zeros((step_ids.shape[0], w.shape[0] // 4))
     dc = np.zeros_like(dh)
     for t in range(len(steps) - 1, -1, -1):
         inp, i, f, o, g, c_prev, tanh_c = steps[t]
+        if dhs[t + 1] is not None:
+            dh = dh + dhs[t + 1]
         do = dh * tanh_c
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         di = dc * g
@@ -191,6 +191,15 @@ def _lstm_backward(w, steps, dh, step_ids, d_w, d_b, d_emb):
         dc = dc * f
 
 
+def pad_ids(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id sequences with 0 into a (B, L) array; returns (ids, lengths)."""
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    ids = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.intp)
+    for r, row in enumerate(rows):
+        ids[r, : len(row)] = row
+    return ids, lengths
+
+
 def stack_bundles(bundles) -> tuple[dict, np.ndarray]:
     """Column-ize feature bundles for a batch of candidates."""
     bins = {
@@ -207,6 +216,7 @@ def stack_bundles(bundles) -> tuple[dict, np.ndarray]:
 @dataclass
 class ScoreCache:
     ids: np.ndarray
+    lengths: np.ndarray
     rev_ids: np.ndarray
     steps_f: list
     steps_b: list
@@ -219,13 +229,6 @@ class ScoreCache:
     s: np.ndarray
 
 
-@dataclass(frozen=True)
-class SentenceScore:
-    s: float
-    u: float
-    cache: ScoreCache
-
-
 def score_batch(
     params: RerankerParams,
     ids: np.ndarray,
@@ -234,22 +237,42 @@ def score_batch(
     dropout_p: float = 0.0,
     train_mode: bool = False,
     seed: int = 0,
+    lengths: np.ndarray | None = None,
 ):
-    """Score a batch of equal-length candidates; returns (u, cache)."""
+    """Score a batch of candidates; returns (u, cache).
+
+    ``ids`` is a (batch, length) array. Candidates of unequal length are
+    right-padded (``pad_ids``) and ``lengths`` gives each row's real length;
+    without it every row is ``length`` tokens long. The forward LSTM's final
+    state is taken after a row's last real token, and the backward LSTM reads
+    each row reversed within its own length, so it starts at that token.
+    Padding ids never reach a score or a gradient.
+    """
     t = params.tensors
     d = params.dims
     ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 2:
-        raise ValueError("ids must be a (batch, length) array")
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ValueError("ids must be a (batch, length >= 1) array")
     if np.any(ids < 0) or np.any(ids >= d.vocab_size):
         raise ValueError("word id out of range")
+    if lengths is None:
+        lengths = np.full(ids.shape[0], ids.shape[1], dtype=np.intp)
+    else:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.shape != ids.shape[:1] or np.any(lengths < 1) or np.any(lengths > ids.shape[1]):
+            raise ValueError("lengths must give each row a length in [1, ids.shape[1]]")
     for key, limit in _BIN_LIMITS:
         if np.any(bins[key] < 0) or np.any(bins[key] >= limit):
             raise ValueError(f"feature bin out of range for {key}")
 
-    h_f, steps_f = _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids])
-    rev_ids = ids[:, ::-1]
-    h_b, steps_b = _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][rev_ids])
+    rows = np.arange(ids.shape[0])
+    hs_f, steps_f = _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids])
+    # row r's first lengths[r] ids reversed, then its padding (reversed too,
+    # and never read)
+    rev_ids = ids[rows[:, None], (lengths[:, None] - 1 - np.arange(ids.shape[1])) % ids.shape[1]]
+    hs_b, steps_b = _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][rev_ids])
+    h_f = hs_f[rows, lengths]
+    h_b = hs_b[rows, lengths]
     phi = np.concatenate(
         [
             h_f,
@@ -275,6 +298,7 @@ def score_batch(
     u = t["alpha"][0] * s + t["alpha"][1] * np.asarray(ngram_feats, dtype=float)
     cache = ScoreCache(
         ids=ids,
+        lengths=lengths,
         rev_ids=rev_ids,
         steps_f=steps_f,
         steps_b=steps_b,
@@ -309,8 +333,6 @@ def backprop_batch(params: RerankerParams, cache: ScoreCache, du: np.ndarray, ou
         dphi = dphi * cache.dropout_mask
 
     hid = d.lstm_dim
-    dh_f = dphi[:, :hid]
-    dh_b = dphi[:, hid : 2 * hid]
     offset = 2 * hid
     for name, key, width in (
         ("co_emb", "co", d.co_dim),
@@ -322,39 +344,20 @@ def backprop_batch(params: RerankerParams, cache: ScoreCache, du: np.ndarray, ou
         np.add.at(grads[name], cache.bins[key], dphi[:, offset : offset + width])
         offset += width
 
-    _lstm_backward(t["fwd_w"], cache.steps_f, dh_f.copy(), cache.ids, grads["fwd_w"], grads["fwd_b"], grads["emb"])
-    _lstm_backward(t["bwd_w"], cache.steps_b, dh_b.copy(), cache.rev_ids, grads["bwd_w"], grads["bwd_b"], grads["emb"])
+    # each direction's gradient arrives at the state after a row's last token
+    ends = {n: cache.lengths == n for n in set(cache.lengths.tolist())}
+    for direction, steps, step_ids, dh in (
+        ("fwd", cache.steps_f, cache.ids, dphi[:, :hid]),
+        ("bwd", cache.steps_b, cache.rev_ids, dphi[:, hid : 2 * hid]),
+    ):
+        dhs = [None] * (len(steps) + 1)
+        for n, ending in ends.items():
+            dhs[n] = dh * ending[:, None]
+        _lstm_backward(
+            t[f"{direction}_w"], steps, dhs, step_ids,
+            grads[f"{direction}_w"], grads[f"{direction}_b"], grads["emb"],
+        )
     return grads
-
-
-def sentence_representation(params: RerankerParams, ids) -> np.ndarray:
-    """Concatenated final states of the forward and backward sweeps."""
-    ids = np.asarray(ids, dtype=np.intp).reshape(1, -1)
-    t = params.tensors
-    h_f, _ = _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids])
-    h_b, _ = _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][ids[:, ::-1]])
-    return np.concatenate([h_f[0], h_b[0]])
-
-
-def score(
-    params: RerankerParams,
-    ids,
-    bundle: FeatureBundle,
-    dropout_p: float = 0.0,
-    train_mode: bool = False,
-    seed: int = 0,
-) -> SentenceScore:
-    bins, feats = stack_bundles([bundle])
-    u, cache = score_batch(
-        params,
-        np.asarray(ids, dtype=np.intp).reshape(1, -1),
-        bins,
-        feats,
-        dropout_p=dropout_p,
-        train_mode=train_mode,
-        seed=seed,
-    )
-    return SentenceScore(s=float(cache.s[0]), u=float(u[0]), cache=cache)
 
 
 def contrastive_loss(scores, correct_index: int):

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .artifacts import load_artifact, save_artifact
-from .corpus import Corpus, FoldAssignment, Sentence, Vocabulary, build_vocabulary
+from .corpus import Corpus, FoldAssignment, Sentence, Vocabulary
 
 BOS = "<s>"
 EOS = "</s>"
@@ -221,25 +221,6 @@ def train_jackknife_models(
     return [
         train_ngram(corpus, vocab, order, exclude_fold=f, folds=folds)
         for f in range(folds.k)
-    ]
-
-
-def jackknife_scores(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    order: int = 3,
-    vocab: Vocabulary | None = None,
-    models: list[NGramModel] | None = None,
-) -> list[float]:
-    """Each sentence scored by the model trained without its own fold."""
-    if len(folds.fold_of) != len(corpus):
-        raise ValueError("fold assignment must cover the corpus")
-    if vocab is None:
-        vocab = build_vocabulary(corpus)
-    if models is None:
-        models = train_jackknife_models(corpus, vocab, order, folds)
-    return [
-        score_sentence(models[folds.fold_of[i]], sent) for i, sent in enumerate(corpus)
     ]
 
 

@@ -15,11 +15,11 @@ import numpy as np
 from . import evaluation
 from .artifacts import load_artifact, save_artifact
 from .corpus import Corpus, Sentence, Vocabulary
-from .features import extract_features
 from .kb import KBIndex
 from .negsampler import NegativeSet, derive_seed
 from .neural import (
     RerankerParams,
+    _lstm_backward,
     _lstm_forward,
     _sigmoid,
     backprop_batch,
@@ -28,7 +28,7 @@ from .neural import (
     sgd_momentum_update,
     stack_bundles,
 )
-from .ngram import NGramModel, score_sentence
+from .ngram import NGramModel
 
 
 @dataclass
@@ -93,16 +93,13 @@ class EpochLog:
 
 @dataclass
 class PreparedNBest:
-    """Held-out n-best list with ids, feature bundles and per-hypothesis
+    """Held-out n-best list with the reranker's inputs and per-hypothesis
     error counts resolved up front."""
 
-    ids_per_hyp: list
-    bins: dict
-    ngram_feats: np.ndarray
+    inputs: evaluation.RerankerInputs
     first_pass: np.ndarray
     errors: np.ndarray  # (hypotheses, 3) S/D/I against the reference
     ref_words: int
-    equal_length: bool
 
 
 def prepare_heldout(
@@ -112,24 +109,13 @@ def prepare_heldout(
     for nbest in dataset:
         if nbest.reference is None:
             raise ValueError("held-out data needs references")
-        sentences = [h for h, _ in nbest.hypotheses]
-        bundles = [
-            extract_features(s, score_sentence(ngram_model, s), kb_index)
-            for s in sentences
-        ]
-        bins, feats = stack_bundles(bundles)
         errors, ref_words = evaluation.hypothesis_errors(nbest)
         prepared.append(
             PreparedNBest(
-                ids_per_hyp=[
-                    np.array(vocab.encode(s.tokens), dtype=np.intp) for s in sentences
-                ],
-                bins=bins,
-                ngram_feats=feats,
+                inputs=evaluation.reranker_inputs(nbest, vocab, kb_index, ngram_model),
                 first_pass=np.array([fp for _, fp in nbest.hypotheses], dtype=float),
                 errors=errors,
                 ref_words=ref_words,
-                equal_length=len({len(s) for s in sentences}) == 1,
             )
         )
     return prepared
@@ -139,17 +125,8 @@ def heldout_wer(params: RerankerParams, prepared, reranker_weight: float = 1.0) 
     """WER when decoding with first-pass score plus the interpolated u score."""
     errors = ref_words = 0
     for item in prepared:
-        if item.equal_length:
-            ids = np.stack(item.ids_per_hyp)
-            u, _ = score_batch(params, ids, item.bins, item.ngram_feats)
-        else:
-            u = np.empty(len(item.ids_per_hyp))
-            for i, row in enumerate(item.ids_per_hyp):
-                one_bins = {k: v[i : i + 1] for k, v in item.bins.items()}
-                out, _ = score_batch(
-                    params, row.reshape(1, -1), one_bins, item.ngram_feats[i : i + 1]
-                )
-                u[i] = out[0]
+        x = item.inputs
+        u, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
         chosen = int(np.argmax(item.first_pass + reranker_weight * u))
         errors += int(item.errors[chosen].sum())
         ref_words += item.ref_words
@@ -280,13 +257,11 @@ class LstmLmParams:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
     def hidden_states(self, ids: np.ndarray):
-        """h_0..h_l as an (l+1, H) matrix (h_0 is the zero state)."""
+        """h_0..h_l as an (l+1, H) matrix (h_0 is the zero state), and the
+        per-step activations the backward pass needs."""
         t = self.tensors
-        final, steps = _lstm_forward(t["w"], t["b"], t["emb"][ids.reshape(1, -1)])
-        hs = np.zeros((len(ids) + 1, self.dims.lstm_dim))
-        for pos, (_, _, _, o, _, _, tanh_c) in enumerate(steps):
-            hs[pos + 1] = (o * tanh_c)[0]
-        return hs, steps
+        hs, steps = _lstm_forward(t["w"], t["b"], t["emb"][ids.reshape(1, -1)])
+        return hs[0], steps
 
     def sentence_logprob(self, sentence: Sentence) -> float:
         ids = np.array(self.vocab.encode(sentence.tokens), dtype=np.intp)
@@ -318,10 +293,6 @@ class LstmLmParams:
         )
 
 
-def lm_logprob(params: LstmLmParams, sentence: Sentence) -> float:
-    return params.sentence_logprob(sentence)
-
-
 def _lm_forward_backward_softmax(params: LstmLmParams, ids: np.ndarray, grads: dict):
     """Exact cross-entropy loss and gradients for one sentence."""
     t = params.tensors
@@ -338,35 +309,8 @@ def _lm_forward_backward_softmax(params: LstmLmParams, ids: np.ndarray, grads: d
     grads["out_w"] += dlogits.T @ hs
     grads["out_b"] += dlogits.sum(axis=0)
     dh = dlogits @ t["out_w"]
-    _lm_backprop_lstm(params, ids, steps, dh, grads)
+    _lstm_backward(t["w"], steps, dh[:, None], ids[None], grads["w"], grads["b"], grads["emb"])
     return loss
-
-
-def _lm_backprop_lstm(params: LstmLmParams, ids, steps, dh_seq, grads):
-    """Backward through time with a gradient arriving at every h_t, t >= 1."""
-    t = params.tensors
-    hid = params.dims.lstm_dim
-    e_dim = params.dims.word_dim
-    dh = np.zeros((1, hid))
-    dc = np.zeros((1, hid))
-    for pos in range(len(steps) - 1, -1, -1):
-        inp, i, f, o, g, c_prev, tanh_c = steps[pos]
-        dh = dh + dh_seq[pos + 1].reshape(1, -1)  # h_{pos+1} fed logits row pos+1
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dz = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
-            axis=1,
-        )
-        grads["w"] += dz.T @ inp
-        grads["b"] += dz.sum(axis=0)
-        dinp = dz @ t["w"]
-        grads["emb"][ids[pos]] += dinp[0, :e_dim]
-        dh = dinp[:, e_dim:]
-        dc = dc * f
 
 
 def _lm_forward_backward_nce(
@@ -394,7 +338,7 @@ def _lm_forward_backward_nce(
     np.add.at(grads["out_w"], noise_ids, d_noise.T @ hs)
     np.add.at(grads["out_b"], noise_ids, d_noise.sum(axis=0))
     dh = d_tgt[:, None] * tgt_w + d_noise @ t["out_w"][noise_ids]
-    _lm_backprop_lstm(params, ids, steps, dh, grads)
+    _lstm_backward(t["w"], steps, dh[:, None], ids[None], grads["w"], grads["b"], grads["emb"])
     return loss
 
 

@@ -1,11 +1,20 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and test-only helpers for the test suite.
 
-These deliberately avoid the production code paths they check: the WER oracle
-enumerates raw edit sequences, and the gradient checker perturbs tensors one
-element at a time.
+The oracles deliberately avoid the production code paths they check: the WER
+oracle enumerates raw edit sequences, the gradient checker perturbs tensors
+one element at a time, and ``lstm_step`` is a one-token LSTM cell written
+apart from the batched kernel in ``kbrerank.neural``. The single-sentence
+helpers below wrap the batched production calls for tests that score one
+candidate or one sentence at a time.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from kbrerank.corpus import build_vocabulary
+from kbrerank.neural import score_batch, stack_bundles
+from kbrerank.ngram import score_sentence, train_jackknife_models
 
 
 def exhaustive_wer(ref, hyp):
@@ -118,3 +127,88 @@ def reference_tune(dataset, comps_per_utt, names, grid):
     if names:
         sweep({}, tuple(names))
     return best["weights"]
+
+
+# Single-sentence helpers and the per-step LSTM reference.
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def lstm_step(w, b, h_prev, c_prev, x_emb):
+    """One LSTM cell update. Gate order in the fused kernel: i, f, o, g."""
+    hid = b.shape[0] // 4
+    if w.shape != (4 * hid, x_emb.shape[-1] + hid) or h_prev.shape[-1] != hid or c_prev.shape[-1] != hid:
+        raise ValueError("shape mismatch between LSTM weights and inputs")
+    z = w @ np.concatenate([x_emb, h_prev]) + b
+    i = _sigmoid(z[:hid])
+    f = _sigmoid(z[hid : 2 * hid])
+    o = _sigmoid(z[2 * hid : 3 * hid])
+    g = np.tanh(z[3 * hid :])
+    c = f * c_prev + i * g
+    h = o * np.tanh(c)
+    return h, c
+
+
+def lstm_final_states(params, ids) -> np.ndarray:
+    """Concatenated final states of the forward and backward sweeps over one
+    sentence, one ``lstm_step`` at a time."""
+    t = params.tensors
+    hid = params.dims.lstm_dim
+    out = []
+    for direction, seq in (("fwd", list(ids)), ("bwd", list(ids)[::-1])):
+        h = np.zeros(hid)
+        c = np.zeros(hid)
+        for wid in seq:
+            h, c = lstm_step(t[f"{direction}_w"], t[f"{direction}_b"], h, c, t["emb"][wid])
+        out.append(h)
+    return np.concatenate(out)
+
+
+def sentence_representation(params, ids) -> np.ndarray:
+    """Concatenated final states of the forward and backward sweeps: the
+    leading 2H entries of phi when ``score_batch`` scores the sentence alone."""
+    ids = np.asarray(ids, dtype=np.intp).reshape(1, -1)
+    bins = {key: np.zeros(1, dtype=np.intp) for key in ("co", "artist", "song", "cross", "intra")}
+    _, cache = score_batch(params, ids, bins, np.zeros(1))
+    return cache.phi[0, : 2 * params.dims.lstm_dim]
+
+
+@dataclass(frozen=True)
+class SentenceScore:
+    s: float
+    u: float
+    cache: object
+
+
+def score(params, ids, bundle, dropout_p=0.0, train_mode=False, seed=0) -> SentenceScore:
+    """One candidate scored as a batch of one row."""
+    bins, feats = stack_bundles([bundle])
+    u, cache = score_batch(
+        params,
+        np.asarray(ids, dtype=np.intp).reshape(1, -1),
+        bins,
+        feats,
+        dropout_p=dropout_p,
+        train_mode=train_mode,
+        seed=seed,
+    )
+    return SentenceScore(s=float(cache.s[0]), u=float(u[0]), cache=cache)
+
+
+def lm_logprob(params, sentence) -> float:
+    return params.sentence_logprob(sentence)
+
+
+def jackknife_scores(corpus, folds, order=3, vocab=None, models=None) -> list:
+    """Each sentence scored by the model trained without its own fold."""
+    if len(folds.fold_of) != len(corpus):
+        raise ValueError("fold assignment must cover the corpus")
+    if vocab is None:
+        vocab = build_vocabulary(corpus)
+    if models is None:
+        models = train_jackknife_models(corpus, vocab, order, folds)
+    return [
+        score_sentence(models[folds.fold_of[i]], sent) for i, sent in enumerate(corpus)
+    ]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -157,3 +158,43 @@ class TestPipeline:
         assert "vocabulary-hash mismatch" in capsys.readouterr().err
         # restore the original vocabulary for any later test
         assert main(["build-vocab", "--out-dir", str(pipeline_dir), *MINI_SETS]) == 0
+
+    def test_features_keep_top_m_sentences(self, pipeline_dir):
+        lines = (pipeline_dir / "features.jsonl").read_text().splitlines()
+        assert len({json.loads(l)["sentence_id"] for l in lines}) == 150
+
+    @pytest.mark.parametrize("top_m", ["0", "-1"])
+    def test_extract_features_rejects_non_positive_keep_top_m(
+        self, pipeline_dir, tmp_path, capsys, top_m
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        (run / "features.jsonl").unlink()
+        code = main(
+            ["extract-features", "--out-dir", str(run), "--seed", "5", *MINI_SETS,
+             "--set", f"keep_top_m={top_m}"]
+        )
+        assert code == 1
+        assert "top_m must be positive" in capsys.readouterr().err
+        assert not (run / "features.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "command, scorer, weights, unused",
+        [
+            ("rerank", "reranker", "rerankr=1.0", "rerankr"),
+            ("rerank", "reranker", "reranker=1.0,lstm=0.5", "lstm"),
+            ("rerank", "first-pass", "first_pass=2.0", "first_pass"),
+            ("evaluate", "ngram", "ngram=1.0,reranker=1.0", "reranker"),
+        ],
+    )
+    def test_weights_for_unused_components_rejected(
+        self, pipeline_dir, capsys, command, scorer, weights, unused
+    ):
+        code = main(
+            [command, "--nbest", str(pipeline_dir / "test.jsonl"), "--scorer", scorer,
+             "--weights", weights, "--out-dir", str(pipeline_dir), *MINI_SETS]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "weights for components the scorer does not use" in err
+        assert unused in err

@@ -179,7 +179,7 @@ class TestCorpusFilter:
         negsets = self._negsets(corpus)
         assert all(ns is not None for ns in negsets)
         kept = filter_corpus_by_negative_quality(corpus, negsets, top_m=len(corpus))
-        assert kept.sentences == corpus.sentences
+        assert tuple(corpus[i] for i in kept) == corpus.sentences
 
     def test_keeps_highest_mean_negative_score(self):
         corpus = corpus_from_lines(["jim dandys", "gym dandies"])
@@ -187,7 +187,23 @@ class TestCorpusFilter:
         means = [ns.mean_lm_logprob() for ns in negsets]
         best = max(range(2), key=lambda i: means[i])
         kept = filter_corpus_by_negative_quality(corpus, negsets, top_m=1)
-        assert kept.sentences == (corpus[best],)
+        assert tuple(corpus[i] for i in kept) == (corpus[best],)
+
+    def test_kept_indices_are_the_ranked_prefix_in_corpus_order(self):
+        rng = random.Random(9)
+        lines = [
+            " ".join(rng.choice(("jim", "gym", "dandys", "dandies", "near", "me")) for _ in range(3))
+            for _ in range(40)
+        ]
+        corpus = corpus_from_lines(lines)
+        negsets = self._negsets(corpus, seed=6)
+        negsets[3] = negsets[17] = None  # sentences without negatives
+        ranked = [i for i in negative_quality_ranking(negsets) if negsets[i] is not None]
+        for top_m in (1, 5, 37, 38, 39, 1000):
+            kept = filter_corpus_by_negative_quality(corpus, negsets, top_m=top_m)
+            assert kept == sorted(ranked[:top_m])
+            assert len(kept) == min(top_m, 38)
+            assert 3 not in kept and 17 not in kept
 
     def test_ranking_matches_independent_sort(self):
         rng = random.Random(8)
@@ -207,8 +223,9 @@ class TestCorpusFilter:
 
     def test_top_m_validation(self):
         corpus = corpus_from_lines(["jim dandys"])
-        with pytest.raises(ValueError):
-            filter_corpus_by_negative_quality(corpus, [None], top_m=0)
+        for top_m in (0, -1):
+            with pytest.raises(ValueError, match="top_m must be positive"):
+                filter_corpus_by_negative_quality(corpus, [None], top_m=top_m)
 
 
 class TestSerialization:

@@ -9,12 +9,17 @@ from kbrerank.neural import (
     RerankerParams,
     backprop_batch,
     contrastive_loss,
-    lstm_step,
-    score,
+    pad_ids,
     score_batch,
-    sentence_representation,
     sgd_momentum_update,
     stack_bundles,
+)
+from oracles import (
+    finite_difference_check,
+    lstm_final_states,
+    lstm_step,
+    score,
+    sentence_representation,
 )
 
 TINY = RerankerDims(
@@ -39,8 +44,6 @@ def tiny_instance(rng, n_candidates=6, length=4):
     bins, feats = stack_bundles(bundles)
     return ids, bins, feats
 
-
-from oracles import finite_difference_check
 
 
 def check_gradients(params, loss_fn, grads, h=1e-5):
@@ -169,6 +172,107 @@ class TestGradients:
             return contrastive_loss(out, 0)[0]
 
         check_gradients(params, loss_fn, grads)
+
+
+def padded_instance(rng, lengths, pad_id=0):
+    """Random candidates of the given lengths, right-padded with ``pad_id``."""
+    rows = [rng.integers(0, TINY.vocab_size, size=n) for n in lengths]
+    ids, lens = pad_ids(rows)
+    ids[np.arange(ids.shape[1]) >= lens[:, None]] = pad_id
+    _, bins, feats = tiny_instance(rng, n_candidates=len(lengths), length=1)
+    return ids, lens, bins, feats
+
+
+class TestPaddedBatch:
+    def test_pad_ids_layout(self):
+        ids, lengths = pad_ids([[3, 4], [5], [6, 7, 8]])
+        np.testing.assert_array_equal(ids, [[3, 4, 0], [5, 0, 0], [6, 7, 8]])
+        np.testing.assert_array_equal(lengths, [2, 1, 3])
+
+    def test_gradients_match_finite_differences_on_padded_batch(self):
+        params = RerankerParams.initialize(TINY, seed=14)
+        rng = np.random.default_rng(8)
+        ids, lengths, bins, feats = padded_instance(rng, (1, 3, 5), pad_id=7)
+
+        u, cache = score_batch(params, ids, bins, feats, lengths=lengths)
+        _, du = contrastive_loss(u, 0)
+        grads = backprop_batch(params, cache, du)
+
+        def loss_fn():
+            out, _ = score_batch(params, ids, bins, feats, lengths=lengths)
+            return contrastive_loss(out, 0)[0]
+
+        check_gradients(params, loss_fn, grads)
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_padding_contributes_exactly_zero(self, train_mode):
+        params = RerankerParams.initialize(TINY, seed=15)
+        results = []
+        for pad_id in (0, 7, 19):
+            rng = np.random.default_rng(9)
+            ids, lengths, bins, feats = padded_instance(rng, (2, 5, 1, 4), pad_id=pad_id)
+            u, cache = score_batch(
+                params, ids, bins, feats, lengths=lengths,
+                dropout_p=0.3, train_mode=train_mode, seed=4,
+            )
+            _, du = contrastive_loss(u, 1)
+            results.append((u, backprop_batch(params, cache, du)))
+        (u0, g0), *others = results
+        for u, g in others:
+            np.testing.assert_array_equal(u, u0)
+            for name in g0:
+                np.testing.assert_array_equal(g[name], g0[name], err_msg=name)
+
+    def test_each_row_matches_row_scored_alone(self):
+        params = RerankerParams.initialize(TINY, seed=16)
+        rng = np.random.default_rng(10)
+        lengths = (3, 1, 6, 2, 6, 4)
+        ids, lens, bins, feats = padded_instance(rng, lengths, pad_id=5)
+        u, cache = score_batch(params, ids, bins, feats, lengths=lens)
+        du = rng.normal(size=len(lengths))
+        batch_grads = backprop_batch(params, cache, du)
+        row_grads = params.zero_grads()
+        for r, n in enumerate(lengths):
+            one_bins = {k: v[r : r + 1] for k, v in bins.items()}
+            alone, alone_cache = score_batch(params, ids[r : r + 1, :n], one_bins, feats[r : r + 1])
+            assert abs(alone[0] - u[r]) <= 1e-12
+            backprop_batch(params, alone_cache, du[r : r + 1], out=row_grads)
+        for name in batch_grads:
+            np.testing.assert_allclose(
+                batch_grads[name], row_grads[name], rtol=1e-10, atol=1e-14, err_msg=name
+            )
+
+    def test_final_states_match_per_step_reference(self):
+        # the backward direction must start at each row's own last token
+        params = RerankerParams.initialize(TINY, seed=17)
+        rng = np.random.default_rng(11)
+        lengths = (4, 1, 2, 4, 3)
+        ids, lens, bins, feats = padded_instance(rng, lengths, pad_id=2)
+        _, cache = score_batch(params, ids, bins, feats, lengths=lens)
+        for r, n in enumerate(lengths):
+            np.testing.assert_allclose(
+                cache.phi[r, : 2 * TINY.lstm_dim],
+                lstm_final_states(params, ids[r, :n]),
+                rtol=0.0, atol=1e-12,
+            )
+
+    def test_equal_lengths_default(self):
+        params = RerankerParams.initialize(TINY, seed=18)
+        rng = np.random.default_rng(12)
+        ids, bins, feats = tiny_instance(rng)
+        u_default, _ = score_batch(params, ids, bins, feats)
+        u_explicit, _ = score_batch(
+            params, ids, bins, feats, lengths=np.full(ids.shape[0], ids.shape[1])
+        )
+        np.testing.assert_array_equal(u_default, u_explicit)
+
+    @pytest.mark.parametrize("lengths", [(0, 3), (4, 3), (3,), (3, 3, 3)])
+    def test_bad_lengths_rejected(self, lengths):
+        params = RerankerParams.initialize(TINY, seed=19)
+        rng = np.random.default_rng(13)
+        ids, bins, feats = tiny_instance(rng, n_candidates=2, length=3)
+        with pytest.raises(ValueError, match="lengths"):
+            score_batch(params, ids, bins, feats, lengths=np.array(lengths))
 
 
 class TestContrastiveLoss:

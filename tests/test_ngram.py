@@ -3,6 +3,7 @@ import pickle
 from collections import Counter
 
 import pytest
+from oracles import jackknife_scores
 
 from kbrerank.corpus import UNK, Sentence, assign_folds, build_vocabulary, corpus_from_lines
 from kbrerank.ngram import (
@@ -10,7 +11,6 @@ from kbrerank.ngram import (
     EOS,
     event_distribution,
     export_arpa,
-    jackknife_scores,
     score_sentence,
     train_jackknife_models,
     train_ngram,

@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from oracles import finite_difference_check, lm_logprob, lstm_step, score
 
-from kbrerank import synth
+from kbrerank import synth, trainer
 from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
+from kbrerank.evaluation import NBestList, wer
 from kbrerank.features import extract_features
 from kbrerank.kb import build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
-from kbrerank.neural import RerankerDims, RerankerParams, lstm_step
+from kbrerank.neural import RerankerDims, RerankerParams
 from kbrerank.ngram import score_sentence, train_jackknife_models, train_ngram
 from kbrerank.trainer import (
     LstmLmDims,
     LstmLmParams,
     TrainConfig,
     heldout_wer,
-    lm_logprob,
     make_instance,
     prepare_heldout,
     train_lstm_lm,
@@ -57,6 +58,8 @@ def mini_world():
     return {
         "world": world,
         "vocab": vocab,
+        "index": index,
+        "full": full,
         "instances": instances,
         "prepared": prepared,
         "dims": dims,
@@ -119,6 +122,67 @@ class TestTrainReranker:
         params = RerankerParams.initialize(mini_world["dims"], seed=5)
         with pytest.raises(ValueError, match="no training instances"):
             train_reranker([], mini_world["prepared"], params, TrainConfig())
+
+
+def unequal_length_lists(world):
+    """Held-out lists rebuilt so each holds hypotheses of three lengths: the
+    reference, the reference minus its last word, and the reference with its
+    first word repeated; every first-pass score ties, so the reranker decides."""
+    lists = []
+    for nbest in world.heldout[:10]:
+        ref = nbest.reference.tokens
+        hyps = [ref, ref[:-1] if len(ref) > 1 else ref + ref, (ref[0],) + ref]
+        hyps.extend(h.tokens for h, _ in nbest.hypotheses[1:3])
+        lists.append(
+            NBestList(nbest.utt_id, nbest.reference, tuple((Sentence(h), 0.0) for h in hyps))
+        )
+    return lists
+
+
+class TestHeldoutUnequalLengths:
+    def test_heldout_wer_scores_each_hypothesis_as_alone(self, mini_world):
+        vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
+        lists = unequal_length_lists(mini_world["world"])
+        prepared = prepare_heldout(lists, vocab, index, full)
+        assert all(len(set(item.inputs.lengths.tolist())) > 1 for item in prepared)
+        chosen_lengths = set()
+        for seed in range(4):
+            params = RerankerParams.initialize(mini_world["dims"], seed=seed)
+            errors = words = 0
+            for nbest in lists:
+                u = []
+                for hyp, _ in nbest.hypotheses:
+                    bundle = extract_features(hyp, score_sentence(full, hyp), index)
+                    u.append(score(params, vocab.encode(hyp.tokens), bundle).u)
+                chosen = int(np.argmax(u))
+                chosen_lengths.add(len(nbest.hypotheses[chosen][0]) - len(nbest.reference))
+                s, d, i, n = wer(nbest.reference, nbest.hypotheses[chosen][0])
+                errors += s + d + i
+                words += n
+            assert heldout_wer(params, prepared) == errors / words
+        assert len(chosen_lengths) > 1  # the choices do depend on the lengths
+
+
+class TestLstmLmGradients:
+    @pytest.mark.parametrize("mode", ["full-softmax", "nce"])
+    def test_gradients_match_finite_differences(self, mode):
+        params, vocab = uniform_lm()
+        rng = np.random.default_rng(6)
+        for name in ("out_w", "out_b", "b"):
+            params.tensors[name] = rng.uniform(-0.5, 0.5, params.tensors[name].shape)
+        ids = np.array(vocab.encode(("a", "c", "b", "a")), dtype=np.intp)
+        noise_ids = np.array([1, 4, 4, 0])
+        log_kq = np.log(len(noise_ids) * np.full(params.dims.n_out, 1.0 / params.dims.n_out))
+
+        def run(grads):
+            if mode == "full-softmax":
+                return trainer._lm_forward_backward_softmax(params, ids, grads)
+            return trainer._lm_forward_backward_nce(params, ids, noise_ids, log_kq, grads)
+
+        grads = params.zero_grads()
+        run(grads)
+        bad = finite_difference_check(params, lambda: run(params.zero_grads()), grads)
+        assert bad is None, f"gradient mismatch in {bad}"
 
 
 def uniform_lm(words=("a", "b", "c", "d")):
