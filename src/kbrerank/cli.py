@@ -8,7 +8,11 @@ the whole pipeline is a sequence of subcommands sharing one directory:
     evaluate
 
 All knobs live in a flat JSON config (``--config``), overridable per key with
-``--set key=value``; ``--seed`` overrides the global seed.
+``--set key=value``; ``--seed`` overrides the global seed. Each
+``trainer.TrainConfig`` field is a key of its own name, each
+``synth.SynthConfig`` field the key ``synth_`` plus its name, and both take
+the global seed. A value of the wrong type, or one its record rejects, fails
+when the config is loaded, before any stage runs.
 """
 
 from __future__ import annotations
@@ -17,10 +21,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import evaluation, features, kb, negsampler, ngram, synth, trainer
 from .artifacts import ArtifactError, check_vocab_hash
@@ -34,11 +37,18 @@ from .corpus import (
     save_corpus,
     save_vocabulary,
 )
-from .neural import RerankerDims, RerankerParams
+from .neural import RerankerDims, RerankerParams, reranker_inputs
+from .synth import SynthConfig
+from .trainer import TrainConfig
 
 
 @dataclass
 class PipelineConfig:
+    """Every pipeline setting, read and written as flat keys (see the module
+    docstring). Stages hand ``train`` and ``synth`` the pipeline ``seed``. The
+    reranker and LM dimensions stay flat: their records carry the vocabulary
+    size, known only after build-vocab."""
+
     seed: int = 0
     out_dir: str = "out"
     corpus_path: str = ""
@@ -57,15 +67,8 @@ class PipelineConfig:
     word_dim: int = 200
     lstm_dim: int = 500
     hidden_dim: int = 256
-    # reranker training
-    lr: float = 1.0
-    momentum: float = 0.9
-    lr_decay: float = 0.5
-    l2: float = 1e-6
-    dropout: float = 0.2
-    batch_size: int = 64
-    max_epochs: int = 20
-    patience: int = 3
+    # reranker training, and the LM's with lm_max_epochs
+    train: TrainConfig = field(default_factory=TrainConfig)
     # LSTM language model
     lm_word_dim: int = 200
     lm_lstm_dim: int = 1000
@@ -73,57 +76,77 @@ class PipelineConfig:
     lm_nce_samples: int = 100
     lm_max_epochs: int = 8
     # evaluation weight grid
-    weight_grid: tuple = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+    weight_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
     # synthetic world
-    synth_n_artists: int = 100
-    synth_songs_per_artist: int = 20
-    synth_word_inventory: int = 400
-    synth_templates: tuple = synth.DEFAULT_TEMPLATES
-    synth_n_train: int = 20000
-    synth_n_heldout: int = 1000
-    synth_n_test: int = 1000
-    synth_hyps_per_utt: int = 5
-    synth_noise_rate: float = 0.3
-    synth_unreachable_rate: float = 0.0
-    synth_corruption_p_sub: float = 0.25
-    synth_zipf_exponent: float = 1.1
+    synth: SynthConfig = field(default_factory=SynthConfig)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        cfg = cls(**data)
-        for name in ("weight_grid", "synth_templates"):
-            setattr(cfg, name, tuple(getattr(cfg, name)))
+        cfg = cls()
+        for key, value in data.items():
+            cfg._assign(key, value)
         return cfg
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["weight_grid"] = list(self.weight_grid)
-        out["synth_templates"] = list(self.synth_templates)
+        out = {}
+        for key, (record, name, _) in _KEYS.items():
+            value = getattr(getattr(self, record) if record else self, name)
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
     def set_key(self, key: str, raw: str) -> None:
-        field_types = {f.name: f.type for f in dataclasses.fields(self)}
-        if key not in field_types:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key: {key}")
-        current = getattr(self, key)
-        if isinstance(current, tuple):
-            try:
-                value = tuple(json.loads(raw))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ValueError(f"--set {key} expects a JSON list") from exc
-        elif isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(self, key, value)
+        tp = _KEYS[key][2]
+        try:
+            value = json.loads(raw) if typing.get_origin(tp) is tuple else tp(raw)
+        except ValueError as exc:
+            raise ValueError(f"--set {key}: cannot read {raw!r}") from exc
+        self._assign(key, value)
+
+    def _assign(self, key: str, value) -> None:
+        record, name, tp = _KEYS[key]
+        value = _checked(key, value, tp)
+        if record is None:
+            setattr(self, name, value)
+        else:  # replace() runs the record's own validation
+            setattr(self, record, dataclasses.replace(getattr(self, record), **{name: value}))
+
+
+# the nested records and the prefix their fields take as flat keys
+_PREFIXES = {"train": "", "synth": "synth_"}
+
+
+def _flat_keys() -> dict:
+    """Flat key -> (nested record or None, field name, field type)."""
+    keys = {}
+    for name, tp in typing.get_type_hints(PipelineConfig).items():
+        if name not in _PREFIXES:
+            keys[name] = (None, name, tp)
+            continue
+        for sub, sub_tp in typing.get_type_hints(tp).items():
+            if sub != "seed":  # the records take the pipeline's seed
+                keys[_PREFIXES[name] + sub] = (name, sub, sub_tp)
+    return keys
+
+
+_KEYS = _flat_keys()
+
+
+def _checked(key: str, value, tp):
+    """``value`` as a ``tp`` field: an int passes for a float and a list for a
+    tuple; any other type is an error naming ``key``."""
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key} must be a list, got {value!r}")
+        return tuple(_checked(key, v, typing.get_args(tp)[0]) for v in value)
+    allowed = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"config key {key} must be {tp.__name__}, got {value!r}")
+    return value
 
 
 class Paths:
@@ -190,23 +213,7 @@ def _load_ngram_checked(path: Path, vocab) -> ngram.NGramModel:
 def cmd_synth_world(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     paths.out.mkdir(parents=True, exist_ok=True)
-    world = synth.generate_world(
-        synth.SynthConfig(
-            seed=cfg.seed,
-            n_artists=cfg.synth_n_artists,
-            n_songs_per_artist=cfg.synth_songs_per_artist,
-            word_inventory=cfg.synth_word_inventory,
-            templates=tuple(cfg.synth_templates),
-            n_train=cfg.synth_n_train,
-            n_heldout=cfg.synth_n_heldout,
-            n_test=cfg.synth_n_test,
-            hyps_per_utt=cfg.synth_hyps_per_utt,
-            noise_rate=cfg.synth_noise_rate,
-            noise_unreachable_rate=cfg.synth_unreachable_rate,
-            corruption_p_sub=cfg.synth_corruption_p_sub,
-            zipf_exponent=cfg.synth_zipf_exponent,
-        )
-    )
+    world = synth.generate_world(dataclasses.replace(cfg.synth, seed=cfg.seed))
     kb.save_kb(world.kb_entries, paths.kb)
     save_corpus(world.train, paths.train)
     evaluation.save_nbest(world.heldout, paths.heldout)
@@ -306,12 +313,7 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
                     "sentence_id": sid,
                     "hypothesis_id": hyp_id,
                     "tokens": list(sentence.tokens),
-                    "ngram_negative_logprob": bundle.ngram_negative_logprob,
-                    "cooccurrence_bin": bundle.cooccurrence_bin,
-                    "artist_freq_bin": bundle.artist_freq_bin,
-                    "song_freq_bin": bundle.song_freq_bin,
-                    "cross_npmi_bin": bundle.cross_npmi_bin,
-                    "intra_npmi_bin": bundle.intra_npmi_bin,
+                    **dataclasses.asdict(bundle),
                 }
                 fh.write(json.dumps(rec) + "\n")
     print(f"features: {len(kept)} training instances")
@@ -319,38 +321,39 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
 
 
 def load_feature_instances(path, vocab) -> list:
-    """Group the feature dump back into per-sentence training instances."""
+    """Group the feature dump back into per-sentence training instances.
+
+    A sentence's rows must be hypotheses 0..n-1 with n >= 2: row 0 is the
+    source sentence, the correct candidate, and the rest its negatives.
+    """
     groups: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            groups.setdefault(rec["sentence_id"], []).append(rec)
+            groups.setdefault(rec.pop("sentence_id"), []).append(rec)
     instances = []
     for sid in sorted(groups):
         rows = sorted(groups[sid], key=lambda r: r["hypothesis_id"])
-        bundles = [
-            features.FeatureBundle(
-                ngram_negative_logprob=r["ngram_negative_logprob"],
-                cooccurrence_bin=r["cooccurrence_bin"],
-                artist_freq_bin=r["artist_freq_bin"],
-                song_freq_bin=r["song_freq_bin"],
-                cross_npmi_bin=r["cross_npmi_bin"],
-                intra_npmi_bin=r["intra_npmi_bin"],
+        hyp_ids = [r.pop("hypothesis_id") for r in rows]
+        if len(rows) < 2 or hyp_ids != list(range(len(rows))):
+            raise ValueError(
+                f"{path}: sentence_id {sid} has hypothesis ids {hyp_ids}, expected "
+                "0..n-1: the source sentence and at least one negative"
             )
-            for r in rows
-        ]
-        ids = np.array([vocab.encode(r["tokens"]) for r in rows], dtype=np.intp)
-        bins, feats = trainer.stack_bundles(bundles)
-        instances.append(trainer.RerankInstance(ids, bins, feats))
+        tokens = [r.pop("tokens") for r in rows]
+        try:
+            bundles = [features.FeatureBundle(**r) for r in rows]
+        except TypeError as exc:  # a missing, unknown or wrong-typed field
+            raise ValueError(f"{path}: sentence_id {sid}: {exc}") from exc
+        instances.append(reranker_inputs(tokens, bundles, vocab))
     return instances
 
 
-def _train_config(cfg: PipelineConfig, **overrides) -> trainer.TrainConfig:
-    """TrainConfig from the pipeline fields of the same names, then ``overrides``."""
-    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(trainer.TrainConfig)}
-    return trainer.TrainConfig(**{**fields, **overrides})
+def _train_config(cfg: PipelineConfig, **overrides) -> TrainConfig:
+    """``cfg.train`` with the pipeline seed, then ``overrides``."""
+    return dataclasses.replace(cfg.train, seed=cfg.seed, **overrides)
 
 
 def cmd_train_reranker(cfg: PipelineConfig, args) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 from .corpus import Sentence, Vocabulary
 from .features import extract_features
 from .kb import KBIndex
-from .neural import RerankerParams, pad_ids, score_batch, stack_bundles
+from .neural import RerankerInputs, RerankerParams, reranker_inputs, score_batch
 from .ngram import NGramModel, score_sentence
 
 # the components each scorer interpolates with the first pass, in the order
@@ -140,33 +140,20 @@ def _component_names(scorer) -> tuple:
     return tuple(name for name in COMPONENTS if name in scorer)
 
 
-@dataclass
-class RerankerInputs:
-    """An n-best list as the reranker reads it: word ids right-padded to the
-    longest hypothesis, each hypothesis's length, its feature bins and its
-    n-gram feature."""
-
-    ids: np.ndarray
-    lengths: np.ndarray
-    bins: dict
-    ngram_feats: np.ndarray
-
-
-def reranker_inputs(
+def nbest_inputs(
     nbest: NBestList, vocab: Vocabulary, kb_index: KBIndex, ngram_model: NGramModel
 ) -> RerankerInputs:
+    """The reranker's inputs for an n-best list, its features extracted here."""
     sentences = [h for h, _ in nbest.hypotheses]
     bundles = [
         extract_features(s, score_sentence(ngram_model, s), kb_index) for s in sentences
     ]
-    bins, feats = stack_bundles(bundles)
-    ids, lengths = pad_ids([vocab.encode(s.tokens) for s in sentences])
-    return RerankerInputs(ids, lengths, bins, feats)
+    return reranker_inputs([s.tokens for s in sentences], bundles, vocab)
 
 
 def reranker_scores(nbest: NBestList, models: RerankModels) -> np.ndarray:
     """Interpolated deep score u for every hypothesis, the list as one batch."""
-    x = reranker_inputs(nbest, models.vocab, models.kb_index, models.ngram)
+    x = nbest_inputs(nbest, models.vocab, models.kb_index, models.ngram)
     u, _ = score_batch(models.reranker, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
     return u
 

@@ -13,18 +13,31 @@ finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import load_artifact, save_artifact
+from .corpus import Vocabulary
 from .features import COOC_BINS, FREQ_BINS, NPMI_BINS
 
-_BIN_LIMITS = (
-    ("co", COOC_BINS),
-    ("artist", FREQ_BINS),
-    ("song", FREQ_BINS),
-    ("cross", NPMI_BINS),
-    ("intra", NPMI_BINS),
+
+class _Bin(NamedTuple):
+    key: str  # key in a batch's ``bins`` dict
+    field: str  # FeatureBundle field
+    count: int  # number of bins
+    emb: str  # embedding tensor
+    width: str  # RerankerDims field giving the embedding width
+
+
+# the feature bins in phi's column order; the order also fixes the embedding
+# tensors' creation order, so seeded initialization depends on it
+_BINS = (
+    _Bin("co", "cooccurrence_bin", COOC_BINS, "co_emb", "co_dim"),
+    _Bin("artist", "artist_freq_bin", FREQ_BINS, "artist_emb", "freq_dim"),
+    _Bin("song", "song_freq_bin", FREQ_BINS, "song_emb", "freq_dim"),
+    _Bin("cross", "cross_npmi_bin", NPMI_BINS, "cross_emb", "cross_dim"),
+    _Bin("intra", "intra_npmi_bin", NPMI_BINS, "intra_emb", "intra_dim"),
 )
 
 
@@ -41,13 +54,7 @@ class RerankerDims:
 
     @property
     def phi_dim(self) -> int:
-        return (
-            2 * self.lstm_dim
-            + self.co_dim
-            + 2 * self.freq_dim
-            + self.cross_dim
-            + self.intra_dim
-        )
+        return 2 * self.lstm_dim + sum(getattr(self, b.width) for b in _BINS)
 
 
 # fixed creation order keeps seeded initialization reproducible
@@ -59,11 +66,7 @@ def _tensor_shapes(d: RerankerDims):
         ("fwd_b", (gate_rows,)),
         ("bwd_w", (gate_rows, d.word_dim + d.lstm_dim)),
         ("bwd_b", (gate_rows,)),
-        ("co_emb", (COOC_BINS, d.co_dim)),
-        ("artist_emb", (FREQ_BINS, d.freq_dim)),
-        ("song_emb", (FREQ_BINS, d.freq_dim)),
-        ("cross_emb", (NPMI_BINS, d.cross_dim)),
-        ("intra_emb", (NPMI_BINS, d.intra_dim)),
+        *((b.emb, (b.count, getattr(d, b.width))) for b in _BINS),
         ("hidden_w", (d.phi_dim, d.hidden_dim)),
         ("out_w", (d.hidden_dim,)),
         ("alpha", (2,)),
@@ -203,14 +206,31 @@ def pad_ids(rows) -> tuple[np.ndarray, np.ndarray]:
 def stack_bundles(bundles) -> tuple[dict, np.ndarray]:
     """Column-ize feature bundles for a batch of candidates."""
     bins = {
-        "co": np.array([b.cooccurrence_bin for b in bundles], dtype=np.intp),
-        "artist": np.array([b.artist_freq_bin for b in bundles], dtype=np.intp),
-        "song": np.array([b.song_freq_bin for b in bundles], dtype=np.intp),
-        "cross": np.array([b.cross_npmi_bin for b in bundles], dtype=np.intp),
-        "intra": np.array([b.intra_npmi_bin for b in bundles], dtype=np.intp),
+        b.key: np.array([getattr(x, b.field) for x in bundles], dtype=np.intp) for b in _BINS
     }
-    feats = np.array([b.ngram_negative_logprob for b in bundles], dtype=float)
+    feats = np.array([x.ngram_negative_logprob for x in bundles], dtype=float)
     return bins, feats
+
+
+@dataclass
+class RerankerInputs:
+    """A batch of candidates as the reranker reads it: word ids right-padded
+    to the longest candidate, each candidate's length, its feature bins and
+    its n-gram feature."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    bins: dict
+    ngram_feats: np.ndarray
+
+
+def reranker_inputs(candidates, bundles, vocab: Vocabulary) -> RerankerInputs:
+    """Inputs for token sequences ``candidates`` and their feature bundles."""
+    if len(bundles) != len(candidates):
+        raise ValueError("need one feature bundle per candidate")
+    ids, lengths = pad_ids([vocab.encode(tokens) for tokens in candidates])
+    bins, feats = stack_bundles(bundles)
+    return RerankerInputs(ids, lengths, bins, feats)
 
 
 @dataclass
@@ -261,9 +281,9 @@ def score_batch(
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.shape != ids.shape[:1] or np.any(lengths < 1) or np.any(lengths > ids.shape[1]):
             raise ValueError("lengths must give each row a length in [1, ids.shape[1]]")
-    for key, limit in _BIN_LIMITS:
-        if np.any(bins[key] < 0) or np.any(bins[key] >= limit):
-            raise ValueError(f"feature bin out of range for {key}")
+    for b in _BINS:
+        if np.any(bins[b.key] < 0) or np.any(bins[b.key] >= b.count):
+            raise ValueError(f"feature bin out of range for {b.key}")
 
     rows = np.arange(ids.shape[0])
     hs_f, steps_f = _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids])
@@ -273,18 +293,7 @@ def score_batch(
     hs_b, steps_b = _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][rev_ids])
     h_f = hs_f[rows, lengths]
     h_b = hs_b[rows, lengths]
-    phi = np.concatenate(
-        [
-            h_f,
-            h_b,
-            t["co_emb"][bins["co"]],
-            t["artist_emb"][bins["artist"]],
-            t["song_emb"][bins["song"]],
-            t["cross_emb"][bins["cross"]],
-            t["intra_emb"][bins["intra"]],
-        ],
-        axis=1,
-    )
+    phi = np.concatenate([h_f, h_b, *(t[b.emb][bins[b.key]] for b in _BINS)], axis=1)
     if train_mode and dropout_p > 0.0:
         # inverted dropout: kept units are rescaled now, inference is identity
         rng = np.random.default_rng(seed)
@@ -334,14 +343,9 @@ def backprop_batch(params: RerankerParams, cache: ScoreCache, du: np.ndarray, ou
 
     hid = d.lstm_dim
     offset = 2 * hid
-    for name, key, width in (
-        ("co_emb", "co", d.co_dim),
-        ("artist_emb", "artist", d.freq_dim),
-        ("song_emb", "song", d.freq_dim),
-        ("cross_emb", "cross", d.cross_dim),
-        ("intra_emb", "intra", d.intra_dim),
-    ):
-        np.add.at(grads[name], cache.bins[key], dphi[:, offset : offset + width])
+    for b in _BINS:
+        width = getattr(d, b.width)
+        np.add.at(grads[b.emb], cache.bins[b.key], dphi[:, offset : offset + width])
         offset += width
 
     # each direction's gradient arrives at the state after a row's last token

@@ -33,7 +33,7 @@ DEFAULT_TEMPLATES = (
 class SynthConfig:
     seed: int = 0
     n_artists: int = 100
-    n_songs_per_artist: int = 20
+    songs_per_artist: int = 20
     word_inventory: int = 400
     templates: tuple[str, ...] = DEFAULT_TEMPLATES
     n_train: int = 20000
@@ -41,14 +41,14 @@ class SynthConfig:
     n_test: int = 1000
     hyps_per_utt: int = 5
     noise_rate: float = 0.3
-    noise_unreachable_rate: float = 0.0
+    unreachable_rate: float = 0.0
     corruption_p_sub: float = 0.25
     zipf_exponent: float = 1.1
 
     def __post_init__(self):
         counts = (
             self.n_artists,
-            self.n_songs_per_artist,
+            self.songs_per_artist,
             self.word_inventory,
             self.n_train,
             self.n_heldout,
@@ -61,7 +61,7 @@ class SynthConfig:
             for tok in tpl.split():
                 if tok.startswith("<") and tok not in ("<artist>", "<song>"):
                     raise ValueError(f"template references unknown slot {tok!r}")
-        if not 0 <= self.noise_rate <= 1 or not 0 <= self.noise_unreachable_rate <= 1:
+        if not 0 <= self.noise_rate <= 1 or not 0 <= self.unreachable_rate <= 1:
             raise ValueError("rates must be in [0, 1]")
 
 
@@ -102,7 +102,7 @@ def _make_kb(config: SynthConfig, rng: random.Random, inventory) -> list[KBEntry
     rank = 0
     for _ in range(config.n_artists):
         artist = _distinct_phrase(rng, inventory, (1, 2, 2), taken)
-        for _ in range(config.n_songs_per_artist):
+        for _ in range(config.songs_per_artist):
             song = _distinct_phrase(rng, inventory, (1, 2, 2, 3), taken)
             freq = round(1000.0 / (rank + 1) ** config.zipf_exponent, 4)
             entries.append(KBEntry(artist, song, freq))
@@ -184,7 +184,7 @@ def _make_nbest(
                 break
         if len(corruptions) >= n - 1:
             break
-    ref_present = rng.random() >= config.noise_unreachable_rate
+    ref_present = rng.random() >= config.unreachable_rate
     candidates = [ref, *corruptions[: n - 1]] if ref_present else corruptions[:n]
     wrong_first = (not ref_present) or rng.random() < config.noise_rate
     if wrong_first and len(candidates) > 1:

@@ -16,8 +16,9 @@ from . import evaluation
 from .artifacts import load_artifact, save_artifact
 from .corpus import Corpus, Sentence, Vocabulary
 from .kb import KBIndex
-from .negsampler import NegativeSet, derive_seed
+from .negsampler import derive_seed
 from .neural import (
+    RerankerInputs,
     RerankerParams,
     _lstm_backward,
     _lstm_forward,
@@ -26,7 +27,6 @@ from .neural import (
     contrastive_loss,
     score_batch,
     sgd_momentum_update,
-    stack_bundles,
 )
 from .ngram import NGramModel
 
@@ -59,31 +59,6 @@ class TrainConfig:
 
 
 @dataclass
-class RerankInstance:
-    """One training softmax: the correct sentence plus its negatives.
-
-    Row 0 of ``ids`` is the correct candidate; all rows share one length.
-    """
-
-    ids: np.ndarray
-    bins: dict
-    ngram_feats: np.ndarray
-
-
-def make_instance(
-    sentence: Sentence, bundles, negset: NegativeSet, vocab: Vocabulary
-) -> RerankInstance:
-    if len(negset.negatives) == 0:
-        raise ValueError("instance needs at least one negative")
-    if len(bundles) != 1 + len(negset.negatives):
-        raise ValueError("need one feature bundle per candidate")
-    rows = [vocab.encode(sentence.tokens)]
-    rows.extend(vocab.encode(neg.tokens) for neg in negset.negatives)
-    bins, feats = stack_bundles(bundles)
-    return RerankInstance(np.array(rows, dtype=np.intp), bins, feats)
-
-
-@dataclass
 class EpochLog:
     epoch: int
     mean_loss: float
@@ -96,7 +71,7 @@ class PreparedNBest:
     """Held-out n-best list with the reranker's inputs and per-hypothesis
     error counts resolved up front."""
 
-    inputs: evaluation.RerankerInputs
+    inputs: RerankerInputs
     first_pass: np.ndarray
     errors: np.ndarray  # (hypotheses, 3) S/D/I against the reference
     ref_words: int
@@ -112,7 +87,7 @@ def prepare_heldout(
         errors, ref_words = evaluation.hypothesis_errors(nbest)
         prepared.append(
             PreparedNBest(
-                inputs=evaluation.reranker_inputs(nbest, vocab, kb_index, ngram_model),
+                inputs=evaluation.nbest_inputs(nbest, vocab, kb_index, ngram_model),
                 first_pass=np.array([fp for _, fp in nbest.hypotheses], dtype=float),
                 errors=errors,
                 ref_words=ref_words,
@@ -138,8 +113,9 @@ def train_reranker(
 ):
     """Minibatch contrastive training with early stopping on held-out WER.
 
-    Returns (best-checkpoint params, per-epoch log). The correct candidate is
-    always row 0 of each instance.
+    ``instances`` are ``RerankerInputs``, one training softmax each: the
+    correct sentence in row 0, then its negatives. Returns (best-checkpoint
+    params, per-epoch log).
     """
     if not instances:
         raise ValueError("no training instances")
@@ -169,6 +145,7 @@ def train_reranker(
                     dropout_p=config.dropout,
                     train_mode=True,
                     seed=derive_seed(config.seed, "dropout", epoch, int(j)),
+                    lengths=inst.lengths,
                 )
                 loss, du = contrastive_loss(u, 0)
                 if not math.isfinite(loss):

@@ -99,7 +99,7 @@ def test_c2_normalization_suite(capsys):
 
     # (b) n-gram conditionals over 100 sampled contexts
     world = synth.generate_world(
-        synth.SynthConfig(seed=SEED, n_artists=20, n_songs_per_artist=5,
+        synth.SynthConfig(seed=SEED, n_artists=20, songs_per_artist=5,
                           word_inventory=150, n_train=500, n_heldout=5, n_test=5)
     )
     vocab = build_vocabulary(world.train, min_count=1)
@@ -187,7 +187,7 @@ def test_c3_wer_oracle_equivalence(capsys):
 @pytest.fixture(scope="module")
 def feature_world():
     world = synth.generate_world(
-        synth.SynthConfig(seed=SEED, n_artists=40, n_songs_per_artist=8,
+        synth.SynthConfig(seed=SEED, n_artists=40, songs_per_artist=8,
                           word_inventory=300, n_train=1000, n_heldout=5, n_test=5)
     )
     return world, build_index(world.kb_entries)

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from kbrerank.cli import PipelineConfig, main
+from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
 
 
 MINI_SETS = [
@@ -56,13 +56,97 @@ class TestConfig:
         cfg.set_key("n_folds", "4")
         cfg.set_key("lm_mode", "nce")
         cfg.set_key("weight_grid", "[0, 2.0]")
-        assert cfg.lr == 0.25 and cfg.n_folds == 4
+        assert cfg.train.lr == 0.25 and cfg.n_folds == 4
         assert cfg.lm_mode == "nce"
         assert cfg.weight_grid == (0, 2.0)
 
     def test_set_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
             PipelineConfig().set_key("warp", "9")
+
+    # every flat key a config file or --set may name, in to_dict order
+    FLAT_KEYS = [
+        "seed", "out_dir", "corpus_path", "kb_path", "vocab_min_count", "n_folds",
+        "ngram_order", "neg_samples", "neg_keep", "neg_sub_prob", "keep_top_m",
+        "word_dim", "lstm_dim", "hidden_dim", "lr", "momentum", "lr_decay", "l2",
+        "dropout", "batch_size", "max_epochs", "patience", "lm_word_dim",
+        "lm_lstm_dim", "lm_mode", "lm_nce_samples", "lm_max_epochs", "weight_grid",
+        "synth_n_artists", "synth_songs_per_artist", "synth_word_inventory",
+        "synth_templates", "synth_n_train", "synth_n_heldout", "synth_n_test",
+        "synth_hyps_per_utt", "synth_noise_rate", "synth_unreachable_rate",
+        "synth_corruption_p_sub", "synth_zipf_exponent",
+    ]
+
+    def test_flat_keys_pinned(self):
+        assert list(PipelineConfig().to_dict()) == self.FLAT_KEYS
+
+    @pytest.mark.parametrize("key", FLAT_KEYS)
+    def test_each_key_roundtrips(self, key):
+        default = PipelineConfig().to_dict()
+        value = default[key]
+        # a valid value other than the default
+        if isinstance(value, list):
+            value = value[:-1]
+        elif isinstance(value, str):
+            value += "x"
+        elif isinstance(value, int):
+            value += 1
+        else:
+            value = value * 0.5 if value else 0.5
+        cfg = PipelineConfig()
+        cfg.set_key(key, json.dumps(value) if isinstance(value, list) else str(value))
+        assert cfg.to_dict() == {**default, key: value}
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_int_accepted_for_float(self):
+        cfg = PipelineConfig.from_dict({"lr": 2, "synth_noise_rate": 0, "weight_grid": [0, 1]})
+        assert cfg.train.lr == 2 and cfg.synth.noise_rate == 0
+        assert cfg.weight_grid == (0, 1)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"synth_n_train": "50"}, "synth_n_train"),
+            ({"lr": "fast"}, "lr"),
+            ({"n_folds": 2.5}, "n_folds"),
+            ({"patience": True}, "patience"),
+            ({"lm_mode": 1}, "lm_mode"),
+            ({"weight_grid": 1.0}, "weight_grid"),
+            ({"synth_templates": ["play <song>", 3]}, "synth_templates"),
+        ],
+    )
+    def test_wrong_typed_value_fails(self, tmp_path, capsys, data, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        code = main(["synth-world", "--config", str(config), "--out-dir", str(out)])
+        assert code == 1
+        assert f"config key {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("lr=0", "lr must be positive"), ("synth_n_artists=0", "all counts must be >= 1")],
+    )
+    def test_bad_value_fails_at_config_load(self, tmp_path, capsys, setting, message):
+        common = ["--out-dir", str(tmp_path), "--seed", "5", *MINI_SETS]
+        assert main(["synth-world", *common]) == 0
+        capsys.readouterr()
+        assert main(["build-vocab", *common, "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "vocab.tsv").exists()
+
+    def test_seed_reaches_nested_records(self, tmp_path):
+        cfg = resolve_config(build_parser().parse_args(["train-reranker", "--seed", "9"]))
+        assert cfg.seed == 9
+        assert _train_config(cfg).seed == 9
+        assert _train_config(cfg, max_epochs=2).seed == 9
+        texts = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["synth-world", "--out-dir", str(out), "--seed", seed, *MINI_SETS]) == 0
+            texts.append((out / "train.txt").read_text())
+        assert texts[0] != texts[1]
 
 
 class TestCliErrors:
@@ -177,6 +261,27 @@ class TestPipeline:
         assert code == 1
         assert "top_m must be positive" in capsys.readouterr().err
         assert not (run / "features.jsonl").exists()
+
+    @pytest.mark.parametrize("damage", ["missing_source", "duplicate_row", "single_row"])
+    def test_malformed_feature_groups_rejected(self, pipeline_dir, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        lines = (run / "features.jsonl").read_text().splitlines(keepends=True)
+        sid = json.loads(lines[0])["sentence_id"]
+        own = [i for i, l in enumerate(lines) if json.loads(l)["sentence_id"] == sid]
+        if damage == "missing_source":
+            del lines[own[0]]
+        elif damage == "duplicate_row":
+            lines.insert(own[-1], lines[own[-1]])
+        else:
+            del lines[own[1] : own[-1] + 1]
+        (run / "features.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        code = main(["train-reranker", "--out-dir", str(run), "--seed", "5", *MINI_SETS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "features.jsonl" in err and f"sentence_id {sid} " in err
+        assert "at least one negative" in err
 
     @pytest.mark.parametrize(
         "command, scorer, weights, unused",

@@ -143,6 +143,51 @@ class TestScore:
             assert math.isclose(single.u, u[i], rel_tol=1e-12)
 
 
+class TestBinTable:
+    # the bin layout written out, so a swapped or mislabelled row of the
+    # table fails: bin key, FeatureBundle field, embedding, width field
+    LAYOUT = (
+        ("co", "cooccurrence_bin", "co_emb", "co_dim"),
+        ("artist", "artist_freq_bin", "artist_emb", "freq_dim"),
+        ("song", "song_freq_bin", "song_emb", "freq_dim"),
+        ("cross", "cross_npmi_bin", "cross_emb", "cross_dim"),
+        ("intra", "intra_npmi_bin", "intra_emb", "intra_dim"),
+    )
+    DIMS = RerankerDims(
+        vocab_size=20, word_dim=3, lstm_dim=2, hidden_dim=4,
+        co_dim=3, freq_dim=4, cross_dim=5, intra_dim=6,
+    )
+    BUNDLE = FeatureBundle(2.5, 7, 11, 22, 33, 44)
+
+    def test_stack_bundles_files_each_bin_under_its_key(self):
+        bins, feats = stack_bundles([self.BUNDLE])
+        assert set(bins) == {key for key, _, _, _ in self.LAYOUT}
+        for key, field, _, _ in self.LAYOUT:
+            assert bins[key].tolist() == [getattr(self.BUNDLE, field)]
+        assert feats.tolist() == [2.5]
+
+    def test_phi_holds_each_embedding_row_at_its_offset(self):
+        params = RerankerParams.initialize(self.DIMS, seed=0)
+        bins, feats = stack_bundles([self.BUNDLE])
+        _, cache = score_batch(params, np.array([[1, 2, 3]]), bins, feats)
+        offset = 2 * self.DIMS.lstm_dim
+        for _, field, emb, width_field in self.LAYOUT:
+            width = getattr(self.DIMS, width_field)
+            expected = params.tensors[emb][getattr(self.BUNDLE, field)]
+            np.testing.assert_array_equal(cache.phi[0, offset : offset + width], expected)
+            offset += width
+        assert offset == self.DIMS.phi_dim == cache.phi.shape[1]
+
+    def test_tensor_creation_order(self):
+        # seeded initialization draws the tensors in this order
+        params = RerankerParams.initialize(self.DIMS, seed=0)
+        assert list(params.tensors) == [
+            "emb", "fwd_w", "fwd_b", "bwd_w", "bwd_b",
+            *(emb for _, _, emb, _ in self.LAYOUT),
+            "hidden_w", "out_w", "alpha",
+        ]
+
+
 class TestGradients:
     def test_u_gradient_matches_finite_differences(self):
         params = RerankerParams.initialize(TINY, seed=10)

@@ -9,9 +9,9 @@ from kbrerank.kb import build_index
 
 def small_config(**overrides):
     base = dict(
-        seed=11, n_artists=6, n_songs_per_artist=3, word_inventory=60,
+        seed=11, n_artists=6, songs_per_artist=3, word_inventory=60,
         n_train=40, n_heldout=15, n_test=15, hyps_per_utt=4,
-        noise_rate=0.3, noise_unreachable_rate=0.0,
+        noise_rate=0.3, unreachable_rate=0.0,
     )
     base.update(overrides)
     return synth.SynthConfig(**base)
@@ -60,7 +60,7 @@ class TestGeneration:
         assert oracle_wer(score_split(world.heldout, (), RerankModels())).wer == 0.0
 
     def test_unreachable_rate_lifts_oracle(self):
-        world = synth.generate_world(small_config(noise_unreachable_rate=1.0))
+        world = synth.generate_world(small_config(unreachable_rate=1.0))
         assert oracle_wer(score_split(world.test, (), RerankModels())).wer > 0.0
 
     def test_queries_mention_kb_entities(self):

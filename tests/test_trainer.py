@@ -1,23 +1,25 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from oracles import finite_difference_check, lm_logprob, lstm_step, score
 
 from kbrerank import synth, trainer
+from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
 from kbrerank.evaluation import NBestList, wer
 from kbrerank.features import extract_features
 from kbrerank.kb import build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
-from kbrerank.neural import RerankerDims, RerankerParams
+from kbrerank.neural import RerankerDims, RerankerParams, reranker_inputs
 from kbrerank.ngram import score_sentence, train_jackknife_models, train_ngram
 from kbrerank.trainer import (
     LstmLmDims,
     LstmLmParams,
     TrainConfig,
     heldout_wer,
-    make_instance,
     prepare_heldout,
     train_lstm_lm,
     train_reranker,
@@ -27,7 +29,7 @@ from kbrerank.trainer import (
 @pytest.fixture(scope="module")
 def mini_world():
     cfg = synth.SynthConfig(
-        seed=3, n_artists=8, n_songs_per_artist=4, word_inventory=80,
+        seed=3, n_artists=8, songs_per_artist=4, word_inventory=80,
         n_train=120, n_heldout=25, n_test=25, hyps_per_utt=4, noise_rate=0.4,
     )
     world = synth.generate_world(cfg)
@@ -52,7 +54,8 @@ def mini_world():
             extract_features(neg, lp, index)
             for neg, lp in zip(negset.negatives, negset.lm_logprobs)
         )
-        instances.append(make_instance(sent, bundles, negset, vocab))
+        candidates = [sent.tokens, *(neg.tokens for neg in negset.negatives)]
+        instances.append(reranker_inputs(candidates, bundles, vocab))
     prepared = prepare_heldout(world.heldout, vocab, index, full)
     dims = RerankerDims(vocab_size=vocab.size, word_dim=12, lstm_dim=12, hidden_dim=16)
     return {
@@ -110,13 +113,14 @@ class TestTrainReranker:
 
         assert run() == run()
 
-    def test_zero_negative_instance_rejected(self, mini_world):
-        vocab = mini_world["vocab"]
-        inst = mini_world["instances"][0]
+    def test_zero_negative_instance_rejected(self, mini_world, tmp_path):
         sent = Sentence(("play", "x"))
-        negset_like = type("NS", (), {"negatives": ()})()
+        bundle = extract_features(sent, -3.0, mini_world["index"])
+        rec = {"sentence_id": 4, "hypothesis_id": 0, "tokens": list(sent.tokens), **asdict(bundle)}
+        path = tmp_path / "features.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError, match="at least one negative"):
-            make_instance(sent, [], negset_like, vocab)
+            load_feature_instances(path, mini_world["vocab"])
 
     def test_empty_instances_rejected(self, mini_world):
         params = RerankerParams.initialize(mini_world["dims"], seed=5)
