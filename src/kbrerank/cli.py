@@ -111,6 +111,7 @@ class PipelineConfig:
         record, name, tp = _KEYS[key]
         value = _checked(key, value, tp)
         if record is None:
+            _validate_flat(key, value)
             setattr(self, name, value)
         else:  # replace() runs the record's own validation
             setattr(self, record, dataclasses.replace(getattr(self, record), **{name: value}))
@@ -147,6 +148,20 @@ def _checked(key: str, value, tp):
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ValueError(f"config key {key} must be {tp.__name__}, got {value!r}")
     return value
+
+
+# flat values no record checks when the config is read: the dimension
+# records also need the vocabulary size, known only after build-vocab
+_POSITIVE_KEYS = ("word_dim", "lstm_dim", "hidden_dim", "lm_word_dim", "lm_lstm_dim", "lm_nce_samples")
+
+
+def _validate_flat(key: str, value) -> None:
+    if key in _POSITIVE_KEYS and value < 1:
+        raise ValueError(f"config key {key} must be >= 1, got {value!r}")
+    if key == "lm_mode" and value not in trainer.LM_MODES:
+        raise ValueError(
+            f"config key lm_mode must be one of {', '.join(trainer.LM_MODES)}, got {value!r}"
+        )
 
 
 class Paths:
@@ -450,7 +465,7 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
     dataset = evaluation.load_nbest(_require_file(Path(args.nbest), "n-best file"))
     models = _load_models(paths, evaluation.SCORER_COMPONENTS[args.scorer])
     weights = _parse_weights(args.weights)
-    choices = [evaluation.rerank(n, args.scorer, weights, models) for n in dataset]
+    choices = evaluation.rerank(dataset, args.scorer, weights, models).tolist()
     out_path = paths.out / f"selections_{args.scorer.replace('+', '_')}.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:
         for nbest, chosen in zip(dataset, choices):

@@ -115,7 +115,7 @@ class RerankModels:
     """Whatever models the requested scorer mode needs."""
 
     ngram: NGramModel | None = None
-    lstm: object = None  # anything with .sentence_logprob(Sentence)
+    lstm: object = None  # anything with .logprobs(sentences) -> array
     reranker: RerankerParams | None = None
     kb_index: KBIndex | None = None
     vocab: Vocabulary | None = None
@@ -158,31 +158,6 @@ def reranker_scores(nbest: NBestList, models: RerankModels) -> np.ndarray:
     return u
 
 
-def component_scores(nbest: NBestList, scorer, models: RerankModels) -> dict:
-    """Per-hypothesis score arrays: the first pass and each component of
-    ``scorer``, a scorer name or a collection of component names.
-
-    The first pass comes first and the rest in ``COMPONENTS`` order, the
-    order ``combine`` sums them in.
-    """
-    names = _component_names(scorer)
-    comps = {"first_pass": np.array([fp for _, fp in nbest.hypotheses], dtype=float)}
-    if "ngram" in names:
-        _require(models, "ngram", "ngram")
-        comps["ngram"] = np.array(
-            [score_sentence(models.ngram, h) for h, _ in nbest.hypotheses]
-        )
-    if "lstm" in names:
-        _require(models, "lstm", "lstm")
-        comps["lstm"] = np.array(
-            [models.lstm.sentence_logprob(h) for h, _ in nbest.hypotheses]
-        )
-    if "reranker" in names:
-        _require(models, "reranker", "reranker", "ngram", "kb_index", "vocab")
-        comps["reranker"] = reranker_scores(nbest, models)
-    return comps
-
-
 def combine(comps: dict, weights: dict) -> np.ndarray:
     """First-pass score plus each weighted component, summed in ``comps`` order.
 
@@ -203,10 +178,44 @@ def combine(comps: dict, weights: dict) -> np.ndarray:
     return total
 
 
-def rerank(nbest: NBestList, scorer: str, weights: dict, models: RerankModels) -> int:
-    """Index of the best-scoring hypothesis; ties keep first-pass order."""
-    totals = combine(component_scores(nbest, scorer, models), weights)
-    return int(np.argmax(totals))
+def score_hypotheses(dataset, components, models: RerankModels) -> tuple[dict, np.ndarray]:
+    """Score every hypothesis of ``dataset`` once per component.
+
+    ``components`` is a scorer name or a collection of component names.
+    Returns (utterances × hypotheses) score arrays, the first pass first and
+    the rest in ``COMPONENTS`` order (the order ``combine`` sums them in),
+    and the mask of real hypotheses; row u holds list u in list order, and
+    padding scores are 0. References are not read.
+    """
+    names = _component_names(components)
+    # width 1 for an empty dataset keeps an axis for argmax to reduce
+    shape = (len(dataset), max((len(n.hypotheses) for n in dataset), default=1))
+    valid = np.zeros(shape, dtype=bool)
+    for u, nbest in enumerate(dataset):
+        valid[u, : len(nbest.hypotheses)] = True
+    hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
+    flat = {"first_pass": [fp for nbest in dataset for _, fp in nbest.hypotheses]}
+    if "ngram" in names:
+        _require(models, "ngram", "ngram")
+        flat["ngram"] = [score_sentence(models.ngram, h) for h in hyps]
+    if "lstm" in names:
+        _require(models, "lstm", "lstm")
+        flat["lstm"] = models.lstm.logprobs(hyps)
+    if "reranker" in names:
+        _require(models, "reranker", "reranker", "ngram", "kb_index", "vocab")
+        flat["reranker"] = [u for nbest in dataset for u in reranker_scores(nbest, models)]
+    scores = {}
+    for name, values in flat.items():
+        scores[name] = np.zeros(shape)
+        scores[name][valid] = values
+    return scores, valid
+
+
+def rerank(dataset, scorer: str, weights: dict, models: RerankModels) -> np.ndarray:
+    """Index of the best-scoring hypothesis of each list; ties keep
+    first-pass order. References are optional."""
+    scores, valid = score_hypotheses(dataset, scorer, models)
+    return _choose(valid, scores, weights)
 
 
 def hypothesis_errors(nbest: NBestList) -> tuple[np.ndarray, int]:
@@ -239,29 +248,20 @@ class ScoredSplit:
 
 
 def score_split(dataset, components, models: RerankModels) -> ScoredSplit:
-    """Score each hypothesis once per requested component and count its errors.
-
-    ``components`` is a scorer name or a collection of component names.
-    """
-    names = _component_names(components)
-    shape = (len(dataset), max((len(n.hypotheses) for n in dataset), default=0))
-    scores = {name: np.zeros(shape) for name in ("first_pass",) + names}
-    errors = np.zeros(shape + (3,), dtype=np.int64)
-    ref_words = np.zeros(len(dataset), dtype=np.int64)
-    valid = np.zeros(shape, dtype=bool)
-    for u, nbest in enumerate(dataset):
-        counts, ref_words[u] = hypothesis_errors(nbest)
-        width = len(counts)
-        errors[u, :width] = counts
-        valid[u, :width] = True
-        for name, arr in component_scores(nbest, names, models).items():
-            scores[name][u, :width] = arr
+    """Count each hypothesis's errors and score it once per requested
+    component (``score_hypotheses``)."""
+    counted = [hypothesis_errors(nbest) for nbest in dataset]
+    scores, valid = score_hypotheses(dataset, components, models)
+    errors = np.zeros(valid.shape + (3,), dtype=np.int64)
+    for u, (counts, _) in enumerate(counted):
+        errors[u, : len(counts)] = counts
+    ref_words = np.array([n for _, n in counted], dtype=np.int64)
     return ScoredSplit([n.utt_id for n in dataset], scores, errors, ref_words, valid)
 
 
-def _choose(scored: ScoredSplit, comps: dict, weights: dict) -> np.ndarray:
+def _choose(valid: np.ndarray, comps: dict, weights: dict) -> np.ndarray:
     """Best hypothesis per utterance; ties keep first-pass order."""
-    return np.argmax(np.where(scored.valid, combine(comps, weights), -np.inf), axis=1)
+    return np.argmax(np.where(valid, combine(comps, weights), -np.inf), axis=1)
 
 
 def _report(scored: ScoredSplit, chosen: np.ndarray) -> WerReport:
@@ -275,7 +275,7 @@ def _report(scored: ScoredSplit, chosen: np.ndarray) -> WerReport:
 
 
 def evaluate(scored: ScoredSplit, scorer: str, weights: dict) -> WerReport:
-    return _report(scored, _choose(scored, scored.scorer_scores(scorer), weights))
+    return _report(scored, _choose(scored.valid, scored.scorer_scores(scorer), weights))
 
 
 def oracle_wer(scored: ScoredSplit) -> WerReport:
@@ -302,7 +302,7 @@ def tune_weights(scored: ScoredSplit, scorer: str, grid) -> dict:
     best_wer = None
     for values in itertools.product(grid, repeat=len(names)):
         weights = dict(zip(names, values))
-        w = int(errors[rows, _choose(scored, comps, weights)].sum()) / ref_words
+        w = int(errors[rows, _choose(scored.valid, comps, weights)].sum()) / ref_words
         if best_wer is None or w < best_wer:
             best_wer, best_weights = w, weights
     return best_weights

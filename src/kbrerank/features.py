@@ -12,6 +12,15 @@ COOC_BINS = 10
 FREQ_BINS = 100
 NPMI_BINS = 100
 NPMI_NEUTRAL_BIN = 50
+# each quantized FeatureBundle field and its number of bins, in the order the
+# reranker lays out their embeddings
+BIN_FIELDS = (
+    ("cooccurrence_bin", COOC_BINS),
+    ("artist_freq_bin", FREQ_BINS),
+    ("song_freq_bin", FREQ_BINS),
+    ("cross_npmi_bin", NPMI_BINS),
+    ("intra_npmi_bin", NPMI_BINS),
+)
 
 
 @dataclass(frozen=True)
@@ -28,14 +37,8 @@ class FeatureBundle:
     def __post_init__(self):
         if self.ngram_negative_logprob < 0:
             raise ValueError("negative log-probability feature must be >= 0")
-        bins = (
-            (self.cooccurrence_bin, COOC_BINS),
-            (self.artist_freq_bin, FREQ_BINS),
-            (self.song_freq_bin, FREQ_BINS),
-            (self.cross_npmi_bin, NPMI_BINS),
-            (self.intra_npmi_bin, NPMI_BINS),
-        )
-        for value, limit in bins:
+        for name, limit in BIN_FIELDS:
+            value = getattr(self, name)
             if not 0 <= value < limit:
                 raise ValueError(f"feature bin {value} outside [0, {limit})")
 

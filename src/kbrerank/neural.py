@@ -19,26 +19,29 @@ import numpy as np
 
 from .artifacts import load_artifact, save_artifact
 from .corpus import Vocabulary
-from .features import COOC_BINS, FREQ_BINS, NPMI_BINS
+from .features import BIN_FIELDS
 
 
 class _Bin(NamedTuple):
-    key: str  # key in a batch's ``bins`` dict
     field: str  # FeatureBundle field
     count: int  # number of bins
+    key: str  # key in a batch's ``bins`` dict
     emb: str  # embedding tensor
     width: str  # RerankerDims field giving the embedding width
 
 
-# the feature bins in phi's column order; the order also fixes the embedding
-# tensors' creation order, so seeded initialization depends on it
-_BINS = (
-    _Bin("co", "cooccurrence_bin", COOC_BINS, "co_emb", "co_dim"),
-    _Bin("artist", "artist_freq_bin", FREQ_BINS, "artist_emb", "freq_dim"),
-    _Bin("song", "song_freq_bin", FREQ_BINS, "song_emb", "freq_dim"),
-    _Bin("cross", "cross_npmi_bin", NPMI_BINS, "cross_emb", "cross_dim"),
-    _Bin("intra", "intra_npmi_bin", NPMI_BINS, "intra_emb", "intra_dim"),
-)
+# FeatureBundle field -> (bins key, embedding tensor, RerankerDims width field)
+_BIN_PARAMS = {
+    "cooccurrence_bin": ("co", "co_emb", "co_dim"),
+    "artist_freq_bin": ("artist", "artist_emb", "freq_dim"),
+    "song_freq_bin": ("song", "song_emb", "freq_dim"),
+    "cross_npmi_bin": ("cross", "cross_emb", "cross_dim"),
+    "intra_npmi_bin": ("intra", "intra_emb", "intra_dim"),
+}
+# the feature bins in phi's column order (BIN_FIELDS order); the order also
+# fixes the embedding tensors' creation order, so seeded initialization
+# depends on it
+_BINS = tuple(_Bin(field, count, *_BIN_PARAMS[field]) for field, count in BIN_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .neural import (
     _sigmoid,
     backprop_batch,
     contrastive_loss,
+    pad_ids,
     score_batch,
     sgd_momentum_update,
 )
@@ -186,6 +187,12 @@ def save_training_log(logs, path) -> None:
 # --------------------------------------------------------------------------
 
 
+LM_MODES = ("full-softmax", "nce")
+# sentences per forward pass when scoring; bounds the (positions x events)
+# logits buffer
+LM_SCORE_CHUNK = 32
+
+
 @dataclass(frozen=True)
 class LstmLmDims:
     vocab_size: int  # input words; the output space adds end-of-sentence
@@ -233,21 +240,32 @@ class LstmLmParams:
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
-    def hidden_states(self, ids: np.ndarray):
-        """h_0..h_l as an (l+1, H) matrix (h_0 is the zero state), and the
-        per-step activations the backward pass needs."""
-        t = self.tensors
-        hs, steps = _lstm_forward(t["w"], t["b"], t["emb"][ids.reshape(1, -1)])
-        return hs[0], steps
+    def logprobs(self, sentences) -> np.ndarray:
+        """Log-probability of each sentence (a ``Sentence`` or a token
+        sequence, possibly empty), end-of-sentence included.
+
+        Sentences are right-padded and scored ``LM_SCORE_CHUNK`` at a time,
+        one forward pass per chunk; each sentence's total is ``np.sum`` over
+        its own positions, so it does not depend on the rest of its chunk.
+        """
+        encoded = [self.vocab.encode(getattr(s, "tokens", s)) for s in sentences]
+        out = np.empty(len(encoded))
+        for start in range(0, len(encoded), LM_SCORE_CHUNK):
+            batch = _lm_forward(self, encoded[start : start + LM_SCORE_CHUNK])
+            # log-softmax at every real position, in one buffer
+            logits = batch.hs @ self.tensors["out_w"].T
+            logits += self.tensors["out_b"]
+            logits -= logits.max(axis=1, keepdims=True)
+            target = logits[np.arange(len(batch.targets)), batch.targets]
+            np.exp(logits, out=logits)
+            terms = target - np.log(logits.sum(axis=1))
+            for r, own in enumerate(np.split(terms, np.cumsum(batch.lengths + 1)[:-1])):
+                out[start + r] = np.sum(own)
+        return out
 
     def sentence_logprob(self, sentence: Sentence) -> float:
-        ids = np.array(self.vocab.encode(sentence.tokens), dtype=np.intp)
-        hs, _ = self.hidden_states(ids)
-        logits = hs @ self.tensors["out_w"].T + self.tensors["out_b"]
-        targets = np.append(ids, self.dims.eos_id)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        return float(np.sum(shifted[np.arange(len(targets)), targets] - logz))
+        """``logprobs`` of one sentence."""
+        return float(self.logprobs([sentence])[0])
 
     def save(self, path, vocab_hash: str) -> None:
         save_artifact(
@@ -270,34 +288,73 @@ class LstmLmParams:
         )
 
 
-def _lm_forward_backward_softmax(params: LstmLmParams, ids: np.ndarray, grads: dict):
-    """Exact cross-entropy loss and gradients for one sentence."""
+@dataclass
+class _LmBatch:
+    """A padded forward pass of the LM over a batch of sentences.
+
+    A sentence of n words has n + 1 real positions: the state before each of
+    its words and before its end-of-sentence. ``hs`` and ``targets`` hold the
+    real positions only, sentence by sentence; padded positions are never
+    scored and get no gradient.
+    """
+
+    ids: np.ndarray  # (B, L) right-padded word ids
+    lengths: np.ndarray  # (B,)
+    mask: np.ndarray  # (B, L + 1) real positions
+    hs: np.ndarray  # (N, H) the state at each real position
+    targets: np.ndarray  # (N,) the event each real position predicts
+    steps: list  # _lstm_forward's activations
+
+
+def _lm_forward(params: LstmLmParams, rows) -> _LmBatch:
     t = params.tensors
-    hs, steps = params.hidden_states(ids)
-    logits = hs @ t["out_w"].T + t["out_b"]
-    targets = np.append(ids, params.dims.eos_id)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    rows = np.arange(len(targets))
-    loss = float(-np.sum(np.log(probs[rows, targets])))
-    dlogits = probs
-    dlogits[rows, targets] -= 1.0
-    grads["out_w"] += dlogits.T @ hs
-    grads["out_b"] += dlogits.sum(axis=0)
-    dh = dlogits @ t["out_w"]
-    _lstm_backward(t["w"], steps, dh[:, None], ids[None], grads["w"], grads["b"], grads["emb"])
+    ids, lengths = pad_ids(rows)
+    states, steps = _lstm_forward(t["w"], t["b"], t["emb"][ids])
+    mask = np.arange(ids.shape[1] + 1) <= lengths[:, None]
+    targets = np.full(mask.shape, params.dims.eos_id, dtype=np.intp)
+    targets[:, :-1] = np.where(mask[:, 1:], ids, params.dims.eos_id)
+    return _LmBatch(ids, lengths, mask, states[mask], targets[mask], steps)
+
+
+def _lm_backward(params: LstmLmParams, batch: _LmBatch, dh: np.ndarray, grads: dict) -> None:
+    """Backpropagate ``dh``, the (N, H) gradient at each real position,
+    through the LSTM; padded positions get exactly zero."""
+    t = params.tensors
+    grid = np.zeros(batch.mask.shape + (dh.shape[1],))
+    grid[batch.mask] = dh
+    _lstm_backward(
+        t["w"], batch.steps, grid.swapaxes(0, 1), batch.ids, grads["w"], grads["b"], grads["emb"]
+    )
+
+
+def _lm_forward_backward_softmax(params: LstmLmParams, rows, grads: dict) -> float:
+    """Exact cross-entropy loss and gradients, summed over a batch of id
+    sequences scored as one padded batch."""
+    t = params.tensors
+    batch = _lm_forward(params, rows)
+    # softmax in one buffer, which then becomes the logits' gradient
+    probs = batch.hs @ t["out_w"].T
+    probs += t["out_b"]
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    at = (np.arange(len(batch.targets)), batch.targets)
+    loss = float(-np.sum(np.log(probs[at])))
+    probs[at] -= 1.0
+    grads["out_w"] += probs.T @ batch.hs
+    grads["out_b"] += probs.sum(axis=0)
+    _lm_backward(params, batch, probs @ t["out_w"], grads)
     return loss
 
 
 def _lm_forward_backward_nce(
-    params: LstmLmParams, ids: np.ndarray, noise_ids: np.ndarray, log_kq: np.ndarray, grads: dict
-):
-    """Binary noise-contrastive loss per position against shared noise words."""
+    params: LstmLmParams, rows, noise_ids: np.ndarray, log_kq: np.ndarray, grads: dict
+) -> float:
+    """Binary noise-contrastive loss per real position against shared noise
+    words, summed over a batch of id sequences scored as one padded batch."""
     t = params.tensors
-    hs, steps = params.hidden_states(ids)
-    targets = np.append(ids, params.dims.eos_id)
-    rows = np.arange(len(targets))
+    batch = _lm_forward(params, rows)
+    hs, targets = batch.hs, batch.targets
 
     tgt_w = t["out_w"][targets]
     tgt_logit = np.sum(tgt_w * hs, axis=1) + t["out_b"][targets] - log_kq[targets]
@@ -314,8 +371,7 @@ def _lm_forward_backward_nce(
     np.add.at(grads["out_b"], targets, d_tgt)
     np.add.at(grads["out_w"], noise_ids, d_noise.T @ hs)
     np.add.at(grads["out_b"], noise_ids, d_noise.sum(axis=0))
-    dh = d_tgt[:, None] * tgt_w + d_noise @ t["out_w"][noise_ids]
-    _lstm_backward(t["w"], steps, dh[:, None], ids[None], grads["w"], grads["b"], grads["emb"])
+    _lm_backward(params, batch, d_tgt[:, None] * tgt_w + d_noise @ t["out_w"][noise_ids], grads)
     return loss
 
 
@@ -345,7 +401,7 @@ def train_lstm_lm(
     log-probability stops improving and the best checkpoint is returned;
     otherwise training runs for the configured number of epochs.
     """
-    if mode not in ("full-softmax", "nce"):
+    if mode not in LM_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     config = config or TrainConfig()
     dims = dims or LstmLmDims(vocab_size=vocab.size)
@@ -367,25 +423,20 @@ def train_lstm_lm(
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             grads = params.zero_grads()
-            if mode == "nce":
+            rows = [encoded[int(j)] for j in batch]
+            if mode == "full-softmax":
+                _lm_forward_backward_softmax(params, rows, grads)
+            else:
                 noise_ids = rng.choice(dims.n_out, size=nce_samples, p=noise_dist)
-            n_tokens = 0
-            for j in batch:
-                ids = encoded[int(j)]
-                n_tokens += len(ids) + 1
-                if mode == "full-softmax":
-                    _lm_forward_backward_softmax(params, ids, grads)
-                else:
-                    _lm_forward_backward_nce(params, ids, noise_ids, log_kq, grads)
+                _lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
+            n_tokens = sum(len(ids) + 1 for ids in rows)
             for g in grads.values():
                 g /= n_tokens
             sgd_momentum_update(params.tensors, grads, velocity, lr, config.momentum, config.l2)
         if heldout is None:
             best_params = params
             continue
-        metric = float(
-            np.mean([params.sentence_logprob(s) for s in heldout])
-        )
+        metric = float(np.mean(params.logprobs(heldout)))
         if metric > best_metric:
             best_metric = metric
             best_params = params.copy()

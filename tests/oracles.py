@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kbrerank.corpus import build_vocabulary
-from kbrerank.neural import score_batch, stack_bundles
+from kbrerank.neural import _lstm_forward, score_batch, stack_bundles
 from kbrerank.ngram import score_sentence, train_jackknife_models
 
 
@@ -199,6 +199,26 @@ def score(params, ids, bundle, dropout_p=0.0, train_mode=False, seed=0) -> Sente
 
 def lm_logprob(params, sentence) -> float:
     return params.sentence_logprob(sentence)
+
+
+def lm_hidden_states(params, ids):
+    """h_0..h_l of the LSTM LM over one sentence as an (l+1, H) matrix (h_0
+    is the zero state), and the per-step activations of the backward pass."""
+    t = params.tensors
+    hs, steps = _lstm_forward(t["w"], t["b"], t["emb"][np.asarray(ids, dtype=np.intp).reshape(1, -1)])
+    return hs[0], steps
+
+
+def reference_lm_logprob(params, tokens) -> float:
+    """Log-probability of one token sequence, end-of-sentence included, from
+    a forward pass over that sentence alone."""
+    ids = np.array(params.vocab.encode(tokens), dtype=np.intp)
+    hs, _ = lm_hidden_states(params, ids)
+    logits = hs @ params.tensors["out_w"].T + params.tensors["out_b"]
+    targets = np.append(ids, params.dims.eos_id)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.sum(shifted[np.arange(len(targets)), targets] - logz))
 
 
 def jackknife_scores(corpus, folds, order=3, vocab=None, models=None) -> list:

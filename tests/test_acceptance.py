@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import exhaustive_wer, finite_difference_check
+from oracles import exhaustive_wer, finite_difference_check, lm_hidden_states
 
 import kbrerank
 from kbrerank import synth
@@ -121,7 +121,7 @@ def test_c2_normalization_suite(capsys):
     dims = LstmLmDims(vocab_size=vocab.size, word_dim=8, lstm_dim=8)
     lm = LstmLmParams.initialize(dims, vocab, seed=SEED)
     ids = np.array(vocab.encode(world.train[0].tokens), dtype=np.intp)
-    hs, _ = lm.hidden_states(ids)
+    hs, _ = lm_hidden_states(lm, ids)
     logits = hs @ lm.tensors["out_w"].T + lm.tensors["out_b"]
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)

@@ -85,7 +85,9 @@ class TestConfig:
         default = PipelineConfig().to_dict()
         value = default[key]
         # a valid value other than the default
-        if isinstance(value, list):
+        if key == "lm_mode":
+            value = "nce"
+        elif isinstance(value, list):
             value = value[:-1]
         elif isinstance(value, str):
             value += "x"
@@ -126,7 +128,17 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "setting, message",
-        [("lr=0", "lr must be positive"), ("synth_n_artists=0", "all counts must be >= 1")],
+        [
+            ("lr=0", "lr must be positive"),
+            ("synth_n_artists=0", "all counts must be >= 1"),
+            ("lm_mode=bogus", "config key lm_mode must be one of full-softmax, nce"),
+            ("word_dim=0", "config key word_dim must be >= 1"),
+            ("lstm_dim=0", "config key lstm_dim must be >= 1"),
+            ("hidden_dim=-1", "config key hidden_dim must be >= 1"),
+            ("lm_word_dim=0", "config key lm_word_dim must be >= 1"),
+            ("lm_lstm_dim=0", "config key lm_lstm_dim must be >= 1"),
+            ("lm_nce_samples=-3", "config key lm_nce_samples must be >= 1"),
+        ],
     )
     def test_bad_value_fails_at_config_load(self, tmp_path, capsys, setting, message):
         common = ["--out-dir", str(tmp_path), "--seed", "5", *MINI_SETS]
@@ -226,6 +238,25 @@ class TestPipeline:
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(records) == 40
         assert all("chosen_index" in r and "tokens" in r for r in records)
+
+    def test_rerank_needs_no_references(self, pipeline_dir, tmp_path):
+        blind = tmp_path / "blind.jsonl"
+        records = [json.loads(l) for l in (pipeline_dir / "test.jsonl").read_text().splitlines()]
+        assert all("reference" in r for r in records)
+        blind.write_text(
+            "".join(json.dumps({k: v for k, v in r.items() if k != "reference"}) + "\n" for r in records)
+        )
+        out = pipeline_dir / "selections_reranker_lstm.jsonl"
+        selections = []
+        for nbest in (pipeline_dir / "test.jsonl", blind):
+            code = main(
+                ["rerank", "--nbest", str(nbest), "--scorer", "reranker+lstm",
+                 "--weights", "reranker=1.0,lstm=0.5", "--out-dir", str(pipeline_dir), *MINI_SETS]
+            )
+            assert code == 0
+            selections.append(out.read_text())
+        assert len(selections[0].splitlines()) == 40
+        assert selections[0] == selections[1]
 
     def test_vocab_hash_mismatch_detected(self, pipeline_dir, tmp_path, capsys):
         # models were trained against min_count=1; a coarser vocabulary must

@@ -93,22 +93,22 @@ class StubLm:
     def __init__(self, table):
         self.table = table
 
-    def sentence_logprob(self, sentence):
-        return self.table[sentence.tokens]
+    def logprobs(self, sentences):
+        return np.array([self.table[s.tokens] for s in sentences])
 
 
 class TestRerank:
     def test_zero_weights_return_first_pass_best(self):
-        lists = nbest("u1", "a b", [("a x", -1.0), ("a b", -3.0), ("x b", -2.0)])
+        lists = [nbest("u1", "a b", [("a x", -1.0), ("a b", -3.0), ("x b", -2.0)])]
         corpus = corpus_from_lines(["a b", "a x"])
         model = train_ngram(corpus, build_vocabulary(corpus, 0), order=2)
         models = RerankModels(ngram=model)
-        assert rerank(lists, "ngram", {"ngram": 0.0}, models) == 0
-        assert rerank(lists, "first-pass", {}, models) == 0
+        assert rerank(lists, "ngram", {"ngram": 0.0}, models).tolist() == [0]
+        assert rerank(lists, "first-pass", {}, models).tolist() == [0]
 
     def test_identical_hypotheses_tie_to_first(self):
-        lists = nbest("u1", "a b", [("a b", -2.0), ("a b", -2.0)])
-        assert rerank(lists, "first-pass", {}, RerankModels()) == 0
+        lists = [nbest("u1", "a b", [("a b", -2.0), ("a b", -2.0)])]
+        assert rerank(lists, "first-pass", {}, RerankModels()).tolist() == [0]
 
     def test_shift_invariance(self):
         lists = nbest("u1", "a b", [("a x", -1.0), ("a b", -3.0)])
@@ -118,23 +118,37 @@ class TestRerank:
             tuple((h, fp + 700.0) for h, fp in lists.hypotheses),
         )
         models = RerankModels()
-        assert rerank(lists, "first-pass", {}, models) == rerank(
-            shifted, "first-pass", {}, models
-        )
+        assert rerank([lists], "first-pass", {}, models).tolist() == rerank(
+            [shifted], "first-pass", {}, models
+        ).tolist()
 
     def test_weighted_lstm_flips_choice(self):
-        lists = nbest("u1", "a b", [("a x", -1.0), ("a b", -1.5)])
+        lists = [nbest("u1", "a b", [("a x", -1.0), ("a b", -1.5)])]
         lm = StubLm({("a", "x"): -10.0, ("a", "b"): -1.0})
         models = RerankModels(lstm=lm)
-        assert rerank(lists, "lstm", {"lstm": 0.0}, models) == 0
-        assert rerank(lists, "lstm", {"lstm": 1.0}, models) == 1
+        assert rerank(lists, "lstm", {"lstm": 0.0}, models).tolist() == [0]
+        assert rerank(lists, "lstm", {"lstm": 1.0}, models).tolist() == [1]
 
     def test_missing_model_rejected(self):
-        lists = nbest("u1", "a b", [("a b", -1.0)])
+        lists = [nbest("u1", "a b", [("a b", -1.0)])]
         with pytest.raises(ValueError, match="requires a loaded"):
             rerank(lists, "ngram", {}, RerankModels())
         with pytest.raises(ValueError, match="unknown scorer"):
             rerank(lists, "acoustic", {}, RerankModels())
+
+    def test_lists_of_unequal_size_without_references(self):
+        # each list's choice is its own: padding never wins, and references
+        # are not needed
+        lists = [
+            nbest("u1", None, [("a x", -1.0), ("a b", -1.5)]),
+            nbest("u2", None, [("a b", -3.0)]),
+            nbest("u3", None, [("c", -2.0), ("a x", -2.5), ("a b", -2.1)]),
+        ]
+        lm = StubLm({("a", "x"): -10.0, ("a", "b"): -1.0, ("c",): -9.0})
+        models = RerankModels(lstm=lm)
+        assert rerank(lists, "lstm", {"lstm": 1.0}, models).tolist() == [1, 0, 2]
+        assert rerank(lists, "first-pass", {}, models).tolist() == [0, 0, 0]
+        assert rerank([], "lstm", {"lstm": 1.0}, models).tolist() == []
 
 
 class TestOracle:

@@ -4,7 +4,14 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from oracles import finite_difference_check, lm_logprob, lstm_step, score
+from oracles import (
+    finite_difference_check,
+    lm_hidden_states,
+    lm_logprob,
+    lstm_step,
+    reference_lm_logprob,
+    score,
+)
 
 from kbrerank import synth, trainer
 from kbrerank.cli import load_feature_instances
@@ -13,7 +20,7 @@ from kbrerank.evaluation import NBestList, wer
 from kbrerank.features import extract_features
 from kbrerank.kb import build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
-from kbrerank.neural import RerankerDims, RerankerParams, reranker_inputs
+from kbrerank.neural import RerankerDims, RerankerParams, pad_ids, reranker_inputs
 from kbrerank.ngram import score_sentence, train_jackknife_models, train_ngram
 from kbrerank.trainer import (
     LstmLmDims,
@@ -180,13 +187,99 @@ class TestLstmLmGradients:
 
         def run(grads):
             if mode == "full-softmax":
-                return trainer._lm_forward_backward_softmax(params, ids, grads)
-            return trainer._lm_forward_backward_nce(params, ids, noise_ids, log_kq, grads)
+                return trainer._lm_forward_backward_softmax(params, [ids], grads)
+            return trainer._lm_forward_backward_nce(params, [ids], noise_ids, log_kq, grads)
 
         grads = params.zero_grads()
         run(grads)
         bad = finite_difference_check(params, lambda: run(params.zero_grads()), grads)
         assert bad is None, f"gradient mismatch in {bad}"
+
+
+class TestBatchedLm:
+    """The LM's padded-batch loss, gradients and scoring."""
+
+    # the batches use word ids 1..6, so id 7 ("g") can pad
+    WORDS = ("a", "b", "c", "d", "e", "f", "g", "h")
+    LENGTHS = (0, 1, 3, 5)
+
+    def setup_lm(self, seed=0):
+        params, vocab = uniform_lm(self.WORDS)
+        rng = np.random.default_rng(seed)
+        for name, tensor in params.tensors.items():
+            params.tensors[name] = tensor + rng.uniform(-0.5, 0.5, tensor.shape)
+        rows = [rng.integers(1, 7, size=n).astype(np.intp) for n in self.LENGTHS]
+        noise_ids = np.array([1, 4, 4, 0, 8])
+        log_kq = np.log(len(noise_ids) * np.full(params.dims.n_out, 1.0 / params.dims.n_out))
+        return params, rows, noise_ids, log_kq
+
+    @staticmethod
+    def run(params, mode, rows, noise_ids, log_kq, grads):
+        if mode == "full-softmax":
+            return trainer._lm_forward_backward_softmax(params, rows, grads)
+        return trainer._lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
+
+    @pytest.mark.parametrize("mode", trainer.LM_MODES)
+    def test_padded_batch_gradients_match_finite_differences(self, mode):
+        params, rows, noise_ids, log_kq = self.setup_lm(seed=1)
+        grads = params.zero_grads()
+        self.run(params, mode, rows, noise_ids, log_kq, grads)
+        bad = finite_difference_check(
+            params, lambda: self.run(params, mode, rows, noise_ids, log_kq, params.zero_grads()), grads
+        )
+        assert bad is None, f"gradient mismatch in {bad}"
+
+    @pytest.mark.parametrize("mode", trainer.LM_MODES)
+    def test_pad_id_leaves_loss_and_gradients_bit_identical(self, mode, monkeypatch):
+        params, rows, noise_ids, log_kq = self.setup_lm(seed=2)
+        results = {}
+        for pad in (0, 7):
+            def pad_with(seqs, pad=pad):
+                ids, lengths = pad_ids(seqs)
+                ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad
+                return ids, lengths
+
+            with monkeypatch.context() as m:
+                m.setattr(trainer, "pad_ids", pad_with)
+                grads = params.zero_grads()
+                loss = self.run(params, mode, rows, noise_ids, log_kq, grads)
+            results[pad] = (loss, grads)
+        assert results[0][0] == results[7][0]
+        for name in params.tensors:
+            np.testing.assert_array_equal(results[0][1][name], results[7][1][name])
+        # padded steps get exactly zero gradient: the pad word's embedding
+        # row receives nothing
+        assert not np.any(results[7][1]["emb"][7])
+
+    @pytest.mark.parametrize("mode", trainer.LM_MODES)
+    def test_batch_gradients_equal_sum_of_rows(self, mode):
+        params, rows, noise_ids, log_kq = self.setup_lm(seed=3)
+        batch = params.zero_grads()
+        loss = self.run(params, mode, rows, noise_ids, log_kq, batch)
+        summed = params.zero_grads()
+        row_loss = 0.0
+        for row in rows:
+            row_loss += self.run(params, mode, [row], noise_ids, log_kq, summed)
+        assert math.isclose(loss, row_loss, rel_tol=1e-12)
+        for name in params.tensors:
+            np.testing.assert_allclose(batch[name], summed[name], rtol=0, atol=1e-12)
+
+    def test_logprobs_match_per_sentence_reference(self):
+        params, _, _, _ = self.setup_lm(seed=4)
+        rng = np.random.default_rng(5)
+        n = 2 * trainer.LM_SCORE_CHUNK + 7
+        sentences = [
+            tuple(rng.choice(self.WORDS[:6], size=rng.integers(0, 9))) for _ in range(n)
+        ]
+        sentences[trainer.LM_SCORE_CHUNK + 3] = ()
+        sentences[0] = Sentence(("a", "zz", "b"))  # a Sentence, with an unknown word
+        got = params.logprobs(sentences)
+        assert got.shape == (n,)
+        for value, tokens in zip(got, sentences):
+            expected = reference_lm_logprob(params, getattr(tokens, "tokens", tokens))
+            assert math.isclose(value, expected, rel_tol=0, abs_tol=1e-12)
+        assert params.sentence_logprob(sentences[0]) == got[0]
+        assert params.logprobs([]).shape == (0,)
 
 
 def uniform_lm(words=("a", "b", "c", "d")):
@@ -201,7 +294,7 @@ class TestLstmLm:
         params, vocab = uniform_lm()
         n_out = params.dims.n_out
         ids = np.array(vocab.encode(("a", "b")), dtype=np.intp)
-        hs, _ = params.hidden_states(ids)
+        hs, _ = lm_hidden_states(params, ids)
         logits = hs @ params.tensors["out_w"].T + params.tensors["out_b"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
@@ -221,7 +314,7 @@ class TestLstmLm:
         config = TrainConfig(lr=0.2, max_epochs=3, patience=3, seed=0)
         params = train_lstm_lm(corpus, vocab, config=config, dims=dims)
         ids = np.array(vocab.encode(("a", "b")), dtype=np.intp)
-        hs, _ = params.hidden_states(ids)
+        hs, _ = lm_hidden_states(params, ids)
         logits = hs @ params.tensors["out_w"].T + params.tensors["out_b"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
@@ -233,7 +326,7 @@ class TestLstmLm:
         dims = LstmLmDims(vocab_size=vocab.size, word_dim=6, lstm_dim=8)
         config = TrainConfig(lr=0.3, max_epochs=12, patience=12, seed=1)
         params = train_lstm_lm(corpus, vocab, config=config, dims=dims)
-        hs, _ = params.hidden_states(np.array([], dtype=np.intp))
+        hs, _ = lm_hidden_states(params, np.array([], dtype=np.intp))
         logits = hs[0] @ params.tensors["out_w"].T + params.tensors["out_b"]
         assert logits[vocab.id_of("a")] > logits[vocab.id_of("b")]
 
@@ -271,7 +364,7 @@ class TestLstmLm:
             config = TrainConfig(lr=0.3, max_epochs=15, patience=15, seed=3)
             params = train_lstm_lm(corpus, vocab, mode=mode, nce_samples=20, config=config, dims=dims)
             ids = np.array(vocab.encode(("a",)), dtype=np.intp)
-            hs, _ = params.hidden_states(ids)
+            hs, _ = lm_hidden_states(params, ids)
             logits = hs[1] @ params.tensors["out_w"].T + params.tensors["out_b"]
             ranking[mode] = logits[vocab.id_of("b")] > logits[vocab.id_of("c")]
         assert ranking["full-softmax"] == ranking["nce"]
