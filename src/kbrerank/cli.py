@@ -150,14 +150,26 @@ def _checked(key: str, value, tp):
     return value
 
 
-# flat values no record checks when the config is read: the dimension
-# records also need the vocabulary size, known only after build-vocab
-_POSITIVE_KEYS = ("word_dim", "lstm_dim", "hidden_dim", "lm_word_dim", "lm_lstm_dim", "lm_nce_samples")
+# flat values no record checks when the config is read (the dimension
+# records also need the vocabulary size, known only after build-vocab), with
+# the lower bound their consumer enforces
+_MIN_VALUES = {
+    "n_folds": 2,  # corpus.assign_folds
+    "ngram_order": 1,  # ngram.train_ngram
+    "neg_samples": 1,  # negsampler.sample_negatives
+    "word_dim": 1,
+    "lstm_dim": 1,
+    "hidden_dim": 1,
+    "lm_word_dim": 1,
+    "lm_lstm_dim": 1,
+    "lm_nce_samples": 1,
+    "lm_max_epochs": 1,  # trainer.TrainConfig.max_epochs
+}
 
 
 def _validate_flat(key: str, value) -> None:
-    if key in _POSITIVE_KEYS and value < 1:
-        raise ValueError(f"config key {key} must be >= 1, got {value!r}")
+    if key in _MIN_VALUES and value < _MIN_VALUES[key]:
+        raise ValueError(f"config key {key} must be >= {_MIN_VALUES[key]}, got {value!r}")
     if key == "lm_mode" and value not in trainer.LM_MODES:
         raise ValueError(
             f"config key lm_mode must be one of {', '.join(trainer.LM_MODES)}, got {value!r}"

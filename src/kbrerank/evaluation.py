@@ -11,7 +11,7 @@ import numpy as np
 from .corpus import Sentence, Vocabulary
 from .features import extract_features
 from .kb import KBIndex
-from .neural import RerankerInputs, RerankerParams, reranker_inputs, score_batch
+from .neural import RerankerInputs, RerankerParams, reranker_inputs, score_lists
 from .ngram import NGramModel, score_sentence
 
 # the components each scorer interpolates with the first pass, in the order
@@ -151,11 +151,11 @@ def nbest_inputs(
     return reranker_inputs([s.tokens for s in sentences], bundles, vocab)
 
 
-def reranker_scores(nbest: NBestList, models: RerankModels) -> np.ndarray:
-    """Interpolated deep score u for every hypothesis, the list as one batch."""
-    x = nbest_inputs(nbest, models.vocab, models.kb_index, models.ngram)
-    u, _ = score_batch(models.reranker, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
-    return u
+def score_reranker(dataset, models: RerankModels) -> np.ndarray:
+    """Interpolated deep score u of every hypothesis of ``dataset``, flat in
+    list order; the lists are scored together (``neural.score_lists``)."""
+    inputs = [nbest_inputs(n, models.vocab, models.kb_index, models.ngram) for n in dataset]
+    return score_lists(models.reranker, inputs)
 
 
 def combine(comps: dict, weights: dict) -> np.ndarray:
@@ -203,7 +203,7 @@ def score_hypotheses(dataset, components, models: RerankModels) -> tuple[dict, n
         flat["lstm"] = models.lstm.logprobs(hyps)
     if "reranker" in names:
         _require(models, "reranker", "reranker", "ngram", "kb_index", "vocab")
-        flat["reranker"] = [u for nbest in dataset for u in reranker_scores(nbest, models)]
+        flat["reranker"] = score_reranker(dataset, models)
     scores = {}
     for name, values in flat.items():
         scores[name] = np.zeros(shape)

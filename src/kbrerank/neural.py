@@ -101,9 +101,6 @@ class RerankerParams:
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
-    def param_norm_sq(self) -> float:
-        return float(sum(np.sum(v * v) for v in self.tensors.values()))
-
     def save(self, path, vocab_hash: str) -> None:
         save_artifact(
             path,
@@ -119,11 +116,12 @@ class RerankerParams:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """``0.5 * (1 + tanh(x / 2))``: no overflow for any finite x, and within
+    2.2e-16 of the exp form."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -146,9 +144,8 @@ def _lstm_forward(w, b, emb_seq):
     for t in range(length):
         inp = np.concatenate([emb_seq[:, t, :], h], axis=1)
         z = inp @ w.T + b
-        i = _sigmoid(z[:, :hid])
-        f = _sigmoid(z[:, hid : 2 * hid])
-        o = _sigmoid(z[:, 2 * hid : 3 * hid])
+        gates = _sigmoid(z[:, : 3 * hid])
+        i, f, o = gates[:, :hid], gates[:, hid : 2 * hid], gates[:, 2 * hid :]
         g = np.tanh(z[:, 3 * hid :])
         c_prev = c
         c = f * c_prev + i * g
@@ -236,6 +233,53 @@ def reranker_inputs(candidates, bundles, vocab: Vocabulary) -> RerankerInputs:
     return RerankerInputs(ids, lengths, bins, feats)
 
 
+# candidate rows per fused score_batch call; bounds the per-step activations
+# a training chunk keeps for its backward pass
+FUSE_ROWS = 32
+
+
+def fused_chunks(row_counts) -> list[range]:
+    """Split consecutive items of ``row_counts`` rows each into ranges of
+    at most ``FUSE_ROWS`` rows, in order; an item larger than that is a
+    range of its own."""
+    chunks = []
+    start = rows = 0
+    for k, n in enumerate(row_counts):
+        if rows and rows + n > FUSE_ROWS:
+            chunks.append(range(start, k))
+            start, rows = k, 0
+        rows += n
+    if start < len(row_counts):
+        chunks.append(range(start, len(row_counts)))
+    return chunks
+
+
+def concat_inputs(parts) -> RerankerInputs:
+    """Stack the rows of several ``RerankerInputs``, re-padded with 0 to the
+    longest row (``pad_ids``)."""
+    ids, lengths = pad_ids([row[:n] for x in parts for row, n in zip(x.ids, x.lengths)])
+    return RerankerInputs(
+        ids,
+        lengths,
+        {b.key: np.concatenate([x.bins[b.key] for x in parts]) for b in _BINS},
+        np.concatenate([x.ngram_feats for x in parts]),
+    )
+
+
+def score_lists(params: RerankerParams, inputs) -> np.ndarray:
+    """u of every row of every ``RerankerInputs`` in ``inputs``, concatenated
+    in order; consecutive inputs are scored together, ``FUSE_ROWS`` rows at a
+    time (``fused_chunks``)."""
+    out = np.empty(sum(len(x.lengths) for x in inputs))
+    row = 0
+    for chunk in fused_chunks([len(x.lengths) for x in inputs]):
+        x = concat_inputs([inputs[k] for k in chunk])
+        u, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
+        out[row : row + len(u)] = u
+        row += len(u)
+    return out
+
+
 @dataclass
 class ScoreCache:
     ids: np.ndarray
@@ -252,15 +296,20 @@ class ScoreCache:
     s: np.ndarray
 
 
+def draw_dropout(shape, p: float, seed: int) -> np.ndarray:
+    """An inverted-dropout mask: kept units are rescaled by 1 / (1 - p) now,
+    so inference is the identity."""
+    rng = np.random.default_rng(seed)
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def score_batch(
     params: RerankerParams,
     ids: np.ndarray,
     bins: dict,
     ngram_feats: np.ndarray,
-    dropout_p: float = 0.0,
-    train_mode: bool = False,
-    seed: int = 0,
     lengths: np.ndarray | None = None,
+    dropout_mask: np.ndarray | None = None,
 ):
     """Score a batch of candidates; returns (u, cache).
 
@@ -269,7 +318,9 @@ def score_batch(
     without it every row is ``length`` tokens long. The forward LSTM's final
     state is taken after a row's last real token, and the backward LSTM reads
     each row reversed within its own length, so it starts at that token.
-    Padding ids never reach a score or a gradient.
+    Padding ids never reach a score or a gradient. ``dropout_mask``
+    (``draw_dropout``, shaped (batch, phi_dim)) multiplies phi in training;
+    without it there is no dropout.
     """
     t = params.tensors
     d = params.dims
@@ -287,6 +338,8 @@ def score_batch(
     for b in _BINS:
         if np.any(bins[b.key] < 0) or np.any(bins[b.key] >= b.count):
             raise ValueError(f"feature bin out of range for {b.key}")
+    if dropout_mask is not None and dropout_mask.shape != (ids.shape[0], d.phi_dim):
+        raise ValueError("dropout_mask must be shaped (batch, phi_dim)")
 
     rows = np.arange(ids.shape[0])
     hs_f, steps_f = _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids])
@@ -297,13 +350,8 @@ def score_batch(
     h_f = hs_f[rows, lengths]
     h_b = hs_b[rows, lengths]
     phi = np.concatenate([h_f, h_b, *(t[b.emb][bins[b.key]] for b in _BINS)], axis=1)
-    if train_mode and dropout_p > 0.0:
-        # inverted dropout: kept units are rescaled now, inference is identity
-        rng = np.random.default_rng(seed)
-        mask = (rng.random(phi.shape) >= dropout_p) / (1.0 - dropout_p)
-        phi = phi * mask
-    else:
-        mask = None
+    if dropout_mask is not None:
+        phi *= dropout_mask
     pre_act = phi @ t["hidden_w"]
     relu = np.maximum(pre_act, 0.0)
     s = relu @ t["out_w"]
@@ -317,7 +365,7 @@ def score_batch(
         bins=bins,
         ngram_feats=np.asarray(ngram_feats, dtype=float),
         phi=phi,
-        dropout_mask=mask,
+        dropout_mask=dropout_mask,
         pre_act=pre_act,
         relu=relu,
         s=s,
@@ -391,11 +439,17 @@ def contrastive_loss(scores, correct_index: int):
 
 
 def sgd_momentum_update(tensors: dict, grads: dict, velocity: dict, lr: float, momentum: float, l2: float = 0.0):
-    """Classical momentum with L2 pulled into the gradient; updates in place."""
+    """Classical momentum with L2 pulled into the gradient; updates in place.
+
+    ``v = momentum * v - lr * (g + l2 * theta)``, then ``theta += v``, with
+    one temporary per tensor.
+    """
     for name, theta in tensors.items():
-        g = grads[name] + l2 * theta
+        step = theta * l2
+        step += grads[name]
+        step *= lr
         v = velocity[name]
         v *= momentum
-        v -= lr * g
+        v -= step
         theta += v
     return tensors, velocity

@@ -24,9 +24,13 @@ from .neural import (
     _lstm_forward,
     _sigmoid,
     backprop_batch,
+    concat_inputs,
     contrastive_loss,
+    draw_dropout,
+    fused_chunks,
     pad_ids,
     score_batch,
+    score_lists,
     sgd_momentum_update,
 )
 from .ngram import NGramModel
@@ -97,16 +101,64 @@ def prepare_heldout(
     return prepared
 
 
-def heldout_wer(params: RerankerParams, prepared, reranker_weight: float = 1.0) -> float:
-    """WER when decoding with first-pass score plus the interpolated u score."""
-    errors = ref_words = 0
+def heldout_wer(params: RerankerParams, prepared) -> float:
+    """WER when decoding with first-pass score plus the interpolated u score;
+    the lists are scored together (``neural.score_lists``)."""
+    u = score_lists(params, [item.inputs for item in prepared])
+    errors = ref_words = row = 0
     for item in prepared:
-        x = item.inputs
-        u, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
-        chosen = int(np.argmax(item.first_pass + reranker_weight * u))
+        own = u[row : row + len(item.first_pass)]
+        row += len(own)
+        chosen = int(np.argmax(item.first_pass + own))
         errors += int(item.errors[chosen].sum())
         ref_words += item.ref_words
     return errors / ref_words
+
+
+def _minibatch_gradients(
+    params: RerankerParams, instances, batch, config: TrainConfig, epoch: int, grads: dict
+) -> list[float]:
+    """Add the summed contrastive gradients of ``instances[j]`` for j in
+    ``batch`` to ``grads``; returns each instance's loss in batch order.
+
+    Consecutive instances are fused into one padded ``score_batch`` and one
+    ``backprop_batch`` call per ``neural.FUSE_ROWS`` rows. Each instance keeps
+    its own softmax over its own rows (correct row first) and its own dropout
+    stream, ``derive_seed(seed, "dropout", epoch, j)``.
+    """
+    losses = []
+    for chunk in fused_chunks([len(instances[int(j)].lengths) for j in batch]):
+        members = [int(batch[k]) for k in chunk]
+        x = concat_inputs([instances[j] for j in members])
+        mask = None
+        if config.dropout > 0.0:
+            mask = np.concatenate(
+                [
+                    draw_dropout(
+                        (len(instances[j].lengths), params.dims.phi_dim),
+                        config.dropout,
+                        derive_seed(config.seed, "dropout", epoch, j),
+                    )
+                    for j in members
+                ]
+            )
+        u, cache = score_batch(
+            params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths, dropout_mask=mask
+        )
+        du = np.empty_like(u)
+        row = 0
+        for j in members:
+            own = slice(row, row + len(instances[j].lengths))
+            row = own.stop
+            loss = math.nan
+            if np.all(np.isfinite(u[own])):
+                loss, du[own] = contrastive_loss(u[own], 0)
+            if not math.isfinite(loss):
+                raise RuntimeError(f"non-finite loss at epoch {epoch}, instance {j}")
+            losses.append(loss)
+        backprop_batch(params, cache, du, out=grads)
+        del cache  # the chunk's activations go before the next chunk's arrive
+    return losses
 
 
 def train_reranker(
@@ -124,6 +176,7 @@ def train_reranker(
         raise ValueError("held-out data required for early stopping")
     rng = np.random.default_rng(config.seed)
     velocity = params.zero_grads()
+    grads = params.zero_grads()
     logs: list[EpochLog] = []
     best_wer = math.inf
     best_params = params.copy()
@@ -135,26 +188,9 @@ def train_reranker(
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grads = params.zero_grads()
-            for j in batch:
-                inst = instances[int(j)]
-                u, cache = score_batch(
-                    params,
-                    inst.ids,
-                    inst.bins,
-                    inst.ngram_feats,
-                    dropout_p=config.dropout,
-                    train_mode=True,
-                    seed=derive_seed(config.seed, "dropout", epoch, int(j)),
-                    lengths=inst.lengths,
-                )
-                loss, du = contrastive_loss(u, 0)
-                if not math.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite loss at epoch {epoch}, instance {int(j)}"
-                    )
-                backprop_batch(params, cache, du, out=grads)
-                losses.append(loss)
+            for g in grads.values():
+                g.fill(0.0)
+            losses.extend(_minibatch_gradients(params, instances, batch, config, epoch, grads))
             for g in grads.values():
                 g /= len(batch)
             sgd_momentum_update(
@@ -164,7 +200,8 @@ def train_reranker(
         logs.append(EpochLog(epoch, float(np.mean(losses)), epoch_wer, lr))
         if epoch_wer < best_wer:
             best_wer = epoch_wer
-            best_params = params.copy()
+            for name, tensor in best_params.tensors.items():
+                np.copyto(tensor, params.tensors[name])
             bad_epochs = 0
         else:
             bad_epochs += 1

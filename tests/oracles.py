@@ -2,19 +2,30 @@
 
 The oracles deliberately avoid the production code paths they check: the WER
 oracle enumerates raw edit sequences, the gradient checker perturbs tensors
-one element at a time, and ``lstm_step`` is a one-token LSTM cell written
-apart from the batched kernel in ``kbrerank.neural``. The single-sentence
-helpers below wrap the batched production calls for tests that score one
-candidate or one sentence at a time.
+one element at a time, ``lstm_step`` is a one-token LSTM cell written apart
+from the batched kernel in ``kbrerank.neural`` (with the exp-form sigmoid,
+not the kernel's tanh form), and the reference trainer scores and
+backpropagates one training instance per call. The single-sentence helpers
+below wrap the batched production calls for tests that score one candidate
+or one sentence at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from kbrerank.corpus import build_vocabulary
-from kbrerank.neural import _lstm_forward, score_batch, stack_bundles
+from kbrerank.negsampler import derive_seed
+from kbrerank.neural import (
+    _lstm_forward,
+    backprop_batch,
+    contrastive_loss,
+    score_batch,
+    stack_bundles,
+)
 from kbrerank.ngram import score_sentence, train_jackknife_models
+from kbrerank.trainer import EpochLog
 
 
 def exhaustive_wer(ref, hyp):
@@ -132,8 +143,15 @@ def reference_tune(dataset, comps_per_utt, names, grid):
 # Single-sentence helpers and the per-step LSTM reference.
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def masked_sigmoid(x):
+    """The logistic function in exp form, each sign on its own branch so
+    neither exp can overflow."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def lstm_step(w, b, h_prev, c_prev, x_emb):
@@ -142,9 +160,9 @@ def lstm_step(w, b, h_prev, c_prev, x_emb):
     if w.shape != (4 * hid, x_emb.shape[-1] + hid) or h_prev.shape[-1] != hid or c_prev.shape[-1] != hid:
         raise ValueError("shape mismatch between LSTM weights and inputs")
     z = w @ np.concatenate([x_emb, h_prev]) + b
-    i = _sigmoid(z[:hid])
-    f = _sigmoid(z[hid : 2 * hid])
-    o = _sigmoid(z[2 * hid : 3 * hid])
+    i = masked_sigmoid(z[:hid])
+    f = masked_sigmoid(z[hid : 2 * hid])
+    o = masked_sigmoid(z[2 * hid : 3 * hid])
     g = np.tanh(z[3 * hid :])
     c = f * c_prev + i * g
     h = o * np.tanh(c)
@@ -182,19 +200,104 @@ class SentenceScore:
     cache: object
 
 
-def score(params, ids, bundle, dropout_p=0.0, train_mode=False, seed=0) -> SentenceScore:
+def score(params, ids, bundle) -> SentenceScore:
     """One candidate scored as a batch of one row."""
     bins, feats = stack_bundles([bundle])
-    u, cache = score_batch(
-        params,
-        np.asarray(ids, dtype=np.intp).reshape(1, -1),
-        bins,
-        feats,
-        dropout_p=dropout_p,
-        train_mode=train_mode,
-        seed=seed,
-    )
+    u, cache = score_batch(params, np.asarray(ids, dtype=np.intp).reshape(1, -1), bins, feats)
     return SentenceScore(s=float(cache.s[0]), u=float(u[0]), cache=cache)
+
+
+def param_norm_sq(params) -> float:
+    return float(sum(np.sum(v * v) for v in params.tensors.values()))
+
+
+# The reranker's training loop one instance at a time: the reference for the
+# fused minibatches of ``kbrerank.trainer``.
+
+
+def reference_sgd_momentum_update(tensors, grads, velocity, lr, momentum, l2=0.0):
+    """Classical momentum with L2 pulled into the gradient, in place."""
+    for name, theta in tensors.items():
+        g = grads[name] + l2 * theta
+        v = velocity[name]
+        v *= momentum
+        v -= lr * g
+        theta += v
+
+
+def reference_dropout_mask(shape, p, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def reference_minibatch_gradients(params, instances, batch, config, epoch, grads):
+    """One ``score_batch`` and one ``backprop_batch`` call per instance, with
+    its own dropout draw; returns the losses in batch order."""
+    losses = []
+    for j in batch:
+        inst = instances[int(j)]
+        mask = None
+        if config.dropout > 0.0:
+            mask = reference_dropout_mask(
+                (len(inst.lengths), params.dims.phi_dim),
+                config.dropout,
+                derive_seed(config.seed, "dropout", epoch, int(j)),
+            )
+        u, cache = score_batch(
+            params, inst.ids, inst.bins, inst.ngram_feats, lengths=inst.lengths, dropout_mask=mask
+        )
+        loss, du = contrastive_loss(u, 0)
+        if not math.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at epoch {epoch}, instance {int(j)}")
+        backprop_batch(params, cache, du, out=grads)
+        losses.append(loss)
+    return losses
+
+
+def reference_heldout_wer(params, prepared):
+    """Held-out WER with each n-best list scored by its own call."""
+    errors = ref_words = 0
+    for item in prepared:
+        x = item.inputs
+        u, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
+        chosen = int(np.argmax(item.first_pass + u))
+        errors += int(item.errors[chosen].sum())
+        ref_words += item.ref_words
+    return errors / ref_words
+
+
+def reference_train_reranker(instances, heldout, params, config):
+    """``trainer.train_reranker`` with one call per instance and per held-out
+    list: same permutation, dropout streams, updates and checkpointing."""
+    rng = np.random.default_rng(config.seed)
+    velocity = params.zero_grads()
+    logs = []
+    best_wer = math.inf
+    best_params = params.copy()
+    bad_epochs = 0
+    lr = config.lr
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(instances))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grads = params.zero_grads()
+            losses.extend(reference_minibatch_gradients(params, instances, batch, config, epoch, grads))
+            for g in grads.values():
+                g /= len(batch)
+            reference_sgd_momentum_update(params.tensors, grads, velocity, lr, config.momentum, config.l2)
+        epoch_wer = reference_heldout_wer(params, heldout)
+        logs.append(EpochLog(epoch, float(np.mean(losses)), epoch_wer, lr))
+        if epoch_wer < best_wer:
+            best_wer = epoch_wer
+            best_params = params.copy()
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            lr *= config.lr_decay
+            if bad_epochs >= config.patience:
+                break
+    return best_params, logs
 
 
 def lm_logprob(params, sentence) -> float:

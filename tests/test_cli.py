@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
+from kbrerank import neural, trainer
 from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
 
 
@@ -138,6 +141,10 @@ class TestConfig:
             ("lm_word_dim=0", "config key lm_word_dim must be >= 1"),
             ("lm_lstm_dim=0", "config key lm_lstm_dim must be >= 1"),
             ("lm_nce_samples=-3", "config key lm_nce_samples must be >= 1"),
+            ("lm_max_epochs=0", "config key lm_max_epochs must be >= 1"),
+            ("n_folds=1", "config key n_folds must be >= 2"),
+            ("ngram_order=0", "config key ngram_order must be >= 1"),
+            ("neg_samples=0", "config key neg_samples must be >= 1"),
         ],
     )
     def test_bad_value_fails_at_config_load(self, tmp_path, capsys, setting, message):
@@ -334,3 +341,42 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "weights for components the scorer does not use" in err
         assert unused in err
+
+
+def load_span_tracer():
+    """``perfbench/spans.py``, imported as it stands."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSpanTracer:
+    """The benchmark's tracer wraps the package from outside: it looks up
+    ``LstmLmParams.sentence_logprob`` by name, its ``score_batch`` hook reads
+    ``ids`` and ``cache.ids``, and its ``evaluation.reranker_scores`` hook
+    reads ``args[0].hypotheses``. A rename that breaks a traced run shows
+    here."""
+
+    def test_traced_pipeline_runs_clean(self, tmp_path):
+        originals = (neural.score_batch, trainer.LstmLmParams.sentence_logprob)
+        tracer = load_span_tracer().Tracer()
+        tracer.install()
+        try:
+            run_pipeline(tmp_path)
+            code = main(
+                ["rerank", "--nbest", str(tmp_path / "test.jsonl"), "--scorer", "reranker+lstm",
+                 "--weights", "reranker=1.0,lstm=0.5", "--out-dir", str(tmp_path), *MINI_SETS]
+            )
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert (neural.score_batch, trainer.LstmLmParams.sentence_logprob) == originals
+        # only the sampler's expected "no confusable position" drops raise
+        # inside a span
+        assert set(tracer.errors) <= {"negsampler.sample_negatives"}
+        metrics = tracer.layer_metrics()
+        assert metrics["neural.score_batch.calls"] > 0
+        assert metrics["neural.backprop_batch.calls"] > 0
+        assert metrics["neural.score_batch.rows_per_call"] > 0

@@ -310,9 +310,9 @@ class TestArrayPathMatchesReference:
         )
         monkeypatch.setattr(
             evaluation,
-            "reranker_scores",
-            lambda lists, models: np.array(
-                [tables["reranker"][h.tokens] for h, _ in lists.hypotheses]
+            "score_reranker",
+            lambda dataset, models: np.array(
+                [tables["reranker"][h.tokens] for lists in dataset for h, _ in lists.hypotheses]
             ),
         )
         present = object()

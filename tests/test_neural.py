@@ -1,16 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from kbrerank import neural
 from kbrerank.features import FeatureBundle
 from kbrerank.neural import (
     RerankerDims,
+    RerankerInputs,
     RerankerParams,
+    _sigmoid,
     backprop_batch,
+    concat_inputs,
     contrastive_loss,
+    draw_dropout,
+    fused_chunks,
     pad_ids,
     score_batch,
+    score_lists,
     sgd_momentum_update,
     stack_bundles,
 )
@@ -18,6 +26,8 @@ from oracles import (
     finite_difference_check,
     lstm_final_states,
     lstm_step,
+    masked_sigmoid,
+    reference_sgd_momentum_update,
     score,
     sentence_representation,
 )
@@ -115,19 +125,27 @@ class TestScore:
         params = RerankerParams.initialize(TINY, seed=7)
         rng = np.random.default_rng(0)
         ids, bins, feats = tiny_instance(rng)
-        u1, _ = score_batch(params, ids, bins, feats, dropout_p=0.4, train_mode=True, seed=5)
-        u2, _ = score_batch(params, ids, bins, feats, dropout_p=0.4, train_mode=True, seed=5)
-        u3, _ = score_batch(params, ids, bins, feats, dropout_p=0.4, train_mode=True, seed=6)
+        shape = (ids.shape[0], TINY.phi_dim)
+        u1, _ = score_batch(params, ids, bins, feats, dropout_mask=draw_dropout(shape, 0.4, 5))
+        u2, _ = score_batch(params, ids, bins, feats, dropout_mask=draw_dropout(shape, 0.4, 5))
+        u3, _ = score_batch(params, ids, bins, feats, dropout_mask=draw_dropout(shape, 0.4, 6))
         np.testing.assert_array_equal(u1, u2)
         assert not np.array_equal(u1, u3)
 
     def test_inference_ignores_dropout(self):
+        # no mask is no dropout: the same scores as a mask that keeps every unit
         params = RerankerParams.initialize(TINY, seed=8)
         rng = np.random.default_rng(1)
         ids, bins, feats = tiny_instance(rng)
-        u1, _ = score_batch(params, ids, bins, feats, dropout_p=0.4, train_mode=False)
+        u1, _ = score_batch(params, ids, bins, feats, dropout_mask=np.ones((ids.shape[0], TINY.phi_dim)))
         u2, _ = score_batch(params, ids, bins, feats)
         np.testing.assert_array_equal(u1, u2)
+
+    def test_dropout_mask_shape_checked(self):
+        params = RerankerParams.initialize(TINY, seed=8)
+        ids, bins, feats = tiny_instance(np.random.default_rng(1))
+        with pytest.raises(ValueError, match="dropout_mask"):
+            score_batch(params, ids, bins, feats, dropout_mask=np.ones((1, TINY.phi_dim)))
 
     def test_batched_equals_single_candidate_scoring(self):
         params = RerankerParams.initialize(TINY, seed=9)
@@ -256,10 +274,8 @@ class TestPaddedBatch:
         for pad_id in (0, 7, 19):
             rng = np.random.default_rng(9)
             ids, lengths, bins, feats = padded_instance(rng, (2, 5, 1, 4), pad_id=pad_id)
-            u, cache = score_batch(
-                params, ids, bins, feats, lengths=lengths,
-                dropout_p=0.3, train_mode=train_mode, seed=4,
-            )
+            mask = draw_dropout((len(lengths), TINY.phi_dim), 0.3, 4) if train_mode else None
+            u, cache = score_batch(params, ids, bins, feats, lengths=lengths, dropout_mask=mask)
             _, du = contrastive_loss(u, 1)
             results.append((u, backprop_batch(params, cache, du)))
         (u0, g0), *others = results
@@ -318,6 +334,80 @@ class TestPaddedBatch:
         ids, bins, feats = tiny_instance(rng, n_candidates=2, length=3)
         with pytest.raises(ValueError, match="lengths"):
             score_batch(params, ids, bins, feats, lengths=np.array(lengths))
+
+
+class TestSigmoid:
+    def test_tanh_form_matches_exp_form(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200001), [-745.2, -37.0, 0.0, 37.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(x)
+            expected = masked_sigmoid(x)
+        # within machine epsilon, one ulp at 1.0 (2.2e-16)
+        assert np.max(np.abs(got - expected)) <= np.finfo(float).eps
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_input_left_unchanged(self):
+        x = np.array([[-3.0, 0.5], [2.0, -0.25]])
+        before = x.copy()
+        _sigmoid(x)
+        np.testing.assert_array_equal(x, before)
+
+
+def random_inputs(rng, lengths, pad_id=0, dims=TINY) -> RerankerInputs:
+    """One instance: candidates of the given lengths, right-padded with
+    ``pad_id``, their words drawn from 1 .. vocab_size - 2."""
+    rows = [rng.integers(1, dims.vocab_size - 1, size=n) for n in lengths]
+    ids, lens = pad_ids(rows)
+    ids[np.arange(ids.shape[1]) >= lens[:, None]] = pad_id
+    _, bins, feats = tiny_instance(rng, n_candidates=len(lengths), length=1)
+    return RerankerInputs(ids, lens, bins, feats)
+
+
+class TestFusedChunks:
+    @pytest.mark.parametrize(
+        "counts",
+        [[], [6] * 12, [5, 7, 32, 1, 40, 3, 3, 30, 2], [33], [1] * 70, [31, 2, 31, 1]],
+    )
+    def test_order_and_row_budget(self, counts):
+        chunks = fused_chunks(counts)
+        assert [k for chunk in chunks for k in chunk] == list(range(len(counts)))
+        for chunk in chunks:
+            rows = sum(counts[k] for k in chunk)
+            assert rows <= neural.FUSE_ROWS or len(chunk) == 1
+        # greedy: no chunk could have taken its successor's first item
+        for chunk, after in zip(chunks, chunks[1:]):
+            assert sum(counts[k] for k in chunk) + counts[after[0]] > neural.FUSE_ROWS
+
+    def test_budget_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(neural, "FUSE_ROWS", 4)
+        assert [list(c) for c in fused_chunks([2, 2, 3, 5, 1])] == [[0, 1], [2], [3], [4]]
+
+    def test_concat_pads_and_stacks(self):
+        rng = np.random.default_rng(20)
+        parts = [random_inputs(rng, (3, 1), pad_id=9), random_inputs(rng, (5, 2, 4))]
+        x = concat_inputs(parts)
+        assert x.ids.shape == (5, 5)
+        np.testing.assert_array_equal(x.lengths, [3, 1, 5, 2, 4])
+        rows = [row for p in parts for row in p.ids]
+        for row, got, n in zip(rows, x.ids, x.lengths):
+            np.testing.assert_array_equal(got[:n], row[:n])
+            assert not np.any(got[n:])
+        for key in parts[0].bins:
+            np.testing.assert_array_equal(x.bins[key], np.concatenate([p.bins[key] for p in parts]))
+        np.testing.assert_array_equal(x.ngram_feats, np.concatenate([p.ngram_feats for p in parts]))
+
+    def test_score_lists_match_one_call_per_list(self, monkeypatch):
+        monkeypatch.setattr(neural, "FUSE_ROWS", 8)
+        params = RerankerParams.initialize(TINY, seed=21)
+        rng = np.random.default_rng(21)
+        inputs = [random_inputs(rng, rng.integers(1, 7, size=rng.integers(1, 6))) for _ in range(9)]
+        expected = np.concatenate(
+            [score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)[0] for x in inputs]
+        )
+        got = score_lists(params, inputs)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+        assert score_lists(params, []).shape == (0,)
 
 
 class TestContrastiveLoss:
@@ -400,6 +490,25 @@ class TestSgdMomentum:
         a, b = run(), run()
         for name in a.tensors:
             np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+
+
+    def test_update_equals_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        shapes = {"a": (7, 5), "b": (11,), "c": (3, 4, 2)}
+        fresh = {k: rng.normal(size=sh) * 3 for k, sh in shapes.items()}
+        runs = []
+        for update in (sgd_momentum_update, reference_sgd_momentum_update):
+            theta = {k: v.copy() for k, v in fresh.items()}
+            vel = {k: np.zeros(sh) for k, sh in shapes.items()}
+            step_rng = np.random.default_rng(9)
+            for lr, momentum, l2 in ((0.1, 0.9, 1e-6), (0.37, 0.5, 0.0), (1.3, 0.0, 0.02)):
+                grads = {k: step_rng.normal(size=sh) for k, sh in shapes.items()}
+                update(theta, grads, vel, lr, momentum, l2)
+            runs.append((theta, vel))
+        (theta, vel), (ref_theta, ref_vel) = runs
+        for k in shapes:
+            np.testing.assert_array_equal(theta[k], ref_theta[k])
+            np.testing.assert_array_equal(vel[k], ref_vel[k])
 
 
 class TestCheckpoint:

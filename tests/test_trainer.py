@@ -9,18 +9,32 @@ from oracles import (
     lm_hidden_states,
     lm_logprob,
     lstm_step,
+    param_norm_sq,
+    reference_dropout_mask,
+    reference_heldout_wer,
     reference_lm_logprob,
+    reference_minibatch_gradients,
+    reference_train_reranker,
     score,
 )
 
-from kbrerank import synth, trainer
+from kbrerank import evaluation, neural, synth, trainer
 from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
-from kbrerank.evaluation import NBestList, wer
+from kbrerank.evaluation import NBestList, RerankModels, wer
 from kbrerank.features import extract_features
 from kbrerank.kb import build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
-from kbrerank.neural import RerankerDims, RerankerParams, pad_ids, reranker_inputs
+from kbrerank.neural import (
+    RerankerDims,
+    RerankerInputs,
+    RerankerParams,
+    contrastive_loss,
+    fused_chunks,
+    pad_ids,
+    reranker_inputs,
+    score_batch,
+)
 from kbrerank.ngram import score_sentence, train_jackknife_models, train_ngram
 from kbrerank.trainer import (
     LstmLmDims,
@@ -106,7 +120,7 @@ class TestTrainReranker:
             trained, _ = train_reranker(
                 mini_world["instances"][:24], mini_world["prepared"][:5], params, config
             )
-            runs[l2] = trained.param_norm_sq()
+            runs[l2] = param_norm_sq(trained)
         assert runs[1000.0] < runs[0.0]
 
     def test_training_log_reproducible(self, mini_world):
@@ -172,6 +186,191 @@ class TestHeldoutUnequalLengths:
                 words += n
             assert heldout_wer(params, prepared) == errors / words
         assert len(chosen_lengths) > 1  # the choices do depend on the lengths
+
+
+SMALL = RerankerDims(
+    vocab_size=12, word_dim=4, lstm_dim=4, hidden_dim=4,
+    co_dim=2, freq_dim=2, cross_dim=2, intra_dim=2,
+)
+
+
+def small_instances(rng, row_counts, pad_id=0):
+    """Training instances of the given row counts; candidates of 1-5 words
+    drawn from ids 1 .. vocab_size - 2, right-padded with ``pad_id``."""
+    instances = []
+    for n in row_counts:
+        rows = [rng.integers(1, SMALL.vocab_size - 1, size=k) for k in rng.integers(1, 6, size=n)]
+        ids, lengths = pad_ids(rows)
+        ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad_id
+        bins = {b.key: rng.integers(0, b.count, size=n) for b in neural._BINS}
+        instances.append(RerankerInputs(ids, lengths, bins, rng.random(n) * 10))
+    return instances
+
+
+class TestFusedMinibatch:
+    """trainer._minibatch_gradients against the per-instance reference."""
+
+    # in batch order 3, 0, 4, 1, 2 with FUSE_ROWS = 8, the chunks are
+    # instance 3 alone (9 rows, over budget), then [0, 4], then [1, 2]
+    ROWS = (3, 5, 2, 9, 4)
+
+    def test_fused_gradients_match_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(neural, "FUSE_ROWS", 8)
+        params = RerankerParams.initialize(SMALL, seed=30)
+        instances = small_instances(np.random.default_rng(30), self.ROWS, pad_id=5)
+        batch = np.array([3, 0, 4, 1, 2])
+        assert [list(c) for c in fused_chunks([self.ROWS[j] for j in batch])] == [[0], [1, 2], [3, 4]]
+        config = TrainConfig(dropout=0.3, seed=7)
+        grads = params.zero_grads()
+        trainer._minibatch_gradients(params, instances, batch, config, 2, grads)
+
+        def loss_fn():
+            # each instance's own softmax and dropout draw, scored alone
+            total = 0.0
+            for j in batch:
+                x = instances[j]
+                mask = reference_dropout_mask(
+                    (len(x.lengths), SMALL.phi_dim), 0.3, derive_seed(7, "dropout", 2, int(j))
+                )
+                u, _ = score_batch(
+                    params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths, dropout_mask=mask
+                )
+                total += contrastive_loss(u, 0)[0]
+            return total
+
+        bad = finite_difference_check(params, loss_fn, grads)
+        assert bad is None, f"gradient mismatch in {bad}"
+
+    def test_padding_gets_exactly_zero_gradient(self, monkeypatch):
+        monkeypatch.setattr(neural, "FUSE_ROWS", 8)
+        params = RerankerParams.initialize(SMALL, seed=31)
+        config = TrainConfig(dropout=0.3, seed=8)
+        results = []
+        for pad_id in (0, SMALL.vocab_size - 1):
+            instances = small_instances(np.random.default_rng(31), self.ROWS, pad_id=pad_id)
+            grads = params.zero_grads()
+            losses = trainer._minibatch_gradients(params, instances, np.arange(5), config, 0, grads)
+            results.append((losses, grads))
+        (losses0, grads0), (losses1, grads1) = results
+        assert losses0 == losses1
+        for name in grads0:
+            np.testing.assert_array_equal(grads0[name], grads1[name], err_msg=name)
+        # real words are 1 .. vocab_size - 2, so ids 0 and vocab_size - 1
+        # only ever pad
+        assert not np.any(grads0["emb"][[0, SMALL.vocab_size - 1]])
+        assert np.any(grads0["emb"][1 : SMALL.vocab_size - 1])
+
+    def test_fused_gradients_equal_per_instance_reference(self, mini_world):
+        params = RerankerParams.initialize(mini_world["dims"], seed=6)
+        instances = mini_world["instances"]
+        batch = np.random.default_rng(6).permutation(len(instances))[:40]
+        n_chunks = len(fused_chunks([len(instances[j].lengths) for j in batch]))
+        assert 1 < n_chunks < len(batch) // 2
+        config = TrainConfig(dropout=0.2, seed=6)
+        fused, ref = params.zero_grads(), params.zero_grads()
+        losses = trainer._minibatch_gradients(params, instances, batch, config, 1, fused)
+        ref_losses = reference_minibatch_gradients(params, instances, batch, config, 1, ref)
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        for name in ref:
+            scale = np.max(np.abs(ref[name]))
+            assert scale > 0, name
+            assert np.max(np.abs(fused[name] - ref[name])) <= 1e-12 * scale, name
+
+    def test_stacked_masks_equal_per_instance_draws(self, mini_world, monkeypatch):
+        seen = []
+
+        def recording(*args, dropout_mask=None, **kwargs):
+            seen.append(dropout_mask)
+            return score_batch(*args, dropout_mask=dropout_mask, **kwargs)
+
+        monkeypatch.setattr(trainer, "score_batch", recording)
+        params = RerankerParams.initialize(mini_world["dims"], seed=7)
+        instances = mini_world["instances"]
+        batch = np.random.default_rng(7).permutation(len(instances))[:30]
+        config = TrainConfig(dropout=0.2, seed=11)
+        trainer._minibatch_gradients(params, instances, batch, config, 3, params.zero_grads())
+        assert len(seen) > 1
+        expected = np.concatenate(
+            [
+                reference_dropout_mask(
+                    (len(instances[j].lengths), mini_world["dims"].phi_dim),
+                    0.2,
+                    derive_seed(11, "dropout", 3, int(j)),
+                )
+                for j in batch
+            ]
+        )
+        np.testing.assert_array_equal(np.concatenate(seen), expected)
+
+    def test_no_dropout_passes_no_mask(self, mini_world, monkeypatch):
+        seen = []
+
+        def recording(*args, dropout_mask=None, **kwargs):
+            seen.append(dropout_mask)
+            return score_batch(*args, dropout_mask=dropout_mask, **kwargs)
+
+        monkeypatch.setattr(trainer, "score_batch", recording)
+        params = RerankerParams.initialize(mini_world["dims"], seed=7)
+        config = TrainConfig(dropout=0.0, seed=11)
+        trainer._minibatch_gradients(
+            params, mini_world["instances"], np.arange(20), config, 0, params.zero_grads()
+        )
+        assert seen and all(mask is None for mask in seen)
+
+    def test_non_finite_loss_names_its_instance(self, mini_world):
+        instances = list(mini_world["instances"][:20])
+        bad = instances[13]
+        instances[13] = RerankerInputs(
+            bad.ids, bad.lengths, bad.bins, np.full_like(bad.ngram_feats, np.inf)
+        )
+        params = RerankerParams.initialize(mini_world["dims"], seed=8)
+        config = TrainConfig(batch_size=8, max_epochs=1, seed=0)
+        with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 0, instance 13$"):
+            train_reranker(instances, mini_world["prepared"][:3], params, config)
+
+    def test_training_matches_per_instance_reference(self, mini_world):
+        config = TrainConfig(lr=0.1, dropout=0.2, max_epochs=3, patience=3, batch_size=16, seed=9)
+        runs = []
+        for train in (train_reranker, reference_train_reranker):
+            params = RerankerParams.initialize(mini_world["dims"], seed=9)
+            runs.append(train(mini_world["instances"], mini_world["prepared"], params, config))
+        (best, logs), (ref_best, ref_logs) = runs
+        assert [(l.epoch, l.heldout_wer, l.lr) for l in logs] == [
+            (l.epoch, l.heldout_wer, l.lr) for l in ref_logs
+        ]
+        for log, ref_log in zip(logs, ref_logs):
+            assert math.isclose(log.mean_loss, ref_log.mean_loss, rel_tol=1e-9)
+        for name, tensor in ref_best.tensors.items():
+            np.testing.assert_allclose(best.tensors[name], tensor, rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+class TestChunkedScoring:
+    """Held-out WER and decoding score many lists per call; each list's
+    scores equal those of one call per list."""
+
+    def test_heldout_wer_matches_one_list_per_call(self, mini_world):
+        vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
+        unequal = prepare_heldout(unequal_length_lists(mini_world["world"]), vocab, index, full)
+        for prepared in (mini_world["prepared"], unequal, mini_world["prepared"] + unequal):
+            assert sum(len(p.first_pass) for p in prepared) > neural.FUSE_ROWS
+            for seed in range(3):
+                params = RerankerParams.initialize(mini_world["dims"], seed=seed)
+                assert math.isclose(
+                    heldout_wer(params, prepared),
+                    reference_heldout_wer(params, prepared),
+                    rel_tol=1e-12, abs_tol=1e-12,
+                )
+
+    def test_score_hypotheses_matches_one_list_per_call(self, mini_world):
+        vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
+        params = RerankerParams.initialize(mini_world["dims"], seed=3)
+        models = RerankModels(ngram=full, reranker=params, kb_index=index, vocab=vocab)
+        dataset = list(mini_world["world"].heldout) + unequal_length_lists(mini_world["world"])
+        scores, valid = evaluation.score_hypotheses(dataset, "reranker", models)
+        for u, nbest in enumerate(dataset):
+            x = evaluation.nbest_inputs(nbest, vocab, index, full)
+            own, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
+            np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
 
 
 class TestLstmLmGradients:
