@@ -152,11 +152,14 @@ def _checked(key: str, value, tp):
 
 # flat values no record checks when the config is read (the dimension
 # records also need the vocabulary size, known only after build-vocab), with
-# the lower bound their consumer enforces
+# the bounds their consumer enforces
 _MIN_VALUES = {
+    "vocab_min_count": 0,  # corpus.build_vocabulary
     "n_folds": 2,  # corpus.assign_folds
     "ngram_order": 1,  # ngram.train_ngram
     "neg_samples": 1,  # negsampler.sample_negatives
+    "neg_keep": 1,  # negsampler.sample_negatives
+    "keep_top_m": 1,  # negsampler.filter_corpus_by_negative_quality
     "word_dim": 1,
     "lstm_dim": 1,
     "hidden_dim": 1,
@@ -165,11 +168,18 @@ _MIN_VALUES = {
     "lm_nce_samples": 1,
     "lm_max_epochs": 1,  # trainer.TrainConfig.max_epochs
 }
+_MAX_VALUES = {
+    "ngram_order": ngram.MAX_ORDER,  # ngram.train_ngram
+}
 
 
 def _validate_flat(key: str, value) -> None:
     if key in _MIN_VALUES and value < _MIN_VALUES[key]:
         raise ValueError(f"config key {key} must be >= {_MIN_VALUES[key]}, got {value!r}")
+    if key in _MAX_VALUES and value > _MAX_VALUES[key]:
+        raise ValueError(f"config key {key} must be <= {_MAX_VALUES[key]}, got {value!r}")
+    if key == "neg_sub_prob" and not 0.0 < value <= 1.0:  # negsampler.draw_negatives
+        raise ValueError(f"config key neg_sub_prob must be in (0, 1], got {value!r}")
     if key == "lm_mode" and value not in trainer.LM_MODES:
         raise ValueError(
             f"config key lm_mode must be one of {', '.join(trainer.LM_MODES)}, got {value!r}"
@@ -227,9 +237,7 @@ def _load_folds(paths: Paths) -> FoldAssignment:
 
 
 def _load_ngram_checked(path: Path, vocab) -> ngram.NGramModel:
-    model = ngram.load_model(_require_file(path, "run train-ngram first"))
-    check_vocab_hash(model.vocab_hash, vocab.content_hash(), str(path))
-    return model
+    return ngram.load_model(_require_file(path, "run train-ngram first"), vocab)
 
 
 # --------------------------------------------------------------------------
@@ -278,10 +286,9 @@ def cmd_train_ngram(cfg: PipelineConfig, args) -> int:
     vocab = _load_vocab_checked(paths)
     folds = assign_folds(corpus, cfg.n_folds, cfg.seed)
     paths.folds.write_text(json.dumps({"k": folds.k, "fold_of": list(folds.fold_of)}))
-    full = ngram.train_ngram(corpus, vocab, cfg.ngram_order)
+    full, fold_models = ngram.train_jackknife(corpus, vocab, cfg.ngram_order, folds)
     ngram.save_model(full, paths.ngram_full)
-    for fold in range(folds.k):
-        model = ngram.train_ngram(corpus, vocab, cfg.ngram_order, exclude_fold=fold, folds=folds)
+    for fold, model in enumerate(fold_models):
         ngram.save_model(model, paths.ngram_fold(fold))
     print(f"ngram: order {cfg.ngram_order}, full model + {folds.k} jackknife models")
     return 0
@@ -293,25 +300,17 @@ def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
     vocab = _load_vocab_checked(paths)
     folds = _load_folds(paths)
     fold_models = [_load_ngram_checked(paths.ngram_fold(f), vocab) for f in range(folds.k)]
-    table = negsampler.build_confusion_table(vocab)
-    negsets: list = []
-    dropped = 0
-    for j, sentence in enumerate(corpus):
-        try:
-            negsets.append(
-                negsampler.sample_negatives(
-                    sentence,
-                    table,
-                    fold_models[folds.fold_of[j]],
-                    n_samples=cfg.neg_samples,
-                    keep_k=cfg.neg_keep,
-                    p_sub=cfg.neg_sub_prob,
-                    seed=negsampler.derive_seed(cfg.seed, "neg", j),
-                )
-            )
-        except negsampler.NoConfusablePosition:
-            negsets.append(None)  # sentence leaves training
-            dropped += 1
+    negsets = negsampler.sample_corpus_negatives(
+        corpus,
+        negsampler.build_confusion_table(vocab),
+        fold_models,
+        folds,
+        n_samples=cfg.neg_samples,
+        keep_k=cfg.neg_keep,
+        p_sub=cfg.neg_sub_prob,
+        seed=cfg.seed,
+    )
+    dropped = negsets.count(None)  # sentences without a confusable position leave training
     negsampler.save_negative_sets(negsets, paths.negatives)
     print(f"negatives: {len(corpus) - dropped} sentences sampled, {dropped} dropped")
     return 0
@@ -328,10 +327,14 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
         _require_file(paths.negatives, "run gen-negatives first"), corpus
     )
     kept = negsampler.filter_corpus_by_negative_quality(corpus, negsets, cfg.keep_top_m)
+    source_lps = ngram.score_by_fold(
+        fold_models,
+        [folds.fold_of[sid] for sid in kept],
+        [vocab.encode(corpus[sid].tokens) for sid in kept],
+    ).tolist()
     with open(paths.features, "w", encoding="utf-8") as fh:
-        for sid in kept:
+        for sid, source_lp in zip(kept, source_lps):
             negset = negsets[sid]
-            source_lp = ngram.score_sentence(fold_models[folds.fold_of[sid]], corpus[sid])
             candidates = [(corpus[sid], source_lp)]
             candidates.extend(zip(negset.negatives, negset.lm_logprobs))
             for hyp_id, (sentence, lp) in enumerate(candidates):

@@ -8,6 +8,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 UNK = "<unk>"
 
 
@@ -21,7 +23,8 @@ class Sentence:
         if len(self.tokens) == 0:
             raise ValueError("sentence must have at least one token")
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            # str.split() breaks exactly at the characters str.isspace() accepts
+            if tok.split() != [tok]:
                 raise ValueError(f"bad token {tok!r}")
 
     def __len__(self) -> int:
@@ -153,6 +156,15 @@ def load_vocabulary(path) -> Vocabulary:
         raise ValueError("vocabulary must start with the unknown symbol")
     word_to_id = {w: i for i, w in enumerate(id_to_word)}
     return Vocabulary(word_to_id, tuple(id_to_word), unk_id=0)
+
+
+def pad_ids(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id sequences with 0 into a (B, L) array; returns (ids, lengths)."""
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    ids = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.intp)
+    for r, row in enumerate(rows):
+        ids[r, : len(row)] = row
+    return ids, lengths
 
 
 @dataclass(frozen=True)

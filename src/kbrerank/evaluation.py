@@ -12,7 +12,7 @@ from .corpus import Sentence, Vocabulary
 from .features import extract_features
 from .kb import KBIndex
 from .neural import RerankerInputs, RerankerParams, reranker_inputs, score_lists
-from .ngram import NGramModel, score_sentence
+from .ngram import NGramModel, score_sentences
 
 # the components each scorer interpolates with the first pass, in the order
 # its weights are swept and reported
@@ -27,6 +27,12 @@ SCORERS = tuple(SCORER_COMPONENTS)
 # the components interpolated with the first pass, in the order combine()
 # adds them; the order fixes the totals' rounding
 COMPONENTS = ("ngram", "lstm", "reranker")
+# the loaded models each component reads
+_MODELS_NEEDED = {
+    "ngram": ("ngram",),
+    "lstm": ("lstm",),
+    "reranker": ("reranker", "ngram", "kb_index", "vocab"),
+}
 
 
 @dataclass(frozen=True)
@@ -141,20 +147,38 @@ def _component_names(scorer) -> tuple:
 
 
 def nbest_inputs(
-    nbest: NBestList, vocab: Vocabulary, kb_index: KBIndex, ngram_model: NGramModel
+    nbest: NBestList, vocab: Vocabulary, kb_index: KBIndex, lm_logprobs
 ) -> RerankerInputs:
-    """The reranker's inputs for an n-best list, its features extracted here."""
+    """The reranker's inputs for an n-best list, its features extracted here
+    from the hypotheses' n-gram log-probabilities ``lm_logprobs``."""
     sentences = [h for h, _ in nbest.hypotheses]
-    bundles = [
-        extract_features(s, score_sentence(ngram_model, s), kb_index) for s in sentences
-    ]
+    lps = np.asarray(lm_logprobs).tolist()
+    bundles = [extract_features(s, lp, kb_index) for s, lp in zip(sentences, lps)]
     return reranker_inputs([s.tokens for s in sentences], bundles, vocab)
 
 
-def score_reranker(dataset, models: RerankModels) -> np.ndarray:
+def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBIndex, lm_logprobs) -> list:
+    """``nbest_inputs`` of every list; ``lm_logprobs`` is flat in list order."""
+    inputs, row = [], 0
+    for nbest in dataset:
+        n = len(nbest.hypotheses)
+        inputs.append(nbest_inputs(nbest, vocab, kb_index, lm_logprobs[row : row + n]))
+        row += n
+    return inputs
+
+
+def score_ngram(dataset, models: RerankModels) -> np.ndarray:
+    """n-gram log-probability of every hypothesis of ``dataset``, flat in list
+    order, in one ``ngram.score_ids`` call."""
+    hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
+    return score_sentences(models.ngram, hyps, models.vocab)
+
+
+def score_reranker(dataset, models: RerankModels, lm_logprobs) -> np.ndarray:
     """Interpolated deep score u of every hypothesis of ``dataset``, flat in
-    list order; the lists are scored together (``neural.score_lists``)."""
-    inputs = [nbest_inputs(n, models.vocab, models.kb_index, models.ngram) for n in dataset]
+    list order, given their n-gram log-probabilities (``score_ngram``); the
+    lists are scored together (``neural.score_lists``)."""
+    inputs = dataset_inputs(dataset, models.vocab, models.kb_index, lm_logprobs)
     return score_lists(models.reranker, inputs)
 
 
@@ -195,15 +219,17 @@ def score_hypotheses(dataset, components, models: RerankModels) -> tuple[dict, n
         valid[u, : len(nbest.hypotheses)] = True
     hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
     flat = {"first_pass": [fp for nbest in dataset for _, fp in nbest.hypotheses]}
+    for name in names:
+        _require(models, name, *_MODELS_NEEDED[name])
+    # the ngram component and the reranker's n-gram feature share one scoring
+    if "ngram" in names or "reranker" in names:
+        lm_logprobs = score_ngram(dataset, models)
     if "ngram" in names:
-        _require(models, "ngram", "ngram")
-        flat["ngram"] = [score_sentence(models.ngram, h) for h in hyps]
+        flat["ngram"] = lm_logprobs
     if "lstm" in names:
-        _require(models, "lstm", "lstm")
         flat["lstm"] = models.lstm.logprobs(hyps)
     if "reranker" in names:
-        _require(models, "reranker", "reranker", "ngram", "kb_index", "vocab")
-        flat["reranker"] = score_reranker(dataset, models)
+        flat["reranker"] = score_reranker(dataset, models, lm_logprobs)
     scores = {}
     for name, values in flat.items():
         scores[name] = np.zeros(shape)

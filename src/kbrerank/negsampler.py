@@ -5,6 +5,12 @@ replaced by vocabulary neighbours whose consonant-class codes are within one
 edit, the raw samples are ranked by n-gram log-probability, and only the most
 fluent few are kept so the artificial n-best lists resemble real recognizer
 confusions rather than word salad.
+
+Sampling runs on vocabulary ids in three steps: ``draw_negatives`` draws one
+sentence's distinct corruptions, ``ngram.score_ids`` scores many sentences'
+draws in one call, and ``keep_negatives`` builds ``Sentence``s for the kept
+few only. An id corruption stands for exactly one surface corruption: a
+candidate is a vocabulary word other than the word it replaces.
 """
 
 from __future__ import annotations
@@ -14,8 +20,12 @@ import json
 import random
 from dataclasses import dataclass
 
-from .corpus import UNK, Corpus, Sentence, Vocabulary
-from .ngram import NGramModel, score_sentence
+import numpy as np
+
+from . import ngram
+from .artifacts import check_vocab_hash
+from .corpus import UNK, Corpus, FoldAssignment, Sentence, Vocabulary
+from .ngram import NGramModel
 
 # consonant classes; vowels and h/w/y carry no code
 _CLASS_OF = {}
@@ -79,6 +89,8 @@ class ConfusionTable:
     key_of: dict  # word -> PhoneticKey
     by_key: dict  # PhoneticKey -> tuple of words (sorted)
     candidates: dict  # word -> tuple of words (sorted), excluding the word
+    vocab: Vocabulary
+    candidate_ids: dict  # word id -> its candidates' ids, in word order; none if empty
 
     def candidates_of(self, word: str) -> tuple[str, ...]:
         return self.candidates.get(word, ())
@@ -129,6 +141,12 @@ def build_confusion_table(vocab: Vocabulary) -> ConfusionTable:
         key_of=key_of,
         by_key={k: tuple(sorted(v)) for k, v in by_key.items()},
         candidates=candidates,
+        vocab=vocab,
+        candidate_ids={
+            vocab.word_to_id[word]: tuple(map(vocab.word_to_id.__getitem__, cands))
+            for word, cands in candidates.items()
+            if cands
+        },
     )
 
 
@@ -162,6 +180,73 @@ class NoConfusablePosition(ValueError):
     substituted."""
 
 
+def _check_keep(n_samples: int, keep_k: int) -> None:
+    if not 1 <= keep_k <= n_samples:
+        raise ValueError(
+            f"need 1 <= keep_k <= n_samples, got keep_k {keep_k}, n_samples {n_samples}"
+        )
+
+
+def draw_negatives(source_ids, table: ConfusionTable, n_samples: int, p_sub: float, seed: int):
+    """Distinct id corruptions of one sentence, each mapped to the positions
+    its first draw substituted, in first-draw order; None when no position
+    is confusable.
+
+    Every position with confusable neighbours is substituted independently
+    with probability ``p_sub``; a draw with no substitution is redrawn.
+    """
+    if not 0.0 < p_sub <= 1.0:
+        raise ValueError("p_sub must be in (0, 1]")
+    confusable = [
+        (i, table.candidate_ids[w]) for i, w in enumerate(source_ids) if w in table.candidate_ids
+    ]
+    if not confusable:
+        return None
+    rng = random.Random(seed)
+    seen: dict = {}
+    for _ in range(n_samples):
+        while True:
+            ids = list(source_ids)
+            positions = []
+            for i, cands in confusable:
+                if rng.random() < p_sub:
+                    ids[i] = rng.choice(cands)
+                    positions.append(i)
+            if positions:
+                break
+        key = tuple(ids)
+        if key not in seen:
+            seen[key] = tuple(positions)
+    return seen
+
+
+def _surface(sentence: Sentence, ids, positions, table: ConfusionTable) -> tuple[str, ...]:
+    tokens = list(sentence.tokens)
+    for p in positions:
+        tokens[p] = table.vocab.id_to_word[ids[p]]
+    return tuple(tokens)
+
+
+def keep_negatives(
+    sentence: Sentence, drawn: dict, scores, keep_k: int, table: ConfusionTable
+) -> NegativeSet:
+    """The ``keep_k`` draws best by (-score, surface tokens), as a
+    ``NegativeSet``; ``scores`` are the draws' n-gram log-probabilities."""
+    draws = list(drawn.items())
+    scores = np.asarray(scores).tolist()
+    ranked = sorted(range(len(draws)), key=lambda i: -scores[i])
+    if len(ranked) > keep_k:  # only draws tied with the last kept one need their tokens
+        cut = -scores[ranked[keep_k - 1]]
+        ranked = [i for i in ranked if -scores[i] <= cut]
+    kept = sorted((-scores[i], _surface(sentence, *draws[i], table), i) for i in ranked)[:keep_k]
+    return NegativeSet(
+        source=sentence,
+        negatives=tuple(Sentence(tokens) for _, tokens, _ in kept),
+        lm_logprobs=tuple(scores[i] for _, _, i in kept),
+        substituted_positions=tuple(draws[i][1] for _, _, i in kept),
+    )
+
+
 def sample_negatives(
     sentence: Sentence,
     table: ConfusionTable,
@@ -171,49 +256,55 @@ def sample_negatives(
     p_sub: float = 0.3,
     seed: int = 0,
 ) -> NegativeSet:
-    """Draw corruptions, deduplicate, keep the ``keep_k`` most fluent.
-
-    Every position with confusable neighbours is substituted independently
-    with probability ``p_sub``; a draw with no substitution is redrawn.
-    """
-    if not 1 <= keep_k <= n_samples:
-        raise ValueError("need 1 <= keep_k <= n_samples")
-    if not 0.0 < p_sub <= 1.0:
-        raise ValueError("p_sub must be in (0, 1]")
-    confusable = [
-        (i, table.candidates_of(tok))
-        for i, tok in enumerate(sentence.tokens)
-        if table.candidates_of(tok)
-    ]
-    if not confusable:
+    """Draw corruptions, deduplicate, keep the ``keep_k`` most fluent
+    (``draw_negatives``, then ``keep_negatives``)."""
+    _check_keep(n_samples, keep_k)
+    drawn = draw_negatives(table.vocab.encode(sentence.tokens), table, n_samples, p_sub, seed)
+    if drawn is None:
         raise NoConfusablePosition("no confusable position")
+    # scored as tokens, so the model's vocabulary may differ from the table's
+    scores = ngram.score_sentences(lm, [_surface(sentence, *d, table) for d in drawn.items()])
+    return keep_negatives(sentence, drawn, scores, keep_k, table)
 
-    rng = random.Random(seed)
-    seen: dict = {}
-    for _ in range(n_samples):
-        while True:
-            tokens = list(sentence.tokens)
-            positions = []
-            for i, cands in confusable:
-                if rng.random() < p_sub:
-                    tokens[i] = rng.choice(cands)
-                    positions.append(i)
-            if positions:
-                break
-        key = tuple(tokens)
-        if key not in seen:
-            seen[key] = tuple(positions)
 
-    scored = sorted(
-        ((score_sentence(lm, Sentence(toks)), toks) for toks in seen),
-        key=lambda item: (-item[0], item[1]),
-    )[:keep_k]
-    return NegativeSet(
-        source=sentence,
-        negatives=tuple(Sentence(toks) for _, toks in scored),
-        lm_logprobs=tuple(score for score, _ in scored),
-        substituted_positions=tuple(seen[toks] for _, toks in scored),
-    )
+def sample_corpus_negatives(
+    corpus: Corpus,
+    table: ConfusionTable,
+    fold_models,
+    folds: FoldAssignment,
+    n_samples: int,
+    keep_k: int,
+    p_sub: float,
+    seed: int,
+) -> list:
+    """``sample_negatives`` for every sentence j, with the seed
+    ``derive_seed(seed, "neg", j)`` and the model of its fold; None where no
+    position is confusable. Each fold's draws are scored in one call."""
+    _check_keep(n_samples, keep_k)
+    table_hash = table.vocab.content_hash()  # the draws are ids of the table's vocabulary
+    for model in fold_models:
+        check_vocab_hash(model.vocab_hash, table_hash, "jackknife n-gram model")
+    drawn = [
+        draw_negatives(
+            table.vocab.encode(s.tokens), table, n_samples, p_sub, derive_seed(seed, "neg", j)
+        )
+        for j, s in enumerate(corpus)
+    ]
+    rows, row_folds = [], []
+    for j, draws in enumerate(drawn):
+        if draws is not None:
+            rows.extend(draws)
+            row_folds.extend([folds.fold_of[j]] * len(draws))
+    scores = ngram.score_by_fold(fold_models, row_folds, rows)
+    negsets, row = [], 0
+    for sentence, draws in zip(corpus, drawn):
+        if draws is None:
+            negsets.append(None)
+            continue
+        own = scores[row : row + len(draws)]
+        negsets.append(keep_negatives(sentence, draws, own, keep_k, table))
+        row += len(draws)
+    return negsets
 
 
 def derive_seed(global_seed: int, *parts) -> int:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import load_artifact, save_artifact
-from .corpus import Vocabulary
+from .corpus import Vocabulary, pad_ids
 from .features import BIN_FIELDS
 
 
@@ -192,15 +192,6 @@ def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
         np.add.at(d_emb, step_ids[:, t], dinp[:, :e_dim])
         dh = dinp[:, e_dim:]
         dc = dc * f
-
-
-def pad_ids(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad id sequences with 0 into a (B, L) array; returns (ids, lengths)."""
-    lengths = np.array([len(r) for r in rows], dtype=np.intp)
-    ids = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.intp)
-    for r, row in enumerate(rows):
-        ids[r, : len(row)] = row
-    return ids, lengths
 
 
 def stack_bundles(bundles) -> tuple[dict, np.ndarray]:

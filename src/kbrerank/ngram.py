@@ -1,39 +1,55 @@
-"""Backoff n-gram language model (interpolated modified Kneser-Ney).
+"""Backoff n-gram language model (interpolated modified Kneser-Ney) on ids.
 
 Used three ways: ranking sampled negative examples, supplying the fixed
 negative-log-probability feature via jackknifing, and as a standalone
 reranking baseline. The event space is closed (vocabulary incl. the unknown
 symbol, plus end-of-sentence), so every score is finite and every
 conditional distribution sums to one.
+
+The model works on integer ids: vocabulary ids ``0..V-1``, end-of-sentence
+``V`` and begin-of-sentence ``V+1``. A k-gram is one ``int64`` key, its ids
+packed in base ``V+2`` with the first word most significant, so a gram's
+context is ``key // (V+2)`` and its suffix ``key % (V+2)**(k-1)``. Each order
+holds its sorted keys beside their log-probabilities, and each context length
+its sorted context keys beside their log backoff weights, in the style of
+KenLM's sorted tables (Heafield 2011). Scoring is a ``np.searchsorted`` walk
+over a whole batch at once (``score_ids``).
+
+Counting, packing and lookup are vectorized. Estimation (modified
+Kneser-Ney, Chen & Goodman 1998) calls ``math.log`` and ``math.exp`` once per
+gram and adds every float in the order a direct dict implementation does
+(``tests/oracles.py``), so the tables hold the same floats.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .artifacts import load_artifact, save_artifact
-from .corpus import Corpus, FoldAssignment, Sentence, Vocabulary
+import numpy as np
+
+from .artifacts import check_vocab_hash, load_artifact, save_artifact
+from .corpus import Corpus, FoldAssignment, Vocabulary, pad_ids
 
 BOS = "<s>"
 EOS = "</s>"
 
 MAX_ORDER = 5
 _MIN_DISCOUNT = 0.01
+# a packed key of `order` ids in base V+2 is at most (V+2)**order - 1
+_KEY_LIMIT = 2**63
+# the artifact kind; files of the earlier dict model ("ngram-model") are refused
+_KIND = "ngram-tables"
 
 
-def _estimate_discounts(counts) -> tuple[float, float, float]:
+def _estimate_discounts(counts: np.ndarray) -> tuple[float, float, float]:
     """Per-level discounts for count classes 1, 2 and 3+ from count-of-counts.
 
     Degenerate statistics on tiny corpora are clamped into (0, class] so the
     interpolated distribution stays normalized and strictly positive.
     """
-    n = Counter()
-    for c in counts:
-        if c <= 4:
-            n[c] += 1
-    n1, n2, n3, n4 = n[1], n[2], n[3], n[4]
+    n = np.bincount(counts[counts <= 4], minlength=5)
+    n1, n2, n3, n4 = (int(x) for x in n[1:5])
     if n1 == 0 and n2 == 0:
         return 0.5, 1.0, 1.5
     y = n1 / (n1 + 2.0 * n2) if (n1 + 2.0 * n2) > 0 else 0.0
@@ -47,78 +63,216 @@ def _estimate_discounts(counts) -> tuple[float, float, float]:
     )
 
 
-def _discount_for(count: int, d: tuple[float, float, float]) -> float:
-    if count >= 3:
-        return d[2]
-    if count == 2:
-        return d[1]
-    return d[0]
+def _discounts_for(counts: np.ndarray, d: tuple[float, float, float]) -> np.ndarray:
+    return np.where(counts >= 3, d[2], np.where(counts == 2, d[1], d[0]))
 
 
-@dataclass
+def _log_each(values: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    return np.array([math.log(x) for x in values.tolist()])
+
+
+@dataclass(eq=False)
 class NGramModel:
-    """Trained model: interpolated log-probabilities plus backoff weights.
+    """Trained model as sorted tables (see the module docstring).
 
-    ``logprob`` maps k-gram word tuples (any k up to the order) to natural-log
-    interpolated probabilities; ``logbackoff`` maps context tuples to log
-    backoff weights. Missing contexts back off with weight one.
+    ``gram_keys[k-1]``/``logprobs[k-1]`` hold the k-grams and their natural-log
+    interpolated probabilities; ``context_keys[m-1]``/``backoffs[m-1]`` the
+    contexts of length m and their log backoff weights. A missing context
+    backs off with weight one. ``vocab`` is the vocabulary the model was
+    trained or loaded with; the file keeps only its hash.
     """
 
     order: int
-    vocab: Vocabulary
+    vocab_size: int
     vocab_hash: str
-    v_events: int
-    logprob: dict = field(repr=False)
-    logbackoff: dict = field(repr=False)
+    gram_keys: tuple = field(repr=False)
+    logprobs: tuple = field(repr=False)
+    context_keys: tuple = field(repr=False)
+    backoffs: tuple = field(repr=False)
     trained_on_folds: tuple[int, ...] = ()
+    vocab: Vocabulary | None = field(default=None, repr=False, compare=False)
 
-    def map_tokens(self, tokens) -> tuple[str, ...]:
-        return tuple(self.vocab.map_token(t) for t in tokens)
+    @property
+    def base(self) -> int:
+        return self.vocab_size + 2
 
-    def conditional_logprob(self, context: tuple[str, ...], word: str) -> float:
-        """log p(word | context) via longest-match walk with backoff."""
-        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        acc = 0.0
-        while True:
-            lp = self.logprob.get(ctx + (word,))
-            if lp is not None:
-                return acc + lp
-            if not ctx:
-                raise KeyError(f"word outside event space: {word!r}")
-            acc += self.logbackoff.get(ctx, 0.0)
-            ctx = ctx[1:]
-
-    def score_sentence(self, sentence: Sentence) -> float:
-        return score_sentence(self, sentence)
+    @property
+    def v_events(self) -> int:
+        """Size of the event space: every vocabulary word plus end-of-sentence."""
+        return self.vocab_size + 1
 
 
-def _count_tables(mapped_sentences, order: int):
-    """Suffix counts of every k-gram window ending at a real event position."""
-    raw = [None] + [Counter() for _ in range(order)]
-    for toks in mapped_sentences:
-        seq = (BOS,) * (order - 1) + toks + (EOS,)
-        for end in range(order - 1, len(seq)):
-            for k in range(1, order + 1):
-                raw[k][seq[end - k + 1 : end + 1]] += 1
-    return raw
+def _events(ids, lengths, order: int, vocab_size: int):
+    """A right-padded id batch as events: (seq, rows, ends). Row r of ``seq``
+    is order-1 begin-of-sentence ids, its words, then end-of-sentence ids to
+    the right edge; event i, in row-major order (the order of a sentence by
+    sentence walk), is ``seq[rows[i], ends[i]]``: each word, then one
+    end-of-sentence."""
+    n, width = ids.shape
+    cols = np.arange(width + 1)
+    seq = np.full((n, order + width), vocab_size + 1, dtype=np.int64)
+    words = np.pad(ids, ((0, 0), (0, 1)))
+    seq[:, order - 1 :] = np.where(cols < lengths[:, None], words, vocab_size)
+    rows, ev_cols = np.nonzero(cols <= lengths[:, None])
+    return seq, rows, ev_cols + order - 1
 
 
-def _adjusted_tables(raw, order: int):
-    """Continuation counts for lower levels; raw counts survive at the top
-    level and for begin-of-sentence prefixes, which have no left extension."""
-    adjusted = [None] * (order + 1)
-    adjusted[order] = dict(raw[order])
+def _windows(seq, rows, last, n: int, base: int):
+    """The packed windows of 1..n ids ending at column ``last`` of ``rows``."""
+    window = np.zeros(len(rows), dtype=np.int64)
+    for k in range(1, n + 1):
+        window = seq[rows, last - k + 1] * base ** (k - 1) + window
+        yield window
+
+
+def _check_key_range(order: int, vocab_size: int) -> None:
+    base = vocab_size + 2
+    if base**order > _KEY_LIMIT:
+        raise ValueError(
+            f"an order-{order} n-gram model over a vocabulary of {vocab_size} words "
+            f"does not fit 64-bit keys ({base}**{order} > 2**63); lower ngram_order "
+            "or raise vocab_min_count"
+        )
+
+
+@dataclass
+class NGramCounts:
+    """Every k-gram window ending at an event position, counted once per fold.
+
+    ``keys[k-1]`` holds the distinct packed k-grams (sorted), ``counts[k-1]``
+    their occurrences per fold and ``first[k-1]`` the index, in corpus walk
+    order (sentence, then position), of their first event in each fold (the
+    number of events where absent). A model that leaves a fold out counts
+    the rest by subtraction; the first events fix the order in which a
+    direct count would have met each gram.
+    """
+
+    order: int
+    vocab_size: int
+    n_folds: int
+    keys: list
+    counts: list
+    first: list
+
+    def raw_tables(self, exclude_fold=None) -> list:
+        """Per order, (keys, counts) of the grams seen outside ``exclude_fold``,
+        in the order a direct count would have met them."""
+        tables = []
+        for keys, counts, first in zip(self.keys, self.counts, self.first):
+            if exclude_fold is None:
+                total, first_seen = counts.sum(axis=1), first.min(axis=1)
+            else:
+                total = counts.sum(axis=1) - counts[:, exclude_fold]
+                first_seen = np.delete(first, exclude_fold, axis=1).min(axis=1)
+            seen = total > 0
+            by_first = np.argsort(first_seen[seen], kind="stable")
+            tables.append((keys[seen][by_first], total[seen][by_first]))
+        return tables
+
+
+def count_ngrams(corpus: Corpus, vocab: Vocabulary, order: int, folds=None) -> NGramCounts:
+    """One counting pass over the corpus, split by ``folds`` (one fold if None)."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
+    if folds is not None and len(folds.fold_of) != len(corpus):
+        raise ValueError("fold assignment must cover the corpus")
+    _check_key_range(order, vocab.size)
+    seq, rows, ends = _events(*pad_ids([vocab.encode(s.tokens) for s in corpus]), order, vocab.size)
+    ev_fold = np.asarray(folds.fold_of if folds is not None else [0] * len(corpus))[rows]
+    n_folds = folds.k if folds is not None else 1
+    n_events = len(rows)
+    keys, counts, first = [], [], []
+    for window in _windows(seq, rows, ends, order, vocab.size + 2):
+        uniq, inv = np.unique(window, return_inverse=True)
+        pair = inv * n_folds + ev_fold
+        pairs, pair_first = np.unique(pair, return_index=True)
+        first_k = np.full(len(uniq) * n_folds, n_events, dtype=np.int64)
+        first_k[pairs] = pair_first
+        keys.append(uniq)
+        counts.append(np.bincount(pair, minlength=len(uniq) * n_folds).reshape(-1, n_folds))
+        first.append(first_k.reshape(-1, n_folds))
+    return NGramCounts(order, vocab.size, n_folds, keys, counts, first)
+
+
+def _adjusted_tables(raw: list, order: int, base: int) -> list:
+    """Continuation counts for lower orders, in the order a dict build inserts
+    them: begin-of-sentence prefixes keep their raw counts first (they have no
+    left extension), then each distinct suffix of the next order up, in the
+    order its first extension was met. The top order keeps its raw counts."""
+    bos = base - 1
+    adjusted = [None] * order
+    adjusted[order - 1] = raw[order - 1]
     for k in range(order - 1, 0, -1):
-        table: dict = {}
-        for gram, c in raw[k].items():
-            if gram[0] == BOS:
-                table[gram] = c
-        for gram in raw[k + 1]:
-            suffix = gram[1:]
-            if suffix[0] != BOS:
-                table[suffix] = table.get(suffix, 0) + 1
-        adjusted[k] = table
+        keys, counts = raw[k - 1]
+        bos_led = keys // base ** (k - 1) == bos
+        suffixes = raw[k][0] % base**k
+        suffixes = suffixes[suffixes // base ** (k - 1) != bos]
+        uniq, first, n_ext = np.unique(suffixes, return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        adjusted[k - 1] = (
+            np.concatenate([keys[bos_led], uniq[by_first]]),
+            np.concatenate([counts[bos_led], n_ext[by_first]]),
+        )
     return adjusted
+
+
+def estimate(counts: NGramCounts, vocab: Vocabulary, exclude_fold=None) -> NGramModel:
+    """Estimate the model of every fold but ``exclude_fold`` (all if None)."""
+    if counts.vocab_size != vocab.size:
+        raise ValueError("counts were made with a different vocabulary")
+    if exclude_fold is not None and not 0 <= exclude_fold < counts.n_folds:
+        raise ValueError(f"no fold {exclude_fold} among {counts.n_folds}")
+    raw = counts.raw_tables(exclude_fold)
+    if len(raw[0][0]) == 0:
+        raise ValueError("corpus empty after fold exclusion")
+    order, base = counts.order, vocab.size + 2
+    adjusted = _adjusted_tables(raw, order, base)
+    v_events = vocab.size + 1
+
+    # unigram level: a probability for the full event space so scoring never
+    # falls through; the discount mass is summed in insertion order
+    keys1, counts1 = adjusted[0]
+    d1 = _estimate_discounts(counts1)
+    total1 = int(counts1.sum())
+    gamma1 = float(np.cumsum(_discounts_for(counts1, d1))[-1]) / total1
+    dense = np.zeros(v_events, dtype=np.int64)
+    dense[keys1] = counts1
+    p = np.maximum(dense - _discounts_for(dense, d1), 0.0) / total1 + gamma1 * (1.0 / v_events)
+    gram_keys, logprobs = [np.arange(v_events, dtype=np.int64)], [_log_each(p)]
+    context_keys, backoffs = [], []
+
+    for k in range(2, order + 1):
+        keys, c = adjusted[k - 1]
+        disc = _discounts_for(c, _estimate_discounts(c))
+        ctx, ctx_of = np.unique(keys // base, return_inverse=True)
+        ctx_total = np.bincount(ctx_of, weights=c, minlength=len(ctx))
+        ctx_mass = np.zeros(len(ctx))
+        np.add.at(ctx_mass, ctx_of, disc)  # one add per gram, in insertion order
+        gamma = ctx_mass / ctx_total
+        context_keys.append(ctx)
+        backoffs.append(_log_each(gamma))
+        lower_lp = logprobs[-1][np.searchsorted(gram_keys[-1], keys % base ** (k - 1))]
+        lower = np.array([math.exp(x) for x in lower_lp.tolist()])
+        p = np.maximum(c - disc, 0.0) / ctx_total[ctx_of] + gamma[ctx_of] * lower
+        by_key = np.argsort(keys)
+        gram_keys.append(keys[by_key])
+        logprobs.append(_log_each(p)[by_key])
+
+    trained_on = () if exclude_fold is None else tuple(
+        f for f in range(counts.n_folds) if f != exclude_fold
+    )
+    return NGramModel(
+        order=order,
+        vocab_size=vocab.size,
+        vocab_hash=vocab.content_hash(),
+        gram_keys=tuple(gram_keys),
+        logprobs=tuple(logprobs),
+        context_keys=tuple(context_keys),
+        backoffs=tuple(backoffs),
+        trained_on_folds=trained_on,
+        vocab=vocab,
+    )
 
 
 def train_ngram(
@@ -128,108 +282,127 @@ def train_ngram(
     exclude_fold=None,
     folds: FoldAssignment | None = None,
 ) -> NGramModel:
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}]")
-    if exclude_fold is not None:
-        if folds is None or len(folds.fold_of) != len(corpus):
-            raise ValueError("fold assignment must cover the corpus")
-        mapped = [
-            tuple(vocab.map_token(t) for t in sent.tokens)
-            for i, sent in enumerate(corpus)
-            if folds.fold_of[i] != exclude_fold
-        ]
-        trained_on = tuple(f for f in range(folds.k) if f != exclude_fold)
-    else:
-        mapped = [tuple(vocab.map_token(t) for t in sent.tokens) for sent in corpus]
-        trained_on = ()
-    if not mapped:
-        raise ValueError("corpus empty after fold exclusion")
-
-    raw = _count_tables(mapped, order)
-    adjusted = _adjusted_tables(raw, order)
-    v_events = vocab.size + 1  # every vocabulary word plus end-of-sentence
-
-    logprob: dict = {}
-    logbackoff: dict = {}
-
-    # unigram level: store a probability for the full event space so scoring
-    # never falls through
-    d1 = _estimate_discounts(adjusted[1].values())
-    total1 = sum(adjusted[1].values())
-    gamma_mass = 0.0
-    for c in adjusted[1].values():
-        gamma_mass += _discount_for(c, d1)
-    gamma1 = gamma_mass / total1
-    uniform = 1.0 / v_events
-    for word in (*vocab.id_to_word, EOS):
-        c = adjusted[1].get((word,), 0)
-        p = max(c - _discount_for(c, d1), 0.0) / total1 + gamma1 * uniform
-        logprob[(word,)] = math.log(p)
-
-    for k in range(2, order + 1):
-        table = adjusted[k]
-        dk = _estimate_discounts(table.values())
-        ctx_total: dict = {}
-        ctx_discount: dict = {}
-        for gram, c in table.items():
-            ctx = gram[:-1]
-            ctx_total[ctx] = ctx_total.get(ctx, 0) + c
-            ctx_discount[ctx] = ctx_discount.get(ctx, 0.0) + _discount_for(c, dk)
-        for ctx, t in ctx_total.items():
-            logbackoff[ctx] = math.log(ctx_discount[ctx] / t)
-        for gram, c in table.items():
-            ctx = gram[:-1]
-            gamma = ctx_discount[ctx] / ctx_total[ctx]
-            lower = math.exp(logprob[gram[1:]])
-            p = max(c - _discount_for(c, dk), 0.0) / ctx_total[ctx] + gamma * lower
-            logprob[gram] = math.log(p)
-
-    return NGramModel(
-        order=order,
-        vocab=vocab,
-        vocab_hash=vocab.content_hash(),
-        v_events=v_events,
-        logprob=logprob,
-        logbackoff=logbackoff,
-        trained_on_folds=trained_on,
-    )
+    if exclude_fold is not None and folds is None:
+        raise ValueError("fold assignment must cover the corpus")
+    counts = count_ngrams(corpus, vocab, order, folds if exclude_fold is not None else None)
+    return estimate(counts, vocab, exclude_fold)
 
 
-def score_sentence(model: NGramModel, sentence: Sentence) -> float:
-    """Natural-log probability of the sentence including end-of-sentence."""
-    mapped = model.map_tokens(sentence.tokens)
-    padded = (BOS,) * (model.order - 1) + mapped
-    n_ctx = model.order - 1
-    total = 0.0
-    for i, event in enumerate((*mapped, EOS)):
-        total += model.conditional_logprob(padded[i : i + n_ctx], event)
+def train_jackknife(
+    corpus: Corpus, vocab: Vocabulary, order: int, folds: FoldAssignment
+) -> tuple[NGramModel, list[NGramModel]]:
+    """The full model and one model per left-out fold, from one counting pass."""
+    counts = count_ngrams(corpus, vocab, order, folds)
+    return estimate(counts, vocab), [estimate(counts, vocab, f) for f in range(folds.k)]
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray):
+    """(values at ``query``, found mask); values are 0.0 where not found."""
+    idx = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    found = keys[idx] == query
+    return np.where(found, values[idx], 0.0), found
+
+
+def event_logprobs(model: NGramModel, ids, lengths) -> np.ndarray:
+    """log p of every event of a right-padded id batch, as (rows, width + 1).
+
+    Row r's events are its ``lengths[r]`` words, then end-of-sentence at
+    column ``lengths[r]``; cells past it are 0.0, whatever the padding ids.
+    Each event walks from the longest context down: ``acc + lp`` at the first
+    order that holds the gram, ``acc`` the backoff weights passed on the way.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ids = np.asarray(ids, dtype=np.int64)
+    order, base = model.order, model.base
+    real = np.arange(ids.shape[1]) < lengths[:, None]
+    if np.any(real & ((ids < 0) | (ids >= model.vocab_size))):
+        raise ValueError(f"word ids outside the vocabulary [0, {model.vocab_size})")
+    seq, rows, ends = _events(ids, lengths, order, model.vocab_size)
+    word = seq[rows, ends]
+    # ctx[m]: the m ids before each event, packed
+    ctx = [np.zeros(len(rows), dtype=np.int64), *_windows(seq, rows, ends - 1, order - 1, base)]
+    acc = np.zeros(len(rows))
+    flat = np.empty(len(rows))
+    todo = np.arange(len(rows))
+    # the unigram order holds every event, so each walk ends by m = 0
+    for m in range(order - 1, -1, -1):
+        lp, found = _lookup(model.gram_keys[m], model.logprobs[m], ctx[m][todo] * base + word[todo])
+        hit = todo[found]
+        flat[hit] = acc[hit] + lp[found]
+        todo = todo[~found]
+        if len(todo) == 0:
+            break
+        acc[todo] += _lookup(model.context_keys[m - 1], model.backoffs[m - 1], ctx[m][todo])[0]
+    out = np.zeros((len(ids), ids.shape[1] + 1))
+    out[rows, ends - (order - 1)] = flat
+    return out
+
+
+def score_ids(model: NGramModel, ids, lengths) -> np.ndarray:
+    """Natural-log probability of each row of a right-padded id batch,
+    end-of-sentence included; a row of length 0 scores end-of-sentence only.
+    Each row is summed column by column, the order of a per-sentence walk."""
+    grid = event_logprobs(model, ids, lengths)
+    total = np.zeros(grid.shape[0])
+    for column in grid.T:
+        total += column
     return total
 
 
-def event_distribution(model: NGramModel, context_tokens) -> dict:
-    """p(. | context) over the full event space; contexts are surface tokens."""
-    ctx = (BOS,) * (model.order - 1) + model.map_tokens(context_tokens)
-    return {
-        w: math.exp(model.conditional_logprob(ctx, w))
-        for w in (*model.vocab.id_to_word, EOS)
-    }
+def _model_vocab(model: NGramModel, vocab: Vocabulary | None) -> Vocabulary:
+    if vocab is None:
+        if model.vocab is None:
+            raise ValueError("n-gram model has no vocabulary; load it with load_model(path, vocab)")
+        return model.vocab
+    if vocab is not model.vocab:
+        check_vocab_hash(model.vocab_hash, vocab.content_hash(), "n-gram model")
+    return vocab
 
 
-def train_jackknife_models(
-    corpus: Corpus, vocab: Vocabulary, order: int, folds: FoldAssignment
-) -> list[NGramModel]:
-    return [
-        train_ngram(corpus, vocab, order, exclude_fold=f, folds=folds)
-        for f in range(folds.k)
-    ]
+def score_sentences(model: NGramModel, sentences, vocab: Vocabulary | None = None) -> np.ndarray:
+    """``score_ids`` of token sequences encoded with ``vocab`` (by default the
+    model's own), in one call."""
+    vocab = _model_vocab(model, vocab)
+    ids, lengths = pad_ids([vocab.encode(getattr(s, "tokens", s)) for s in sentences])
+    return score_ids(model, ids, lengths)
+
+
+def score_sentence(model: NGramModel, sentence) -> float:
+    """Natural-log probability of the sentence including end-of-sentence."""
+    return float(score_sentences(model, [sentence])[0])
+
+
+def score_by_fold(models, fold_of_rows, rows) -> np.ndarray:
+    """Score each id row with the model of its fold, one ``score_ids`` call
+    per fold."""
+    fold_of_rows = np.asarray(fold_of_rows, dtype=np.intp)
+    out = np.zeros(len(rows))
+    for fold, model in enumerate(models):
+        picked = np.flatnonzero(fold_of_rows == fold)
+        if len(picked):
+            ids, lengths = pad_ids([rows[i] for i in picked])
+            out[picked] = score_ids(model, ids, lengths)
+    return out
 
 
 def save_model(model: NGramModel, path) -> None:
-    save_artifact(path, "ngram-model", {"model": model})
+    payload = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "vocab"}
+    save_artifact(path, _KIND, payload)
 
 
-def load_model(path) -> NGramModel:
-    return load_artifact(path, "ngram-model")["model"]
+def load_model(path, vocab: Vocabulary | None = None) -> NGramModel:
+    """Load a model; with ``vocab``, check its hash and attach it."""
+    model = NGramModel(**load_artifact(path, _KIND))
+    if vocab is not None:
+        check_vocab_hash(model.vocab_hash, vocab.content_hash(), str(path))
+        model.vocab = vocab
+    return model
+
+
+def _gram_words(key: int, k: int, base: int, vocab: Vocabulary) -> tuple[str, ...]:
+    ids = [(key // base ** (k - 1 - j)) % base for j in range(k)]
+    specials = {base - 2: EOS, base - 1: BOS}
+    return tuple(specials[i] if i in specials else vocab.id_to_word[i] for i in ids)
 
 
 def export_arpa(model: NGramModel, path) -> None:
@@ -238,12 +411,21 @@ def export_arpa(model: NGramModel, path) -> None:
     Contexts that are never events themselves (begin-of-sentence prefixes)
     are emitted with the conventional -99 placeholder probability.
     """
+    vocab = _model_vocab(model, None)
     ln10 = math.log(10.0)
-    grams_by_len: dict = {k: {} for k in range(1, model.order + 1)}
-    for gram, lp in model.logprob.items():
-        grams_by_len[len(gram)][gram] = lp / ln10
-    for ctx in model.logbackoff:
-        grams_by_len[len(ctx)].setdefault(ctx, -99.0)
+    grams_by_len: dict = {}
+    backoff: dict = {}
+    for k in range(1, model.order + 1):
+        level = {
+            _gram_words(key, k, model.base, vocab): lp / ln10
+            for key, lp in zip(model.gram_keys[k - 1].tolist(), model.logprobs[k - 1].tolist())
+        }
+        if k < model.order:
+            for key, bo in zip(model.context_keys[k - 1].tolist(), model.backoffs[k - 1].tolist()):
+                gram = _gram_words(key, k, model.base, vocab)
+                backoff[gram] = bo
+                level.setdefault(gram, -99.0)
+        grams_by_len[k] = level
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
         for k in range(1, model.order + 1):
@@ -252,7 +434,7 @@ def export_arpa(model: NGramModel, path) -> None:
             fh.write(f"\n\\{k}-grams:\n")
             for gram in sorted(grams_by_len[k]):
                 line = f"{grams_by_len[k][gram]:.7f}\t{' '.join(gram)}"
-                if k < model.order and gram in model.logbackoff:
-                    line += f"\t{model.logbackoff[gram] / ln10:.7f}"
+                if gram in backoff:
+                    line += f"\t{backoff[gram] / ln10:.7f}"
                 fh.write(line + "\n")
         fh.write("\n\\end\\\n")

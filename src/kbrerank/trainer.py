@@ -33,7 +33,7 @@ from .neural import (
     score_lists,
     sgd_momentum_update,
 )
-from .ngram import NGramModel
+from .ngram import NGramModel, score_sentences
 
 
 @dataclass
@@ -85,14 +85,18 @@ class PreparedNBest:
 def prepare_heldout(
     dataset, vocab: Vocabulary, kb_index: KBIndex, ngram_model: NGramModel
 ) -> list[PreparedNBest]:
+    if any(nbest.reference is None for nbest in dataset):
+        raise ValueError("held-out data needs references")
+    hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
+    inputs = evaluation.dataset_inputs(
+        dataset, vocab, kb_index, score_sentences(ngram_model, hyps, vocab)
+    )
     prepared = []
-    for nbest in dataset:
-        if nbest.reference is None:
-            raise ValueError("held-out data needs references")
+    for nbest, nbest_inputs in zip(dataset, inputs):
         errors, ref_words = evaluation.hypothesis_errors(nbest)
         prepared.append(
             PreparedNBest(
-                inputs=evaluation.nbest_inputs(nbest, vocab, kb_index, ngram_model),
+                inputs=nbest_inputs,
                 first_pass=np.array([fp for _, fp in nbest.hypotheses], dtype=float),
                 errors=errors,
                 ref_words=ref_words,

@@ -5,18 +5,22 @@ oracle enumerates raw edit sequences, the gradient checker perturbs tensors
 one element at a time, ``lstm_step`` is a one-token LSTM cell written apart
 from the batched kernel in ``kbrerank.neural`` (with the exp-form sigmoid,
 not the kernel's tanh form), and the reference trainer scores and
-backpropagates one training instance per call. The single-sentence helpers
-below wrap the batched production calls for tests that score one candidate
-or one sentence at a time.
+backpropagates one training instance per call. The reference n-gram model
+counts string-tuple dicts per model and scores by walking them one event at
+a time, apart from the id tables and batched walk of ``kbrerank.ngram``. The
+single-sentence helpers below wrap the batched production calls for tests
+that score one candidate or one sentence at a time.
 """
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from kbrerank.corpus import build_vocabulary
-from kbrerank.negsampler import derive_seed
+from kbrerank.corpus import Sentence, build_vocabulary, pad_ids
+from kbrerank.negsampler import NegativeSet, derive_seed
 from kbrerank.neural import (
     _lstm_forward,
     backprop_batch,
@@ -24,7 +28,7 @@ from kbrerank.neural import (
     score_batch,
     stack_bundles,
 )
-from kbrerank.ngram import score_sentence, train_jackknife_models
+from kbrerank.ngram import BOS, EOS, event_logprobs
 from kbrerank.trainer import EpochLog
 
 
@@ -324,14 +328,249 @@ def reference_lm_logprob(params, tokens) -> float:
     return float(np.sum(shifted[np.arange(len(targets)), targets] - logz))
 
 
-def jackknife_scores(corpus, folds, order=3, vocab=None, models=None) -> list:
-    """Each sentence scored by the model trained without its own fold."""
+# Reference n-gram model: the direct dict implementation that the id tables
+# of ``kbrerank.ngram`` replaced. Each model counts its own sentences into
+# string-tuple dicts and scores by walking them one event at a time.
+
+
+def _discount_for(count: int, d) -> float:
+    if count >= 3:
+        return d[2]
+    if count == 2:
+        return d[1]
+    return d[0]
+
+
+def _dict_discounts(counts):
+    n = Counter()
+    for c in counts:
+        if c <= 4:
+            n[c] += 1
+    n1, n2, n3, n4 = n[1], n[2], n[3], n[4]
+    if n1 == 0 and n2 == 0:
+        return 0.5, 1.0, 1.5
+    y = n1 / (n1 + 2.0 * n2) if (n1 + 2.0 * n2) > 0 else 0.0
+    d1 = 1.0 - 2.0 * y * n2 / n1 if n1 > 0 else 0.5
+    d2 = 2.0 - 3.0 * y * n3 / n2 if n2 > 0 else 1.0
+    d3 = 3.0 - 4.0 * y * n4 / n3 if n3 > 0 else 1.5
+    return min(max(d1, 0.01), 1.0), min(max(d2, 0.01), 2.0), min(max(d3, 0.01), 3.0)
+
+
+@dataclass
+class DictNGramModel:
+    """``logprob`` maps k-gram word tuples to natural-log interpolated
+    probabilities, ``logbackoff`` context tuples to log backoff weights."""
+
+    order: int
+    vocab: object
+    v_events: int
+    logprob: dict
+    logbackoff: dict
+    trained_on_folds: tuple = ()
+
+    def map_tokens(self, tokens) -> tuple:
+        return tuple(self.vocab.map_token(t) for t in tokens)
+
+    def conditional_logprob(self, context, word) -> float:
+        """log p(word | context) via longest-match walk with backoff."""
+        ctx = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
+        acc = 0.0
+        while True:
+            lp = self.logprob.get(ctx + (word,))
+            if lp is not None:
+                return acc + lp
+            if not ctx:
+                raise KeyError(f"word outside event space: {word!r}")
+            acc += self.logbackoff.get(ctx, 0.0)
+            ctx = ctx[1:]
+
+    def score_tokens(self, tokens) -> float:
+        """Natural-log probability of a token sequence including end-of-sentence."""
+        mapped = self.map_tokens(tokens)
+        padded = (BOS,) * (self.order - 1) + mapped
+        total = 0.0
+        for i, event in enumerate((*mapped, EOS)):
+            total += self.conditional_logprob(padded[i : i + self.order - 1], event)
+        return total
+
+
+def dict_count_tables(mapped_sentences, order):
+    """Suffix counts of every k-gram window ending at a real event position."""
+    raw = [None] + [Counter() for _ in range(order)]
+    for toks in mapped_sentences:
+        seq = (BOS,) * (order - 1) + toks + (EOS,)
+        for end in range(order - 1, len(seq)):
+            for k in range(1, order + 1):
+                raw[k][seq[end - k + 1 : end + 1]] += 1
+    return raw
+
+
+def _dict_adjusted_tables(raw, order):
+    adjusted = [None] * (order + 1)
+    adjusted[order] = dict(raw[order])
+    for k in range(order - 1, 0, -1):
+        table = {}
+        for gram, c in raw[k].items():
+            if gram[0] == BOS:
+                table[gram] = c
+        for gram in raw[k + 1]:
+            suffix = gram[1:]
+            if suffix[0] != BOS:
+                table[suffix] = table.get(suffix, 0) + 1
+        adjusted[k] = table
+    return adjusted
+
+
+def dict_mapped_sentences(corpus, vocab, folds=None, exclude_fold=None):
+    return [
+        tuple(vocab.map_token(t) for t in sent.tokens)
+        for i, sent in enumerate(corpus)
+        if exclude_fold is None or folds.fold_of[i] != exclude_fold
+    ]
+
+
+def train_dict_ngram(corpus, vocab, order=3, exclude_fold=None, folds=None) -> DictNGramModel:
+    """Count the kept sentences, then estimate gram by gram."""
+    mapped = dict_mapped_sentences(corpus, vocab, folds, exclude_fold)
+    trained_on = () if exclude_fold is None else tuple(f for f in range(folds.k) if f != exclude_fold)
+    adjusted = _dict_adjusted_tables(dict_count_tables(mapped, order), order)
+    v_events = vocab.size + 1
+    logprob, logbackoff = {}, {}
+    d1 = _dict_discounts(adjusted[1].values())
+    total1 = sum(adjusted[1].values())
+    gamma_mass = 0.0
+    for c in adjusted[1].values():
+        gamma_mass += _discount_for(c, d1)
+    gamma1 = gamma_mass / total1
+    uniform = 1.0 / v_events
+    for word in (*vocab.id_to_word, EOS):
+        c = adjusted[1].get((word,), 0)
+        logprob[(word,)] = math.log(max(c - _discount_for(c, d1), 0.0) / total1 + gamma1 * uniform)
+    for k in range(2, order + 1):
+        table = adjusted[k]
+        dk = _dict_discounts(table.values())
+        ctx_total, ctx_discount = {}, {}
+        for gram, c in table.items():
+            ctx = gram[:-1]
+            ctx_total[ctx] = ctx_total.get(ctx, 0) + c
+            ctx_discount[ctx] = ctx_discount.get(ctx, 0.0) + _discount_for(c, dk)
+        for ctx, t in ctx_total.items():
+            logbackoff[ctx] = math.log(ctx_discount[ctx] / t)
+        for gram, c in table.items():
+            ctx = gram[:-1]
+            gamma = ctx_discount[ctx] / ctx_total[ctx]
+            lower = math.exp(logprob[gram[1:]])
+            p = max(c - _discount_for(c, dk), 0.0) / ctx_total[ctx] + gamma * lower
+            logprob[gram] = math.log(p)
+    return DictNGramModel(order, vocab, v_events, logprob, logbackoff, trained_on)
+
+
+def train_jackknife_models(corpus, vocab, order, folds) -> list:
+    """One direct dict model per left-out fold, each counted on its own."""
+    return [train_dict_ngram(corpus, vocab, order, exclude_fold=f, folds=folds) for f in range(folds.k)]
+
+
+def jackknife_scores(corpus, folds, order=3, vocab=None) -> list:
+    """Each sentence scored by the dict model trained without its own fold."""
     if len(folds.fold_of) != len(corpus):
         raise ValueError("fold assignment must cover the corpus")
     if vocab is None:
         vocab = build_vocabulary(corpus)
-    if models is None:
-        models = train_jackknife_models(corpus, vocab, order, folds)
-    return [
-        score_sentence(models[folds.fold_of[i]], sent) for i, sent in enumerate(corpus)
+    models = train_jackknife_models(corpus, vocab, order, folds)
+    return [models[folds.fold_of[i]].score_tokens(sent.tokens) for i, sent in enumerate(corpus)]
+
+
+def model_tables(model) -> tuple[dict, dict]:
+    """A production model's tables as the dict model's (logprob, logbackoff)."""
+    vocab = model.vocab
+    words = (*vocab.id_to_word, EOS, BOS)
+
+    def grams(keys, k):
+        digits = [model.base ** (k - 1 - j) for j in range(k)]
+        return [tuple(words[(key // d) % model.base] for d in digits) for key in keys.tolist()]
+
+    logprob, logbackoff = {}, {}
+    for k in range(1, model.order + 1):
+        logprob.update(zip(grams(model.gram_keys[k - 1], k), model.logprobs[k - 1].tolist()))
+        if k < model.order:
+            logbackoff.update(zip(grams(model.context_keys[k - 1], k), model.backoffs[k - 1].tolist()))
+    return logprob, logbackoff
+
+
+def event_logprob(model, context, word) -> float:
+    """A production model's log p(word | context) for a full-length context
+    (begin-of-sentence padding allowed), read from one scored row."""
+    tokens = list(context)
+    while tokens and tokens[0] == BOS:
+        tokens.pop(0)
+    row = tokens if word == EOS else tokens + [word]
+    ids, lengths = pad_ids([model.vocab.encode(row)])
+    return float(event_logprobs(model, ids, lengths)[0, len(tokens)])
+
+
+def event_distribution(model, context_tokens) -> dict:
+    """A production model's p(. | context) over the full event space, the
+    context given as surface tokens after begin-of-sentence padding."""
+    vocab = model.vocab
+    ctx = vocab.encode(context_tokens)
+    ids, lengths = pad_ids([ctx + [w] for w in range(vocab.size)] + [ctx])
+    column = event_logprobs(model, ids, lengths)[:, len(ctx)]
+    return {w: math.exp(lp) for w, lp in zip((*vocab.id_to_word, EOS), column.tolist())}
+
+
+def dict_export_arpa(model: DictNGramModel, path) -> None:
+    """ARPA export of a dict model, as the dict implementation wrote it."""
+    ln10 = math.log(10.0)
+    grams_by_len = {k: {} for k in range(1, model.order + 1)}
+    for gram, lp in model.logprob.items():
+        grams_by_len[len(gram)][gram] = lp / ln10
+    for ctx in model.logbackoff:
+        grams_by_len[len(ctx)].setdefault(ctx, -99.0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\\data\\\n")
+        for k in range(1, model.order + 1):
+            fh.write(f"ngram {k}={len(grams_by_len[k])}\n")
+        for k in range(1, model.order + 1):
+            fh.write(f"\n\\{k}-grams:\n")
+            for gram in sorted(grams_by_len[k]):
+                line = f"{grams_by_len[k][gram]:.7f}\t{' '.join(gram)}"
+                if k < model.order and gram in model.logbackoff:
+                    line += f"\t{model.logbackoff[gram] / ln10:.7f}"
+                fh.write(line + "\n")
+        fh.write("\n\\end\\\n")
+
+
+def reference_sample_negatives(sentence, table, lm: DictNGramModel, n_samples, keep_k, p_sub, seed):
+    """The string-space sampler: draw surface corruptions, validate each as a
+    ``Sentence``, score it with the dict walk, keep the ``keep_k`` best by
+    (-score, tokens). None when no position is confusable."""
+    confusable = [
+        (i, table.candidates_of(tok)) for i, tok in enumerate(sentence.tokens) if table.candidates_of(tok)
     ]
+    if not confusable:
+        return None
+    rng = random.Random(seed)
+    seen = {}
+    for _ in range(n_samples):
+        while True:
+            tokens = list(sentence.tokens)
+            positions = []
+            for i, cands in confusable:
+                if rng.random() < p_sub:
+                    tokens[i] = rng.choice(cands)
+                    positions.append(i)
+            if positions:
+                break
+        key = tuple(tokens)
+        if key not in seen:
+            seen[key] = tuple(positions)
+    scored = sorted(
+        ((lm.score_tokens(Sentence(toks).tokens), toks) for toks in seen),
+        key=lambda item: (-item[0], item[1]),
+    )[:keep_k]
+    return NegativeSet(
+        source=sentence,
+        negatives=tuple(Sentence(toks) for _, toks in scored),
+        lm_logprobs=tuple(score for score, _ in scored),
+        substituted_positions=tuple(seen[toks] for _, toks in scored),
+    )

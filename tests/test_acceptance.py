@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import exhaustive_wer, finite_difference_check, lm_hidden_states
+from oracles import event_distribution, exhaustive_wer, finite_difference_check, lm_hidden_states
 
 import kbrerank
 from kbrerank import synth
@@ -45,7 +45,7 @@ from kbrerank.neural import (
     score_batch,
     stack_bundles,
 )
-from kbrerank.ngram import event_distribution, score_sentence, train_jackknife_models, train_ngram
+from kbrerank.ngram import score_sentence, train_jackknife, train_ngram
 from kbrerank.trainer import LstmLmDims, LstmLmParams, heldout_wer, prepare_heldout
 
 SEED = 20260808
@@ -280,8 +280,7 @@ def test_c6_jackknife_leakage(capsys):
     )
     vocab = build_vocabulary(corpus, min_count=0)
     folds = assign_folds(corpus, 2, seed=1)
-    models = train_jackknife_models(corpus, vocab, 2, folds)
-    full = train_ngram(corpus, vocab, order=2)
+    full, models = train_jackknife(corpus, vocab, 2, folds)
     target = corpus[0]  # "zebra" appears nowhere else
     masked = Sentence(tuple(UNK if t == "zebra" else t for t in target.tokens))
     jack = models[folds.fold_of[0]]

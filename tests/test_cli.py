@@ -145,6 +145,12 @@ class TestConfig:
             ("n_folds=1", "config key n_folds must be >= 2"),
             ("ngram_order=0", "config key ngram_order must be >= 1"),
             ("neg_samples=0", "config key neg_samples must be >= 1"),
+            ("ngram_order=6", "config key ngram_order must be <= 5"),
+            ("neg_keep=0", "config key neg_keep must be >= 1"),
+            ("neg_sub_prob=0", "config key neg_sub_prob must be in (0, 1]"),
+            ("neg_sub_prob=1.5", "config key neg_sub_prob must be in (0, 1]"),
+            ("keep_top_m=0", "config key keep_top_m must be >= 1"),
+            ("vocab_min_count=-1", "config key vocab_min_count must be >= 0"),
         ],
     )
     def test_bad_value_fails_at_config_load(self, tmp_path, capsys, setting, message):
@@ -297,7 +303,7 @@ class TestPipeline:
              "--set", f"keep_top_m={top_m}"]
         )
         assert code == 1
-        assert "top_m must be positive" in capsys.readouterr().err
+        assert "config key keep_top_m must be >= 1" in capsys.readouterr().err
         assert not (run / "features.jsonl").exists()
 
     @pytest.mark.parametrize("damage", ["missing_source", "duplicate_row", "single_row"])

@@ -38,6 +38,25 @@ class TestTokenize:
         with pytest.raises(ValueError):
             Sentence(("a b",))
 
+    # every code point str.isspace() accepts, by enumeration
+    SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+    def test_every_space_character_rejected_anywhere_in_a_token(self):
+        assert len(self.SPACES) == 29
+        for ch in self.SPACES:
+            for tok in (f"a{ch}b", f"{ch}ab", f"ab{ch}", ch, ch * 2):
+                with pytest.raises(ValueError, match="bad token"):
+                    Sentence(("ok", tok))
+
+    def test_empty_token_rejected_with_its_message(self):
+        with pytest.raises(ValueError, match="bad token ''"):
+            Sentence(("a", ""))
+
+    def test_non_space_characters_accepted(self):
+        # neighbours of the space characters that are not spaces themselves
+        for tok in ("\u200b", "\u2060", "a\ufeffb", "\x1b", "\u180e", "_-\u00b7"):
+            assert Sentence((tok,)).tokens == (tok,)
+
 
 class TestVocabulary:
     def test_threshold_drops_singletons(self):

@@ -305,15 +305,12 @@ class TestArrayPathMatchesReference:
     @staticmethod
     def stub_models(monkeypatch, tables):
         """Models whose component scores are looked up by hypothesis tokens."""
+        def lookup(name, dataset):
+            return np.array([tables[name][h.tokens] for lists in dataset for h, _ in lists.hypotheses])
+
+        monkeypatch.setattr(evaluation, "score_ngram", lambda dataset, models: lookup("ngram", dataset))
         monkeypatch.setattr(
-            evaluation, "score_sentence", lambda model, s: tables["ngram"][s.tokens]
-        )
-        monkeypatch.setattr(
-            evaluation,
-            "score_reranker",
-            lambda dataset, models: np.array(
-                [tables["reranker"][h.tokens] for lists in dataset for h, _ in lists.hypotheses]
-            ),
+            evaluation, "score_reranker", lambda dataset, models, lm: lookup("reranker", dataset)
         )
         present = object()
         return RerankModels(

@@ -3,12 +3,25 @@ import json
 import random
 
 import pytest
+from oracles import reference_sample_negatives, train_dict_ngram, train_jackknife_models
 
-from kbrerank.corpus import UNK, Sentence, Vocabulary, build_vocabulary, corpus_from_lines
+from kbrerank.cli import main
+from kbrerank.corpus import (
+    UNK,
+    Sentence,
+    Vocabulary,
+    assign_folds,
+    build_vocabulary,
+    corpus_from_lines,
+    load_corpus,
+    load_vocabulary,
+)
 from kbrerank.negsampler import (
     build_confusion_table,
     derive_seed,
+    draw_negatives,
     filter_corpus_by_negative_quality,
+    keep_negatives,
     load_negative_sets,
     negative_quality_ranking,
     phonetic_key,
@@ -159,6 +172,67 @@ class TestSampling:
         table = build_confusion_table(vocab_of("jim", "gym"))
         with pytest.raises(ValueError):
             sample_negatives(Sentence(("jim",)), table, lm, n_samples=5, keep_k=6, seed=0)
+
+
+    def test_equals_string_space_sampler_across_vocabularies(self):
+        # the table's ids differ from the model's: scores come from surface tokens
+        lines = ("jim dandys near me", "gym dandies near me", "jim dandies near me")
+        corpus = corpus_from_lines(lines)
+        lm_vocab = build_vocabulary(corpus, min_count=0)
+        lm = train_ngram(corpus, lm_vocab, order=2)
+        ref_lm = train_dict_ngram(corpus, lm_vocab, order=2)
+        table = build_confusion_table(vocab_of("jim", "gym", "dandys", "dandies", "near", "me"))
+        assert table.vocab.id_to_word != lm_vocab.id_to_word
+        for seed in range(20):
+            for source in corpus:
+                got = sample_negatives(source, table, lm, n_samples=12, keep_k=3, p_sub=0.5, seed=seed)
+                assert got == reference_sample_negatives(source, table, ref_lm, 12, 3, 0.5, seed)
+
+    def test_draw_returns_none_without_confusable_position(self):
+        table = build_confusion_table(vocab_of("blorkz", "jim", "gym"))
+        assert draw_negatives(table.vocab.encode(("blorkz", "oov")), table, 5, 0.3, seed=0) is None
+        drawn = draw_negatives(table.vocab.encode(("blorkz", "jim")), table, 5, 0.3, seed=0)
+        assert set(drawn) == {(1, table.vocab.id_of("gym"))}
+        assert drawn[(1, table.vocab.id_of("gym"))] == (1,)
+
+    def test_ties_break_on_tokens_not_ids(self):
+        # ids run against the word order: gym and jim are tied, and jim has
+        # the smaller id
+        vocab = vocab_of("jim", "kim", "gym")
+        table = build_confusion_table(vocab)
+        assert table.candidates_of("kim") == ("gym", "jim")
+        source = Sentence(("kim", "kim"))
+        drawn = draw_negatives(vocab.encode(source.tokens), table, 50, 1.0, seed=4)
+        assert len(drawn) == 4
+        kept = keep_negatives(source, drawn, [-1.0] * len(drawn), 3, table)
+        assert [n.tokens for n in kept.negatives] == [("gym", "gym"), ("gym", "jim"), ("jim", "gym")]
+        assert kept.lm_logprobs == (-1.0, -1.0, -1.0)
+
+
+class TestGenNegatives:
+    def test_output_equals_string_space_sampler(self, tmp_path):
+        common = [
+            "--out-dir", str(tmp_path), "--seed", "5",
+            "--set", "synth_n_artists=8", "--set", "synth_songs_per_artist=4",
+            "--set", "synth_word_inventory=80", "--set", "synth_n_train=250",
+            "--set", "synth_n_heldout=4", "--set", "synth_n_test=4", "--set", "n_folds=4",
+        ]
+        for command in ("synth-world", "build-vocab", "train-ngram", "gen-negatives"):
+            assert main([command, *common]) == 0, command
+        corpus = load_corpus(tmp_path / "train.txt")
+        vocab = load_vocabulary(tmp_path / "vocab.tsv")
+        folds = assign_folds(corpus, 4, 5)
+        models = train_jackknife_models(corpus, vocab, 3, folds)
+        table = build_confusion_table(vocab)
+        expected = [
+            reference_sample_negatives(
+                s, table, models[folds.fold_of[j]], 30, 5, 0.3, derive_seed(5, "neg", j)
+            )
+            for j, s in enumerate(corpus)
+        ]
+        assert sum(ns is not None for ns in expected) >= 240
+        save_negative_sets(expected, tmp_path / "expected.jsonl")
+        assert (tmp_path / "negatives.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 class TestCorpusFilter:

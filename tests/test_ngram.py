@@ -1,24 +1,57 @@
 import math
-import pickle
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from oracles import jackknife_scores
+from oracles import (
+    dict_count_tables,
+    dict_export_arpa,
+    dict_mapped_sentences,
+    event_distribution,
+    event_logprob,
+    jackknife_scores,
+    model_tables,
+    train_dict_ngram,
+)
 
-from kbrerank.corpus import UNK, Sentence, assign_folds, build_vocabulary, corpus_from_lines
+from kbrerank import synth
+from kbrerank.artifacts import ArtifactError, save_artifact
+from kbrerank.corpus import (
+    UNK,
+    Sentence,
+    assign_folds,
+    build_vocabulary,
+    corpus_from_lines,
+    pad_ids,
+)
 from kbrerank.ngram import (
     BOS,
     EOS,
-    event_distribution,
+    MAX_ORDER,
+    count_ngrams,
+    event_logprobs,
     export_arpa,
+    load_model,
+    save_model,
+    score_ids,
     score_sentence,
-    train_jackknife_models,
+    train_jackknife,
     train_ngram,
 )
 
 
 def make_corpus(*lines):
     return corpus_from_lines(lines)
+
+
+def assert_same_tables(a, b):
+    """Equal keys and bit-equal floats, order by order."""
+    for name in ("gram_keys", "logprobs", "context_keys", "backoffs"):
+        xs, ys = getattr(a, name), getattr(b, name)
+        assert len(xs) == len(ys)
+        for x, y in zip(xs, ys):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 class KnReference:
@@ -102,7 +135,7 @@ class TestTraining:
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
         model = train_ngram(corpus, vocab, order=3)
-        mapped = [model.map_tokens(s.tokens) for s in corpus]
+        mapped = [tuple(vocab.map_token(t) for t in s.tokens) for s in corpus]
         ref = KnReference(mapped, order=3, n_events=model.v_events)
         events = (*vocab.id_to_word, EOS)
         contexts = set()
@@ -114,7 +147,7 @@ class TestTraining:
         contexts.add(("carrie", "zzz"))
         for ctx in sorted(contexts):
             for w in events:
-                got = math.exp(model.conditional_logprob(ctx, w))
+                got = math.exp(event_logprob(model, ctx, w))
                 want = ref.prob(ctx, w)
                 assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-12), (ctx, w)
 
@@ -125,8 +158,7 @@ class TestTraining:
         excluded = train_ngram(corpus, vocab, order=2, exclude_fold=1, folds=folds)
         keep = [s.text() for i, s in enumerate(corpus) if folds.fold_of[i] != 1]
         complement = train_ngram(make_corpus(*keep), vocab, order=2)
-        assert excluded.logprob == complement.logprob
-        assert excluded.logbackoff == complement.logbackoff
+        assert_same_tables(excluded, complement)
         assert excluded.trained_on_folds == (0, 2)
 
     def test_order_validated(self):
@@ -142,8 +174,7 @@ class TestTraining:
         vocab = build_vocabulary(corpus, min_count=0)
         a = train_ngram(corpus, vocab, order=3)
         b = train_ngram(corpus, vocab, order=3)
-        assert pickle.dumps(a.logprob) == pickle.dumps(b.logprob)
-        assert pickle.dumps(a.logbackoff) == pickle.dumps(b.logbackoff)
+        assert_same_tables(a, b)
 
 
 class TestScoring:
@@ -154,9 +185,7 @@ class TestScoring:
         corpus = make_corpus("a")
         vocab = build_vocabulary(corpus, min_count=0)
         model = train_ngram(corpus, vocab, order=1)
-        assert math.isclose(
-            model.conditional_logprob((), "a"), math.log(1.0 / 3.0), rel_tol=1e-12
-        )
+        assert math.isclose(event_logprob(model, (), "a"), math.log(1.0 / 3.0), rel_tol=1e-12)
         assert math.isclose(
             score_sentence(model, Sentence(("a",))), 2.0 * math.log(1.0 / 3.0), rel_tol=1e-12
         )
@@ -172,11 +201,11 @@ class TestScoring:
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
         model = train_ngram(corpus, vocab, order=3)
-        tokens = model.map_tokens(("play", "carrie", "by", "sufjan", "now"))
+        tokens = ("play", "carrie", "by", "sufjan", "now")
         padded = (BOS, BOS) + tokens
         running = 0.0
         for i, tok in enumerate(tokens):
-            term = model.conditional_logprob(padded[i : i + 2], tok)
+            term = event_logprob(model, padded[i : i + 2], tok)
             assert term <= 0.0
             assert running + term <= running
             running += term
@@ -204,8 +233,8 @@ class TestJackknife:
         corpus = make_corpus("a a", "b b")
         vocab = build_vocabulary(corpus, min_count=0)
         folds = assign_folds(corpus, 2, seed=0)
-        models = train_jackknife_models(corpus, vocab, 1, folds)
-        scores = jackknife_scores(corpus, folds, order=1, vocab=vocab, models=models)
+        _, models = train_jackknife(corpus, vocab, 1, folds)
+        scores = jackknife_scores(corpus, folds, order=1, vocab=vocab)
         for i, sent in enumerate(corpus):
             other = models[folds.fold_of[i]]
             assert scores[i] == score_sentence(other, sent)
@@ -215,8 +244,7 @@ class TestJackknife:
         corpus = make_corpus("play zebra now", "play carrie now", "play carrie by sufjan", "download carrie")
         vocab = build_vocabulary(corpus, min_count=0)
         folds = assign_folds(corpus, 2, seed=1)
-        models = train_jackknife_models(corpus, vocab, 2, folds)
-        full = train_ngram(corpus, vocab, order=2)
+        full, models = train_jackknife(corpus, vocab, 2, folds)
         target = corpus[0]
         masked = Sentence(tuple(UNK if t == "zebra" else t for t in target.tokens))
         jack = models[folds.fold_of[0]]
@@ -254,3 +282,149 @@ class TestArpaExport:
         n1 = sum(1 for l in body[0].splitlines() if "\t" in l)
         n2 = sum(1 for l in body[1].split("\\end\\")[0].splitlines() if "\t" in l)
         assert header_counts == {1: n1, 2: n2}
+
+    def test_byte_identical_to_dict_export(self, tmp_path):
+        corpus = make_corpus(*TOY, "play something", "download carrie now")
+        vocab = build_vocabulary(corpus, min_count=0)
+        for order in (1, 3):
+            export_arpa(train_ngram(corpus, vocab, order=order), tmp_path / "ids.arpa")
+            dict_export_arpa(train_dict_ngram(corpus, vocab, order=order), tmp_path / "dict.arpa")
+            assert (tmp_path / "ids.arpa").read_bytes() == (tmp_path / "dict.arpa").read_bytes()
+
+
+def random_corpus(seed, n_words=30, n_sentences=120):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    return corpus_from_lines(
+        " ".join(rng.choice(words[: rng.randint(2, n_words)]) for _ in range(rng.randint(1, 8)))
+        for _ in range(n_sentences)
+    )
+
+
+class TestScoreIds:
+    @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+    def test_equals_dict_walk(self, order):
+        corpus = random_corpus(order)
+        vocab = build_vocabulary(corpus, min_count=1)  # singletons become OOV
+        model = train_ngram(corpus, vocab, order=order)
+        ref = train_dict_ngram(corpus, vocab, order=order)
+        rng = random.Random(10 + order)
+        pool = [f"w{i}" for i in range(30)] + ["oov", "zz", UNK]
+        rows = [s.tokens for s in corpus][:40]
+        rows += [tuple(rng.choice(pool) for _ in range(rng.randint(0, 9))) for _ in range(60)]
+        rows += [(), ()]
+        ids, lengths = pad_ids([vocab.encode(r) for r in rows])
+        got = score_ids(model, ids, lengths)
+        assert got.tolist() == [ref.score_tokens(r) for r in rows]
+        assert sum(len(r) == 0 for r in rows) >= 2
+
+    def test_pad_id_never_changes_a_score(self):
+        corpus = random_corpus(3)
+        vocab = build_vocabulary(corpus, min_count=0)
+        model = train_ngram(corpus, vocab, order=3)
+        ids, lengths = pad_ids([vocab.encode(s.tokens) for s in corpus] + [[]])
+        base = score_ids(model, ids, lengths)
+        pad = np.arange(ids.shape[1]) >= lengths[:, None]
+        rng = np.random.default_rng(0)
+        for fill in (vocab.size, vocab.size + 1, -7, 10**12, rng.integers(0, vocab.size, ids.shape)):
+            padded = ids.copy()
+            padded[pad] = np.broadcast_to(fill, ids.shape)[pad]
+            assert score_ids(model, padded, lengths).tolist() == base.tolist()
+        wide = np.pad(ids, ((0, 0), (0, 3)), constant_values=5)
+        assert score_ids(model, wide, lengths).tolist() == base.tolist()
+        grid = event_logprobs(model, wide, lengths)
+        assert np.all(grid[np.arange(grid.shape[1]) > lengths[:, None]] == 0.0)
+
+    def test_ids_outside_vocabulary_rejected(self):
+        corpus = make_corpus(*TOY)
+        vocab = build_vocabulary(corpus, min_count=0)
+        model = train_ngram(corpus, vocab, order=2)
+        for bad in (vocab.size, vocab.size + 1, -1):
+            with pytest.raises(ValueError, match="outside the vocabulary"):
+                score_ids(model, np.array([[1, bad]]), np.array([2]))
+
+    @staticmethod
+    def wide_corpus(n_words):
+        words = [f"v{i}" for i in range(n_words - 1)]  # plus the unknown symbol
+        rng = random.Random(n_words)
+        lines = [" ".join(words[i : i + 7]) for i in range(0, len(words), 7)]
+        lines += [" ".join(rng.choice(words) for _ in range(6)) for _ in range(200)]
+        return corpus_from_lines(lines)
+
+    def test_order5_key_overflow_fails_loudly(self):
+        # 6209 ** 5 > 2 ** 63: packed order-5 keys would wrap
+        corpus = self.wide_corpus(6207)
+        vocab = build_vocabulary(corpus, min_count=0)
+        assert vocab.size == 6207
+        with pytest.raises(ValueError, match="order-5 n-gram model over a vocabulary of 6207 words"):
+            train_ngram(corpus, vocab, order=5)
+        folds = assign_folds(corpus, 2, seed=0)
+        with pytest.raises(ValueError, match="order-5"):
+            train_jackknife(corpus, vocab, 5, folds)
+
+    def test_largest_order5_vocabulary_scores_exactly(self):
+        # 6208 ** 5 <= 2 ** 63: the widest vocabulary order-5 keys hold
+        corpus = self.wide_corpus(6206)
+        vocab = build_vocabulary(corpus, min_count=0)
+        model = train_ngram(corpus, vocab, order=5)
+        assert int(model.gram_keys[4].max()) > 2**62
+        ref = train_dict_ngram(corpus, vocab, order=5)
+        rows = [s.tokens for s in corpus][-50:]
+        ids, lengths = pad_ids([vocab.encode(r) for r in rows])
+        assert score_ids(model, ids, lengths).tolist() == [ref.score_tokens(r) for r in rows]
+
+
+class TestOnePassJackknife:
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_models_equal_per_fold_dict_models(self, order):
+        world = synth.generate_world(
+            synth.SynthConfig(seed=order, n_artists=8, songs_per_artist=4, word_inventory=80,
+                              n_train=300, n_heldout=2, n_test=2)
+        )
+        corpus = world.train
+        vocab = build_vocabulary(corpus, min_count=1)
+        folds = assign_folds(corpus, 4, seed=order)
+        counts = count_ngrams(corpus, vocab, order, folds)
+        full, fold_models = train_jackknife(corpus, vocab, order, folds)
+        words = (*vocab.id_to_word, EOS, BOS)
+        base = vocab.size + 2
+        for exclude, model in [(None, full), *enumerate(fold_models)]:
+            # raw counts, and the order a direct count meets each gram in
+            expected = dict_count_tables(dict_mapped_sentences(corpus, vocab, folds, exclude), order)
+            for k, (keys, n) in enumerate(counts.raw_tables(exclude), start=1):
+                got = [
+                    (tuple(words[(key // base ** (k - 1 - j)) % base] for j in range(k)), c)
+                    for key, c in zip(keys.tolist(), n.tolist())
+                ]
+                assert got == list(expected[k].items())
+            ref = train_dict_ngram(corpus, vocab, order, exclude_fold=exclude, folds=folds)
+            logprob, logbackoff = model_tables(model)
+            assert logprob == ref.logprob and logbackoff == ref.logbackoff
+            assert model.trained_on_folds == ref.trained_on_folds
+            assert_same_tables(model, train_ngram(corpus, vocab, order, exclude, folds))
+
+
+class TestModelFile:
+    def test_roundtrip_attaches_checked_vocabulary(self, tmp_path):
+        corpus = make_corpus(*TOY)
+        vocab = build_vocabulary(corpus, min_count=0)
+        model = train_ngram(corpus, vocab, order=3)
+        path = tmp_path / "ngram.bin"
+        save_model(model, path)
+        bare = load_model(path)
+        assert bare.vocab is None
+        assert_same_tables(bare, model)
+        loaded = load_model(path, vocab)
+        assert loaded.vocab is vocab
+        assert all(score_sentence(loaded, s) == score_sentence(model, s) for s in corpus)
+        other = build_vocabulary(make_corpus("some other words"), min_count=0)
+        with pytest.raises(ArtifactError, match="vocabulary-hash mismatch"):
+            load_model(path, other)
+
+    def test_dict_model_file_refused_at_load(self, tmp_path):
+        # the earlier dict model's artifact: kind "ngram-model", format version 1
+        path = tmp_path / "ngram_fold0.bin"
+        save_artifact(path, "ngram-model", {"model": {"order": 3, "logprob": {}}})
+        with pytest.raises(ArtifactError, match="ngram_fold0.bin") as err:
+            load_model(path)
+        assert "'ngram-model'" in str(err.value)

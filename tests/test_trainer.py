@@ -35,7 +35,7 @@ from kbrerank.neural import (
     reranker_inputs,
     score_batch,
 )
-from kbrerank.ngram import score_sentence, train_jackknife_models, train_ngram
+from kbrerank.ngram import score_sentence, train_jackknife
 from kbrerank.trainer import (
     LstmLmDims,
     LstmLmParams,
@@ -57,8 +57,7 @@ def mini_world():
     vocab = build_vocabulary(world.train, min_count=1)
     index = build_index(world.kb_entries)
     folds = assign_folds(world.train, 4, seed=3)
-    fold_models = train_jackknife_models(world.train, vocab, 3, folds)
-    full = train_ngram(world.train, vocab, 3)
+    full, fold_models = train_jackknife(world.train, vocab, 3, folds)
     table = build_confusion_table(vocab)
     instances = []
     for j in range(60):
@@ -368,7 +367,8 @@ class TestChunkedScoring:
         dataset = list(mini_world["world"].heldout) + unequal_length_lists(mini_world["world"])
         scores, valid = evaluation.score_hypotheses(dataset, "reranker", models)
         for u, nbest in enumerate(dataset):
-            x = evaluation.nbest_inputs(nbest, vocab, index, full)
+            lm_logprobs = [score_sentence(full, h) for h, _ in nbest.hypotheses]
+            x = evaluation.nbest_inputs(nbest, vocab, index, lm_logprobs)
             own, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
             np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
 
