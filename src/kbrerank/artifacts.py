@@ -7,7 +7,10 @@ instead of mis-deserializing.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import pickle
+from pathlib import Path
 
 FORMAT_VERSION = 1
 # protocol pinned so identical payloads serialize to identical bytes
@@ -37,6 +40,23 @@ def load_artifact(path, kind: str) -> dict:
             f"(file {blob.get('format_version')!r}, supported {FORMAT_VERSION})"
         )
     return blob["payload"]
+
+
+@contextlib.contextmanager
+def atomic_text_writer(path):
+    """A text handle whose content replaces ``path`` only when the block
+    completes. It writes ``path`` + ``.tmp`` in the same directory and
+    renames it over ``path``; if the block raises, the temporary file is
+    removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def check_vocab_hash(expected: str, actual: str, what: str) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import evaluation, features, kb, negsampler, ngram, synth, trainer
-from .artifacts import ArtifactError, check_vocab_hash
+from .artifacts import ArtifactError, atomic_text_writer, check_vocab_hash
 from .corpus import (
     Corpus,
     FoldAssignment,
@@ -37,7 +37,7 @@ from .corpus import (
     save_corpus,
     save_vocabulary,
 )
-from .neural import RerankerDims, RerankerParams, reranker_inputs
+from .neural import RerankerDims, RerankerParams, reranker_inputs, stack_bundles
 from .synth import SynthConfig
 from .trainer import TrainConfig
 
@@ -332,20 +332,25 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
         [folds.fold_of[sid] for sid in kept],
         [vocab.encode(corpus[sid].tokens) for sid in kept],
     ).tolist()
-    with open(paths.features, "w", encoding="utf-8") as fh:
-        for sid, source_lp in zip(kept, source_lps):
-            negset = negsets[sid]
-            candidates = [(corpus[sid], source_lp)]
-            candidates.extend(zip(negset.negatives, negset.lm_logprobs))
-            for hyp_id, (sentence, lp) in enumerate(candidates):
-                bundle = features.extract_features(sentence, lp, index)
-                rec = {
-                    "sentence_id": sid,
-                    "hypothesis_id": hyp_id,
-                    "tokens": list(sentence.tokens),
-                    **dataclasses.asdict(bundle),
-                }
-                fh.write(json.dumps(rec) + "\n")
+    # one row per candidate: each kept source sentence, then its negatives
+    rows = []
+    for sid, source_lp in zip(kept, source_lps):
+        negset = negsets[sid]
+        rows.append((sid, 0, corpus[sid].tokens, source_lp))
+        for hyp_id, (sentence, lp) in enumerate(zip(negset.negatives, negset.lm_logprobs), 1):
+            rows.append((sid, hyp_id, sentence.tokens, lp))
+    bins = features.feature_bins([tokens for _, _, tokens, _ in rows], index).tolist()
+    names = [name for name, _ in features.BIN_FIELDS]
+    with atomic_text_writer(paths.features) as fh:
+        for (sid, hyp_id, tokens, lp), row_bins in zip(rows, bins):
+            rec = {
+                "sentence_id": sid,
+                "hypothesis_id": hyp_id,
+                "tokens": list(tokens),
+                "ngram_negative_logprob": -lp,
+                **dict(zip(names, row_bins)),
+            }
+            fh.write(json.dumps(rec) + "\n")
     print(f"features: {len(kept)} training instances")
     return 0
 
@@ -354,7 +359,8 @@ def load_feature_instances(path, vocab) -> list:
     """Group the feature dump back into per-sentence training instances.
 
     A sentence's rows must be hypotheses 0..n-1 with n >= 2: row 0 is the
-    source sentence, the correct candidate, and the rest its negatives.
+    source sentence, the correct candidate, and the rest its negatives. A
+    row's features must pass ``features.FeatureBundle``.
     """
     groups: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -375,9 +381,9 @@ def load_feature_instances(path, vocab) -> list:
         tokens = [r.pop("tokens") for r in rows]
         try:
             bundles = [features.FeatureBundle(**r) for r in rows]
-        except TypeError as exc:  # a missing, unknown or wrong-typed field
+        except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
             raise ValueError(f"{path}: sentence_id {sid}: {exc}") from exc
-        instances.append(reranker_inputs(tokens, bundles, vocab))
+        instances.append(reranker_inputs(tokens, *stack_bundles(bundles), vocab))
     return instances
 
 

@@ -11,6 +11,10 @@ from pathlib import Path
 import numpy as np
 
 UNK = "<unk>"
+# the n-gram model's sentence markers (``ngram.export_arpa`` writes them); a
+# corpus may not use them as words
+BOS = "<s>"
+EOS = "</s>"
 
 
 @dataclass(frozen=True)
@@ -121,13 +125,20 @@ def build_vocabulary(corpus: Corpus, min_count: int = 1) -> Vocabulary:
     """Retain words with frequency above ``min_count``; the rest map to UNK.
 
     Ids are assigned by (descending frequency, then lexicographic), after the
-    reserved unknown symbol, so identical corpora yield identical tables.
+    reserved unknown symbol, so identical corpora yield identical tables. The
+    sentence markers ``<s>`` and ``</s>`` are refused as corpus tokens.
     """
     if min_count < 0:
         raise ValueError("min_count must be >= 0")
     counts = Counter()
     for sent in corpus:
         counts.update(sent.tokens)
+    for marker in (BOS, EOS):
+        if marker in counts:
+            raise ValueError(
+                f"{corpus.source_path}: corpus token {marker!r} is reserved for the "
+                "n-gram sentence markers"
+            )
     retained = [w for w, c in counts.items() if c > min_count and w != UNK]
     retained.sort(key=lambda w: (-counts[w], w))
     id_to_word = (UNK, *retained)

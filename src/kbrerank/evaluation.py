@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Sentence, Vocabulary
-from .features import extract_features
+from .features import feature_bins
 from .kb import KBIndex
-from .neural import RerankerInputs, RerankerParams, reranker_inputs, score_lists
+from .neural import RerankerParams, bin_columns, reranker_inputs, score_lists
 from .ngram import NGramModel, score_sentences
 
 # the components each scorer interpolates with the first pass, in the order
@@ -146,24 +146,20 @@ def _component_names(scorer) -> tuple:
     return tuple(name for name in COMPONENTS if name in scorer)
 
 
-def nbest_inputs(
-    nbest: NBestList, vocab: Vocabulary, kb_index: KBIndex, lm_logprobs
-) -> RerankerInputs:
-    """The reranker's inputs for an n-best list, its features extracted here
-    from the hypotheses' n-gram log-probabilities ``lm_logprobs``."""
-    sentences = [h for h, _ in nbest.hypotheses]
-    lps = np.asarray(lm_logprobs).tolist()
-    bundles = [extract_features(s, lp, kb_index) for s, lp in zip(sentences, lps)]
-    return reranker_inputs([s.tokens for s in sentences], bundles, vocab)
-
-
 def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBIndex, lm_logprobs) -> list:
-    """``nbest_inputs`` of every list; ``lm_logprobs`` is flat in list order."""
+    """The reranker's inputs of every list of ``dataset``, given the
+    hypotheses' n-gram log-probabilities ``lm_logprobs`` (flat in list
+    order); one ``features.feature_bins`` call covers the whole dataset."""
+    hyps = [h.tokens for nbest in dataset for h, _ in nbest.hypotheses]
+    bins = feature_bins(hyps, kb_index)
+    feats = -np.asarray(lm_logprobs, dtype=float)
     inputs, row = [], 0
     for nbest in dataset:
-        n = len(nbest.hypotheses)
-        inputs.append(nbest_inputs(nbest, vocab, kb_index, lm_logprobs[row : row + n]))
-        row += n
+        end = row + len(nbest.hypotheses)
+        inputs.append(
+            reranker_inputs(hyps[row:end], bin_columns(bins[row:end]), feats[row:end], vocab)
+        )
+        row = end
     return inputs
 
 

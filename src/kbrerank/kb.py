@@ -1,14 +1,18 @@
 """Music knowledge-base ingestion and the lookup tables feature extraction needs.
 
-An entry is (artist phrase, song phrase, usage frequency). The index answers
-three kinds of queries: exact-phrase frequency sums per field, artist/song
-phrase co-occurrence counts, and smoothed word-pair probabilities for
-normalized pointwise mutual information.
+An entry is (artist phrase, song phrase, usage frequency). The index holds
+exact-phrase frequency sums per field, artist/song phrase co-occurrence
+counts, and smoothed word-pair probabilities for normalized pointwise mutual
+information. ``KBIndex.tables`` holds the same lookups as sorted integer
+arrays for the batch feature kernel (``features.feature_bins``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .artifacts import load_artifact, save_artifact
 
@@ -24,7 +28,7 @@ class KBEntry:
     def __post_init__(self):
         if len(self.artist) == 0 or len(self.song) == 0:
             raise ValueError("artist and song phrases must be non-empty")
-        if self.frequency < 0:
+        if not self.frequency >= 0:  # NaN included
             raise ValueError("frequency must be >= 0")
 
 
@@ -40,6 +44,8 @@ def parse_kb_line(line: str, lineno: int) -> KBEntry:
         freq = float(parts[2])
     except ValueError as exc:
         raise ValueError(f"malformed line {lineno}: bad frequency {parts[2]!r}") from exc
+    if freq != freq:
+        raise ValueError(f"malformed line {lineno}: bad frequency {parts[2]!r}")
     if freq < 0:
         raise ValueError(f"malformed line {lineno}: negative frequency")
     return KBEntry(artist, song, freq)
@@ -106,17 +112,6 @@ class PairTable:
     def __setstate__(self, state):
         self.__init__(state["raw"], state["left"], state["right"])
 
-    def in_support(self, a: str, b: str) -> bool:
-        return (a in self.left_vocab and b in self.right_vocab) or (
-            b in self.left_vocab and a in self.right_vocab
-        )
-
-    def joint(self, a: str, b: str):
-        """Smoothed p(a, b), or None when the pair is outside the support."""
-        if not self.in_support(a, b):
-            return None
-        return (self._raw.get(_upair(a, b), 0.0) + 1.0) / self.total
-
     def marginal(self, w: str) -> float:
         in_left = w in self.left_vocab
         in_right = w in self.right_vocab
@@ -129,10 +124,6 @@ class PairTable:
         else:
             return 0.0
         return (self._row.get(w, 0.0) + n_partners) / self.total
-
-    def support_pairs(self):
-        """All unordered support pairs (small tables only; used by checks)."""
-        return {_upair(a, b) for a in self.left_vocab for b in self.right_vocab}
 
 
 @dataclass(frozen=True)
@@ -147,11 +138,137 @@ class KBIndex:
     cross: PairTable = field(repr=False)
     intra: PairTable = field(repr=False)
 
-    def cooccurrence(self, first: Phrase, second: Phrase) -> int:
-        """Entries pairing the phrases in either field order."""
-        return self.pair_counts.get((first, second), 0) + self.pair_counts.get(
-            (second, first), 0
+    @cached_property
+    def tables(self) -> KBTables:
+        """The lookups as arrays, built on first use and kept with this index
+        (a stage that loads the index once builds them once)."""
+        return KBTables(self)
+
+    def __getstate__(self):
+        # the tables are derived; the file holds only the index
+        state = dict(self.__dict__)
+        state.pop("tables", None)
+        return state
+
+
+def lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray, default) -> np.ndarray:
+    """``values`` at each ``query`` found in the sorted ``keys``, else ``default``."""
+    if len(keys) == 0:
+        return np.full(np.shape(query), default, dtype=values.dtype)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[pos] == query, values[pos], default)
+
+
+@dataclass(frozen=True)
+class PairArrays:
+    """A ``PairTable`` over KB word ids; the last id stands for every word
+    outside the KB, in no vocabulary and with marginal 0."""
+
+    in_left: np.ndarray  # (W + 1,) bool
+    in_right: np.ndarray
+    marginal: np.ndarray  # (W + 1,) PairTable.marginal of each word
+    keys: np.ndarray  # sorted lo * (W + 1) + hi of the weighted pairs, lo <= hi
+    weights: np.ndarray  # raw weight of each key
+    total: float
+
+    @classmethod
+    def build(cls, table: PairTable, words: list, word_id: dict) -> PairArrays:
+        base = len(words) + 1
+        n = len(table._raw)
+        keys = np.fromiter((word_id[a] * base + word_id[b] for a, b in table._raw), np.int64, n)
+        weights = np.fromiter(table._raw.values(), float, n)
+        order = np.argsort(keys)
+        return cls(
+            in_left=np.array([w in table.left_vocab for w in words] + [False]),
+            in_right=np.array([w in table.right_vocab for w in words] + [False]),
+            marginal=np.array([table.marginal(w) for w in words] + [0.0]),
+            keys=keys[order],
+            weights=weights[order],
+            total=table.total,
         )
+
+
+class KBTables:
+    """A ``KBIndex``'s lookups as arrays over KB word ids.
+
+    Words are numbered in sorted order, so an id pair orders like its word
+    pair (``_upair``); id ``n_words`` stands for every word outside the KB.
+    Phrases form a prefix trie over word ids of unbounded depth: node 0 is the
+    empty prefix and an edge is the sorted key ``node * n_words + word``. Each
+    node records the dense artist and song phrase id it spells (-1 if none)
+    and their summed frequencies; a last, dead node (index -1) answers every
+    walk that has left the trie. Co-occurrence counts are keyed
+    ``artist_id * n_songs + song_id``.
+    """
+
+    def __init__(self, index: KBIndex):
+        artists, songs = list(index.artist_entries), list(index.song_entries)
+        # every word of the NPMI tables' vocabularies is a phrase word
+        words = sorted({w for p in artists + songs for w in p})
+        self.word_id = {w: i for i, w in enumerate(words)}
+        self.n_words = len(words)
+
+        # the trie, one depth at a time: the distinct (parent, word) keys of
+        # the phrases that reach a depth are its nodes
+        phrases = artists + songs
+        depth = np.array([len(p) for p in phrases])
+        word = np.zeros((len(phrases), depth.max()), dtype=np.int64)
+        word[np.arange(depth.max()) < depth[:, None]] = [
+            self.word_id[w] for p in phrases for w in p
+        ]
+        node = np.zeros(len(phrases), dtype=np.int64)
+        edge_keys, n_nodes = [], 1
+        for d in range(depth.max()):
+            reach = depth > d
+            keys, child = np.unique(
+                node[reach] * self.n_words + word[reach, d], return_inverse=True
+            )
+            edge_keys.append(keys)
+            node[reach] = n_nodes + child
+            n_nodes += len(keys)
+        self.edge_keys = np.concatenate(edge_keys)
+        self.edge_child = np.arange(1, n_nodes, dtype=np.int64)
+        order = np.argsort(self.edge_keys)
+        self.edge_keys, self.edge_child = self.edge_keys[order], self.edge_child[order]
+        # one more node, the dead one
+        self.artist_of = np.full(n_nodes + 1, -1, dtype=np.int64)
+        self.song_of = np.full(n_nodes + 1, -1, dtype=np.int64)
+        self.artist_freq = np.zeros(n_nodes + 1)
+        self.song_freq = np.zeros(n_nodes + 1)
+        artist_node, song_node = node[: len(artists)], node[len(artists) :]
+        self.artist_of[artist_node] = np.arange(len(artists))
+        self.song_of[song_node] = np.arange(len(songs))
+        self.artist_freq[artist_node] = [freq for _, freq in index.artist_entries.values()]
+        self.song_freq[song_node] = [freq for _, freq in index.song_entries.values()]
+
+        artist_id = {p: i for i, p in enumerate(artists)}
+        song_id = {p: i for i, p in enumerate(songs)}
+        self.n_songs = len(songs)
+        pair_keys = np.array(
+            [artist_id[a] * self.n_songs + song_id[s] for a, s in index.pair_counts],
+            dtype=np.int64,
+        )
+        order = np.argsort(pair_keys)
+        self.pair_keys = pair_keys[order]
+        self.pair_counts = np.array(list(index.pair_counts.values()), dtype=np.int64)[order]
+
+        self.cross = PairArrays.build(index.cross, words, self.word_id)
+        self.intra = PairArrays.build(index.intra, words, self.word_id)
+
+    def encode(self, sequences) -> tuple[np.ndarray, np.ndarray]:
+        """KB word ids of all ``sequences`` end to end, ``n_words`` for a word
+        outside the KB, and each sequence's length."""
+        get, other = self.word_id.get, self.n_words
+        lengths = np.array([len(s) for s in sequences], dtype=np.intp)
+        flat = np.array([get(t, other) for s in sequences for t in s], dtype=np.int64)
+        return flat, lengths
+
+    def child(self, node: np.ndarray, word: np.ndarray) -> np.ndarray:
+        """The trie node one word below each ``node``, -1 where there is none
+        (below the dead node, or for a word outside the KB)."""
+        live = (node >= 0) & (word < self.n_words)
+        found = lookup(self.edge_keys, self.edge_child, node * self.n_words + word, -1)
+        return np.where(live, found, -1)
 
 
 def build_index(entries) -> KBIndex:
@@ -203,19 +320,6 @@ def build_index(entries) -> KBIndex:
         cross=PairTable(cross_weights, cross_left, cross_right),
         intra=PairTable(intra_weights, all_words, all_words),
     )
-
-
-def phrase_frequency(index: KBIndex, phrase: Phrase, field_name: str) -> float:
-    """Summed frequency of entries whose given field equals the phrase exactly."""
-    if len(phrase) == 0:
-        raise ValueError("phrase must be non-empty")
-    if field_name == "artist":
-        table = index.artist_entries
-    elif field_name == "song":
-        table = index.song_entries
-    else:
-        raise ValueError(f"unknown field {field_name!r}")
-    return table.get(tuple(phrase), ((), 0.0))[1]
 
 
 def save_index(index: KBIndex, path) -> None:

@@ -194,11 +194,16 @@ def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
         dc = dc * f
 
 
+def bin_columns(bins: np.ndarray) -> dict:
+    """An (n, 5) bin array, columns in ``BIN_FIELDS`` order, as the per-bin
+    columns a batch's ``bins`` dict holds."""
+    bins = np.asarray(bins, dtype=np.intp).reshape(-1, len(_BINS))
+    return {b.key: bins[:, k] for k, b in enumerate(_BINS)}
+
+
 def stack_bundles(bundles) -> tuple[dict, np.ndarray]:
     """Column-ize feature bundles for a batch of candidates."""
-    bins = {
-        b.key: np.array([getattr(x, b.field) for x in bundles], dtype=np.intp) for b in _BINS
-    }
+    bins = bin_columns([[getattr(x, b.field) for b in _BINS] for x in bundles])
     feats = np.array([x.ngram_negative_logprob for x in bundles], dtype=float)
     return bins, feats
 
@@ -215,12 +220,13 @@ class RerankerInputs:
     ngram_feats: np.ndarray
 
 
-def reranker_inputs(candidates, bundles, vocab: Vocabulary) -> RerankerInputs:
-    """Inputs for token sequences ``candidates`` and their feature bundles."""
-    if len(bundles) != len(candidates):
-        raise ValueError("need one feature bundle per candidate")
+def reranker_inputs(candidates, bins: dict, ngram_feats, vocab: Vocabulary) -> RerankerInputs:
+    """Inputs for token sequences ``candidates``, their bin columns and
+    their n-gram features."""
+    feats = np.asarray(ngram_feats, dtype=float)
+    if any(len(col) != len(candidates) for col in bins.values()) or len(feats) != len(candidates):
+        raise ValueError("need one feature row per candidate")
     ids, lengths = pad_ids([vocab.encode(tokens) for tokens in candidates])
-    bins, feats = stack_bundles(bundles)
     return RerankerInputs(ids, lengths, bins, feats)
 
 

@@ -29,10 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .artifacts import check_vocab_hash, load_artifact, save_artifact
-from .corpus import Corpus, FoldAssignment, Vocabulary, pad_ids
-
-BOS = "<s>"
-EOS = "</s>"
+from .corpus import BOS, EOS, Corpus, FoldAssignment, Vocabulary, pad_ids
 
 MAX_ORDER = 5
 _MIN_DISCOUNT = 0.01

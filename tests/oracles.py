@@ -8,6 +8,8 @@ not the kernel's tanh form), and the reference trainer scores and
 backpropagates one training instance per call. The reference n-gram model
 counts string-tuple dicts per model and scores by walking them one event at
 a time, apart from the id tables and batched walk of ``kbrerank.ngram``. The
+reference KB features walk one sentence's spans and word pairs through the
+index's dicts, apart from the array kernel of ``kbrerank.features``. The
 single-sentence helpers below wrap the batched production calls for tests
 that score one candidate or one sentence at a time.
 """
@@ -20,6 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from kbrerank.corpus import Sentence, build_vocabulary, pad_ids
+from kbrerank.features import (
+    BIN_FIELDS,
+    COOC_BINS,
+    FREQ_BINS,
+    NPMI_BINS,
+    NPMI_NEUTRAL_BIN,
+    FeatureBundle,
+    max_span_pairs,
+)
 from kbrerank.negsampler import NegativeSet, derive_seed
 from kbrerank.neural import (
     _lstm_forward,
@@ -574,3 +585,147 @@ def reference_sample_negatives(sentence, table, lm: DictNGramModel, n_samples, k
         lm_logprobs=tuple(score for score, _ in scored),
         substituted_positions=tuple(seen[toks] for _, toks in scored),
     )
+
+
+# Reference KB features: the per-sentence definitions that the batch kernel
+# ``kbrerank.features.feature_bins`` replaced. Each sentence walks its own
+# spans and word pairs through the index's dicts, one lookup at a time.
+
+
+def phrase_frequency(index, phrase, field_name: str) -> float:
+    """Summed frequency of entries whose given field equals the phrase exactly."""
+    if len(phrase) == 0:
+        raise ValueError("phrase must be non-empty")
+    if field_name == "artist":
+        table = index.artist_entries
+    elif field_name == "song":
+        table = index.song_entries
+    else:
+        raise ValueError(f"unknown field {field_name!r}")
+    return table.get(tuple(phrase), ((), 0.0))[1]
+
+
+def cooccurrence(index, first, second) -> int:
+    """Entries pairing the phrases in either field order."""
+    return index.pair_counts.get((first, second), 0) + index.pair_counts.get((second, first), 0)
+
+
+def in_support(table, a: str, b: str) -> bool:
+    return (a in table.left_vocab and b in table.right_vocab) or (
+        b in table.left_vocab and a in table.right_vocab
+    )
+
+
+def joint(table, a: str, b: str):
+    """Smoothed p(a, b) of a ``kb.PairTable``, or None outside its support."""
+    if not in_support(table, a, b):
+        return None
+    return (table._raw.get((a, b) if a <= b else (b, a), 0.0) + 1.0) / table.total
+
+
+def support_pairs(table) -> set:
+    """All unordered support pairs of a (small) ``kb.PairTable``."""
+    return {(a, b) if a <= b else (b, a) for a in table.left_vocab for b in table.right_vocab}
+
+
+def ngram_feature(lm_logprob: float) -> float:
+    if lm_logprob > 0:
+        raise ValueError("log-probability must be <= 0")
+    return -lm_logprob
+
+
+def cooccurrence_total(sentence, index) -> int:
+    """Summed KB co-occurrence over all disjoint (artist span, song span) pairs."""
+    toks = sentence.tokens
+    l = len(toks)
+    artist_spans = []
+    song_spans = []
+    for i in range(l):
+        for j in range(i, l):
+            phrase = toks[i : j + 1]
+            if phrase in index.artist_entries:
+                artist_spans.append((i, j, phrase))
+            if phrase in index.song_entries:
+                song_spans.append((i, j, phrase))
+    total = 0
+    for ai, aj, artist in artist_spans:
+        for si, sj, song in song_spans:
+            if aj < si or sj < ai:
+                total += index.pair_counts.get((artist, song), 0)
+    return total
+
+
+def cooccurrence_bin(sentence, index) -> int:
+    """Log-scale bin anchored at the largest count the KB could produce."""
+    total = cooccurrence_total(sentence, index)
+    if total == 0:
+        return 0
+    max_possible = index.max_cooccurrence * max_span_pairs(len(sentence))
+    ratio = math.log1p(total) / math.log1p(max_possible)
+    return min(COOC_BINS - 1, max(1, int(COOC_BINS * ratio)))
+
+
+def kb_frequency_bin(sentence, index, field_name: str) -> int:
+    toks = sentence.tokens
+    l = len(toks)
+    total = 0.0
+    for i in range(l):
+        for j in range(i, l):
+            total += phrase_frequency(index, toks[i : j + 1], field_name)
+    f = math.log1p(total)
+    return int(min(max(50.0 * f, 0.0), FREQ_BINS - 1))
+
+
+def npmi(table, a: str, b: str) -> float:
+    """Normalized pointwise mutual information in [-1, 1].
+
+    Pairs outside the table's support score -1; a pair that owns the entire
+    probability mass scores +1 (the denominator vanishes there).
+    """
+    p = joint(table, a, b)
+    if p is None or p <= 0.0:
+        return -1.0
+    if p >= 1.0:
+        return 1.0
+    value = math.log(p / (table.marginal(a) * table.marginal(b))) / (-math.log(p))
+    return min(1.0, max(-1.0, value))
+
+
+def npmi_bin(sentence, index, mode: str) -> int:
+    if mode == "cross":
+        table = index.cross
+    elif mode == "intra":
+        table = index.intra
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    toks = sentence.tokens
+    l = len(toks)
+    if l < 2:
+        return NPMI_NEUTRAL_BIN
+    total = 0.0
+    for i in range(l):
+        for j in range(i + 1, l):
+            total += npmi(table, toks[i], toks[j])
+    avg = total / (l * (l - 1) / 2)
+    avg = min(1.0, max(-1.0, avg))
+    return min(NPMI_BINS - 1, int(NPMI_BINS * (avg + 1.0) / 2.0))
+
+
+def extract_features(sentence, lm_logprob: float, index) -> FeatureBundle:
+    return FeatureBundle(
+        ngram_negative_logprob=ngram_feature(lm_logprob),
+        cooccurrence_bin=cooccurrence_bin(sentence, index),
+        artist_freq_bin=kb_frequency_bin(sentence, index, "artist"),
+        song_freq_bin=kb_frequency_bin(sentence, index, "song"),
+        cross_npmi_bin=npmi_bin(sentence, index, "cross"),
+        intra_npmi_bin=npmi_bin(sentence, index, "intra"),
+    )
+
+
+def reference_bins(sentences, index) -> np.ndarray:
+    """(n, 5) bins of ``sentences`` in ``BIN_FIELDS`` order, one sentence at a time."""
+    rows = []
+    for s in sentences:
+        bundle = extract_features(s, 0.0, index)
+        rows.append([getattr(bundle, name) for name, _ in BIN_FIELDS])
+    return np.array(rows, dtype=np.intp).reshape(-1, len(BIN_FIELDS))

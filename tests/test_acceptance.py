@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import event_distribution, exhaustive_wer, finite_difference_check, lm_hidden_states
+from oracles import (
+    event_distribution,
+    exhaustive_wer,
+    finite_difference_check,
+    lm_hidden_states,
+    reference_bins,
+)
 
 import kbrerank
 from kbrerank import synth
@@ -34,7 +40,7 @@ from kbrerank.corpus import (
     corpus_from_lines,
 )
 from kbrerank.evaluation import RerankModels, oracle_wer, score_split, wer
-from kbrerank.features import FeatureBundle, cooccurrence_total, extract_features, npmi_bin
+from kbrerank.features import FeatureBundle, feature_bins, max_span_pairs
 from kbrerank.kb import KBEntry, build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
 from kbrerank.neural import (
@@ -209,28 +215,38 @@ def test_c4_feature_bounds_and_oracles(feature_world, capsys):
                 total += index.pair_counts.get((p, q), 0) + index.pair_counts.get((q, p), 0)
         return total
 
-    for k in range(1000):
+    sents = []
+    for _ in range(1000):
         length = rng.randint(1, 9)
-        sent = Sentence(tuple(rng.choice(words) for _ in range(length)))
-        bundle = extract_features(sent, -rng.random() * 25.0, index)
-        assert 0 <= bundle.cooccurrence_bin < 10
-        assert 0 <= bundle.artist_freq_bin < 100
-        assert 0 <= bundle.song_freq_bin < 100
-        assert 0 <= bundle.cross_npmi_bin < 100
-        assert 0 <= bundle.intra_npmi_bin < 100
-        assert bundle.ngram_negative_logprob >= 0.0
-        if length <= 8 and k % 5 == 0:
-            assert cooccurrence_total(sent, index) == brute_cooccurrence(sent)
-            assert (bundle.cooccurrence_bin == 0) == (brute_cooccurrence(sent) == 0)
+        sents.append(Sentence(tuple(rng.choice(words) for _ in range(length))))
+        rng.random()  # the sentence's n-gram score, drawn to keep the stream
+    bins = feature_bins([s.tokens for s in sents], index)
+    np.testing.assert_array_equal(bins, reference_bins(sents, index))
+    assert 0 <= bins[:, 0].min() and bins[:, 0].max() < 10
+    assert 0 <= bins[:, 1:].min() and bins[:, 1:].max() < 100
+    for k, sent in enumerate(sents):
+        if len(sent) <= 8 and k % 5 == 0:
+            total = brute_cooccurrence(sent)
+            expected = 0
+            if total:
+                ratio = math.log1p(total) / math.log1p(
+                    index.max_cooccurrence * max_span_pairs(len(sent))
+                )
+                expected = min(9, max(1, int(10 * ratio)))
+            assert bins[k, 0] == expected
+
+    def cross_bin(tokens, kb_index):
+        return int(feature_bins([tokens], kb_index)[0, 3])
 
     perfect = build_index([KBEntry(("a",), ("b",), 1.0)])
-    assert npmi_bin(Sentence(("a", "b")), perfect, "cross") == 99
+    assert cross_bin(("a", "b"), perfect) == 99
     independent = build_index([KBEntry(("a",), ("b",), 1.0), KBEntry(("a",), ("c",), 1.0)])
-    assert npmi_bin(Sentence(("a", "b")), independent, "cross") == 50
-    assert npmi_bin(Sentence(("x", "y")), perfect, "cross") == 0
+    assert cross_bin(("a", "b"), independent) == 50
+    assert cross_bin(("x", "y"), perfect) == 0
     with capsys.disabled():
-        print("\nACCEPTANCE 4 PASS - 1000 random feature bundles in range, "
-              "co-occurrence matches brute force, NPMI corners hit bins 0/50/99")
+        print("\nACCEPTANCE 4 PASS - 1000 random sentences' kernel bins in range and equal "
+              "to the per-sentence reference, co-occurrence matches brute force, NPMI "
+              "corners hit bins 0/50/99")
 
 
 def test_c5_negative_sampling_contract(feature_world, capsys):

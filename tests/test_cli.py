@@ -1,11 +1,13 @@
 import importlib.util
 import json
+import math
 import shutil
 from pathlib import Path
 
 import pytest
 
-from kbrerank import neural, trainer
+from kbrerank import features, neural, trainer
+from kbrerank.artifacts import atomic_text_writer
 from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
 
 
@@ -197,6 +199,17 @@ class TestCliErrors:
         assert code == 1
         assert "references required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("marker", ["</s>", "<s>"])
+    def test_build_vocab_refuses_sentence_markers(self, tmp_path, capsys, marker):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"a {marker} b\n", encoding="utf-8")
+        code = main(
+            ["build-vocab", "--out-dir", str(tmp_path / "run"), "--set", f"corpus_path={corpus}"]
+        )
+        assert code == 1
+        assert f"corpus token {marker!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "vocab.tsv").exists()
+
     def test_gen_negatives_fails_on_bad_sampler_config(self, tmp_path, capsys):
         # only "no confusable position" drops a sentence; any other sampler
         # error fails the stage instead of silently dropping every sentence
@@ -210,6 +223,25 @@ class TestCliErrors:
         assert code == 1
         assert "need 1 <= keep_k <= n_samples" in capsys.readouterr().err
         assert not (tmp_path / "negatives.jsonl").exists()
+
+
+class TestAtomicTextWriter:
+    def test_replaces_on_success(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        with atomic_text_writer(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_failure_midway_leaves_nothing(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(RuntimeError):
+            with atomic_text_writer(path) as fh:
+                fh.write("partial\n")
+                raise RuntimeError("stop")
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +358,51 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "features.jsonl" in err and f"sentence_id {sid} " in err
         assert "at least one negative" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ngram_negative_logprob", math.nan, "must be a finite number"),
+            ("ngram_negative_logprob", math.inf, "must be a finite number"),
+            ("artist_freq_bin", 1.5, "artist_freq_bin must be an integer"),
+            ("cross_npmi_bin", True, "cross_npmi_bin must be an integer"),
+        ],
+    )
+    def test_bad_feature_values_rejected(
+        self, pipeline_dir, tmp_path, capsys, field, value, message
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        lines = (run / "features.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        rec[field] = value
+        lines[1] = json.dumps(rec) + "\n"
+        (run / "features.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        code = main(["train-reranker", "--out-dir", str(run), "--seed", "5", *MINI_SETS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"features.jsonl: sentence_id {rec['sentence_id']}: " in err
+        assert message in err
+
+    def test_failed_extract_features_leaves_no_file(
+        self, pipeline_dir, tmp_path, capsys, monkeypatch
+    ):
+        # C9 compares every file of the output directory, so a failed stage
+        # must leave neither a partial features.jsonl nor its temporary file
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        (run / "features.jsonl").unlink()
+        before = sorted(p.name for p in run.iterdir())
+
+        def failing_kernel(sequences, index):
+            raise ValueError("kernel failed midway")
+
+        monkeypatch.setattr(features, "feature_bins", failing_kernel)
+        code = main(["extract-features", "--out-dir", str(run), "--seed", "5", *MINI_SETS])
+        assert code == 1
+        assert "kernel failed midway" in capsys.readouterr().err
+        assert sorted(p.name for p in run.iterdir()) == before
 
     @pytest.mark.parametrize(
         "command, scorer, weights, unused",

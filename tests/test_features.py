@@ -2,28 +2,40 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from oracles import cooccurrence_total, ngram_feature, npmi, npmi_bin, reference_bins
 
 from kbrerank.corpus import Sentence
 from kbrerank.features import (
+    BIN_FIELDS,
     COOC_BINS,
     FREQ_BINS,
     NPMI_BINS,
     FeatureBundle,
-    cooccurrence_bin,
-    cooccurrence_total,
-    extract_features,
-    kb_frequency_bin,
+    feature_bins,
     max_span_pairs,
-    ngram_feature,
-    npmi,
-    npmi_bin,
 )
 from kbrerank.kb import KBEntry, build_index
+
+CO, ARTIST, SONG, CROSS, INTRA = range(len(BIN_FIELDS))
 
 
 def entry(artist, song, freq=1.0):
     return KBEntry(tuple(artist.split()), tuple(song.split()), freq)
+
+
+def bins_of(sentence, index) -> list:
+    """The kernel's five bins of one sentence."""
+    return feature_bins([sentence.tokens], index)[0].tolist()
+
+
+def cooccurrence_bin_of(total: int, length: int, index) -> int:
+    """The co-occurrence bin of a summed count, by its definition."""
+    if total == 0:
+        return 0
+    ratio = math.log1p(total) / math.log1p(index.max_cooccurrence * max_span_pairs(length))
+    return min(COOC_BINS - 1, max(1, int(COOC_BINS * ratio)))
 
 
 class TestNgramFeature:
@@ -66,7 +78,7 @@ class TestCooccurrence:
         )
 
     def test_no_kb_phrase_gives_zero(self):
-        assert cooccurrence_bin(Sentence(("hello", "there")), self.kb()) == 0
+        assert bins_of(Sentence(("hello", "there")), self.kb())[CO] == 0
 
     def test_match_gives_positive_bin(self):
         sent = Sentence(("play", "carrie", "and", "lowell", "live", "by", "sufjan", "stevens"))
@@ -78,23 +90,27 @@ class TestCooccurrence:
             COOC_BINS - 1,
             max(1, int(COOC_BINS * math.log1p(total) / math.log1p(index.max_cooccurrence * max_span_pairs(8)))),
         )
-        assert cooccurrence_bin(sent, index) == expected
+        assert bins_of(sent, index)[CO] == expected
 
     def test_totals_match_brute_force_on_random_sentences(self):
         rng = random.Random(13)
         words = ["sufjan", "stevens", "carrie", "chicago", "and", "lowell", "live", "play"]
         index = self.kb()
-        for _ in range(150):
-            l = rng.randint(1, 8)
-            sent = Sentence(tuple(rng.choice(words) for _ in range(l)))
-            assert cooccurrence_total(sent, index) == brute_force_cooccurrence(sent, index)
+        sents = [
+            Sentence(tuple(rng.choice(words) for _ in range(rng.randint(1, 8)))) for _ in range(150)
+        ]
+        kernel = feature_bins([s.tokens for s in sents], index)[:, CO]
+        for sent, got in zip(sents, kernel.tolist()):
+            brute = brute_force_cooccurrence(sent, index)
+            assert cooccurrence_total(sent, index) == brute
+            assert got == cooccurrence_bin_of(brute, len(sent), index)
 
     def test_monotone_in_duplicate_entries(self):
         sent = Sentence(("a", "b"))
         bins = []
         for copies in (1, 10, 100):
             index = build_index([entry("a", "b")] * copies)
-            bins.append(cooccurrence_bin(sent, index))
+            bins.append(bins_of(sent, index)[CO])
         assert bins == sorted(bins)
         assert bins[0] >= 1
 
@@ -111,28 +127,28 @@ class TestCooccurrence:
 class TestFrequencyBin:
     def test_zero_sum(self):
         index = build_index([entry("a", "b", 5.0)])
-        assert kb_frequency_bin(Sentence(("zz",)), index, "artist") == 0
+        assert bins_of(Sentence(("zz",)), index)[ARTIST] == 0
 
     def test_known_sums(self):
         # S=1 -> floor(50*log(2)) = 34; S=10 -> floor(50*log(11)) capped at 99
         index = build_index([entry("a", "b", 1.0)])
-        assert kb_frequency_bin(Sentence(("a",)), index, "artist") == 34
+        assert bins_of(Sentence(("a",)), index)[ARTIST] == 34
         index = build_index([entry("a", "b", 10.0)])
-        assert kb_frequency_bin(Sentence(("a",)), index, "artist") == 99
+        assert bins_of(Sentence(("a",)), index)[ARTIST] == 99
 
     def test_formula_legs(self):
         # summed frequency chosen so log1p(S) lands at the target f values:
         # f=2.5 caps at 99, f~1.31 floors to 65
         index = build_index([entry("a", "b", math.expm1(2.5))])
-        assert kb_frequency_bin(Sentence(("a",)), index, "artist") == 99
+        assert bins_of(Sentence(("a",)), index)[ARTIST] == 99
         index = build_index([entry("a", "b", math.expm1(1.31))])
-        assert kb_frequency_bin(Sentence(("a",)), index, "artist") == 65
+        assert bins_of(Sentence(("a",)), index)[ARTIST] == 65
 
     def test_monotone_in_frequency(self):
         last = -1
         for freq in (0.0, 0.5, 1.0, 3.0, 10.0, 100.0):
             index = build_index([entry("a", "b", freq)])
-            value = kb_frequency_bin(Sentence(("a",)), index, "artist")
+            value = bins_of(Sentence(("a",)), index)[ARTIST]
             assert value >= last
             last = value
 
@@ -140,27 +156,27 @@ class TestFrequencyBin:
         index = build_index([entry("a b", "c", 2.0), entry("b", "c", 3.0)])
         # spans of "a b": a, b, "a b" -> artist hits "a b" (2.0) and "b" (3.0)
         expected = int(min(50 * math.log1p(5.0), 99))
-        assert kb_frequency_bin(Sentence(("a", "b")), index, "artist") == expected
+        assert bins_of(Sentence(("a", "b")), index)[ARTIST] == expected
 
 
 class TestNpmi:
     def test_perfect_association_bin_99(self):
         index = build_index([entry("a", "b")])
         assert npmi(index.cross, "a", "b") == 1.0
-        assert npmi_bin(Sentence(("a", "b")), index, "cross") == NPMI_BINS - 1
+        assert bins_of(Sentence(("a", "b")), index)[CROSS] == NPMI_BINS - 1
 
     def test_independent_pair_bin_50(self):
         index = build_index([entry("a", "b"), entry("a", "c")])
         assert math.isclose(npmi(index.cross, "a", "b"), 0.0, abs_tol=1e-12)
-        assert npmi_bin(Sentence(("a", "b")), index, "cross") == 50
+        assert bins_of(Sentence(("a", "b")), index)[CROSS] == 50
 
     def test_all_unseen_bin_0(self):
         index = build_index([entry("a", "b")])
-        assert npmi_bin(Sentence(("x", "y", "z")), index, "cross") == 0
+        assert bins_of(Sentence(("x", "y", "z")), index)[CROSS] == 0
 
     def test_short_sentence_neutral(self):
         index = build_index([entry("a", "b")])
-        assert npmi_bin(Sentence(("a",)), index, "cross") == 50
+        assert bins_of(Sentence(("a",)), index)[CROSS] == 50
 
     def test_symmetry(self):
         index = build_index(
@@ -181,24 +197,18 @@ class TestNpmi:
 class TestExtractFeatures:
     def test_disjoint_kb_composition(self):
         index = build_index([entry("qq", "rr", 3.0)])
-        bundle = extract_features(Sentence(("hello", "world")), -2.5, index)
-        assert bundle.ngram_negative_logprob == 2.5
-        assert bundle.cooccurrence_bin == 0
-        assert bundle.artist_freq_bin == 0
-        assert bundle.song_freq_bin == 0
-        assert bundle.cross_npmi_bin == 0
-        assert bundle.intra_npmi_bin == 0
+        assert bins_of(Sentence(("hello", "world")), index) == [0, 0, 0, 0, 0]
 
     def test_single_token_sentence_neutral_npmi(self):
         index = build_index([entry("qq", "rr")])
-        bundle = extract_features(Sentence(("hello",)), -1.0, index)
-        assert bundle.cross_npmi_bin == 50
-        assert bundle.intra_npmi_bin == 50
+        row = bins_of(Sentence(("hello",)), index)
+        assert row[CROSS] == 50
+        assert row[INTRA] == 50
 
     def test_deterministic(self):
         index = build_index([entry("a b", "c"), entry("a", "d")])
         sent = Sentence(("a", "b", "c", "d"))
-        assert extract_features(sent, -3.0, index) == extract_features(sent, -3.0, index)
+        assert bins_of(sent, index) == bins_of(sent, index)
 
     def test_ranges_on_random_inputs(self):
         rng = random.Random(99)
@@ -211,20 +221,124 @@ class TestExtractFeatures:
                 entry("a b", "c", 1.0),
             ]
         )
-        for _ in range(1000):
-            l = rng.randint(1, 9)
-            sent = Sentence(tuple(rng.choice(words) for _ in range(l)))
-            bundle = extract_features(sent, -rng.random() * 30.0, index)
-            assert 0 <= bundle.cooccurrence_bin < COOC_BINS
-            assert 0 <= bundle.artist_freq_bin < FREQ_BINS
-            assert 0 <= bundle.song_freq_bin < FREQ_BINS
-            assert 0 <= bundle.cross_npmi_bin < NPMI_BINS
-            assert 0 <= bundle.intra_npmi_bin < NPMI_BINS
-            assert bundle.ngram_negative_logprob >= 0
-            assert (bundle.cooccurrence_bin == 0) == (cooccurrence_total(sent, index) == 0)
+        sents = [
+            Sentence(tuple(rng.choice(words) for _ in range(rng.randint(1, 9)))) for _ in range(1000)
+        ]
+        bins = feature_bins([s.tokens for s in sents], index)
+        assert bins.shape == (1000, len(BIN_FIELDS))
+        for k, (_, count) in enumerate(BIN_FIELDS):
+            assert 0 <= bins[:, k].min() and bins[:, k].max() < count
+        for sent, co in zip(sents, bins[:, CO].tolist()):
+            assert (co == 0) == (cooccurrence_total(sent, index) == 0)
 
     def test_bundle_validates_ranges(self):
         with pytest.raises(ValueError):
             FeatureBundle(1.0, COOC_BINS, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             FeatureBundle(-1.0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "score, bin_value, message",
+        [
+            (math.nan, 0, "ngram_negative_logprob must be a finite number"),
+            (math.inf, 0, "ngram_negative_logprob must be a finite number"),
+            (True, 0, "ngram_negative_logprob must be a finite number"),
+            ("1.0", 0, "ngram_negative_logprob must be a finite number"),
+            (1.0, 1.5, "cooccurrence_bin must be an integer"),
+            (1.0, True, "cooccurrence_bin must be an integer"),
+            (1.0, 1.0, "cooccurrence_bin must be an integer"),
+        ],
+    )
+    def test_bundle_rejects_bad_values(self, score, bin_value, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureBundle(score, bin_value, 0, 0, 0, 0)
+
+    def test_bundle_accepts_numpy_scalars(self):
+        bundle = FeatureBundle(np.float64(2.5), np.int64(3), 0, 0, 0, 0)
+        assert bundle.cooccurrence_bin == 3
+
+
+# a KB whose phrases nest, overlap, share words, repeat words, recur in both
+# fields, prefix one another, and run longer than any test sentence
+EDGE_KB = [
+    entry("a b", "c d e", 2.0),
+    entry("a", "b c", 1.0),
+    entry("a b c", "d", 0.5),
+    entry("c d", "a b", 3.0),
+    entry("e", "e", 1.0),
+    entry("b", "b b", 4.0),
+    entry("a b", "c d e", 0.25),
+    entry("x y z w v u t s r q p o n", "m", 7.0),
+]
+EDGE_WORDS = ("a", "b", "c", "d", "e", "m", "x", "y", "z", "zz", "qq")
+
+
+class TestFeatureKernel:
+    """The kernel's bins equal the per-sentence reference (tests/oracles.py)
+    bit for bit."""
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            ("a",),
+            ("zz",),
+            ("e",),
+            ("zz", "zz", "a", "a", "qq"),
+            ("b", "b", "b", "b"),
+            ("e", "e"),
+            ("a", "b", "c", "d", "e"),
+            ("c", "d", "a", "b", "c", "d", "e"),
+            ("a", "b", "c", "a", "b"),
+            ("x", "y", "z", "w"),
+            ("x", "y", "z", "w", "v", "u", "t", "s", "r", "q", "p", "o"),
+            ("m", "x", "y", "zz", "a", "b"),
+        ],
+    )
+    def test_edge_case_matches_reference(self, tokens):
+        index = build_index(EDGE_KB)
+        sent = Sentence(tokens)
+        assert bins_of(sent, index) == reference_bins([sent], index)[0].tolist()
+
+    def test_edge_cases_reach_every_feature(self):
+        index = build_index(EDGE_KB)
+        row = bins_of(Sentence(("c", "d", "a", "b", "c", "d", "e")), index)
+        assert row[CO] > 0 and row[ARTIST] > 0 and row[SONG] > 0
+        assert bins_of(Sentence(("zz", "qq")), index) == [0, 0, 0, 0, 0]
+
+    def mixed_batch(self, seed=5, n=400):
+        rng = random.Random(seed)
+        return [
+            Sentence(tuple(rng.choice(EDGE_WORDS) for _ in range(rng.randint(1, 12))))
+            for _ in range(n)
+        ]
+
+    def test_mixed_lengths_match_reference(self):
+        index = build_index(EDGE_KB)
+        sents = self.mixed_batch()
+        assert {len(s) for s in sents} == set(range(1, 13))
+        kernel = feature_bins([s.tokens for s in sents], index)
+        np.testing.assert_array_equal(kernel, reference_bins(sents, index))
+        assert (kernel[:, CO] > 0).any()
+
+    def test_row_does_not_depend_on_batch(self):
+        index = build_index(EDGE_KB)
+        sents = self.mixed_batch(seed=6, n=60)
+        tokens = [s.tokens for s in sents]
+        batch = feature_bins(tokens, index)
+        alone = np.concatenate([feature_bins([t], index) for t in tokens])
+        np.testing.assert_array_equal(batch, alone)
+        np.testing.assert_array_equal(feature_bins(tokens[::-1], index), batch[::-1])
+
+    def test_empty_batch(self):
+        index = build_index(EDGE_KB)
+        assert feature_bins([], index).shape == (0, len(BIN_FIELDS))
+        # no spans, no word pairs: the bins of zero sums and the neutral NPMI
+        assert feature_bins([()], index).tolist() == [[0, 0, 0, 50, 50]]
+
+    def test_tables_built_once_per_index(self):
+        index = build_index(EDGE_KB)
+        feature_bins([("a", "b")], index)
+        tables = index.tables
+        feature_bins([("c",)], index)
+        assert index.tables is tables
+        assert build_index(EDGE_KB).tables is not tables

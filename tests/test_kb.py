@@ -1,13 +1,13 @@
 import math
 
 import pytest
+from oracles import cooccurrence, joint, phrase_frequency, support_pairs
 
 from kbrerank.kb import (
     KBEntry,
     build_index,
     load_kb,
     parse_kb_line,
-    phrase_frequency,
     save_index,
     load_index,
 )
@@ -35,6 +35,12 @@ class TestLoading:
         with pytest.raises(ValueError, match="negative frequency"):
             parse_kb_line("a\tb\t-1", 1)
 
+    def test_nan_frequency(self):
+        with pytest.raises(ValueError, match="bad frequency"):
+            parse_kb_line("a\tb\tnan", 1)
+        with pytest.raises(ValueError, match="frequency must be >= 0"):
+            KBEntry(("a",), ("b",), math.nan)
+
     def test_load_lowercases_and_keeps_order(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("Sufjan Stevens\tChicago\t3\na\tb\t1\n", encoding="utf-8")
@@ -46,18 +52,18 @@ class TestLoading:
 class TestIndex:
     def test_single_entry_counts(self):
         index = build_index([entry("a", "b")])
-        assert index.cooccurrence(("a",), ("b",)) == 1
+        assert cooccurrence(index, ("a",), ("b",)) == 1
         assert index.max_cooccurrence == 1
         # sole support pair holds all the probability mass
-        assert index.cross.joint("a", "b") == 1.0
+        assert joint(index.cross, "a", "b") == 1.0
 
     def test_duplicate_entries_count_twice(self):
         index = build_index([entry("a", "b"), entry("a", "b")])
-        assert index.cooccurrence(("a",), ("b",)) == 2
+        assert cooccurrence(index, ("a",), ("b",)) == 2
 
     def test_cooccurrence_symmetric_helper(self):
         index = build_index([entry("x", "y"), entry("y", "x")])
-        assert index.cooccurrence(("x",), ("y",)) == 2
+        assert cooccurrence(index, ("x",), ("y",)) == 2
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -79,7 +85,7 @@ class TestIndex:
                 if (e.artist == first and e.song == second)
                 or (e.artist == second and e.song == first)
             )
-            assert index.cooccurrence(first, second) == expected
+            assert cooccurrence(index, first, second) == expected
 
     def test_marginals_consistent_with_joints(self):
         entries = [
@@ -93,12 +99,12 @@ class TestIndex:
         for table in (index.cross, index.intra):
             words = table.left_vocab | table.right_vocab
             # joint table is a distribution over its support
-            total = sum(table.joint(a, b) for a, b in table.support_pairs())
+            total = sum(joint(table, a, b) for a, b in support_pairs(table))
             assert math.isclose(total, 1.0, abs_tol=1e-9)
             for w in words:
                 brute = 0.0
                 for other in words:
-                    j = table.joint(w, other)
+                    j = joint(table, w, other)
                     if j is not None:
                         brute += j
                 assert math.isclose(brute, table.marginal(w), abs_tol=1e-9)
@@ -109,7 +115,15 @@ class TestIndex:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.pair_counts == index.pair_counts
-        assert loaded.cross.joint("a", "c") == index.cross.joint("a", "c")
+        assert joint(loaded.cross, "a", "c") == joint(index.cross, "a", "c")
+
+    def test_feature_tables_not_saved(self, tmp_path):
+        index = build_index([entry("a b", "c"), entry("a", "d e")])
+        save_index(index, tmp_path / "plain.bin")
+        assert index.tables.n_words == 5
+        save_index(index, tmp_path / "with_tables.bin")
+        assert (tmp_path / "plain.bin").read_bytes() == (tmp_path / "with_tables.bin").read_bytes()
+        assert "tables" not in vars(load_index(tmp_path / "with_tables.bin"))
 
 
 class TestPhraseFrequency:

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from oracles import (
+    extract_features,
     finite_difference_check,
     lm_hidden_states,
     lm_logprob,
@@ -22,7 +23,6 @@ from kbrerank import evaluation, neural, synth, trainer
 from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
 from kbrerank.evaluation import NBestList, RerankModels, wer
-from kbrerank.features import extract_features
 from kbrerank.kb import build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
 from kbrerank.neural import (
@@ -34,6 +34,7 @@ from kbrerank.neural import (
     pad_ids,
     reranker_inputs,
     score_batch,
+    stack_bundles,
 )
 from kbrerank.ngram import score_sentence, train_jackknife
 from kbrerank.trainer import (
@@ -75,7 +76,7 @@ def mini_world():
             for neg, lp in zip(negset.negatives, negset.lm_logprobs)
         )
         candidates = [sent.tokens, *(neg.tokens for neg in negset.negatives)]
-        instances.append(reranker_inputs(candidates, bundles, vocab))
+        instances.append(reranker_inputs(candidates, *stack_bundles(bundles), vocab))
     prepared = prepare_heldout(world.heldout, vocab, index, full)
     dims = RerankerDims(vocab_size=vocab.size, word_dim=12, lstm_dim=12, hidden_dim=16)
     return {
@@ -368,7 +369,7 @@ class TestChunkedScoring:
         scores, valid = evaluation.score_hypotheses(dataset, "reranker", models)
         for u, nbest in enumerate(dataset):
             lm_logprobs = [score_sentence(full, h) for h, _ in nbest.hypotheses]
-            x = evaluation.nbest_inputs(nbest, vocab, index, lm_logprobs)
+            x = evaluation.dataset_inputs([nbest], vocab, index, lm_logprobs)[0]
             own, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
             np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
 
