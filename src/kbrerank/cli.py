@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import evaluation, features, kb, negsampler, ngram, synth, trainer
-from .artifacts import ArtifactError, atomic_text_writer, check_vocab_hash
+from .artifacts import ArtifactError, atomic_text_writer, check_vocab_hash, read_jsonl
 from .corpus import (
     Corpus,
     FoldAssignment,
@@ -285,7 +285,8 @@ def cmd_train_ngram(cfg: PipelineConfig, args) -> int:
     corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
     vocab = _load_vocab_checked(paths)
     folds = assign_folds(corpus, cfg.n_folds, cfg.seed)
-    paths.folds.write_text(json.dumps({"k": folds.k, "fold_of": list(folds.fold_of)}))
+    with atomic_text_writer(paths.folds) as fh:
+        fh.write(json.dumps({"k": folds.k, "fold_of": list(folds.fold_of)}))
     full, fold_models = ngram.train_jackknife(corpus, vocab, cfg.ngram_order, folds)
     ngram.save_model(full, paths.ngram_full)
     for fold, model in enumerate(fold_models):
@@ -363,12 +364,11 @@ def load_feature_instances(path, vocab) -> list:
     row's features must pass ``features.FeatureBundle``.
     """
     groups: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            groups.setdefault(rec.pop("sentence_id"), []).append(rec)
+    for lineno, rec in read_jsonl(path):
+        for key in ("sentence_id", "hypothesis_id"):
+            if type(rec.get(key)) is not int:
+                raise ValueError(f"{path}:{lineno}: {key} must be an int, got {rec.get(key)!r}")
+        groups.setdefault(rec.pop("sentence_id"), []).append(rec)
     instances = []
     for sid in sorted(groups):
         rows = sorted(groups[sid], key=lambda r: r["hypothesis_id"])
@@ -378,10 +378,10 @@ def load_feature_instances(path, vocab) -> list:
                 f"{path}: sentence_id {sid} has hypothesis ids {hyp_ids}, expected "
                 "0..n-1: the source sentence and at least one negative"
             )
-        tokens = [r.pop("tokens") for r in rows]
         try:
+            tokens = [r.pop("tokens") for r in rows]
             bundles = [features.FeatureBundle(**r) for r in rows]
-        except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
+        except (KeyError, TypeError, ValueError) as exc:  # a missing, unknown or bad field
             raise ValueError(f"{path}: sentence_id {sid}: {exc}") from exc
         instances.append(reranker_inputs(tokens, *stack_bundles(bundles), vocab))
     return instances
@@ -445,27 +445,33 @@ def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
     return 0
 
 
+def _load_trained(cls, path: Path, hint: str, vocab):
+    params, vocab_hash = cls.load(_require_file(path, hint))
+    check_vocab_hash(vocab_hash, vocab.content_hash(), str(path))
+    return params
+
+
 def _load_models(paths: Paths, components) -> evaluation.RerankModels:
-    """Load the models that scoring the given components needs."""
+    """Load the models that scoring the given components needs
+    (``evaluation.MODELS_NEEDED``)."""
     models = evaluation.RerankModels()
-    if not components:
+    needed = {name for c in components for name in evaluation.MODELS_NEEDED[c]}
+    if not needed:
         return models
-    vocab = _load_vocab_checked(paths)
-    models.vocab = vocab
-    if "ngram" in components or "reranker" in components:
+    vocab = _load_vocab_checked(paths)  # every model is checked against it
+    if "vocab" in needed:
+        models.vocab = vocab
+    if "ngram" in needed:
         models.ngram = _load_ngram_checked(paths.ngram_full, vocab)
-    if "lstm" in components:
-        lstm, lstm_hash = trainer.LstmLmParams.load(
-            _require_file(paths.lstm, "run train-lstm-lm first")
+    if "lstm" in needed:
+        models.lstm = _load_trained(
+            trainer.LstmLmParams, paths.lstm, "run train-lstm-lm first", vocab
         )
-        check_vocab_hash(lstm_hash, vocab.content_hash(), str(paths.lstm))
-        models.lstm = lstm
-    if "reranker" in components:
-        reranker, rr_hash = RerankerParams.load(
-            _require_file(paths.reranker, "run train-reranker first")
+    if "reranker" in needed:
+        models.reranker = _load_trained(
+            RerankerParams, paths.reranker, "run train-reranker first", vocab
         )
-        check_vocab_hash(rr_hash, vocab.content_hash(), str(paths.reranker))
-        models.reranker = reranker
+    if "kb_index" in needed:
         models.kb_index = kb.load_index(_require_file(paths.kb_index, "kb index"))
     return models
 
@@ -488,7 +494,7 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
     weights = _parse_weights(args.weights)
     choices = evaluation.rerank(dataset, args.scorer, weights, models).tolist()
     out_path = paths.out / f"selections_{args.scorer.replace('+', '_')}.jsonl"
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(out_path) as fh:
         for nbest, chosen in zip(dataset, choices):
             fh.write(
                 json.dumps(
@@ -534,7 +540,8 @@ def run_table_evaluation(cfg: PipelineConfig, heldout_path, test_path):
     rows.append(("oracle", {split: evaluation.oracle_wer(ss) for split, ss in scored.items()}))
     table = evaluation.summary_table(rows)
     weight_lines = "\n".join(f"# {s}: weights {json.dumps(tuned[s])}" for s in tuned)
-    paths.summary.write_text(table + "\n" + weight_lines + "\n", encoding="utf-8")
+    with atomic_text_writer(paths.summary) as fh:
+        fh.write(table + "\n" + weight_lines + "\n")
     return rows, table
 
 

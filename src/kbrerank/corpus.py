@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_text_writer
+
 UNK = "<unk>"
 # the n-gram model's sentence markers (``ngram.export_arpa`` writes them); a
 # corpus may not use them as words
@@ -83,7 +85,7 @@ def load_corpus(path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         for sent in corpus:
             fh.write(sent.text() + "\n")
 
@@ -147,7 +149,8 @@ def build_vocabulary(corpus: Corpus, min_count: int = 1) -> Vocabulary:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    Path(path).write_text("\n".join(vocab.to_lines()) + "\n", encoding="utf-8")
+    with atomic_text_writer(path) as fh:
+        fh.write("\n".join(vocab.to_lines()) + "\n")
 
 
 def load_vocabulary(path) -> Vocabulary:

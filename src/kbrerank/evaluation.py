@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_text_writer, read_jsonl
 from .corpus import Sentence, Vocabulary
 from .features import feature_bins
 from .kb import KBIndex
-from .neural import RerankerParams, bin_columns, reranker_inputs, score_lists
+from .neural import RerankerParams, reranker_inputs, score_lists
 from .ngram import NGramModel, score_sentences
 
 # the components each scorer interpolates with the first pass, in the order
@@ -28,7 +29,7 @@ SCORERS = tuple(SCORER_COMPONENTS)
 # adds them; the order fixes the totals' rounding
 COMPONENTS = ("ngram", "lstm", "reranker")
 # the loaded models each component reads
-_MODELS_NEEDED = {
+MODELS_NEEDED = {
     "ngram": ("ngram",),
     "lstm": ("lstm",),
     "reranker": ("reranker", "ngram", "kb_index", "vocab"),
@@ -156,9 +157,7 @@ def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBIndex, lm_logprobs) -
     inputs, row = [], 0
     for nbest in dataset:
         end = row + len(nbest.hypotheses)
-        inputs.append(
-            reranker_inputs(hyps[row:end], bin_columns(bins[row:end]), feats[row:end], vocab)
-        )
+        inputs.append(reranker_inputs(hyps[row:end], bins[row:end], feats[row:end], vocab))
         row = end
     return inputs
 
@@ -216,7 +215,7 @@ def score_hypotheses(dataset, components, models: RerankModels) -> tuple[dict, n
     hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
     flat = {"first_pass": [fp for nbest in dataset for _, fp in nbest.hypotheses]}
     for name in names:
-        _require(models, name, *_MODELS_NEEDED[name])
+        _require(models, name, *MODELS_NEEDED[name])
     # the ngram component and the reranker's n-gram feature share one scoring
     if "ngram" in names or "reranker" in names:
         lm_logprobs = score_ngram(dataset, models)
@@ -240,15 +239,6 @@ def rerank(dataset, scorer: str, weights: dict, models: RerankModels) -> np.ndar
     return _choose(valid, scores, weights)
 
 
-def hypothesis_errors(nbest: NBestList) -> tuple[np.ndarray, int]:
-    """(hypotheses, 3) substitution, deletion and insertion counts of every
-    hypothesis against the reference, and the reference length."""
-    if nbest.reference is None:
-        raise ValueError("references required")
-    counts = [wer(nbest.reference, h)[:3] for h, _ in nbest.hypotheses]
-    return np.array(counts, dtype=np.int64), len(nbest.reference)
-
-
 @dataclass
 class ScoredSplit:
     """Every hypothesis of a split with references, scored once per component.
@@ -270,20 +260,31 @@ class ScoredSplit:
 
 
 def score_split(dataset, components, models: RerankModels) -> ScoredSplit:
-    """Count each hypothesis's errors and score it once per requested
-    component (``score_hypotheses``)."""
-    counted = [hypothesis_errors(nbest) for nbest in dataset]
+    """Count each hypothesis's substitutions, deletions and insertions against
+    its reference and score it once per requested component
+    (``score_hypotheses``)."""
+    if any(nbest.reference is None for nbest in dataset):
+        raise ValueError("references required")
     scores, valid = score_hypotheses(dataset, components, models)
     errors = np.zeros(valid.shape + (3,), dtype=np.int64)
-    for u, (counts, _) in enumerate(counted):
-        errors[u, : len(counts)] = counts
-    ref_words = np.array([n for _, n in counted], dtype=np.int64)
+    for u, nbest in enumerate(dataset):
+        for k, (hyp, _) in enumerate(nbest.hypotheses):
+            errors[u, k] = wer(nbest.reference, hyp)[:3]
+    ref_words = np.array([len(nbest.reference) for nbest in dataset], dtype=np.int64)
     return ScoredSplit([n.utt_id for n in dataset], scores, errors, ref_words, valid)
 
 
 def _choose(valid: np.ndarray, comps: dict, weights: dict) -> np.ndarray:
     """Best hypothesis per utterance; ties keep first-pass order."""
     return np.argmax(np.where(valid, combine(comps, weights), -np.inf), axis=1)
+
+
+def decode_wer(scored: ScoredSplit, comps: dict, weights: dict) -> float:
+    """Corpus WER of ``scored`` when each utterance keeps its best hypothesis
+    under ``combine(comps, weights)`` (ties: first)."""
+    chosen = _choose(scored.valid, comps, weights)
+    errors = scored.errors[np.arange(len(chosen)), chosen]
+    return int(errors.sum()) / int(scored.ref_words.sum())
 
 
 def _report(scored: ScoredSplit, chosen: np.ndarray) -> WerReport:
@@ -317,42 +318,28 @@ def tune_weights(scored: ScoredSplit, scorer: str, grid) -> dict:
     names = SCORER_COMPONENTS[scorer]
     if not names:
         return {}
-    errors = scored.errors.sum(axis=2)
-    rows = np.arange(len(scored.utt_ids))
-    ref_words = int(scored.ref_words.sum())
-    best_weights = None
-    best_wer = None
-    for values in itertools.product(grid, repeat=len(names)):
-        weights = dict(zip(names, values))
-        w = int(errors[rows, _choose(scored.valid, comps, weights)].sum()) / ref_words
-        if best_wer is None or w < best_wer:
-            best_wer, best_weights = w, weights
-    return best_weights
+    # min keeps the first of equal minima, so ties keep grid order
+    sweep = (dict(zip(names, values)) for values in itertools.product(grid, repeat=len(names)))
+    return min(sweep, key=lambda weights: decode_wer(scored, comps, weights))
 
 
 def load_nbest(path) -> list[NBestList]:
     dataset = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            try:
-                reference = (
-                    Sentence(tuple(rec["reference"])) if rec.get("reference") else None
-                )
-                hyps = tuple(
-                    (Sentence(tuple(h["tokens"])), float(h["first_pass_score"]))
-                    for h in rec["hypotheses"]
-                )
-                dataset.append(NBestList(str(rec["id"]), reference, hyps))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"malformed n-best record at line {lineno}") from exc
+    for lineno, rec in read_jsonl(path):
+        try:
+            reference = Sentence(tuple(rec["reference"])) if rec.get("reference") else None
+            hyps = tuple(
+                (Sentence(tuple(h["tokens"])), float(h["first_pass_score"]))
+                for h in rec["hypotheses"]
+            )
+            dataset.append(NBestList(str(rec["id"]), reference, hyps))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed n-best record ({exc!r})") from exc
     return dataset
 
 
 def save_nbest(dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         for nbest in dataset:
             rec = {
                 "id": nbest.utt_id,
@@ -367,7 +354,7 @@ def save_nbest(dataset, path) -> None:
 
 
 def write_utterance_csv(report: WerReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         fh.write("utt_id,chosen,substitutions,deletions,insertions,ref_words,wer\n")
         for r in report.per_utterance:
             fh.write(

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import load_artifact, save_artifact
+from .artifacts import atomic_text_writer, load_artifact, save_artifact
 
 Phrase = tuple[str, ...]
 
@@ -62,7 +62,7 @@ def load_kb(path) -> list[KBEntry]:
 
 
 def save_kb(entries, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         for e in entries:
             fh.write(f"{' '.join(e.artist)}\t{' '.join(e.song)}\t{e.frequency!r}\n")
 

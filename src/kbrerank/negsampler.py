@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ngram
-from .artifacts import check_vocab_hash
+from .artifacts import atomic_text_writer, check_vocab_hash, read_jsonl
 from .corpus import UNK, Corpus, FoldAssignment, Sentence, Vocabulary
 from .ngram import NGramModel
 
@@ -336,7 +336,7 @@ def filter_corpus_by_negative_quality(corpus: Corpus, negsets, top_m: int) -> li
 
 def save_negative_sets(negsets, path) -> None:
     """JSON-lines dump; sentences without a set are skipped."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         for source_id, ns in enumerate(negsets):
             if ns is None:
                 continue
@@ -357,14 +357,21 @@ def save_negative_sets(negsets, path) -> None:
 
 
 def load_negative_sets(path, corpus: Corpus) -> list:
-    """Rebuild per-sentence sets aligned with the corpus (None where absent)."""
+    """Rebuild per-sentence sets aligned with the corpus (None where absent).
+
+    Each record's ``source_id`` must be an int in [0, len(corpus)) that no
+    other record names.
+    """
     negsets: list = [None] * len(corpus)
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            sid = rec["source_id"]
+    for lineno, rec in read_jsonl(path):
+        sid = rec.get("source_id")
+        if type(sid) is not int or not 0 <= sid < len(corpus):
+            raise ValueError(
+                f"{path}:{lineno}: source_id must be an int in [0, {len(corpus)}), got {sid!r}"
+            )
+        if negsets[sid] is not None:
+            raise ValueError(f"{path}:{lineno}: duplicate source_id {sid}")
+        try:
             negsets[sid] = NegativeSet(
                 source=corpus[sid],
                 negatives=tuple(Sentence(tuple(n["tokens"])) for n in rec["negatives"]),
@@ -373,4 +380,6 @@ def load_negative_sets(path, corpus: Corpus) -> list:
                     tuple(n["substituted_positions"]) for n in rec["negatives"]
                 ),
             )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed negative set ({exc!r})") from exc
     return negsets

@@ -25,22 +25,21 @@ from .features import BIN_FIELDS
 class _Bin(NamedTuple):
     field: str  # FeatureBundle field
     count: int  # number of bins
-    key: str  # key in a batch's ``bins`` dict
     emb: str  # embedding tensor
     width: str  # RerankerDims field giving the embedding width
 
 
-# FeatureBundle field -> (bins key, embedding tensor, RerankerDims width field)
+# FeatureBundle field -> (embedding tensor, RerankerDims width field)
 _BIN_PARAMS = {
-    "cooccurrence_bin": ("co", "co_emb", "co_dim"),
-    "artist_freq_bin": ("artist", "artist_emb", "freq_dim"),
-    "song_freq_bin": ("song", "song_emb", "freq_dim"),
-    "cross_npmi_bin": ("cross", "cross_emb", "cross_dim"),
-    "intra_npmi_bin": ("intra", "intra_emb", "intra_dim"),
+    "cooccurrence_bin": ("co_emb", "co_dim"),
+    "artist_freq_bin": ("artist_emb", "freq_dim"),
+    "song_freq_bin": ("song_emb", "freq_dim"),
+    "cross_npmi_bin": ("cross_emb", "cross_dim"),
+    "intra_npmi_bin": ("intra_emb", "intra_dim"),
 }
-# the feature bins in phi's column order (BIN_FIELDS order); the order also
-# fixes the embedding tensors' creation order, so seeded initialization
-# depends on it
+# the feature bins in BIN_FIELDS order: the column order of a batch's (n, 5)
+# ``bins`` array and of phi, and the embedding tensors' creation order, on
+# which seeded initialization depends
 _BINS = tuple(_Bin(field, count, *_BIN_PARAMS[field]) for field, count in BIN_FIELDS)
 
 
@@ -194,40 +193,34 @@ def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
         dc = dc * f
 
 
-def bin_columns(bins: np.ndarray) -> dict:
-    """An (n, 5) bin array, columns in ``BIN_FIELDS`` order, as the per-bin
-    columns a batch's ``bins`` dict holds."""
-    bins = np.asarray(bins, dtype=np.intp).reshape(-1, len(_BINS))
-    return {b.key: bins[:, k] for k, b in enumerate(_BINS)}
-
-
-def stack_bundles(bundles) -> tuple[dict, np.ndarray]:
-    """Column-ize feature bundles for a batch of candidates."""
-    bins = bin_columns([[getattr(x, b.field) for b in _BINS] for x in bundles])
+def stack_bundles(bundles) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of candidates' feature bundles as an (n, 5) bin array, columns
+    in ``BIN_FIELDS`` order, and the n-gram features."""
+    bins = np.array([[getattr(x, b.field) for b in _BINS] for x in bundles], dtype=np.intp)
     feats = np.array([x.ngram_negative_logprob for x in bundles], dtype=float)
-    return bins, feats
+    return bins.reshape(-1, len(_BINS)), feats
 
 
 @dataclass
 class RerankerInputs:
-    """A batch of candidates as the reranker reads it: word ids right-padded
-    to the longest candidate, each candidate's length, its feature bins and
-    its n-gram feature."""
+    """A group of candidates as the reranker reads them: each candidate's
+    word ids, unpadded, its row of feature bins (an (n, 5) array in
+    ``BIN_FIELDS`` order) and its n-gram feature. Rows are padded only when
+    a chunk is scored (``score_inputs``)."""
 
-    ids: np.ndarray
-    lengths: np.ndarray
-    bins: dict
+    ids: list
+    bins: np.ndarray
     ngram_feats: np.ndarray
 
 
-def reranker_inputs(candidates, bins: dict, ngram_feats, vocab: Vocabulary) -> RerankerInputs:
-    """Inputs for token sequences ``candidates``, their bin columns and
+def reranker_inputs(candidates, bins, ngram_feats, vocab: Vocabulary) -> RerankerInputs:
+    """Inputs for token sequences ``candidates``, their (n, 5) bins and
     their n-gram features."""
+    bins = np.asarray(bins, dtype=np.intp)
     feats = np.asarray(ngram_feats, dtype=float)
-    if any(len(col) != len(candidates) for col in bins.values()) or len(feats) != len(candidates):
+    if bins.shape != (len(candidates), len(_BINS)) or len(feats) != len(candidates):
         raise ValueError("need one feature row per candidate")
-    ids, lengths = pad_ids([vocab.encode(tokens) for tokens in candidates])
-    return RerankerInputs(ids, lengths, bins, feats)
+    return RerankerInputs([vocab.encode(tokens) for tokens in candidates], bins, feats)
 
 
 # candidate rows per fused score_batch call; bounds the per-step activations
@@ -251,27 +244,23 @@ def fused_chunks(row_counts) -> list[range]:
     return chunks
 
 
-def concat_inputs(parts) -> RerankerInputs:
-    """Stack the rows of several ``RerankerInputs``, re-padded with 0 to the
-    longest row (``pad_ids``)."""
-    ids, lengths = pad_ids([row[:n] for x in parts for row, n in zip(x.ids, x.lengths)])
-    return RerankerInputs(
-        ids,
-        lengths,
-        {b.key: np.concatenate([x.bins[b.key] for x in parts]) for b in _BINS},
-        np.concatenate([x.ngram_feats for x in parts]),
-    )
+def score_inputs(params: RerankerParams, parts, dropout_mask: np.ndarray | None = None):
+    """``score_batch`` over the rows of the ``RerankerInputs`` ``parts``, in
+    order, right-padded once (``pad_ids``); returns (u, cache)."""
+    ids, lengths = pad_ids([row for x in parts for row in x.ids])
+    bins = np.concatenate([x.bins for x in parts])
+    feats = np.concatenate([x.ngram_feats for x in parts])
+    return score_batch(params, ids, bins, feats, lengths=lengths, dropout_mask=dropout_mask)
 
 
 def score_lists(params: RerankerParams, inputs) -> np.ndarray:
     """u of every row of every ``RerankerInputs`` in ``inputs``, concatenated
     in order; consecutive inputs are scored together, ``FUSE_ROWS`` rows at a
     time (``fused_chunks``)."""
-    out = np.empty(sum(len(x.lengths) for x in inputs))
+    out = np.empty(sum(len(x.ids) for x in inputs))
     row = 0
-    for chunk in fused_chunks([len(x.lengths) for x in inputs]):
-        x = concat_inputs([inputs[k] for k in chunk])
-        u, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
+    for chunk in fused_chunks([len(x.ids) for x in inputs]):
+        u, _ = score_inputs(params, [inputs[k] for k in chunk])
         out[row : row + len(u)] = u
         row += len(u)
     return out
@@ -284,7 +273,7 @@ class ScoreCache:
     rev_ids: np.ndarray
     steps_f: list
     steps_b: list
-    bins: dict
+    bins: np.ndarray
     ngram_feats: np.ndarray
     phi: np.ndarray
     dropout_mask: np.ndarray | None
@@ -303,7 +292,7 @@ def draw_dropout(shape, p: float, seed: int) -> np.ndarray:
 def score_batch(
     params: RerankerParams,
     ids: np.ndarray,
-    bins: dict,
+    bins: np.ndarray,
     ngram_feats: np.ndarray,
     lengths: np.ndarray | None = None,
     dropout_mask: np.ndarray | None = None,
@@ -315,7 +304,8 @@ def score_batch(
     without it every row is ``length`` tokens long. The forward LSTM's final
     state is taken after a row's last real token, and the backward LSTM reads
     each row reversed within its own length, so it starts at that token.
-    Padding ids never reach a score or a gradient. ``dropout_mask``
+    Padding ids never reach a score or a gradient. ``bins`` is (batch, 5),
+    columns in ``BIN_FIELDS`` order. ``dropout_mask``
     (``draw_dropout``, shaped (batch, phi_dim)) multiplies phi in training;
     without it there is no dropout.
     """
@@ -332,9 +322,12 @@ def score_batch(
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.shape != ids.shape[:1] or np.any(lengths < 1) or np.any(lengths > ids.shape[1]):
             raise ValueError("lengths must give each row a length in [1, ids.shape[1]]")
-    for b in _BINS:
-        if np.any(bins[b.key] < 0) or np.any(bins[b.key] >= b.count):
-            raise ValueError(f"feature bin out of range for {b.key}")
+    bins = np.asarray(bins, dtype=np.intp)
+    if bins.shape != (ids.shape[0], len(_BINS)):
+        raise ValueError("bins must be shaped (batch, 5)")
+    for k, b in enumerate(_BINS):
+        if np.any(bins[:, k] < 0) or np.any(bins[:, k] >= b.count):
+            raise ValueError(f"feature bin out of range for {b.field}")
     if dropout_mask is not None and dropout_mask.shape != (ids.shape[0], d.phi_dim):
         raise ValueError("dropout_mask must be shaped (batch, phi_dim)")
 
@@ -346,7 +339,7 @@ def score_batch(
     hs_b, steps_b = _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][rev_ids])
     h_f = hs_f[rows, lengths]
     h_b = hs_b[rows, lengths]
-    phi = np.concatenate([h_f, h_b, *(t[b.emb][bins[b.key]] for b in _BINS)], axis=1)
+    phi = np.concatenate([h_f, h_b, *(t[b.emb][bins[:, k]] for k, b in enumerate(_BINS))], axis=1)
     if dropout_mask is not None:
         phi *= dropout_mask
     pre_act = phi @ t["hidden_w"]
@@ -391,9 +384,9 @@ def backprop_batch(params: RerankerParams, cache: ScoreCache, du: np.ndarray, ou
 
     hid = d.lstm_dim
     offset = 2 * hid
-    for b in _BINS:
+    for k, b in enumerate(_BINS):
         width = getattr(d, b.width)
-        np.add.at(grads[b.emb], cache.bins[b.key], dphi[:, offset : offset + width])
+        np.add.at(grads[b.emb], cache.bins[:, k], dphi[:, offset : offset + width])
         offset += width
 
     # each direction's gradient arrives at the state after a row's last token

@@ -1,39 +1,39 @@
 """Training loops: contrastive estimation for the reranker, and the LSTM LM.
 
-Both use SGD with classical momentum, L2 regularization, and plateau-triggered
-halving of the learning rate. The reranker early-stops on held-out word error
-rate; the LM (optionally) on held-out log-likelihood.
+Both run one loop (``_sgd``): SGD with classical momentum, L2
+regularization, and plateau-triggered halving of the learning rate. The
+reranker early-stops on held-out word error rate; the LM (optionally) on
+held-out log-likelihood.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import evaluation
-from .artifacts import load_artifact, save_artifact
+from .artifacts import atomic_text_writer, load_artifact, save_artifact
 from .corpus import Corpus, Sentence, Vocabulary
 from .kb import KBIndex
 from .negsampler import derive_seed
 from .neural import (
-    RerankerInputs,
     RerankerParams,
     _lstm_backward,
     _lstm_forward,
     _sigmoid,
     backprop_batch,
-    concat_inputs,
     contrastive_loss,
     draw_dropout,
     fused_chunks,
     pad_ids,
-    score_batch,
+    score_inputs,
     score_lists,
     sgd_momentum_update,
 )
-from .ngram import NGramModel, score_sentences
+from .ngram import NGramModel
 
 
 @dataclass
@@ -71,52 +71,33 @@ class EpochLog:
     lr: float
 
 
-@dataclass
-class PreparedNBest:
-    """Held-out n-best list with the reranker's inputs and per-hypothesis
-    error counts resolved up front."""
+class Heldout(NamedTuple):
+    """A held-out split as ``evaluation`` holds it, with no component scored
+    (first-pass scores, per-hypothesis S/D/I, ``valid`` mask, reference
+    lengths), and each list's reranker inputs."""
 
-    inputs: RerankerInputs
-    first_pass: np.ndarray
-    errors: np.ndarray  # (hypotheses, 3) S/D/I against the reference
-    ref_words: int
+    split: evaluation.ScoredSplit
+    inputs: list
 
 
 def prepare_heldout(
     dataset, vocab: Vocabulary, kb_index: KBIndex, ngram_model: NGramModel
-) -> list[PreparedNBest]:
-    if any(nbest.reference is None for nbest in dataset):
-        raise ValueError("held-out data needs references")
-    hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
-    inputs = evaluation.dataset_inputs(
-        dataset, vocab, kb_index, score_sentences(ngram_model, hyps, vocab)
-    )
-    prepared = []
-    for nbest, nbest_inputs in zip(dataset, inputs):
-        errors, ref_words = evaluation.hypothesis_errors(nbest)
-        prepared.append(
-            PreparedNBest(
-                inputs=nbest_inputs,
-                first_pass=np.array([fp for _, fp in nbest.hypotheses], dtype=float),
-                errors=errors,
-                ref_words=ref_words,
-            )
-        )
-    return prepared
+) -> Heldout:
+    models = evaluation.RerankModels(ngram=ngram_model, vocab=vocab)
+    split = evaluation.score_split(dataset, (), models)  # needs every reference
+    lm_logprobs = evaluation.score_ngram(dataset, models)
+    return Heldout(split, evaluation.dataset_inputs(dataset, vocab, kb_index, lm_logprobs))
 
 
-def heldout_wer(params: RerankerParams, prepared) -> float:
-    """WER when decoding with first-pass score plus the interpolated u score;
-    the lists are scored together (``neural.score_lists``)."""
-    u = score_lists(params, [item.inputs for item in prepared])
-    errors = ref_words = row = 0
-    for item in prepared:
-        own = u[row : row + len(item.first_pass)]
-        row += len(own)
-        chosen = int(np.argmax(item.first_pass + own))
-        errors += int(item.errors[chosen].sum())
-        ref_words += item.ref_words
-    return errors / ref_words
+def heldout_wer(params: RerankerParams, heldout: Heldout) -> float:
+    """WER when decoding with first-pass score plus the interpolated u score
+    (``evaluation.decode_wer``); the lists are scored together
+    (``neural.score_lists``)."""
+    split = heldout.split
+    u = np.zeros(split.valid.shape)
+    u[split.valid] = score_lists(params, heldout.inputs)
+    comps = {"first_pass": split.scores["first_pass"], "reranker": u}
+    return evaluation.decode_wer(split, comps, {"reranker": 1.0})
 
 
 def _minibatch_gradients(
@@ -125,34 +106,31 @@ def _minibatch_gradients(
     """Add the summed contrastive gradients of ``instances[j]`` for j in
     ``batch`` to ``grads``; returns each instance's loss in batch order.
 
-    Consecutive instances are fused into one padded ``score_batch`` and one
+    Consecutive instances are fused into one padded ``score_inputs`` and one
     ``backprop_batch`` call per ``neural.FUSE_ROWS`` rows. Each instance keeps
     its own softmax over its own rows (correct row first) and its own dropout
     stream, ``derive_seed(seed, "dropout", epoch, j)``.
     """
     losses = []
-    for chunk in fused_chunks([len(instances[int(j)].lengths) for j in batch]):
+    for chunk in fused_chunks([len(instances[int(j)].ids) for j in batch]):
         members = [int(batch[k]) for k in chunk]
-        x = concat_inputs([instances[j] for j in members])
         mask = None
         if config.dropout > 0.0:
             mask = np.concatenate(
                 [
                     draw_dropout(
-                        (len(instances[j].lengths), params.dims.phi_dim),
+                        (len(instances[j].ids), params.dims.phi_dim),
                         config.dropout,
                         derive_seed(config.seed, "dropout", epoch, j),
                     )
                     for j in members
                 ]
             )
-        u, cache = score_batch(
-            params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths, dropout_mask=mask
-        )
+        u, cache = score_inputs(params, [instances[j] for j in members], dropout_mask=mask)
         du = np.empty_like(u)
         row = 0
         for j in members:
-            own = slice(row, row + len(instances[j].lengths))
+            own = slice(row, row + len(instances[j].ids))
             row = own.stop
             loss = math.nan
             if np.all(np.isfinite(u[own])):
@@ -165,45 +143,38 @@ def _minibatch_gradients(
     return losses
 
 
-def train_reranker(
-    instances, heldout, params: RerankerParams, config: TrainConfig
-):
-    """Minibatch contrastive training with early stopping on held-out WER.
+def _sgd(params, n_items: int, minibatch, heldout_score, config: TrainConfig, rng):
+    """SGD with classical momentum over ``n_items`` items, reshuffled by
+    ``rng`` each epoch; returns (params, [(epoch, mean loss, score, lr)]).
 
-    ``instances`` are ``RerankerInputs``, one training softmax each: the
-    correct sentence in row 0, then its negatives. Returns (best-checkpoint
-    params, per-epoch log).
+    ``minibatch(batch, epoch, grads)`` adds the mean gradients of the items
+    ``batch`` to the zeroed ``grads`` and returns their losses. After each
+    epoch, ``heldout_score()`` (lower is better) picks the best checkpoint; an
+    epoch without a new best decays the learning rate, and ``patience`` such
+    epochs in a row stop training. With no score, every epoch runs and the
+    final params are returned.
     """
-    if not instances:
-        raise ValueError("no training instances")
-    if not heldout:
-        raise ValueError("held-out data required for early stopping")
-    rng = np.random.default_rng(config.seed)
     velocity = params.zero_grads()
     grads = params.zero_grads()
-    logs: list[EpochLog] = []
-    best_wer = math.inf
+    logs = []
+    best_score = math.inf
     best_params = params.copy()
     bad_epochs = 0
     lr = config.lr
-
     for epoch in range(config.max_epochs):
-        order = rng.permutation(len(instances))
+        order = rng.permutation(n_items)
         losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for start in range(0, n_items, config.batch_size):
             for g in grads.values():
                 g.fill(0.0)
-            losses.extend(_minibatch_gradients(params, instances, batch, config, epoch, grads))
-            for g in grads.values():
-                g /= len(batch)
-            sgd_momentum_update(
-                params.tensors, grads, velocity, lr, config.momentum, config.l2
-            )
-        epoch_wer = heldout_wer(params, heldout)
-        logs.append(EpochLog(epoch, float(np.mean(losses)), epoch_wer, lr))
-        if epoch_wer < best_wer:
-            best_wer = epoch_wer
+            losses.extend(minibatch(order[start : start + config.batch_size], epoch, grads))
+            sgd_momentum_update(params.tensors, grads, velocity, lr, config.momentum, config.l2)
+        score = math.nan if heldout_score is None else heldout_score()
+        logs.append((epoch, float(np.mean(losses)) if losses else math.nan, score, lr))
+        if heldout_score is None:
+            continue
+        if score < best_score:
+            best_score = score
             for name, tensor in best_params.tensors.items():
                 np.copyto(tensor, params.tensors[name])
             bad_epochs = 0
@@ -212,12 +183,37 @@ def train_reranker(
             lr *= config.lr_decay
             if bad_epochs >= config.patience:
                 break
-    return best_params, logs
+    return (params if heldout_score is None else best_params), logs
+
+
+def train_reranker(instances, heldout: Heldout, params: RerankerParams, config: TrainConfig):
+    """Minibatch contrastive training with early stopping on held-out WER.
+
+    ``instances`` are ``RerankerInputs``, one training softmax each: the
+    correct sentence in row 0, then its negatives. Returns (best-checkpoint
+    params, per-epoch log).
+    """
+    if not instances:
+        raise ValueError("no training instances")
+    if heldout is None or not heldout.inputs:
+        raise ValueError("held-out data required for early stopping")
+
+    def minibatch(batch, epoch, grads):
+        losses = _minibatch_gradients(params, instances, batch, config, epoch, grads)
+        for g in grads.values():
+            g /= len(batch)
+        return losses
+
+    rng = np.random.default_rng(config.seed)
+    best, logs = _sgd(
+        params, len(instances), minibatch, lambda: heldout_wer(params, heldout), config, rng
+    )
+    return best, [EpochLog(*row) for row in logs]
 
 
 def save_training_log(logs, path) -> None:
     # full-precision floats so the log reproduces the checkpoint choice exactly
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         fh.write("epoch,mean_loss,heldout_wer,lr\n")
         for row in logs:
             fh.write(f"{row.epoch},{row.mean_loss!r},{row.heldout_wer!r},{row.lr!r}\n")
@@ -449,42 +445,23 @@ def train_lstm_lm(
     if dims.vocab_size != vocab.size:
         raise ValueError("dims do not match the vocabulary")
     params = LstmLmParams.initialize(dims, vocab, seed=config.seed)
-    velocity = params.zero_grads()
     rng = np.random.default_rng(derive_seed(config.seed, "lstm-lm"))
     encoded = [np.array(vocab.encode(s.tokens), dtype=np.intp) for s in corpus]
     noise_dist = unigram_distribution(corpus, vocab) if mode == "nce" else None
     log_kq = np.log(nce_samples * noise_dist) if noise_dist is not None else None
 
-    lr = config.lr
-    best_metric = -math.inf
-    best_params = params.copy()
-    bad_epochs = 0
-    for _epoch in range(config.max_epochs):
-        order = rng.permutation(len(encoded))
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads = params.zero_grads()
-            rows = [encoded[int(j)] for j in batch]
-            if mode == "full-softmax":
-                _lm_forward_backward_softmax(params, rows, grads)
-            else:
-                noise_ids = rng.choice(dims.n_out, size=nce_samples, p=noise_dist)
-                _lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
-            n_tokens = sum(len(ids) + 1 for ids in rows)
-            for g in grads.values():
-                g /= n_tokens
-            sgd_momentum_update(params.tensors, grads, velocity, lr, config.momentum, config.l2)
-        if heldout is None:
-            best_params = params
-            continue
-        metric = float(np.mean(params.logprobs(heldout)))
-        if metric > best_metric:
-            best_metric = metric
-            best_params = params.copy()
-            bad_epochs = 0
+    def minibatch(batch, epoch, grads):
+        rows = [encoded[int(j)] for j in batch]
+        if mode == "full-softmax":
+            loss = _lm_forward_backward_softmax(params, rows, grads)
         else:
-            bad_epochs += 1
-            lr *= config.lr_decay
-            if bad_epochs >= config.patience:
-                break
-    return best_params
+            noise_ids = rng.choice(dims.n_out, size=nce_samples, p=noise_dist)
+            loss = _lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
+        n_tokens = sum(len(ids) + 1 for ids in rows)
+        for g in grads.values():
+            g /= n_tokens
+        return [loss]
+
+    score = None if heldout is None else (lambda: -float(np.mean(params.logprobs(heldout))))
+    best, _ = _sgd(params, len(encoded), minibatch, score, config, rng)
+    return best

@@ -4,14 +4,16 @@ The oracles deliberately avoid the production code paths they check: the WER
 oracle enumerates raw edit sequences, the gradient checker perturbs tensors
 one element at a time, ``lstm_step`` is a one-token LSTM cell written apart
 from the batched kernel in ``kbrerank.neural`` (with the exp-form sigmoid,
-not the kernel's tanh form), and the reference trainer scores and
-backpropagates one training instance per call. The reference n-gram model
-counts string-tuple dicts per model and scores by walking them one event at
-a time, apart from the id tables and batched walk of ``kbrerank.ngram``. The
-reference KB features walk one sentence's spans and word pairs through the
-index's dicts, apart from the array kernel of ``kbrerank.features``. The
-single-sentence helpers below wrap the batched production calls for tests
-that score one candidate or one sentence at a time.
+not the kernel's tanh form), the reference trainer scores and
+backpropagates one training instance per call, and the reference LM trainer
+runs its own epoch loop apart from the shared ``trainer._sgd``. The reference
+n-gram model counts string-tuple dicts per model and scores by walking them
+one event at a time, apart from the id tables and batched walk of
+``kbrerank.ngram``. The reference KB features walk one sentence's spans and
+word pairs through the index's dicts, apart from the array kernel of
+``kbrerank.features``. The single-sentence helpers below wrap the batched
+production calls for tests that score one candidate or one sentence at a
+time.
 """
 
 import math
@@ -40,7 +42,15 @@ from kbrerank.neural import (
     stack_bundles,
 )
 from kbrerank.ngram import BOS, EOS, event_logprobs
-from kbrerank.trainer import EpochLog
+from kbrerank.trainer import (
+    EpochLog,
+    LstmLmDims,
+    LstmLmParams,
+    TrainConfig,
+    _lm_forward_backward_nce,
+    _lm_forward_backward_softmax,
+    unigram_distribution,
+)
 
 
 def exhaustive_wer(ref, hyp):
@@ -203,8 +213,7 @@ def sentence_representation(params, ids) -> np.ndarray:
     """Concatenated final states of the forward and backward sweeps: the
     leading 2H entries of phi when ``score_batch`` scores the sentence alone."""
     ids = np.asarray(ids, dtype=np.intp).reshape(1, -1)
-    bins = {key: np.zeros(1, dtype=np.intp) for key in ("co", "artist", "song", "cross", "intra")}
-    _, cache = score_batch(params, ids, bins, np.zeros(1))
+    _, cache = score_batch(params, ids, np.zeros((1, len(BIN_FIELDS)), dtype=np.intp), np.zeros(1))
     return cache.phi[0, : 2 * params.dims.lstm_dim]
 
 
@@ -245,6 +254,14 @@ def reference_dropout_mask(shape, p, seed):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
+def score_alone(params, inputs, dropout_mask=None):
+    """``score_batch`` over one ``RerankerInputs`` group, padded on its own."""
+    ids, lengths = pad_ids(inputs.ids)
+    return score_batch(
+        params, ids, inputs.bins, inputs.ngram_feats, lengths=lengths, dropout_mask=dropout_mask
+    )
+
+
 def reference_minibatch_gradients(params, instances, batch, config, epoch, grads):
     """One ``score_batch`` and one ``backprop_batch`` call per instance, with
     its own dropout draw; returns the losses in batch order."""
@@ -254,13 +271,11 @@ def reference_minibatch_gradients(params, instances, batch, config, epoch, grads
         mask = None
         if config.dropout > 0.0:
             mask = reference_dropout_mask(
-                (len(inst.lengths), params.dims.phi_dim),
+                (len(inst.ids), params.dims.phi_dim),
                 config.dropout,
                 derive_seed(config.seed, "dropout", epoch, int(j)),
             )
-        u, cache = score_batch(
-            params, inst.ids, inst.bins, inst.ngram_feats, lengths=inst.lengths, dropout_mask=mask
-        )
+        u, cache = score_alone(params, inst, dropout_mask=mask)
         loss, du = contrastive_loss(u, 0)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at epoch {epoch}, instance {int(j)}")
@@ -269,15 +284,16 @@ def reference_minibatch_gradients(params, instances, batch, config, epoch, grads
     return losses
 
 
-def reference_heldout_wer(params, prepared):
-    """Held-out WER with each n-best list scored by its own call."""
+def reference_heldout_wer(params, heldout):
+    """Held-out WER of a ``trainer.prepare_heldout`` record, each n-best list
+    scored by its own call and decoded by its own argmax."""
+    split = heldout.split
     errors = ref_words = 0
-    for item in prepared:
-        x = item.inputs
-        u, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
-        chosen = int(np.argmax(item.first_pass + u))
-        errors += int(item.errors[chosen].sum())
-        ref_words += item.ref_words
+    for r, x in enumerate(heldout.inputs):
+        u, _ = score_alone(params, x)
+        chosen = int(np.argmax(split.scores["first_pass"][r, : len(u)] + u))
+        errors += int(split.errors[r, chosen].sum())
+        ref_words += int(split.ref_words[r])
     return errors / ref_words
 
 
@@ -313,6 +329,57 @@ def reference_train_reranker(instances, heldout, params, config):
             if bad_epochs >= config.patience:
                 break
     return best_params, logs
+
+
+def reference_train_lstm_lm(
+    corpus, vocab, mode="full-softmax", nce_samples=100, config=None, dims=None, heldout=None
+):
+    """``trainer.train_lstm_lm`` with its own epoch loop: same permutation and
+    noise draws, updates and checkpointing. Returns (params, epochs run)."""
+    config = config or TrainConfig()
+    dims = dims or LstmLmDims(vocab_size=vocab.size)
+    params = LstmLmParams.initialize(dims, vocab, seed=config.seed)
+    velocity = params.zero_grads()
+    rng = np.random.default_rng(derive_seed(config.seed, "lstm-lm"))
+    encoded = [np.array(vocab.encode(s.tokens), dtype=np.intp) for s in corpus]
+    noise_dist = unigram_distribution(corpus, vocab) if mode == "nce" else None
+    log_kq = np.log(nce_samples * noise_dist) if noise_dist is not None else None
+
+    lr = config.lr
+    best_metric = -math.inf
+    best_params = params.copy()
+    bad_epochs = 0
+    epochs = 0
+    for _epoch in range(config.max_epochs):
+        epochs += 1
+        order = rng.permutation(len(encoded))
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grads = params.zero_grads()
+            rows = [encoded[int(j)] for j in batch]
+            if mode == "full-softmax":
+                _lm_forward_backward_softmax(params, rows, grads)
+            else:
+                noise_ids = rng.choice(dims.n_out, size=nce_samples, p=noise_dist)
+                _lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
+            n_tokens = sum(len(ids) + 1 for ids in rows)
+            for g in grads.values():
+                g /= n_tokens
+            reference_sgd_momentum_update(params.tensors, grads, velocity, lr, config.momentum, config.l2)
+        if heldout is None:
+            best_params = params
+            continue
+        metric = float(np.mean(params.logprobs(heldout)))
+        if metric > best_metric:
+            best_metric = metric
+            best_params = params.copy()
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            lr *= config.lr_decay
+            if bad_epochs >= config.patience:
+                break
+    return best_params, epochs
 
 
 def lm_logprob(params, sentence) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from kbrerank import features, neural, trainer
-from kbrerank.artifacts import atomic_text_writer
+from kbrerank.artifacts import atomic_text_writer, save_artifact
 from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
 
 
@@ -243,6 +243,36 @@ class TestAtomicTextWriter:
                 raise RuntimeError("stop")
         assert list(tmp_path.iterdir()) == []
 
+    def test_text_writer_raising_midway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "train_log.csv"
+        path.write_text("old\n")
+
+        class Row:
+            epoch, heldout_wer, lr = 0, 0.5, 1.0
+
+            @property
+            def mean_loss(self):
+                raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            trainer.save_training_log([trainer.EpochLog(0, 1.0, 0.5, 1.0), Row()], path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["train_log.csv"]
+
+    def test_binary_writer_raising_midway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"old")
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("cannot serialize")
+
+        # the 1 MB block goes to the file before the second entry fails
+        payload = {"tensors": bytes(1 << 20), "hook": Unpicklable()}
+        with pytest.raises(RuntimeError, match="cannot serialize"):
+            save_artifact(path, "reranker-params", payload)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
@@ -463,3 +493,93 @@ class TestSpanTracer:
         assert metrics["neural.score_batch.calls"] > 0
         assert metrics["neural.backprop_batch.calls"] > 0
         assert metrics["neural.score_batch.rows_per_call"] > 0
+
+
+def copy_run(pipeline_dir, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(pipeline_dir, run)
+    return run
+
+
+def stage(command, run, *extra):
+    return main([command, "--out-dir", str(run), "--seed", "5", *MINI_SETS, *extra])
+
+
+class TestInputRecords:
+    """Each JSON-lines reader names the file and line of a bad record."""
+
+    @pytest.mark.parametrize("source_id", [-1, 250, "duplicate", "3"])
+    def test_bad_source_id_fails_extract_features(self, pipeline_dir, tmp_path, capsys, source_id):
+        run = copy_run(pipeline_dir, tmp_path)
+        assert len((run / "train.txt").read_text().splitlines()) == 250
+        lines = (run / "negatives.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        rec["source_id"] = json.loads(lines[0])["source_id"] if source_id == "duplicate" else source_id
+        lines[1] = json.dumps(rec) + "\n"
+        (run / "negatives.jsonl").write_text("".join(lines))
+        (run / "features.jsonl").unlink()
+        capsys.readouterr()
+        assert stage("extract-features", run) == 1
+        err = capsys.readouterr().err
+        assert f"{run / 'negatives.jsonl'}:2: " in err
+        assert ("duplicate source_id" if source_id == "duplicate" else "source_id must be an int") in err
+        assert "Traceback" not in err
+        assert not (run / "features.jsonl").exists()
+
+    @staticmethod
+    def truncate(path, line):
+        """Cut ``path`` in the middle of its ``line``-th record."""
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[: line - 1]) + lines[line - 1][: len(lines[line - 1]) // 2])
+
+    def test_truncated_negatives(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        self.truncate(run / "negatives.jsonl", 3)
+        capsys.readouterr()
+        assert stage("extract-features", run) == 1
+        assert f"{run / 'negatives.jsonl'}:3: malformed JSON" in capsys.readouterr().err
+
+    def test_truncated_features(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        self.truncate(run / "features.jsonl", 7)
+        capsys.readouterr()
+        assert stage("train-reranker", run) == 1
+        assert f"{run / 'features.jsonl'}:7: malformed JSON" in capsys.readouterr().err
+
+    def test_feature_row_without_sentence_id(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        lines = (run / "features.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[4])
+        del rec["sentence_id"]
+        lines[4] = json.dumps(rec) + "\n"
+        (run / "features.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        assert stage("train-reranker", run) == 1
+        assert f"{run / 'features.jsonl'}:5: sentence_id must be an int, got None" in capsys.readouterr().err
+
+    def test_truncated_nbest(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        self.truncate(run / "test.jsonl", 2)
+        capsys.readouterr()
+        assert stage("rerank", run, "--nbest", str(run / "test.jsonl"), "--scorer", "first-pass") == 1
+        assert f"{run / 'test.jsonl'}:2: malformed JSON" in capsys.readouterr().err
+
+
+class TestModelsLoaded:
+    """``rerank`` loads only the models its scorer's components need
+    (``evaluation.MODELS_NEEDED``)."""
+
+    @pytest.mark.parametrize(
+        "scorer, weights, absent",
+        [
+            ("lstm", "lstm=1.0", ("reranker.bin", "kb_index.bin")),
+            ("ngram", "ngram=1.0", ("lstm_lm.bin",)),
+        ],
+    )
+    def test_rerank_runs_without_unneeded_models(self, pipeline_dir, tmp_path, scorer, weights, absent):
+        run = copy_run(pipeline_dir, tmp_path)
+        for name in absent:
+            (run / name).unlink()
+        nbest = str(run / "test.jsonl")
+        assert stage("rerank", run, "--nbest", nbest, "--scorer", scorer, "--weights", weights) == 0
+        assert len((run / f"selections_{scorer}.jsonl").read_text().splitlines()) == 40

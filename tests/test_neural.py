@@ -12,12 +12,12 @@ from kbrerank.neural import (
     RerankerParams,
     _sigmoid,
     backprop_batch,
-    concat_inputs,
     contrastive_loss,
     draw_dropout,
     fused_chunks,
     pad_ids,
     score_batch,
+    score_inputs,
     score_lists,
     sgd_momentum_update,
     stack_bundles,
@@ -29,6 +29,7 @@ from oracles import (
     masked_sigmoid,
     reference_sgd_momentum_update,
     score,
+    score_alone,
     sentence_representation,
 )
 
@@ -116,10 +117,11 @@ class TestScore:
     def test_out_of_range_bin_rejected(self):
         params = RerankerParams.initialize(TINY, seed=6)
         ids = np.array([[1, 2]])
-        bins = {"co": np.array([10]), "artist": np.array([0]), "song": np.array([0]),
-                "cross": np.array([0]), "intra": np.array([0])}
-        with pytest.raises(ValueError, match="feature bin"):
+        bins = np.array([[10, 0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="feature bin out of range for cooccurrence_bin"):
             score_batch(params, ids, bins, np.array([1.0]))
+        with pytest.raises(ValueError, match=r"bins must be shaped \(batch, 5\)"):
+            score_batch(params, ids, bins[:, :4], np.array([1.0]))
 
     def test_dropout_deterministic_under_seed(self):
         params = RerankerParams.initialize(TINY, seed=7)
@@ -153,23 +155,20 @@ class TestScore:
         ids, bins, feats = tiny_instance(rng)
         u, _ = score_batch(params, ids, bins, feats)
         for i in range(ids.shape[0]):
-            bundle = FeatureBundle(
-                feats[i], int(bins["co"][i]), int(bins["artist"][i]),
-                int(bins["song"][i]), int(bins["cross"][i]), int(bins["intra"][i]),
-            )
+            bundle = FeatureBundle(feats[i], *bins[i].tolist())
             single = score(params, ids[i], bundle)
             assert math.isclose(single.u, u[i], rel_tol=1e-12)
 
 
 class TestBinTable:
     # the bin layout written out, so a swapped or mislabelled row of the
-    # table fails: bin key, FeatureBundle field, embedding, width field
+    # table fails: bins column, FeatureBundle field, embedding, width field
     LAYOUT = (
-        ("co", "cooccurrence_bin", "co_emb", "co_dim"),
-        ("artist", "artist_freq_bin", "artist_emb", "freq_dim"),
-        ("song", "song_freq_bin", "song_emb", "freq_dim"),
-        ("cross", "cross_npmi_bin", "cross_emb", "cross_dim"),
-        ("intra", "intra_npmi_bin", "intra_emb", "intra_dim"),
+        (0, "cooccurrence_bin", "co_emb", "co_dim"),
+        (1, "artist_freq_bin", "artist_emb", "freq_dim"),
+        (2, "song_freq_bin", "song_emb", "freq_dim"),
+        (3, "cross_npmi_bin", "cross_emb", "cross_dim"),
+        (4, "intra_npmi_bin", "intra_emb", "intra_dim"),
     )
     DIMS = RerankerDims(
         vocab_size=20, word_dim=3, lstm_dim=2, hidden_dim=4,
@@ -179,10 +178,11 @@ class TestBinTable:
 
     def test_stack_bundles_files_each_bin_under_its_key(self):
         bins, feats = stack_bundles([self.BUNDLE])
-        assert set(bins) == {key for key, _, _, _ in self.LAYOUT}
-        for key, field, _, _ in self.LAYOUT:
-            assert bins[key].tolist() == [getattr(self.BUNDLE, field)]
+        assert bins.shape == (1, len(self.LAYOUT)) and bins.dtype == np.intp
+        for column, field, _, _ in self.LAYOUT:
+            assert bins[:, column].tolist() == [getattr(self.BUNDLE, field)]
         assert feats.tolist() == [2.5]
+        assert stack_bundles([])[0].shape == (0, len(self.LAYOUT))
 
     def test_phi_holds_each_embedding_row_at_its_offset(self):
         params = RerankerParams.initialize(self.DIMS, seed=0)
@@ -294,8 +294,7 @@ class TestPaddedBatch:
         batch_grads = backprop_batch(params, cache, du)
         row_grads = params.zero_grads()
         for r, n in enumerate(lengths):
-            one_bins = {k: v[r : r + 1] for k, v in bins.items()}
-            alone, alone_cache = score_batch(params, ids[r : r + 1, :n], one_bins, feats[r : r + 1])
+            alone, alone_cache = score_batch(params, ids[r : r + 1, :n], bins[r : r + 1], feats[r : r + 1])
             assert abs(alone[0] - u[r]) <= 1e-12
             backprop_batch(params, alone_cache, du[r : r + 1], out=row_grads)
         for name in batch_grads:
@@ -354,14 +353,12 @@ class TestSigmoid:
         np.testing.assert_array_equal(x, before)
 
 
-def random_inputs(rng, lengths, pad_id=0, dims=TINY) -> RerankerInputs:
-    """One instance: candidates of the given lengths, right-padded with
-    ``pad_id``, their words drawn from 1 .. vocab_size - 2."""
-    rows = [rng.integers(1, dims.vocab_size - 1, size=n) for n in lengths]
-    ids, lens = pad_ids(rows)
-    ids[np.arange(ids.shape[1]) >= lens[:, None]] = pad_id
+def random_inputs(rng, lengths, dims=TINY) -> RerankerInputs:
+    """One instance: candidates of the given lengths, their words drawn from
+    1 .. vocab_size - 2."""
+    rows = [rng.integers(1, dims.vocab_size - 1, size=n).tolist() for n in lengths]
     _, bins, feats = tiny_instance(rng, n_candidates=len(lengths), length=1)
-    return RerankerInputs(ids, lens, bins, feats)
+    return RerankerInputs(rows, bins, feats)
 
 
 class TestFusedChunks:
@@ -385,26 +382,27 @@ class TestFusedChunks:
 
     def test_concat_pads_and_stacks(self):
         rng = np.random.default_rng(20)
-        parts = [random_inputs(rng, (3, 1), pad_id=9), random_inputs(rng, (5, 2, 4))]
-        x = concat_inputs(parts)
+        parts = [random_inputs(rng, (3, 1)), random_inputs(rng, (5, 2, 4))]
+        params = RerankerParams.initialize(TINY, seed=20)
+        u, x = score_inputs(params, parts)
+        # the groups' rows, padded once with 0 to the longest row of the chunk
         assert x.ids.shape == (5, 5)
         np.testing.assert_array_equal(x.lengths, [3, 1, 5, 2, 4])
         rows = [row for p in parts for row in p.ids]
         for row, got, n in zip(rows, x.ids, x.lengths):
-            np.testing.assert_array_equal(got[:n], row[:n])
+            np.testing.assert_array_equal(got[:n], row)
             assert not np.any(got[n:])
-        for key in parts[0].bins:
-            np.testing.assert_array_equal(x.bins[key], np.concatenate([p.bins[key] for p in parts]))
+        np.testing.assert_array_equal(x.bins, np.concatenate([p.bins for p in parts]))
         np.testing.assert_array_equal(x.ngram_feats, np.concatenate([p.ngram_feats for p in parts]))
+        expected = np.concatenate([score_alone(params, p)[0] for p in parts])
+        np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-14)
 
     def test_score_lists_match_one_call_per_list(self, monkeypatch):
         monkeypatch.setattr(neural, "FUSE_ROWS", 8)
         params = RerankerParams.initialize(TINY, seed=21)
         rng = np.random.default_rng(21)
         inputs = [random_inputs(rng, rng.integers(1, 7, size=rng.integers(1, 6))) for _ in range(9)]
-        expected = np.concatenate(
-            [score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)[0] for x in inputs]
-        )
+        expected = np.concatenate([score_alone(params, x)[0] for x in inputs])
         got = score_lists(params, inputs)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
         assert score_lists(params, []).shape == (0,)

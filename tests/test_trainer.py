@@ -15,8 +15,10 @@ from oracles import (
     reference_heldout_wer,
     reference_lm_logprob,
     reference_minibatch_gradients,
+    reference_train_lstm_lm,
     reference_train_reranker,
     score,
+    score_alone,
 )
 
 from kbrerank import evaluation, neural, synth, trainer
@@ -77,7 +79,6 @@ def mini_world():
         )
         candidates = [sent.tokens, *(neg.tokens for neg in negset.negatives)]
         instances.append(reranker_inputs(candidates, *stack_bundles(bundles), vocab))
-    prepared = prepare_heldout(world.heldout, vocab, index, full)
     dims = RerankerDims(vocab_size=vocab.size, word_dim=12, lstm_dim=12, hidden_dim=16)
     return {
         "world": world,
@@ -85,7 +86,12 @@ def mini_world():
         "index": index,
         "full": full,
         "instances": instances,
-        "prepared": prepared,
+        "heldout": prepare_heldout(world.heldout, vocab, index, full),
+        # held-out sets of the first 3, 5 and 8 lists
+        **{
+            f"heldout{k}": prepare_heldout(world.heldout[:k], vocab, index, full)
+            for k in (3, 5, 8)
+        },
         "dims": dims,
     }
 
@@ -95,7 +101,7 @@ class TestTrainReranker:
         params = RerankerParams.initialize(mini_world["dims"], seed=0)
         config = TrainConfig(lr=0.01, l2=0.0, dropout=0.0, max_epochs=5, patience=5, seed=0)
         _, logs = train_reranker(
-            mini_world["instances"][:1], mini_world["prepared"][:3], params, config
+            mini_world["instances"][:1], mini_world["heldout3"], params, config
         )
         losses = [l.mean_loss for l in logs]
         assert len(losses) == 5
@@ -105,10 +111,10 @@ class TestTrainReranker:
         params = RerankerParams.initialize(mini_world["dims"], seed=1)
         config = TrainConfig(lr=0.1, dropout=0.1, max_epochs=6, patience=2, batch_size=16, seed=1)
         best, logs = train_reranker(
-            mini_world["instances"], mini_world["prepared"], params, config
+            mini_world["instances"], mini_world["heldout"], params, config
         )
         best_logged = min(l.heldout_wer for l in logs)
-        assert math.isclose(heldout_wer(best, mini_world["prepared"]), best_logged, rel_tol=1e-12)
+        assert math.isclose(heldout_wer(best, mini_world["heldout"]), best_logged, rel_tol=1e-12)
 
     def test_strong_l2_shrinks_parameters(self, mini_world):
         runs = {}
@@ -118,7 +124,7 @@ class TestTrainReranker:
                 lr=0.0005, l2=l2, dropout=0.0, max_epochs=4, patience=4, batch_size=16, seed=2
             )
             trained, _ = train_reranker(
-                mini_world["instances"][:24], mini_world["prepared"][:5], params, config
+                mini_world["instances"][:24], mini_world["heldout5"], params, config
             )
             runs[l2] = param_norm_sq(trained)
         assert runs[1000.0] < runs[0.0]
@@ -128,7 +134,7 @@ class TestTrainReranker:
             params = RerankerParams.initialize(mini_world["dims"], seed=4)
             config = TrainConfig(lr=0.1, max_epochs=3, patience=3, batch_size=16, seed=4)
             _, logs = train_reranker(
-                mini_world["instances"][:32], mini_world["prepared"][:8], params, config
+                mini_world["instances"][:32], mini_world["heldout8"], params, config
             )
             return [(l.mean_loss, l.heldout_wer, l.lr) for l in logs]
 
@@ -146,7 +152,7 @@ class TestTrainReranker:
     def test_empty_instances_rejected(self, mini_world):
         params = RerankerParams.initialize(mini_world["dims"], seed=5)
         with pytest.raises(ValueError, match="no training instances"):
-            train_reranker([], mini_world["prepared"], params, TrainConfig())
+            train_reranker([], mini_world["heldout"], params, TrainConfig())
 
 
 def unequal_length_lists(world):
@@ -168,8 +174,8 @@ class TestHeldoutUnequalLengths:
     def test_heldout_wer_scores_each_hypothesis_as_alone(self, mini_world):
         vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
         lists = unequal_length_lists(mini_world["world"])
-        prepared = prepare_heldout(lists, vocab, index, full)
-        assert all(len(set(item.inputs.lengths.tolist())) > 1 for item in prepared)
+        heldout = prepare_heldout(lists, vocab, index, full)
+        assert all(len({len(row) for row in x.ids}) > 1 for x in heldout.inputs)
         chosen_lengths = set()
         for seed in range(4):
             params = RerankerParams.initialize(mini_world["dims"], seed=seed)
@@ -184,7 +190,7 @@ class TestHeldoutUnequalLengths:
                 s, d, i, n = wer(nbest.reference, nbest.hypotheses[chosen][0])
                 errors += s + d + i
                 words += n
-            assert heldout_wer(params, prepared) == errors / words
+            assert heldout_wer(params, heldout) == errors / words
         assert len(chosen_lengths) > 1  # the choices do depend on the lengths
 
 
@@ -194,17 +200,25 @@ SMALL = RerankerDims(
 )
 
 
-def small_instances(rng, row_counts, pad_id=0):
+def small_instances(rng, row_counts):
     """Training instances of the given row counts; candidates of 1-5 words
-    drawn from ids 1 .. vocab_size - 2, right-padded with ``pad_id``."""
+    drawn from ids 1 .. vocab_size - 2."""
     instances = []
     for n in row_counts:
-        rows = [rng.integers(1, SMALL.vocab_size - 1, size=k) for k in rng.integers(1, 6, size=n)]
-        ids, lengths = pad_ids(rows)
-        ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad_id
-        bins = {b.key: rng.integers(0, b.count, size=n) for b in neural._BINS}
-        instances.append(RerankerInputs(ids, lengths, bins, rng.random(n) * 10))
+        rows = [rng.integers(1, SMALL.vocab_size - 1, size=k).tolist() for k in rng.integers(1, 6, size=n)]
+        bins = np.stack([rng.integers(0, b.count, size=n) for b in neural._BINS], axis=1)
+        instances.append(RerankerInputs(rows, bins, rng.random(n) * 10))
     return instances
+
+
+def padding_with(pad):
+    """``pad_ids`` with ``pad`` in place of 0 past each row's end."""
+    def pad_ids_with(rows):
+        ids, lengths = pad_ids(rows)
+        ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad
+        return ids, lengths
+
+    return pad_ids_with
 
 
 class TestFusedMinibatch:
@@ -217,7 +231,8 @@ class TestFusedMinibatch:
     def test_fused_gradients_match_finite_differences(self, monkeypatch):
         monkeypatch.setattr(neural, "FUSE_ROWS", 8)
         params = RerankerParams.initialize(SMALL, seed=30)
-        instances = small_instances(np.random.default_rng(30), self.ROWS, pad_id=5)
+        monkeypatch.setattr(neural, "pad_ids", padding_with(5))
+        instances = small_instances(np.random.default_rng(30), self.ROWS)
         batch = np.array([3, 0, 4, 1, 2])
         assert [list(c) for c in fused_chunks([self.ROWS[j] for j in batch])] == [[0], [1, 2], [3, 4]]
         config = TrainConfig(dropout=0.3, seed=7)
@@ -230,11 +245,9 @@ class TestFusedMinibatch:
             for j in batch:
                 x = instances[j]
                 mask = reference_dropout_mask(
-                    (len(x.lengths), SMALL.phi_dim), 0.3, derive_seed(7, "dropout", 2, int(j))
+                    (len(x.ids), SMALL.phi_dim), 0.3, derive_seed(7, "dropout", 2, int(j))
                 )
-                u, _ = score_batch(
-                    params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths, dropout_mask=mask
-                )
+                u, _ = score_alone(params, x, dropout_mask=mask)
                 total += contrastive_loss(u, 0)[0]
             return total
 
@@ -247,9 +260,11 @@ class TestFusedMinibatch:
         config = TrainConfig(dropout=0.3, seed=8)
         results = []
         for pad_id in (0, SMALL.vocab_size - 1):
-            instances = small_instances(np.random.default_rng(31), self.ROWS, pad_id=pad_id)
+            instances = small_instances(np.random.default_rng(31), self.ROWS)
             grads = params.zero_grads()
-            losses = trainer._minibatch_gradients(params, instances, np.arange(5), config, 0, grads)
+            with monkeypatch.context() as m:
+                m.setattr(neural, "pad_ids", padding_with(pad_id))
+                losses = trainer._minibatch_gradients(params, instances, np.arange(5), config, 0, grads)
             results.append((losses, grads))
         (losses0, grads0), (losses1, grads1) = results
         assert losses0 == losses1
@@ -264,7 +279,7 @@ class TestFusedMinibatch:
         params = RerankerParams.initialize(mini_world["dims"], seed=6)
         instances = mini_world["instances"]
         batch = np.random.default_rng(6).permutation(len(instances))[:40]
-        n_chunks = len(fused_chunks([len(instances[j].lengths) for j in batch]))
+        n_chunks = len(fused_chunks([len(instances[j].ids) for j in batch]))
         assert 1 < n_chunks < len(batch) // 2
         config = TrainConfig(dropout=0.2, seed=6)
         fused, ref = params.zero_grads(), params.zero_grads()
@@ -283,7 +298,7 @@ class TestFusedMinibatch:
             seen.append(dropout_mask)
             return score_batch(*args, dropout_mask=dropout_mask, **kwargs)
 
-        monkeypatch.setattr(trainer, "score_batch", recording)
+        monkeypatch.setattr(neural, "score_batch", recording)
         params = RerankerParams.initialize(mini_world["dims"], seed=7)
         instances = mini_world["instances"]
         batch = np.random.default_rng(7).permutation(len(instances))[:30]
@@ -293,7 +308,7 @@ class TestFusedMinibatch:
         expected = np.concatenate(
             [
                 reference_dropout_mask(
-                    (len(instances[j].lengths), mini_world["dims"].phi_dim),
+                    (len(instances[j].ids), mini_world["dims"].phi_dim),
                     0.2,
                     derive_seed(11, "dropout", 3, int(j)),
                 )
@@ -309,7 +324,7 @@ class TestFusedMinibatch:
             seen.append(dropout_mask)
             return score_batch(*args, dropout_mask=dropout_mask, **kwargs)
 
-        monkeypatch.setattr(trainer, "score_batch", recording)
+        monkeypatch.setattr(neural, "score_batch", recording)
         params = RerankerParams.initialize(mini_world["dims"], seed=7)
         config = TrainConfig(dropout=0.0, seed=11)
         trainer._minibatch_gradients(
@@ -320,20 +335,18 @@ class TestFusedMinibatch:
     def test_non_finite_loss_names_its_instance(self, mini_world):
         instances = list(mini_world["instances"][:20])
         bad = instances[13]
-        instances[13] = RerankerInputs(
-            bad.ids, bad.lengths, bad.bins, np.full_like(bad.ngram_feats, np.inf)
-        )
+        instances[13] = RerankerInputs(bad.ids, bad.bins, np.full_like(bad.ngram_feats, np.inf))
         params = RerankerParams.initialize(mini_world["dims"], seed=8)
         config = TrainConfig(batch_size=8, max_epochs=1, seed=0)
         with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 0, instance 13$"):
-            train_reranker(instances, mini_world["prepared"][:3], params, config)
+            train_reranker(instances, mini_world["heldout3"], params, config)
 
     def test_training_matches_per_instance_reference(self, mini_world):
         config = TrainConfig(lr=0.1, dropout=0.2, max_epochs=3, patience=3, batch_size=16, seed=9)
         runs = []
         for train in (train_reranker, reference_train_reranker):
             params = RerankerParams.initialize(mini_world["dims"], seed=9)
-            runs.append(train(mini_world["instances"], mini_world["prepared"], params, config))
+            runs.append(train(mini_world["instances"], mini_world["heldout"], params, config))
         (best, logs), (ref_best, ref_logs) = runs
         assert [(l.epoch, l.heldout_wer, l.lr) for l in logs] == [
             (l.epoch, l.heldout_wer, l.lr) for l in ref_logs
@@ -350,14 +363,16 @@ class TestChunkedScoring:
 
     def test_heldout_wer_matches_one_list_per_call(self, mini_world):
         vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
-        unequal = prepare_heldout(unequal_length_lists(mini_world["world"]), vocab, index, full)
-        for prepared in (mini_world["prepared"], unequal, mini_world["prepared"] + unequal):
-            assert sum(len(p.first_pass) for p in prepared) > neural.FUSE_ROWS
+        lists = list(mini_world["world"].heldout)
+        unequal = unequal_length_lists(mini_world["world"])
+        for dataset in (lists, unequal, lists + unequal):
+            heldout = prepare_heldout(dataset, vocab, index, full)
+            assert heldout.split.valid.sum() > neural.FUSE_ROWS
             for seed in range(3):
                 params = RerankerParams.initialize(mini_world["dims"], seed=seed)
                 assert math.isclose(
-                    heldout_wer(params, prepared),
-                    reference_heldout_wer(params, prepared),
+                    heldout_wer(params, heldout),
+                    reference_heldout_wer(params, heldout),
                     rel_tol=1e-12, abs_tol=1e-12,
                 )
 
@@ -370,7 +385,7 @@ class TestChunkedScoring:
         for u, nbest in enumerate(dataset):
             lm_logprobs = [score_sentence(full, h) for h, _ in nbest.hypotheses]
             x = evaluation.dataset_inputs([nbest], vocab, index, lm_logprobs)[0]
-            own, _ = score_batch(params, x.ids, x.bins, x.ngram_feats, lengths=x.lengths)
+            own, _ = score_alone(params, x)
             np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
 
 
@@ -480,6 +495,32 @@ class TestBatchedLm:
             assert math.isclose(value, expected, rel_tol=0, abs_tol=1e-12)
         assert params.sentence_logprob(sentences[0]) == got[0]
         assert params.logprobs([]).shape == (0,)
+
+
+class TestLmLoopReference:
+    """``train_lstm_lm`` runs the shared SGD loop (``trainer._sgd``); its
+    tensors equal those of the LM's own epoch loop bit for bit."""
+
+    CORPUS = ["a b c d", "a b c", "b c d e", "a c e", "d e a b"] * 3
+    HELDOUT = ["e d c b a", "c a", "e e b"]
+
+    @pytest.mark.parametrize("mode", trainer.LM_MODES)
+    @pytest.mark.parametrize("with_heldout", [False, True])
+    def test_tensors_bit_equal_reference_loop(self, mode, with_heldout):
+        corpus = corpus_from_lines(self.CORPUS)
+        heldout = corpus_from_lines(self.HELDOUT) if with_heldout else None
+        vocab = build_vocabulary(corpus, min_count=0)
+        dims = LstmLmDims(vocab_size=vocab.size, word_dim=5, lstm_dim=6)
+        config = TrainConfig(lr=0.5, max_epochs=10, patience=2, batch_size=4, seed=5)
+        kwargs = dict(mode=mode, nce_samples=7, config=config, dims=dims, heldout=heldout)
+        got = train_lstm_lm(corpus, vocab, **kwargs)
+        ref, epochs = reference_train_lstm_lm(corpus, vocab, **kwargs)
+        if with_heldout:
+            assert epochs < config.max_epochs  # patience stopped training early
+        else:
+            assert epochs == config.max_epochs
+        for name, tensor in ref.tensors.items():
+            np.testing.assert_array_equal(got.tensors[name], tensor, err_msg=name)
 
 
 def uniform_lm(words=("a", "b", "c", "d")):
