@@ -1,8 +1,10 @@
-"""Versioned binary artifact files (models, index caches).
+"""Versioned binary artifact files (models, the KB index) and atomic writers.
 
-Every artifact is a single pickle holding a header (kind + format version)
-plus a payload dict. Loading checks both so stale or foreign files fail fast
-instead of mis-deserializing.
+An artifact is an uncompressed ``.npz`` archive, written and read with
+``allow_pickle=False``: a JSON ``header`` member (a 0-d string array with the
+kind, the format version, scalar metadata and, for a model, the hash of its
+vocabulary) plus named numeric arrays. Any other file, a pickle included,
+fails to load with ``ArtifactError`` naming the path; loading runs no code.
 """
 
 from __future__ import annotations
@@ -10,37 +12,53 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import pickle
+import zipfile
 from pathlib import Path
 
-FORMAT_VERSION = 1
-# protocol pinned so identical payloads serialize to identical bytes
-_PICKLE_PROTOCOL = 4
+import numpy as np
+
+FORMAT_VERSION = 2
 
 
 class ArtifactError(ValueError):
     pass
 
 
-def save_artifact(path, kind: str, payload: dict) -> None:
-    blob = {"kind": kind, "format_version": FORMAT_VERSION, "payload": payload}
+def save_artifact(path, kind: str, arrays: dict, meta: dict | None = None, vocab=None) -> None:
+    """Write ``arrays`` (name -> numeric array) under a header of ``kind``,
+    the JSON scalars of ``meta`` and, given ``vocab``, its content hash."""
+    header = {"kind": kind, "format_version": FORMAT_VERSION, **(meta or {})}
+    if vocab is not None:
+        header["vocab_hash"] = vocab.content_hash()
     with atomic_text_writer(path, binary=True) as fh:
-        pickle.dump(blob, fh, protocol=_PICKLE_PROTOCOL)
+        # np.savez defaults to allow_pickle=True, which would pickle an object array
+        header = np.array(json.dumps(header, sort_keys=True))
+        np.savez(fh, allow_pickle=False, header=header, **arrays)
 
 
-def load_artifact(path, kind: str) -> dict:
+def load_artifact(path, kind: str, vocab=None) -> tuple[dict, dict]:
+    """(header, arrays) of an artifact of ``kind``; given ``vocab``, the file
+    must have been saved against it."""
     with open(path, "rb") as fh:
-        blob = pickle.load(fh)
-    if not isinstance(blob, dict) or "kind" not in blob:
-        raise ArtifactError(f"{path}: not a recognized artifact file")
-    if blob["kind"] != kind:
-        raise ArtifactError(f"{path}: expected {kind!r} artifact, found {blob['kind']!r}")
-    if blob.get("format_version") != FORMAT_VERSION:
-        raise ArtifactError(
-            f"{path}: format-version mismatch "
-            f"(file {blob.get('format_version')!r}, supported {FORMAT_VERSION})"
-        )
-    return blob["payload"]
+        magic = fh.read(len(zipfile.stringFileHeader))
+        if magic != zipfile.stringFileHeader:
+            pickled = magic[:1] == b"\x80"  # the opcode starting every pickle of protocol >= 2
+            what = "a pickle, and pickles are refused" if pickled else "not an .npz archive"
+            raise ArtifactError(f"{path}: not an artifact ({what})")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            header = dict(json.loads(arrays.pop("header").item()))
+        except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(f"{path}: truncated or corrupt artifact ({exc})") from exc
+    if header.get("kind") != kind:
+        raise ArtifactError(f"{path}: expected {kind!r} artifact, found {header.get('kind')!r}")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ArtifactError(f"{path}: unsupported format version {header.get('format_version')!r}")
+    if vocab is not None:
+        check_vocab_hash(header.get("vocab_hash"), vocab.content_hash(), str(path))
+    return header, arrays
 
 
 @contextlib.contextmanager

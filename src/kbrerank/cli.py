@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import evaluation, features, kb, negsampler, ngram, synth, trainer
-from .artifacts import ArtifactError, atomic_text_writer, check_vocab_hash, read_jsonl
+from .artifacts import ArtifactError, atomic_text_writer, read_jsonl
 from .corpus import (
     Corpus,
     FoldAssignment,
@@ -180,6 +180,8 @@ def _validate_flat(key: str, value) -> None:
         raise ValueError(f"config key {key} must be <= {_MAX_VALUES[key]}, got {value!r}")
     if key == "neg_sub_prob" and not 0.0 < value <= 1.0:  # negsampler.draw_negatives
         raise ValueError(f"config key neg_sub_prob must be in (0, 1], got {value!r}")
+    if key == "weight_grid" and not value:  # evaluation.tune_weights sweeps it
+        raise ValueError("config key weight_grid must not be empty")
     if key == "lm_mode" and value not in trainer.LM_MODES:
         raise ValueError(
             f"config key lm_mode must be one of {', '.join(trainer.LM_MODES)}, got {value!r}"
@@ -274,9 +276,9 @@ def cmd_build_kb_index(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     paths.out.mkdir(parents=True, exist_ok=True)
     entries = kb.load_kb(_require_file(_kb_path(cfg, paths), "knowledge base"))
-    index = kb.build_index(entries)
-    kb.save_index(index, paths.kb_index)
-    print(f"kb index: {index.n_entries} entries, max co-occurrence {index.max_cooccurrence}")
+    tables = kb.KBTables.from_index(kb.build_index(entries))
+    kb.save_index(tables, paths.kb_index)
+    print(f"kb index: {tables.n_entries} entries, max co-occurrence {tables.max_cooccurrence}")
     return 0
 
 
@@ -410,7 +412,7 @@ def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
     )
     params = RerankerParams.initialize(dims, seed=cfg.seed)
     best, logs = trainer.train_reranker(instances, prepared, params, _train_config(cfg))
-    best.save(paths.reranker, vocab.content_hash())
+    best.save(paths.reranker, vocab)
     trainer.save_training_log(logs, paths.train_log)
     print(
         f"reranker: {len(logs)} epochs, best held-out WER "
@@ -440,15 +442,9 @@ def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
         dims=dims,
         heldout=heldout,
     )
-    params.save(paths.lstm, vocab.content_hash())
+    params.save(paths.lstm)
     print(f"lstm lm: mode {cfg.lm_mode}, dims {dims.word_dim}/{dims.lstm_dim}")
     return 0
-
-
-def _load_trained(cls, path: Path, hint: str, vocab):
-    params, vocab_hash = cls.load(_require_file(path, hint))
-    check_vocab_hash(vocab_hash, vocab.content_hash(), str(path))
-    return params
 
 
 def _load_models(paths: Paths, components) -> evaluation.RerankModels:
@@ -464,12 +460,12 @@ def _load_models(paths: Paths, components) -> evaluation.RerankModels:
     if "ngram" in needed:
         models.ngram = _load_ngram_checked(paths.ngram_full, vocab)
     if "lstm" in needed:
-        models.lstm = _load_trained(
-            trainer.LstmLmParams, paths.lstm, "run train-lstm-lm first", vocab
+        models.lstm = trainer.LstmLmParams.load(
+            _require_file(paths.lstm, "run train-lstm-lm first"), vocab
         )
     if "reranker" in needed:
-        models.reranker = _load_trained(
-            RerankerParams, paths.reranker, "run train-reranker first", vocab
+        models.reranker = RerankerParams.load(
+            _require_file(paths.reranker, "run train-reranker first"), vocab
         )
     if "kb_index" in needed:
         models.kb_index = kb.load_index(_require_file(paths.kb_index, "kb index"))
@@ -496,16 +492,9 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
     out_path = paths.out / f"selections_{args.scorer.replace('+', '_')}.jsonl"
     with atomic_text_writer(out_path) as fh:
         for nbest, chosen in zip(dataset, choices):
-            fh.write(
-                json.dumps(
-                    {
-                        "id": nbest.utt_id,
-                        "chosen_index": chosen,
-                        "tokens": list(nbest.hypotheses[chosen][0].tokens),
-                    }
-                )
-                + "\n"
-            )
+            tokens = list(nbest.hypotheses[chosen][0].tokens)
+            rec = {"id": nbest.utt_id, "chosen_index": chosen, "tokens": tokens}
+            fh.write(json.dumps(rec) + "\n")
     print(f"rerank: wrote {out_path}")
     return 0
 

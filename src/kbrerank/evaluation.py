@@ -11,7 +11,7 @@ import numpy as np
 from .artifacts import atomic_text_writer, read_jsonl
 from .corpus import Sentence, Vocabulary
 from .features import feature_bins
-from .kb import KBIndex
+from .kb import KBTables
 from .neural import RerankerParams, reranker_inputs, score_lists
 from .ngram import NGramModel, score_sentences
 
@@ -124,7 +124,7 @@ class RerankModels:
     ngram: NGramModel | None = None
     lstm: object = None  # anything with .logprobs(sentences) -> array
     reranker: RerankerParams | None = None
-    kb_index: KBIndex | None = None
+    kb_index: KBTables | None = None
     vocab: Vocabulary | None = None
 
 
@@ -147,7 +147,7 @@ def _component_names(scorer) -> tuple:
     return tuple(name for name in COMPONENTS if name in scorer)
 
 
-def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBIndex, lm_logprobs) -> list:
+def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBTables, lm_logprobs) -> list:
     """The reranker's inputs of every list of ``dataset``, given the
     hypotheses' n-gram log-probabilities ``lm_logprobs`` (flat in list
     order); one ``features.feature_bins`` call covers the whole dataset."""
@@ -166,7 +166,7 @@ def score_ngram(dataset, models: RerankModels) -> np.ndarray:
     """n-gram log-probability of every hypothesis of ``dataset``, flat in list
     order, in one ``ngram.score_ids`` call."""
     hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
-    return score_sentences(models.ngram, hyps, models.vocab)
+    return score_sentences(models.ngram, hyps)
 
 
 def score_reranker(dataset, models: RerankModels, lm_logprobs) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 ``feature_bins`` takes a dataset's token sequences and returns their five
 quantized KB features, one row per sequence in ``BIN_FIELDS`` order. It works
-on the index's array tables (``KBIndex.tables``) and groups the sequences by
+on the KB's array tables (``kb.KBTables``) and groups the sequences by
 length, so no span or word-pair grid is padded. The bins equal those of the
 per-sentence definitions (kept in ``tests/oracles.py`` as the reference) bit
 for bit: every elementwise float op runs in the same order as there, each
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import KBIndex, KBTables, PairArrays, lookup
+from .kb import KBTables, PairArrays, lookup
 
 COOC_BINS = 10
 FREQ_BINS = 100
@@ -73,10 +73,9 @@ def max_span_pairs(length: int) -> int:
     return (length + 2) * (length + 1) * length * (length - 1) // 24
 
 
-def feature_bins(sequences, index: KBIndex) -> np.ndarray:
+def feature_bins(sequences, tables: KBTables) -> np.ndarray:
     """(n, 5) feature bins of ``n`` token sequences, columns in ``BIN_FIELDS``
     order; a sequence's row does not depend on the rest of the batch."""
-    tables = index.tables
     flat, lengths = tables.encode(sequences)
     n = len(lengths)
     if not n:
@@ -97,7 +96,7 @@ def feature_bins(sequences, index: KBIndex) -> np.ndarray:
         groups.append((members, words))
 
     bins = np.empty((n, len(BIN_FIELDS)), dtype=np.intp)
-    bins[:, 0] = _cooccurrence_bins(cooc.tolist(), lengths.tolist(), index.max_cooccurrence)
+    bins[:, 0] = _cooccurrence_bins(cooc.tolist(), lengths.tolist(), tables.max_cooccurrence)
     for k in range(2):
         f = np.array([math.log1p(total) for total in freq[k].tolist()])
         bins[:, 1 + k] = np.minimum(np.maximum(50.0 * f, 0.0), FREQ_BINS - 1).astype(np.intp)

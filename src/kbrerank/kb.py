@@ -1,16 +1,17 @@
 """Music knowledge-base ingestion and the lookup tables feature extraction needs.
 
-An entry is (artist phrase, song phrase, usage frequency). The index holds
-exact-phrase frequency sums per field, artist/song phrase co-occurrence
-counts, and smoothed word-pair probabilities for normalized pointwise mutual
-information. ``KBIndex.tables`` holds the same lookups as sorted integer
-arrays for the batch feature kernel (``features.feature_bins``).
+An entry is (artist phrase, song phrase, usage frequency). ``build_index``
+computes a ``KBIndex``: exact-phrase frequency sums per field, artist/song
+phrase co-occurrence counts, and smoothed word-pair probabilities for
+normalized pointwise mutual information. ``KBTables.from_index`` lays the
+same lookups out as sorted integer arrays, which are all the batch feature
+kernel (``features.feature_bins``) reads. ``kb_index.bin`` holds those arrays
+(``save_index``/``load_index``), not the ``KBIndex``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,8 @@ class KBEntry:
 
 def parse_kb_line(line: str, lineno: int) -> KBEntry:
     parts = line.rstrip("\n").split("\t")
+    if "\0" in line:  # the saved word list, a '<U' array, drops trailing NULs
+        raise ValueError(f"malformed line {lineno}: NUL character")
     if len(parts) != 3:
         raise ValueError(f"malformed line {lineno}: expected 3 tab-separated fields")
     artist = tuple(parts[0].lower().split())
@@ -99,19 +102,6 @@ class PairTable:
                 row[b] = row.get(b, 0.0) + wt
         self._row = row
 
-    def __getstate__(self):
-        # frozensets pickle in hash order, which string-hash randomization
-        # makes process-dependent; serialize sorted so cache files are
-        # byte-reproducible across runs
-        return {
-            "raw": self._raw,
-            "left": sorted(self.left_vocab),
-            "right": sorted(self.right_vocab),
-        }
-
-    def __setstate__(self, state):
-        self.__init__(state["raw"], state["left"], state["right"])
-
     def marginal(self, w: str) -> float:
         in_left = w in self.left_vocab
         in_right = w in self.right_vocab
@@ -137,18 +127,6 @@ class KBIndex:
     max_cooccurrence: int
     cross: PairTable = field(repr=False)
     intra: PairTable = field(repr=False)
-
-    @cached_property
-    def tables(self) -> KBTables:
-        """The lookups as arrays, built on first use and kept with this index
-        (a stage that loads the index once builds them once)."""
-        return KBTables(self)
-
-    def __getstate__(self):
-        # the tables are derived; the file holds only the index
-        state = dict(self.__dict__)
-        state.pop("tables", None)
-        return state
 
 
 def lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray, default) -> np.ndarray:
@@ -188,72 +166,95 @@ class PairArrays:
         )
 
 
+@dataclass(eq=False)
 class KBTables:
     """A ``KBIndex``'s lookups as arrays over KB word ids.
 
-    Words are numbered in sorted order, so an id pair orders like its word
-    pair (``_upair``); id ``n_words`` stands for every word outside the KB.
-    Phrases form a prefix trie over word ids of unbounded depth: node 0 is the
-    empty prefix and an edge is the sorted key ``node * n_words + word``. Each
-    node records the dense artist and song phrase id it spells (-1 if none)
-    and their summed frequencies; a last, dead node (index -1) answers every
-    walk that has left the trie. Co-occurrence counts are keyed
+    ``words`` are the KB's words in sorted order, so an id pair orders like
+    its word pair (``_upair``); id ``n_words`` stands for every word outside
+    the KB. Phrases form a prefix trie over word ids of unbounded depth: node
+    0 is the empty prefix and an edge is the sorted key ``node * n_words +
+    word``. Each node records the dense artist and song phrase id it spells
+    (-1 if none) and their summed frequencies; a last, dead node (index -1)
+    answers every walk that has left the trie. Co-occurrence counts are keyed
     ``artist_id * n_songs + song_id``.
     """
 
-    def __init__(self, index: KBIndex):
+    words: np.ndarray  # (W,) str
+    edge_keys: np.ndarray
+    edge_child: np.ndarray
+    artist_of: np.ndarray  # (nodes + 1,) per trie node, the dead one last
+    song_of: np.ndarray
+    artist_freq: np.ndarray
+    song_freq: np.ndarray
+    pair_keys: np.ndarray
+    pair_counts: np.ndarray
+    cross: PairArrays
+    intra: PairArrays
+    n_entries: int
+
+    def __post_init__(self):
+        self.word_id = {w: i for i, w in enumerate(self.words.tolist())}
+        self.n_words = len(self.words)
+        # every song phrase has a node, and every (artist, song) pair a count
+        self.n_songs = int(self.song_of.max()) + 1
+        self.max_cooccurrence = int(self.pair_counts.max())
+
+    @classmethod
+    def from_index(cls, index: KBIndex) -> KBTables:
         artists, songs = list(index.artist_entries), list(index.song_entries)
         # every word of the NPMI tables' vocabularies is a phrase word
         words = sorted({w for p in artists + songs for w in p})
-        self.word_id = {w: i for i, w in enumerate(words)}
-        self.n_words = len(words)
+        word_id = {w: i for i, w in enumerate(words)}
 
         # the trie, one depth at a time: the distinct (parent, word) keys of
         # the phrases that reach a depth are its nodes
         phrases = artists + songs
         depth = np.array([len(p) for p in phrases])
         word = np.zeros((len(phrases), depth.max()), dtype=np.int64)
-        word[np.arange(depth.max()) < depth[:, None]] = [
-            self.word_id[w] for p in phrases for w in p
-        ]
+        word[np.arange(depth.max()) < depth[:, None]] = [word_id[w] for p in phrases for w in p]
         node = np.zeros(len(phrases), dtype=np.int64)
         edge_keys, n_nodes = [], 1
         for d in range(depth.max()):
             reach = depth > d
-            keys, child = np.unique(
-                node[reach] * self.n_words + word[reach, d], return_inverse=True
-            )
+            keys, child = np.unique(node[reach] * len(words) + word[reach, d], return_inverse=True)
             edge_keys.append(keys)
             node[reach] = n_nodes + child
             n_nodes += len(keys)
-        self.edge_keys = np.concatenate(edge_keys)
-        self.edge_child = np.arange(1, n_nodes, dtype=np.int64)
-        order = np.argsort(self.edge_keys)
-        self.edge_keys, self.edge_child = self.edge_keys[order], self.edge_child[order]
+        edge_keys = np.concatenate(edge_keys)
+        order = np.argsort(edge_keys)
         # one more node, the dead one
-        self.artist_of = np.full(n_nodes + 1, -1, dtype=np.int64)
-        self.song_of = np.full(n_nodes + 1, -1, dtype=np.int64)
-        self.artist_freq = np.zeros(n_nodes + 1)
-        self.song_freq = np.zeros(n_nodes + 1)
+        artist_of = np.full(n_nodes + 1, -1, dtype=np.int64)
+        song_of = np.full(n_nodes + 1, -1, dtype=np.int64)
+        artist_freq = np.zeros(n_nodes + 1)
+        song_freq = np.zeros(n_nodes + 1)
         artist_node, song_node = node[: len(artists)], node[len(artists) :]
-        self.artist_of[artist_node] = np.arange(len(artists))
-        self.song_of[song_node] = np.arange(len(songs))
-        self.artist_freq[artist_node] = [freq for _, freq in index.artist_entries.values()]
-        self.song_freq[song_node] = [freq for _, freq in index.song_entries.values()]
+        artist_of[artist_node] = np.arange(len(artists))
+        song_of[song_node] = np.arange(len(songs))
+        artist_freq[artist_node] = [freq for _, freq in index.artist_entries.values()]
+        song_freq[song_node] = [freq for _, freq in index.song_entries.values()]
 
         artist_id = {p: i for i, p in enumerate(artists)}
         song_id = {p: i for i, p in enumerate(songs)}
-        self.n_songs = len(songs)
         pair_keys = np.array(
-            [artist_id[a] * self.n_songs + song_id[s] for a, s in index.pair_counts],
+            [artist_id[a] * len(songs) + song_id[s] for a, s in index.pair_counts],
             dtype=np.int64,
         )
-        order = np.argsort(pair_keys)
-        self.pair_keys = pair_keys[order]
-        self.pair_counts = np.array(list(index.pair_counts.values()), dtype=np.int64)[order]
-
-        self.cross = PairArrays.build(index.cross, words, self.word_id)
-        self.intra = PairArrays.build(index.intra, words, self.word_id)
+        pair_order = np.argsort(pair_keys)
+        return cls(
+            words=np.array(words),
+            edge_keys=edge_keys[order],
+            edge_child=np.arange(1, n_nodes, dtype=np.int64)[order],
+            artist_of=artist_of,
+            song_of=song_of,
+            artist_freq=artist_freq,
+            song_freq=song_freq,
+            pair_keys=pair_keys[pair_order],
+            pair_counts=np.array(list(index.pair_counts.values()), dtype=np.int64)[pair_order],
+            cross=PairArrays.build(index.cross, words, word_id),
+            intra=PairArrays.build(index.intra, words, word_id),
+            n_entries=index.n_entries,
+        )
 
     def encode(self, sequences) -> tuple[np.ndarray, np.ndarray]:
         """KB word ids of all ``sequences`` end to end, ``n_words`` for a word
@@ -322,9 +323,20 @@ def build_index(entries) -> KBIndex:
     )
 
 
-def save_index(index: KBIndex, path) -> None:
-    save_artifact(path, "kb-index", {"index": index})
+def save_index(tables: KBTables, path) -> None:
+    """Save the arrays (``PairArrays`` field f of ``cross`` as ``cross_f``)."""
+    arrays, meta = {}, {}
+    for prefix, record in (("", tables), ("cross_", tables.cross), ("intra_", tables.intra)):
+        for f in fields(record):
+            value = getattr(record, f.name)
+            if not isinstance(value, PairArrays):
+                (arrays if isinstance(value, np.ndarray) else meta)[prefix + f.name] = value
+    save_artifact(path, "kb-index", arrays, meta)
 
 
-def load_index(path) -> KBIndex:
-    return load_artifact(path, "kb-index")["index"]
+def load_index(path) -> KBTables:
+    header, arrays = load_artifact(path, "kb-index")
+    values = {**header, **arrays}
+    for side in ("cross", "intra"):
+        values[side] = PairArrays(*(values[f"{side}_{f.name}"] for f in fields(PairArrays)))
+    return KBTables(**{f.name: values[f.name] for f in fields(KBTables)})

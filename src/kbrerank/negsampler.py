@@ -283,7 +283,7 @@ def sample_corpus_negatives(
     _check_keep(n_samples, keep_k)
     table_hash = table.vocab.content_hash()  # the draws are ids of the table's vocabulary
     for model in fold_models:
-        check_vocab_hash(model.vocab_hash, table_hash, "jackknife n-gram model")
+        check_vocab_hash(model.vocab.content_hash(), table_hash, "jackknife n-gram model")
     drawn = [
         draw_negatives(
             table.vocab.encode(s.tokens), table, n_samples, p_sub, derive_seed(seed, "neg", j)

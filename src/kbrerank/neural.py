@@ -100,18 +100,15 @@ class RerankerParams:
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
-    def save(self, path, vocab_hash: str) -> None:
-        save_artifact(
-            path,
-            "reranker-params",
-            {"dims": asdict(self.dims), "tensors": self.tensors, "vocab_hash": vocab_hash},
-        )
+    def save(self, path, vocab: Vocabulary) -> None:
+        """Save the tensors, the dimensions and ``vocab``'s hash."""
+        save_artifact(path, "reranker-params", self.tensors, {"dims": asdict(self.dims)}, vocab)
 
     @classmethod
-    def load(cls, path):
-        payload = load_artifact(path, "reranker-params")
-        params = cls(RerankerDims(**payload["dims"]), payload["tensors"])
-        return params, payload["vocab_hash"]
+    def load(cls, path, vocab: Vocabulary) -> RerankerParams:
+        """Load parameters saved against ``vocab``."""
+        header, tensors = load_artifact(path, "reranker-params", vocab)
+        return cls(RerankerDims(**header["dims"]), tensors)
 
 
 def _sigmoid(x):

@@ -24,19 +24,20 @@ gram and adds every float in the order a direct dict implementation does
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import check_vocab_hash, load_artifact, save_artifact
+from .artifacts import load_artifact, save_artifact
 from .corpus import BOS, EOS, Corpus, FoldAssignment, Vocabulary, pad_ids
 
 MAX_ORDER = 5
 _MIN_DISCOUNT = 0.01
 # a packed key of `order` ids in base V+2 is at most (V+2)**order - 1
 _KEY_LIMIT = 2**63
-# the artifact kind; files of the earlier dict model ("ngram-model") are refused
 _KIND = "ngram-tables"
+# the per-order tables, each with how many fewer than ``order`` it holds
+_TABLES = {"gram_keys": 0, "logprobs": 0, "context_keys": 1, "backoffs": 1}
 
 
 def _estimate_discounts(counts: np.ndarray) -> tuple[float, float, float]:
@@ -81,23 +82,21 @@ class NGramModel:
     """
 
     order: int
-    vocab_size: int
-    vocab_hash: str
+    vocab: Vocabulary = field(repr=False)
     gram_keys: tuple = field(repr=False)
     logprobs: tuple = field(repr=False)
     context_keys: tuple = field(repr=False)
     backoffs: tuple = field(repr=False)
     trained_on_folds: tuple[int, ...] = ()
-    vocab: Vocabulary | None = field(default=None, repr=False, compare=False)
 
     @property
     def base(self) -> int:
-        return self.vocab_size + 2
+        return self.vocab.size + 2
 
     @property
     def v_events(self) -> int:
         """Size of the event space: every vocabulary word plus end-of-sentence."""
-        return self.vocab_size + 1
+        return self.vocab.size + 1
 
 
 def _events(ids, lengths, order: int, vocab_size: int):
@@ -261,14 +260,12 @@ def estimate(counts: NGramCounts, vocab: Vocabulary, exclude_fold=None) -> NGram
     )
     return NGramModel(
         order=order,
-        vocab_size=vocab.size,
-        vocab_hash=vocab.content_hash(),
+        vocab=vocab,
         gram_keys=tuple(gram_keys),
         logprobs=tuple(logprobs),
         context_keys=tuple(context_keys),
         backoffs=tuple(backoffs),
         trained_on_folds=trained_on,
-        vocab=vocab,
     )
 
 
@@ -312,9 +309,9 @@ def event_logprobs(model: NGramModel, ids, lengths) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     order, base = model.order, model.base
     real = np.arange(ids.shape[1]) < lengths[:, None]
-    if np.any(real & ((ids < 0) | (ids >= model.vocab_size))):
-        raise ValueError(f"word ids outside the vocabulary [0, {model.vocab_size})")
-    seq, rows, ends = _events(ids, lengths, order, model.vocab_size)
+    if np.any(real & ((ids < 0) | (ids >= model.vocab.size))):
+        raise ValueError(f"word ids outside the vocabulary [0, {model.vocab.size})")
+    seq, rows, ends = _events(ids, lengths, order, model.vocab.size)
     word = seq[rows, ends]
     # ctx[m]: the m ids before each event, packed
     ctx = [np.zeros(len(rows), dtype=np.int64), *_windows(seq, rows, ends - 1, order - 1, base)]
@@ -346,21 +343,10 @@ def score_ids(model: NGramModel, ids, lengths) -> np.ndarray:
     return total
 
 
-def _model_vocab(model: NGramModel, vocab: Vocabulary | None) -> Vocabulary:
-    if vocab is None:
-        if model.vocab is None:
-            raise ValueError("n-gram model has no vocabulary; load it with load_model(path, vocab)")
-        return model.vocab
-    if vocab is not model.vocab:
-        check_vocab_hash(model.vocab_hash, vocab.content_hash(), "n-gram model")
-    return vocab
-
-
-def score_sentences(model: NGramModel, sentences, vocab: Vocabulary | None = None) -> np.ndarray:
-    """``score_ids`` of token sequences encoded with ``vocab`` (by default the
-    model's own), in one call."""
-    vocab = _model_vocab(model, vocab)
-    ids, lengths = pad_ids([vocab.encode(getattr(s, "tokens", s)) for s in sentences])
+def score_sentences(model: NGramModel, sentences) -> np.ndarray:
+    """``score_ids`` of token sequences encoded with the model's vocabulary,
+    in one call."""
+    ids, lengths = pad_ids([model.vocab.encode(getattr(s, "tokens", s)) for s in sentences])
     return score_ids(model, ids, lengths)
 
 
@@ -383,17 +369,24 @@ def score_by_fold(models, fold_of_rows, rows) -> np.ndarray:
 
 
 def save_model(model: NGramModel, path) -> None:
-    payload = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "vocab"}
-    save_artifact(path, _KIND, payload)
+    arrays = {f"{name}{i}": a for name in _TABLES for i, a in enumerate(getattr(model, name))}
+    meta = {"order": model.order, "trained_on_folds": list(model.trained_on_folds)}
+    save_artifact(path, _KIND, arrays, meta, model.vocab)
 
 
-def load_model(path, vocab: Vocabulary | None = None) -> NGramModel:
-    """Load a model; with ``vocab``, check its hash and attach it."""
-    model = NGramModel(**load_artifact(path, _KIND))
-    if vocab is not None:
-        check_vocab_hash(model.vocab_hash, vocab.content_hash(), str(path))
-        model.vocab = vocab
-    return model
+def load_model(path, vocab: Vocabulary) -> NGramModel:
+    """Load a model saved against ``vocab`` and attach it."""
+    header, arrays = load_artifact(path, _KIND, vocab)
+    order = header["order"]
+    return NGramModel(
+        order=order,
+        vocab=vocab,
+        trained_on_folds=tuple(header["trained_on_folds"]),
+        **{
+            name: tuple(arrays[f"{name}{i}"] for i in range(order - fewer))
+            for name, fewer in _TABLES.items()
+        },
+    )
 
 
 def _gram_words(key: int, k: int, base: int, vocab: Vocabulary) -> tuple[str, ...]:
@@ -408,7 +401,7 @@ def export_arpa(model: NGramModel, path) -> None:
     Contexts that are never events themselves (begin-of-sentence prefixes)
     are emitted with the conventional -99 placeholder probability.
     """
-    vocab = _model_vocab(model, None)
+    vocab = model.vocab
     ln10 = math.log(10.0)
     grams_by_len: dict = {}
     backoff: dict = {}

@@ -17,7 +17,7 @@ import numpy as np
 from . import evaluation
 from .artifacts import atomic_text_writer, load_artifact, save_artifact
 from .corpus import Corpus, Sentence, Vocabulary
-from .kb import KBIndex
+from .kb import KBTables
 from .negsampler import derive_seed
 from .neural import (
     RerankerParams,
@@ -81,7 +81,7 @@ class Heldout(NamedTuple):
 
 
 def prepare_heldout(
-    dataset, vocab: Vocabulary, kb_index: KBIndex, ngram_model: NGramModel
+    dataset, vocab: Vocabulary, kb_index: KBTables, ngram_model: NGramModel
 ) -> Heldout:
     models = evaluation.RerankModels(ngram=ngram_model, vocab=vocab)
     split = evaluation.score_split(dataset, (), models)  # needs every reference
@@ -304,25 +304,15 @@ class LstmLmParams:
         """``logprobs`` of one sentence."""
         return float(self.logprobs([sentence])[0])
 
-    def save(self, path, vocab_hash: str) -> None:
-        save_artifact(
-            path,
-            "lstm-lm",
-            {
-                "dims": asdict(self.dims),
-                "tensors": self.tensors,
-                "vocab": self.vocab,
-                "vocab_hash": vocab_hash,
-            },
-        )
+    def save(self, path) -> None:
+        """Save the tensors, the dimensions and the vocabulary's hash."""
+        save_artifact(path, "lstm-lm", self.tensors, {"dims": asdict(self.dims)}, self.vocab)
 
     @classmethod
-    def load(cls, path):
-        payload = load_artifact(path, "lstm-lm")
-        return (
-            cls(LstmLmDims(**payload["dims"]), payload["tensors"], payload["vocab"]),
-            payload["vocab_hash"],
-        )
+    def load(cls, path, vocab: Vocabulary) -> LstmLmParams:
+        """Load an LM saved against ``vocab``, which it then encodes with."""
+        header, tensors = load_artifact(path, "lstm-lm", vocab)
+        return cls(LstmLmDims(**header["dims"]), tensors, vocab)
 
 
 @dataclass

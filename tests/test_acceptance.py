@@ -41,7 +41,7 @@ from kbrerank.corpus import (
 )
 from kbrerank.evaluation import RerankModels, oracle_wer, score_split, wer
 from kbrerank.features import FeatureBundle, feature_bins, max_span_pairs
-from kbrerank.kb import KBEntry, build_index
+from kbrerank.kb import KBEntry, KBTables, build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
 from kbrerank.neural import (
     RerankerDims,
@@ -220,7 +220,7 @@ def test_c4_feature_bounds_and_oracles(feature_world, capsys):
         length = rng.randint(1, 9)
         sents.append(Sentence(tuple(rng.choice(words) for _ in range(length))))
         rng.random()  # the sentence's n-gram score, drawn to keep the stream
-    bins = feature_bins([s.tokens for s in sents], index)
+    bins = feature_bins([s.tokens for s in sents], KBTables.from_index(index))
     np.testing.assert_array_equal(bins, reference_bins(sents, index))
     assert 0 <= bins[:, 0].min() and bins[:, 0].max() < 10
     assert 0 <= bins[:, 1:].min() and bins[:, 1:].max() < 100
@@ -236,7 +236,7 @@ def test_c4_feature_bounds_and_oracles(feature_world, capsys):
             assert bins[k, 0] == expected
 
     def cross_bin(tokens, kb_index):
-        return int(feature_bins([tokens], kb_index)[0, 3])
+        return int(feature_bins([tokens], KBTables.from_index(kb_index))[0, 3])
 
     perfect = build_index([KBEntry(("a",), ("b",), 1.0)])
     assert cross_bin(("a", "b"), perfect) == 99
@@ -426,14 +426,13 @@ def test_c8_early_stopping_returns_heldout_minimum(small_runs, capsys):
     for line in paths.train_log.read_text().splitlines()[1:]:
         _, _, wer_value, _ = line.split(",")
         logged.append(float(wer_value))
-    params, _ = RerankerParams.load(paths.reranker)
-
     from kbrerank import evaluation, kb as kb_mod, ngram as ngram_mod
     from kbrerank.corpus import load_vocabulary
 
     vocab = load_vocabulary(paths.vocab)
+    params = RerankerParams.load(paths.reranker, vocab)
     index = kb_mod.load_index(paths.kb_index)
-    full = ngram_mod.load_model(paths.ngram_full)
+    full = ngram_mod.load_model(paths.ngram_full, vocab)
     prepared = prepare_heldout(evaluation.load_nbest(paths.heldout), vocab, index, full)
     checkpoint_wer = heldout_wer(params, prepared)
     assert math.isclose(checkpoint_wer, min(logged), rel_tol=1e-12, abs_tol=1e-12)

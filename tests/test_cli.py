@@ -1,14 +1,19 @@
+import ast
+import dataclasses
 import importlib.util
 import json
 import math
+import pickle
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kbrerank import features, neural, trainer
+from kbrerank import features, ngram, neural, trainer
 from kbrerank.artifacts import atomic_text_writer, save_artifact
 from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
+from kbrerank.corpus import build_vocabulary, corpus_from_lines, load_vocabulary
 
 
 MINI_SETS = [
@@ -153,6 +158,7 @@ class TestConfig:
             ("neg_sub_prob=1.5", "config key neg_sub_prob must be in (0, 1]"),
             ("keep_top_m=0", "config key keep_top_m must be >= 1"),
             ("vocab_min_count=-1", "config key vocab_min_count must be >= 0"),
+            ("weight_grid=[]", "config key weight_grid must not be empty"),
         ],
     )
     def test_bad_value_fails_at_config_load(self, tmp_path, capsys, setting, message):
@@ -162,6 +168,14 @@ class TestConfig:
         assert main(["build-vocab", *common, "--set", setting]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "vocab.tsv").exists()
+
+    def test_empty_weight_grid_in_config_file_fails(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"weight_grid": []}))
+        out = tmp_path / "out"
+        assert main(["synth-world", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert "config key weight_grid must not be empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_reaches_nested_records(self, tmp_path):
         cfg = resolve_config(build_parser().parse_args(["train-reranker", "--seed", "9"]))
@@ -262,14 +276,11 @@ class TestAtomicTextWriter:
     def test_binary_writer_raising_midway_keeps_old_file(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(b"old")
-        class Unpicklable:
-            def __reduce__(self):
-                raise RuntimeError("cannot serialize")
-
-        # the 1 MB block goes to the file before the second entry fails
-        payload = {"tensors": bytes(1 << 20), "hook": Unpicklable()}
-        with pytest.raises(RuntimeError, match="cannot serialize"):
-            save_artifact(path, "reranker-params", payload)
+        # the 1 MB array goes to the file before the object array, which
+        # would need a pickle, is refused
+        arrays = {"tensors": np.zeros(1 << 17), "hook": np.array([{}, None], dtype=object)}
+        with pytest.raises(ValueError, match="allow_pickle=False"):
+            save_artifact(path, "reranker-params", arrays)
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
@@ -583,3 +594,129 @@ class TestModelsLoaded:
         nbest = str(run / "test.jsonl")
         assert stage("rerank", run, "--nbest", nbest, "--scorer", scorer, "--weights", weights) == 0
         assert len((run / f"selections_{scorer}.jsonl").read_text().splitlines()) == 40
+
+
+class Marker:
+    """Unpickling this object creates the file ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def other_vocabulary():
+    return build_vocabulary(corpus_from_lines(["some other words"]), min_count=0)
+
+
+def resave_ngram(path, vocab):
+    model = ngram.load_model(path, load_vocabulary(path.parent / "vocab.tsv"))
+    ngram.save_model(dataclasses.replace(model, vocab=vocab), path)
+
+
+def resave_reranker(path, vocab):
+    neural.RerankerParams.load(path, load_vocabulary(path.parent / "vocab.tsv")).save(path, vocab)
+
+
+def resave_lstm(path, vocab):
+    lm = trainer.LstmLmParams.load(path, load_vocabulary(path.parent / "vocab.tsv"))
+    trainer.LstmLmParams(lm.dims, lm.tensors, vocab).save(path)
+
+
+class TestHostileArtifacts:
+    """Each binary artifact, as the stage that consumes it loads it: a pickle
+    (whose loading would create a marker file), a truncated file, an artifact
+    of another kind and a model of another vocabulary each fail with their
+    own message naming the file, and without a traceback."""
+
+    # artifact -> (stage arguments, an artifact of another kind, re-saver
+    # against another vocabulary)
+    CASES = {
+        "kb_index.bin": (("extract-features",), "ngram_full.bin", None),
+        "ngram_full.bin": (("rerank", "--scorer", "ngram"), "kb_index.bin", resave_ngram),
+        "reranker.bin": (("rerank", "--scorer", "reranker"), "lstm_lm.bin", resave_reranker),
+        "lstm_lm.bin": (("rerank", "--scorer", "lstm"), "reranker.bin", resave_lstm),
+    }
+
+    def fails(self, run, name, capsys, message):
+        (command, *extra), _, _ = self.CASES[name]
+        if command == "rerank":
+            extra += ["--nbest", str(run / "test.jsonl")]
+        capsys.readouterr()
+        assert stage(command, run, *extra) == 1
+        err = capsys.readouterr().err
+        assert f"{run / name}: " in err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("protocol", [0, 4, pickle.HIGHEST_PROTOCOL])
+    def test_pickle_refused_without_running_it(self, pipeline_dir, tmp_path, capsys, name, protocol):
+        run = copy_run(pipeline_dir, tmp_path)
+        marker = tmp_path / "unpickled"
+        (run / name).write_bytes(pickle.dumps({"payload": Marker(marker)}, protocol=protocol))
+        expected = "pickles are refused" if protocol >= 2 else "not an .npz archive"
+        self.fails(run, name, capsys, expected)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_truncated_file(self, pipeline_dir, tmp_path, capsys, name):
+        run = copy_run(pipeline_dir, tmp_path)
+        data = (run / name).read_bytes()
+        (run / name).write_bytes(data[: len(data) // 2])
+        self.fails(run, name, capsys, "truncated or corrupt artifact")
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_artifact_of_another_kind(self, pipeline_dir, tmp_path, capsys, name):
+        run = copy_run(pipeline_dir, tmp_path)
+        shutil.copyfile(run / self.CASES[name][1], run / name)
+        self.fails(run, name, capsys, "artifact, found '")
+
+    @pytest.mark.parametrize("name", ["ngram_full.bin", "reranker.bin", "lstm_lm.bin"])
+    def test_model_of_another_vocabulary(self, pipeline_dir, tmp_path, capsys, name):
+        run = copy_run(pipeline_dir, tmp_path)
+        self.CASES[name][2](run / name, other_vocabulary())
+        self.fails(run, name, capsys, "vocabulary-hash mismatch")
+
+    def test_pickled_member_refused_without_running_it(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        marker = tmp_path / "unpickled"
+        header = np.array(json.dumps({"kind": "reranker-params", "format_version": 2}))
+        with open(run / "reranker.bin", "wb") as fh:
+            np.savez(fh, header=header, emb=np.array([Marker(marker)], dtype=object))
+        self.fails(run, "reranker.bin", capsys, "Object arrays cannot be loaded")
+        assert not marker.exists()
+
+    def test_bare_npy_refused(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        with open(run / "reranker.bin", "wb") as fh:
+            np.save(fh, np.zeros(3))
+        self.fails(run, "reranker.bin", capsys, "not an .npz archive")
+
+
+class TestNoPickle:
+    def test_no_module_imports_pickle(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "kbrerank"
+        modules = sorted(src.glob("*.py"))
+        assert modules
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] in ("pickle", "_pickle") for n in names), path.name
+
+    def test_pipeline_runs_with_unpickling_disabled(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpickling called")
+
+        for name in ("load", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        run_pipeline(tmp_path)
+        nbest = str(tmp_path / "test.jsonl")
+        assert stage("rerank", tmp_path, "--nbest", nbest, "--scorer", "reranker+lstm") == 0
+        assert (tmp_path / "selections_reranker_lstm.jsonl").exists()

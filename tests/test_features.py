@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import cooccurrence_total, ngram_feature, npmi, npmi_bin, reference_bins
 
+from kbrerank import features
 from kbrerank.corpus import Sentence
 from kbrerank.features import (
     BIN_FIELDS,
@@ -13,16 +14,21 @@ from kbrerank.features import (
     FREQ_BINS,
     NPMI_BINS,
     FeatureBundle,
-    feature_bins,
     max_span_pairs,
 )
-from kbrerank.kb import KBEntry, build_index
+from kbrerank.kb import KBEntry, KBTables, build_index, load_index, save_index
 
 CO, ARTIST, SONG, CROSS, INTRA = range(len(BIN_FIELDS))
 
 
 def entry(artist, song, freq=1.0):
     return KBEntry(tuple(artist.split()), tuple(song.split()), freq)
+
+
+def feature_bins(sequences, index):
+    """The kernel's bins over the tables of a built ``KBIndex``, which the
+    oracles read as the reference."""
+    return features.feature_bins(sequences, KBTables.from_index(index))
 
 
 def bins_of(sentence, index) -> list:
@@ -335,10 +341,15 @@ class TestFeatureKernel:
         # no spans, no word pairs: the bins of zero sums and the neutral NPMI
         assert feature_bins([()], index).tolist() == [[0, 0, 0, 50, 50]]
 
-    def test_tables_built_once_per_index(self):
+    def test_tables_built_once_per_index(self, tmp_path, monkeypatch):
+        # build-kb-index builds the tables once; a stage that loads them
+        # scores without building any
         index = build_index(EDGE_KB)
-        feature_bins([("a", "b")], index)
-        tables = index.tables
-        feature_bins([("c",)], index)
-        assert index.tables is tables
-        assert build_index(EDGE_KB).tables is not tables
+        path = tmp_path / "kb_index.bin"
+        save_index(KBTables.from_index(index), path)
+        monkeypatch.delattr(KBTables, "from_index")
+        tables = load_index(path)
+        tokens = [s.tokens for s in self.mixed_batch(seed=7, n=50)]
+        expected = reference_bins([Sentence(t) for t in tokens], index)
+        np.testing.assert_array_equal(features.feature_bins(tokens, tables), expected)
+        np.testing.assert_array_equal(features.feature_bins(tokens[:9], tables), expected[:9])

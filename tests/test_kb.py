@@ -1,10 +1,18 @@
 import math
+import random
+from dataclasses import fields
 
+import numpy as np
 import pytest
-from oracles import cooccurrence, joint, phrase_frequency, support_pairs
+from oracles import cooccurrence, joint, phrase_frequency, reference_bins, support_pairs
+from test_features import EDGE_KB, EDGE_WORDS
 
+from kbrerank.corpus import Sentence
+from kbrerank.features import feature_bins
 from kbrerank.kb import (
     KBEntry,
+    KBTables,
+    PairArrays,
     build_index,
     load_kb,
     parse_kb_line,
@@ -34,6 +42,11 @@ class TestLoading:
     def test_negative_frequency(self):
         with pytest.raises(ValueError, match="negative frequency"):
             parse_kb_line("a\tb\t-1", 1)
+
+    def test_nul_character_rejected(self):
+        # a saved word list drops a word's trailing NULs
+        with pytest.raises(ValueError, match="malformed line 3: NUL character"):
+            parse_kb_line("a\0\tb\t1", 3)
 
     def test_nan_frequency(self):
         with pytest.raises(ValueError, match="bad frequency"):
@@ -110,20 +123,44 @@ class TestIndex:
                 assert math.isclose(brute, table.marginal(w), abs_tol=1e-9)
 
     def test_roundtrip_cache(self, tmp_path):
-        index = build_index([entry("a b", "c"), entry("a", "d e")])
-        path = tmp_path / "index.bin"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.pair_counts == index.pair_counts
-        assert joint(loaded.cross, "a", "c") == joint(index.cross, "a", "c")
+        # a KB of one-word phrases has no intra pair: its intra total is an int
+        for entries in ([entry("a b", "c"), entry("a", "d e")], [entry("a", "b")], EDGE_KB):
+            index = build_index(entries)
+            tables = KBTables.from_index(index)
+            assert (tables.n_songs, tables.max_cooccurrence) == (
+                len(index.song_entries), index.max_cooccurrence
+            )
+            path = tmp_path / "index.bin"
+            save_index(tables, path)
+            assert_tables_equal(load_index(path), tables)
 
-    def test_feature_tables_not_saved(self, tmp_path):
-        index = build_index([entry("a b", "c"), entry("a", "d e")])
-        save_index(index, tmp_path / "plain.bin")
-        assert index.tables.n_words == 5
-        save_index(index, tmp_path / "with_tables.bin")
-        assert (tmp_path / "plain.bin").read_bytes() == (tmp_path / "with_tables.bin").read_bytes()
-        assert "tables" not in vars(load_index(tmp_path / "with_tables.bin"))
+    def test_feature_tables_saved(self, tmp_path):
+        # the file holds the tables the kernel reads, byte-reproducibly
+        index = build_index(EDGE_KB)
+        for name in ("a.bin", "b.bin"):
+            save_index(KBTables.from_index(index), tmp_path / name)
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        rng = random.Random(3)
+        sents = [
+            Sentence(tuple(rng.choice(EDGE_WORDS) for _ in range(rng.randint(1, 12))))
+            for _ in range(200)
+        ]
+        bins = feature_bins([s.tokens for s in sents], load_index(tmp_path / "a.bin"))
+        np.testing.assert_array_equal(bins, reference_bins(sents, index))
+
+
+def assert_tables_equal(a: KBTables, b: KBTables):
+    """Every array bit-equal, with its dtype; every scalar equal, with its type."""
+    for record, other in ((a, b), (a.cross, b.cross), (a.intra, b.intra)):
+        for f in fields(other):
+            x, y = getattr(record, f.name), getattr(other, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape, f.name
+                assert x.tobytes() == y.tobytes(), f.name
+            elif not isinstance(y, PairArrays):
+                assert type(x) is type(y) and x == y, f.name
+    assert a.word_id == b.word_id and a.n_words == b.n_words
+    assert (a.n_songs, a.max_cooccurrence) == (b.n_songs, b.max_cooccurrence)
 
 
 class TestPhraseFrequency:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from kbrerank import neural
+from kbrerank.artifacts import ArtifactError
+from kbrerank.corpus import build_vocabulary, corpus_from_lines
 from kbrerank.features import FeatureBundle
 from kbrerank.neural import (
     RerankerDims,
@@ -513,9 +515,12 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         params = RerankerParams.initialize(TINY, seed=13)
         path = tmp_path / "params.bin"
-        params.save(path, vocab_hash="abc123")
-        loaded, vocab_hash = RerankerParams.load(path)
-        assert vocab_hash == "abc123"
+        vocab, other = (build_vocabulary(corpus_from_lines([text]), 0) for text in ("a b", "c"))
+        params.save(path, vocab)
+        loaded = RerankerParams.load(path, vocab)
         assert loaded.dims == params.dims
+        assert list(loaded.tensors) == list(params.tensors)
+        with pytest.raises(ArtifactError, match="vocabulary-hash mismatch"):
+            RerankerParams.load(path, other)
         for name in params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])

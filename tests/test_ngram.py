@@ -15,7 +15,7 @@ from oracles import (
     train_dict_ngram,
 )
 
-from kbrerank import synth
+from kbrerank import artifacts, synth
 from kbrerank.artifacts import ArtifactError, save_artifact
 from kbrerank.corpus import (
     UNK,
@@ -408,23 +408,35 @@ class TestModelFile:
     def test_roundtrip_attaches_checked_vocabulary(self, tmp_path):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=3)
-        path = tmp_path / "ngram.bin"
-        save_model(model, path)
-        bare = load_model(path)
-        assert bare.vocab is None
-        assert_same_tables(bare, model)
-        loaded = load_model(path, vocab)
-        assert loaded.vocab is vocab
-        assert all(score_sentence(loaded, s) == score_sentence(model, s) for s in corpus)
+        folds = assign_folds(corpus, 2, seed=0)
+        # order 1 has no context tables; a fold model records its folds
+        for order, exclude in ((1, None), (3, None), (3, 1)):
+            model = train_ngram(corpus, vocab, order, exclude, folds)
+            path = tmp_path / "ngram.bin"
+            save_model(model, path)
+            loaded = load_model(path, vocab)
+            assert loaded.vocab is vocab and loaded.order == order
+            assert_same_tables(loaded, model)
+            assert loaded.trained_on_folds == model.trained_on_folds
+            assert all(score_sentence(loaded, s) == score_sentence(model, s) for s in corpus)
         other = build_vocabulary(make_corpus("some other words"), min_count=0)
         with pytest.raises(ArtifactError, match="vocabulary-hash mismatch"):
             load_model(path, other)
 
+    def test_other_format_version_refused(self, tmp_path, monkeypatch):
+        vocab = build_vocabulary(make_corpus(*TOY), min_count=0)
+        path = tmp_path / "ngram_full.bin"
+        monkeypatch.setattr(artifacts, "FORMAT_VERSION", 3)
+        save_model(train_ngram(make_corpus(*TOY), vocab, order=2), path)
+        monkeypatch.undo()
+        with pytest.raises(ArtifactError, match="ngram_full.bin: unsupported format version 3"):
+            load_model(path, vocab)
+
     def test_dict_model_file_refused_at_load(self, tmp_path):
-        # the earlier dict model's artifact: kind "ngram-model", format version 1
+        # an artifact of the earlier dict model's kind, "ngram-model"
         path = tmp_path / "ngram_fold0.bin"
-        save_artifact(path, "ngram-model", {"model": {"order": 3, "logprob": {}}})
+        vocab = build_vocabulary(make_corpus(*TOY), min_count=0)
+        save_artifact(path, "ngram-model", {}, {"order": 3}, vocab)
         with pytest.raises(ArtifactError, match="ngram_fold0.bin") as err:
-            load_model(path)
+            load_model(path, vocab)
         assert "'ngram-model'" in str(err.value)

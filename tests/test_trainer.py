@@ -22,10 +22,11 @@ from oracles import (
 )
 
 from kbrerank import evaluation, neural, synth, trainer
+from kbrerank.artifacts import ArtifactError
 from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
 from kbrerank.evaluation import NBestList, RerankModels, wer
-from kbrerank.kb import build_index
+from kbrerank.kb import KBTables, build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
 from kbrerank.neural import (
     RerankerDims,
@@ -59,6 +60,7 @@ def mini_world():
     world = synth.generate_world(cfg)
     vocab = build_vocabulary(world.train, min_count=1)
     index = build_index(world.kb_entries)
+    tables = KBTables.from_index(index)
     folds = assign_folds(world.train, 4, seed=3)
     full, fold_models = train_jackknife(world.train, vocab, 3, folds)
     table = build_confusion_table(vocab)
@@ -84,12 +86,13 @@ def mini_world():
         "world": world,
         "vocab": vocab,
         "index": index,
+        "tables": tables,
         "full": full,
         "instances": instances,
-        "heldout": prepare_heldout(world.heldout, vocab, index, full),
+        "heldout": prepare_heldout(world.heldout, vocab, tables, full),
         # held-out sets of the first 3, 5 and 8 lists
         **{
-            f"heldout{k}": prepare_heldout(world.heldout[:k], vocab, index, full)
+            f"heldout{k}": prepare_heldout(world.heldout[:k], vocab, tables, full)
             for k in (3, 5, 8)
         },
         "dims": dims,
@@ -174,7 +177,7 @@ class TestHeldoutUnequalLengths:
     def test_heldout_wer_scores_each_hypothesis_as_alone(self, mini_world):
         vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
         lists = unequal_length_lists(mini_world["world"])
-        heldout = prepare_heldout(lists, vocab, index, full)
+        heldout = prepare_heldout(lists, vocab, mini_world["tables"], full)
         assert all(len({len(row) for row in x.ids}) > 1 for x in heldout.inputs)
         chosen_lengths = set()
         for seed in range(4):
@@ -362,11 +365,11 @@ class TestChunkedScoring:
     scores equal those of one call per list."""
 
     def test_heldout_wer_matches_one_list_per_call(self, mini_world):
-        vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
+        vocab, full = mini_world["vocab"], mini_world["full"]
         lists = list(mini_world["world"].heldout)
         unequal = unequal_length_lists(mini_world["world"])
         for dataset in (lists, unequal, lists + unequal):
-            heldout = prepare_heldout(dataset, vocab, index, full)
+            heldout = prepare_heldout(dataset, vocab, mini_world["tables"], full)
             assert heldout.split.valid.sum() > neural.FUSE_ROWS
             for seed in range(3):
                 params = RerankerParams.initialize(mini_world["dims"], seed=seed)
@@ -377,14 +380,14 @@ class TestChunkedScoring:
                 )
 
     def test_score_hypotheses_matches_one_list_per_call(self, mini_world):
-        vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
+        vocab, tables, full = mini_world["vocab"], mini_world["tables"], mini_world["full"]
         params = RerankerParams.initialize(mini_world["dims"], seed=3)
-        models = RerankModels(ngram=full, reranker=params, kb_index=index, vocab=vocab)
+        models = RerankModels(ngram=full, reranker=params, kb_index=tables, vocab=vocab)
         dataset = list(mini_world["world"].heldout) + unequal_length_lists(mini_world["world"])
         scores, valid = evaluation.score_hypotheses(dataset, "reranker", models)
         for u, nbest in enumerate(dataset):
             lm_logprobs = [score_sentence(full, h) for h, _ in nbest.hypotheses]
-            x = evaluation.dataset_inputs([nbest], vocab, index, lm_logprobs)[0]
+            x = evaluation.dataset_inputs([nbest], vocab, tables, lm_logprobs)[0]
             own, _ = score_alone(params, x)
             np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
 
@@ -629,8 +632,13 @@ class TestLstmLm:
     def test_checkpoint_roundtrip(self, tmp_path):
         params, vocab = uniform_lm()
         path = tmp_path / "lm.bin"
-        params.save(path, vocab.content_hash())
-        loaded, vhash = LstmLmParams.load(path)
-        assert vhash == vocab.content_hash()
+        params.save(path)
+        loaded = LstmLmParams.load(path, vocab)
+        assert loaded.vocab is vocab and loaded.dims == params.dims
+        for name in params.tensors:
+            np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
         sent = Sentence(("a", "b"))
         assert loaded.sentence_logprob(sent) == params.sentence_logprob(sent)
+        other = build_vocabulary(corpus_from_lines(["some other words"]), min_count=0)
+        with pytest.raises(ArtifactError, match="vocabulary-hash mismatch"):
+            LstmLmParams.load(path, other)
