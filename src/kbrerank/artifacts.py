@@ -5,11 +5,13 @@ An artifact is an uncompressed ``.npz`` archive, written and read with
 kind, the format version, scalar metadata and, for a model, the hash of its
 vocabulary) plus named numeric arrays. Any other file, a pickle included,
 fails to load with ``ArtifactError`` naming the path; loading runs no code.
+So does a file without exactly the members its loader names.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import zipfile
@@ -36,9 +38,12 @@ def save_artifact(path, kind: str, arrays: dict, meta: dict | None = None, vocab
         np.savez(fh, allow_pickle=False, header=header, **arrays)
 
 
-def load_artifact(path, kind: str, vocab=None) -> tuple[dict, dict]:
+def load_artifact(path, kind: str, members, vocab=None) -> tuple[dict, dict]:
     """(header, arrays) of an artifact of ``kind``; given ``vocab``, the file
-    must have been saved against it."""
+    must have been saved against it. ``members(header)`` maps each array the
+    file must hold to None or, for a float64 tensor, its shape; it raises
+    ``KeyError``, ``TypeError`` or ``ValueError`` on a header it cannot read.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(zipfile.stringFileHeader))
         if magic != zipfile.stringFileHeader:
@@ -58,7 +63,41 @@ def load_artifact(path, kind: str, vocab=None) -> tuple[dict, dict]:
         raise ArtifactError(f"{path}: unsupported format version {header.get('format_version')!r}")
     if vocab is not None:
         check_vocab_hash(header.get("vocab_hash"), vocab.content_hash(), str(path))
+    try:
+        expected = members(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: bad header ({exc})") from exc
+    for what, names in (
+        ("missing", expected.keys() - arrays.keys()),
+        ("unexpected", arrays.keys() - expected.keys()),
+    ):
+        if names:
+            raise ArtifactError(f"{path}: {what} member {min(names)!r}")
+    for name, shape in expected.items():
+        array = arrays[name]
+        if shape is not None and (array.dtype != np.float64 or array.shape != tuple(shape)):
+            raise ArtifactError(
+                f"{path}: member {name!r} is {array.dtype} of shape {array.shape}, "
+                f"expected float64 of shape {tuple(shape)}"
+            )
     return header, arrays
+
+
+def load_tensors(path, kind: str, dims_type, vocab) -> tuple:
+    """(dims, tensors) of a model saved against ``vocab``. Its header's
+    ``dims`` must hold exactly the fields of ``dims_type``, each an int >= 1,
+    and its tensors be those of ``dims.tensor_shapes``, each of its shape."""
+
+    def dims_of(header):
+        dims, names = header.get("dims"), [f.name for f in dataclasses.fields(dims_type)]
+        if not isinstance(dims, dict) or sorted(dims) != sorted(names) or not all(
+            type(v) is int and v >= 1 for v in dims.values()
+        ):
+            raise ValueError(f"dims must map {', '.join(names)} to ints >= 1, got {dims!r}")
+        return dims_type(**dims)
+
+    header, tensors = load_artifact(path, kind, lambda h: dims_of(h).tensor_shapes, vocab)
+    return dims_of(header), tensors
 
 
 @contextlib.contextmanager

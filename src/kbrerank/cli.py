@@ -20,10 +20,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import evaluation, features, kb, negsampler, ngram, synth, trainer
 from .artifacts import ArtifactError, atomic_text_writer, read_jsonl
@@ -37,7 +40,7 @@ from .corpus import (
     save_corpus,
     save_vocabulary,
 )
-from .neural import RerankerDims, RerankerParams, reranker_inputs, stack_bundles
+from .neural import RerankerDims, RerankerParams, group_inputs
 from .synth import SynthConfig
 from .trainer import TrainConfig
 
@@ -139,7 +142,8 @@ _KEYS = _flat_keys()
 
 def _checked(key: str, value, tp):
     """``value`` as a ``tp`` field: an int passes for a float and a list for a
-    tuple; any other type is an error naming ``key``."""
+    tuple; any other type, and a float that is NaN or infinite, is an error
+    naming ``key``."""
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config key {key} must be a list, got {value!r}")
@@ -147,6 +151,8 @@ def _checked(key: str, value, tp):
     allowed = (int, float) if tp is float else tp
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ValueError(f"config key {key} must be {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ValueError(f"config key {key} must be a finite number, got {value!r}")
     return value
 
 
@@ -358,35 +364,65 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def load_feature_instances(path, vocab) -> list:
-    """Group the feature dump back into per-sentence training instances.
+_SCORE = "ngram_negative_logprob"
+_FEATURE_FIELDS = {"sentence_id", "hypothesis_id", "tokens", _SCORE, *dict(features.BIN_FIELDS)}
 
-    A sentence's rows must be hypotheses 0..n-1 with n >= 2: row 0 is the
-    source sentence, the correct candidate, and the rest its negatives. A
-    row's features must pass ``features.FeatureBundle``.
+
+def load_feature_instances(path, vocab) -> list:
+    """The feature dump as training instances (``neural.RerankerInputs``) in
+    ascending ``sentence_id``, each one's rows by ``hypothesis_id``.
+
+    The rows are read once and checked a column at a time: ids are ints,
+    each row has exactly the dump's fields, each score is a finite number
+    >= 0 and each bin an integer in range (``features.BIN_FIELDS``). A
+    sentence's rows must be hypotheses 0..n-1 with n >= 2: row 0 is the
+    source sentence, the correct candidate, and the rest its negatives.
     """
-    groups: dict = {}
-    for lineno, rec in read_jsonl(path):
-        for key in ("sentence_id", "hypothesis_id"):
-            if type(rec.get(key)) is not int:
-                raise ValueError(f"{path}:{lineno}: {key} must be an int, got {rec.get(key)!r}")
-        groups.setdefault(rec.pop("sentence_id"), []).append(rec)
-    instances = []
-    for sid in sorted(groups):
-        rows = sorted(groups[sid], key=lambda r: r["hypothesis_id"])
-        hyp_ids = [r.pop("hypothesis_id") for r in rows]
-        if len(rows) < 2 or hyp_ids != list(range(len(rows))):
+    rows = list(read_jsonl(path))
+    for key in ("sentence_id", "hypothesis_id"):
+        for lineno, rec in rows:
+            value = rec.get(key)
+            if type(value) is not int or not -(2**63) <= value < 2**63:  # an int64 column
+                raise ValueError(f"{path}:{lineno}: {key} must be an int, got {value!r}")
+    recs = [rec for _, rec in rows]
+
+    def check(column, bad, message):
+        """Fail on the first row whose value in ``column`` is ``bad``."""
+        for rec in recs:
+            if bad(rec[column]):
+                sid = rec["sentence_id"]
+                raise ValueError(f"{path}: sentence_id {sid}: {message.format(rec[column])}")
+
+    for rec in recs:
+        if rec.keys() != _FEATURE_FIELDS:
+            missing, unknown = _FEATURE_FIELDS - rec.keys(), rec.keys() - _FEATURE_FIELDS
             raise ValueError(
-                f"{path}: sentence_id {sid} has hypothesis ids {hyp_ids}, expected "
+                f"{path}: sentence_id {rec['sentence_id']}: "
+                f"missing fields {sorted(missing)}, unknown fields {sorted(unknown)}"
+            )
+    check(_SCORE, lambda v: type(v) not in (int, float) or not 0 <= v <= sys.float_info.max,
+          _SCORE + " must be a finite number >= 0, got {!r}")
+    for name, limit in features.BIN_FIELDS:
+        check(name, lambda v: type(v) is not int, name + " must be an integer, got {!r}")
+        check(name, lambda v: not 0 <= v < limit, f"feature bin {{}} outside [0, {limit})")
+    feats = np.array([rec[_SCORE] for rec in recs], dtype=float)
+    bins = np.array([[rec[n] for n, _ in features.BIN_FIELDS] for rec in recs], dtype=np.intp)
+    bins = bins.reshape(-1, len(features.BIN_FIELDS))
+
+    sids = np.array([rec["sentence_id"] for rec in recs], dtype=np.int64)
+    hyp_ids = np.array([rec["hypothesis_id"] for rec in recs], dtype=np.int64)
+    order = np.lexsort((hyp_ids, sids))  # stable: a duplicated row stays
+    starts = np.flatnonzero(np.diff(sids[order], prepend=sids[order[:1]] - 1))
+    sizes = np.diff(starts, append=len(recs)).tolist()
+    for at, n in zip(starts.tolist(), sizes):
+        ids = hyp_ids[order[at : at + n]].tolist()
+        if ids != list(range(max(n, 2))):  # a lone row is never 0, 1
+            raise ValueError(
+                f"{path}: sentence_id {sids[order[at]]} has hypothesis ids {ids}, expected "
                 "0..n-1: the source sentence and at least one negative"
             )
-        try:
-            tokens = [r.pop("tokens") for r in rows]
-            bundles = [features.FeatureBundle(**r) for r in rows]
-        except (KeyError, TypeError, ValueError) as exc:  # a missing, unknown or bad field
-            raise ValueError(f"{path}: sentence_id {sid}: {exc}") from exc
-        instances.append(reranker_inputs(tokens, *stack_bundles(bundles), vocab))
-    return instances
+    tokens = [recs[i]["tokens"] for i in order.tolist()]
+    return group_inputs(tokens, bins[order], feats[order], sizes, vocab)
 
 
 def _train_config(cfg: PipelineConfig, **overrides) -> TrainConfig:
@@ -473,13 +509,18 @@ def _load_models(paths: Paths, components) -> evaluation.RerankModels:
 
 
 def _parse_weights(raw: str) -> dict:
+    """``--weights`` as name -> weight; each weight must be a finite number."""
     weights = {}
     if raw:
         for part in raw.split(","):
             name, _, value = part.partition("=")
-            if not value:
-                raise ValueError(f"bad weight spec {part!r}, expected name=value")
-            weights[name.strip()] = float(value)
+            try:
+                weight = float(value)
+            except ValueError:  # no number at all, refused as NaN is
+                weight = math.nan
+            if not math.isfinite(weight):
+                raise ValueError(f"bad weight spec {part!r}, expected name=<finite number>")
+            weights[name.strip()] = weight
     return weights
 
 

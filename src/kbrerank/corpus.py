@@ -21,13 +21,12 @@ EOS = "</s>"
 
 @dataclass(frozen=True)
 class Sentence:
-    """Immutable sequence of lowercase, whitespace-free tokens."""
+    """Immutable sequence of lowercase, whitespace-free tokens; an n-best
+    hypothesis may be empty, a corpus sentence (``tokenize_line``) may not."""
 
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.tokens) == 0:
-            raise ValueError("sentence must have at least one token")
         for tok in self.tokens:
             # str.split() breaks exactly at the characters str.isspace() accepts
             if tok.split() != [tok]:

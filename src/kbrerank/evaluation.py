@@ -12,7 +12,7 @@ from .artifacts import atomic_text_writer, read_jsonl
 from .corpus import Sentence, Vocabulary
 from .features import feature_bins
 from .kb import KBTables
-from .neural import RerankerParams, reranker_inputs, score_lists
+from .neural import RerankerParams, group_inputs, score_lists
 from .ngram import NGramModel, score_sentences
 
 # the components each scorer interpolates with the first pass, in the order
@@ -148,18 +148,14 @@ def _component_names(scorer) -> tuple:
 
 
 def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBTables, lm_logprobs) -> list:
-    """The reranker's inputs of every list of ``dataset``, given the
-    hypotheses' n-gram log-probabilities ``lm_logprobs`` (flat in list
-    order); one ``features.feature_bins`` call covers the whole dataset."""
+    """The reranker's inputs of every list of ``dataset``, one group per
+    list, given the hypotheses' n-gram log-probabilities ``lm_logprobs``
+    (flat in list order); one ``features.feature_bins`` call covers the whole
+    dataset."""
     hyps = [h.tokens for nbest in dataset for h, _ in nbest.hypotheses]
-    bins = feature_bins(hyps, kb_index)
+    sizes = [len(nbest.hypotheses) for nbest in dataset]
     feats = -np.asarray(lm_logprobs, dtype=float)
-    inputs, row = [], 0
-    for nbest in dataset:
-        end = row + len(nbest.hypotheses)
-        inputs.append(reranker_inputs(hyps[row:end], bins[row:end], feats[row:end], vocab))
-        row = end
-    return inputs
+    return group_inputs(hyps, feature_bins(hyps, kb_index), feats, sizes, vocab)
 
 
 def score_ngram(dataset, models: RerankModels) -> np.ndarray:

@@ -8,14 +8,19 @@ per-sentence definitions (kept in ``tests/oracles.py`` as the reference) bit
 for bit: every elementwise float op runs in the same order as there, each
 sentence's sums add their terms in (i, j) order (``np.cumsum``, not the
 pairwise ``np.sum``), and the logarithms are ``math.log``/``math.log1p`` on
-Python floats, whose last bit the numpy forms do not always match.
+Python floats, whose last bit the numpy forms do not always match. An empty
+sequence has no span and no word pair: bins 0, 0, 0 and the neutral NPMI bin
+twice.
+
+``BIN_FIELDS`` is the one declaration of the bin table: ``extract-features``
+writes each row's bins under its names, ``cli.load_feature_instances`` reads
+them back into its columns, and the reranker lays out its bin embeddings in
+its order.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +30,8 @@ COOC_BINS = 10
 FREQ_BINS = 100
 NPMI_BINS = 100
 NPMI_NEUTRAL_BIN = 50
-# each quantized FeatureBundle field and its number of bins, in the order the
-# reranker lays out their embeddings and feature_bins its columns
+# the bin table: each quantized feature's name (its features.jsonl field) and
+# number of bins, in the column order of every (n, 5) bin array
 BIN_FIELDS = (
     ("cooccurrence_bin", COOC_BINS),
     ("artist_freq_bin", FREQ_BINS),
@@ -34,38 +39,6 @@ BIN_FIELDS = (
     ("cross_npmi_bin", NPMI_BINS),
     ("intra_npmi_bin", NPMI_BINS),
 )
-
-
-@dataclass(frozen=True)
-class FeatureBundle:
-    """One candidate's quantized features plus its n-gram score feature, as a
-    row of ``features.jsonl``; a non-finite or negative score and a bin that
-    is not an integer in range are errors."""
-
-    ngram_negative_logprob: float
-    cooccurrence_bin: int
-    artist_freq_bin: int
-    song_freq_bin: int
-    cross_npmi_bin: int
-    intra_npmi_bin: int
-
-    def __post_init__(self):
-        score = self.ngram_negative_logprob
-        if (
-            isinstance(score, bool)
-            or not isinstance(score, numbers.Real)
-            or not math.isfinite(score)
-            or score < 0
-        ):
-            raise ValueError(
-                f"ngram_negative_logprob must be a finite number >= 0, got {score!r}"
-            )
-        for name, limit in BIN_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= value < limit:
-                raise ValueError(f"feature bin {value} outside [0, {limit})")
 
 
 def max_span_pairs(length: int) -> int:

@@ -334,8 +334,23 @@ def save_index(tables: KBTables, path) -> None:
     save_artifact(path, "kb-index", arrays, meta)
 
 
+def _index_members(header) -> dict:
+    """The arrays of a ``kb-index`` file, of any shape: each array field of
+    ``KBTables`` and of its ``PairArrays`` (field f of ``cross`` as
+    ``cross_f``). The other fields are the header's numbers."""
+    members = {}
+    for prefix, record in (("", KBTables), ("cross_", PairArrays), ("intra_", PairArrays)):
+        for f in fields(record):
+            name = prefix + f.name
+            if f.type == "np.ndarray":
+                members[name] = None
+            elif f.type != "PairArrays" and type(header.get(name)) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {header.get(name)!r}")
+    return members
+
+
 def load_index(path) -> KBTables:
-    header, arrays = load_artifact(path, "kb-index")
+    header, arrays = load_artifact(path, "kb-index", _index_members)
     values = {**header, **arrays}
     for side in ("cross", "intra"):
         values[side] = PairArrays(*(values[f"{side}_{f.name}"] for f in fields(PairArrays)))

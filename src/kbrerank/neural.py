@@ -8,6 +8,14 @@ with the fixed negative-log n-gram feature to give the candidate score u.
 Everything is float64 numpy with hand-written backprop; the gradient of the
 contrastive loss with respect to every tensor is checked against central
 finite differences in the test suite.
+
+Candidates reach the reranker in groups (``RerankerInputs``): each one's word
+ids, an (n, 5) bin array in ``features.BIN_FIELDS`` order and the n-gram
+features. One builder, ``group_inputs``, splits flat rows at given group
+sizes into them, for the training instances of ``features.jsonl``
+(``cli.load_feature_instances``) and for n-best lists
+(``evaluation.dataset_inputs``) alike. An empty candidate reads both
+directions' zero start state.
 """
 
 from __future__ import annotations
@@ -17,19 +25,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import load_artifact, save_artifact
+from .artifacts import load_tensors, save_artifact
 from .corpus import Vocabulary, pad_ids
 from .features import BIN_FIELDS
 
 
 class _Bin(NamedTuple):
-    field: str  # FeatureBundle field
+    field: str  # features.BIN_FIELDS name
     count: int  # number of bins
     emb: str  # embedding tensor
     width: str  # RerankerDims field giving the embedding width
 
 
-# FeatureBundle field -> (embedding tensor, RerankerDims width field)
+# bin name -> (embedding tensor, RerankerDims width field)
 _BIN_PARAMS = {
     "cooccurrence_bin": ("co_emb", "co_dim"),
     "artist_freq_bin": ("artist_emb", "freq_dim"),
@@ -58,21 +66,22 @@ class RerankerDims:
     def phi_dim(self) -> int:
         return 2 * self.lstm_dim + sum(getattr(self, b.width) for b in _BINS)
 
-
-# fixed creation order keeps seeded initialization reproducible
-def _tensor_shapes(d: RerankerDims):
-    gate_rows = 4 * d.lstm_dim
-    return (
-        ("emb", (d.vocab_size, d.word_dim)),
-        ("fwd_w", (gate_rows, d.word_dim + d.lstm_dim)),
-        ("fwd_b", (gate_rows,)),
-        ("bwd_w", (gate_rows, d.word_dim + d.lstm_dim)),
-        ("bwd_b", (gate_rows,)),
-        *((b.emb, (b.count, getattr(d, b.width))) for b in _BINS),
-        ("hidden_w", (d.phi_dim, d.hidden_dim)),
-        ("out_w", (d.hidden_dim,)),
-        ("alpha", (2,)),
-    )
+    @property
+    def tensor_shapes(self) -> dict:
+        """Each tensor's shape, in the fixed creation order that keeps seeded
+        initialization reproducible."""
+        gate_rows = 4 * self.lstm_dim
+        return {
+            "emb": (self.vocab_size, self.word_dim),
+            "fwd_w": (gate_rows, self.word_dim + self.lstm_dim),
+            "fwd_b": (gate_rows,),
+            "bwd_w": (gate_rows, self.word_dim + self.lstm_dim),
+            "bwd_b": (gate_rows,),
+            **{b.emb: (b.count, getattr(self, b.width)) for b in _BINS},
+            "hidden_w": (self.phi_dim, self.hidden_dim),
+            "out_w": (self.hidden_dim,),
+            "alpha": (2,),
+        }
 
 
 class RerankerParams:
@@ -86,7 +95,7 @@ class RerankerParams:
     def initialize(cls, dims: RerankerDims, seed: int = 0, init_scale: float = 0.08):
         rng = np.random.default_rng(seed)
         tensors = {}
-        for name, shape in _tensor_shapes(dims):
+        for name, shape in dims.tensor_shapes.items():
             tensors[name] = rng.uniform(-init_scale, init_scale, size=shape)
         h = dims.lstm_dim
         for name in ("fwd_b", "bwd_b"):
@@ -106,9 +115,9 @@ class RerankerParams:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> RerankerParams:
-        """Load parameters saved against ``vocab``."""
-        header, tensors = load_artifact(path, "reranker-params", vocab)
-        return cls(RerankerDims(**header["dims"]), tensors)
+        """Load parameters saved against ``vocab``: exactly the tensors of
+        the header's dims, each of its shape."""
+        return cls(*load_tensors(path, "reranker-params", RerankerDims, vocab))
 
 
 def _sigmoid(x):
@@ -190,14 +199,6 @@ def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
         dc = dc * f
 
 
-def stack_bundles(bundles) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of candidates' feature bundles as an (n, 5) bin array, columns
-    in ``BIN_FIELDS`` order, and the n-gram features."""
-    bins = np.array([[getattr(x, b.field) for b in _BINS] for x in bundles], dtype=np.intp)
-    feats = np.array([x.ngram_negative_logprob for x in bundles], dtype=float)
-    return bins.reshape(-1, len(_BINS)), feats
-
-
 @dataclass
 class RerankerInputs:
     """A group of candidates as the reranker reads them: each candidate's
@@ -210,14 +211,18 @@ class RerankerInputs:
     ngram_feats: np.ndarray
 
 
-def reranker_inputs(candidates, bins, ngram_feats, vocab: Vocabulary) -> RerankerInputs:
-    """Inputs for token sequences ``candidates``, their (n, 5) bins and
-    their n-gram features."""
+def group_inputs(candidates, bins, ngram_feats, sizes, vocab: Vocabulary) -> list[RerankerInputs]:
+    """Flat token sequences ``candidates``, their (n, 5) bins and their
+    n-gram features, split into consecutive groups of ``sizes`` rows."""
     bins = np.asarray(bins, dtype=np.intp)
     feats = np.asarray(ngram_feats, dtype=float)
-    if bins.shape != (len(candidates), len(_BINS)) or len(feats) != len(candidates):
+    n = len(candidates)
+    if bins.shape != (n, len(_BINS)) or len(feats) != n or sum(sizes) != n:
         raise ValueError("need one feature row per candidate")
-    return RerankerInputs([vocab.encode(tokens) for tokens in candidates], bins, feats)
+    ids = [vocab.encode(tokens) for tokens in candidates]
+    ends = np.cumsum(sizes, dtype=np.intp).tolist()
+    starts = [0, *ends[:-1]]
+    return [RerankerInputs(ids[a:b], bins[a:b], feats[a:b]) for a, b in zip(starts, ends)]
 
 
 # candidate rows per fused score_batch call; bounds the per-step activations
@@ -301,7 +306,9 @@ def score_batch(
     without it every row is ``length`` tokens long. The forward LSTM's final
     state is taken after a row's last real token, and the backward LSTM reads
     each row reversed within its own length, so it starts at that token.
-    Padding ids never reach a score or a gradient. ``bins`` is (batch, 5),
+    Padding ids never reach a score or a gradient. A row of length 0 (an
+    empty hypothesis) reads both directions' zero start state. ``bins`` is
+    (batch, 5),
     columns in ``BIN_FIELDS`` order. ``dropout_mask``
     (``draw_dropout``, shaped (batch, phi_dim)) multiplies phi in training;
     without it there is no dropout.
@@ -309,16 +316,16 @@ def score_batch(
     t = params.tensors
     d = params.dims
     ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 2 or ids.shape[1] == 0:
-        raise ValueError("ids must be a (batch, length >= 1) array")
+    if ids.ndim != 2:
+        raise ValueError("ids must be a (batch, length) array")
     if np.any(ids < 0) or np.any(ids >= d.vocab_size):
         raise ValueError("word id out of range")
     if lengths is None:
         lengths = np.full(ids.shape[0], ids.shape[1], dtype=np.intp)
     else:
         lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.shape != ids.shape[:1] or np.any(lengths < 1) or np.any(lengths > ids.shape[1]):
-            raise ValueError("lengths must give each row a length in [1, ids.shape[1]]")
+        if lengths.shape != ids.shape[:1] or np.any(lengths < 0) or np.any(lengths > ids.shape[1]):
+            raise ValueError("lengths must give each row a length in [0, ids.shape[1]]")
     bins = np.asarray(bins, dtype=np.intp)
     if bins.shape != (ids.shape[0], len(_BINS)):
         raise ValueError("bins must be shaped (batch, 5)")

@@ -376,7 +376,7 @@ def save_model(model: NGramModel, path) -> None:
 
 def load_model(path, vocab: Vocabulary) -> NGramModel:
     """Load a model saved against ``vocab`` and attach it."""
-    header, arrays = load_artifact(path, _KIND, vocab)
+    header, arrays = load_artifact(path, _KIND, _model_members, vocab)
     order = header["order"]
     return NGramModel(
         order=order,
@@ -387,6 +387,16 @@ def load_model(path, vocab: Vocabulary) -> NGramModel:
             for name, fewer in _TABLES.items()
         },
     )
+
+
+def _model_members(header) -> dict:
+    """The tables of a model file of the header's order, of any shape."""
+    order = header.get("order")
+    if type(order) is not int or not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an int in [1, {MAX_ORDER}], got {order!r}")
+    if not isinstance(header.get("trained_on_folds"), list):
+        raise ValueError(f"trained_on_folds must be a list, got {header.get('trained_on_folds')!r}")
+    return {f"{name}{i}": None for name, fewer in _TABLES.items() for i in range(order - fewer)}
 
 
 def _gram_words(key: int, k: int, base: int, vocab: Vocabulary) -> tuple[str, ...]:

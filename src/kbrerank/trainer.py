@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import evaluation
-from .artifacts import atomic_text_writer, load_artifact, save_artifact
+from .artifacts import atomic_text_writer, load_tensors, save_artifact
 from .corpus import Corpus, Sentence, Vocabulary
 from .kb import KBTables
 from .negsampler import derive_seed
@@ -49,8 +49,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.lr:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2!r}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if not 0 < self.lr_decay <= 1:
@@ -244,6 +246,18 @@ class LstmLmDims:
     def eos_id(self) -> int:
         return self.vocab_size
 
+    @property
+    def tensor_shapes(self) -> dict:
+        """Each tensor's shape."""
+        gate_rows = 4 * self.lstm_dim
+        return {
+            "emb": (self.vocab_size, self.word_dim),
+            "w": (gate_rows, self.word_dim + self.lstm_dim),
+            "b": (gate_rows,),
+            "out_w": (self.n_out, self.lstm_dim),
+            "out_b": (self.n_out,),
+        }
+
 
 class LstmLmParams:
     """Single-direction LSTM LM with a full output layer.
@@ -260,13 +274,13 @@ class LstmLmParams:
     @classmethod
     def initialize(cls, dims: LstmLmDims, vocab: Vocabulary, seed: int = 0, init_scale: float = 0.08):
         rng = np.random.default_rng(seed)
-        gate_rows = 4 * dims.lstm_dim
+        shape = dims.tensor_shapes
         tensors = {
-            "emb": rng.uniform(-init_scale, init_scale, (dims.vocab_size, dims.word_dim)),
-            "w": rng.uniform(-init_scale, init_scale, (gate_rows, dims.word_dim + dims.lstm_dim)),
-            "b": np.zeros(gate_rows),
-            "out_w": np.zeros((dims.n_out, dims.lstm_dim)),
-            "out_b": np.full(dims.n_out, -math.log(dims.n_out)),
+            "emb": rng.uniform(-init_scale, init_scale, shape["emb"]),
+            "w": rng.uniform(-init_scale, init_scale, shape["w"]),
+            "b": np.zeros(shape["b"]),
+            "out_w": np.zeros(shape["out_w"]),
+            "out_b": np.full(shape["out_b"], -math.log(dims.n_out)),
         }
         tensors["b"][dims.lstm_dim : 2 * dims.lstm_dim] = 1.0
         return cls(dims, tensors, vocab)
@@ -310,9 +324,9 @@ class LstmLmParams:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> LstmLmParams:
-        """Load an LM saved against ``vocab``, which it then encodes with."""
-        header, tensors = load_artifact(path, "lstm-lm", vocab)
-        return cls(LstmLmDims(**header["dims"]), tensors, vocab)
+        """Load an LM saved against ``vocab``, which it then encodes with:
+        exactly the tensors of the header's dims, each of its shape."""
+        return cls(*load_tensors(path, "lstm-lm", LstmLmDims, vocab), vocab)
 
 
 @dataclass

@@ -30,7 +30,6 @@ from kbrerank.features import (
     FREQ_BINS,
     NPMI_BINS,
     NPMI_NEUTRAL_BIN,
-    FeatureBundle,
     max_span_pairs,
 )
 from kbrerank.negsampler import NegativeSet, derive_seed
@@ -39,7 +38,6 @@ from kbrerank.neural import (
     backprop_batch,
     contrastive_loss,
     score_batch,
-    stack_bundles,
 )
 from kbrerank.ngram import BOS, EOS, event_logprobs
 from kbrerank.trainer import (
@@ -224,10 +222,12 @@ class SentenceScore:
     cache: object
 
 
-def score(params, ids, bundle) -> SentenceScore:
-    """One candidate scored as a batch of one row."""
-    bins, feats = stack_bundles([bundle])
-    u, cache = score_batch(params, np.asarray(ids, dtype=np.intp).reshape(1, -1), bins, feats)
+def score(params, ids, bins, ngram_feat: float) -> SentenceScore:
+    """One candidate, its five bins and its n-gram feature, scored as a
+    batch of one row."""
+    bins = np.asarray(bins, dtype=np.intp).reshape(1, -1)
+    ids = np.asarray(ids, dtype=np.intp).reshape(1, -1)
+    u, cache = score_batch(params, ids, bins, np.array([ngram_feat], dtype=float))
     return SentenceScore(s=float(cache.s[0]), u=float(u[0]), cache=cache)
 
 
@@ -778,21 +778,22 @@ def npmi_bin(sentence, index, mode: str) -> int:
     return min(NPMI_BINS - 1, int(NPMI_BINS * (avg + 1.0) / 2.0))
 
 
-def extract_features(sentence, lm_logprob: float, index) -> FeatureBundle:
-    return FeatureBundle(
-        ngram_negative_logprob=ngram_feature(lm_logprob),
-        cooccurrence_bin=cooccurrence_bin(sentence, index),
-        artist_freq_bin=kb_frequency_bin(sentence, index, "artist"),
-        song_freq_bin=kb_frequency_bin(sentence, index, "song"),
-        cross_npmi_bin=npmi_bin(sentence, index, "cross"),
-        intra_npmi_bin=npmi_bin(sentence, index, "intra"),
+def extract_features(sentence, lm_logprob: float, index) -> tuple[np.ndarray, float]:
+    """One sentence's row of bins in ``BIN_FIELDS`` order and its n-gram feature."""
+    bins = np.array(
+        [
+            cooccurrence_bin(sentence, index),
+            kb_frequency_bin(sentence, index, "artist"),
+            kb_frequency_bin(sentence, index, "song"),
+            npmi_bin(sentence, index, "cross"),
+            npmi_bin(sentence, index, "intra"),
+        ],
+        dtype=np.intp,
     )
+    return bins, ngram_feature(lm_logprob)
 
 
 def reference_bins(sentences, index) -> np.ndarray:
     """(n, 5) bins of ``sentences`` in ``BIN_FIELDS`` order, one sentence at a time."""
-    rows = []
-    for s in sentences:
-        bundle = extract_features(s, 0.0, index)
-        rows.append([getattr(bundle, name) for name, _ in BIN_FIELDS])
+    rows = [extract_features(s, 0.0, index)[0] for s in sentences]
     return np.array(rows, dtype=np.intp).reshape(-1, len(BIN_FIELDS))

@@ -40,7 +40,7 @@ from kbrerank.corpus import (
     corpus_from_lines,
 )
 from kbrerank.evaluation import RerankModels, oracle_wer, score_split, wer
-from kbrerank.features import FeatureBundle, feature_bins, max_span_pairs
+from kbrerank.features import BIN_FIELDS, feature_bins, max_span_pairs
 from kbrerank.kb import KBEntry, KBTables, build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
 from kbrerank.neural import (
@@ -49,7 +49,6 @@ from kbrerank.neural import (
     backprop_batch,
     contrastive_loss,
     score_batch,
-    stack_bundles,
 )
 from kbrerank.ngram import score_sentence, train_jackknife, train_ngram
 from kbrerank.trainer import LstmLmDims, LstmLmParams, heldout_wer, prepare_heldout
@@ -66,15 +65,12 @@ def test_c1_gradient_correctness(capsys):
     params = RerankerParams.initialize(dims, seed=SEED)
     rng = np.random.default_rng(SEED)
     ids = rng.integers(0, dims.vocab_size, size=(6, 4))
-    bundles = [
-        FeatureBundle(
-            float(rng.random() * 8.0), int(rng.integers(0, 10)),
-            int(rng.integers(0, 100)), int(rng.integers(0, 100)),
-            int(rng.integers(0, 100)), int(rng.integers(0, 100)),
-        )
+    rows = [
+        [rng.random() * 8.0, *(rng.integers(0, count) for _, count in BIN_FIELDS)]
         for _ in range(6)
     ]
-    bins, feats = stack_bundles(bundles)
+    feats = np.array([row[0] for row in rows], dtype=float)
+    bins = np.array([row[1:] for row in rows], dtype=np.intp)
 
     u, cache = score_batch(params, ids, bins, feats)
     _, du = contrastive_loss(u, 0)

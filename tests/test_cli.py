@@ -159,6 +159,13 @@ class TestConfig:
             ("keep_top_m=0", "config key keep_top_m must be >= 1"),
             ("vocab_min_count=-1", "config key vocab_min_count must be >= 0"),
             ("weight_grid=[]", "config key weight_grid must not be empty"),
+            ("weight_grid=[NaN,1.0]", "config key weight_grid must be a finite number, got nan"),
+            ("weight_grid=[Infinity]", "config key weight_grid must be a finite number, got inf"),
+            ("lr=inf", "config key lr must be a finite number, got inf"),
+            ("l2=nan", "config key l2 must be a finite number, got nan"),
+            ("momentum=-inf", "config key momentum must be a finite number, got -inf"),
+            ("synth_noise_rate=nan", "config key synth_noise_rate must be a finite number"),
+            ("l2=-1", "l2 must be a finite number >= 0, got -1.0"),
         ],
     )
     def test_bad_value_fails_at_config_load(self, tmp_path, capsys, setting, message):
@@ -407,6 +414,20 @@ class TestPipeline:
             ("ngram_negative_logprob", math.inf, "must be a finite number"),
             ("artist_freq_bin", 1.5, "artist_freq_bin must be an integer"),
             ("cross_npmi_bin", True, "cross_npmi_bin must be an integer"),
+            ("ngram_negative_logprob", True, "must be a finite number >= 0, got True"),
+            ("ngram_negative_logprob", "1.0", "must be a finite number >= 0, got '1.0'"),
+            ("ngram_negative_logprob", -0.5, "must be a finite number >= 0, got -0.5"),
+            ("ngram_negative_logprob", None, "must be a finite number >= 0, got None"),
+            ("ngram_negative_logprob", 10**400, "must be a finite number >= 0, got 1000"),
+            ("cooccurrence_bin", 1.0, "cooccurrence_bin must be an integer, got 1.0"),
+            ("song_freq_bin", True, "song_freq_bin must be an integer, got True"),
+            ("intra_npmi_bin", 1.5, "intra_npmi_bin must be an integer, got 1.5"),
+            ("intra_npmi_bin", "3", "intra_npmi_bin must be an integer, got '3'"),
+            *(
+                (name, value, f"feature bin {value} outside [0, {limit})")
+                for name, limit in features.BIN_FIELDS
+                for value in (-1, limit)
+            ),
         ],
     )
     def test_bad_feature_values_rejected(
@@ -425,6 +446,27 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"features.jsonl: sentence_id {rec['sentence_id']}: " in err
         assert message in err
+
+    @pytest.mark.parametrize("damage", ["missing", "unknown"])
+    def test_bad_feature_fields_rejected(self, pipeline_dir, tmp_path, capsys, damage):
+        run = copy_run(pipeline_dir, tmp_path)
+        lines = (run / "features.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[3])
+        if damage == "missing":
+            del rec["song_freq_bin"]
+        else:
+            rec["lm_score"] = 1.0
+        lines[3] = json.dumps(rec) + "\n"
+        (run / "features.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        assert stage("train-reranker", run) == 1
+        err = capsys.readouterr().err
+        expected = (
+            "missing fields ['song_freq_bin'], unknown fields []" if damage == "missing"
+            else "missing fields [], unknown fields ['lm_score']"
+        )
+        assert f"features.jsonl: sentence_id {rec['sentence_id']}: {expected}" in err
+        assert "Traceback" not in err
 
     def test_failed_extract_features_leaves_no_file(
         self, pipeline_dir, tmp_path, capsys, monkeypatch
@@ -465,6 +507,69 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "weights for components the scorer does not use" in err
         assert unused in err
+
+    @pytest.mark.parametrize(
+        "weights, spec",
+        [("reranker=nan,lstm=inf", "reranker=nan"), ("reranker=1.0,lstm=inf", "lstm=inf"),
+         ("reranker=-Infinity", "reranker=-Infinity"), ("reranker=", "reranker=")],
+    )
+    def test_non_finite_weight_rejected(self, pipeline_dir, tmp_path, capsys, weights, spec):
+        run = copy_run(pipeline_dir, tmp_path)
+        (run / "selections_reranker_lstm.jsonl").unlink(missing_ok=True)
+        capsys.readouterr()
+        code = stage("rerank", run, "--nbest", str(run / "test.jsonl"),
+                     "--scorer", "reranker+lstm", "--weights", weights)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"bad weight spec {spec!r}, expected name=<finite number>" in err
+        assert not (run / "selections_reranker_lstm.jsonl").exists()
+
+
+class TestEmptyHypotheses:
+    """An n-best list may hold empty hypotheses, or only empty ones: the
+    n-gram and LSTM LMs score end-of-sentence only, the KB bins are those of
+    an empty sequence and the reranker reads the zero start states."""
+
+    @staticmethod
+    def with_empty_hypotheses(run):
+        """test.jsonl with an empty hypothesis added to list 0 and list 1's
+        hypotheses all emptied; returns the new file."""
+        records = [json.loads(l) for l in (run / "test.jsonl").read_text().splitlines()]
+        records[0]["hypotheses"].insert(1, {"tokens": [], "first_pass_score": -0.5})
+        records[1]["hypotheses"] = [
+            {"tokens": [], "first_pass_score": -1.0}, {"tokens": [], "first_pass_score": -2.0}
+        ]
+        path = run / "empty.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    @pytest.mark.parametrize("scorer", ["ngram", "lstm", "reranker", "reranker+lstm"])
+    def test_rerank(self, pipeline_dir, tmp_path, scorer):
+        run = copy_run(pipeline_dir, tmp_path)
+        out = run / f"selections_{scorer.replace('+', '_')}.jsonl"
+        weights = ",".join(f"{c}=1.0" for c in scorer.split("+"))
+        selections = []
+        for nbest in (run / "test.jsonl", self.with_empty_hypotheses(run)):
+            args = ("--nbest", str(nbest), "--scorer", scorer, "--weights", weights)
+            assert stage("rerank", run, *args) == 0
+            selections.append([json.loads(l) for l in out.read_text().splitlines()])
+        original, changed = selections
+        assert len(changed) == 40
+        assert changed[1]["chosen_index"] in (0, 1) and changed[1]["tokens"] == []
+        assert changed[2:] == original[2:]
+
+    def test_evaluate_nbest(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        nbest = str(self.with_empty_hypotheses(run))
+        capsys.readouterr()
+        args = ("--nbest", nbest, "--scorer", "reranker+lstm", "--weights", "reranker=1.0,lstm=0.5")
+        assert stage("evaluate", run, *args) == 0
+        assert "reranker+lstm: WER" in capsys.readouterr().out
+        rows = (run / "report_custom_reranker_lstm.csv").read_text().splitlines()
+        assert len(rows) == 41
+        # either empty hypothesis of list 1 deletes every reference word
+        utt, chosen, s, d, i, n, _ = rows[2].split(",")
+        assert (s, d, i) == ("0", n, "0")
 
 
 def load_span_tracer():
@@ -568,6 +673,20 @@ class TestInputRecords:
         assert stage("train-reranker", run) == 1
         assert f"{run / 'features.jsonl'}:5: sentence_id must be an int, got None" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["sentence_id", "hypothesis_id"])
+    def test_feature_id_beyond_64_bits(self, pipeline_dir, tmp_path, capsys, key):
+        run = copy_run(pipeline_dir, tmp_path)
+        lines = (run / "features.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[4])
+        rec[key] = 2**64
+        lines[4] = json.dumps(rec) + "\n"
+        (run / "features.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        assert stage("train-reranker", run) == 1
+        err = capsys.readouterr().err
+        assert f"{run / 'features.jsonl'}:5: {key} must be an int, got {2**64}" in err
+        assert "Traceback" not in err
+
     def test_truncated_nbest(self, pipeline_dir, tmp_path, capsys):
         run = copy_run(pipeline_dir, tmp_path)
         self.truncate(run / "test.jsonl", 2)
@@ -608,6 +727,17 @@ class Marker:
 
 def other_vocabulary():
     return build_vocabulary(corpus_from_lines(["some other words"]), min_count=0)
+
+
+def rewrite_artifact(path, edit):
+    """Rewrite the artifact at ``path`` after ``edit(header, arrays)`` has
+    changed its header and its members in place."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(arrays.pop("header").item())
+    edit(header, arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(header)), **arrays)
 
 
 def resave_ngram(path, vocab):
@@ -693,6 +823,37 @@ class TestHostileArtifacts:
         with open(run / "reranker.bin", "wb") as fh:
             np.save(fh, np.zeros(3))
         self.fails(run, "reranker.bin", capsys, "not an .npz archive")
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("kb_index.bin", lambda h, a: a.pop("cross_keys"), "missing member 'cross_keys'"),
+            ("kb_index.bin", lambda h, a: a.update(extra=np.zeros(2)), "unexpected member 'extra'"),
+            ("kb_index.bin", lambda h, a: h.pop("n_entries"),
+             "bad header (n_entries must be a number, got None)"),
+            ("ngram_full.bin", lambda h, a: a.pop("logprobs0"), "missing member 'logprobs0'"),
+            ("ngram_full.bin", lambda h, a: h.update(order=9),
+             "bad header (order must be an int in [1, 5], got 9)"),
+            ("reranker.bin", lambda h, a: h["dims"].update(extra=3), "'extra': 3}"),
+            ("reranker.bin", lambda h, a: h["dims"].pop("lstm_dim"), "bad header (dims must map"),
+            ("reranker.bin", lambda h, a: h["dims"].update(word_dim=0), "'word_dim': 0"),
+            ("reranker.bin", lambda h, a: h["dims"].update(word_dim=2.0), "'word_dim': 2.0"),
+            ("reranker.bin", lambda h, a: h.pop("dims"), "to ints >= 1, got None)"),
+            ("lstm_lm.bin", lambda h, a: h["dims"].update(n_out=3), "bad header (dims must map "
+             "vocab_size, word_dim, lstm_dim to ints >= 1, got {"),
+            ("reranker.bin", lambda h, a: a.update(fwd_w=a["fwd_w"][:, 1:]),
+             "member 'fwd_w' is float64 of shape (48, 23), expected float64 of shape (48, 24)"),
+            ("reranker.bin", lambda h, a: a.update(alpha=a["alpha"].astype(np.float32)),
+             "member 'alpha' is float32 of shape (2,), expected float64 of shape (2,)"),
+            ("reranker.bin", lambda h, a: a.pop("intra_emb"), "missing member 'intra_emb'"),
+            ("lstm_lm.bin", lambda h, a: a.update(out_w=a["out_w"].T), "member 'out_w' is float64"),
+            ("lstm_lm.bin", lambda h, a: h["dims"].update(lstm_dim=11), "member 'w' is float64"),
+        ],
+    )
+    def test_member_or_header_refused(self, pipeline_dir, tmp_path, capsys, name, edit, message):
+        run = copy_run(pipeline_dir, tmp_path)
+        rewrite_artifact(run / name, edit)
+        self.fails(run, name, capsys, message)
 
 
 class TestNoPickle:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -7,13 +8,14 @@ import pytest
 from oracles import cooccurrence_total, ngram_feature, npmi, npmi_bin, reference_bins
 
 from kbrerank import features
+from kbrerank.cli import load_feature_instances
+from kbrerank.corpus import build_vocabulary, corpus_from_lines
 from kbrerank.corpus import Sentence
 from kbrerank.features import (
     BIN_FIELDS,
     COOC_BINS,
     FREQ_BINS,
     NPMI_BINS,
-    FeatureBundle,
     max_span_pairs,
 )
 from kbrerank.kb import KBEntry, KBTables, build_index, load_index, save_index
@@ -237,11 +239,27 @@ class TestExtractFeatures:
         for sent, co in zip(sents, bins[:, CO].tolist()):
             assert (co == 0) == (cooccurrence_total(sent, index) == 0)
 
-    def test_bundle_validates_ranges(self):
-        with pytest.raises(ValueError):
-            FeatureBundle(1.0, COOC_BINS, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            FeatureBundle(-1.0, 0, 0, 0, 0, 0)
+    @staticmethod
+    def load_row(tmp_path, score, *bins):
+        """``cli.load_feature_instances`` of a source row with ``score`` and
+        ``bins`` (in ``BIN_FIELDS`` order) and a valid negative."""
+        rows = [(score, *bins), (1.0, 0, 0, 0, 0, 0)]
+        path = tmp_path / "features.jsonl"
+        with open(path, "w") as fh:
+            for hyp_id, (lp, *row_bins) in enumerate(rows):
+                rec = {"sentence_id": 3, "hypothesis_id": hyp_id, "tokens": ["a"],
+                       "ngram_negative_logprob": lp}
+                rec.update(zip((name for name, _ in BIN_FIELDS), row_bins))
+                fh.write(json.dumps(rec) + "\n")
+        return load_feature_instances(path, build_vocabulary(corpus_from_lines(["a"])))
+
+    def test_bundle_validates_ranges(self, tmp_path):
+        with pytest.raises(ValueError, match=rf"sentence_id 3: feature bin 10 outside \[0, {COOC_BINS}\)"):
+            self.load_row(tmp_path, 1.0, COOC_BINS, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="sentence_id 3: ngram_negative_logprob must be a finite number >= 0"):
+            self.load_row(tmp_path, -1.0, 0, 0, 0, 0, 0)
+        (loaded,) = self.load_row(tmp_path, 0.0, COOC_BINS - 1, *(n - 1 for _, n in BIN_FIELDS[1:]))
+        assert loaded.bins[0].tolist() == [n - 1 for _, n in BIN_FIELDS]
 
     @pytest.mark.parametrize(
         "score, bin_value, message",
@@ -255,13 +273,10 @@ class TestExtractFeatures:
             (1.0, 1.0, "cooccurrence_bin must be an integer"),
         ],
     )
-    def test_bundle_rejects_bad_values(self, score, bin_value, message):
+    def test_bundle_rejects_bad_values(self, tmp_path, score, bin_value, message):
+        # the rows of features.jsonl are checked as the reranker loads them
         with pytest.raises(ValueError, match=message):
-            FeatureBundle(score, bin_value, 0, 0, 0, 0)
-
-    def test_bundle_accepts_numpy_scalars(self):
-        bundle = FeatureBundle(np.float64(2.5), np.int64(3), 0, 0, 0, 0)
-        assert bundle.cooccurrence_bin == 3
+            self.load_row(tmp_path, score, bin_value, 0, 0, 0, 0)
 
 
 # a KB whose phrases nest, overlap, share words, repeat words, recur in both

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,8 +7,9 @@ import pytest
 
 from kbrerank import neural
 from kbrerank.artifacts import ArtifactError
+from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import build_vocabulary, corpus_from_lines
-from kbrerank.features import FeatureBundle
+from kbrerank.features import BIN_FIELDS
 from kbrerank.neural import (
     RerankerDims,
     RerankerInputs,
@@ -22,7 +24,6 @@ from kbrerank.neural import (
     score_inputs,
     score_lists,
     sgd_momentum_update,
-    stack_bundles,
 )
 from oracles import (
     finite_difference_check,
@@ -43,18 +44,12 @@ TINY = RerankerDims(
 
 def tiny_instance(rng, n_candidates=6, length=4):
     ids = rng.integers(0, TINY.vocab_size, size=(n_candidates, length))
-    bundles = [
-        FeatureBundle(
-            ngram_negative_logprob=float(rng.random() * 10),
-            cooccurrence_bin=int(rng.integers(0, 10)),
-            artist_freq_bin=int(rng.integers(0, 100)),
-            song_freq_bin=int(rng.integers(0, 100)),
-            cross_npmi_bin=int(rng.integers(0, 100)),
-            intra_npmi_bin=int(rng.integers(0, 100)),
-        )
+    rows = [
+        [rng.random() * 10, *(rng.integers(0, count) for _, count in BIN_FIELDS)]
         for _ in range(n_candidates)
     ]
-    bins, feats = stack_bundles(bundles)
+    feats = np.array([row[0] for row in rows], dtype=float)
+    bins = np.array([row[1:] for row in rows], dtype=np.intp).reshape(-1, len(BIN_FIELDS))
     return ids, bins, feats
 
 
@@ -106,15 +101,13 @@ class TestScore:
     def test_alpha1_zero_passes_through_ngram_feature(self):
         params = RerankerParams.initialize(TINY, seed=4)
         params.tensors["alpha"][:] = (0.0, 2.0)
-        bundle = FeatureBundle(3.5, 1, 2, 3, 4, 5)
-        result = score(params, [1, 2, 3], bundle)
+        result = score(params, [1, 2, 3], [1, 2, 3, 4, 5], 3.5)
         assert math.isclose(result.u, 2.0 * 3.5, rel_tol=1e-12)
 
     def test_zero_output_vector_gives_zero_deep_score(self):
         params = RerankerParams.initialize(TINY, seed=5)
         params.tensors["out_w"][:] = 0.0
-        bundle = FeatureBundle(1.0, 0, 0, 0, 0, 0)
-        assert score(params, [1, 2], bundle).s == 0.0
+        assert score(params, [1, 2], [0, 0, 0, 0, 0], 1.0).s == 0.0
 
     def test_out_of_range_bin_rejected(self):
         params = RerankerParams.initialize(TINY, seed=6)
@@ -157,14 +150,13 @@ class TestScore:
         ids, bins, feats = tiny_instance(rng)
         u, _ = score_batch(params, ids, bins, feats)
         for i in range(ids.shape[0]):
-            bundle = FeatureBundle(feats[i], *bins[i].tolist())
-            single = score(params, ids[i], bundle)
+            single = score(params, ids[i], bins[i], feats[i])
             assert math.isclose(single.u, u[i], rel_tol=1e-12)
 
 
 class TestBinTable:
     # the bin layout written out, so a swapped or mislabelled row of the
-    # table fails: bins column, FeatureBundle field, embedding, width field
+    # table fails: bins column, features.jsonl field, embedding, width field
     LAYOUT = (
         (0, "cooccurrence_bin", "co_emb", "co_dim"),
         (1, "artist_freq_bin", "artist_emb", "freq_dim"),
@@ -176,24 +168,38 @@ class TestBinTable:
         vocab_size=20, word_dim=3, lstm_dim=2, hidden_dim=4,
         co_dim=3, freq_dim=4, cross_dim=5, intra_dim=6,
     )
-    BUNDLE = FeatureBundle(2.5, 7, 11, 22, 33, 44)
+    ROW = {
+        "cooccurrence_bin": 7, "artist_freq_bin": 11, "song_freq_bin": 22,
+        "cross_npmi_bin": 33, "intra_npmi_bin": 44,
+    }
 
-    def test_stack_bundles_files_each_bin_under_its_key(self):
-        bins, feats = stack_bundles([self.BUNDLE])
-        assert bins.shape == (1, len(self.LAYOUT)) and bins.dtype == np.intp
+    def test_bin_fields_follow_layout(self):
+        assert [name for name, _ in BIN_FIELDS] == [field for _, field, _, _ in self.LAYOUT]
+
+    def test_loader_files_each_bin_under_its_column(self, tmp_path):
+        # the source row holds ROW's bins, its negative each bin plus one
+        path = tmp_path / "features.jsonl"
+        rows = [
+            {"sentence_id": 0, "hypothesis_id": h, "tokens": ["a"],
+             "ngram_negative_logprob": 2.5, **{f: v + h for f, v in self.ROW.items()}}
+            for h in (0, 1)
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        vocab = build_vocabulary(corpus_from_lines(["a"]))
+        (inputs,) = load_feature_instances(path, vocab)
+        assert inputs.bins.shape == (2, len(self.LAYOUT)) and inputs.bins.dtype == np.intp
         for column, field, _, _ in self.LAYOUT:
-            assert bins[:, column].tolist() == [getattr(self.BUNDLE, field)]
-        assert feats.tolist() == [2.5]
-        assert stack_bundles([])[0].shape == (0, len(self.LAYOUT))
+            assert inputs.bins[:, column].tolist() == [self.ROW[field], self.ROW[field] + 1]
+        assert inputs.ngram_feats.tolist() == [2.5, 2.5]
 
     def test_phi_holds_each_embedding_row_at_its_offset(self):
         params = RerankerParams.initialize(self.DIMS, seed=0)
-        bins, feats = stack_bundles([self.BUNDLE])
-        _, cache = score_batch(params, np.array([[1, 2, 3]]), bins, feats)
+        bins = np.array([[self.ROW[field] for _, field, _, _ in self.LAYOUT]])
+        _, cache = score_batch(params, np.array([[1, 2, 3]]), bins, np.array([2.5]))
         offset = 2 * self.DIMS.lstm_dim
         for _, field, emb, width_field in self.LAYOUT:
             width = getattr(self.DIMS, width_field)
-            expected = params.tensors[emb][getattr(self.BUNDLE, field)]
+            expected = params.tensors[emb][self.ROW[field]]
             np.testing.assert_array_equal(cache.phi[0, offset : offset + width], expected)
             offset += width
         assert offset == self.DIMS.phi_dim == cache.phi.shape[1]
@@ -328,13 +334,60 @@ class TestPaddedBatch:
         )
         np.testing.assert_array_equal(u_default, u_explicit)
 
-    @pytest.mark.parametrize("lengths", [(0, 3), (4, 3), (3,), (3, 3, 3)])
+    # a length of 0 is an empty hypothesis (TestEmptyRows); -1 is not a length
+    @pytest.mark.parametrize("lengths", [(-1, 3), (4, 3), (3,), (3, 3, 3)])
     def test_bad_lengths_rejected(self, lengths):
         params = RerankerParams.initialize(TINY, seed=19)
         rng = np.random.default_rng(13)
         ids, bins, feats = tiny_instance(rng, n_candidates=2, length=3)
         with pytest.raises(ValueError, match="lengths"):
             score_batch(params, ids, bins, feats, lengths=np.array(lengths))
+
+
+class TestEmptyRows:
+    """A row of length 0, an empty hypothesis, reads both directions' zero
+    start state; its padding reaches no score and no gradient."""
+
+    def test_mixed_batch(self):
+        params = RerankerParams.initialize(TINY, seed=20)
+        rng = np.random.default_rng(14)
+        _, bins, feats = tiny_instance(rng, n_candidates=3, length=1)
+        ids, lengths = pad_ids([[], [4, 9, 2], []])
+        u, cache = score_batch(params, ids, bins, feats, lengths=lengths)
+        assert np.all(cache.phi[[0, 2], : 2 * TINY.lstm_dim] == 0.0)
+        alone, _ = score_batch(params, ids[1:2], bins[1:2], feats[1:2])
+        assert math.isclose(u[1], alone[0], rel_tol=1e-12)
+        # an empty row scores as the same row padded with any ids
+        ids[0] = 7
+        again, _ = score_batch(params, ids, bins, feats, lengths=lengths)
+        np.testing.assert_array_equal(u, again)
+
+    def test_mixed_batch_gradients_match_finite_differences(self):
+        params = RerankerParams.initialize(TINY, seed=21)
+        rng = np.random.default_rng(15)
+        _, bins, feats = tiny_instance(rng, n_candidates=3, length=1)
+        ids, lengths = pad_ids([[3, 5], [], [1, 2, 6]])
+        u, cache = score_batch(params, ids, bins, feats, lengths=lengths)
+        _, du = contrastive_loss(u, 1)
+        grads = backprop_batch(params, cache, du)
+
+        def loss_fn():
+            out, _ = score_batch(params, ids, bins, feats, lengths=lengths)
+            return contrastive_loss(out, 1)[0]
+
+        check_gradients(params, loss_fn, grads)
+
+    def test_all_empty_batch(self):
+        params = RerankerParams.initialize(TINY, seed=22)
+        _, bins, feats = tiny_instance(np.random.default_rng(16), n_candidates=2, length=1)
+        ids, lengths = pad_ids([[], []])
+        assert ids.shape == (2, 0)
+        u, cache = score_batch(params, ids, bins, feats, lengths=lengths)
+        assert np.all(np.isfinite(u))
+        grads = backprop_batch(params, cache, np.ones(2))
+        for name in ("emb", "fwd_w", "fwd_b", "bwd_w", "bwd_b"):
+            assert not grads[name].any(), name
+        assert grads["hidden_w"].any()
 
 
 class TestSigmoid:

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from kbrerank.artifacts import ArtifactError
 from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
 from kbrerank.evaluation import NBestList, RerankModels, wer
+from kbrerank.features import BIN_FIELDS
 from kbrerank.kb import KBTables, build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
 from kbrerank.neural import (
@@ -34,10 +34,9 @@ from kbrerank.neural import (
     RerankerParams,
     contrastive_loss,
     fused_chunks,
+    group_inputs,
     pad_ids,
-    reranker_inputs,
     score_batch,
-    stack_bundles,
 )
 from kbrerank.ngram import score_sentence, train_jackknife
 from kbrerank.trainer import (
@@ -64,7 +63,7 @@ def mini_world():
     folds = assign_folds(world.train, 4, seed=3)
     full, fold_models = train_jackknife(world.train, vocab, 3, folds)
     table = build_confusion_table(vocab)
-    instances = []
+    candidates, rows, sizes = [], [], []
     for j in range(60):
         sent = world.train[j]
         try:
@@ -74,13 +73,15 @@ def mini_world():
         except ValueError:
             continue
         src_lp = score_sentence(fold_models[folds.fold_of[j]], sent)
-        bundles = [extract_features(sent, src_lp, index)]
-        bundles.extend(
+        rows.append(extract_features(sent, src_lp, index))
+        rows.extend(
             extract_features(neg, lp, index)
             for neg, lp in zip(negset.negatives, negset.lm_logprobs)
         )
-        candidates = [sent.tokens, *(neg.tokens for neg in negset.negatives)]
-        instances.append(reranker_inputs(candidates, *stack_bundles(bundles), vocab))
+        candidates.extend([sent.tokens, *(neg.tokens for neg in negset.negatives)])
+        sizes.append(1 + len(negset.negatives))
+    bins = np.array([b for b, _ in rows])
+    instances = group_inputs(candidates, bins, [f for _, f in rows], sizes, vocab)
     dims = RerankerDims(vocab_size=vocab.size, word_dim=12, lstm_dim=12, hidden_dim=16)
     return {
         "world": world,
@@ -145,17 +146,63 @@ class TestTrainReranker:
 
     def test_zero_negative_instance_rejected(self, mini_world, tmp_path):
         sent = Sentence(("play", "x"))
-        bundle = extract_features(sent, -3.0, mini_world["index"])
-        rec = {"sentence_id": 4, "hypothesis_id": 0, "tokens": list(sent.tokens), **asdict(bundle)}
+        bins, feat = extract_features(sent, -3.0, mini_world["index"])
+        rec = {"sentence_id": 4, "hypothesis_id": 0, "tokens": list(sent.tokens),
+               "ngram_negative_logprob": feat}
+        rec.update((name, b) for (name, _), b in zip(BIN_FIELDS, bins.tolist()))
         path = tmp_path / "features.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError, match="at least one negative"):
             load_feature_instances(path, mini_world["vocab"])
 
+    def test_feature_file_loads_in_group_order(self, tmp_path):
+        # rows out of order: sentence 9 before 2, hypotheses shuffled; an
+        # integer score, an unknown word and an empty hypothesis load too
+        vocab = build_vocabulary(corpus_from_lines(["play b", "play c"]))
+        rows = [
+            (9, 1, ["c"], 4.5, (1, 2, 3, 4, 5)),
+            (2, 2, [], 7, (0, 0, 0, 50, 50)),
+            (9, 0, ["play", "c"], 0.25, (9, 99, 98, 97, 96)),
+            (2, 0, ["play", "zzz"], 1.5, (3, 0, 1, 2, 4)),
+            (2, 1, ["b"], 2.0, (0, 10, 20, 30, 40)),
+        ]
+        path = tmp_path / "features.jsonl"
+        with open(path, "w") as fh:
+            for sid, hyp_id, tokens, lp, bins in rows:
+                rec = {"sentence_id": sid, "hypothesis_id": hyp_id, "tokens": tokens,
+                       "ngram_negative_logprob": lp}
+                rec.update(zip((name for name, _ in BIN_FIELDS), bins))
+                fh.write(json.dumps(rec) + "\n")
+        first, second = load_feature_instances(path, vocab)
+        play, b, c, unk = (vocab.id_of(w) for w in ("play", "b", "c", "<unk>"))
+        assert first.ids == [[play, unk], [b], []]
+        assert second.ids == [[play, c], [c]]
+        for inputs in (first, second):
+            assert inputs.bins.dtype == np.intp and inputs.ngram_feats.dtype == np.float64
+        assert first.bins.tolist() == [[3, 0, 1, 2, 4], [0, 10, 20, 30, 40], [0, 0, 0, 50, 50]]
+        assert second.bins.tolist() == [[9, 99, 98, 97, 96], [1, 2, 3, 4, 5]]
+        assert first.ngram_feats.tolist() == [1.5, 2.0, 7.0]
+        assert second.ngram_feats.tolist() == [0.25, 4.5]
+
     def test_empty_instances_rejected(self, mini_world):
         params = RerankerParams.initialize(mini_world["dims"], seed=5)
         with pytest.raises(ValueError, match="no training instances"):
             train_reranker([], mini_world["heldout"], params, TrainConfig())
+
+
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"lr": math.inf}, "lr must be positive and finite, got inf"),
+        ({"lr": math.nan}, "lr must be positive and finite, got nan"),
+        ({"l2": math.nan}, "l2 must be a finite number >= 0, got nan"),
+        ({"l2": math.inf}, "l2 must be a finite number >= 0, got inf"),
+        ({"l2": -1e-6}, "l2 must be a finite number >= 0, got -1e-06"),
+    ],
+)
+def test_train_config_refuses_non_finite_knobs(knobs, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**knobs)
 
 
 def unequal_length_lists(world):
@@ -186,8 +233,8 @@ class TestHeldoutUnequalLengths:
             for nbest in lists:
                 u = []
                 for hyp, _ in nbest.hypotheses:
-                    bundle = extract_features(hyp, score_sentence(full, hyp), index)
-                    u.append(score(params, vocab.encode(hyp.tokens), bundle).u)
+                    bins, feat = extract_features(hyp, score_sentence(full, hyp), index)
+                    u.append(score(params, vocab.encode(hyp.tokens), bins, feat).u)
                 chosen = int(np.argmax(u))
                 chosen_lengths.add(len(nbest.hypotheses[chosen][0]) - len(nbest.reference))
                 s, d, i, n = wer(nbest.reference, nbest.hypotheses[chosen][0])
