@@ -162,9 +162,9 @@ def _checked(key: str, value, tp):
 _MIN_VALUES = {
     "vocab_min_count": 0,  # corpus.build_vocabulary
     "n_folds": 2,  # corpus.assign_folds
-    "ngram_order": 1,  # ngram.train_ngram
-    "neg_samples": 1,  # negsampler.sample_negatives
-    "neg_keep": 1,  # negsampler.sample_negatives
+    "ngram_order": 1,  # ngram.count_ngrams
+    "neg_samples": 1,  # negsampler.sample_corpus_negatives
+    "neg_keep": 1,  # negsampler.sample_corpus_negatives
     "keep_top_m": 1,  # negsampler.filter_corpus_by_negative_quality
     "word_dim": 1,
     "lstm_dim": 1,
@@ -175,7 +175,7 @@ _MIN_VALUES = {
     "lm_max_epochs": 1,  # trainer.TrainConfig.max_epochs
 }
 _MAX_VALUES = {
-    "ngram_order": ngram.MAX_ORDER,  # ngram.train_ngram
+    "ngram_order": ngram.MAX_ORDER,  # ngram.count_ngrams
 }
 
 
@@ -282,7 +282,7 @@ def cmd_build_kb_index(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     paths.out.mkdir(parents=True, exist_ok=True)
     entries = kb.load_kb(_require_file(_kb_path(cfg, paths), "knowledge base"))
-    tables = kb.KBTables.from_index(kb.build_index(entries))
+    tables = kb.build_index(entries)
     kb.save_index(tables, paths.kb_index)
     print(f"kb index: {tables.n_entries} entries, max co-occurrence {tables.max_cooccurrence}")
     return 0
@@ -313,7 +313,7 @@ def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
         corpus,
         negsampler.build_confusion_table(vocab),
         fold_models,
-        folds,
+        folds.fold_of,
         n_samples=cfg.neg_samples,
         keep_k=cfg.neg_keep,
         p_sub=cfg.neg_sub_prob,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,18 +321,26 @@ def tune_weights(scored: ScoredSplit, scorer: str, grid) -> dict:
 
 
 def load_nbest(path) -> list[NBestList]:
+    """The n-best lists of a JSON-lines file; each first-pass score must be a
+    finite number, not a bool."""
     dataset = []
     for lineno, rec in read_jsonl(path):
         try:
             reference = Sentence(tuple(rec["reference"])) if rec.get("reference") else None
             hyps = tuple(
-                (Sentence(tuple(h["tokens"])), float(h["first_pass_score"]))
+                (Sentence(tuple(h["tokens"])), _first_pass_score(h["first_pass_score"]))
                 for h in rec["hypotheses"]
             )
             dataset.append(NBestList(str(rec["id"]), reference, hyps))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed n-best record ({exc!r})") from exc
     return dataset
+
+
+def _first_pass_score(value) -> float:
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"first_pass_score must be a finite number, got {value!r}")
+    return float(value)
 
 
 def save_nbest(dataset, path) -> None:

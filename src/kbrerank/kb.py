@@ -1,17 +1,17 @@
 """Music knowledge-base ingestion and the lookup tables feature extraction needs.
 
 An entry is (artist phrase, song phrase, usage frequency). ``build_index``
-computes a ``KBIndex``: exact-phrase frequency sums per field, artist/song
-phrase co-occurrence counts, and smoothed word-pair probabilities for
-normalized pointwise mutual information. ``KBTables.from_index`` lays the
-same lookups out as sorted integer arrays, which are all the batch feature
-kernel (``features.feature_bins``) reads. ``kb_index.bin`` holds those arrays
-(``save_index``/``load_index``), not the ``KBIndex``.
+computes, in one pass over the entries, exact-phrase frequency sums per
+field, artist/song phrase co-occurrence counts, and smoothed word-pair
+probabilities for normalized pointwise mutual information, and lays them
+out as the sorted integer arrays of ``KBTables``, which are all the batch
+feature kernel (``features.feature_bins``) reads. ``kb_index.bin`` holds
+those arrays (``save_index``/``load_index``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,19 +116,6 @@ class PairTable:
         return (self._row.get(w, 0.0) + n_partners) / self.total
 
 
-@dataclass(frozen=True)
-class KBIndex:
-    """Immutable lookup structure over a list of KB entries."""
-
-    n_entries: int
-    artist_entries: dict  # phrase -> (entry id tuple, summed frequency)
-    song_entries: dict
-    pair_counts: dict  # (artist phrase, song phrase) -> number of entries
-    max_cooccurrence: int
-    cross: PairTable = field(repr=False)
-    intra: PairTable = field(repr=False)
-
-
 def lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray, default) -> np.ndarray:
     """``values`` at each ``query`` found in the sorted ``keys``, else ``default``."""
     if len(keys) == 0:
@@ -168,7 +155,7 @@ class PairArrays:
 
 @dataclass(eq=False)
 class KBTables:
-    """A ``KBIndex``'s lookups as arrays over KB word ids.
+    """The KB's lookups as arrays over KB word ids.
 
     ``words`` are the KB's words in sorted order, so an id pair orders like
     its word pair (``_upair``); id ``n_words`` stands for every word outside
@@ -200,62 +187,6 @@ class KBTables:
         self.n_songs = int(self.song_of.max()) + 1
         self.max_cooccurrence = int(self.pair_counts.max())
 
-    @classmethod
-    def from_index(cls, index: KBIndex) -> KBTables:
-        artists, songs = list(index.artist_entries), list(index.song_entries)
-        # every word of the NPMI tables' vocabularies is a phrase word
-        words = sorted({w for p in artists + songs for w in p})
-        word_id = {w: i for i, w in enumerate(words)}
-
-        # the trie, one depth at a time: the distinct (parent, word) keys of
-        # the phrases that reach a depth are its nodes
-        phrases = artists + songs
-        depth = np.array([len(p) for p in phrases])
-        word = np.zeros((len(phrases), depth.max()), dtype=np.int64)
-        word[np.arange(depth.max()) < depth[:, None]] = [word_id[w] for p in phrases for w in p]
-        node = np.zeros(len(phrases), dtype=np.int64)
-        edge_keys, n_nodes = [], 1
-        for d in range(depth.max()):
-            reach = depth > d
-            keys, child = np.unique(node[reach] * len(words) + word[reach, d], return_inverse=True)
-            edge_keys.append(keys)
-            node[reach] = n_nodes + child
-            n_nodes += len(keys)
-        edge_keys = np.concatenate(edge_keys)
-        order = np.argsort(edge_keys)
-        # one more node, the dead one
-        artist_of = np.full(n_nodes + 1, -1, dtype=np.int64)
-        song_of = np.full(n_nodes + 1, -1, dtype=np.int64)
-        artist_freq = np.zeros(n_nodes + 1)
-        song_freq = np.zeros(n_nodes + 1)
-        artist_node, song_node = node[: len(artists)], node[len(artists) :]
-        artist_of[artist_node] = np.arange(len(artists))
-        song_of[song_node] = np.arange(len(songs))
-        artist_freq[artist_node] = [freq for _, freq in index.artist_entries.values()]
-        song_freq[song_node] = [freq for _, freq in index.song_entries.values()]
-
-        artist_id = {p: i for i, p in enumerate(artists)}
-        song_id = {p: i for i, p in enumerate(songs)}
-        pair_keys = np.array(
-            [artist_id[a] * len(songs) + song_id[s] for a, s in index.pair_counts],
-            dtype=np.int64,
-        )
-        pair_order = np.argsort(pair_keys)
-        return cls(
-            words=np.array(words),
-            edge_keys=edge_keys[order],
-            edge_child=np.arange(1, n_nodes, dtype=np.int64)[order],
-            artist_of=artist_of,
-            song_of=song_of,
-            artist_freq=artist_freq,
-            song_freq=song_freq,
-            pair_keys=pair_keys[pair_order],
-            pair_counts=np.array(list(index.pair_counts.values()), dtype=np.int64)[pair_order],
-            cross=PairArrays.build(index.cross, words, word_id),
-            intra=PairArrays.build(index.intra, words, word_id),
-            n_entries=index.n_entries,
-        )
-
     def encode(self, sequences) -> tuple[np.ndarray, np.ndarray]:
         """KB word ids of all ``sequences`` end to end, ``n_words`` for a word
         outside the KB, and each sequence's length."""
@@ -272,54 +203,84 @@ class KBTables:
         return np.where(live, found, -1)
 
 
-def build_index(entries) -> KBIndex:
+def build_index(entries) -> KBTables:
+    """The ``KBTables`` of a list of entries, from one pass over them."""
     if not entries:
         raise ValueError("empty entry list")
-
-    artist_entries: dict = {}
-    song_entries: dict = {}
-    pair_counts: dict = {}
+    artist_sum: dict = {}  # phrase -> summed frequency, in first-seen order
+    song_sum: dict = {}
+    pair_counts: dict = {}  # (artist phrase, song phrase) -> number of entries
     cross_weights: dict = {}
     intra_weights: dict = {}
-    cross_left: set = set()
-    cross_right: set = set()
-    all_words: set = set()
-
-    for eid, entry in enumerate(entries):
-        for phrase, table in ((entry.artist, artist_entries), (entry.song, song_entries)):
-            ids, freq = table.get(phrase, ((), 0.0))
-            table[phrase] = (ids + (eid,), freq + entry.frequency)
+    for entry in entries:
+        for phrase, table in ((entry.artist, artist_sum), (entry.song, song_sum)):
+            table[phrase] = table.get(phrase, 0.0) + entry.frequency
         key = (entry.artist, entry.song)
         pair_counts[key] = pair_counts.get(key, 0) + 1
-
-        cross_left.update(entry.artist)
-        cross_right.update(entry.song)
-        all_words.update(entry.artist)
-        all_words.update(entry.song)
-
         # each entry carries unit weight, spread uniformly over its word pairs
-        n_cross = len(entry.artist) * len(entry.song)
-        for aw in entry.artist:
-            for sw in entry.song:
-                k = _upair(aw, sw)
-                cross_weights[k] = cross_weights.get(k, 0.0) + 1.0 / n_cross
+        cross = [_upair(a, s) for a in entry.artist for s in entry.song]
+        intra = [
+            _upair(p[i], p[j])
+            for p in (entry.artist, entry.song)
+            for i in range(len(p))
+            for j in range(i + 1, len(p))
+        ]
+        for pairs, weights in ((cross, cross_weights), (intra, intra_weights)):
+            for k in pairs:
+                weights[k] = weights.get(k, 0.0) + 1.0 / len(pairs)
 
-        intra_pairs = []
-        for phrase in (entry.artist, entry.song):
-            for i in range(len(phrase)):
-                for j in range(i + 1, len(phrase)):
-                    intra_pairs.append(_upair(phrase[i], phrase[j]))
-        for k in intra_pairs:
-            intra_weights[k] = intra_weights.get(k, 0.0) + 1.0 / len(intra_pairs)
+    artists, songs = list(artist_sum), list(song_sum)
+    phrases = artists + songs
+    artist_words = {w for p in artists for w in p}
+    song_words = {w for p in songs for w in p}
+    words = sorted(artist_words | song_words)
+    word_id = {w: i for i, w in enumerate(words)}
 
-    return KBIndex(
+    # the trie, one depth at a time: the distinct (parent, word) keys of the
+    # phrases that reach a depth are its nodes
+    depth = np.array([len(p) for p in phrases])
+    word = np.zeros((len(phrases), depth.max()), dtype=np.int64)
+    word[np.arange(depth.max()) < depth[:, None]] = [word_id[w] for p in phrases for w in p]
+    node = np.zeros(len(phrases), dtype=np.int64)
+    edge_keys, n_nodes = [], 1
+    for d in range(depth.max()):
+        reach = depth > d
+        keys, child = np.unique(node[reach] * len(words) + word[reach, d], return_inverse=True)
+        edge_keys.append(keys)
+        node[reach] = n_nodes + child
+        n_nodes += len(keys)
+    edge_keys = np.concatenate(edge_keys)
+    order = np.argsort(edge_keys)
+    # one more node, the dead one
+    artist_of = np.full(n_nodes + 1, -1, dtype=np.int64)
+    song_of = np.full(n_nodes + 1, -1, dtype=np.int64)
+    artist_freq = np.zeros(n_nodes + 1)
+    song_freq = np.zeros(n_nodes + 1)
+    artist_node, song_node = node[: len(artists)], node[len(artists) :]
+    artist_of[artist_node] = np.arange(len(artists))
+    song_of[song_node] = np.arange(len(songs))
+    artist_freq[artist_node] = list(artist_sum.values())
+    song_freq[song_node] = list(song_sum.values())
+
+    artist_id = {p: i for i, p in enumerate(artists)}
+    song_id = {p: i for i, p in enumerate(songs)}
+    pair_keys = np.array(
+        [artist_id[a] * len(songs) + song_id[s] for a, s in pair_counts], dtype=np.int64
+    )
+    pair_order = np.argsort(pair_keys)
+    return KBTables(
+        words=np.array(words),
+        edge_keys=edge_keys[order],
+        edge_child=np.arange(1, n_nodes, dtype=np.int64)[order],
+        artist_of=artist_of,
+        song_of=song_of,
+        artist_freq=artist_freq,
+        song_freq=song_freq,
+        pair_keys=pair_keys[pair_order],
+        pair_counts=np.array(list(pair_counts.values()), dtype=np.int64)[pair_order],
+        cross=PairArrays.build(PairTable(cross_weights, artist_words, song_words), words, word_id),
+        intra=PairArrays.build(PairTable(intra_weights, words, words), words, word_id),
         n_entries=len(entries),
-        artist_entries=artist_entries,
-        song_entries=song_entries,
-        pair_counts=pair_counts,
-        max_cooccurrence=max(pair_counts.values()),
-        cross=PairTable(cross_weights, cross_left, cross_right),
-        intra=PairTable(intra_weights, all_words, all_words),
     )
 
 

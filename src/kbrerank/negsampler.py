@@ -18,14 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ngram
 from .artifacts import atomic_text_writer, check_vocab_hash, read_jsonl
-from .corpus import UNK, Corpus, FoldAssignment, Sentence, Vocabulary
-from .ngram import NGramModel
+from .corpus import UNK, Corpus, Sentence, Vocabulary
 
 # consonant classes; vowels and h/w/y carry no code
 _CLASS_OF = {}
@@ -160,6 +160,10 @@ class NegativeSet:
     substituted_positions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        for lp in self.lm_logprobs:
+            finite = isinstance(lp, (int, float)) and abs(lp) <= sys.float_info.max
+            if isinstance(lp, bool) or not finite:
+                raise ValueError(f"lm_logprob must be a finite number, got {lp!r}")
         for neg, positions in zip(self.negatives, self.substituted_positions):
             if len(neg) != len(self.source):
                 raise ValueError("negative length differs from source")
@@ -173,11 +177,6 @@ class NegativeSet:
 
     def mean_lm_logprob(self) -> float:
         return sum(self.lm_logprobs) / len(self.lm_logprobs)
-
-
-class NoConfusablePosition(ValueError):
-    """No word of the sentence has a phonetic neighbour, so nothing can be
-    substituted."""
 
 
 def _check_keep(n_samples: int, keep_k: int) -> None:
@@ -247,39 +246,20 @@ def keep_negatives(
     )
 
 
-def sample_negatives(
-    sentence: Sentence,
-    table: ConfusionTable,
-    lm: NGramModel,
-    n_samples: int = 30,
-    keep_k: int = 5,
-    p_sub: float = 0.3,
-    seed: int = 0,
-) -> NegativeSet:
-    """Draw corruptions, deduplicate, keep the ``keep_k`` most fluent
-    (``draw_negatives``, then ``keep_negatives``)."""
-    _check_keep(n_samples, keep_k)
-    drawn = draw_negatives(table.vocab.encode(sentence.tokens), table, n_samples, p_sub, seed)
-    if drawn is None:
-        raise NoConfusablePosition("no confusable position")
-    # scored as tokens, so the model's vocabulary may differ from the table's
-    scores = ngram.score_sentences(lm, [_surface(sentence, *d, table) for d in drawn.items()])
-    return keep_negatives(sentence, drawn, scores, keep_k, table)
-
-
 def sample_corpus_negatives(
     corpus: Corpus,
     table: ConfusionTable,
     fold_models,
-    folds: FoldAssignment,
+    fold_of,
     n_samples: int,
     keep_k: int,
     p_sub: float,
     seed: int,
 ) -> list:
-    """``sample_negatives`` for every sentence j, with the seed
-    ``derive_seed(seed, "neg", j)`` and the model of its fold; None where no
-    position is confusable. Each fold's draws are scored in one call."""
+    """Each sentence j's negatives: ``draw_negatives`` with the seed
+    ``derive_seed(seed, "neg", j)``, scored by ``fold_models[fold_of[j]]``,
+    then ``keep_negatives``; None where no position is confusable. Each
+    model's draws are scored in one call."""
     _check_keep(n_samples, keep_k)
     table_hash = table.vocab.content_hash()  # the draws are ids of the table's vocabulary
     for model in fold_models:
@@ -294,7 +274,7 @@ def sample_corpus_negatives(
     for j, draws in enumerate(drawn):
         if draws is not None:
             rows.extend(draws)
-            row_folds.extend([folds.fold_of[j]] * len(draws))
+            row_folds.extend([fold_of[j]] * len(draws))
     scores = ngram.score_by_fold(fold_models, row_folds, rows)
     negsets, row = [], 0
     for sentence, draws in zip(corpus, drawn):
@@ -360,7 +340,7 @@ def load_negative_sets(path, corpus: Corpus) -> list:
     """Rebuild per-sentence sets aligned with the corpus (None where absent).
 
     Each record's ``source_id`` must be an int in [0, len(corpus)) that no
-    other record names.
+    other record names; each set is checked as a ``NegativeSet``.
     """
     negsets: list = [None] * len(corpus)
     for lineno, rec in read_jsonl(path):

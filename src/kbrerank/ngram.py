@@ -269,19 +269,6 @@ def estimate(counts: NGramCounts, vocab: Vocabulary, exclude_fold=None) -> NGram
     )
 
 
-def train_ngram(
-    corpus: Corpus,
-    vocab: Vocabulary,
-    order: int = 3,
-    exclude_fold=None,
-    folds: FoldAssignment | None = None,
-) -> NGramModel:
-    if exclude_fold is not None and folds is None:
-        raise ValueError("fold assignment must cover the corpus")
-    counts = count_ngrams(corpus, vocab, order, folds if exclude_fold is not None else None)
-    return estimate(counts, vocab, exclude_fold)
-
-
 def train_jackknife(
     corpus: Corpus, vocab: Vocabulary, order: int, folds: FoldAssignment
 ) -> tuple[NGramModel, list[NGramModel]]:
@@ -348,11 +335,6 @@ def score_sentences(model: NGramModel, sentences) -> np.ndarray:
     in one call."""
     ids, lengths = pad_ids([model.vocab.encode(getattr(s, "tokens", s)) for s in sentences])
     return score_ids(model, ids, lengths)
-
-
-def score_sentence(model: NGramModel, sentence) -> float:
-    """Natural-log probability of the sentence including end-of-sentence."""
-    return float(score_sentences(model, [sentence])[0])
 
 
 def score_by_fold(models, fold_of_rows, rows) -> np.ndarray:

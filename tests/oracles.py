@@ -9,11 +9,13 @@ backpropagates one training instance per call, and the reference LM trainer
 runs its own epoch loop apart from the shared ``trainer._sgd``. The reference
 n-gram model counts string-tuple dicts per model and scores by walking them
 one event at a time, apart from the id tables and batched walk of
-``kbrerank.ngram``. The reference KB features walk one sentence's spans and
-word pairs through the index's dicts, apart from the array kernel of
-``kbrerank.features``. The single-sentence helpers below wrap the batched
-production calls for tests that score one candidate or one sentence at a
-time.
+``kbrerank.ngram``. The reference KB index (``dict_kb_index``) keeps the
+KB's lookups in dicts over phrases and words, apart from the arrays of
+``kbrerank.kb.build_index``, and the reference KB features walk one
+sentence's spans and word pairs through those dicts, apart from the array
+kernel of ``kbrerank.features``. The single-sentence helpers below wrap the
+batched production calls for tests that score one candidate or one sentence
+at a time.
 """
 
 import math
@@ -32,6 +34,7 @@ from kbrerank.features import (
     NPMI_NEUTRAL_BIN,
     max_span_pairs,
 )
+from kbrerank.kb import PairTable
 from kbrerank.negsampler import NegativeSet, derive_seed
 from kbrerank.neural import (
     _lstm_forward,
@@ -651,6 +654,73 @@ def reference_sample_negatives(sentence, table, lm: DictNGramModel, n_samples, k
         negatives=tuple(Sentence(toks) for _, toks in scored),
         lm_logprobs=tuple(score for score, _ in scored),
         substituted_positions=tuple(seen[toks] for _, toks in scored),
+    )
+
+
+@dataclass(frozen=True)
+class KBIndex:
+    """The KB's lookups as dicts over phrases and words."""
+
+    n_entries: int
+    artist_entries: dict  # phrase -> (entry id tuple, summed frequency)
+    song_entries: dict
+    pair_counts: dict  # (artist phrase, song phrase) -> number of entries
+    max_cooccurrence: int
+    cross: PairTable
+    intra: PairTable
+
+
+def dict_kb_index(entries) -> KBIndex:
+    """The dict index of a list of KB entries, built one word pair at a time,
+    apart from the array build of ``kbrerank.kb.build_index``."""
+    if not entries:
+        raise ValueError("empty entry list")
+
+    artist_entries: dict = {}
+    song_entries: dict = {}
+    pair_counts: dict = {}
+    cross_weights: dict = {}
+    intra_weights: dict = {}
+    cross_left: set = set()
+    cross_right: set = set()
+    all_words: set = set()
+
+    for eid, entry in enumerate(entries):
+        for phrase, table in ((entry.artist, artist_entries), (entry.song, song_entries)):
+            ids, freq = table.get(phrase, ((), 0.0))
+            table[phrase] = (ids + (eid,), freq + entry.frequency)
+        key = (entry.artist, entry.song)
+        pair_counts[key] = pair_counts.get(key, 0) + 1
+
+        cross_left.update(entry.artist)
+        cross_right.update(entry.song)
+        all_words.update(entry.artist)
+        all_words.update(entry.song)
+
+        # each entry carries unit weight, spread uniformly over its word pairs
+        n_cross = len(entry.artist) * len(entry.song)
+        for aw in entry.artist:
+            for sw in entry.song:
+                k = (aw, sw) if aw <= sw else (sw, aw)
+                cross_weights[k] = cross_weights.get(k, 0.0) + 1.0 / n_cross
+
+        intra_pairs = []
+        for phrase in (entry.artist, entry.song):
+            for i in range(len(phrase)):
+                for j in range(i + 1, len(phrase)):
+                    a, b = phrase[i], phrase[j]
+                    intra_pairs.append((a, b) if a <= b else (b, a))
+        for k in intra_pairs:
+            intra_weights[k] = intra_weights.get(k, 0.0) + 1.0 / len(intra_pairs)
+
+    return KBIndex(
+        n_entries=len(entries),
+        artist_entries=artist_entries,
+        song_entries=song_entries,
+        pair_counts=pair_counts,
+        max_cooccurrence=max(pair_counts.values()),
+        cross=PairTable(cross_weights, cross_left, cross_right),
+        intra=PairTable(intra_weights, all_words, all_words),
     )
 
 

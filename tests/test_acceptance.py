@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dict_kb_index,
     event_distribution,
     exhaustive_wer,
     finite_difference_check,
@@ -41,8 +42,8 @@ from kbrerank.corpus import (
 )
 from kbrerank.evaluation import RerankModels, oracle_wer, score_split, wer
 from kbrerank.features import BIN_FIELDS, feature_bins, max_span_pairs
-from kbrerank.kb import KBEntry, KBTables, build_index
-from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
+from kbrerank.kb import KBEntry, build_index
+from kbrerank.negsampler import build_confusion_table, sample_corpus_negatives
 from kbrerank.neural import (
     RerankerDims,
     RerankerParams,
@@ -50,7 +51,7 @@ from kbrerank.neural import (
     contrastive_loss,
     score_batch,
 )
-from kbrerank.ngram import score_sentence, train_jackknife, train_ngram
+from kbrerank.ngram import count_ngrams, estimate, score_sentences, train_jackknife
 from kbrerank.trainer import LstmLmDims, LstmLmParams, heldout_wer, prepare_heldout
 
 SEED = 20260808
@@ -105,7 +106,7 @@ def test_c2_normalization_suite(capsys):
                           word_inventory=150, n_train=500, n_heldout=5, n_test=5)
     )
     vocab = build_vocabulary(world.train, min_count=1)
-    model = train_ngram(world.train, vocab, order=3)
+    model = estimate(count_ngrams(world.train, vocab, 3), vocab)
     contexts = []
     for sent in world.train:
         toks = sent.tokens
@@ -192,7 +193,7 @@ def feature_world():
         synth.SynthConfig(seed=SEED, n_artists=40, songs_per_artist=8,
                           word_inventory=300, n_train=1000, n_heldout=5, n_test=5)
     )
-    return world, build_index(world.kb_entries)
+    return world, dict_kb_index(world.kb_entries)
 
 
 def test_c4_feature_bounds_and_oracles(feature_world, capsys):
@@ -216,7 +217,7 @@ def test_c4_feature_bounds_and_oracles(feature_world, capsys):
         length = rng.randint(1, 9)
         sents.append(Sentence(tuple(rng.choice(words) for _ in range(length))))
         rng.random()  # the sentence's n-gram score, drawn to keep the stream
-    bins = feature_bins([s.tokens for s in sents], KBTables.from_index(index))
+    bins = feature_bins([s.tokens for s in sents], build_index(world.kb_entries))
     np.testing.assert_array_equal(bins, reference_bins(sents, index))
     assert 0 <= bins[:, 0].min() and bins[:, 0].max() < 10
     assert 0 <= bins[:, 1:].min() and bins[:, 1:].max() < 100
@@ -231,12 +232,12 @@ def test_c4_feature_bounds_and_oracles(feature_world, capsys):
                 expected = min(9, max(1, int(10 * ratio)))
             assert bins[k, 0] == expected
 
-    def cross_bin(tokens, kb_index):
-        return int(feature_bins([tokens], KBTables.from_index(kb_index))[0, 3])
+    def cross_bin(tokens, entries):
+        return int(feature_bins([tokens], build_index(entries))[0, 3])
 
-    perfect = build_index([KBEntry(("a",), ("b",), 1.0)])
+    perfect = [KBEntry(("a",), ("b",), 1.0)]
     assert cross_bin(("a", "b"), perfect) == 99
-    independent = build_index([KBEntry(("a",), ("b",), 1.0), KBEntry(("a",), ("c",), 1.0)])
+    independent = [KBEntry(("a",), ("b",), 1.0), KBEntry(("a",), ("c",), 1.0)]
     assert cross_bin(("a", "b"), independent) == 50
     assert cross_bin(("x", "y"), perfect) == 0
     with capsys.disabled():
@@ -248,20 +249,12 @@ def test_c4_feature_bounds_and_oracles(feature_world, capsys):
 def test_c5_negative_sampling_contract(feature_world, capsys):
     world, _ = feature_world
     vocab = build_vocabulary(world.train, min_count=1)
-    model = train_ngram(world.train, vocab, order=3)
+    model = estimate(count_ngrams(world.train, vocab, 3), vocab)
     table = build_confusion_table(vocab)
 
     def generate():
-        out = []
-        for j, sent in enumerate(world.train):
-            try:
-                out.append(
-                    sample_negatives(sent, table, model, n_samples=30, keep_k=5,
-                                     p_sub=0.3, seed=derive_seed(SEED, "neg", j))
-                )
-            except ValueError:
-                out.append(None)
-        return out
+        return sample_corpus_negatives(world.train, table, [model], [0] * len(world.train),
+                                       n_samples=30, keep_k=5, p_sub=0.3, seed=SEED)
 
     first = generate()
     sampled = [ns for ns in first if ns is not None]
@@ -296,8 +289,10 @@ def test_c6_jackknife_leakage(capsys):
     target = corpus[0]  # "zebra" appears nowhere else
     masked = Sentence(tuple(UNK if t == "zebra" else t for t in target.tokens))
     jack = models[folds.fold_of[0]]
-    assert score_sentence(jack, target) == score_sentence(jack, masked)
-    assert score_sentence(full, target) != score_sentence(full, masked)
+    jack_scores = score_sentences(jack, [target, masked])
+    full_scores = score_sentences(full, [target, masked])
+    assert jack_scores[0] == jack_scores[1]
+    assert full_scores[0] != full_scores[1]
     with capsys.disabled():
         print("\nACCEPTANCE 6 PASS - fold-unique word scores exactly as UNK under its "
               "jackknife model and differently under the full model")

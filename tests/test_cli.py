@@ -602,10 +602,11 @@ class TestSpanTracer:
             tracer.uninstall()
         assert code == 0
         assert (neural.score_batch, trainer.LstmLmParams.sentence_logprob) == originals
-        # only the sampler's expected "no confusable position" drops raise
-        # inside a span
-        assert set(tracer.errors) <= {"negsampler.sample_negatives"}
+        assert not tracer.errors  # no call raised inside a span
         metrics = tracer.layer_metrics()
+        # the KB build and its PairTable marginals, looked up by name
+        assert metrics["kb.build_index.s"] > 0
+        assert metrics["kb.PairTable.marginal.calls"] > 0
         assert metrics["neural.score_batch.calls"] > 0
         assert metrics["neural.backprop_batch.calls"] > 0
         assert metrics["neural.score_batch.rows_per_call"] > 0
@@ -685,6 +686,42 @@ class TestInputRecords:
         assert stage("train-reranker", run) == 1
         err = capsys.readouterr().err
         assert f"{run / 'features.jsonl'}:5: {key} must be an int, got {2**64}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", ['"x"', "true", "NaN", "1e400", "-Infinity", "null"])
+    def test_bad_lm_logprob_fails_extract_features(self, pipeline_dir, tmp_path, capsys, raw):
+        # each would fail later, or reorder keep_top_m's ranking silently
+        run = copy_run(pipeline_dir, tmp_path)
+        lines = (run / "negatives.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        rec["negatives"][0]["lm_logprob"] = "__LP__"
+        lines[1] = json.dumps(rec).replace('"__LP__"', raw) + "\n"
+        (run / "negatives.jsonl").write_text("".join(lines))
+        (run / "features.jsonl").unlink()
+        capsys.readouterr()
+        assert stage("extract-features", run) == 1
+        err = capsys.readouterr().err
+        assert f"{run / 'negatives.jsonl'}:2: malformed negative set" in err
+        assert "lm_logprob must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (run / "features.jsonl").exists()
+
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "1e400", "true", '"3.0"', "null"])
+    @pytest.mark.parametrize("command", ["rerank", "evaluate"])
+    def test_bad_first_pass_score(self, pipeline_dir, tmp_path, capsys, command, raw):
+        # a NaN first-pass score would otherwise win the first-pass argmax
+        run = copy_run(pipeline_dir, tmp_path)
+        lines = (run / "test.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec["hypotheses"][-1]["first_pass_score"] = "__SCORE__"
+        lines[2] = json.dumps(rec).replace('"__SCORE__"', raw) + "\n"
+        path = run / "bad.jsonl"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert stage(command, run, "--nbest", str(path), "--scorer", "first-pass") == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: malformed n-best record" in err
+        assert "first_pass_score must be a finite number" in err
         assert "Traceback" not in err
 
     def test_truncated_nbest(self, pipeline_dir, tmp_path, capsys):

@@ -21,7 +21,7 @@ from kbrerank.evaluation import (
     wer,
     write_utterance_csv,
 )
-from kbrerank.ngram import train_ngram
+from kbrerank.ngram import count_ngrams, estimate
 
 
 def sent(text):
@@ -101,7 +101,8 @@ class TestRerank:
     def test_zero_weights_return_first_pass_best(self):
         lists = [nbest("u1", "a b", [("a x", -1.0), ("a b", -3.0), ("x b", -2.0)])]
         corpus = corpus_from_lines(["a b", "a x"])
-        model = train_ngram(corpus, build_vocabulary(corpus, 0), order=2)
+        vocab = build_vocabulary(corpus, 0)
+        model = estimate(count_ngrams(corpus, vocab, 2), vocab)
         models = RerankModels(ngram=model)
         assert rerank(lists, "ngram", {"ngram": 0.0}, models).tolist() == [0]
         assert rerank(lists, "first-pass", {}, models).tolist() == [0]

@@ -5,9 +5,16 @@ import random
 
 import numpy as np
 import pytest
-from oracles import cooccurrence_total, ngram_feature, npmi, npmi_bin, reference_bins
+from oracles import (
+    cooccurrence_total,
+    dict_kb_index,
+    ngram_feature,
+    npmi,
+    npmi_bin,
+    reference_bins,
+)
 
-from kbrerank import features
+from kbrerank import features, kb
 from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import build_vocabulary, corpus_from_lines
 from kbrerank.corpus import Sentence
@@ -18,7 +25,7 @@ from kbrerank.features import (
     NPMI_BINS,
     max_span_pairs,
 )
-from kbrerank.kb import KBEntry, KBTables, build_index, load_index, save_index
+from kbrerank.kb import KBEntry, build_index, load_index, save_index
 
 CO, ARTIST, SONG, CROSS, INTRA = range(len(BIN_FIELDS))
 
@@ -27,22 +34,21 @@ def entry(artist, song, freq=1.0):
     return KBEntry(tuple(artist.split()), tuple(song.split()), freq)
 
 
-def feature_bins(sequences, index):
-    """The kernel's bins over the tables of a built ``KBIndex``, which the
-    oracles read as the reference."""
-    return features.feature_bins(sequences, KBTables.from_index(index))
+def kb_pair(entries):
+    """The kernel's tables and the oracles' dict index of the same entries."""
+    return build_index(entries), dict_kb_index(entries)
 
 
-def bins_of(sentence, index) -> list:
+def bins_of(sentence, tables) -> list:
     """The kernel's five bins of one sentence."""
-    return feature_bins([sentence.tokens], index)[0].tolist()
+    return features.feature_bins([sentence.tokens], tables)[0].tolist()
 
 
-def cooccurrence_bin_of(total: int, length: int, index) -> int:
+def cooccurrence_bin_of(total: int, length: int, tables) -> int:
     """The co-occurrence bin of a summed count, by its definition."""
     if total == 0:
         return 0
-    ratio = math.log1p(total) / math.log1p(index.max_cooccurrence * max_span_pairs(length))
+    ratio = math.log1p(total) / math.log1p(tables.max_cooccurrence * max_span_pairs(length))
     return min(COOC_BINS - 1, max(1, int(COOC_BINS * ratio)))
 
 
@@ -76,7 +82,7 @@ def brute_force_cooccurrence(sentence, index):
 
 class TestCooccurrence:
     def kb(self):
-        return build_index(
+        return kb_pair(
             [
                 entry("sufjan stevens", "carrie and lowell live", 12.0),
                 entry("sufjan stevens", "chicago", 5.0),
@@ -86,11 +92,12 @@ class TestCooccurrence:
         )
 
     def test_no_kb_phrase_gives_zero(self):
-        assert bins_of(Sentence(("hello", "there")), self.kb())[CO] == 0
+        tables, _ = self.kb()
+        assert bins_of(Sentence(("hello", "there")), tables)[CO] == 0
 
     def test_match_gives_positive_bin(self):
         sent = Sentence(("play", "carrie", "and", "lowell", "live", "by", "sufjan", "stevens"))
-        index = self.kb()
+        tables, index = self.kb()
         total = cooccurrence_total(sent, index)
         assert total == brute_force_cooccurrence(sent, index)
         assert total >= 1
@@ -98,27 +105,27 @@ class TestCooccurrence:
             COOC_BINS - 1,
             max(1, int(COOC_BINS * math.log1p(total) / math.log1p(index.max_cooccurrence * max_span_pairs(8)))),
         )
-        assert bins_of(sent, index)[CO] == expected
+        assert bins_of(sent, tables)[CO] == expected
 
     def test_totals_match_brute_force_on_random_sentences(self):
         rng = random.Random(13)
         words = ["sufjan", "stevens", "carrie", "chicago", "and", "lowell", "live", "play"]
-        index = self.kb()
+        tables, index = self.kb()
         sents = [
             Sentence(tuple(rng.choice(words) for _ in range(rng.randint(1, 8)))) for _ in range(150)
         ]
-        kernel = feature_bins([s.tokens for s in sents], index)[:, CO]
+        kernel = features.feature_bins([s.tokens for s in sents], tables)[:, CO]
         for sent, got in zip(sents, kernel.tolist()):
             brute = brute_force_cooccurrence(sent, index)
             assert cooccurrence_total(sent, index) == brute
-            assert got == cooccurrence_bin_of(brute, len(sent), index)
+            assert got == cooccurrence_bin_of(brute, len(sent), tables)
 
     def test_monotone_in_duplicate_entries(self):
         sent = Sentence(("a", "b"))
         bins = []
         for copies in (1, 10, 100):
-            index = build_index([entry("a", "b")] * copies)
-            bins.append(bins_of(sent, index)[CO])
+            tables = build_index([entry("a", "b")] * copies)
+            bins.append(bins_of(sent, tables)[CO])
         assert bins == sorted(bins)
         assert bins[0] >= 1
 
@@ -134,60 +141,60 @@ class TestCooccurrence:
 
 class TestFrequencyBin:
     def test_zero_sum(self):
-        index = build_index([entry("a", "b", 5.0)])
-        assert bins_of(Sentence(("zz",)), index)[ARTIST] == 0
+        tables = build_index([entry("a", "b", 5.0)])
+        assert bins_of(Sentence(("zz",)), tables)[ARTIST] == 0
 
     def test_known_sums(self):
         # S=1 -> floor(50*log(2)) = 34; S=10 -> floor(50*log(11)) capped at 99
-        index = build_index([entry("a", "b", 1.0)])
-        assert bins_of(Sentence(("a",)), index)[ARTIST] == 34
-        index = build_index([entry("a", "b", 10.0)])
-        assert bins_of(Sentence(("a",)), index)[ARTIST] == 99
+        tables = build_index([entry("a", "b", 1.0)])
+        assert bins_of(Sentence(("a",)), tables)[ARTIST] == 34
+        tables = build_index([entry("a", "b", 10.0)])
+        assert bins_of(Sentence(("a",)), tables)[ARTIST] == 99
 
     def test_formula_legs(self):
         # summed frequency chosen so log1p(S) lands at the target f values:
         # f=2.5 caps at 99, f~1.31 floors to 65
-        index = build_index([entry("a", "b", math.expm1(2.5))])
-        assert bins_of(Sentence(("a",)), index)[ARTIST] == 99
-        index = build_index([entry("a", "b", math.expm1(1.31))])
-        assert bins_of(Sentence(("a",)), index)[ARTIST] == 65
+        tables = build_index([entry("a", "b", math.expm1(2.5))])
+        assert bins_of(Sentence(("a",)), tables)[ARTIST] == 99
+        tables = build_index([entry("a", "b", math.expm1(1.31))])
+        assert bins_of(Sentence(("a",)), tables)[ARTIST] == 65
 
     def test_monotone_in_frequency(self):
         last = -1
         for freq in (0.0, 0.5, 1.0, 3.0, 10.0, 100.0):
-            index = build_index([entry("a", "b", freq)])
-            value = bins_of(Sentence(("a",)), index)[ARTIST]
+            tables = build_index([entry("a", "b", freq)])
+            value = bins_of(Sentence(("a",)), tables)[ARTIST]
             assert value >= last
             last = value
 
     def test_counts_every_subspan(self):
-        index = build_index([entry("a b", "c", 2.0), entry("b", "c", 3.0)])
+        tables = build_index([entry("a b", "c", 2.0), entry("b", "c", 3.0)])
         # spans of "a b": a, b, "a b" -> artist hits "a b" (2.0) and "b" (3.0)
         expected = int(min(50 * math.log1p(5.0), 99))
-        assert bins_of(Sentence(("a", "b")), index)[ARTIST] == expected
+        assert bins_of(Sentence(("a", "b")), tables)[ARTIST] == expected
 
 
 class TestNpmi:
     def test_perfect_association_bin_99(self):
-        index = build_index([entry("a", "b")])
+        tables, index = kb_pair([entry("a", "b")])
         assert npmi(index.cross, "a", "b") == 1.0
-        assert bins_of(Sentence(("a", "b")), index)[CROSS] == NPMI_BINS - 1
+        assert bins_of(Sentence(("a", "b")), tables)[CROSS] == NPMI_BINS - 1
 
     def test_independent_pair_bin_50(self):
-        index = build_index([entry("a", "b"), entry("a", "c")])
+        tables, index = kb_pair([entry("a", "b"), entry("a", "c")])
         assert math.isclose(npmi(index.cross, "a", "b"), 0.0, abs_tol=1e-12)
-        assert bins_of(Sentence(("a", "b")), index)[CROSS] == 50
+        assert bins_of(Sentence(("a", "b")), tables)[CROSS] == 50
 
     def test_all_unseen_bin_0(self):
-        index = build_index([entry("a", "b")])
-        assert bins_of(Sentence(("x", "y", "z")), index)[CROSS] == 0
+        tables = build_index([entry("a", "b")])
+        assert bins_of(Sentence(("x", "y", "z")), tables)[CROSS] == 0
 
     def test_short_sentence_neutral(self):
-        index = build_index([entry("a", "b")])
-        assert bins_of(Sentence(("a",)), index)[CROSS] == 50
+        tables = build_index([entry("a", "b")])
+        assert bins_of(Sentence(("a",)), tables)[CROSS] == 50
 
     def test_symmetry(self):
-        index = build_index(
+        index = dict_kb_index(
             [entry("a b", "c d"), entry("a", "c"), entry("b d", "e"), entry("a", "e c")]
         )
         words = ("a", "b", "c", "d", "e", "zz")
@@ -197,31 +204,31 @@ class TestNpmi:
                     assert npmi(table, x, y) == npmi(table, y, x)
 
     def test_mode_validation(self):
-        index = build_index([entry("a", "b")])
+        index = dict_kb_index([entry("a", "b")])
         with pytest.raises(ValueError):
             npmi_bin(Sentence(("a", "b")), index, "sideways")
 
 
 class TestExtractFeatures:
     def test_disjoint_kb_composition(self):
-        index = build_index([entry("qq", "rr", 3.0)])
-        assert bins_of(Sentence(("hello", "world")), index) == [0, 0, 0, 0, 0]
+        tables = build_index([entry("qq", "rr", 3.0)])
+        assert bins_of(Sentence(("hello", "world")), tables) == [0, 0, 0, 0, 0]
 
     def test_single_token_sentence_neutral_npmi(self):
-        index = build_index([entry("qq", "rr")])
-        row = bins_of(Sentence(("hello",)), index)
+        tables = build_index([entry("qq", "rr")])
+        row = bins_of(Sentence(("hello",)), tables)
         assert row[CROSS] == 50
         assert row[INTRA] == 50
 
     def test_deterministic(self):
-        index = build_index([entry("a b", "c"), entry("a", "d")])
+        tables = build_index([entry("a b", "c"), entry("a", "d")])
         sent = Sentence(("a", "b", "c", "d"))
-        assert bins_of(sent, index) == bins_of(sent, index)
+        assert bins_of(sent, tables) == bins_of(sent, tables)
 
     def test_ranges_on_random_inputs(self):
         rng = random.Random(99)
         words = ["a", "b", "c", "d", "e", "f", "g", "zz", "qq"]
-        index = build_index(
+        tables, index = kb_pair(
             [
                 entry("a b", "c", 4.0),
                 entry("a", "d e", 0.5),
@@ -232,7 +239,7 @@ class TestExtractFeatures:
         sents = [
             Sentence(tuple(rng.choice(words) for _ in range(rng.randint(1, 9)))) for _ in range(1000)
         ]
-        bins = feature_bins([s.tokens for s in sents], index)
+        bins = features.feature_bins([s.tokens for s in sents], tables)
         assert bins.shape == (1000, len(BIN_FIELDS))
         for k, (_, count) in enumerate(BIN_FIELDS):
             assert 0 <= bins[:, k].min() and bins[:, k].max() < count
@@ -316,15 +323,15 @@ class TestFeatureKernel:
         ],
     )
     def test_edge_case_matches_reference(self, tokens):
-        index = build_index(EDGE_KB)
+        tables, index = kb_pair(EDGE_KB)
         sent = Sentence(tokens)
-        assert bins_of(sent, index) == reference_bins([sent], index)[0].tolist()
+        assert bins_of(sent, tables) == reference_bins([sent], index)[0].tolist()
 
     def test_edge_cases_reach_every_feature(self):
-        index = build_index(EDGE_KB)
-        row = bins_of(Sentence(("c", "d", "a", "b", "c", "d", "e")), index)
+        tables = build_index(EDGE_KB)
+        row = bins_of(Sentence(("c", "d", "a", "b", "c", "d", "e")), tables)
         assert row[CO] > 0 and row[ARTIST] > 0 and row[SONG] > 0
-        assert bins_of(Sentence(("zz", "qq")), index) == [0, 0, 0, 0, 0]
+        assert bins_of(Sentence(("zz", "qq")), tables) == [0, 0, 0, 0, 0]
 
     def mixed_batch(self, seed=5, n=400):
         rng = random.Random(seed)
@@ -334,37 +341,36 @@ class TestFeatureKernel:
         ]
 
     def test_mixed_lengths_match_reference(self):
-        index = build_index(EDGE_KB)
+        tables, index = kb_pair(EDGE_KB)
         sents = self.mixed_batch()
         assert {len(s) for s in sents} == set(range(1, 13))
-        kernel = feature_bins([s.tokens for s in sents], index)
+        kernel = features.feature_bins([s.tokens for s in sents], tables)
         np.testing.assert_array_equal(kernel, reference_bins(sents, index))
         assert (kernel[:, CO] > 0).any()
 
     def test_row_does_not_depend_on_batch(self):
-        index = build_index(EDGE_KB)
+        tables = build_index(EDGE_KB)
         sents = self.mixed_batch(seed=6, n=60)
         tokens = [s.tokens for s in sents]
-        batch = feature_bins(tokens, index)
-        alone = np.concatenate([feature_bins([t], index) for t in tokens])
+        batch = features.feature_bins(tokens, tables)
+        alone = np.concatenate([features.feature_bins([t], tables) for t in tokens])
         np.testing.assert_array_equal(batch, alone)
-        np.testing.assert_array_equal(feature_bins(tokens[::-1], index), batch[::-1])
+        np.testing.assert_array_equal(features.feature_bins(tokens[::-1], tables), batch[::-1])
 
     def test_empty_batch(self):
-        index = build_index(EDGE_KB)
-        assert feature_bins([], index).shape == (0, len(BIN_FIELDS))
+        tables = build_index(EDGE_KB)
+        assert features.feature_bins([], tables).shape == (0, len(BIN_FIELDS))
         # no spans, no word pairs: the bins of zero sums and the neutral NPMI
-        assert feature_bins([()], index).tolist() == [[0, 0, 0, 50, 50]]
+        assert features.feature_bins([()], tables).tolist() == [[0, 0, 0, 50, 50]]
 
     def test_tables_built_once_per_index(self, tmp_path, monkeypatch):
         # build-kb-index builds the tables once; a stage that loads them
         # scores without building any
-        index = build_index(EDGE_KB)
         path = tmp_path / "kb_index.bin"
-        save_index(KBTables.from_index(index), path)
-        monkeypatch.delattr(KBTables, "from_index")
+        save_index(build_index(EDGE_KB), path)
+        monkeypatch.delattr(kb, "build_index")
         tables = load_index(path)
         tokens = [s.tokens for s in self.mixed_batch(seed=7, n=50)]
-        expected = reference_bins([Sentence(t) for t in tokens], index)
+        expected = reference_bins([Sentence(t) for t in tokens], dict_kb_index(EDGE_KB))
         np.testing.assert_array_equal(features.feature_bins(tokens, tables), expected)
         np.testing.assert_array_equal(features.feature_bins(tokens[:9], tables), expected[:9])

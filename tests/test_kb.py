@@ -1,12 +1,23 @@
+import dataclasses
 import math
 import random
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import cooccurrence, joint, phrase_frequency, reference_bins, support_pairs
+from oracles import (
+    cooccurrence,
+    dict_kb_index,
+    joint,
+    phrase_frequency,
+    reference_bins,
+    support_pairs,
+)
+from test_acceptance import FIXTURE_SETS, SEED
 from test_features import EDGE_KB, EDGE_WORDS
 
+from kbrerank import synth
+from kbrerank.cli import PipelineConfig
 from kbrerank.corpus import Sentence
 from kbrerank.features import feature_bins
 from kbrerank.kb import (
@@ -15,6 +26,7 @@ from kbrerank.kb import (
     PairArrays,
     build_index,
     load_kb,
+    lookup,
     parse_kb_line,
     save_index,
     load_index,
@@ -64,22 +76,23 @@ class TestLoading:
 
 class TestIndex:
     def test_single_entry_counts(self):
-        index = build_index([entry("a", "b")])
+        index = dict_kb_index([entry("a", "b")])
         assert cooccurrence(index, ("a",), ("b",)) == 1
         assert index.max_cooccurrence == 1
+        assert build_index([entry("a", "b")]).max_cooccurrence == 1
         # sole support pair holds all the probability mass
         assert joint(index.cross, "a", "b") == 1.0
 
     def test_duplicate_entries_count_twice(self):
-        index = build_index([entry("a", "b"), entry("a", "b")])
+        index = dict_kb_index([entry("a", "b"), entry("a", "b")])
         assert cooccurrence(index, ("a",), ("b",)) == 2
 
     def test_cooccurrence_symmetric_helper(self):
-        index = build_index([entry("x", "y"), entry("y", "x")])
+        index = dict_kb_index([entry("x", "y"), entry("y", "x")])
         assert cooccurrence(index, ("x",), ("y",)) == 2
 
     def test_empty_entries_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty entry list"):
             build_index([])
 
     def test_cooccurrence_matches_brute_force(self):
@@ -89,7 +102,7 @@ class TestIndex:
             entry("a b", "c", 5.0),
             entry("c", "a b"),
         ]
-        index = build_index(entries)
+        index = dict_kb_index(entries)
         queried = [(("a", "b"), ("c",)), (("a",), ("c", "d")), (("c",), ("a", "b")), (("z",), ("c",))]
         for first, second in queried:
             expected = sum(
@@ -108,7 +121,7 @@ class TestIndex:
             entry("a b", "f", 1.5),
             entry("g g", "h", 3.0),
         ]
-        index = build_index(entries)
+        index = dict_kb_index(entries)
         for table in (index.cross, index.intra):
             words = table.left_vocab | table.right_vocab
             # joint table is a distribution over its support
@@ -125,8 +138,7 @@ class TestIndex:
     def test_roundtrip_cache(self, tmp_path):
         # a KB of one-word phrases has no intra pair: its intra total is an int
         for entries in ([entry("a b", "c"), entry("a", "d e")], [entry("a", "b")], EDGE_KB):
-            index = build_index(entries)
-            tables = KBTables.from_index(index)
+            index, tables = dict_kb_index(entries), build_index(entries)
             assert (tables.n_songs, tables.max_cooccurrence) == (
                 len(index.song_entries), index.max_cooccurrence
             )
@@ -136,9 +148,8 @@ class TestIndex:
 
     def test_feature_tables_saved(self, tmp_path):
         # the file holds the tables the kernel reads, byte-reproducibly
-        index = build_index(EDGE_KB)
         for name in ("a.bin", "b.bin"):
-            save_index(KBTables.from_index(index), tmp_path / name)
+            save_index(build_index(EDGE_KB), tmp_path / name)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         rng = random.Random(3)
         sents = [
@@ -146,7 +157,7 @@ class TestIndex:
             for _ in range(200)
         ]
         bins = feature_bins([s.tokens for s in sents], load_index(tmp_path / "a.bin"))
-        np.testing.assert_array_equal(bins, reference_bins(sents, index))
+        np.testing.assert_array_equal(bins, reference_bins(sents, dict_kb_index(EDGE_KB)))
 
 
 def assert_tables_equal(a: KBTables, b: KBTables):
@@ -163,21 +174,82 @@ def assert_tables_equal(a: KBTables, b: KBTables):
     assert (a.n_songs, a.max_cooccurrence) == (b.n_songs, b.max_cooccurrence)
 
 
+def fixture_kb() -> list:
+    """The KB entries of the end-to-end fixture world (C7)."""
+    cfg = PipelineConfig()
+    for key, value in FIXTURE_SETS.items():
+        cfg.set_key(key, value)
+    return synth.generate_world(dataclasses.replace(cfg.synth, seed=SEED)).kb_entries
+
+
+class TestBuildMatchesDictIndex:
+    """``build_index``'s arrays hold the lookups of the dict reference
+    (``oracles.dict_kb_index``), field by field."""
+
+    @pytest.fixture(scope="class", params=["edge", "fixture"])
+    def built(self, request):
+        entries = EDGE_KB if request.param == "edge" else fixture_kb()
+        return build_index(entries), dict_kb_index(entries)
+
+    def test_phrases_reach_their_trie_nodes(self, built):
+        tables, index = built
+        for phrases, phrase_of, freq_of in (
+            (index.artist_entries, tables.artist_of, tables.artist_freq),
+            (index.song_entries, tables.song_of, tables.song_freq),
+        ):
+            # dense phrase ids in first-seen order, one node each
+            assert (phrase_of >= 0).sum() == len(phrases)
+            for phrase_id, (phrase, (_, freq)) in enumerate(phrases.items()):
+                node = np.zeros(1, dtype=np.int64)
+                for w in phrase:
+                    node = tables.child(node, np.array([tables.word_id[w]]))
+                assert phrase_of[node[0]] == phrase_id
+                assert freq_of[node[0]] == freq
+
+    def test_pair_counts(self, built):
+        tables, index = built
+        artist_id = {p: i for i, p in enumerate(index.artist_entries)}
+        song_id = {p: i for i, p in enumerate(index.song_entries)}
+        keys = [artist_id[a] * tables.n_songs + song_id[s] for a, s in index.pair_counts]
+        assert len(tables.pair_keys) == len(index.pair_counts)
+        got = lookup(tables.pair_keys, tables.pair_counts, np.array(keys), 0)
+        assert got.tolist() == list(index.pair_counts.values())
+        assert tables.max_cooccurrence == index.max_cooccurrence
+        assert tables.n_entries == index.n_entries
+
+    @pytest.mark.parametrize("side", ["cross", "intra"])
+    def test_pair_arrays_match_pair_table(self, built, side):
+        tables, index = built
+        arrays, table = getattr(tables, side), getattr(index, side)
+        words = tables.words.tolist()
+        assert table.left_vocab | table.right_vocab <= set(words)
+        assert arrays.in_left.tolist() == [w in table.left_vocab for w in words] + [False]
+        assert arrays.in_right.tolist() == [w in table.right_vocab for w in words] + [False]
+        assert arrays.marginal.tolist() == [table.marginal(w) for w in words] + [0.0]
+        base = len(words) + 1
+        weights = {
+            (words[k // base], words[k % base]): wt
+            for k, wt in zip(arrays.keys.tolist(), arrays.weights.tolist())
+        }
+        assert len(weights) == len(arrays.keys) and weights == table._raw
+        assert arrays.total == table.total
+
+
 class TestPhraseFrequency:
     def test_present_phrase(self):
-        index = build_index([entry("sufjan stevens", "chicago", 12.0)])
+        index = dict_kb_index([entry("sufjan stevens", "chicago", 12.0)])
         assert phrase_frequency(index, ("sufjan", "stevens"), "artist") == 12.0
 
     def test_absent_phrase(self):
-        index = build_index([entry("a", "b", 1.0)])
+        index = dict_kb_index([entry("a", "b", 1.0)])
         assert phrase_frequency(index, ("zzz",), "artist") == 0.0
 
     def test_additive_over_duplicates(self):
-        index = build_index([entry("a", "b", 1.0), entry("a", "c", 2.5)])
+        index = dict_kb_index([entry("a", "b", 1.0), entry("a", "c", 2.5)])
         assert phrase_frequency(index, ("a",), "artist") == 3.5
 
     def test_field_validation(self):
-        index = build_index([entry("a", "b")])
+        index = dict_kb_index([entry("a", "b")])
         with pytest.raises(ValueError):
             phrase_frequency(index, ("a",), "label")
         with pytest.raises(ValueError):

@@ -25,10 +25,10 @@ from kbrerank.negsampler import (
     load_negative_sets,
     negative_quality_ranking,
     phonetic_key,
-    sample_negatives,
+    sample_corpus_negatives,
     save_negative_sets,
 )
-from kbrerank.ngram import train_ngram
+from kbrerank.ngram import count_ngrams, estimate
 
 
 def vocab_of(*words):
@@ -36,9 +36,15 @@ def vocab_of(*words):
     return Vocabulary({w: i for i, w in enumerate(id_to_word)}, id_to_word)
 
 
-def toy_lm(*lines):
-    corpus = corpus_from_lines(lines)
-    return train_ngram(corpus, build_vocabulary(corpus, min_count=0), order=2)
+def toy_lm(vocab, *lines):
+    return estimate(count_ngrams(corpus_from_lines(lines), vocab, 2), vocab)
+
+
+def sample_one(sentence, table, lm, n_samples=30, keep_k=5, p_sub=0.3, seed=0):
+    """``sample_corpus_negatives`` of a one-sentence corpus: the sentence's
+    ``NegativeSet``, or None when no position is confusable."""
+    (negset,) = sample_corpus_negatives([sentence], table, [lm], [0], n_samples, keep_k, p_sub, seed)
+    return negset
 
 
 class TestPhoneticKey:
@@ -114,10 +120,10 @@ class TestConfusionTable:
 
 class TestSampling:
     def test_contract_on_small_sentence(self):
-        lm = toy_lm("jim dandys near me", "gym dandies near me", "jim dandies near me")
         table = build_confusion_table(vocab_of("jim", "gym", "dandys", "dandies", "near", "me"))
+        lm = toy_lm(table.vocab, "jim dandys near me", "gym dandies near me", "jim dandies near me")
         source = Sentence(("jim", "dandys", "near", "me"))
-        ns = sample_negatives(source, table, lm, n_samples=30, keep_k=5, p_sub=0.3, seed=11)
+        ns = sample_one(source, table, lm, n_samples=30, keep_k=5, p_sub=0.3, seed=11)
         assert 1 <= len(ns.negatives) <= 5
         for neg, positions in zip(ns.negatives, ns.substituted_positions):
             assert len(neg) == len(source)
@@ -127,9 +133,9 @@ class TestSampling:
             assert neg.tokens != source.tokens
 
     def test_scores_non_increasing(self):
-        lm = toy_lm("jim dandys near me", "gym dandys near me")
         table = build_confusion_table(vocab_of("jim", "gym", "dandys", "dandies", "near", "me"))
-        ns = sample_negatives(Sentence(("jim", "dandys", "near", "me")), table, lm, seed=3)
+        lm = toy_lm(table.vocab, "jim dandys near me", "gym dandys near me")
+        ns = sample_one(Sentence(("jim", "dandys", "near", "me")), table, lm, seed=3)
         assert list(ns.lm_logprobs) == sorted(ns.lm_logprobs, reverse=True)
 
     def test_samples_subset_of_enumerated_corruptions(self):
@@ -141,7 +147,7 @@ class TestSampling:
         source = ("jim", "dandys", "fok")
         for w, alt in words.items():
             assert table.candidates_of(w) == (alt,)
-        lm = toy_lm("jim dandys fok", "gym dandies vok")
+        lm = toy_lm(vocab, "jim dandys fok", "gym dandies vok")
         universe = set()
         for pattern in itertools.product((0, 1), repeat=3):
             if any(pattern):
@@ -150,43 +156,57 @@ class TestSampling:
                 )
                 universe.add(toks)
         assert len(universe) == 7
-        ns = sample_negatives(Sentence(source), table, lm, n_samples=30, keep_k=5, seed=2)
+        ns = sample_one(Sentence(source), table, lm, n_samples=30, keep_k=5, seed=2)
         assert set(n.tokens for n in ns.negatives) <= universe
 
     def test_deterministic_under_seed(self):
-        lm = toy_lm("jim dandys near me", "gym dandies near me")
         table = build_confusion_table(vocab_of("jim", "gym", "dandys", "dandies", "near", "me"))
+        lm = toy_lm(table.vocab, "jim dandys near me", "gym dandies near me")
         source = Sentence(("jim", "dandys", "near", "me"))
-        a = sample_negatives(source, table, lm, seed=99)
-        b = sample_negatives(source, table, lm, seed=99)
-        assert a == b
+        a = sample_one(source, table, lm, seed=99)
+        b = sample_one(source, table, lm, seed=99)
+        assert a is not None and a == b
 
     def test_no_confusable_position(self):
-        lm = toy_lm("blorkz", "blorkz")
         table = build_confusion_table(vocab_of("blorkz"))
-        with pytest.raises(ValueError, match="no confusable position"):
-            sample_negatives(Sentence(("blorkz",)), table, lm, seed=0)
+        lm = toy_lm(table.vocab, "blorkz", "blorkz")
+        assert sample_one(Sentence(("blorkz",)), table, lm, seed=0) is None
 
     def test_keep_k_validated(self):
-        lm = toy_lm("jim gym")
         table = build_confusion_table(vocab_of("jim", "gym"))
-        with pytest.raises(ValueError):
-            sample_negatives(Sentence(("jim",)), table, lm, n_samples=5, keep_k=6, seed=0)
+        lm = toy_lm(table.vocab, "jim gym")
+        with pytest.raises(ValueError, match="need 1 <= keep_k <= n_samples"):
+            sample_one(Sentence(("jim",)), table, lm, n_samples=5, keep_k=6, seed=0)
 
-
-    def test_equals_string_space_sampler_across_vocabularies(self):
-        # the table's ids differ from the model's: scores come from surface tokens
-        lines = ("jim dandys near me", "gym dandies near me", "jim dandies near me")
-        corpus = corpus_from_lines(lines)
-        lm_vocab = build_vocabulary(corpus, min_count=0)
-        lm = train_ngram(corpus, lm_vocab, order=2)
-        ref_lm = train_dict_ngram(corpus, lm_vocab, order=2)
+    def test_model_of_another_vocabulary_refused(self):
+        # the draws are ids of the table's vocabulary, scored as ids
         table = build_confusion_table(vocab_of("jim", "gym", "dandys", "dandies", "near", "me"))
+        corpus = corpus_from_lines(["jim dandys near me", "gym dandies near me"])
+        lm_vocab = build_vocabulary(corpus, min_count=0)
         assert table.vocab.id_to_word != lm_vocab.id_to_word
+        with pytest.raises(ValueError, match="vocabulary-hash mismatch for jackknife n-gram model"):
+            sample_one(corpus[0], table, toy_lm(lm_vocab, "jim dandys near me"), seed=0)
+
+    def test_equals_string_space_sampler(self):
+        # each sentence scored by the model its fold names
+        lines = ("jim dandys near me", "gym dandies near me", "jim dandies near me", "blorkz")
+        corpus = corpus_from_lines(lines)
+        vocab = build_vocabulary(corpus, min_count=0)
+        halves = (lines[:2], lines[1:])
+        models = [toy_lm(vocab, *half) for half in halves]
+        ref_models = [train_dict_ngram(corpus_from_lines(half), vocab, order=2) for half in halves]
+        table = build_confusion_table(vocab)
+        fold_of = [1, 0, 1, 0]
         for seed in range(20):
-            for source in corpus:
-                got = sample_negatives(source, table, lm, n_samples=12, keep_k=3, p_sub=0.5, seed=seed)
-                assert got == reference_sample_negatives(source, table, ref_lm, 12, 3, 0.5, seed)
+            got = sample_corpus_negatives(corpus, table, models, fold_of, 12, 3, 0.5, seed)
+            expected = [
+                reference_sample_negatives(
+                    source, table, ref_models[fold_of[j]], 12, 3, 0.5, derive_seed(seed, "neg", j)
+                )
+                for j, source in enumerate(corpus)
+            ]
+            assert got == expected
+            assert got[3] is None and all(got[:3])
 
     def test_draw_returns_none_without_confusable_position(self):
         table = build_confusion_table(vocab_of("blorkz", "jim", "gym"))
@@ -238,15 +258,9 @@ class TestGenNegatives:
 class TestCorpusFilter:
     def _negsets(self, corpus, seed=0):
         vocab = build_vocabulary(corpus, min_count=0)
-        lm = train_ngram(corpus, vocab, order=2)
+        lm = estimate(count_ngrams(corpus, vocab, 2), vocab)
         table = build_confusion_table(vocab)
-        out = []
-        for j, s in enumerate(corpus):
-            try:
-                out.append(sample_negatives(s, table, lm, seed=derive_seed(seed, j)))
-            except ValueError:
-                out.append(None)
-        return out
+        return sample_corpus_negatives(corpus, table, [lm], [0] * len(corpus), 30, 5, 0.3, seed)
 
     def test_identity_when_top_m_covers_corpus(self):
         corpus = corpus_from_lines(["jim dandys", "gym dandies", "jim dandies"])
@@ -306,9 +320,10 @@ class TestSerialization:
     def test_jsonl_roundtrip(self, tmp_path):
         corpus = corpus_from_lines(["jim dandys near me", "blorkz"])
         vocab = build_vocabulary(corpus, min_count=0)
-        lm = train_ngram(corpus, vocab, order=2)
+        lm = estimate(count_ngrams(corpus, vocab, 2), vocab)
         table = build_confusion_table(vocab)
-        negsets = [sample_negatives(corpus[0], table, lm, seed=1), None]
+        negsets = sample_corpus_negatives(corpus, table, [lm], [0, 0], 30, 5, 0.3, seed=1)
+        assert negsets[0] is not None and negsets[1] is None
         path = tmp_path / "neg.jsonl"
         save_negative_sets(negsets, path)
         loaded = load_negative_sets(path, corpus)

@@ -30,14 +30,14 @@ from kbrerank.ngram import (
     EOS,
     MAX_ORDER,
     count_ngrams,
+    estimate,
     event_logprobs,
     export_arpa,
     load_model,
     save_model,
     score_ids,
-    score_sentence,
+    score_sentences,
     train_jackknife,
-    train_ngram,
 )
 
 
@@ -126,7 +126,7 @@ class TestTraining:
     def test_unigram_distribution_sums_to_one(self):
         corpus = make_corpus("a a b")
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=1)
+        model = estimate(count_ngrams(corpus, vocab, 1), vocab)
         dist = event_distribution(model, ())
         assert set(dist) == {"a", "b", UNK, EOS}
         assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-6)
@@ -134,7 +134,7 @@ class TestTraining:
     def test_trigram_matches_reference_value_by_value(self):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=3)
+        model = estimate(count_ngrams(corpus, vocab, 3), vocab)
         mapped = [tuple(vocab.map_token(t) for t in s.tokens) for s in corpus]
         ref = KnReference(mapped, order=3, n_events=model.v_events)
         events = (*vocab.id_to_word, EOS)
@@ -155,9 +155,9 @@ class TestTraining:
         corpus = make_corpus(*TOY, "extra words here", "extra stuff")
         vocab = build_vocabulary(corpus, min_count=0)
         folds = assign_folds(corpus, 3, seed=5)
-        excluded = train_ngram(corpus, vocab, order=2, exclude_fold=1, folds=folds)
+        excluded = estimate(count_ngrams(corpus, vocab, 2, folds), vocab, exclude_fold=1)
         keep = [s.text() for i, s in enumerate(corpus) if folds.fold_of[i] != 1]
-        complement = train_ngram(make_corpus(*keep), vocab, order=2)
+        complement = estimate(count_ngrams(make_corpus(*keep), vocab, 2), vocab)
         assert_same_tables(excluded, complement)
         assert excluded.trained_on_folds == (0, 2)
 
@@ -165,15 +165,15 @@ class TestTraining:
         corpus = make_corpus("a b")
         vocab = build_vocabulary(corpus, 0)
         with pytest.raises(ValueError):
-            train_ngram(corpus, vocab, order=0)
+            count_ngrams(corpus, vocab, 0)
         with pytest.raises(ValueError):
-            train_ngram(corpus, vocab, order=6)
+            count_ngrams(corpus, vocab, 6)
 
     def test_training_is_bit_deterministic(self):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        a = train_ngram(corpus, vocab, order=3)
-        b = train_ngram(corpus, vocab, order=3)
+        a = estimate(count_ngrams(corpus, vocab, 3), vocab)
+        b = estimate(count_ngrams(corpus, vocab, 3), vocab)
         assert_same_tables(a, b)
 
 
@@ -184,23 +184,21 @@ class TestScoring:
         # 1/3 over {a, UNK, </s>}
         corpus = make_corpus("a")
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=1)
+        model = estimate(count_ngrams(corpus, vocab, 1), vocab)
         assert math.isclose(event_logprob(model, (), "a"), math.log(1.0 / 3.0), rel_tol=1e-12)
-        assert math.isclose(
-            score_sentence(model, Sentence(("a",))), 2.0 * math.log(1.0 / 3.0), rel_tol=1e-12
-        )
+        (got,) = score_sentences(model, [Sentence(("a",))])
+        assert math.isclose(got, 2.0 * math.log(1.0 / 3.0), rel_tol=1e-12)
 
     def test_scores_are_negative(self):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=3)
-        for s in corpus:
-            assert score_sentence(model, s) < 0
+        model = estimate(count_ngrams(corpus, vocab, 3), vocab)
+        assert (score_sentences(model, corpus) < 0).all()
 
     def test_appending_token_never_raises_prefix_logprob(self):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=3)
+        model = estimate(count_ngrams(corpus, vocab, 3), vocab)
         tokens = ("play", "carrie", "by", "sufjan", "now")
         padded = (BOS, BOS) + tokens
         running = 0.0
@@ -213,7 +211,7 @@ class TestScoring:
     def test_normalization_over_sampled_contexts(self):
         corpus = make_corpus(*TOY, "play something", "download carrie now")
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=3)
+        model = estimate(count_ngrams(corpus, vocab, 3), vocab)
         contexts = [(), ("play",), ("play", "carrie"), ("zz", "qq"), ("by", "sufjan")]
         for ctx in contexts:
             total = sum(event_distribution(model, ctx).values())
@@ -222,10 +220,10 @@ class TestScoring:
     def test_unknown_surface_scores_like_unk(self):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=2)
+        model = estimate(count_ngrams(corpus, vocab, 2), vocab)
         novel = Sentence(("play", "zzzz"))
         explicit = Sentence(("play", UNK))
-        assert score_sentence(model, novel) == score_sentence(model, explicit)
+        assert score_sentences(model, [novel])[0] == score_sentences(model, [explicit])[0]
 
 
 class TestJackknife:
@@ -237,7 +235,7 @@ class TestJackknife:
         scores = jackknife_scores(corpus, folds, order=1, vocab=vocab)
         for i, sent in enumerate(corpus):
             other = models[folds.fold_of[i]]
-            assert scores[i] == score_sentence(other, sent)
+            assert scores[i] == score_sentences(other, [sent])[0]
             assert folds.fold_of[i] not in other.trained_on_folds
 
     def test_unique_word_scores_as_unk_under_jackknife_only(self):
@@ -248,8 +246,8 @@ class TestJackknife:
         target = corpus[0]
         masked = Sentence(tuple(UNK if t == "zebra" else t for t in target.tokens))
         jack = models[folds.fold_of[0]]
-        assert score_sentence(jack, target) == score_sentence(jack, masked)
-        assert score_sentence(full, target) != score_sentence(full, masked)
+        assert score_sentences(jack, [target])[0] == score_sentences(jack, [masked])[0]
+        assert score_sentences(full, [target])[0] != score_sentences(full, [masked])[0]
 
     def test_jackknife_below_full_for_memorized_sentence(self):
         corpus = make_corpus(
@@ -258,16 +256,16 @@ class TestJackknife:
         vocab = build_vocabulary(corpus, min_count=0)
         folds = assign_folds(corpus, 4, seed=0)
         scores = jackknife_scores(corpus, folds, order=2, vocab=vocab)
-        full = train_ngram(corpus, vocab, order=2)
+        full = estimate(count_ngrams(corpus, vocab, 2), vocab)
         for i, sent in enumerate(corpus):
-            assert scores[i] <= score_sentence(full, sent) + 1e-9
+            assert scores[i] <= score_sentences(full, [sent])[0] + 1e-9
 
 
 class TestArpaExport:
     def test_sections_and_counts(self, tmp_path):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=2)
+        model = estimate(count_ngrams(corpus, vocab, 2), vocab)
         path = tmp_path / "model.arpa"
         export_arpa(model, path)
         text = path.read_text(encoding="utf-8")
@@ -287,7 +285,7 @@ class TestArpaExport:
         corpus = make_corpus(*TOY, "play something", "download carrie now")
         vocab = build_vocabulary(corpus, min_count=0)
         for order in (1, 3):
-            export_arpa(train_ngram(corpus, vocab, order=order), tmp_path / "ids.arpa")
+            export_arpa(estimate(count_ngrams(corpus, vocab, order), vocab), tmp_path / "ids.arpa")
             dict_export_arpa(train_dict_ngram(corpus, vocab, order=order), tmp_path / "dict.arpa")
             assert (tmp_path / "ids.arpa").read_bytes() == (tmp_path / "dict.arpa").read_bytes()
 
@@ -306,7 +304,7 @@ class TestScoreIds:
     def test_equals_dict_walk(self, order):
         corpus = random_corpus(order)
         vocab = build_vocabulary(corpus, min_count=1)  # singletons become OOV
-        model = train_ngram(corpus, vocab, order=order)
+        model = estimate(count_ngrams(corpus, vocab, order), vocab)
         ref = train_dict_ngram(corpus, vocab, order=order)
         rng = random.Random(10 + order)
         pool = [f"w{i}" for i in range(30)] + ["oov", "zz", UNK]
@@ -321,7 +319,7 @@ class TestScoreIds:
     def test_pad_id_never_changes_a_score(self):
         corpus = random_corpus(3)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=3)
+        model = estimate(count_ngrams(corpus, vocab, 3), vocab)
         ids, lengths = pad_ids([vocab.encode(s.tokens) for s in corpus] + [[]])
         base = score_ids(model, ids, lengths)
         pad = np.arange(ids.shape[1]) >= lengths[:, None]
@@ -338,7 +336,7 @@ class TestScoreIds:
     def test_ids_outside_vocabulary_rejected(self):
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=2)
+        model = estimate(count_ngrams(corpus, vocab, 2), vocab)
         for bad in (vocab.size, vocab.size + 1, -1):
             with pytest.raises(ValueError, match="outside the vocabulary"):
                 score_ids(model, np.array([[1, bad]]), np.array([2]))
@@ -357,7 +355,7 @@ class TestScoreIds:
         vocab = build_vocabulary(corpus, min_count=0)
         assert vocab.size == 6207
         with pytest.raises(ValueError, match="order-5 n-gram model over a vocabulary of 6207 words"):
-            train_ngram(corpus, vocab, order=5)
+            count_ngrams(corpus, vocab, 5)
         folds = assign_folds(corpus, 2, seed=0)
         with pytest.raises(ValueError, match="order-5"):
             train_jackknife(corpus, vocab, 5, folds)
@@ -366,7 +364,7 @@ class TestScoreIds:
         # 6208 ** 5 <= 2 ** 63: the widest vocabulary order-5 keys hold
         corpus = self.wide_corpus(6206)
         vocab = build_vocabulary(corpus, min_count=0)
-        model = train_ngram(corpus, vocab, order=5)
+        model = estimate(count_ngrams(corpus, vocab, 5), vocab)
         assert int(model.gram_keys[4].max()) > 2**62
         ref = train_dict_ngram(corpus, vocab, order=5)
         rows = [s.tokens for s in corpus][-50:]
@@ -401,7 +399,8 @@ class TestOnePassJackknife:
             logprob, logbackoff = model_tables(model)
             assert logprob == ref.logprob and logbackoff == ref.logbackoff
             assert model.trained_on_folds == ref.trained_on_folds
-            assert_same_tables(model, train_ngram(corpus, vocab, order, exclude, folds))
+            counted = count_ngrams(corpus, vocab, order, folds if exclude is not None else None)
+            assert_same_tables(model, estimate(counted, vocab, exclude))
 
 
 class TestModelFile:
@@ -411,14 +410,14 @@ class TestModelFile:
         folds = assign_folds(corpus, 2, seed=0)
         # order 1 has no context tables; a fold model records its folds
         for order, exclude in ((1, None), (3, None), (3, 1)):
-            model = train_ngram(corpus, vocab, order, exclude, folds)
+            model = estimate(count_ngrams(corpus, vocab, order, folds), vocab, exclude)
             path = tmp_path / "ngram.bin"
             save_model(model, path)
             loaded = load_model(path, vocab)
             assert loaded.vocab is vocab and loaded.order == order
             assert_same_tables(loaded, model)
             assert loaded.trained_on_folds == model.trained_on_folds
-            assert all(score_sentence(loaded, s) == score_sentence(model, s) for s in corpus)
+            assert score_sentences(loaded, corpus).tolist() == score_sentences(model, corpus).tolist()
         other = build_vocabulary(make_corpus("some other words"), min_count=0)
         with pytest.raises(ArtifactError, match="vocabulary-hash mismatch"):
             load_model(path, other)
@@ -427,7 +426,7 @@ class TestModelFile:
         vocab = build_vocabulary(make_corpus(*TOY), min_count=0)
         path = tmp_path / "ngram_full.bin"
         monkeypatch.setattr(artifacts, "FORMAT_VERSION", 3)
-        save_model(train_ngram(make_corpus(*TOY), vocab, order=2), path)
+        save_model(estimate(count_ngrams(make_corpus(*TOY), vocab, 2), vocab), path)
         monkeypatch.undo()
         with pytest.raises(ArtifactError, match="ngram_full.bin: unsupported format version 3"):
             load_model(path, vocab)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    dict_kb_index,
     extract_features,
     finite_difference_check,
     lm_hidden_states,
@@ -26,8 +27,8 @@ from kbrerank.cli import load_feature_instances
 from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
 from kbrerank.evaluation import NBestList, RerankModels, wer
 from kbrerank.features import BIN_FIELDS
-from kbrerank.kb import KBTables, build_index
-from kbrerank.negsampler import build_confusion_table, derive_seed, sample_negatives
+from kbrerank.kb import build_index
+from kbrerank.negsampler import build_confusion_table, derive_seed, sample_corpus_negatives
 from kbrerank.neural import (
     RerankerDims,
     RerankerInputs,
@@ -38,7 +39,7 @@ from kbrerank.neural import (
     pad_ids,
     score_batch,
 )
-from kbrerank.ngram import score_sentence, train_jackknife
+from kbrerank.ngram import score_sentences, train_jackknife
 from kbrerank.trainer import (
     LstmLmDims,
     LstmLmParams,
@@ -58,21 +59,20 @@ def mini_world():
     )
     world = synth.generate_world(cfg)
     vocab = build_vocabulary(world.train, min_count=1)
-    index = build_index(world.kb_entries)
-    tables = KBTables.from_index(index)
+    index = dict_kb_index(world.kb_entries)
+    tables = build_index(world.kb_entries)
     folds = assign_folds(world.train, 4, seed=3)
     full, fold_models = train_jackknife(world.train, vocab, 3, folds)
-    table = build_confusion_table(vocab)
+    negsets = sample_corpus_negatives(
+        world.train[:60], build_confusion_table(vocab), fold_models, folds.fold_of[:60],
+        n_samples=30, keep_k=5, p_sub=0.3, seed=3,
+    )
     candidates, rows, sizes = [], [], []
-    for j in range(60):
-        sent = world.train[j]
-        try:
-            negset = sample_negatives(
-                sent, table, fold_models[folds.fold_of[j]], seed=derive_seed(3, "neg", j)
-            )
-        except ValueError:
+    for j, negset in enumerate(negsets):
+        if negset is None:
             continue
-        src_lp = score_sentence(fold_models[folds.fold_of[j]], sent)
+        sent = world.train[j]
+        (src_lp,) = score_sentences(fold_models[folds.fold_of[j]], [sent])
         rows.append(extract_features(sent, src_lp, index))
         rows.extend(
             extract_features(neg, lp, index)
@@ -233,7 +233,8 @@ class TestHeldoutUnequalLengths:
             for nbest in lists:
                 u = []
                 for hyp, _ in nbest.hypotheses:
-                    bins, feat = extract_features(hyp, score_sentence(full, hyp), index)
+                    (lp,) = score_sentences(full, [hyp])
+                    bins, feat = extract_features(hyp, lp, index)
                     u.append(score(params, vocab.encode(hyp.tokens), bins, feat).u)
                 chosen = int(np.argmax(u))
                 chosen_lengths.add(len(nbest.hypotheses[chosen][0]) - len(nbest.reference))
@@ -433,7 +434,7 @@ class TestChunkedScoring:
         dataset = list(mini_world["world"].heldout) + unequal_length_lists(mini_world["world"])
         scores, valid = evaluation.score_hypotheses(dataset, "reranker", models)
         for u, nbest in enumerate(dataset):
-            lm_logprobs = [score_sentence(full, h) for h, _ in nbest.hypotheses]
+            lm_logprobs = score_sentences(full, [h for h, _ in nbest.hypotheses]).tolist()
             x = evaluation.dataset_inputs([nbest], vocab, tables, lm_logprobs)[0]
             own, _ = score_alone(params, x)
             np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
