@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, features, kb, negsampler, ngram, synth, trainer
+from . import evaluation, features, kb, negsampler, neural, ngram, synth, trainer
 from .artifacts import ArtifactError, atomic_text_writer, read_jsonl
 from .corpus import (
     Corpus,
@@ -452,7 +452,8 @@ def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
     trainer.save_training_log(logs, paths.train_log)
     print(
         f"reranker: {len(logs)} epochs, best held-out WER "
-        f"{min(l.heldout_wer for l in logs):.4f}"
+        f"{min(l.heldout_wer for l in logs):.4f}, "
+        f"LSTM threads per {neural.FUSE_ROWS}-row chunk: {neural._lstm_threads(neural.FUSE_ROWS, dims)}"
     )
     return 0
 

@@ -20,6 +20,8 @@ directions' zero start state.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -169,9 +171,15 @@ def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
     constant). ``step_ids[:, t]`` are the embedding rows consumed at step t,
     in the direction's own order. A row's steps after its last gradient get
     exactly zero.
+
+    Each step's input-row gradients are added into ``d_emb`` with
+    ``np.add.at``. With ``d_emb`` None they are returned instead, as the
+    list of (ids, rows) that those adds would have applied, in order.
     """
-    e_dim = d_emb.shape[1]
-    dh = np.zeros((step_ids.shape[0], w.shape[0] // 4))
+    hid = w.shape[0] // 4
+    e_dim = w.shape[1] - hid
+    emb_rows = []
+    dh = np.zeros((step_ids.shape[0], hid))
     dc = np.zeros_like(dh)
     for t in range(len(steps) - 1, -1, -1):
         inp, i, f, o, g, c_prev, tanh_c = steps[t]
@@ -194,9 +202,71 @@ def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
         d_w += dz.T @ inp
         d_b += dz.sum(axis=0)
         dinp = dz @ w
-        np.add.at(d_emb, step_ids[:, t], dinp[:, :e_dim])
+        if d_emb is None:
+            emb_rows.append((step_ids[:, t], dinp[:, :e_dim].copy()))
+        else:
+            np.add.at(d_emb, step_ids[:, t], dinp[:, :e_dim])
         dh = dinp[:, e_dim:]
         dc = dc * f
+    return emb_rows
+
+
+# per-step work of one LSTM direction, rows x 4H x (E + H) multiply-adds,
+# from which score_batch and backprop_batch run the two directions on two
+# threads (``_lstm_threads``); two threads broke even between 1e6 and 1.6e6
+# on a 2-vCPU x86-64 machine, and fixture chunks (32 rows at 32/32) are 2.6e5
+THREAD_WORK = 2e6
+
+
+def _lstm_threads(rows: int, dims: RerankerDims) -> int:
+    """Threads (1 or 2) on which ``score_batch`` and ``backprop_batch`` run
+    the two LSTM directions of a ``rows``-row batch: 2 when the per-step
+    work reaches ``THREAD_WORK``, the process may run on two CPUs and the
+    BLAS runs one thread (as OpenBLAS reads it: the first positive one of
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``;
+    unset, it takes every CPU). A multi-threaded BLAS already keeps the
+    CPUs busy, and a second sweep would only oversubscribe them."""
+    if rows * 4 * dims.lstm_dim * (dims.word_dim + dims.lstm_dim) < THREAD_WORK:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return 2 if int(value) == 1 else 1
+    return 1
+
+
+@functools.cache
+def _worker_pool():
+    """The one-worker pool that runs the backward direction, made on the
+    first two-thread call; a process that never threads never imports
+    ``concurrent.futures``."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="kbrerank-lstm")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has no worker thread, and the pool it inherits would
+    # wait for that thread for ever
+    os.register_at_fork(after_in_child=_worker_pool.cache_clear)
+
+
+def _directions(threads: int, fwd, bwd):
+    """(fwd(), bwd()). With two threads, ``bwd`` runs on the worker while
+    this thread runs ``fwd``, and the worker has finished before this
+    returns or raises. Each callable may reach only private functions: the
+    benchmark tracer wraps the public ones around one shared span stack."""
+    if threads < 2:
+        return fwd(), bwd()
+    future = _worker_pool().submit(bwd)
+    try:
+        first = fwd()
+    finally:
+        future.exception()  # waits for the worker; its error is raised below
+    return first, future.result()
 
 
 @dataclass
@@ -308,10 +378,10 @@ def score_batch(
     each row reversed within its own length, so it starts at that token.
     Padding ids never reach a score or a gradient. A row of length 0 (an
     empty hypothesis) reads both directions' zero start state. ``bins`` is
-    (batch, 5),
-    columns in ``BIN_FIELDS`` order. ``dropout_mask``
+    (batch, 5), columns in ``BIN_FIELDS`` order. ``dropout_mask``
     (``draw_dropout``, shaped (batch, phi_dim)) multiplies phi in training;
-    without it there is no dropout.
+    without it there is no dropout. The two directions run on
+    ``_lstm_threads`` threads, with the same floats either way.
     """
     t = params.tensors
     d = params.dims
@@ -336,11 +406,14 @@ def score_batch(
         raise ValueError("dropout_mask must be shaped (batch, phi_dim)")
 
     rows = np.arange(ids.shape[0])
-    hs_f, steps_f = _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids])
     # row r's first lengths[r] ids reversed, then its padding (reversed too,
     # and never read)
     rev_ids = ids[rows[:, None], (lengths[:, None] - 1 - np.arange(ids.shape[1])) % ids.shape[1]]
-    hs_b, steps_b = _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][rev_ids])
+    (hs_f, steps_f), (hs_b, steps_b) = _directions(
+        _lstm_threads(len(ids), d),
+        lambda: _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids]),
+        lambda: _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][rev_ids]),
+    )
     h_f = hs_f[rows, lengths]
     h_b = hs_b[rows, lengths]
     phi = np.concatenate([h_f, h_b, *(t[b.emb][bins[:, k]] for k, b in enumerate(_BINS))], axis=1)
@@ -395,17 +468,26 @@ def backprop_batch(params: RerankerParams, cache: ScoreCache, du: np.ndarray, ou
 
     # each direction's gradient arrives at the state after a row's last token
     ends = {n: cache.lengths == n for n in set(cache.lengths.tolist())}
-    for direction, steps, step_ids, dh in (
-        ("fwd", cache.steps_f, cache.ids, dphi[:, :hid]),
-        ("bwd", cache.steps_b, cache.rev_ids, dphi[:, hid : 2 * hid]),
-    ):
+
+    def sweep(direction, steps, step_ids, dh, d_emb):
         dhs = [None] * (len(steps) + 1)
         for n, ending in ends.items():
             dhs[n] = dh * ending[:, None]
-        _lstm_backward(
+        return _lstm_backward(
             t[f"{direction}_w"], steps, dhs, step_ids,
-            grads[f"{direction}_w"], grads[f"{direction}_b"], grads["emb"],
+            grads[f"{direction}_w"], grads[f"{direction}_b"], d_emb,
         )
+
+    # the backward direction leaves the shared embedding gradient alone, so
+    # it may run on the worker; its rows are added here after the forward
+    # direction's, in the one-thread order, so every float stays the same
+    _, bwd_emb_rows = _directions(
+        _lstm_threads(len(cache.ids), d),
+        lambda: sweep("fwd", cache.steps_f, cache.ids, dphi[:, :hid], grads["emb"]),
+        lambda: sweep("bwd", cache.steps_b, cache.rev_ids, dphi[:, hid : 2 * hid], None),
+    )
+    for step_ids, rows in bwd_emb_rows:
+        np.add.at(grads["emb"], step_ids, rows)
     return grads
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import load_artifact, save_artifact
+from .artifacts import atomic_text_writer, load_artifact, save_artifact
 from .corpus import BOS, EOS, Corpus, FoldAssignment, Vocabulary, pad_ids
 
 MAX_ORDER = 5
@@ -408,7 +408,7 @@ def export_arpa(model: NGramModel, path) -> None:
                 backoff[gram] = bo
                 level.setdefault(gram, -99.0)
         grams_by_len[k] = level
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         fh.write("\\data\\\n")
         for k in range(1, model.order + 1):
             fh.write(f"ngram {k}={len(grams_by_len[k])}\n")

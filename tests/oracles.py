@@ -19,12 +19,15 @@ at a time.
 """
 
 import math
+import os
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from kbrerank import neural
 from kbrerank.corpus import Sentence, build_vocabulary, pad_ids
 from kbrerank.features import (
     BIN_FIELDS,
@@ -867,3 +870,21 @@ def reference_bins(sentences, index) -> np.ndarray:
     """(n, 5) bins of ``sentences`` in ``BIN_FIELDS`` order, one sentence at a time."""
     rows = [extract_features(s, 0.0, index)[0] for s in sentences]
     return np.array(rows, dtype=np.intp).reshape(-1, len(BIN_FIELDS))
+
+
+def force_lstm_path(monkeypatch, thread_work: float) -> list:
+    """Make ``neural._lstm_threads`` give 2 wherever the per-step work reaches
+    ``thread_work`` (two CPUs, a one-thread BLAS as OpenBLAS reads it), and
+    return a list to which every LSTM sweep of ``score_batch`` and
+    ``backprop_batch`` then appends the ident of the thread that ran it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(neural, "THREAD_WORK", thread_work)
+    ran_on = []
+    for name in ("_lstm_forward", "_lstm_backward"):
+        def spy(*args, _kernel=getattr(neural, name)):
+            ran_on.append(threading.get_ident())
+            return _kernel(*args)
+
+        monkeypatch.setattr(neural, name, spy)
+    return ran_on

@@ -14,6 +14,7 @@ from kbrerank import features, ngram, neural, trainer
 from kbrerank.artifacts import atomic_text_writer, save_artifact
 from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
 from kbrerank.corpus import build_vocabulary, corpus_from_lines, load_vocabulary
+from oracles import force_lstm_path
 
 
 MINI_SETS = [
@@ -610,6 +611,62 @@ class TestSpanTracer:
         assert metrics["neural.score_batch.calls"] > 0
         assert metrics["neural.backprop_batch.calls"] > 0
         assert metrics["neural.score_batch.rows_per_call"] > 0
+
+
+class TestTwoLstmThreads:
+    """``train-reranker`` and ``rerank`` write the same bytes whether the
+    reranker's two LSTM directions run on one thread or on two."""
+
+    OUTPUTS = ("reranker.bin", "train_log.csv", "selections_reranker_lstm.jsonl")
+
+    def run(self, pipeline_dir, run, monkeypatch, capsys, thread_work, tracer=None):
+        """The outputs, the train-reranker stdout and the sweeps' threads."""
+        shutil.copytree(pipeline_dir, run)
+        with monkeypatch.context() as m:
+            ran_on = force_lstm_path(m, thread_work)
+            if tracer is not None:
+                tracer.install()
+            try:
+                capsys.readouterr()
+                assert stage("train-reranker", run) == 0
+                out = capsys.readouterr().out
+                assert stage(
+                    "rerank", run, "--nbest", str(run / "test.jsonl"), "--scorer", "reranker+lstm",
+                    "--weights", "reranker=1.0,lstm=0.5",
+                ) == 0
+            finally:
+                if tracer is not None:
+                    tracer.uninstall()
+        return {name: (run / name).read_bytes() for name in self.OUTPUTS}, out, set(ran_on)
+
+    def test_same_bytes_on_two_threads(self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        serial, out1, threads1 = self.run(pipeline_dir, tmp_path / "a", monkeypatch, capsys, math.inf)
+        threaded, out2, threads2 = self.run(pipeline_dir, tmp_path / "b", monkeypatch, capsys, 0.0)
+        assert len(threads1) == 1 and len(threads2) == 2
+        assert "LSTM threads per 32-row chunk: 1" in out1
+        assert "LSTM threads per 32-row chunk: 2" in out2
+        assert threaded == serial
+
+    def test_mini_dims_stay_serial(self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        outputs, out, threads = self.run(
+            pipeline_dir, tmp_path / "run", monkeypatch, capsys, neural.THREAD_WORK
+        )
+        assert len(threads) == 1 and "LSTM threads per 32-row chunk: 1" in out
+        for name in ("reranker.bin", "train_log.csv"):
+            assert outputs[name] == (pipeline_dir / name).read_bytes()
+
+    def test_traced_run_on_two_threads(self, pipeline_dir, tmp_path, monkeypatch, capsys):
+        # the worker calls no public function, so the tracer's span stack
+        # stays whole
+        serial, _, _ = self.run(pipeline_dir, tmp_path / "a", monkeypatch, capsys, math.inf)
+        tracer = load_span_tracer().Tracer()
+        traced, _, threads = self.run(
+            pipeline_dir, tmp_path / "b", monkeypatch, capsys, 0.0, tracer=tracer
+        )
+        assert len(threads) == 2
+        assert not tracer.errors and not tracer.stack
+        assert tracer.layer_metrics()["neural.backprop_batch.calls"] > 0
+        assert traced == serial
 
 
 def copy_run(pipeline_dir, tmp_path):

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -27,6 +32,7 @@ from kbrerank.neural import (
 )
 from oracles import (
     finite_difference_check,
+    force_lstm_path,
     lstm_final_states,
     lstm_step,
     masked_sigmoid,
@@ -35,6 +41,7 @@ from oracles import (
     score_alone,
     sentence_representation,
 )
+from test_acceptance import FIXTURE_SETS, SEED, SMALL_SETS
 
 TINY = RerankerDims(
     vocab_size=20, word_dim=8, lstm_dim=8, hidden_dim=8,
@@ -461,6 +468,210 @@ class TestFusedChunks:
         got = score_lists(params, inputs)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
         assert score_lists(params, []).shape == (0,)
+
+
+class TestTwoThreads:
+    """On two threads (``neural._lstm_threads``) the backward direction runs
+    on the worker while this thread runs the forward one, with every float
+    as on one thread."""
+
+    @staticmethod
+    def chunk(rng, rows, length):
+        """Mixed lengths with one empty row, and a dropout mask."""
+        ids = rng.integers(0, TINY.vocab_size, size=(rows, length))
+        lengths = rng.integers(1, length + 1, size=rows)
+        lengths[1] = 0
+        bins = np.array(
+            [[rng.integers(0, count) for _, count in BIN_FIELDS] for _ in range(rows)], dtype=np.intp
+        )
+        mask = draw_dropout((rows, TINY.phi_dim), 0.3, int(rng.integers(1000)))
+        return ids, lengths, bins, rng.random(rows) * 10, mask
+
+    def compute(self):
+        """u of three chunks and their gradients, accumulated into one dict."""
+        params = RerankerParams.initialize(TINY, seed=3)
+        rng = np.random.default_rng(11)
+        grads = params.zero_grads()
+        us = []
+        for rows, length in ((6, 5), (9, 7), (4, 3)):
+            ids, lengths, bins, feats, mask = self.chunk(rng, rows, length)
+            u, cache = score_batch(params, ids, bins, feats, lengths=lengths, dropout_mask=mask)
+            backprop_batch(params, cache, rng.normal(size=rows), out=grads)
+            us.append(u)
+        return us, grads
+
+    def run(self, monkeypatch, thread_work):
+        """``compute`` at ``thread_work``, and the threads the sweeps ran on."""
+        with monkeypatch.context() as m:
+            ran_on = force_lstm_path(m, thread_work)
+            us, grads = self.compute()
+        return us, grads, ran_on
+
+    def test_same_floats_on_both_paths(self, monkeypatch):
+        u1, g1, serial = self.run(monkeypatch, math.inf)
+        u2, g2, threaded = self.run(monkeypatch, 0.0)
+        main = threading.get_ident()
+        assert set(serial) == {main}
+        # one forward and one backward pass per chunk, each direction a sweep
+        assert len(threaded) == 12 and threaded.count(main) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(u1, u2))
+        assert g1.keys() == g2.keys()
+        for name in g1:
+            assert np.array_equal(g1[name], g2[name]), name
+        assert np.any(g1["emb"] != 0.0)
+
+    def test_gradient_check_on_two_threads(self, monkeypatch):
+        # the finite-difference check of C1 (test_acceptance), on two threads
+        ran_on = force_lstm_path(monkeypatch, 0.0)
+        params = RerankerParams.initialize(TINY, seed=SEED)
+        rng = np.random.default_rng(SEED)
+        ids, bins, feats = tiny_instance(rng)
+        u, cache = score_batch(params, ids, bins, feats)
+        _, du = contrastive_loss(u, 0)
+        grads = backprop_batch(params, cache, du)
+
+        def loss_fn():
+            out, _ = score_batch(params, ids, bins, feats)
+            return contrastive_loss(out, 0)[0]
+
+        bad = finite_difference_check(params, loss_fn, grads, rel=1e-4)
+        assert bad is None, f"gradient mismatch in tensor {bad}"
+        assert len(set(ran_on)) == 2
+
+    @pytest.mark.parametrize("failing", ["fwd", "bwd"])
+    def test_both_directions_finish_before_an_error_leaves(self, monkeypatch, failing):
+        force_lstm_path(monkeypatch, 0.0)
+        params = RerankerParams.initialize(TINY, seed=3)
+        ids, bins, feats = tiny_instance(np.random.default_rng(4))
+        forward = neural._lstm_forward
+        finished = []
+
+        def sweep(w, b, emb_seq):
+            direction = "fwd" if w is params.tensors["fwd_w"] else "bwd"
+            if direction == failing:
+                raise FloatingPointError(direction)
+            time.sleep(0.2)  # the other direction fails first
+            out = forward(w, b, emb_seq)
+            finished.append(direction)
+            return out
+
+        monkeypatch.setattr(neural, "_lstm_forward", sweep)
+        with pytest.raises(FloatingPointError, match=failing):
+            score_batch(params, ids, bins, feats)
+        assert finished == [{"fwd": "bwd", "bwd": "fwd"}[failing]]
+
+
+    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+        # three callers on two CPUs submit to the one worker at once, with
+        # thread switches forced often; a lost or crossed update would show
+        # as a gradient that differs from the serial one
+        serial_us, serial_grads, _ = self.run(monkeypatch, math.inf)
+        ran_on = force_lstm_path(monkeypatch, 0.0)
+        results = {}
+
+        def caller(k):
+            results[k] = self.compute()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert sorted(results) == [0, 1, 2]
+        assert len(set(ran_on)) == 4  # the three callers and the worker
+        for us, grads in results.values():
+            assert all(np.array_equal(a, b) for a, b in zip(us, serial_us))
+            assert all(np.array_equal(grads[name], serial_grads[name]) for name in grads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_worker(self, monkeypatch):
+        us, grads, ran_on = self.run(monkeypatch, 0.0)  # the parent's worker has run
+        assert len(set(ran_on)) == 2
+        pid = os.fork()
+        if pid == 0:  # the child: exit status 0 when it got the same floats
+            same = False
+            try:
+                child_us, child_grads, _ = self.run(monkeypatch, 0.0)
+                same = all(np.array_equal(a, b) for a, b in zip(us, child_us))
+                same = same and all(np.array_equal(grads[k], child_grads[k]) for k in grads)
+            finally:
+                os._exit(0 if same else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "the forked child hung"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestLstmThreadsRule:
+    """Two threads only for a large enough chunk, on two CPUs, with a
+    one-thread BLAS."""
+
+    WIDE = RerankerDims(vocab_size=50, word_dim=200, lstm_dim=500, hidden_dim=256)
+
+    def test_fixture_dims_stay_serial(self, monkeypatch):
+        force_lstm_path(monkeypatch, neural.THREAD_WORK)
+        # C7's and pipeline_narrow's 32/32, C9's 12/12, at the largest
+        # training or decoding chunk
+        for sets in (FIXTURE_SETS, SMALL_SETS):
+            dims = RerankerDims(
+                vocab_size=50, word_dim=int(sets["word_dim"]), lstm_dim=int(sets["lstm_dim"])
+            )
+            assert neural._lstm_threads(neural.FUSE_ROWS, dims) == 1
+        assert neural._lstm_threads(neural.FUSE_ROWS, self.WIDE) == 2
+        assert neural._lstm_threads(2, self.WIDE) == 2
+        assert neural._lstm_threads(1, self.WIDE) == 1
+
+    @pytest.mark.parametrize(
+        "env, threads",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+            ({"OMP_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),  # OpenBLAS skips 0
+            ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+            ({"GOTO_NUM_THREADS": "1"}, 2),
+            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # GOTO before OMP
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, 2),
+            ({}, 1),  # unset, OpenBLAS takes every CPU
+        ],
+    )
+    def test_blas_threads(self, monkeypatch, env, threads):
+        force_lstm_path(monkeypatch, neural.THREAD_WORK)
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert neural._lstm_threads(neural.FUSE_ROWS, self.WIDE) == threads
+
+    def serial_run(self, ran_on):
+        params = RerankerParams.initialize(TINY, seed=3)
+        ids, bins, feats = tiny_instance(np.random.default_rng(4))
+        u, cache = score_batch(params, ids, bins, feats)
+        backprop_batch(params, cache, np.ones_like(u))
+        assert ran_on and set(ran_on) == {threading.get_ident()}
+
+    def test_one_cpu_runs_serial(self, monkeypatch):
+        ran_on = force_lstm_path(monkeypatch, 0.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert neural._lstm_threads(neural.FUSE_ROWS, self.WIDE) == 1
+        self.serial_run(ran_on)
+
+    def test_multithreaded_blas_runs_serial(self, monkeypatch):
+        ran_on = force_lstm_path(monkeypatch, 0.0)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        self.serial_run(ran_on)
 
 
 class TestContrastiveLoss:

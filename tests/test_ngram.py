@@ -289,6 +289,18 @@ class TestArpaExport:
             dict_export_arpa(train_dict_ngram(corpus, vocab, order=order), tmp_path / "dict.arpa")
             assert (tmp_path / "ids.arpa").read_bytes() == (tmp_path / "dict.arpa").read_bytes()
 
+    def test_failed_export_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "model.arpa"
+        path.write_text("previous model\n", encoding="utf-8")
+        # a lone surrogate cannot be encoded as UTF-8, so the write raises
+        # after the export has started
+        corpus = make_corpus(*TOY, "play \ud800 now")
+        vocab = build_vocabulary(corpus, min_count=0)
+        with pytest.raises(UnicodeEncodeError):
+            export_arpa(estimate(count_ngrams(corpus, vocab, 2), vocab), path)
+        assert path.read_text(encoding="utf-8") == "previous model\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.arpa"]
+
 
 def random_corpus(seed, n_words=30, n_sentences=120):
     rng = random.Random(seed)
