@@ -480,7 +480,12 @@ def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
         heldout=heldout,
     )
     params.save(paths.lstm)
-    print(f"lstm lm: mode {cfg.lm_mode}, dims {dims.word_dim}/{dims.lstm_dim}")
+    # without held-out references there is no early stopping: say so
+    held = len(heldout) if heldout else f"none, {cfg.lm_max_epochs} fixed epochs"
+    print(
+        f"lstm lm: mode {cfg.lm_mode}, dims {dims.word_dim}/{dims.lstm_dim}, "
+        f"held-out sentences: {held}"
+    )
     return 0
 
 

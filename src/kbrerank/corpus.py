@@ -104,13 +104,6 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self.word_to_id.get(word, self.unk_id)
 
-    def word_of(self, wid: int) -> str:
-        return self.id_to_word[wid]
-
-    def map_token(self, word: str) -> str:
-        """Surface form if retained, else the unknown symbol."""
-        return word if word in self.word_to_id and word != UNK else UNK
-
     def encode(self, tokens) -> list[int]:
         return [self.id_of(t) for t in tokens]
 
@@ -153,7 +146,11 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
+    """The ``word<TAB>id`` lines of ``path``: ids contiguous from 0, the
+    unknown symbol first, each word non-empty, without whitespace and named
+    once."""
     id_to_word: list[str] = []
+    line_of: dict = {}  # word -> the line that named it
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -164,6 +161,13 @@ def load_vocabulary(path) -> Vocabulary:
             raise ValueError(f"malformed vocabulary line {lineno}") from exc
         if wid != len(id_to_word):
             raise ValueError(f"non-contiguous id at vocabulary line {lineno}")
+        if word.split() != [word]:  # a word a Sentence token could be
+            raise ValueError(f"bad word {word!r} at vocabulary line {lineno}")
+        if word in line_of:
+            raise ValueError(
+                f"duplicate word {word!r} at vocabulary lines {line_of[word]} and {lineno}"
+            )
+        line_of[word] = lineno
         id_to_word.append(word)
     if not id_to_word or id_to_word[0] != UNK:
         raise ValueError("vocabulary must start with the unknown symbol")
@@ -195,9 +199,6 @@ class FoldAssignment:
             raise ValueError("every fold must be non-empty")
         if max(sizes.values()) - min(sizes.values()) > 1:
             raise ValueError("fold sizes may differ by at most 1")
-
-    def indices_of(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.fold_of) if f == fold]
 
 
 def assign_folds(corpus: Corpus, k: int, seed: int) -> FoldAssignment:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,37 +49,18 @@ class NBestList:
 
 
 @dataclass
-class UtteranceResult:
-    utt_id: str
-    chosen: int
-    substitutions: int
-    deletions: int
-    insertions: int
-    ref_words: int
-
-    @property
-    def wer(self) -> float:
-        return (self.substitutions + self.deletions + self.insertions) / self.ref_words
-
-
-@dataclass
 class WerReport:
-    substitutions: int = 0
-    deletions: int = 0
-    insertions: int = 0
-    ref_words: int = 0
-    per_utterance: list = field(default_factory=list)
+    """The hypothesis each utterance keeps and its error counts."""
+
+    utt_ids: list
+    chosen: np.ndarray  # (utterances,) index of the kept hypothesis
+    errors: np.ndarray  # (utterances, 3) S/D/I of the kept hypothesis
+    ref_words: np.ndarray  # (utterances,)
 
     @property
     def wer(self) -> float:
-        return (self.substitutions + self.deletions + self.insertions) / self.ref_words
-
-    def add(self, result: UtteranceResult) -> None:
-        self.substitutions += result.substitutions
-        self.deletions += result.deletions
-        self.insertions += result.insertions
-        self.ref_words += result.ref_words
-        self.per_utterance.append(result)
+        """Corpus WER: all errors over all reference words."""
+        return int(self.errors.sum()) / int(self.ref_words.sum())
 
 
 def _tokens(x) -> tuple:
@@ -276,26 +257,19 @@ def _choose(valid: np.ndarray, comps: dict, weights: dict) -> np.ndarray:
     return np.argmax(np.where(valid, combine(comps, weights), -np.inf), axis=1)
 
 
-def decode_wer(scored: ScoredSplit, comps: dict, weights: dict) -> float:
-    """Corpus WER of ``scored`` when each utterance keeps its best hypothesis
-    under ``combine(comps, weights)`` (ties: first)."""
-    chosen = _choose(scored.valid, comps, weights)
-    errors = scored.errors[np.arange(len(chosen)), chosen]
-    return int(errors.sum()) / int(scored.ref_words.sum())
+def decode(scored: ScoredSplit, comps: dict, weights: dict) -> WerReport:
+    """Each utterance of ``scored`` keeps its best hypothesis under
+    ``combine(comps, weights)`` (ties: first)."""
+    return _report(scored, _choose(scored.valid, comps, weights))
 
 
 def _report(scored: ScoredSplit, chosen: np.ndarray) -> WerReport:
-    report = WerReport()
-    picked = scored.errors[np.arange(len(chosen)), chosen]
-    for utt_id, c, (s, d, i), n in zip(
-        scored.utt_ids, chosen.tolist(), picked.tolist(), scored.ref_words.tolist()
-    ):
-        report.add(UtteranceResult(utt_id, c, s, d, i, n))
-    return report
+    errors = scored.errors[np.arange(len(chosen)), chosen]
+    return WerReport(scored.utt_ids, chosen, errors, scored.ref_words)
 
 
 def evaluate(scored: ScoredSplit, scorer: str, weights: dict) -> WerReport:
-    return _report(scored, _choose(scored.valid, scored.scorer_scores(scorer), weights))
+    return decode(scored, scored.scorer_scores(scorer), weights)
 
 
 def oracle_wer(scored: ScoredSplit) -> WerReport:
@@ -317,7 +291,7 @@ def tune_weights(scored: ScoredSplit, scorer: str, grid) -> dict:
         return {}
     # min keeps the first of equal minima, so ties keep grid order
     sweep = (dict(zip(names, values)) for values in itertools.product(grid, repeat=len(names)))
-    return min(sweep, key=lambda weights: decode_wer(scored, comps, weights))
+    return min(sweep, key=lambda weights: decode(scored, comps, weights).wer)
 
 
 def load_nbest(path) -> list[NBestList]:
@@ -361,11 +335,11 @@ def save_nbest(dataset, path) -> None:
 def write_utterance_csv(report: WerReport, path) -> None:
     with atomic_text_writer(path) as fh:
         fh.write("utt_id,chosen,substitutions,deletions,insertions,ref_words,wer\n")
-        for r in report.per_utterance:
-            fh.write(
-                f"{r.utt_id},{r.chosen},{r.substitutions},{r.deletions},"
-                f"{r.insertions},{r.ref_words},{r.wer:.6f}\n"
-            )
+        rows = zip(
+            report.utt_ids, report.chosen.tolist(), report.errors.tolist(), report.ref_words.tolist()
+        )
+        for utt_id, c, (s, d, i), n in rows:
+            fh.write(f"{utt_id},{c},{s},{d},{i},{n},{(s + d + i) / n:.6f}\n")
 
 
 def summary_table(rows) -> str:

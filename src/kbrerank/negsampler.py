@@ -84,16 +84,34 @@ def _within_one_edit(a: PhoneticKey, b: PhoneticKey) -> bool:
 
 @dataclass(frozen=True)
 class ConfusionTable:
-    """Per-word phonetic neighbourhoods over a fixed vocabulary."""
+    """Per-word phonetic neighbourhoods over a fixed vocabulary, as ids."""
 
-    key_of: dict  # word -> PhoneticKey
-    by_key: dict  # PhoneticKey -> tuple of words (sorted)
-    candidates: dict  # word -> tuple of words (sorted), excluding the word
     vocab: Vocabulary
     candidate_ids: dict  # word id -> its candidates' ids, in word order; none if empty
 
-    def candidates_of(self, word: str) -> tuple[str, ...]:
-        return self.candidates.get(word, ())
+    def confusable(self, ids) -> list:
+        """(position, candidate ids) of each position of ``ids`` whose word
+        has candidates, in position order."""
+        return [(i, self.candidate_ids[w]) for i, w in enumerate(ids) if w in self.candidate_ids]
+
+    def corrupt(self, ids, confusable, p_sub: float, rng: random.Random):
+        """One corruption of ``ids`` as (new ids, substituted positions).
+
+        Each of the ``confusable`` positions (non-empty, as ``confusable``
+        returns them) is substituted independently with probability
+        ``p_sub`` by a uniform choice among its candidates; a draw that
+        substitutes nothing is redrawn. Only confusable positions consume
+        ``rng``.
+        """
+        while True:
+            out = list(ids)
+            positions = []
+            for i, cands in confusable:
+                if rng.random() < p_sub:
+                    out[i] = rng.choice(cands)
+                    positions.append(i)
+            if positions:
+                return tuple(out), tuple(positions)
 
 
 def build_confusion_table(vocab: Vocabulary) -> ConfusionTable:
@@ -129,25 +147,16 @@ def build_confusion_table(vocab: Vocabulary) -> ConfusionTable:
                     neighbours[k1].add(k2)
                     neighbours[k2].add(k1)
 
-    candidates: dict = {}
+    candidate_ids: dict = {}
     for word, key in key_of.items():
         cands = set()
         for nk in neighbours[key]:
             cands.update(by_key[nk])
         cands.discard(word)
-        candidates[word] = tuple(sorted(cands))
-
-    return ConfusionTable(
-        key_of=key_of,
-        by_key={k: tuple(sorted(v)) for k, v in by_key.items()},
-        candidates=candidates,
-        vocab=vocab,
-        candidate_ids={
-            vocab.word_to_id[word]: tuple(map(vocab.word_to_id.__getitem__, cands))
-            for word, cands in candidates.items()
-            if cands
-        },
-    )
+        if cands:
+            ids = map(vocab.word_to_id.__getitem__, sorted(cands))
+            candidate_ids[vocab.word_to_id[word]] = tuple(ids)
+    return ConfusionTable(vocab, candidate_ids)
 
 
 @dataclass(frozen=True)
@@ -191,31 +200,20 @@ def draw_negatives(source_ids, table: ConfusionTable, n_samples: int, p_sub: flo
     its first draw substituted, in first-draw order; None when no position
     is confusable.
 
-    Every position with confusable neighbours is substituted independently
-    with probability ``p_sub``; a draw with no substitution is redrawn.
+    Each draw is one ``ConfusionTable.corrupt``: every position with
+    confusable neighbours is substituted independently with probability
+    ``p_sub``, and a draw with no substitution is redrawn.
     """
     if not 0.0 < p_sub <= 1.0:
         raise ValueError("p_sub must be in (0, 1]")
-    confusable = [
-        (i, table.candidate_ids[w]) for i, w in enumerate(source_ids) if w in table.candidate_ids
-    ]
+    confusable = table.confusable(source_ids)
     if not confusable:
         return None
     rng = random.Random(seed)
     seen: dict = {}
     for _ in range(n_samples):
-        while True:
-            ids = list(source_ids)
-            positions = []
-            for i, cands in confusable:
-                if rng.random() < p_sub:
-                    ids[i] = rng.choice(cands)
-                    positions.append(i)
-            if positions:
-                break
-        key = tuple(ids)
-        if key not in seen:
-            seen[key] = tuple(positions)
+        ids, positions = table.corrupt(source_ids, confusable, p_sub, rng)
+        seen.setdefault(ids, positions)
     return seen
 
 

@@ -63,6 +63,8 @@ class SynthConfig:
                     raise ValueError(f"template references unknown slot {tok!r}")
         if not 0 <= self.noise_rate <= 1 or not 0 <= self.unreachable_rate <= 1:
             raise ValueError("rates must be in [0, 1]")
+        if not 0 < self.corruption_p_sub <= 1:  # 0 would redraw forever
+            raise ValueError("corruption_p_sub must be in (0, 1]")
 
 
 @dataclass
@@ -145,22 +147,6 @@ def world_confusion_table(config: SynthConfig, inventory, entries) -> ConfusionT
     return build_confusion_table(vocab)
 
 
-def _corrupt(tokens, table: ConfusionTable, rng: random.Random, p_sub: float):
-    """One confusion-substituted variant, or None if nothing is confusable."""
-    if not any(table.candidates_of(t) for t in tokens):
-        return None
-    while True:
-        out = list(tokens)
-        changed = False
-        for i, tok in enumerate(tokens):
-            cands = table.candidates_of(tok)
-            if cands and rng.random() < p_sub:
-                out[i] = rng.choice(cands)
-                changed = True
-        if changed:
-            return tuple(out)
-
-
 def _make_nbest(
     config: SynthConfig,
     rng: random.Random,
@@ -171,15 +157,15 @@ def _make_nbest(
     n = config.hyps_per_utt
     while True:
         ref = sample_query()
+        ref_ids = table.vocab.encode(ref)
+        confusable = table.confusable(ref_ids)
         corruptions: list = []
-        seen = {ref}
-        for _ in range(60 * n):
-            corr = _corrupt(ref, table, rng, config.corruption_p_sub)
-            if corr is None:
-                break
+        seen = {tuple(ref_ids)}
+        for _ in range(60 * n if confusable else 0):
+            corr = table.corrupt(ref_ids, confusable, config.corruption_p_sub, rng)[0]
             if corr not in seen:
                 seen.add(corr)
-                corruptions.append(corr)
+                corruptions.append(tuple(table.vocab.id_to_word[w] for w in corr))
             if len(corruptions) >= n:
                 break
         if len(corruptions) >= n - 1:

@@ -93,13 +93,13 @@ def prepare_heldout(
 
 def heldout_wer(params: RerankerParams, heldout: Heldout) -> float:
     """WER when decoding with first-pass score plus the interpolated u score
-    (``evaluation.decode_wer``); the lists are scored together
+    (``evaluation.decode``); the lists are scored together
     (``neural.score_lists``)."""
     split = heldout.split
     u = np.zeros(split.valid.shape)
     u[split.valid] = score_lists(params, heldout.inputs)
     comps = {"first_pass": split.scores["first_pass"], "reranker": u}
-    return evaluation.decode_wer(split, comps, {"reranker": 1.0})
+    return evaluation.decode(split, comps, {"reranker": 1.0}).wer
 
 
 def _minibatch_gradients(

@@ -15,7 +15,8 @@ KB's lookups in dicts over phrases and words, apart from the arrays of
 sentence's spans and word pairs through those dicts, apart from the array
 kernel of ``kbrerank.features``. The single-sentence helpers below wrap the
 batched production calls for tests that score one candidate or one sentence
-at a time.
+at a time, and ``map_token``, ``indices_of`` and ``candidates_of`` read a
+vocabulary, a fold assignment and a confusion table the way only tests need.
 """
 
 import math
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kbrerank import neural
-from kbrerank.corpus import Sentence, build_vocabulary, pad_ids
+from kbrerank.corpus import UNK, Sentence, build_vocabulary, pad_ids
 from kbrerank.features import (
     BIN_FIELDS,
     COOC_BINS,
@@ -55,6 +56,24 @@ from kbrerank.trainer import (
     _lm_forward_backward_softmax,
     unigram_distribution,
 )
+
+
+def map_token(vocab, word: str) -> str:
+    """Surface form if the vocabulary retains it, else the unknown symbol."""
+    return word if word in vocab.word_to_id and word != UNK else UNK
+
+
+def indices_of(folds, fold: int) -> list[int]:
+    """Sentence indices of one fold of a ``FoldAssignment``, ascending."""
+    return [i for i, f in enumerate(folds.fold_of) if f == fold]
+
+
+def candidates_of(table, word: str) -> tuple:
+    """A word's confusion candidates as words, decoded from the table's
+    ``candidate_ids``; empty for a word without candidates or outside the
+    vocabulary."""
+    wid = table.vocab.word_to_id.get(word)
+    return tuple(table.vocab.id_to_word[c] for c in table.candidate_ids.get(wid, ()))
 
 
 def exhaustive_wer(ref, hyp):
@@ -453,7 +472,7 @@ class DictNGramModel:
     trained_on_folds: tuple = ()
 
     def map_tokens(self, tokens) -> tuple:
-        return tuple(self.vocab.map_token(t) for t in tokens)
+        return tuple(map_token(self.vocab, t) for t in tokens)
 
     def conditional_logprob(self, context, word) -> float:
         """log p(word | context) via longest-match walk with backoff."""
@@ -507,7 +526,7 @@ def _dict_adjusted_tables(raw, order):
 
 def dict_mapped_sentences(corpus, vocab, folds=None, exclude_fold=None):
     return [
-        tuple(vocab.map_token(t) for t in sent.tokens)
+        tuple(map_token(vocab, t) for t in sent.tokens)
         for i, sent in enumerate(corpus)
         if exclude_fold is None or folds.fold_of[i] != exclude_fold
     ]
@@ -629,7 +648,9 @@ def reference_sample_negatives(sentence, table, lm: DictNGramModel, n_samples, k
     ``Sentence``, score it with the dict walk, keep the ``keep_k`` best by
     (-score, tokens). None when no position is confusable."""
     confusable = [
-        (i, table.candidates_of(tok)) for i, tok in enumerate(sentence.tokens) if table.candidates_of(tok)
+        (i, candidates_of(table, tok))
+        for i, tok in enumerate(sentence.tokens)
+        if candidates_of(table, tok)
     ]
     if not confusable:
         return None

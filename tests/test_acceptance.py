@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    candidates_of,
     dict_kb_index,
     event_distribution,
     exhaustive_wer,
@@ -177,7 +178,8 @@ def test_c3_wer_oracle_equivalence(capsys):
         errs = [wer(lists.reference, h) for h, _ in lists.hypotheses]
         cs, cd, ci, cn = min(errs, key=lambda e: e[0] + e[1] + e[2])
         s, d, i, n = s + cs, d + cd, i + ci, n + cn
-    assert (report.substitutions, report.deletions, report.insertions, report.ref_words) == (s, d, i, n)
+    assert report.errors.sum(axis=0).tolist() == [s, d, i]
+    assert report.ref_words.sum() == n
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"WER oracle check took {elapsed:.1f}s"
@@ -267,7 +269,7 @@ def test_c5_negative_sampling_contract(feature_world, capsys):
             assert len(positions) >= 1
             assert neg.tokens != ns.source.tokens
             for pos in positions:
-                assert neg.tokens[pos] in table.candidates_of(ns.source.tokens[pos])
+                assert neg.tokens[pos] in candidates_of(table, ns.source.tokens[pos])
 
     second = generate()
     assert first == second

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,7 @@ class TestConfig:
             ("momentum=-inf", "config key momentum must be a finite number, got -inf"),
             ("synth_noise_rate=nan", "config key synth_noise_rate must be a finite number"),
             ("l2=-1", "l2 must be a finite number >= 0, got -1.0"),
+            ("synth_corruption_p_sub=0", "corruption_p_sub must be in (0, 1]"),
         ],
     )
     def test_bad_value_fails_at_config_load(self, tmp_path, capsys, setting, message):
@@ -948,6 +950,108 @@ class TestHostileArtifacts:
         run = copy_run(pipeline_dir, tmp_path)
         rewrite_artifact(run / name, edit)
         self.fails(run, name, capsys, message)
+
+
+class TestLstmLmHeldoutReport:
+    """train-lstm-lm says whether held-out references stop it early."""
+
+    @staticmethod
+    def lm_line(run, capsys):
+        capsys.readouterr()
+        assert stage("train-lstm-lm", run) == 0
+        return capsys.readouterr().out.splitlines()[-1]
+
+    def test_heldout_sentences_counted(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        assert self.lm_line(run, capsys).endswith(", held-out sentences: 40")
+
+    @pytest.mark.parametrize("damage", ["missing", "no_references"])
+    def test_fixed_epochs_without_heldout(self, pipeline_dir, tmp_path, capsys, damage):
+        run = copy_run(pipeline_dir, tmp_path)
+        heldout = run / "heldout.jsonl"
+        if damage == "missing":
+            heldout.unlink()
+        else:
+            records = [json.loads(line) for line in heldout.read_text().splitlines()]
+            heldout.write_text("".join(
+                json.dumps({k: v for k, v in r.items() if k != "reference"}) + "\n"
+                for r in records
+            ))
+        # lm_max_epochs=2 in MINI_SETS
+        assert self.lm_line(run, capsys).endswith(", held-out sentences: none, 2 fixed epochs")
+
+
+class TestNoUnusedPublicNames:
+    """Every public function, class and method of ``src/kbrerank`` is named
+    somewhere in ``src/`` outside its own definition; helpers only the tests
+    call belong in ``tests/oracles.py``. Names match by identifier (a Name or
+    an attribute), so a method counts as used when any object's attribute of
+    that name is read."""
+
+    # what is reached only from outside src/, each with the reason
+    ALLOWED = {
+        # perfbench/spans.METHODS patches it on its class by name
+        "trainer.LstmLmParams.sentence_logprob",
+        # the inverse of from_dict: config files are written with it
+        "cli.PipelineConfig.to_dict",
+        # library API for the optional ARPA export (README); no stage writes ARPA
+        "ngram.export_arpa",
+    }
+
+    @staticmethod
+    def names_in(node) -> Counter:
+        names = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                names[sub.attr] += 1
+        return names
+
+    def unused(self, src: Path) -> list:
+        trees = {
+            path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))
+        }
+        assert trees
+        used = sum((self.names_in(tree) for tree in trees.values()), Counter())
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        found = []
+        for module, tree in trees.items():
+            defs = []
+            for node in tree.body:
+                if isinstance(node, (*functions, ast.ClassDef)):
+                    defs.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    defs += [
+                        (f"{node.name}.{sub.name}", sub)
+                        for sub in node.body
+                        if isinstance(sub, functions)
+                    ]
+            for qualname, node in defs:
+                # private and dunder names are skipped; a definition's own
+                # body (recursion) does not count as a use
+                if not node.name.startswith("_") and used[node.name] == self.names_in(node)[node.name]:
+                    found.append(f"{module}.{qualname}")
+        return found
+
+    def test_every_public_name_has_a_caller_in_src(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "kbrerank"
+        unused = self.unused(src)
+        assert set(self.ALLOWED) <= set(unused), "an allowlist entry is used now: drop it"
+        assert sorted(set(unused) - self.ALLOWED) == []
+
+    def test_guard_sees_an_unused_method(self, tmp_path):
+        (tmp_path / "mod.py").write_text(
+            "class A:\n"
+            "    def used(self):\n        return self.used_too()\n"
+            "    def used_too(self):\n        return 1\n"
+            "    def lonely(self):\n        return self.lonely()\n"
+            "def main():\n    return A().used()\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "main()\n"
+        )
+        assert self.unused(tmp_path) == ["mod.A.lonely", "mod.recursive"]
 
 
 class TestNoPickle:

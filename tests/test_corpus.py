@@ -1,4 +1,5 @@
 import pytest
+from oracles import indices_of, map_token
 
 from kbrerank.corpus import (
     UNK,
@@ -64,7 +65,7 @@ class TestVocabulary:
         assert "a" in vocab.word_to_id
         assert "b" not in vocab.word_to_id
         assert "c" not in vocab.word_to_id
-        assert vocab.map_token("b") == UNK
+        assert map_token(vocab, "b") == UNK
 
     def test_zero_threshold_keeps_everything(self):
         vocab = build_vocabulary(make_corpus("a b"), min_count=0)
@@ -86,14 +87,14 @@ class TestVocabulary:
                 for tok, wid in zip(sent.tokens, vocab.encode(sent.tokens)):
                     assert 0 <= wid < vocab.size
                     if tok in vocab.word_to_id:
-                        assert vocab.word_of(wid) == tok
+                        assert vocab.id_to_word[wid] == tok
                     else:
                         assert wid == vocab.unk_id
 
     def test_literal_unk_token_maps_to_reserved_id(self):
         vocab = build_vocabulary(make_corpus(f"{UNK} {UNK} a a"), min_count=0)
         assert vocab.id_of(UNK) == vocab.unk_id
-        assert vocab.map_token(UNK) == UNK
+        assert map_token(vocab, UNK) == UNK
 
     def test_file_roundtrip(self, tmp_path):
         vocab = build_vocabulary(make_corpus("a b b c c c"), min_count=0)
@@ -102,6 +103,22 @@ class TestVocabulary:
         loaded = load_vocabulary(path)
         assert loaded == vocab
         assert loaded.content_hash() == vocab.content_hash()
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # the second "ab" would overwrite the first, so id 1 could never be reached
+            ((UNK, "ab", "ab", "cd"), "duplicate word 'ab' at vocabulary lines 2 and 3"),
+            ((UNK, "ab", UNK), "duplicate word '<unk>' at vocabulary lines 1 and 3"),
+            ((UNK, ""), "bad word '' at vocabulary line 2"),
+            ((UNK, "ab", "c d"), "bad word 'c d' at vocabulary line 3"),
+        ],
+    )
+    def test_duplicate_empty_or_spaced_word_refused(self, tmp_path, lines, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(f"{w}\t{i}\n" for i, w in enumerate(lines)), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_vocabulary(path)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -112,13 +129,13 @@ class TestFolds:
     def test_exact_split(self):
         corpus = make_corpus(*[f"w{i}" for i in range(10)])
         folds = assign_folds(corpus, 10, seed=1)
-        sizes = [len(folds.indices_of(f)) for f in range(10)]
+        sizes = [len(indices_of(folds, f)) for f in range(10)]
         assert sizes == [1] * 10
 
     def test_uneven_split(self):
         corpus = make_corpus(*[f"w{i}" for i in range(11)])
         folds = assign_folds(corpus, 10, seed=1)
-        sizes = sorted(len(folds.indices_of(f)) for f in range(10))
+        sizes = sorted(len(indices_of(folds, f)) for f in range(10))
         assert sizes == [1] * 9 + [2]
 
     def test_deterministic(self):
@@ -130,7 +147,7 @@ class TestFolds:
         folds = assign_folds(corpus, 4, seed=9)
         seen = []
         for f in range(4):
-            seen.extend(folds.indices_of(f))
+            seen.extend(indices_of(folds, f))
         assert sorted(seen) == list(range(23))
 
     def test_too_few_sentences(self):

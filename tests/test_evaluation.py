@@ -218,8 +218,8 @@ class TestOracle:
             errs = [wer(lists.reference, h) for h, _ in lists.hypotheses]
             cs, cd, ci, cn = min(errs, key=lambda e: e[0] + e[1] + e[2])
             s, d, i, n = s + cs, d + cd, i + ci, n + cn
-        assert (report.substitutions, report.deletions, report.insertions) == (s, d, i)
-        assert report.ref_words == n
+        assert report.errors.sum(axis=0).tolist() == [s, d, i]
+        assert report.ref_words.sum() == n
 
     def test_requires_references(self):
         with pytest.raises(ValueError, match="references required"):
@@ -241,7 +241,10 @@ class TestEvaluate:
             nbest("u2", "a", [("a b", -1.0)]),
         ]
         report = evaluate(scored(dataset), "first-pass", {})
-        assert report.wer == (report.substitutions + report.deletions + report.insertions) / report.ref_words
+        # one substitution in u1, one insertion in u2, over 3 + 1 words
+        assert report.errors.tolist() == [[1, 0, 0], [0, 0, 1]]
+        assert report.ref_words.tolist() == [3, 1]
+        assert report.wer == (1 + 0 + 0 + 0 + 0 + 1) / (3 + 1)
 
     def test_micro_average_recomputable_from_per_utterance(self):
         rng = random.Random(5)
@@ -252,8 +255,11 @@ class TestEvaluate:
             hyp = tuple(rng.choice(words) for _ in range(rng.randint(1, 4)))
             dataset.append(nbest(f"u{u}", " ".join(ref), [(" ".join(hyp), -1.0)]))
         report = evaluate(scored(dataset), "first-pass", {})
-        total_errors = sum(r.substitutions + r.deletions + r.insertions for r in report.per_utterance)
-        total_words = sum(r.ref_words for r in report.per_utterance)
+        per_utterance = [wer(lists.reference, lists.hypotheses[0][0]) for lists in dataset]
+        assert report.errors.tolist() == [list(counts[:3]) for counts in per_utterance]
+        assert report.ref_words.tolist() == [counts[3] for counts in per_utterance]
+        total_errors = sum(s + d + i for s, d, i, _ in per_utterance)
+        total_words = sum(n for *_, n in per_utterance)
         assert math.isclose(report.wer, total_errors / total_words, rel_tol=1e-12)
 
     def test_tuned_weights_never_worse_than_first_pass_on_tuning_data(self):
@@ -347,7 +353,7 @@ class TestArrayPathMatchesReference:
         comps = self.reference_components(dataset, tables)
         picks, _ = reference_decode(dataset, comps, ("reranker", "lstm"), weights)
         assert picks[0][0] == 1
-        assert [r.chosen for r in evaluate(split, "reranker+lstm", weights).per_utterance] == [1]
+        assert evaluate(split, "reranker+lstm", weights).chosen.tolist() == [1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tuning_decoding_and_oracle_match(self, seed, monkeypatch):
@@ -376,16 +382,13 @@ class TestArrayPathMatchesReference:
             tuned_nonzero += any(weights.values())
             report = evaluate(split, scorer, weights)
             picks, expected_wer = reference_decode(dataset, comps, names, weights)
-            got = [
-                (r.chosen, (r.substitutions, r.deletions, r.insertions))
-                for r in report.per_utterance
-            ]
+            got = list(zip(report.chosen.tolist(), map(tuple, report.errors.tolist())))
             assert got == picks, scorer
             assert report.wer == expected_wer, scorer
         assert tuned_nonzero > 0
 
         oracle = oracle_wer(split)
-        assert [r.chosen for r in oracle.per_utterance] == [
+        assert oracle.chosen.tolist() == [
             min(range(len(c)), key=lambda k: sum(c[k])) for c in counts
         ]
 
@@ -414,7 +417,7 @@ class TestSerialization:
         write_utterance_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("utt_id,")
-        assert lines[1].startswith("u1,0,1,0,0,2,")
+        assert lines[1:] == ["u1,0,1,0,0,2,0.500000"]
 
     def test_summary_table_layout(self):
         dataset = [nbest("u1", "a b", [("a b", -1.0)])]

@@ -3,7 +3,12 @@ import json
 import random
 
 import pytest
-from oracles import reference_sample_negatives, train_dict_ngram, train_jackknife_models
+from oracles import (
+    candidates_of,
+    reference_sample_negatives,
+    train_dict_ngram,
+    train_jackknife_models,
+)
 
 from kbrerank.cli import main
 from kbrerank.corpus import (
@@ -77,16 +82,21 @@ class TestPhoneticKey:
 class TestConfusionTable:
     def test_equal_keys_are_candidates(self):
         table = build_confusion_table(vocab_of("jim", "gym", "play"))
-        assert table.candidates_of("jim") == ("gym",)
-        assert table.candidates_of("play") == ()
+        assert candidates_of(table, "jim") == ("gym",)
+        assert candidates_of(table, "play") == ()
 
     def test_lonely_vowel_word(self):
         table = build_confusion_table(vocab_of("a"))
-        assert table.candidates_of("a") == ()
+        assert candidates_of(table, "a") == ()
 
     def test_unk_excluded(self):
-        table = build_confusion_table(vocab_of("jim", "gym"))
-        assert UNK not in table.key_of
+        # "<unk>" would encode like "nick" and "neck", so only its exclusion
+        # keeps it out of their neighbourhoods
+        assert phonetic_key(UNK) == phonetic_key("nick") == phonetic_key("neck")
+        table = build_confusion_table(vocab_of("nick", "neck"))
+        assert candidates_of(table, "nick") == ("neck",)
+        assert candidates_of(table, UNK) == ()
+        assert all(table.vocab.unk_id not in cands for cands in table.candidate_ids.values())
 
     def test_symmetry_and_membership_against_brute_force(self):
         rng = random.Random(4)
@@ -112,10 +122,10 @@ class TestConfusionTable:
             expected = tuple(
                 sorted(v for v in words if v != w and edit_distance(keys[w], keys[v]) <= 1)
             )
-            assert table.candidates_of(w) == expected
+            assert candidates_of(table, w) == expected
         for w in words:
-            for v in table.candidates_of(w):
-                assert w in table.candidates_of(v)
+            for v in candidates_of(table, w):
+                assert w in candidates_of(table, v)
 
 
 class TestSampling:
@@ -129,7 +139,7 @@ class TestSampling:
             assert len(neg) == len(source)
             assert len(positions) >= 1
             for pos in positions:
-                assert neg.tokens[pos] in table.candidates_of(source.tokens[pos])
+                assert neg.tokens[pos] in candidates_of(table, source.tokens[pos])
             assert neg.tokens != source.tokens
 
     def test_scores_non_increasing(self):
@@ -146,7 +156,7 @@ class TestSampling:
         table = build_confusion_table(vocab)
         source = ("jim", "dandys", "fok")
         for w, alt in words.items():
-            assert table.candidates_of(w) == (alt,)
+            assert candidates_of(table, w) == (alt,)
         lm = toy_lm(vocab, "jim dandys fok", "gym dandies vok")
         universe = set()
         for pattern in itertools.product((0, 1), repeat=3):
@@ -220,7 +230,7 @@ class TestSampling:
         # the smaller id
         vocab = vocab_of("jim", "kim", "gym")
         table = build_confusion_table(vocab)
-        assert table.candidates_of("kim") == ("gym", "jim")
+        assert candidates_of(table, "kim") == ("gym", "jim")
         source = Sentence(("kim", "kim"))
         drawn = draw_negatives(vocab.encode(source.tokens), table, 50, 1.0, seed=4)
         assert len(drawn) == 4

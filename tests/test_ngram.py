@@ -11,6 +11,7 @@ from oracles import (
     event_distribution,
     event_logprob,
     jackknife_scores,
+    map_token,
     model_tables,
     train_dict_ngram,
 )
@@ -135,7 +136,7 @@ class TestTraining:
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
         model = estimate(count_ngrams(corpus, vocab, 3), vocab)
-        mapped = [tuple(vocab.map_token(t) for t in s.tokens) for s in corpus]
+        mapped = [tuple(map_token(vocab, t) for t in s.tokens) for s in corpus]
         ref = KnReference(mapped, order=3, n_events=model.v_events)
         events = (*vocab.id_to_word, EOS)
         contexts = set()

@@ -1,9 +1,15 @@
+import hashlib
 import io
+import json
 
 import pytest
+from oracles import candidates_of
 
 from kbrerank import synth
+from kbrerank.corpus import build_vocabulary
 from kbrerank.evaluation import RerankModels, evaluate, oracle_wer, score_split
+from kbrerank.negsampler import build_confusion_table, sample_corpus_negatives
+from kbrerank.ngram import count_ngrams, estimate
 
 
 def small_config(**overrides):
@@ -82,10 +88,67 @@ class TestGeneration:
                 assert len(hyp) == len(ref)
                 for pos, (r, h) in enumerate(zip(ref, hyp.tokens)):
                     if r != h:
-                        assert h in table.candidates_of(r), (r, h)
+                        assert h in candidates_of(table, r), (r, h)
+
+
+def golden_digests(seed):
+    """sha256 of a small world (its n-best lists included) and of the
+    negatives ``sample_corpus_negatives`` draws for its training corpus."""
+    world = synth.generate_world(
+        small_config(seed=seed, n_artists=10, songs_per_artist=5, word_inventory=100,
+                     n_train=300, n_heldout=30, n_test=30, hyps_per_utt=5)
+    )
+    vocab = build_vocabulary(world.train, min_count=1)  # singletons become <unk>
+    lm = estimate(count_ngrams(world.train, vocab, 3), vocab)
+    negsets = sample_corpus_negatives(
+        world.train, build_confusion_table(vocab), [lm], [0] * len(world.train),
+        n_samples=30, keep_k=5, p_sub=0.3, seed=seed,
+    )
+    # scores to 6 decimals: the digest pins the draws and the ranking, not
+    # the last bits of a vectorized log
+    records = [
+        None if ns is None else [
+            [list(neg.tokens), f"{lp:.6f}", list(pos)]
+            for neg, lp, pos in zip(ns.negatives, ns.lm_logprobs, ns.substituted_positions)
+        ]
+        for ns in negsets
+    ]
+    return (
+        hashlib.sha256(world_fingerprint(world).encode()).hexdigest(),
+        hashlib.sha256(json.dumps(records).encode()).hexdigest(),
+    )
+
+
+class TestGolden:
+    """Pinned outputs: a change to the confusion draw alters every rerun the
+    same way, so only a digest fixed in advance catches it. The digests were
+    computed before the synthetic world and the negative sampler shared one
+    draw (``ConfusionTable.corrupt``)."""
+
+    # seed -> (world digest, negatives digest)
+    DIGESTS = {
+        1: (
+            "ff4cee243bbf0bbd1d9b06647f66ff0bd777d76900bb61434a17f9a46deed7ff",
+            "e67b0fb280fe4c642db0c2a3eae8256433f36239dd683f11f9a82767afe151de",
+        ),
+        20260808: (
+            "189a247ad7fc4d251a4fc3b58032ccfb9a7fef0c2450f3654decd82c032899b5",
+            "473a11039f3446ed9713db70be66e1cad297e73eecfc83ea3dfc0735a01f05b2",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_world_and_negatives_pinned(self, seed):
+        assert golden_digests(seed) == self.DIGESTS[seed]
 
 
 class TestValidation:
+    @pytest.mark.parametrize("p_sub", [0.0, -0.25, 1.5])
+    def test_corruption_p_sub_outside_unit_interval_rejected(self, p_sub):
+        # at 0 no draw ever substitutes, so the redraw would never end
+        with pytest.raises(ValueError, match=r"corruption_p_sub must be in \(0, 1\]"):
+            small_config(corruption_p_sub=p_sub)
+
     def test_unknown_slot_rejected(self):
         with pytest.raises(ValueError, match="unknown slot"):
             small_config(templates=("play <album>",))
