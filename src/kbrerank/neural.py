@@ -274,7 +274,7 @@ class RerankerInputs:
     """A group of candidates as the reranker reads them: each candidate's
     word ids, unpadded, its row of feature bins (an (n, 5) array in
     ``BIN_FIELDS`` order) and its n-gram feature. Rows are padded only when
-    a chunk is scored (``score_inputs``)."""
+    a chunk is scored (``score_inputs``, ``score_lists``)."""
 
     ids: list
     bins: np.ndarray
@@ -300,19 +300,24 @@ def group_inputs(candidates, bins, ngram_feats, sizes, vocab: Vocabulary) -> lis
 FUSE_ROWS = 32
 
 
-def fused_chunks(row_counts) -> list[range]:
-    """Split consecutive items of ``row_counts`` rows each into ranges of
-    at most ``FUSE_ROWS`` rows, in order; an item larger than that is a
-    range of its own."""
+def length_chunks(lengths, sizes=None) -> list[list[int]]:
+    """Indices of items ``lengths`` tokens long (an item's longest row), of
+    ``sizes`` rows each (one without it), grouped into chunks of at most
+    ``FUSE_ROWS`` rows: sorted by length, ties in input order, and packed
+    greedily, each item whole; an item larger than that is a chunk of its
+    own. Lengths never fall from one chunk to the next, so a chunk pads
+    only to items about as long as its own (sequence bucketing)."""
+    sizes = [1] * len(lengths) if sizes is None else sizes
     chunks = []
-    start = rows = 0
-    for k, n in enumerate(row_counts):
-        if rows and rows + n > FUSE_ROWS:
-            chunks.append(range(start, k))
-            start, rows = k, 0
-        rows += n
-    if start < len(row_counts):
-        chunks.append(range(start, len(row_counts)))
+    chunk, rows = [], 0
+    for k in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunk and rows + sizes[k] > FUSE_ROWS:
+            chunks.append(chunk)
+            chunk, rows = [], 0
+        chunk.append(k)
+        rows += sizes[k]
+    if chunk:
+        chunks.append(chunk)
     return chunks
 
 
@@ -327,14 +332,19 @@ def score_inputs(params: RerankerParams, parts, dropout_mask: np.ndarray | None 
 
 def score_lists(params: RerankerParams, inputs) -> np.ndarray:
     """u of every row of every ``RerankerInputs`` in ``inputs``, concatenated
-    in order; consecutive inputs are scored together, ``FUSE_ROWS`` rows at a
-    time (``fused_chunks``)."""
-    out = np.empty(sum(len(x.ids) for x in inputs))
-    row = 0
-    for chunk in fused_chunks([len(x.ids) for x in inputs]):
-        u, _ = score_inputs(params, [inputs[k] for k in chunk])
-        out[row : row + len(u)] = u
-        row += len(u)
+    in order. The rows of all lists are sorted by length and scored
+    ``FUSE_ROWS`` at a time (``length_chunks``); a row's u does not depend
+    on the chunk it is scored in."""
+    rows = [row for x in inputs for row in x.ids]
+    out = np.empty(len(rows))
+    if not rows:
+        return out
+    bins = np.concatenate([x.bins for x in inputs])
+    feats = np.concatenate([x.ngram_feats for x in inputs])
+    for chunk in length_chunks([len(row) for row in rows]):
+        ids, lengths = pad_ids([rows[k] for k in chunk])
+        u, _ = score_batch(params, ids, bins[chunk], feats[chunk], lengths=lengths)
+        out[chunk] = u
     return out
 
 

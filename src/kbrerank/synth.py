@@ -8,6 +8,7 @@ rate, which makes end-to-end reranking quality measurable against ground truth.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -147,6 +148,22 @@ def world_confusion_table(config: SynthConfig, inventory, entries) -> ConfusionT
     return build_confusion_table(vocab)
 
 
+def _check_reachable(config: SynthConfig, table: ConfusionTable, entries) -> None:
+    """Raise unless some query the world can draw has the ``hyps_per_utt -
+    1`` distinct corruptions an n-best list needs; a query of k confusable
+    words with c_1 .. c_k candidates has (1 + c_1) ... (1 + c_k) - 1."""
+    need = config.hyps_per_utt - 1
+    for entry in entries:
+        for tpl in config.templates:
+            confusable = table.confusable(table.vocab.encode(_fill_template(tpl, entry)))
+            if math.prod(1 + len(cands) for _, cands in confusable) - 1 >= need:
+                return
+    raise ValueError(
+        f"no query of this world has the hyps_per_utt - 1 = {need} distinct corruptions"
+        " an n-best list needs; lower hyps_per_utt"
+    )
+
+
 def _make_nbest(
     config: SynthConfig,
     rng: random.Random,
@@ -155,7 +172,8 @@ def _make_nbest(
     utt_id: str,
 ) -> NBestList:
     n = config.hyps_per_utt
-    while True:
+    max_queries = 1000
+    for _ in range(max_queries):
         ref = sample_query()
         ref_ids = table.vocab.encode(ref)
         confusable = table.confusable(ref_ids)
@@ -170,6 +188,11 @@ def _make_nbest(
                 break
         if len(corruptions) >= n - 1:
             break
+    else:
+        raise ValueError(
+            f"no query in {max_queries} yielded the hyps_per_utt - 1 = {n - 1} distinct"
+            " corruptions an n-best list needs; lower hyps_per_utt"
+        )
     ref_present = rng.random() >= config.unreachable_rate
     candidates = [ref, *corruptions[: n - 1]] if ref_present else corruptions[:n]
     wrong_first = (not ref_present) or rng.random() < config.noise_rate
@@ -203,6 +226,7 @@ def generate_world(config: SynthConfig) -> World:
         source_path=f"synth(seed={config.seed})",
     )
     table = world_confusion_table(config, inventory, entries)
+    _check_reachable(config, table, entries)
     heldout = [
         _make_nbest(config, rng, sample_query, table, f"h{i:05d}")
         for i in range(config.n_heldout)

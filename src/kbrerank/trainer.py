@@ -27,7 +27,7 @@ from .neural import (
     backprop_batch,
     contrastive_loss,
     draw_dropout,
-    fused_chunks,
+    length_chunks,
     pad_ids,
     score_inputs,
     score_lists,
@@ -108,14 +108,17 @@ def _minibatch_gradients(
     """Add the summed contrastive gradients of ``instances[j]`` for j in
     ``batch`` to ``grads``; returns each instance's loss in batch order.
 
-    Consecutive instances are fused into one padded ``score_inputs`` and one
-    ``backprop_batch`` call per ``neural.FUSE_ROWS`` rows. Each instance keeps
-    its own softmax over its own rows (correct row first) and its own dropout
-    stream, ``derive_seed(seed, "dropout", epoch, j)``.
+    The instances are grouped by length (``neural.length_chunks``), each one
+    whole, and each chunk is fused into one padded ``score_inputs`` and one
+    ``backprop_batch`` call of at most ``neural.FUSE_ROWS`` rows. Each
+    instance keeps its own softmax over its own rows (correct row first) and
+    its own dropout stream, ``derive_seed(seed, "dropout", epoch, j)``.
     """
-    losses = []
-    for chunk in fused_chunks([len(instances[int(j)].ids) for j in batch]):
-        members = [int(batch[k]) for k in chunk]
+    batch = [int(j) for j in batch]
+    losses = [math.nan] * len(batch)
+    lengths = [max(map(len, instances[j].ids)) for j in batch]
+    for chunk in length_chunks(lengths, [len(instances[j].ids) for j in batch]):
+        members = [batch[k] for k in chunk]
         mask = None
         if config.dropout > 0.0:
             mask = np.concatenate(
@@ -131,7 +134,7 @@ def _minibatch_gradients(
         u, cache = score_inputs(params, [instances[j] for j in members], dropout_mask=mask)
         du = np.empty_like(u)
         row = 0
-        for j in members:
+        for k, j in zip(chunk, members):
             own = slice(row, row + len(instances[j].ids))
             row = own.stop
             loss = math.nan
@@ -139,7 +142,7 @@ def _minibatch_gradients(
                 loss, du[own] = contrastive_loss(u[own], 0)
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, instance {j}")
-            losses.append(loss)
+            losses[k] = loss
         backprop_batch(params, cache, du, out=grads)
         del cache  # the chunk's activations go before the next chunk's arrive
     return losses

@@ -287,6 +287,29 @@ def score_alone(params, inputs, dropout_mask=None):
     )
 
 
+def in_order_chunks(row_counts, cap) -> list[list[int]]:
+    """Consecutive items of ``row_counts`` rows each, packed in input order
+    into chunks of at most ``cap`` rows (an item larger than that alone):
+    the chunking before instances were grouped by length."""
+    chunks, rows = [], 0
+    for k, n in enumerate(row_counts):
+        if not chunks or rows + n > cap:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(k)
+        rows += n
+    return chunks
+
+
+def padded_cells(rows, chunks) -> int:
+    """Id cells of ``chunks`` (index lists into ``rows``, lists of id
+    rows each) right-padded per chunk, padding included."""
+    return sum(
+        sum(len(rows[k]) for k in chunk) * max(len(row) for k in chunk for row in rows[k])
+        for chunk in chunks
+    )
+
+
 def reference_minibatch_gradients(params, instances, batch, config, epoch, grads):
     """One ``score_batch`` and one ``backprop_batch`` call per instance, with
     its own dropout draw; returns the losses in batch order."""

@@ -23,7 +23,7 @@ from kbrerank.neural import (
     backprop_batch,
     contrastive_loss,
     draw_dropout,
-    fused_chunks,
+    length_chunks,
     pad_ids,
     score_batch,
     score_inputs,
@@ -33,9 +33,11 @@ from kbrerank.neural import (
 from oracles import (
     finite_difference_check,
     force_lstm_path,
+    in_order_chunks,
     lstm_final_states,
     lstm_step,
     masked_sigmoid,
+    padded_cells,
     reference_sgd_momentum_update,
     score,
     score_alone,
@@ -424,23 +426,57 @@ def random_inputs(rng, lengths, dims=TINY) -> RerankerInputs:
 
 
 class TestFusedChunks:
+    """``neural.length_chunks``: items sorted by length, ties in input order,
+    packed whole and greedily into chunks of at most ``FUSE_ROWS`` rows."""
+
+    @staticmethod
+    def check(lengths, sizes, chunks):
+        n = len(lengths)
+        flat = [k for chunk in chunks for k in chunk]
+        # every item exactly once, as one index in one chunk: whole
+        assert sorted(flat) == list(range(n))
+        assert all(chunks)
+        # sorted by length, ties in input order (a stable sort)
+        assert flat == sorted(range(n), key=lambda k: (lengths[k], k))
+        for chunk in chunks:
+            assert sum(sizes[k] for k in chunk) <= neural.FUSE_ROWS or len(chunk) == 1
+        for chunk, after in zip(chunks, chunks[1:]):
+            # lengths never fall from one chunk to the next
+            assert max(lengths[k] for k in chunk) <= min(lengths[k] for k in after)
+            # greedy: no chunk could have taken its successor's first item
+            assert sum(sizes[k] for k in chunk) + sizes[after[0]] > neural.FUSE_ROWS
+
     @pytest.mark.parametrize(
         "counts",
         [[], [6] * 12, [5, 7, 32, 1, 40, 3, 3, 30, 2], [33], [1] * 70, [31, 2, 31, 1]],
     )
     def test_order_and_row_budget(self, counts):
-        chunks = fused_chunks(counts)
-        assert [k for chunk in chunks for k in chunk] == list(range(len(counts)))
-        for chunk in chunks:
-            rows = sum(counts[k] for k in chunk)
-            assert rows <= neural.FUSE_ROWS or len(chunk) == 1
-        # greedy: no chunk could have taken its successor's first item
-        for chunk, after in zip(chunks, chunks[1:]):
-            assert sum(counts[k] for k in chunk) + counts[after[0]] > neural.FUSE_ROWS
+        # lengths 1-4 give ties in every case of more than four items
+        lengths = np.random.default_rng(len(counts)).integers(1, 5, size=len(counts)).tolist()
+        chunks = length_chunks(lengths, counts)
+        self.check(lengths, counts, chunks)
+        # one row each without sizes
+        self.check(lengths, [1] * len(counts), length_chunks(lengths))
+
+    def test_empty_input(self):
+        assert length_chunks([]) == []
+        assert length_chunks([], []) == []
 
     def test_budget_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(neural, "FUSE_ROWS", 4)
-        assert [list(c) for c in fused_chunks([2, 2, 3, 5, 1])] == [[0, 1], [2], [3], [4]]
+        # by length: items 1 and 4 (length 1, tied, in input order), then
+        # 2 and 3 (length 2), then 0; items 1 and 4 fill 3 of 4 rows
+        assert length_chunks([3, 1, 2, 2, 1], [2, 2, 3, 5, 1]) == [[1, 4], [2], [3], [0]]
+        assert length_chunks([2, 1, 2, 1, 3, 1]) == [[1, 3, 5, 0], [2, 4]]
+
+    def test_sorting_cuts_padding(self, monkeypatch):
+        monkeypatch.setattr(neural, "FUSE_ROWS", 2)
+        # alternating 1- and 9-token rows: in input order every 2-row chunk
+        # pads its short row to 9 tokens; sorted, no chunk pads at all
+        lengths = [1, 9] * 4
+        rows = [[[0] * n] for n in lengths]
+        assert padded_cells(rows, in_order_chunks([1] * 8, 2)) == 8 * 9
+        assert padded_cells(rows, length_chunks(lengths)) == sum(lengths)
 
     def test_concat_pads_and_stacks(self):
         rng = np.random.default_rng(20)
@@ -460,14 +496,33 @@ class TestFusedChunks:
         np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-14)
 
     def test_score_lists_match_one_call_per_list(self, monkeypatch):
-        monkeypatch.setattr(neural, "FUSE_ROWS", 8)
+        # a row's u has the same bits in any chunk, so sorting the rows of
+        # all lists by length moves no score
         params = RerankerParams.initialize(TINY, seed=21)
         rng = np.random.default_rng(21)
-        inputs = [random_inputs(rng, rng.integers(1, 7, size=rng.integers(1, 6))) for _ in range(9)]
+        inputs = [random_inputs(rng, rng.integers(0, 7, size=rng.integers(1, 6))) for _ in range(9)]
+        assert sum(len(set(map(len, x.ids))) > 1 for x in inputs) >= 5
         expected = np.concatenate([score_alone(params, x)[0] for x in inputs])
-        got = score_lists(params, inputs)
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+        for fuse_rows in (1, 8, 32):
+            monkeypatch.setattr(neural, "FUSE_ROWS", fuse_rows)
+            assert np.array_equal(score_lists(params, inputs), expected)
         assert score_lists(params, []).shape == (0,)
+
+    def test_score_lists_chunks_grouped_by_length(self, monkeypatch):
+        widths = []
+
+        def recording(params, ids, *args, **kwargs):
+            widths.append(ids.shape)
+            return score_batch(params, ids, *args, **kwargs)
+
+        monkeypatch.setattr(neural, "score_batch", recording)
+        monkeypatch.setattr(neural, "FUSE_ROWS", 4)
+        params = RerankerParams.initialize(TINY, seed=22)
+        rng = np.random.default_rng(22)
+        inputs = [random_inputs(rng, lengths) for lengths in ((5, 1, 3), (2, 5), (1, 1, 4, 2))]
+        score_lists(params, inputs)
+        # 9 rows by length, 4 at a time: 1 1 1 2 | 2 3 4 5 | 5
+        assert widths == [(4, 2), (4, 5), (1, 5)]
 
 
 class TestTwoThreads:

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from oracles import candidates_of
@@ -91,6 +94,21 @@ class TestGeneration:
                         assert h in candidates_of(table, r), (r, h)
 
 
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def golden_digests(seed):
     """sha256 of a small world (its n-best lists included) and of the
     negatives ``sample_corpus_negatives`` draws for its training corpus."""
@@ -156,6 +174,25 @@ class TestValidation:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="counts"):
             small_config(n_train=0)
+
+    def test_hyps_per_utt_no_query_reaches_rejected(self):
+        # one song over a 20-word inventory has far fewer than 49,999
+        # distinct corruptions, so no query can fill a list
+        config = synth.SynthConfig(
+            seed=1, n_artists=1, songs_per_artist=1, word_inventory=20, n_train=5,
+            n_heldout=2, n_test=2, hyps_per_utt=50000, templates=("ab <song>",),
+        )
+        with time_limit(30), pytest.raises(ValueError, match=r"hyps_per_utt - 1 = 49999"):
+            synth.generate_world(config)
+
+    def test_query_draws_bounded(self):
+        # a query no word of which has a confusion never yields a
+        # corruption; the list gives up after a bounded number of queries
+        config = small_config()
+        world = synth.generate_world(config)
+        table = synth.world_confusion_table(config, world.inventory, world.kb_entries)
+        with time_limit(30), pytest.raises(ValueError, match=r"no query in \d+ yielded the hyps_per_utt"):
+            synth._make_nbest(config, random.Random(0), lambda: ("zz",), table, "h00000")
 
     def test_oversized_inventory_rejected(self):
         with pytest.raises(ValueError, match="inventory"):

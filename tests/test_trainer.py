@@ -7,9 +7,11 @@ from oracles import (
     dict_kb_index,
     extract_features,
     finite_difference_check,
+    in_order_chunks,
     lm_hidden_states,
     lm_logprob,
     lstm_step,
+    padded_cells,
     param_norm_sq,
     reference_dropout_mask,
     reference_heldout_wer,
@@ -34,7 +36,7 @@ from kbrerank.neural import (
     RerankerInputs,
     RerankerParams,
     contrastive_loss,
-    fused_chunks,
+    length_chunks,
     group_inputs,
     pad_ids,
     score_batch,
@@ -262,6 +264,18 @@ def small_instances(rng, row_counts):
     return instances
 
 
+def sized_instances(rng, shapes):
+    """Training instances of the given (rows, words) shapes, every row of an
+    instance as long as the others, as a sentence and its corruptions are;
+    words drawn from ids 1 .. vocab_size - 2."""
+    instances = []
+    for n, length in shapes:
+        rows = rng.integers(1, SMALL.vocab_size - 1, size=(n, length)).tolist()
+        bins = np.stack([rng.integers(0, b.count, size=n) for b in neural._BINS], axis=1)
+        instances.append(RerankerInputs(rows, bins, rng.random(n) * 10))
+    return instances
+
+
 def padding_with(pad):
     """``pad_ids`` with ``pad`` in place of 0 past each row's end."""
     def pad_ids_with(rows):
@@ -272,11 +286,26 @@ def padding_with(pad):
     return pad_ids_with
 
 
+def batch_chunks(instances, batch) -> list[list[int]]:
+    """``neural.length_chunks`` of the instances ``batch``, as
+    ``_minibatch_gradients`` groups them: positions in ``batch``."""
+    return neural.length_chunks(
+        [max(map(len, instances[j].ids)) for j in batch], [len(instances[j].ids) for j in batch]
+    )
+
+
+def visit_order(instances, batch) -> list[int]:
+    """The instances of ``batch`` in the order their chunks score them."""
+    return [int(batch[k]) for chunk in batch_chunks(instances, batch) for k in chunk]
+
+
 class TestFusedMinibatch:
     """trainer._minibatch_gradients against the per-instance reference."""
 
-    # in batch order 3, 0, 4, 1, 2 with FUSE_ROWS = 8, the chunks are
-    # instance 3 alone (9 rows, over budget), then [0, 4], then [1, 2]
+    # with FUSE_ROWS = 8 the batch 4, 1, 2, 0, 3 of these instances (longest
+    # rows 4, 5, 5, 4, 5 words) is chunked by length: instance 0 (3 rows),
+    # instance 3 alone (9 rows, over budget), instance 4, then instances 1
+    # and 2 together
     ROWS = (3, 5, 2, 9, 4)
 
     def test_fused_gradients_match_finite_differences(self, monkeypatch):
@@ -284,8 +313,8 @@ class TestFusedMinibatch:
         params = RerankerParams.initialize(SMALL, seed=30)
         monkeypatch.setattr(neural, "pad_ids", padding_with(5))
         instances = small_instances(np.random.default_rng(30), self.ROWS)
-        batch = np.array([3, 0, 4, 1, 2])
-        assert [list(c) for c in fused_chunks([self.ROWS[j] for j in batch])] == [[0], [1, 2], [3, 4]]
+        batch = np.array([4, 1, 2, 0, 3])
+        assert batch_chunks(instances, batch) == [[3], [4], [0], [1, 2]]
         config = TrainConfig(dropout=0.3, seed=7)
         grads = params.zero_grads()
         trainer._minibatch_gradients(params, instances, batch, config, 2, grads)
@@ -330,7 +359,7 @@ class TestFusedMinibatch:
         params = RerankerParams.initialize(mini_world["dims"], seed=6)
         instances = mini_world["instances"]
         batch = np.random.default_rng(6).permutation(len(instances))[:40]
-        n_chunks = len(fused_chunks([len(instances[j].ids) for j in batch]))
+        n_chunks = len(batch_chunks(instances, batch))
         assert 1 < n_chunks < len(batch) // 2
         config = TrainConfig(dropout=0.2, seed=6)
         fused, ref = params.zero_grads(), params.zero_grads()
@@ -356,6 +385,7 @@ class TestFusedMinibatch:
         config = TrainConfig(dropout=0.2, seed=11)
         trainer._minibatch_gradients(params, instances, batch, config, 3, params.zero_grads())
         assert len(seen) > 1
+        # stacked in the order the length-grouped chunks visit the instances
         expected = np.concatenate(
             [
                 reference_dropout_mask(
@@ -363,10 +393,65 @@ class TestFusedMinibatch:
                     0.2,
                     derive_seed(11, "dropout", 3, int(j)),
                 )
-                for j in batch
+                for j in visit_order(instances, batch)
             ]
         )
         np.testing.assert_array_equal(np.concatenate(seen), expected)
+
+    def test_losses_in_batch_order_when_chunks_reorder(self, monkeypatch):
+        monkeypatch.setattr(neural, "FUSE_ROWS", 8)
+        params = RerankerParams.initialize(SMALL, seed=32)
+        instances = sized_instances(np.random.default_rng(32), [(3, 6), (2, 1), (4, 3), (3, 2), (2, 5)])
+        batch = np.array([0, 4, 2, 3, 1])
+        # longest first in batch order, so sorting reverses it
+        assert visit_order(instances, batch) == [1, 3, 2, 4, 0]
+        config = TrainConfig(dropout=0.3, seed=12)
+        losses = trainer._minibatch_gradients(params, instances, batch, config, 1, params.zero_grads())
+        ref = reference_minibatch_gradients(params, instances, batch, config, 1, params.zero_grads())
+        np.testing.assert_allclose(losses, ref, rtol=1e-12, atol=0)
+        assert len(set(losses)) == len(batch)
+
+    def test_dropout_rows_follow_their_instance(self, monkeypatch):
+        seen = []
+
+        def recording(params, parts, dropout_mask=None):
+            seen.append((parts, dropout_mask))
+            return neural.score_inputs(params, parts, dropout_mask=dropout_mask)
+
+        monkeypatch.setattr(trainer, "score_inputs", recording)
+        monkeypatch.setattr(neural, "FUSE_ROWS", 8)
+        params = RerankerParams.initialize(SMALL, seed=33)
+        instances = sized_instances(
+            np.random.default_rng(33), [(3, 6), (2, 1), (4, 3), (3, 2), (2, 5), (3, 4)]
+        )
+        batch = np.array([5, 0, 4, 2, 3, 1])
+        config = TrainConfig(dropout=0.3, seed=13)
+        trainer._minibatch_gradients(params, instances, batch, config, 4, params.zero_grads())
+        visited = []
+        for parts, mask in seen:
+            row = 0
+            for x in parts:
+                (j,) = [j for j in batch if instances[j] is x]
+                own = mask[row : row + len(x.ids)]
+                row += len(x.ids)
+                expected = reference_dropout_mask(
+                    (len(x.ids), SMALL.phi_dim), 0.3, derive_seed(13, "dropout", 4, int(j))
+                )
+                np.testing.assert_array_equal(own, expected)
+                visited.append(int(j))
+            assert row == len(mask)
+        assert sorted(visited) == sorted(batch.tolist())
+        assert visited != batch.tolist()
+
+    def test_length_chunks_pad_less_than_in_order_chunks(self, mini_world):
+        instances = mini_world["instances"]
+        rng = np.random.default_rng(34)
+        for _ in range(5):
+            batch = rng.permutation(len(instances))[:64]
+            rows = [instances[j].ids for j in batch]
+            grouped = padded_cells(rows, batch_chunks(instances, batch))
+            in_order = padded_cells(rows, in_order_chunks(list(map(len, rows)), neural.FUSE_ROWS))
+            assert grouped < in_order
 
     def test_no_dropout_passes_no_mask(self, mini_world, monkeypatch):
         seen = []
