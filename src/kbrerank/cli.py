@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import typing
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -372,57 +373,54 @@ def load_feature_instances(path, vocab) -> list:
     """The feature dump as training instances (``neural.RerankerInputs``) in
     ascending ``sentence_id``, each one's rows by ``hypothesis_id``.
 
-    The rows are read once and checked a column at a time: ids are ints,
-    each row has exactly the dump's fields, each score is a finite number
-    >= 0 and each bin an integer in range (``features.BIN_FIELDS``). A
-    sentence's rows must be hypotheses 0..n-1 with n >= 2: row 0 is the
-    source sentence, the correct candidate, and the rest its negatives.
+    The rows are read and checked in one pass, each into the columns and
+    then dropped: ids are ints, each row has exactly the dump's fields, each
+    score is a finite number >= 0 and each bin an integer in range
+    (``features.BIN_FIELDS``). A sentence's rows must be hypotheses 0..n-1
+    with n >= 2: row 0 is the source sentence, the correct candidate, and
+    the rest its negatives.
     """
-    rows = list(read_jsonl(path))
-    for key in ("sentence_id", "hypothesis_id"):
-        for lineno, rec in rows:
+    sids, hyp_ids, feats, bins, ids = array("q"), array("q"), array("d"), array("q"), []
+    for lineno, rec in read_jsonl(path):
+        for key in ("sentence_id", "hypothesis_id"):
             value = rec.get(key)
             if type(value) is not int or not -(2**63) <= value < 2**63:  # an int64 column
                 raise ValueError(f"{path}:{lineno}: {key} must be an int, got {value!r}")
-    recs = [rec for _, rec in rows]
-
-    def check(column, bad, message):
-        """Fail on the first row whose value in ``column`` is ``bad``."""
-        for rec in recs:
-            if bad(rec[column]):
-                sid = rec["sentence_id"]
-                raise ValueError(f"{path}: sentence_id {sid}: {message.format(rec[column])}")
-
-    for rec in recs:
+        where = f"{path}: sentence_id {rec['sentence_id']}"
         if rec.keys() != _FEATURE_FIELDS:
             missing, unknown = _FEATURE_FIELDS - rec.keys(), rec.keys() - _FEATURE_FIELDS
             raise ValueError(
-                f"{path}: sentence_id {rec['sentence_id']}: "
-                f"missing fields {sorted(missing)}, unknown fields {sorted(unknown)}"
+                f"{where}: missing fields {sorted(missing)}, unknown fields {sorted(unknown)}"
             )
-    check(_SCORE, lambda v: type(v) not in (int, float) or not 0 <= v <= sys.float_info.max,
-          _SCORE + " must be a finite number >= 0, got {!r}")
-    for name, limit in features.BIN_FIELDS:
-        check(name, lambda v: type(v) is not int, name + " must be an integer, got {!r}")
-        check(name, lambda v: not 0 <= v < limit, f"feature bin {{}} outside [0, {limit})")
-    feats = np.array([rec[_SCORE] for rec in recs], dtype=float)
-    bins = np.array([[rec[n] for n, _ in features.BIN_FIELDS] for rec in recs], dtype=np.intp)
-    bins = bins.reshape(-1, len(features.BIN_FIELDS))
+        score = rec[_SCORE]
+        if type(score) not in (int, float) or not 0 <= score <= sys.float_info.max:
+            raise ValueError(f"{where}: {_SCORE} must be a finite number >= 0, got {score!r}")
+        for name, limit in features.BIN_FIELDS:
+            value = rec[name]
+            if type(value) is not int:
+                raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
+            if not 0 <= value < limit:
+                raise ValueError(f"{where}: feature bin {value} outside [0, {limit})")
+            bins.append(value)
+        sids.append(rec["sentence_id"])
+        hyp_ids.append(rec["hypothesis_id"])
+        feats.append(score)
+        ids.append(vocab.encode(rec["tokens"]))
 
-    sids = np.array([rec["sentence_id"] for rec in recs], dtype=np.int64)
-    hyp_ids = np.array([rec["hypothesis_id"] for rec in recs], dtype=np.int64)
+    sids, hyp_ids = np.frombuffer(sids, dtype=np.int64), np.frombuffer(hyp_ids, dtype=np.int64)
+    bins = np.frombuffer(bins, dtype=np.int64).astype(np.intp).reshape(-1, len(features.BIN_FIELDS))
     order = np.lexsort((hyp_ids, sids))  # stable: a duplicated row stays
     starts = np.flatnonzero(np.diff(sids[order], prepend=sids[order[:1]] - 1))
-    sizes = np.diff(starts, append=len(recs)).tolist()
+    sizes = np.diff(starts, append=len(ids)).tolist()
     for at, n in zip(starts.tolist(), sizes):
-        ids = hyp_ids[order[at : at + n]].tolist()
-        if ids != list(range(max(n, 2))):  # a lone row is never 0, 1
+        got = hyp_ids[order[at : at + n]].tolist()
+        if got != list(range(max(n, 2))):  # a lone row is never 0, 1
             raise ValueError(
-                f"{path}: sentence_id {sids[order[at]]} has hypothesis ids {ids}, expected "
+                f"{path}: sentence_id {sids[order[at]]} has hypothesis ids {got}, expected "
                 "0..n-1: the source sentence and at least one negative"
             )
-    tokens = [recs[i]["tokens"] for i in order.tolist()]
-    return group_inputs(tokens, bins[order], feats[order], sizes, vocab)
+    rows = [ids[i] for i in order.tolist()]
+    return group_inputs(rows, bins[order], np.frombuffer(feats)[order], sizes)
 
 
 def _train_config(cfg: PipelineConfig, **overrides) -> TrainConfig:

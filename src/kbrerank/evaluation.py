@@ -137,7 +137,8 @@ def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBTables, lm_logprobs) 
     hyps = [h.tokens for nbest in dataset for h, _ in nbest.hypotheses]
     sizes = [len(nbest.hypotheses) for nbest in dataset]
     feats = -np.asarray(lm_logprobs, dtype=float)
-    return group_inputs(hyps, feature_bins(hyps, kb_index), feats, sizes, vocab)
+    ids = [vocab.encode(h) for h in hyps]
+    return group_inputs(ids, feature_bins(hyps, kb_index), feats, sizes)
 
 
 def score_ngram(dataset, models: RerankModels) -> np.ndarray:

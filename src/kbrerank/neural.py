@@ -9,6 +9,11 @@ Everything is float64 numpy with hand-written backprop; the gradient of the
 contrastive loss with respect to every tensor is checked against central
 finite differences in the test suite.
 
+Both LSTM directions, and the LSTM LM of ``trainer``, run one kernel
+(``_lstm_forward``/``_lstm_backward``) over the prefix trie of a batch's rows
+(``_prefix_trie``): rows that share a prefix share its steps, so each
+distinct prefix is computed once and no padding is computed.
+
 Candidates reach the reranker in groups (``RerankerInputs``): each one's word
 ids, an (n, 5) bin array in ``features.BIN_FIELDS`` order and the n-gram
 features. One builder, ``group_inputs``, splits flat rows at given group
@@ -132,89 +137,160 @@ def _sigmoid(x):
     return out
 
 
-def _lstm_forward(w, b, emb_seq):
-    """Sweep over right-padded (B, L, E) inputs.
+# a step's input projection runs as a GEMM of at least this many rows (the
+# rows past a depth's nodes are zeros, and their z is dropped): OpenBLAS
+# computes fewer rows with other kernels (gemv at 1 row, and another below 10
+# rows at 32/32 on x86-64), whose floats differ, so a node's z has the bits it
+# has in any larger batch, the padded kernel's included
+_MIN_GEMM_ROWS = 16
 
-    Returns the hidden state after every step as a (B, L + 1, H) array
-    (``hs[:, 0]`` is the zero start state) and the per-step activations the
-    backward pass needs. The LSTM is causal, so ``hs[r, n]`` is row r's state
-    after its first n tokens whatever follows them; a padded row's final
-    state is read at its own length, and the steps past its end are never
-    read.
-    """
-    bsz, length, _ = emb_seq.shape
+
+class _Trie(NamedTuple):
+    """The prefix trie of a chunk's rows: one node per distinct nonempty
+    prefix, numbered from 1 by depth (node 0 is the root, the empty prefix),
+    so that a depth's nodes are one range and each node's children are
+    consecutive. Rows that share a prefix share its nodes."""
+
+    tokens: np.ndarray  # (N + 1,) the id each node appends to its parent's prefix
+    parents: np.ndarray  # (N + 1,) each node's parent; nondecreasing within a depth
+    bounds: list  # depth t's nodes are bounds[t - 1] .. bounds[t] - 1
+    run_starts: np.ndarray  # first node of each run of siblings
+    paths: np.ndarray  # (B, L + 1) row r's node after its first n tokens, n <= its length
+
+    def runs(self, t: int):
+        """Depth t's runs of siblings: each run's first node, counted from
+        the depth's first, and the parent they share."""
+        lo, hi = np.searchsorted(self.run_starts, self.bounds[t - 1 : t + 1])
+        starts = self.run_starts[lo:hi]
+        return starts - self.bounds[t - 1], self.parents[starts]
+
+
+def _prefix_trie(ids, lengths) -> _Trie:
+    """The ``_Trie`` of right-padded ``ids``, row r ``lengths[r]`` tokens long.
+
+    One lexicographic sort of the rows, past each row's end read as -1 (below
+    every id), makes each prefix's rows consecutive; a sorted row starts a new
+    node at depth t + 1 unless its first t + 1 ids equal those of the row
+    before it."""
+    bsz, length = ids.shape
+    live = np.arange(length) < lengths[:, None]
+    keyed = np.where(live, ids, -1)
+    order = np.lexsort(keyed.T[::-1]) if length else np.arange(bsz)
+    keyed, live = keyed[order].T, live[order].T  # depth-major: (L, B)
+    new = np.ones_like(live)
+    new[:, 1:] = keyed[:, 1:] != keyed[:, :-1]
+    np.logical_or.accumulate(new, axis=0, out=new)
+    new &= live
+    node = np.cumsum(new.ravel()).reshape(length, bsz)  # numbered from 1, by depth
+    n_nodes = int(node[-1, -1]) if node.size else 0
+    tokens = np.zeros(n_nodes + 1, dtype=np.intp)
+    tokens[1:] = keyed[new]
+    parents = np.zeros_like(tokens)
+    parents[1:] = np.concatenate([np.zeros((1, bsz), dtype=node.dtype), node[:-1]])[new]
+    bounds = [1, *(1 + np.cumsum(new.sum(axis=1))).tolist()]
+    first = np.ones(n_nodes, dtype=bool)
+    first[1:] = parents[2:] != parents[1:-1]
+    paths = np.zeros((bsz, length + 1), dtype=np.intp)
+    paths[order, 1:] = np.where(live, node, 0).T
+    return _Trie(tokens, parents, bounds, 1 + np.flatnonzero(first), paths)
+
+
+def _lstm_forward(w, b, emb, trie: _Trie, keep: bool = True):
+    """The LSTM over ``trie``, each node's step run once on the state of its
+    parent, depth by depth; ``emb`` is the embedding table.
+
+    Returns each node's hidden state as an (N + 1, H) array (row 0 is the
+    zero start state; row r's state after its first n tokens is
+    ``hs[trie.paths[r, n]]``) and, with ``keep``, the activations the
+    backward pass needs. Each node's arithmetic is a padded sweep's, so its
+    floats are its rows' in a padded batch of ``_MIN_GEMM_ROWS`` or more."""
     hid = b.shape[0] // 4
-    hs = np.zeros((bsz, length + 1, hid))
-    h = hs[:, 0]
-    c = np.zeros((bsz, hid))
+    e_dim = w.shape[1] - hid
+    n = len(trie.tokens)
+    hs = np.zeros((n, hid))
+    cs = np.zeros((n, hid))
+    # node-major inputs, the weight gradient's right operand, with zero rows
+    # past the deepest depth for its GEMM's minimum
+    inputs = np.zeros((n + _MIN_GEMM_ROWS, e_dim + hid)) if keep else None
     steps = []
-    for t in range(length):
-        inp = np.concatenate([emb_seq[:, t, :], h], axis=1)
-        z = inp @ w.T + b
+    for t in range(1, len(trie.bounds)):
+        lo, hi = trie.bounds[t - 1], trie.bounds[t]
+        rows = max(hi - lo, _MIN_GEMM_ROWS)
+        inp = inputs[lo : lo + rows] if keep else np.zeros((rows, e_dim + hid))
+        inp[: hi - lo, :e_dim] = emb[trie.tokens[lo:hi]]
+        inp[: hi - lo, e_dim:] = hs[trie.parents[lo:hi]]
+        z = (inp @ w.T)[: hi - lo] + b
         gates = _sigmoid(z[:, : 3 * hid])
         i, f, o = gates[:, :hid], gates[:, hid : 2 * hid], gates[:, 2 * hid :]
         g = np.tanh(z[:, 3 * hid :])
-        c_prev = c
-        c = f * c_prev + i * g
+        c = f * cs[trie.parents[lo:hi]] + i * g
         tanh_c = np.tanh(c)
-        h = o * tanh_c
-        hs[:, t + 1] = h
-        steps.append((inp, i, f, o, g, c_prev, tanh_c))
-    return hs, steps
+        hs[lo:hi] = o * tanh_c
+        cs[lo:hi] = c
+        if keep:
+            steps.append((i, f, o, g, tanh_c))
+    return hs, ((inputs, cs, steps) if keep else None)
 
 
-def _lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
-    """Backward through time with a gradient arriving at any state.
+def _lstm_backward(w, acts, trie: _Trie, dh, d_w, d_b, d_emb):
+    """Backward through the trie with a gradient arriving at any node.
 
-    ``dhs[t]`` is the (B, H) gradient w.r.t. ``hs[:, t]`` of ``_lstm_forward``,
-    or None where none arrives (``dhs[0]`` is ignored: the start state is
-    constant). ``step_ids[:, t]`` are the embedding rows consumed at step t,
-    in the direction's own order. A row's steps after its last gradient get
-    exactly zero.
-
-    Each step's input-row gradients are added into ``d_emb`` with
-    ``np.add.at``. With ``d_emb`` None they are returned instead, as the
-    list of (ids, rows) that those adds would have applied, in order.
+    ``dh`` is the (N + 1, H) gradient w.r.t. ``_lstm_forward``'s states
+    (row 0, the constant start state, is ignored); it is overwritten. The
+    time loop runs only the recurrence, each node's ``dh`` and ``dc`` summed
+    from its children's (``np.add.reduceat`` over runs of siblings); the
+    weight, bias and embedding gradients then take one product over all
+    nodes, ``d_w`` one gate block at a time. The embedding rows are added
+    into ``d_emb`` with ``np.add.at``; with ``d_emb`` None they are returned
+    instead, as the (ids, rows) that add would have applied.
     """
+    inputs, cs, steps = acts
     hid = w.shape[0] // 4
     e_dim = w.shape[1] - hid
-    emb_rows = []
-    dh = np.zeros((step_ids.shape[0], hid))
+    n = len(trie.tokens)
     dc = np.zeros_like(dh)
-    for t in range(len(steps) - 1, -1, -1):
-        inp, i, f, o, g, c_prev, tanh_c = steps[t]
-        if dhs[t + 1] is not None:
-            dh = dh + dhs[t + 1]
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g * g),
-            ],
+    dz = np.zeros((n, 4 * hid))
+    w_h = w[:, e_dim:]
+    for t in range(len(steps), 0, -1):
+        lo, hi = trie.bounds[t - 1], trie.bounds[t]
+        i, f, o, g, tanh_c = steps[t - 1]
+        dh_t = dh[lo:hi]
+        do = dh_t * tanh_c
+        dc_t = dc[lo:hi] + dh_t * o * (1.0 - tanh_c * tanh_c)
+        di = dc_t * g
+        dg = dc_t * i
+        df = dc_t * cs[trie.parents[lo:hi]]
+        dz_t = dz[lo:hi]
+        np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
             axis=1,
+            out=dz_t,
         )
-        d_w += dz.T @ inp
-        d_b += dz.sum(axis=0)
-        dinp = dz @ w
-        if d_emb is None:
-            emb_rows.append((step_ids[:, t], dinp[:, :e_dim].copy()))
-        else:
-            np.add.at(d_emb, step_ids[:, t], dinp[:, :e_dim])
-        dh = dinp[:, e_dim:]
-        dc = dc * f
-    return emb_rows
+        if t > 1:  # depth 1's parent is the constant start state
+            starts, parents = trie.runs(t)
+            dh_up, dc_up = dz_t @ w_h, dc_t * f
+            if len(starts) < hi - lo:  # some siblings share a parent
+                dh_up = np.add.reduceat(dh_up, starts, axis=0)
+                dc_up = np.add.reduceat(dc_up, starts, axis=0)
+            dh[parents] += dh_up
+            dc[parents] += dc_up
+    dz = dz[1:]
+    for k in range(4):
+        gate = slice(k * hid, (k + 1) * hid)
+        d_w[gate] += dz[:, gate].T @ inputs[1:n]
+    d_b += dz.sum(axis=0)
+    rows = dz @ w[:, :e_dim]
+    if d_emb is None:
+        return trie.tokens[1:], rows
+    np.add.at(d_emb, trie.tokens[1:], rows)
+    return None
 
 
-# per-step work of one LSTM direction, rows x 4H x (E + H) multiply-adds,
-# from which score_batch and backprop_batch run the two directions on two
-# threads (``_lstm_threads``); two threads broke even between 1e6 and 1.6e6
-# on a 2-vCPU x86-64 machine, and fixture chunks (32 rows at 32/32) are 2.6e5
+# per-step work of one LSTM direction, rows x 4H x (E + H) multiply-adds
+# with a chunk's rows (not its trie's nodes), from which score_batch and
+# backprop_batch run the two directions on two threads (``_lstm_threads``);
+# two threads broke even between 1e6 and 1.6e6 on a 2-vCPU x86-64 machine,
+# and fixture chunks (128 rows at 32/32) are 1.05e6
 THREAD_WORK = 2e6
 
 
@@ -281,23 +357,23 @@ class RerankerInputs:
     ngram_feats: np.ndarray
 
 
-def group_inputs(candidates, bins, ngram_feats, sizes, vocab: Vocabulary) -> list[RerankerInputs]:
-    """Flat token sequences ``candidates``, their (n, 5) bins and their
-    n-gram features, split into consecutive groups of ``sizes`` rows."""
+def group_inputs(ids, bins, ngram_feats, sizes) -> list[RerankerInputs]:
+    """Flat word-id rows ``ids`` (``Vocabulary.encode``), their (n, 5) bins
+    and their n-gram features, split into consecutive groups of ``sizes``
+    rows."""
     bins = np.asarray(bins, dtype=np.intp)
     feats = np.asarray(ngram_feats, dtype=float)
-    n = len(candidates)
+    n = len(ids)
     if bins.shape != (n, len(_BINS)) or len(feats) != n or sum(sizes) != n:
         raise ValueError("need one feature row per candidate")
-    ids = [vocab.encode(tokens) for tokens in candidates]
     ends = np.cumsum(sizes, dtype=np.intp).tolist()
     starts = [0, *ends[:-1]]
     return [RerankerInputs(ids[a:b], bins[a:b], feats[a:b]) for a, b in zip(starts, ends)]
 
 
-# candidate rows per fused score_batch call; bounds the per-step activations
-# a training chunk keeps for its backward pass
-FUSE_ROWS = 32
+# candidate rows per fused score_batch call; bounds the activations a
+# training chunk keeps for its backward pass, one set per distinct prefix
+FUSE_ROWS = 128
 
 
 def length_chunks(lengths, sizes=None) -> list[list[int]]:
@@ -333,8 +409,8 @@ def score_inputs(params: RerankerParams, parts, dropout_mask: np.ndarray | None 
 def score_lists(params: RerankerParams, inputs) -> np.ndarray:
     """u of every row of every ``RerankerInputs`` in ``inputs``, concatenated
     in order. The rows of all lists are sorted by length and scored
-    ``FUSE_ROWS`` at a time (``length_chunks``); a row's u does not depend
-    on the chunk it is scored in."""
+    ``FUSE_ROWS`` at a time (``length_chunks``), with no activations kept; a
+    row's u does not depend on the chunk it is scored in."""
     rows = [row for x in inputs for row in x.ids]
     out = np.empty(len(rows))
     if not rows:
@@ -343,7 +419,7 @@ def score_lists(params: RerankerParams, inputs) -> np.ndarray:
     feats = np.concatenate([x.ngram_feats for x in inputs])
     for chunk in length_chunks([len(row) for row in rows]):
         ids, lengths = pad_ids([rows[k] for k in chunk])
-        u, _ = score_batch(params, ids, bins[chunk], feats[chunk], lengths=lengths)
+        u, _ = score_batch(params, ids, bins[chunk], feats[chunk], lengths=lengths, keep=False)
         out[chunk] = u
     return out
 
@@ -352,9 +428,12 @@ def score_lists(params: RerankerParams, inputs) -> np.ndarray:
 class ScoreCache:
     ids: np.ndarray
     lengths: np.ndarray
-    rev_ids: np.ndarray
-    steps_f: list
-    steps_b: list
+    trie_f: _Trie  # the rows' prefix trie
+    trie_b: _Trie  # the trie of the rows reversed
+    ends_f: np.ndarray  # each row's node in trie_f after its last token
+    ends_b: np.ndarray
+    acts_f: tuple | None  # _lstm_forward's activations, if kept
+    acts_b: tuple | None
     bins: np.ndarray
     ngram_feats: np.ndarray
     phi: np.ndarray
@@ -378,6 +457,7 @@ def score_batch(
     ngram_feats: np.ndarray,
     lengths: np.ndarray | None = None,
     dropout_mask: np.ndarray | None = None,
+    keep: bool = True,
 ):
     """Score a batch of candidates; returns (u, cache).
 
@@ -390,8 +470,10 @@ def score_batch(
     empty hypothesis) reads both directions' zero start state. ``bins`` is
     (batch, 5), columns in ``BIN_FIELDS`` order. ``dropout_mask``
     (``draw_dropout``, shaped (batch, phi_dim)) multiplies phi in training;
-    without it there is no dropout. The two directions run on
-    ``_lstm_threads`` threads, with the same floats either way.
+    without it there is no dropout. Each direction runs once per distinct
+    prefix of its rows (``_prefix_trie``), on ``_lstm_threads`` threads with
+    the same floats either way. Without ``keep`` the cache holds no LSTM
+    activations, and cannot be backpropagated.
     """
     t = params.tensors
     d = params.dims
@@ -419,14 +501,15 @@ def score_batch(
     # row r's first lengths[r] ids reversed, then its padding (reversed too,
     # and never read)
     rev_ids = ids[rows[:, None], (lengths[:, None] - 1 - np.arange(ids.shape[1])) % ids.shape[1]]
-    (hs_f, steps_f), (hs_b, steps_b) = _directions(
+    trie_f, trie_b = _prefix_trie(ids, lengths), _prefix_trie(rev_ids, lengths)
+    ends_f, ends_b = trie_f.paths[rows, lengths], trie_b.paths[rows, lengths]
+    (hs_f, acts_f), (hs_b, acts_b) = _directions(
         _lstm_threads(len(ids), d),
-        lambda: _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"][ids]),
-        lambda: _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"][rev_ids]),
+        lambda: _lstm_forward(t["fwd_w"], t["fwd_b"], t["emb"], trie_f, keep),
+        lambda: _lstm_forward(t["bwd_w"], t["bwd_b"], t["emb"], trie_b, keep),
     )
-    h_f = hs_f[rows, lengths]
-    h_b = hs_b[rows, lengths]
-    phi = np.concatenate([h_f, h_b, *(t[b.emb][bins[:, k]] for k, b in enumerate(_BINS))], axis=1)
+    bin_rows = (t[b.emb][bins[:, k]] for k, b in enumerate(_BINS))
+    phi = np.concatenate([hs_f[ends_f], hs_b[ends_b], *bin_rows], axis=1)
     if dropout_mask is not None:
         phi *= dropout_mask
     pre_act = phi @ t["hidden_w"]
@@ -436,9 +519,12 @@ def score_batch(
     cache = ScoreCache(
         ids=ids,
         lengths=lengths,
-        rev_ids=rev_ids,
-        steps_f=steps_f,
-        steps_b=steps_b,
+        trie_f=trie_f,
+        trie_b=trie_b,
+        ends_f=ends_f,
+        ends_b=ends_b,
+        acts_f=acts_f,
+        acts_b=acts_b,
         bins=bins,
         ngram_feats=np.asarray(ngram_feats, dtype=float),
         phi=phi,
@@ -454,6 +540,8 @@ def backprop_batch(params: RerankerParams, cache: ScoreCache, du: np.ndarray, ou
     """Gradients of sum(du * u) w.r.t. every tensor, accumulated into ``out``."""
     t = params.tensors
     d = params.dims
+    if cache.acts_f is None:
+        raise ValueError("the cache holds no LSTM activations: score with keep=True")
     grads = out if out is not None else params.zero_grads()
 
     du = np.asarray(du, dtype=float)
@@ -476,28 +564,25 @@ def backprop_batch(params: RerankerParams, cache: ScoreCache, du: np.ndarray, ou
         np.add.at(grads[b.emb], cache.bins[:, k], dphi[:, offset : offset + width])
         offset += width
 
-    # each direction's gradient arrives at the state after a row's last token
-    ends = {n: cache.lengths == n for n in set(cache.lengths.tolist())}
-
-    def sweep(direction, steps, step_ids, dh, d_emb):
-        dhs = [None] * (len(steps) + 1)
-        for n, ending in ends.items():
-            dhs[n] = dh * ending[:, None]
+    def sweep(direction, trie, ends, acts, dh_end, d_emb):
+        # each direction's gradient arrives at the node after a row's last
+        # token, summed over the rows that end there
+        dh = np.zeros((len(trie.tokens), hid))
+        np.add.at(dh, ends, dh_end)
         return _lstm_backward(
-            t[f"{direction}_w"], steps, dhs, step_ids,
+            t[f"{direction}_w"], acts, trie, dh,
             grads[f"{direction}_w"], grads[f"{direction}_b"], d_emb,
         )
 
     # the backward direction leaves the shared embedding gradient alone, so
     # it may run on the worker; its rows are added here after the forward
     # direction's, in the one-thread order, so every float stays the same
-    _, bwd_emb_rows = _directions(
+    _, (bwd_ids, bwd_rows) = _directions(
         _lstm_threads(len(cache.ids), d),
-        lambda: sweep("fwd", cache.steps_f, cache.ids, dphi[:, :hid], grads["emb"]),
-        lambda: sweep("bwd", cache.steps_b, cache.rev_ids, dphi[:, hid : 2 * hid], None),
+        lambda: sweep("fwd", cache.trie_f, cache.ends_f, cache.acts_f, dphi[:, :hid], grads["emb"]),
+        lambda: sweep("bwd", cache.trie_b, cache.ends_b, cache.acts_b, dphi[:, hid : 2 * hid], None),
     )
-    for step_ids, rows in bwd_emb_rows:
-        np.add.at(grads["emb"], step_ids, rows)
+    np.add.at(grads["emb"], bwd_ids, bwd_rows)
     return grads
 
 

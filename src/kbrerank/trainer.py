@@ -23,7 +23,9 @@ from .neural import (
     RerankerParams,
     _lstm_backward,
     _lstm_forward,
+    _prefix_trie,
     _sigmoid,
+    _Trie,
     backprop_batch,
     contrastive_loss,
     draw_dropout,
@@ -109,8 +111,9 @@ def _minibatch_gradients(
     ``batch`` to ``grads``; returns each instance's loss in batch order.
 
     The instances are grouped by length (``neural.length_chunks``), each one
-    whole, and each chunk is fused into one padded ``score_inputs`` and one
-    ``backprop_batch`` call of at most ``neural.FUSE_ROWS`` rows. Each
+    whole, and each chunk is fused into one ``score_inputs`` and one
+    ``backprop_batch`` call of at most ``neural.FUSE_ROWS`` rows, whose LSTM
+    runs once per distinct prefix of the chunk's rows. Each
     instance keeps its own softmax over its own rows (correct row first) and
     its own dropout stream, ``derive_seed(seed, "dropout", epoch, j)``.
     """
@@ -298,14 +301,15 @@ class LstmLmParams:
         """Log-probability of each sentence (a ``Sentence`` or a token
         sequence, possibly empty), end-of-sentence included.
 
-        Sentences are right-padded and scored ``LM_SCORE_CHUNK`` at a time,
-        one forward pass per chunk; each sentence's total is ``np.sum`` over
-        its own positions, so it does not depend on the rest of its chunk.
+        Sentences are scored ``LM_SCORE_CHUNK`` at a time, one forward pass
+        per chunk with no activations kept; each sentence's total is
+        ``np.sum`` over its own positions, so it does not depend on the rest
+        of its chunk.
         """
         encoded = [self.vocab.encode(getattr(s, "tokens", s)) for s in sentences]
         out = np.empty(len(encoded))
         for start in range(0, len(encoded), LM_SCORE_CHUNK):
-            batch = _lm_forward(self, encoded[start : start + LM_SCORE_CHUNK])
+            batch = _lm_forward(self, encoded[start : start + LM_SCORE_CHUNK], keep=False)
             # log-softmax at every real position, in one buffer
             logits = batch.hs @ self.tensors["out_w"].T
             logits += self.tensors["out_b"]
@@ -334,46 +338,47 @@ class LstmLmParams:
 
 @dataclass
 class _LmBatch:
-    """A padded forward pass of the LM over a batch of sentences.
+    """A forward pass of the LM over a batch of sentences, once per distinct
+    prefix (``neural._prefix_trie``).
 
     A sentence of n words has n + 1 real positions: the state before each of
-    its words and before its end-of-sentence. ``hs`` and ``targets`` hold the
-    real positions only, sentence by sentence; padded positions are never
-    scored and get no gradient.
+    its words and before its end-of-sentence, read at the trie node of its
+    first 0..n words. ``hs`` and ``targets`` hold the real positions only,
+    sentence by sentence.
     """
 
-    ids: np.ndarray  # (B, L) right-padded word ids
     lengths: np.ndarray  # (B,)
-    mask: np.ndarray  # (B, L + 1) real positions
+    trie: _Trie  # the sentences' prefix trie
+    positions: np.ndarray  # (N,) the trie node at each real position
     hs: np.ndarray  # (N, H) the state at each real position
     targets: np.ndarray  # (N,) the event each real position predicts
-    steps: list  # _lstm_forward's activations
+    acts: tuple | None  # _lstm_forward's activations, if kept
 
 
-def _lm_forward(params: LstmLmParams, rows) -> _LmBatch:
+def _lm_forward(params: LstmLmParams, rows, keep: bool = True) -> _LmBatch:
     t = params.tensors
     ids, lengths = pad_ids(rows)
-    states, steps = _lstm_forward(t["w"], t["b"], t["emb"][ids])
+    trie = _prefix_trie(ids, lengths)
+    states, acts = _lstm_forward(t["w"], t["b"], t["emb"], trie, keep)
     mask = np.arange(ids.shape[1] + 1) <= lengths[:, None]
     targets = np.full(mask.shape, params.dims.eos_id, dtype=np.intp)
     targets[:, :-1] = np.where(mask[:, 1:], ids, params.dims.eos_id)
-    return _LmBatch(ids, lengths, mask, states[mask], targets[mask], steps)
+    positions = trie.paths[mask]
+    return _LmBatch(lengths, trie, positions, states[positions], targets[mask], acts)
 
 
 def _lm_backward(params: LstmLmParams, batch: _LmBatch, dh: np.ndarray, grads: dict) -> None:
     """Backpropagate ``dh``, the (N, H) gradient at each real position,
-    through the LSTM; padded positions get exactly zero."""
+    through the LSTM, summed at each trie node over the positions there."""
     t = params.tensors
-    grid = np.zeros(batch.mask.shape + (dh.shape[1],))
-    grid[batch.mask] = dh
-    _lstm_backward(
-        t["w"], batch.steps, grid.swapaxes(0, 1), batch.ids, grads["w"], grads["b"], grads["emb"]
-    )
+    grid = np.zeros((len(batch.trie.tokens), dh.shape[1]))
+    np.add.at(grid, batch.positions, dh)
+    _lstm_backward(t["w"], batch.acts, batch.trie, grid, grads["w"], grads["b"], grads["emb"])
 
 
 def _lm_forward_backward_softmax(params: LstmLmParams, rows, grads: dict) -> float:
     """Exact cross-entropy loss and gradients, summed over a batch of id
-    sequences scored as one padded batch."""
+    sequences scored as one batch."""
     t = params.tensors
     batch = _lm_forward(params, rows)
     # softmax in one buffer, which then becomes the logits' gradient
@@ -395,7 +400,7 @@ def _lm_forward_backward_nce(
     params: LstmLmParams, rows, noise_ids: np.ndarray, log_kq: np.ndarray, grads: dict
 ) -> float:
     """Binary noise-contrastive loss per real position against shared noise
-    words, summed over a batch of id sequences scored as one padded batch."""
+    words, summed over a batch of id sequences scored as one batch."""
     t = params.tensors
     batch = _lm_forward(params, rows)
     hs, targets = batch.hs, batch.targets

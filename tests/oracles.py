@@ -4,7 +4,10 @@ The oracles deliberately avoid the production code paths they check: the WER
 oracle enumerates raw edit sequences, the gradient checker perturbs tensors
 one element at a time, ``lstm_step`` is a one-token LSTM cell written apart
 from the batched kernel in ``kbrerank.neural`` (with the exp-form sigmoid,
-not the kernel's tanh form), the reference trainer scores and
+not the kernel's tanh form), ``padded_lstm_forward`` and
+``padded_lstm_backward`` keep the padded sweep that the prefix-trie kernel
+replaced, every row stepped through every position, as that kernel's
+reference, the reference trainer scores and
 backpropagates one training instance per call, and the reference LM trainer
 runs its own epoch loop apart from the shared ``trainer._sgd``. The reference
 n-gram model counts string-tuple dicts per model and scores by walking them
@@ -41,7 +44,7 @@ from kbrerank.features import (
 from kbrerank.kb import PairTable
 from kbrerank.negsampler import NegativeSet, derive_seed
 from kbrerank.neural import (
-    _lstm_forward,
+    _sigmoid,
     backprop_batch,
     contrastive_loss,
     score_batch,
@@ -215,6 +218,118 @@ def lstm_step(w, b, h_prev, c_prev, x_emb):
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
+
+
+def padded_lstm_forward(w, b, emb_seq):
+    """The padded LSTM sweep that the prefix-trie kernel replaced, kept as
+    its reference: every row steps through every position of right-padded
+    (B, L, E) inputs.
+
+    Returns the hidden state after every step as a (B, L + 1, H) array
+    (``hs[:, 0]`` is the zero start state) and the per-step activations of
+    ``padded_lstm_backward``. The LSTM is causal, so ``hs[r, n]`` is row r's
+    state after its first n tokens whatever follows them.
+    """
+    bsz, length, _ = emb_seq.shape
+    hid = b.shape[0] // 4
+    hs = np.zeros((bsz, length + 1, hid))
+    h = hs[:, 0]
+    c = np.zeros((bsz, hid))
+    steps = []
+    for t in range(length):
+        inp = np.concatenate([emb_seq[:, t, :], h], axis=1)
+        z = inp @ w.T + b
+        gates = _sigmoid(z[:, : 3 * hid])
+        i, f, o = gates[:, :hid], gates[:, hid : 2 * hid], gates[:, 2 * hid :]
+        g = np.tanh(z[:, 3 * hid :])
+        c_prev = c
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        hs[:, t + 1] = h
+        steps.append((inp, i, f, o, g, c_prev, tanh_c))
+    return hs, steps
+
+
+def padded_lstm_backward(w, steps, dhs, step_ids, d_w, d_b, d_emb):
+    """Backward through time over ``padded_lstm_forward``'s steps, with the
+    weight and embedding gradients added step by step.
+
+    ``dhs[t]`` is the (B, H) gradient w.r.t. ``hs[:, t]``, or None where
+    none arrives (``dhs[0]`` is ignored: the start state is constant).
+    ``step_ids[:, t]`` are the embedding rows consumed at step t.
+    """
+    hid = w.shape[0] // 4
+    e_dim = w.shape[1] - hid
+    dh = np.zeros((step_ids.shape[0], hid))
+    dc = np.zeros_like(dh)
+    for t in range(len(steps) - 1, -1, -1):
+        inp, i, f, o, g, c_prev, tanh_c = steps[t]
+        if dhs[t + 1] is not None:
+            dh = dh + dhs[t + 1]
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g * g)],
+            axis=1,
+        )
+        d_w += dz.T @ inp
+        d_b += dz.sum(axis=0)
+        dinp = dz @ w
+        np.add.at(d_emb, step_ids[:, t], dinp[:, :e_dim])
+        dh = dinp[:, e_dim:]
+        dc = dc * f
+
+
+# one chunk with every shape of a prefix trie, in word ids 1..6: two
+# instances of 6 and 3 rows, each source first, that share the prefix 1 2
+TRIE_SHAPE_ROWS = (
+    (1, 2, 3, 4),  # the first instance's source
+    (5, 2, 3, 4),  # a first-position substitution
+    (1, 2, 3, 6),  # a last-position substitution
+    (1, 2, 3, 4),  # a row identical to the source
+    (1, 2),  # a proper prefix of the source: it ends at an interior node
+    (),  # a zero-length row
+    (1, 2, 6, 5, 3),  # the second instance's source
+    (1, 2, 6, 5, 4),
+    (1, 2, 6),
+)
+TRIE_SHAPE_SIZES = (6, 3)
+
+
+def random_trie_rows(rng, n_rows, vocab_size, max_len=9) -> list:
+    """``n_rows`` id rows in instances of a source and its variants: words
+    substituted, the row cut short or extended, or emptied, so that rows
+    share prefixes and suffixes as training chunks and n-best lists do."""
+    rows = []
+    while len(rows) < n_rows:
+        source = rng.integers(1, vocab_size, size=rng.integers(1, max_len)).tolist()
+        rows.append(source)
+        for _ in range(rng.integers(1, 6)):
+            row = list(source)
+            for k in rng.choice(len(row), size=rng.integers(1, 3)):
+                row[k] = int(rng.integers(1, vocab_size))
+            if rng.random() < 0.25:
+                cut = int(rng.integers(0, len(row) + 1))
+                row = row[:cut] + rng.integers(1, vocab_size, size=rng.integers(0, 3)).tolist()
+            rows.append(row)
+    return rows[:n_rows]
+
+
+def padded_lstm_gradients(w, b, emb, ids, lengths, dh_end):
+    """(states, d_w, d_b, d_emb) of the padded pair over right-padded
+    ``ids``, the gradient ``dh_end`` arriving at each row's state after its
+    last token: ``score_batch``'s forward direction before the trie."""
+    hs, steps = padded_lstm_forward(w, b, emb[ids])
+    dhs = [None] * (ids.shape[1] + 1)
+    for n in set(lengths.tolist()):
+        dhs[n] = dh_end * (lengths == n)[:, None]
+    grads = (np.zeros_like(w), np.zeros_like(b), np.zeros_like(emb))
+    padded_lstm_backward(w, steps, dhs, ids, *grads)
+    return (hs, *grads)
 
 
 def lstm_final_states(params, ids) -> np.ndarray:
@@ -438,7 +553,9 @@ def lm_hidden_states(params, ids):
     """h_0..h_l of the LSTM LM over one sentence as an (l+1, H) matrix (h_0
     is the zero state), and the per-step activations of the backward pass."""
     t = params.tensors
-    hs, steps = _lstm_forward(t["w"], t["b"], t["emb"][np.asarray(ids, dtype=np.intp).reshape(1, -1)])
+    hs, steps = padded_lstm_forward(
+        t["w"], t["b"], t["emb"][np.asarray(ids, dtype=np.intp).reshape(1, -1)]
+    )
     return hs[0], steps
 
 
@@ -926,9 +1043,9 @@ def force_lstm_path(monkeypatch, thread_work: float) -> list:
     monkeypatch.setattr(neural, "THREAD_WORK", thread_work)
     ran_on = []
     for name in ("_lstm_forward", "_lstm_backward"):
-        def spy(*args, _kernel=getattr(neural, name)):
+        def spy(*args, _kernel=getattr(neural, name), **kwargs):
             ran_on.append(threading.get_ident())
-            return _kernel(*args)
+            return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(neural, name, spy)
     return ran_on

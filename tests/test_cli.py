@@ -645,15 +645,15 @@ class TestTwoLstmThreads:
         serial, out1, threads1 = self.run(pipeline_dir, tmp_path / "a", monkeypatch, capsys, math.inf)
         threaded, out2, threads2 = self.run(pipeline_dir, tmp_path / "b", monkeypatch, capsys, 0.0)
         assert len(threads1) == 1 and len(threads2) == 2
-        assert "LSTM threads per 32-row chunk: 1" in out1
-        assert "LSTM threads per 32-row chunk: 2" in out2
+        assert f"LSTM threads per {neural.FUSE_ROWS}-row chunk: 1" in out1
+        assert f"LSTM threads per {neural.FUSE_ROWS}-row chunk: 2" in out2
         assert threaded == serial
 
     def test_mini_dims_stay_serial(self, pipeline_dir, tmp_path, monkeypatch, capsys):
         outputs, out, threads = self.run(
             pipeline_dir, tmp_path / "run", monkeypatch, capsys, neural.THREAD_WORK
         )
-        assert len(threads) == 1 and "LSTM threads per 32-row chunk: 1" in out
+        assert len(threads) == 1 and f"LSTM threads per {neural.FUSE_ROWS}-row chunk: 1" in out
         for name in ("reranker.bin", "train_log.csv"):
             assert outputs[name] == (pipeline_dir / name).read_bytes()
 

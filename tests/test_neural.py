@@ -31,6 +31,8 @@ from kbrerank.neural import (
     sgd_momentum_update,
 )
 from oracles import (
+    TRIE_SHAPE_ROWS,
+    TRIE_SHAPE_SIZES,
     finite_difference_check,
     force_lstm_path,
     in_order_chunks,
@@ -38,6 +40,8 @@ from oracles import (
     lstm_step,
     masked_sigmoid,
     padded_cells,
+    padded_lstm_gradients,
+    random_trie_rows,
     reference_sgd_momentum_update,
     score,
     score_alone,
@@ -399,6 +403,128 @@ class TestEmptyRows:
         assert grads["hidden_w"].any()
 
 
+class TestPrefixTrie:
+    """``neural._prefix_trie``: one node per distinct nonempty prefix,
+    numbered by depth, each node's children consecutive."""
+
+    @staticmethod
+    def check(rows):
+        ids, lengths = pad_ids(rows)
+        trie = neural._prefix_trie(ids, lengths)
+        prefixes = {tuple(row[:n]) for row in rows for n in range(1, len(row) + 1)}
+        assert len(trie.tokens) == 1 + len(prefixes)
+        for r, row in enumerate(rows):
+            path = trie.paths[r, : len(row) + 1]
+            assert path[0] == 0
+            assert trie.tokens[path[1:]].tolist() == list(row)
+            assert trie.parents[path[1:]].tolist() == path[:-1].tolist()
+        for t in range(1, len(trie.bounds)):
+            lo, hi = trie.bounds[t - 1], trie.bounds[t]
+            # a depth's parents are the depth before it, in order
+            assert np.all(np.diff(trie.parents[lo:hi]) >= 0)
+            assert np.all(trie.parents[lo:hi] >= (trie.bounds[t - 2] if t > 1 else 0))
+            assert np.all(trie.parents[lo:hi] < lo)
+            starts, parents = trie.runs(t)
+            assert starts[0] == 0 and parents.tolist() == sorted(set(trie.parents[lo:hi].tolist()))
+        return trie
+
+    def test_every_shape(self):
+        trie = self.check(TRIE_SHAPE_ROWS)
+        # the two instances share the nodes of 1 and 1 2, and 1 2 3 4 is
+        # one node for the source and its copy; the prefix 1 2 ends at an
+        # interior node, and the empty row at the root
+        assert len(trie.tokens) == 1 + 13
+        assert trie.paths[0, 4] == trie.paths[3, 4]
+        assert trie.paths[4, 2] == trie.paths[0, 2] == trie.paths[6, 2]
+        assert trie.paths[5, 0] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check(random_trie_rows(rng, int(rng.integers(1, 60)), 6))
+
+    def test_no_rows_and_empty_rows(self):
+        for rows in ([], [[]], [[], []]):
+            trie = self.check(rows)
+            assert trie.bounds == [1]
+
+
+def trie_shape_chunk(rng, dims=TINY):
+    """``TRIE_SHAPE_ROWS`` padded, with random bins and n-gram features."""
+    ids, lengths = pad_ids(TRIE_SHAPE_ROWS)
+    _, bins, feats = tiny_instance(rng, n_candidates=len(lengths), length=1)
+    return ids, lengths, bins, feats
+
+
+def instance_losses(u, sizes=TRIE_SHAPE_SIZES):
+    """Each instance's own softmax over its rows, correct row first."""
+    bounds = np.cumsum((0, *sizes))
+    out = [contrastive_loss(u[a:b], 0) for a, b in zip(bounds, bounds[1:])]
+    return sum(loss for loss, _ in out), np.concatenate([du for _, du in out])
+
+
+class TestTrieKernel:
+    """The prefix-trie LSTM kernel against finite differences and against
+    the padded kernel it replaced (``oracles.padded_lstm_forward``)."""
+
+    def test_every_trie_shape_matches_finite_differences(self):
+        # C1's check, on one chunk of two instances with every trie shape
+        params = RerankerParams.initialize(TINY, seed=SEED)
+        ids, lengths, bins, feats = trie_shape_chunk(np.random.default_rng(SEED))
+        u, cache = score_batch(params, ids, bins, feats, lengths=lengths)
+        _, du = instance_losses(u)
+        grads = backprop_batch(params, cache, du)
+
+        def loss_fn():
+            out, _ = score_batch(params, ids, bins, feats, lengths=lengths)
+            return instance_losses(out)[0]
+
+        bad = finite_difference_check(params, loss_fn, grads, rel=1e-4)
+        assert bad is None, f"gradient mismatch in tensor {bad}"
+        assert np.any(grads["emb"][6] != 0.0)
+
+    @pytest.mark.parametrize(
+        "dims, seed",
+        [((8, 8), 0), ((8, 8), 1), ((12, 12), 2), ((32, 32), 3), ((32, 32), 4)],
+    )
+    def test_matches_padded_kernel(self, dims, seed):
+        e_dim, hid = dims
+        rng = np.random.default_rng(seed)
+        vocab = 30
+        emb = rng.uniform(-0.5, 0.5, (vocab, e_dim))
+        w = rng.uniform(-0.3, 0.3, (4 * hid, e_dim + hid))
+        b = rng.uniform(-0.3, 0.3, 4 * hid)
+        rows = random_trie_rows(rng, int(rng.integers(16, 48)), vocab)
+        ids, lengths = pad_ids(rows)
+        dh_end = rng.normal(size=(len(rows), hid))
+        hs_pad, d_w_pad, d_b_pad, d_emb_pad = padded_lstm_gradients(w, b, emb, ids, lengths, dh_end)
+
+        trie = neural._prefix_trie(ids, lengths)
+        hs, acts = neural._lstm_forward(w, b, emb, trie)
+        # every row's state after each of its prefixes, bit for bit
+        real = np.arange(ids.shape[1] + 1) <= lengths[:, None]
+        assert np.array_equal(hs[trie.paths[real]], hs_pad[real])
+        assert np.array_equal(neural._lstm_forward(w, b, emb, trie, False)[0], hs)
+        assert len(trie.tokens) - 1 < lengths.sum()  # prefixes were shared
+
+        ends = trie.paths[np.arange(len(rows)), lengths]
+        dh = np.zeros_like(hs)
+        np.add.at(dh, ends, dh_end)
+        grads = (np.zeros_like(w), np.zeros_like(b), np.zeros_like(emb))
+        assert neural._lstm_backward(w, acts, trie, dh, *grads) is None
+        for got, expected in zip(grads, (d_w_pad, d_b_pad, d_emb_pad)):
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_unkept_cache_refuses_backprop(self):
+        params = RerankerParams.initialize(TINY, seed=1)
+        ids, lengths, bins, feats = trie_shape_chunk(np.random.default_rng(1))
+        u, cache = score_batch(params, ids, bins, feats, lengths=lengths, keep=False)
+        assert cache.acts_f is None and cache.acts_b is None
+        assert np.array_equal(u, score_batch(params, ids, bins, feats, lengths=lengths)[0])
+        with pytest.raises(ValueError, match="keep=True"):
+            backprop_batch(params, cache, np.ones(len(u)))
+
+
 class TestSigmoid:
     def test_tanh_form_matches_exp_form(self):
         x = np.concatenate([np.linspace(-800.0, 800.0, 200001), [-745.2, -37.0, 0.0, 37.0]])
@@ -601,12 +727,12 @@ class TestTwoThreads:
         forward = neural._lstm_forward
         finished = []
 
-        def sweep(w, b, emb_seq):
+        def sweep(w, *args):
             direction = "fwd" if w is params.tensors["fwd_w"] else "bwd"
             if direction == failing:
                 raise FloatingPointError(direction)
             time.sleep(0.2)  # the other direction fails first
-            out = forward(w, b, emb_seq)
+            out = forward(w, *args)
             finished.append(direction)
             return out
 

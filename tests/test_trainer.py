@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    TRIE_SHAPE_ROWS,
     dict_kb_index,
     extract_features,
     finite_difference_check,
@@ -12,7 +13,10 @@ from oracles import (
     lm_logprob,
     lstm_step,
     padded_cells,
+    padded_lstm_backward,
+    padded_lstm_forward,
     param_norm_sq,
+    random_trie_rows,
     reference_dropout_mask,
     reference_heldout_wer,
     reference_lm_logprob,
@@ -83,7 +87,8 @@ def mini_world():
         candidates.extend([sent.tokens, *(neg.tokens for neg in negset.negatives)])
         sizes.append(1 + len(negset.negatives))
     bins = np.array([b for b, _ in rows])
-    instances = group_inputs(candidates, bins, [f for _, f in rows], sizes, vocab)
+    ids = [vocab.encode(tokens) for tokens in candidates]
+    instances = group_inputs(ids, bins, [f for _, f in rows], sizes)
     dims = RerankerDims(vocab_size=vocab.size, word_dim=12, lstm_dim=12, hidden_dim=16)
     return {
         "world": world,
@@ -497,7 +502,9 @@ class TestChunkedScoring:
     """Held-out WER and decoding score many lists per call; each list's
     scores equal those of one call per list."""
 
-    def test_heldout_wer_matches_one_list_per_call(self, mini_world):
+    def test_heldout_wer_matches_one_list_per_call(self, mini_world, monkeypatch):
+        # the 100 held-out rows span several chunks
+        monkeypatch.setattr(neural, "FUSE_ROWS", 32)
         vocab, full = mini_world["vocab"], mini_world["full"]
         lists = list(mini_world["world"].heldout)
         unequal = unequal_length_lists(mini_world["world"])
@@ -579,6 +586,44 @@ class TestBatchedLm:
             params, lambda: self.run(params, mode, rows, noise_ids, log_kq, params.zero_grads()), grads
         )
         assert bad is None, f"gradient mismatch in {bad}"
+
+    @pytest.mark.parametrize("mode", trainer.LM_MODES)
+    def test_every_trie_shape_matches_finite_differences(self, mode):
+        # shared prefixes, identical rows, a row ending at an interior node
+        # and an empty row: a node's gradient sums every position read there
+        params, _, noise_ids, log_kq = self.setup_lm(seed=3)
+        rows = [np.array(row, dtype=np.intp) for row in TRIE_SHAPE_ROWS]
+        grads = params.zero_grads()
+        self.run(params, mode, rows, noise_ids, log_kq, grads)
+        bad = finite_difference_check(
+            params, lambda: self.run(params, mode, rows, noise_ids, log_kq, params.zero_grads()), grads
+        )
+        assert bad is None, f"gradient mismatch in {bad}"
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_matches_padded_kernel(self, seed):
+        # the state at every position bit for bit, and the gradients of a
+        # gradient arriving at every position within 1e-12
+        params, _, _, _ = self.setup_lm(seed=seed)
+        t = params.tensors
+        rng = np.random.default_rng(seed)
+        rows = random_trie_rows(rng, 40, 7)
+        batch = trainer._lm_forward(params, rows)
+        ids, lengths = pad_ids(rows)
+        real = np.arange(ids.shape[1] + 1) <= lengths[:, None]
+        hs, steps = padded_lstm_forward(t["w"], t["b"], t["emb"][ids])
+        assert np.array_equal(batch.hs, hs[real])
+        assert len(batch.trie.tokens) - 1 < lengths.sum()
+
+        dh = rng.normal(size=batch.hs.shape)
+        grads = params.zero_grads()
+        trainer._lm_backward(params, batch, dh, grads)
+        grid = np.zeros(real.shape + (dh.shape[1],))
+        grid[real] = dh
+        expected = {name: np.zeros_like(t[name]) for name in ("w", "b", "emb")}
+        padded_lstm_backward(t["w"], steps, grid.swapaxes(0, 1), ids, *expected.values())
+        for name, tensor in expected.items():
+            assert np.max(np.abs(grads[name] - tensor)) <= 1e-12 * np.max(np.abs(tensor)), name
 
     @pytest.mark.parametrize("mode", trainer.LM_MODES)
     def test_pad_id_leaves_loss_and_gradients_bit_identical(self, mode, monkeypatch):
