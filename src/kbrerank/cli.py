@@ -40,6 +40,7 @@ from .corpus import (
     load_vocabulary,
     save_corpus,
     save_vocabulary,
+    tokens_of,
 )
 from .neural import RerankerDims, RerankerParams, group_inputs
 from .synth import SynthConfig
@@ -166,7 +167,7 @@ _MIN_VALUES = {
     "ngram_order": 1,  # ngram.count_ngrams
     "neg_samples": 1,  # negsampler.sample_corpus_negatives
     "neg_keep": 1,  # negsampler.sample_corpus_negatives
-    "keep_top_m": 1,  # negsampler.filter_corpus_by_negative_quality
+    "keep_top_m": 1,  # negsampler.best_groups
     "word_dim": 1,
     "lstm_dim": 1,
     "hidden_dim": 1,
@@ -208,7 +209,7 @@ class Paths:
         self.kb_index = self.out / "kb_index.bin"
         self.folds = self.out / "folds.json"
         self.ngram_full = self.out / "ngram_full.bin"
-        self.negatives = self.out / "negatives.jsonl"
+        self.negatives = self.out / "negatives.bin"
         self.features = self.out / "features.jsonl"
         self.reranker = self.out / "reranker.bin"
         self.train_log = self.out / "train_log.csv"
@@ -240,9 +241,22 @@ def _load_vocab_checked(paths: Paths):
     return load_vocabulary(_require_file(paths.vocab, "run build-vocab first"))
 
 
-def _load_folds(paths: Paths) -> FoldAssignment:
-    data = json.loads(_require_file(paths.folds, "run train-ngram first").read_text())
-    return FoldAssignment(tuple(data["fold_of"]), data["k"])
+def _load_folds(paths: Paths, corpus: Corpus) -> FoldAssignment:
+    """The fold assignment ``train-ngram`` wrote: an int ``k`` and one int
+    fold per sentence of ``corpus``."""
+    path = _require_file(paths.folds, "run train-ngram first")
+    try:
+        data = json.loads(path.read_text())
+        fold_of = tuple(data["fold_of"])
+        if type(data["k"]) is not int or not all(type(f) is int for f in fold_of):
+            raise ValueError("k and every fold must be ints")
+        if len(fold_of) != len(corpus):
+            raise ValueError(f"{len(fold_of)} sentences have folds, the corpus has {len(corpus)}")
+        return FoldAssignment(fold_of, data["k"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path} does not fit the corpus {corpus.source_path} ({exc!r}); rerun train-ngram"
+        ) from exc
 
 
 def _load_ngram_checked(path: Path, vocab) -> ngram.NGramModel:
@@ -308,9 +322,9 @@ def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
     vocab = _load_vocab_checked(paths)
-    folds = _load_folds(paths)
+    folds = _load_folds(paths, corpus)
     fold_models = [_load_ngram_checked(paths.ngram_fold(f), vocab) for f in range(folds.k)]
-    negsets = negsampler.sample_corpus_negatives(
+    negs = negsampler.sample_corpus_negatives(
         corpus,
         negsampler.build_confusion_table(vocab),
         fold_models,
@@ -320,9 +334,9 @@ def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
         p_sub=cfg.neg_sub_prob,
         seed=cfg.seed,
     )
-    dropped = negsets.count(None)  # sentences without a confusable position leave training
-    negsampler.save_negative_sets(negsets, paths.negatives)
-    print(f"negatives: {len(corpus) - dropped} sentences sampled, {dropped} dropped")
+    sampled = len(negs.groups())  # sentences without a confusable position leave training
+    negsampler.save_negatives(negs, paths.negatives, vocab)
+    print(f"negatives: {sampled} sentences sampled, {len(corpus) - sampled} dropped")
     return 0
 
 
@@ -331,24 +345,16 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
     corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
     vocab = _load_vocab_checked(paths)
     index = kb.load_index(_require_file(paths.kb_index, "run build-kb-index first"))
-    folds = _load_folds(paths)
-    fold_models = [_load_ngram_checked(paths.ngram_fold(f), vocab) for f in range(folds.k)]
-    negsets = negsampler.load_negative_sets(
-        _require_file(paths.negatives, "run gen-negatives first"), corpus
+    negs = negsampler.load_negatives(
+        _require_file(paths.negatives, "run gen-negatives first"), corpus, vocab
     )
-    kept = negsampler.filter_corpus_by_negative_quality(corpus, negsets, cfg.keep_top_m)
-    source_lps = ngram.score_by_fold(
-        fold_models,
-        [folds.fold_of[sid] for sid in kept],
-        [vocab.encode(corpus[sid].tokens) for sid in kept],
-    ).tolist()
-    # one row per candidate: each kept source sentence, then its negatives
-    rows = []
-    for sid, source_lp in zip(kept, source_lps):
-        negset = negsets[sid]
-        rows.append((sid, 0, corpus[sid].tokens, source_lp))
-        for hyp_id, (sentence, lp) in enumerate(zip(negset.negatives, negset.lm_logprobs), 1):
-            rows.append((sid, hyp_id, sentence.tokens, lp))
+    kept = negsampler.best_groups(negs, cfg.keep_top_m)
+    # one row per candidate: each kept sentence, then its negatives
+    rows, lps = [], negs.logprob.tolist()
+    for group in kept:
+        sid, start, _ = group
+        for hyp_id, words in enumerate(negs.words(group, corpus, vocab)):
+            rows.append((sid, hyp_id, words, lps[start + hyp_id]))
     bins = features.feature_bins([tokens for _, _, tokens, _ in rows], index).tolist()
     names = [name for name, _ in features.BIN_FIELDS]
     with atomic_text_writer(paths.features) as fh:
@@ -374,8 +380,9 @@ def load_feature_instances(path, vocab) -> list:
     ascending ``sentence_id``, each one's rows by ``hypothesis_id``.
 
     The rows are read and checked in one pass, each into the columns and
-    then dropped: ids are ints, each row has exactly the dump's fields, each
-    score is a finite number >= 0 and each bin an integer in range
+    then dropped: ids are ints, each row has exactly the dump's fields, its
+    tokens are a list of strings, each score is a finite number >= 0 and each
+    bin an integer in range
     (``features.BIN_FIELDS``). A sentence's rows must be hypotheses 0..n-1
     with n >= 2: row 0 is the source sentence, the correct candidate, and
     the rest its negatives.
@@ -404,8 +411,8 @@ def load_feature_instances(path, vocab) -> list:
             bins.append(value)
         sids.append(rec["sentence_id"])
         hyp_ids.append(rec["hypothesis_id"])
+        ids.append(vocab.encode(tokens_of(rec["tokens"], f"{where}: tokens")))
         feats.append(score)
-        ids.append(vocab.encode(rec["tokens"]))
 
     sids, hyp_ids = np.frombuffer(sids, dtype=np.int64), np.frombuffer(hyp_ids, dtype=np.int64)
     bins = np.frombuffer(bins, dtype=np.int64).astype(np.intp).reshape(-1, len(features.BIN_FIELDS))

@@ -42,6 +42,13 @@ class Sentence:
         return " ".join(self.tokens)
 
 
+def tokens_of(value, field: str = "tokens") -> tuple[str, ...]:
+    """A JSON field of tokens as a tuple; it must be a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"{field} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def tokenize_line(line: str) -> Sentence:
     """Lowercase and split on whitespace runs; blank lines are an error."""
     toks = line.lower().split()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import atomic_text_writer, read_jsonl
-from .corpus import Sentence, Vocabulary
+from .corpus import Sentence, Vocabulary, tokens_of
 from .features import feature_bins
 from .kb import KBTables
 from .neural import RerankerParams, group_inputs, score_lists
@@ -296,14 +296,15 @@ def tune_weights(scored: ScoredSplit, scorer: str, grid) -> dict:
 
 
 def load_nbest(path) -> list[NBestList]:
-    """The n-best lists of a JSON-lines file; each first-pass score must be a
-    finite number, not a bool."""
+    """The n-best lists of a JSON-lines file; each token field must be a list
+    of strings and each first-pass score a finite number, not a bool."""
     dataset = []
     for lineno, rec in read_jsonl(path):
         try:
-            reference = Sentence(tuple(rec["reference"])) if rec.get("reference") else None
+            reference = rec.get("reference")
+            reference = Sentence(tokens_of(reference, "reference")) if reference else None
             hyps = tuple(
-                (Sentence(tuple(h["tokens"])), _first_pass_score(h["first_pass_score"]))
+                (Sentence(tokens_of(h["tokens"])), _first_pass_score(h["first_pass_score"]))
                 for h in rec["hypotheses"]
             )
             dataset.append(NBestList(str(rec["id"]), reference, hyps))

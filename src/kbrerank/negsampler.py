@@ -6,26 +6,26 @@ edit, the raw samples are ranked by n-gram log-probability, and only the most
 fluent few are kept so the artificial n-best lists resemble real recognizer
 confusions rather than word salad.
 
-Sampling runs on vocabulary ids in three steps: ``draw_negatives`` draws one
-sentence's distinct corruptions, ``ngram.score_ids`` scores many sentences'
-draws in one call, and ``keep_negatives`` builds ``Sentence``s for the kept
-few only. An id corruption stands for exactly one surface corruption: a
-candidate is a vocabulary word other than the word it replaces.
+Sampling runs on vocabulary ids in three steps, one jackknife fold at a
+time: ``draw_negatives`` draws one sentence's distinct corruptions,
+``ngram.score_ids`` scores the fold's sentences and their draws in one call,
+and ``keep_negatives`` keeps the best few. An id corruption stands for
+exactly one surface corruption: a candidate is a vocabulary word other than
+the word it replaces. The kept rows are one ``Negatives`` id array, saved as
+an artifact of kind ``negatives``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ngram
-from .artifacts import atomic_text_writer, check_vocab_hash, read_jsonl
-from .corpus import UNK, Corpus, Sentence, Vocabulary
+from .artifacts import ArtifactError, check_vocab_hash, load_artifact, save_artifact
+from .corpus import UNK, Corpus, Sentence, Vocabulary, pad_ids
 
 # consonant classes; vowels and h/w/y carry no code
 _CLASS_OF = {}
@@ -159,42 +159,6 @@ def build_confusion_table(vocab: Vocabulary) -> ConfusionTable:
     return ConfusionTable(vocab, candidate_ids)
 
 
-@dataclass(frozen=True)
-class NegativeSet:
-    """Kept corruptions of one source sentence, best n-gram score first."""
-
-    source: Sentence
-    negatives: tuple[Sentence, ...]
-    lm_logprobs: tuple[float, ...]
-    substituted_positions: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for lp in self.lm_logprobs:
-            finite = isinstance(lp, (int, float)) and abs(lp) <= sys.float_info.max
-            if isinstance(lp, bool) or not finite:
-                raise ValueError(f"lm_logprob must be a finite number, got {lp!r}")
-        for neg, positions in zip(self.negatives, self.substituted_positions):
-            if len(neg) != len(self.source):
-                raise ValueError("negative length differs from source")
-            diff = tuple(
-                i for i, (a, b) in enumerate(zip(self.source.tokens, neg.tokens)) if a != b
-            )
-            if diff != positions:
-                raise ValueError("recorded substitution positions are wrong")
-            if not positions:
-                raise ValueError("negative equals its source")
-
-    def mean_lm_logprob(self) -> float:
-        return sum(self.lm_logprobs) / len(self.lm_logprobs)
-
-
-def _check_keep(n_samples: int, keep_k: int) -> None:
-    if not 1 <= keep_k <= n_samples:
-        raise ValueError(
-            f"need 1 <= keep_k <= n_samples, got keep_k {keep_k}, n_samples {n_samples}"
-        )
-
-
 def draw_negatives(source_ids, table: ConfusionTable, n_samples: int, p_sub: float, seed: int):
     """Distinct id corruptions of one sentence, each mapped to the positions
     its first draw substituted, in first-draw order; None when no position
@@ -226,9 +190,9 @@ def _surface(sentence: Sentence, ids, positions, table: ConfusionTable) -> tuple
 
 def keep_negatives(
     sentence: Sentence, drawn: dict, scores, keep_k: int, table: ConfusionTable
-) -> NegativeSet:
-    """The ``keep_k`` draws best by (-score, surface tokens), as a
-    ``NegativeSet``; ``scores`` are the draws' n-gram log-probabilities."""
+) -> list:
+    """The ``keep_k`` draws best by (-score, surface tokens), best first, as
+    (ids, score) pairs; ``scores`` are the draws' n-gram log-probabilities."""
     draws = list(drawn.items())
     scores = np.asarray(scores).tolist()
     ranked = sorted(range(len(draws)), key=lambda i: -scores[i])
@@ -236,12 +200,36 @@ def keep_negatives(
         cut = -scores[ranked[keep_k - 1]]
         ranked = [i for i in ranked if -scores[i] <= cut]
     kept = sorted((-scores[i], _surface(sentence, *draws[i], table), i) for i in ranked)[:keep_k]
-    return NegativeSet(
-        source=sentence,
-        negatives=tuple(Sentence(tokens) for _, tokens, _ in kept),
-        lm_logprobs=tuple(scores[i] for _, _, i in kept),
-        substituted_positions=tuple(draws[i][1] for _, _, i in kept),
-    )
+    return [(draws[i][0], scores[i]) for _, _, i in kept]
+
+
+@dataclass(frozen=True, eq=False)
+class Negatives:
+    """Each sampled sentence's group of rows, in corpus order: its own ids,
+    then its kept negatives, best first; each row's corpus index, its ids
+    right-padded with 0 and its log-probability under the sentence's fold
+    model. A negative differs from its group's first row exactly at its
+    substituted positions: a candidate never equals the word it replaces,
+    and ``<unk>`` has no candidates."""
+
+    sentence: np.ndarray  # (n,) int64
+    ids: np.ndarray  # (n, L) int32
+    logprob: np.ndarray  # (n,) float64
+
+    def groups(self) -> list:
+        """(sentence, first row, end row) of each group, in corpus order."""
+        starts = np.flatnonzero(np.diff(self.sentence, prepend=-1)).tolist()
+        ends = [*starts[1:], len(self.sentence)]
+        return list(zip(self.sentence[starts].tolist(), starts, ends))
+
+    def words(self, group, corpus, vocab: Vocabulary) -> list:
+        """Each row of ``group`` (one of ``groups``) as words: its sentence's,
+        except where the row's ids differ from the sentence's own."""
+        sid, start, end = group
+        tokens = corpus[sid].tokens
+        rows = self.ids[start:end, : len(tokens)].tolist()
+        words, own = vocab.id_to_word, rows[0]
+        return [[t if i == o else words[i] for t, i, o in zip(tokens, row, own)] for row in rows]
 
 
 def sample_corpus_negatives(
@@ -253,36 +241,44 @@ def sample_corpus_negatives(
     keep_k: int,
     p_sub: float,
     seed: int,
-) -> list:
-    """Each sentence j's negatives: ``draw_negatives`` with the seed
-    ``derive_seed(seed, "neg", j)``, scored by ``fold_models[fold_of[j]]``,
-    then ``keep_negatives``; None where no position is confusable. Each
-    model's draws are scored in one call."""
-    _check_keep(n_samples, keep_k)
+) -> Negatives:
+    """Each sentence j's group: ``draw_negatives`` with the seed
+    ``derive_seed(seed, "neg", j)``, scored with the sentence itself by
+    ``fold_models[fold_of[j]]``, then ``keep_negatives``; a sentence without a
+    confusable position has no group. One fold at a time is drawn, scored in
+    one call and kept, so only one fold's draws are held at once."""
+    if not 1 <= keep_k <= n_samples:
+        raise ValueError(
+            f"need 1 <= keep_k <= n_samples, got keep_k {keep_k}, n_samples {n_samples}"
+        )
+    if len(fold_of) != len(corpus):
+        raise ValueError(f"{len(fold_of)} fold assignments for {len(corpus)} sentences")
     table_hash = table.vocab.content_hash()  # the draws are ids of the table's vocabulary
     for model in fold_models:
         check_vocab_hash(model.vocab.content_hash(), table_hash, "jackknife n-gram model")
-    drawn = [
-        draw_negatives(
-            table.vocab.encode(s.tokens), table, n_samples, p_sub, derive_seed(seed, "neg", j)
-        )
-        for j, s in enumerate(corpus)
-    ]
-    rows, row_folds = [], []
-    for j, draws in enumerate(drawn):
-        if draws is not None:
-            rows.extend(draws)
-            row_folds.extend([fold_of[j]] * len(draws))
-    scores = ngram.score_by_fold(fold_models, row_folds, rows)
-    negsets, row = [], 0
-    for sentence, draws in zip(corpus, drawn):
-        if draws is None:
-            negsets.append(None)
-            continue
-        own = scores[row : row + len(draws)]
-        negsets.append(keep_negatives(sentence, draws, own, keep_k, table))
-        row += len(draws)
-    return negsets
+    groups = [None] * len(corpus)
+    for fold, model in enumerate(fold_models):
+        drawn, rows = [], []
+        for j in (j for j, f in enumerate(fold_of) if f == fold):
+            own = table.vocab.encode(corpus[j].tokens)
+            draws = draw_negatives(own, table, n_samples, p_sub, derive_seed(seed, "neg", j))
+            if draws is not None:
+                drawn.append((j, draws))
+                rows += [own, *draws]
+        scores = ngram.score_ids(model, *pad_ids(rows)).tolist()
+        at = 0
+        for j, draws in drawn:
+            n = len(draws)
+            kept = keep_negatives(corpus[j], draws, scores[at + 1 : at + 1 + n], keep_k, table)
+            groups[j] = [(rows[at], scores[at]), *kept]
+            at += 1 + n
+    rows = [(j, ids, score) for j, group in enumerate(groups) if group for ids, score in group]
+    ids, _ = pad_ids([ids for _, ids, _ in rows])
+    return Negatives(
+        sentence=np.array([j for j, _, _ in rows], dtype=np.int64),
+        ids=ids.astype(np.int32),
+        logprob=np.array([score for _, _, score in rows], dtype=np.float64),
+    )
 
 
 def derive_seed(global_seed: int, *parts) -> int:
@@ -291,73 +287,64 @@ def derive_seed(global_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
 
 
-def negative_quality_ranking(negsets) -> list[int]:
-    """Indices sorted by mean n-gram log-probability of the kept negatives,
-    best first; missing sets sort last. Ties keep original order."""
-    def sort_key(i):
-        ns = negsets[i]
-        return (-ns.mean_lm_logprob() if ns is not None else float("inf"), i)
-
-    return sorted(range(len(negsets)), key=sort_key)
-
-
-def filter_corpus_by_negative_quality(corpus: Corpus, negsets, top_m: int) -> list[int]:
-    """Indices, in corpus order, of the ``top_m`` sentences whose negatives
-    the n-gram model likes most; sentences without negatives are never kept."""
+def best_groups(negs: Negatives, top_m: int) -> list:
+    """The ``top_m`` groups (``Negatives.groups``) whose negatives the n-gram
+    model likes most by mean log-probability, in corpus order; ties keep
+    corpus order. Each mean sums its group's scores in row order."""
     if top_m <= 0:
         raise ValueError("top_m must be positive")
-    if len(negsets) != len(corpus):
-        raise ValueError("negative sets must align with the corpus")
-    ranked = [i for i in negative_quality_ranking(negsets) if negsets[i] is not None]
-    return sorted(ranked[:top_m])
+    scores = negs.logprob.tolist()
+    # a group's negatives are its rows after the first
+    means = {g: sum(scores[g[1] + 1 : g[2]]) / (g[2] - g[1] - 1) for g in negs.groups()}
+    return sorted(sorted(means, key=lambda g: -means[g])[:top_m])
 
 
-def save_negative_sets(negsets, path) -> None:
-    """JSON-lines dump; sentences without a set are skipped."""
-    with atomic_text_writer(path) as fh:
-        for source_id, ns in enumerate(negsets):
-            if ns is None:
-                continue
-            rec = {
-                "source_id": source_id,
-                "negatives": [
-                    {
-                        "tokens": list(neg.tokens),
-                        "lm_logprob": lp,
-                        "substituted_positions": list(pos),
-                    }
-                    for neg, lp, pos in zip(
-                        ns.negatives, ns.lm_logprobs, ns.substituted_positions
-                    )
-                ],
-            }
-            fh.write(json.dumps(rec) + "\n")
+_KIND = "negatives"
+_MEMBERS = {"sentence": (np.int64, 1), "ids": (np.int32, 2), "logprob": (np.float64, 1)}
 
 
-def load_negative_sets(path, corpus: Corpus) -> list:
-    """Rebuild per-sentence sets aligned with the corpus (None where absent).
+def save_negatives(negs: Negatives, path, vocab: Vocabulary) -> None:
+    save_artifact(path, _KIND, vars(negs), vocab=vocab)
 
-    Each record's ``source_id`` must be an int in [0, len(corpus)) that no
-    other record names; each set is checked as a ``NegativeSet``.
-    """
-    negsets: list = [None] * len(corpus)
-    for lineno, rec in read_jsonl(path):
-        sid = rec.get("source_id")
-        if type(sid) is not int or not 0 <= sid < len(corpus):
-            raise ValueError(
-                f"{path}:{lineno}: source_id must be an int in [0, {len(corpus)}), got {sid!r}"
+
+def load_negatives(path, corpus: Corpus, vocab: Vocabulary) -> Negatives:
+    """The negatives of ``corpus`` saved against ``vocab``, checked as
+    columns: each member's dtype and shape, ids in [0, V), finite scores,
+    groups in ascending corpus order, each starting with its sentence's own
+    ids and holding at least one negative of that length that differs from
+    it. Each fault names the file and, where there is one, the sentence."""
+    _, arrays = load_artifact(path, _KIND, lambda header: dict.fromkeys(_MEMBERS), vocab)
+    rows = arrays["sentence"].shape[:1]  # (n,) for a column
+    for name, (dtype, ndim) in _MEMBERS.items():
+        array = arrays[name]
+        if array.dtype != dtype or array.ndim != ndim or array.shape[:1] != rows:
+            raise ArtifactError(
+                f"{path}: member {name!r} is {array.dtype} of shape {array.shape}, expected "
+                f"{np.dtype(dtype)} with {ndim} dimension(s) and the sentence column's rows"
             )
-        if negsets[sid] is not None:
-            raise ValueError(f"{path}:{lineno}: duplicate source_id {sid}")
-        try:
-            negsets[sid] = NegativeSet(
-                source=corpus[sid],
-                negatives=tuple(Sentence(tuple(n["tokens"])) for n in rec["negatives"]),
-                lm_logprobs=tuple(n["lm_logprob"] for n in rec["negatives"]),
-                substituted_positions=tuple(
-                    tuple(n["substituted_positions"]) for n in rec["negatives"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: malformed negative set ({exc!r})") from exc
-    return negsets
+    negs = Negatives(**arrays)
+    sentence = negs.sentence
+
+    def refuse(bad_rows, fault):
+        if bad_rows.any():
+            row = int(np.argmax(bad_rows))
+            raise ArtifactError(f"{path}: sentence {sentence[row]}: {fault}")
+
+    refuse((sentence < 0) | (sentence >= len(corpus)), f"index outside [0, {len(corpus)})")
+    refuse(np.diff(sentence, prepend=sentence[:1]) < 0, "groups not in ascending corpus order")
+    bad_ids = (negs.ids < 0) | (negs.ids >= vocab.size)
+    refuse(bad_ids.any(axis=1), f"id outside [0, {vocab.size})")
+    refuse(~np.isfinite(negs.logprob), "logprob is not finite")
+    first = np.diff(sentence, prepend=-1) != 0  # each group's first row
+    group = np.cumsum(first) - 1  # each row's group
+    # each row beside its sentence's own ids, both padded to one width
+    own, lengths = pad_ids([vocab.encode(corpus[j].tokens) for j in sentence[first].tolist()])
+    width = max(negs.ids.shape[1], own.shape[1])
+    ids = np.pad(negs.ids, ((0, 0), (0, width - negs.ids.shape[1])))
+    source = np.pad(own.astype(np.int32), ((0, 0), (0, width - own.shape[1])))[group]
+    refuse(first & (ids != source).any(axis=1), "group does not start with the sentence's own ids")
+    refuse(first & (np.bincount(group)[group] < 2), "group holds no negative")
+    past_end = np.arange(width) >= lengths[group, None]
+    refuse(~first & (past_end & (ids != 0)).any(axis=1), "negative of another length")
+    refuse(~first & (ids == source).all(axis=1), "negative equals its sentence")
+    return negs

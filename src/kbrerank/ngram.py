@@ -337,19 +337,6 @@ def score_sentences(model: NGramModel, sentences) -> np.ndarray:
     return score_ids(model, ids, lengths)
 
 
-def score_by_fold(models, fold_of_rows, rows) -> np.ndarray:
-    """Score each id row with the model of its fold, one ``score_ids`` call
-    per fold."""
-    fold_of_rows = np.asarray(fold_of_rows, dtype=np.intp)
-    out = np.zeros(len(rows))
-    for fold, model in enumerate(models):
-        picked = np.flatnonzero(fold_of_rows == fold)
-        if len(picked):
-            ids, lengths = pad_ids([rows[i] for i in picked])
-            out[picked] = score_ids(model, ids, lengths)
-    return out
-
-
 def save_model(model: NGramModel, path) -> None:
     arrays = {f"{name}{i}": a for name in _TABLES for i, a in enumerate(getattr(model, name))}
     meta = {"order": model.order, "trained_on_folds": list(model.trained_on_folds)}

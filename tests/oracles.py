@@ -20,11 +20,15 @@ kernel of ``kbrerank.features``. The single-sentence helpers below wrap the
 batched production calls for tests that score one candidate or one sentence
 at a time, and ``map_token``, ``indices_of`` and ``candidates_of`` read a
 vocabulary, a fold assignment and a confusion table the way only tests need.
+``NegativeSet`` holds one sentence's kept negatives as sentences, checked
+word by word against their source, and ``negative_sets`` rebuilds such sets
+from the sampler's id arrays.
 """
 
 import math
 import os
 import random
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -42,7 +46,7 @@ from kbrerank.features import (
     max_span_pairs,
 )
 from kbrerank.kb import PairTable
-from kbrerank.negsampler import NegativeSet, derive_seed
+from kbrerank.negsampler import derive_seed
 from kbrerank.neural import (
     _sigmoid,
     backprop_batch,
@@ -781,6 +785,63 @@ def dict_export_arpa(model: DictNGramModel, path) -> None:
                     line += f"\t{model.logbackoff[gram] / ln10:.7f}"
                 fh.write(line + "\n")
         fh.write("\n\\end\\\n")
+
+
+@dataclass(frozen=True)
+class NegativeSet:
+    """Kept corruptions of one source sentence, best n-gram score first: the
+    per-sentence reference record of ``kbrerank.negsampler.Negatives``, each
+    negative checked word by word against its source."""
+
+    source: Sentence
+    negatives: tuple[Sentence, ...]
+    lm_logprobs: tuple[float, ...]
+    substituted_positions: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for lp in self.lm_logprobs:
+            finite = isinstance(lp, (int, float)) and abs(lp) <= sys.float_info.max
+            if isinstance(lp, bool) or not finite:
+                raise ValueError(f"lm_logprob must be a finite number, got {lp!r}")
+        for neg, positions in zip(self.negatives, self.substituted_positions):
+            if len(neg) != len(self.source):
+                raise ValueError("negative length differs from source")
+            diff = tuple(
+                i for i, (a, b) in enumerate(zip(self.source.tokens, neg.tokens)) if a != b
+            )
+            if diff != positions:
+                raise ValueError("recorded substitution positions are wrong")
+            if not positions:
+                raise ValueError("negative equals its source")
+
+    def mean_lm_logprob(self) -> float:
+        return sum(self.lm_logprobs) / len(self.lm_logprobs)
+
+
+def negative_sets(negs, corpus, vocab) -> list:
+    """Per-sentence ``NegativeSet`` views of a ``Negatives`` record, aligned
+    with ``corpus`` (None where a sentence has no group). A negative's
+    substituted positions are those where its ids differ from its group's
+    first row, and its words are the source's with those positions decoded."""
+    sets = [None] * len(corpus)
+    for sid, start, end in negs.groups():
+        source = corpus[sid]
+        own, *rows = negs.ids[start:end].tolist()
+        negatives, positions = [], []
+        for row in rows:
+            diff = tuple(i for i, (a, b) in enumerate(zip(own, row)) if a != b)
+            tokens = list(source.tokens)
+            for i in diff:
+                tokens[i] = vocab.id_to_word[row[i]]
+            negatives.append(Sentence(tuple(tokens)))
+            positions.append(diff)
+        sets[sid] = NegativeSet(
+            source=source,
+            negatives=tuple(negatives),
+            lm_logprobs=tuple(negs.logprob[start + 1 : end].tolist()),
+            substituted_positions=tuple(positions),
+        )
+    return sets
 
 
 def reference_sample_negatives(sentence, table, lm: DictNGramModel, n_samples, keep_k, p_sub, seed):

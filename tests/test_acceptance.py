@@ -28,6 +28,7 @@ from oracles import (
     exhaustive_wer,
     finite_difference_check,
     lm_hidden_states,
+    negative_sets,
     reference_bins,
 )
 
@@ -255,10 +256,11 @@ def test_c5_negative_sampling_contract(feature_world, capsys):
     table = build_confusion_table(vocab)
 
     def generate():
-        return sample_corpus_negatives(world.train, table, [model], [0] * len(world.train),
+        negs = sample_corpus_negatives(world.train, table, [model], [0] * len(world.train),
                                        n_samples=30, keep_k=5, p_sub=0.3, seed=SEED)
+        return negs, negative_sets(negs, world.train, vocab)
 
-    first = generate()
+    first_arrays, first = generate()
     sampled = [ns for ns in first if ns is not None]
     assert len(sampled) >= 990  # synthetic words are almost always confusable
     for ns in sampled:
@@ -271,8 +273,10 @@ def test_c5_negative_sampling_contract(feature_world, capsys):
             for pos in positions:
                 assert neg.tokens[pos] in candidates_of(table, ns.source.tokens[pos])
 
-    second = generate()
+    second_arrays, second = generate()
     assert first == second
+    for name in ("sentence", "ids", "logprob"):
+        assert np.array_equal(getattr(first_arrays, name), getattr(second_arrays, name))
     blob_a = json.dumps([None if ns is None else [list(n.tokens) for n in ns.negatives] for ns in first])
     blob_b = json.dumps([None if ns is None else [list(n.tokens) for n in ns.negatives] for ns in second])
     assert blob_a == blob_b

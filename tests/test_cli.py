@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kbrerank import features, ngram, neural, trainer
+from kbrerank import features, negsampler, ngram, neural, trainer
 from kbrerank.artifacts import atomic_text_writer, save_artifact
 from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
-from kbrerank.corpus import build_vocabulary, corpus_from_lines, load_vocabulary
+from kbrerank.corpus import build_vocabulary, corpus_from_lines, load_corpus, load_vocabulary
 from oracles import force_lstm_path
 
 
@@ -246,7 +246,7 @@ class TestCliErrors:
         )
         assert code == 1
         assert "need 1 <= keep_k <= n_samples" in capsys.readouterr().err
-        assert not (tmp_path / "negatives.jsonl").exists()
+        assert not (tmp_path / "negatives.bin").exists()
 
 
 class TestAtomicTextWriter:
@@ -307,7 +307,7 @@ class TestPipeline:
         for name in (
             "kb.tsv", "train.txt", "heldout.jsonl", "test.jsonl", "vocab.tsv",
             "kb_index.bin", "folds.json", "ngram_full.bin", "ngram_fold0.bin",
-            "negatives.jsonl", "features.jsonl", "reranker.bin", "train_log.csv",
+            "negatives.bin", "features.jsonl", "reranker.bin", "train_log.csv",
             "lstm_lm.bin", "summary.txt",
         ):
             assert (pipeline_dir / name).exists(), name
@@ -373,6 +373,19 @@ class TestPipeline:
     def test_features_keep_top_m_sentences(self, pipeline_dir):
         lines = (pipeline_dir / "features.jsonl").read_text().splitlines()
         assert len({json.loads(l)["sentence_id"] for l in lines}) == 150
+
+    def test_extract_features_reads_no_ngram_model(self, pipeline_dir, tmp_path):
+        # gen-negatives scored every sentence with its draws
+        run = copy_run(pipeline_dir, tmp_path)
+        for name in ("folds.json", "features.jsonl"):
+            (run / name).unlink()
+        models = sorted(run.glob("ngram_*.bin"))
+        assert len(models) == 5
+        for path in models:
+            path.unlink()
+        assert stage("extract-features", run) == 0
+        written = (run / "features.jsonl").read_bytes()
+        assert written == (pipeline_dir / "features.jsonl").read_bytes()
 
     @pytest.mark.parametrize("top_m", ["0", "-1"])
     def test_extract_features_rejects_non_positive_keep_top_m(
@@ -682,38 +695,148 @@ def stage(command, run, *extra):
 
 
 class TestInputRecords:
-    """Each JSON-lines reader names the file and line of a bad record."""
+    """Each input reader names the file and the line or the sentence of a
+    bad record."""
 
-    @pytest.mark.parametrize("source_id", [-1, 250, "duplicate", "3"])
-    def test_bad_source_id_fails_extract_features(self, pipeline_dir, tmp_path, capsys, source_id):
-        run = copy_run(pipeline_dir, tmp_path)
-        assert len((run / "train.txt").read_text().splitlines()) == 250
-        lines = (run / "negatives.jsonl").read_text().splitlines(keepends=True)
-        rec = json.loads(lines[1])
-        rec["source_id"] = json.loads(lines[0])["source_id"] if source_id == "duplicate" else source_id
-        lines[1] = json.dumps(rec) + "\n"
-        (run / "negatives.jsonl").write_text("".join(lines))
+    @staticmethod
+    def damage_negatives(run, edit):
+        """Rewrite ``negatives.bin`` after ``edit(arrays, groups)``, where
+        ``groups`` holds each group's (sentence, first row, end row), and
+        delete ``features.jsonl``; returns the path and what ``edit``
+        returns, the sentence the error must name."""
+        path, named = run / "negatives.bin", []
         (run / "features.jsonl").unlink()
+        rewrite_artifact(
+            path, lambda header, arrays: named.append(edit(arrays, groups_of(arrays["sentence"])))
+        )
+        return path, named[0]
+
+    def fails_extract_features(self, run, capsys, message):
         capsys.readouterr()
         assert stage("extract-features", run) == 1
         err = capsys.readouterr().err
-        assert f"{run / 'negatives.jsonl'}:2: " in err
-        assert ("duplicate source_id" if source_id == "duplicate" else "source_id must be an int") in err
+        assert message in err
         assert "Traceback" not in err
         assert not (run / "features.jsonl").exists()
+
+    @pytest.mark.parametrize("source_id", [-1, 250, "3", "duplicate", "descending"])
+    def test_bad_source_id_fails_extract_features(self, pipeline_dir, tmp_path, capsys, source_id):
+        # the sentence column: an index outside the corpus, a column of
+        # strings, a group repeated after another, two groups swapped
+        run = copy_run(pipeline_dir, tmp_path)
+        assert len((run / "train.txt").read_text().splitlines()) == 250
+
+        def edit(arrays, groups):
+            (a, _, end_a), (_, start_b, end_b), (_, start_c, end_c) = groups[:3]
+            sentence = arrays["sentence"]
+            if source_id == "3":
+                arrays["sentence"] = sentence.astype(str)
+            elif source_id == "duplicate":
+                sentence[start_c:end_c] = a
+            elif source_id == "descending":
+                order = np.r_[start_b:end_b, 0:end_a, end_b : len(sentence)]
+                arrays.update({name: column[order] for name, column in arrays.items()})
+            else:
+                sentence[start_b:end_b] = source_id
+                return source_id
+            return a  # the first group's sentence, now after a later one
+
+        path, named = self.damage_negatives(run, edit)
+        message = {
+            "3": "member 'sentence' is <U",
+            -1: "index outside [0, 250)",
+            250: "index outside [0, 250)",
+        }.get(source_id, "groups not in ascending corpus order")
+        if source_id != "3":
+            message = f"sentence {named}: {message}"
+        self.fails_extract_features(run, capsys, f"{path}: {message}")
+
+    # a logprob column of another dtype, or a score that is not finite
+    LOGPROB_FAULTS = {
+        '"x"': (lambda lp: lp.astype(str), "member 'logprob' is <U"),
+        "true": (lambda lp: lp.astype(bool), "member 'logprob' is bool"),
+        "null": (lambda lp: lp.astype(np.float32), "member 'logprob' is float32"),
+        "NaN": (lambda lp: np.r_[lp[:1], math.nan, lp[2:]], "logprob is not finite"),
+        "1e400": (lambda lp: np.r_[lp[:1], math.inf, lp[2:]], "logprob is not finite"),
+        "-Infinity": (lambda lp: np.r_[lp[:1], -math.inf, lp[2:]], "logprob is not finite"),
+    }
+
+    @pytest.mark.parametrize("raw", ['"x"', "true", "NaN", "1e400", "-Infinity", "null"])
+    def test_bad_lm_logprob_fails_extract_features(self, pipeline_dir, tmp_path, capsys, raw):
+        # each would fail later, or reorder keep_top_m's ranking silently
+        run = copy_run(pipeline_dir, tmp_path)
+        fault, message = self.LOGPROB_FAULTS[raw]
+
+        def edit(arrays, groups):
+            arrays["logprob"] = fault(arrays["logprob"])
+            return groups[0][0]  # row 1 is the first group's first negative
+
+        path, named = self.damage_negatives(run, edit)
+        where = f"{path}: " if "member" in message else f"{path}: sentence {named}: "
+        self.fails_extract_features(run, capsys, where + message)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("no_negative", "group holds no negative"),
+            ("no_source", "group does not start with the sentence's own ids"),
+            ("longer", "negative of another length"),
+            ("equal", "negative equals its sentence"),
+            ("id_too_large", "id outside [0, "),
+            ("id_negative", "id outside [0, "),
+        ],
+    )
+    def test_bad_group_fails_extract_features(
+        self, pipeline_dir, tmp_path, capsys, damage, message
+    ):
+        run = copy_run(pipeline_dir, tmp_path)
+        corpus = load_corpus(run / "train.txt")
+        vocab_size = load_vocabulary(run / "vocab.tsv").size
+
+        def edit(arrays, groups):
+            ids = arrays["ids"]
+            # the group of the shortest sentence, so that its rows have padding
+            sid, start, end = min(groups, key=lambda g: len(corpus[g[0]]))
+            assert len(corpus[sid]) < ids.shape[1]
+            drop = {"no_negative": range(start + 1, end), "no_source": [start]}.get(damage)
+            if drop is not None:
+                keep = np.setdiff1d(np.arange(len(ids)), list(drop))
+                arrays.update({name: column[keep] for name, column in arrays.items()})
+            elif damage == "longer":
+                ids[start + 1, len(corpus[sid])] = 1
+            elif damage == "equal":
+                ids[start + 1] = ids[start]
+            else:
+                ids[start + 1, 0] = vocab_size if damage == "id_too_large" else -1
+            return sid
+
+        path, sid = self.damage_negatives(run, edit)
+        self.fails_extract_features(run, capsys, f"{path}: sentence {sid}: {message}")
+
+    @pytest.mark.parametrize(
+        "name, edit, shape",
+        [
+            ("ids", lambda a: a["ids"][1:], lambda n, width: (n - 1, width)),
+            ("ids", lambda a: a["ids"][:, 0], lambda n, width: (n,)),
+            ("sentence", lambda a: a["sentence"][0], lambda n, width: ()),
+            ("logprob", lambda a: a["logprob"][:, None], lambda n, width: (n, 1)),
+        ],
+    )
+    def test_negatives_member_of_another_shape(
+        self, pipeline_dir, tmp_path, capsys, name, edit, shape
+    ):
+        run = copy_run(pipeline_dir, tmp_path)
+        before = np.load(run / "negatives.bin")["ids"].shape
+        path, _ = self.damage_negatives(run, lambda arrays, _: arrays.update({name: edit(arrays)}))
+        dtype = {"sentence": "int64", "ids": "int32", "logprob": "float64"}[name]
+        message = f"{path}: member {name!r} is {dtype} of shape {shape(*before)}, expected {dtype}"
+        self.fails_extract_features(run, capsys, message)
 
     @staticmethod
     def truncate(path, line):
         """Cut ``path`` in the middle of its ``line``-th record."""
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[: line - 1]) + lines[line - 1][: len(lines[line - 1]) // 2])
-
-    def test_truncated_negatives(self, pipeline_dir, tmp_path, capsys):
-        run = copy_run(pipeline_dir, tmp_path)
-        self.truncate(run / "negatives.jsonl", 3)
-        capsys.readouterr()
-        assert stage("extract-features", run) == 1
-        assert f"{run / 'negatives.jsonl'}:3: malformed JSON" in capsys.readouterr().err
 
     def test_truncated_features(self, pipeline_dir, tmp_path, capsys):
         run = copy_run(pipeline_dir, tmp_path)
@@ -747,24 +870,6 @@ class TestInputRecords:
         assert f"{run / 'features.jsonl'}:5: {key} must be an int, got {2**64}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("raw", ['"x"', "true", "NaN", "1e400", "-Infinity", "null"])
-    def test_bad_lm_logprob_fails_extract_features(self, pipeline_dir, tmp_path, capsys, raw):
-        # each would fail later, or reorder keep_top_m's ranking silently
-        run = copy_run(pipeline_dir, tmp_path)
-        lines = (run / "negatives.jsonl").read_text().splitlines(keepends=True)
-        rec = json.loads(lines[1])
-        rec["negatives"][0]["lm_logprob"] = "__LP__"
-        lines[1] = json.dumps(rec).replace('"__LP__"', raw) + "\n"
-        (run / "negatives.jsonl").write_text("".join(lines))
-        (run / "features.jsonl").unlink()
-        capsys.readouterr()
-        assert stage("extract-features", run) == 1
-        err = capsys.readouterr().err
-        assert f"{run / 'negatives.jsonl'}:2: malformed negative set" in err
-        assert "lm_logprob must be a finite number" in err
-        assert "Traceback" not in err
-        assert not (run / "features.jsonl").exists()
-
     @pytest.mark.parametrize("raw", ["NaN", "Infinity", "1e400", "true", '"3.0"', "null"])
     @pytest.mark.parametrize("command", ["rerank", "evaluate"])
     def test_bad_first_pass_score(self, pipeline_dir, tmp_path, capsys, command, raw):
@@ -789,6 +894,102 @@ class TestInputRecords:
         capsys.readouterr()
         assert stage("rerank", run, "--nbest", str(run / "test.jsonl"), "--scorer", "first-pass") == 1
         assert f"{run / 'test.jsonl'}:2: malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("reference", "play"), ("tokens", "play"), ("tokens", [1, 2]), ("reference", ["a", None])],
+    )
+    @pytest.mark.parametrize("command", ["rerank", "evaluate"])
+    def test_nbest_tokens_not_a_list_of_strings(
+        self, pipeline_dir, tmp_path, capsys, command, field, value
+    ):
+        # a string would load as one-letter words, an int fail as a traceback
+        run = copy_run(pipeline_dir, tmp_path)
+        lines = (run / "test.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        if field == "reference":
+            rec["reference"] = value
+        else:
+            rec["hypotheses"][-1]["tokens"] = value
+        lines[2] = json.dumps(rec) + "\n"
+        path = run / "bad.jsonl"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert stage(command, run, "--nbest", str(path), "--scorer", "first-pass") == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: malformed n-best record" in err
+        assert f"{field} must be a list of strings, got {value!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["a b", [1, 2], ["a", None], None])
+    def test_feature_tokens_not_a_list_of_strings(self, pipeline_dir, tmp_path, capsys, value):
+        run = copy_run(pipeline_dir, tmp_path)
+        lines = (run / "features.jsonl").read_text().splitlines(keepends=True)
+        rec = json.loads(lines[4])
+        rec["tokens"] = value
+        lines[4] = json.dumps(rec) + "\n"
+        (run / "features.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        assert stage("train-reranker", run) == 1
+        err = capsys.readouterr().err
+        sid = rec["sentence_id"]
+        message = f"tokens must be a list of strings, got {value!r}"
+        assert f"{run / 'features.jsonl'}: sentence_id {sid}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "damage", ["longer", "shorter", "no_fold_of", "float_fold", "not_json"]
+    )
+    def test_folds_not_fitting_the_corpus_fail_gen_negatives(
+        self, pipeline_dir, tmp_path, capsys, damage
+    ):
+        # 40 more balanced entries would pass silently, one fewer fail as a
+        # traceback, a record without fold_of print only the key
+        run = copy_run(pipeline_dir, tmp_path)
+        path = run / "folds.json"
+        folds = json.loads(path.read_text())
+        fold_of, k = folds["fold_of"], folds["k"]
+        if damage == "longer":
+            fold_of += [i % k for i in range(40)]
+        elif damage == "shorter":
+            largest = max(range(k), key=fold_of.count)
+            del fold_of[len(fold_of) - 1 - fold_of[::-1].index(largest)]
+        elif damage == "no_fold_of":
+            del folds["fold_of"]
+        elif damage == "float_fold":
+            fold_of[0] = float(fold_of[0])
+        path.write_text("{" if damage == "not_json" else json.dumps(folds))
+        (run / "negatives.bin").unlink()
+        capsys.readouterr()
+        assert stage("gen-negatives", run) == 1
+        err = capsys.readouterr().err
+        corpus = run / "train.txt"
+        expected = {
+            "longer": "ValueError('290 sentences have folds, the corpus has 250')",
+            "shorter": "ValueError('249 sentences have folds, the corpus has 250')",
+            "no_fold_of": "KeyError('fold_of')",
+            "float_fold": "ValueError('k and every fold must be ints')",
+            "not_json": "JSONDecodeError(",
+        }[damage]
+        assert f"{path} does not fit the corpus {corpus} ({expected}" in err
+        assert "; rerun train-ngram" in err
+        assert "Traceback" not in err
+        assert not (run / "negatives.bin").exists()
+
+
+class TestFormatDocs:
+    def test_every_binary_kind_named_in_readme(self, pipeline_dir):
+        # README's binary-artifacts entry lists the kinds a reader may meet
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        entry = readme[readme.index("- binary artifacts (") :]
+        entry = entry[: entry.index("\n- ")]
+        kinds = {}
+        for path in sorted(pipeline_dir.glob("*.bin")):
+            with np.load(path, allow_pickle=False) as archive:
+                kinds[path.name] = json.loads(archive["header"].item())["kind"]
+        written = {"kb_index.bin", "ngram_full.bin", "negatives.bin", "reranker.bin", "lstm_lm.bin"}
+        assert written <= kinds.keys()
+        assert {name: kind for name, kind in kinds.items() if f"`{kind}`" not in entry} == {}
 
 
 class TestModelsLoaded:
@@ -845,6 +1046,19 @@ def resave_reranker(path, vocab):
     neural.RerankerParams.load(path, load_vocabulary(path.parent / "vocab.tsv")).save(path, vocab)
 
 
+def resave_negatives(path, vocab):
+    run = path.parent
+    corpus, own = load_corpus(run / "train.txt"), load_vocabulary(run / "vocab.tsv")
+    negsampler.save_negatives(negsampler.load_negatives(path, corpus, own), path, vocab)
+
+
+def groups_of(sentence) -> list:
+    """(sentence, first row, end row) of each run of equal values in a
+    negatives file's sentence column."""
+    starts = np.flatnonzero(np.diff(sentence, prepend=-1)).tolist()
+    return list(zip(sentence[starts].tolist(), starts, [*starts[1:], len(sentence)]))
+
+
 def resave_lstm(path, vocab):
     lm = trainer.LstmLmParams.load(path, load_vocabulary(path.parent / "vocab.tsv"))
     trainer.LstmLmParams(lm.dims, lm.tensors, vocab).save(path)
@@ -863,6 +1077,7 @@ class TestHostileArtifacts:
         "ngram_full.bin": (("rerank", "--scorer", "ngram"), "kb_index.bin", resave_ngram),
         "reranker.bin": (("rerank", "--scorer", "reranker"), "lstm_lm.bin", resave_reranker),
         "lstm_lm.bin": (("rerank", "--scorer", "lstm"), "reranker.bin", resave_lstm),
+        "negatives.bin": (("extract-features",), "kb_index.bin", resave_negatives),
     }
 
     def fails(self, run, name, capsys, message):
@@ -899,7 +1114,9 @@ class TestHostileArtifacts:
         shutil.copyfile(run / self.CASES[name][1], run / name)
         self.fails(run, name, capsys, "artifact, found '")
 
-    @pytest.mark.parametrize("name", ["ngram_full.bin", "reranker.bin", "lstm_lm.bin"])
+    @pytest.mark.parametrize(
+        "name", ["ngram_full.bin", "reranker.bin", "lstm_lm.bin", "negatives.bin"]
+    )
     def test_model_of_another_vocabulary(self, pipeline_dir, tmp_path, capsys, name):
         run = copy_run(pipeline_dir, tmp_path)
         self.CASES[name][2](run / name, other_vocabulary())

@@ -1,10 +1,11 @@
 import itertools
-import json
 import random
 
+import numpy as np
 import pytest
 from oracles import (
     candidates_of,
+    negative_sets,
     reference_sample_negatives,
     train_dict_ngram,
     train_jackknife_models,
@@ -20,18 +21,19 @@ from kbrerank.corpus import (
     corpus_from_lines,
     load_corpus,
     load_vocabulary,
+    pad_ids,
 )
 from kbrerank.negsampler import (
+    Negatives,
+    best_groups,
     build_confusion_table,
     derive_seed,
     draw_negatives,
-    filter_corpus_by_negative_quality,
     keep_negatives,
-    load_negative_sets,
-    negative_quality_ranking,
+    load_negatives,
     phonetic_key,
     sample_corpus_negatives,
-    save_negative_sets,
+    save_negatives,
 )
 from kbrerank.ngram import count_ngrams, estimate
 
@@ -48,7 +50,8 @@ def toy_lm(vocab, *lines):
 def sample_one(sentence, table, lm, n_samples=30, keep_k=5, p_sub=0.3, seed=0):
     """``sample_corpus_negatives`` of a one-sentence corpus: the sentence's
     ``NegativeSet``, or None when no position is confusable."""
-    (negset,) = sample_corpus_negatives([sentence], table, [lm], [0], n_samples, keep_k, p_sub, seed)
+    negs = sample_corpus_negatives([sentence], table, [lm], [0], n_samples, keep_k, p_sub, seed)
+    (negset,) = negative_sets(negs, [sentence], table.vocab)
     return negset
 
 
@@ -208,7 +211,8 @@ class TestSampling:
         table = build_confusion_table(vocab)
         fold_of = [1, 0, 1, 0]
         for seed in range(20):
-            got = sample_corpus_negatives(corpus, table, models, fold_of, 12, 3, 0.5, seed)
+            negs = sample_corpus_negatives(corpus, table, models, fold_of, 12, 3, 0.5, seed)
+            got = negative_sets(negs, corpus, vocab)
             expected = [
                 reference_sample_negatives(
                     source, table, ref_models[fold_of[j]], 12, 3, 0.5, derive_seed(seed, "neg", j)
@@ -235,8 +239,9 @@ class TestSampling:
         drawn = draw_negatives(vocab.encode(source.tokens), table, 50, 1.0, seed=4)
         assert len(drawn) == 4
         kept = keep_negatives(source, drawn, [-1.0] * len(drawn), 3, table)
-        assert [n.tokens for n in kept.negatives] == [("gym", "gym"), ("gym", "jim"), ("jim", "gym")]
-        assert kept.lm_logprobs == (-1.0, -1.0, -1.0)
+        words = [tuple(vocab.id_to_word[i] for i in ids) for ids, _ in kept]
+        assert words == [("gym", "gym"), ("gym", "jim"), ("jim", "gym")]
+        assert [score for _, score in kept] == [-1.0, -1.0, -1.0]
 
 
 class TestGenNegatives:
@@ -261,30 +266,57 @@ class TestGenNegatives:
             for j, s in enumerate(corpus)
         ]
         assert sum(ns is not None for ns in expected) >= 240
-        save_negative_sets(expected, tmp_path / "expected.jsonl")
-        assert (tmp_path / "negatives.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        # the arrays the oracle's sets stand for: each sentence's own ids and
+        # score, then its negatives' ids and scores, best first
+        rows = [
+            (j, vocab.encode(t), lp)
+            for j, ns in enumerate(expected)
+            if ns is not None
+            for t, lp in [
+                (ns.source.tokens, models[folds.fold_of[j]].score_tokens(ns.source.tokens)),
+                *((n.tokens, lp) for n, lp in zip(ns.negatives, ns.lm_logprobs)),
+            ]
+        ]
+        negs = load_negatives(tmp_path / "negatives.bin", corpus, vocab)
+        assert negs.sentence.dtype == np.int64 and negs.ids.dtype == np.int32
+        assert negs.sentence.tolist() == [j for j, _, _ in rows]
+        assert negs.ids.tolist() == pad_ids([ids for _, ids, _ in rows])[0].tolist()
+        assert negs.logprob.tolist() == [lp for _, _, lp in rows]
+        assert negative_sets(negs, corpus, vocab) == expected
 
 
 class TestCorpusFilter:
-    def _negsets(self, corpus, seed=0):
+    def _negs(self, corpus, seed=0):
         vocab = build_vocabulary(corpus, min_count=0)
         lm = estimate(count_ngrams(corpus, vocab, 2), vocab)
         table = build_confusion_table(vocab)
-        return sample_corpus_negatives(corpus, table, [lm], [0] * len(corpus), 30, 5, 0.3, seed)
+        negs = sample_corpus_negatives(corpus, table, [lm], [0] * len(corpus), 30, 5, 0.3, seed)
+        return negs, vocab
+
+    @staticmethod
+    def kept_sentences(negs, top_m):
+        kept = best_groups(negs, top_m)
+        assert set(kept) <= set(negs.groups())
+        return [sid for sid, _, _ in kept]
+
+    @staticmethod
+    def without(negs, sentences):
+        keep = ~np.isin(negs.sentence, sentences)
+        return Negatives(negs.sentence[keep], negs.ids[keep], negs.logprob[keep])
 
     def test_identity_when_top_m_covers_corpus(self):
         corpus = corpus_from_lines(["jim dandys", "gym dandies", "jim dandies"])
-        negsets = self._negsets(corpus)
-        assert all(ns is not None for ns in negsets)
-        kept = filter_corpus_by_negative_quality(corpus, negsets, top_m=len(corpus))
+        negs, _ = self._negs(corpus)
+        assert [sid for sid, _, _ in negs.groups()] == [0, 1, 2]
+        kept = self.kept_sentences(negs, top_m=len(corpus))
         assert tuple(corpus[i] for i in kept) == corpus.sentences
 
     def test_keeps_highest_mean_negative_score(self):
         corpus = corpus_from_lines(["jim dandys", "gym dandies"])
-        negsets = self._negsets(corpus)
-        means = [ns.mean_lm_logprob() for ns in negsets]
+        negs, vocab = self._negs(corpus)
+        means = [ns.mean_lm_logprob() for ns in negative_sets(negs, corpus, vocab)]
         best = max(range(2), key=lambda i: means[i])
-        kept = filter_corpus_by_negative_quality(corpus, negsets, top_m=1)
+        kept = self.kept_sentences(negs, top_m=1)
         assert tuple(corpus[i] for i in kept) == (corpus[best],)
 
     def test_kept_indices_are_the_ranked_prefix_in_corpus_order(self):
@@ -294,52 +326,62 @@ class TestCorpusFilter:
             for _ in range(40)
         ]
         corpus = corpus_from_lines(lines)
-        negsets = self._negsets(corpus, seed=6)
-        negsets[3] = negsets[17] = None  # sentences without negatives
-        ranked = [i for i in negative_quality_ranking(negsets) if negsets[i] is not None]
+        negs, vocab = self._negs(corpus, seed=6)
+        negs = self.without(negs, [3, 17])  # sentences without negatives
+        negsets = negative_sets(negs, corpus, vocab)
+        ranked = sorted(
+            (i for i, ns in enumerate(negsets) if ns is not None),
+            key=lambda i: (-negsets[i].mean_lm_logprob(), i),
+        )
         for top_m in (1, 5, 37, 38, 39, 1000):
-            kept = filter_corpus_by_negative_quality(corpus, negsets, top_m=top_m)
+            kept = self.kept_sentences(negs, top_m=top_m)
             assert kept == sorted(ranked[:top_m])
             assert len(kept) == min(top_m, 38)
             assert 3 not in kept and 17 not in kept
 
     def test_ranking_matches_independent_sort(self):
+        # the kept prefix at every top_m pins the whole ranking
         rng = random.Random(8)
         lines = [
             " ".join(rng.choice(("jim", "gym", "dandys", "dandies", "near", "me")) for _ in range(4))
             for _ in range(100)
         ]
         corpus = corpus_from_lines(lines)
-        negsets = self._negsets(corpus, seed=5)
-        ranked = negative_quality_ranking(negsets)
+        negs, vocab = self._negs(corpus, seed=5)
         keyed = [
             (-(ns.mean_lm_logprob()) if ns is not None else float("inf"), i)
-            for i, ns in enumerate(negsets)
+            for i, ns in enumerate(negative_sets(negs, corpus, vocab))
         ]
         expected = [i for _, i in sorted(keyed)]
-        assert ranked == expected
+        for top_m in range(1, len(corpus) + 1):
+            kept = self.kept_sentences(negs, top_m)
+            assert kept == sorted(expected[: len(kept)])
+            assert len(kept) == min(top_m, len(negs.groups()))
 
     def test_top_m_validation(self):
-        corpus = corpus_from_lines(["jim dandys"])
+        negs = Negatives(np.zeros(0, np.int64), np.zeros((0, 0), np.int32), np.zeros(0))
         for top_m in (0, -1):
             with pytest.raises(ValueError, match="top_m must be positive"):
-                filter_corpus_by_negative_quality(corpus, [None], top_m=top_m)
+                best_groups(negs, top_m=top_m)
 
 
 class TestSerialization:
-    def test_jsonl_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path):
         corpus = corpus_from_lines(["jim dandys near me", "blorkz"])
         vocab = build_vocabulary(corpus, min_count=0)
         lm = estimate(count_ngrams(corpus, vocab, 2), vocab)
         table = build_confusion_table(vocab)
-        negsets = sample_corpus_negatives(corpus, table, [lm], [0, 0], 30, 5, 0.3, seed=1)
+        negs = sample_corpus_negatives(corpus, table, [lm], [0, 0], 30, 5, 0.3, seed=1)
+        negsets = negative_sets(negs, corpus, vocab)
         assert negsets[0] is not None and negsets[1] is None
-        path = tmp_path / "neg.jsonl"
-        save_negative_sets(negsets, path)
-        loaded = load_negative_sets(path, corpus)
-        assert loaded[1] is None
-        assert loaded[0] == negsets[0]
+        path = tmp_path / "negatives.bin"
+        save_negatives(negs, path, vocab)
+        loaded = load_negatives(path, corpus, vocab)
+        for name in ("sentence", "ids", "logprob"):
+            got, saved = getattr(loaded, name), getattr(negs, name)
+            assert got.dtype == saved.dtype and np.array_equal(got, saved)
+        assert negative_sets(loaded, corpus, vocab) == negsets
         # byte-identical on rewrite
-        text = path.read_text()
-        save_negative_sets(loaded, path)
-        assert path.read_text() == text
+        data = path.read_bytes()
+        save_negatives(loaded, path, vocab)
+        assert path.read_bytes() == data

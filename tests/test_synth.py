@@ -6,7 +6,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from oracles import candidates_of
+from oracles import candidates_of, negative_sets
 
 from kbrerank import synth
 from kbrerank.corpus import build_vocabulary
@@ -118,10 +118,11 @@ def golden_digests(seed):
     )
     vocab = build_vocabulary(world.train, min_count=1)  # singletons become <unk>
     lm = estimate(count_ngrams(world.train, vocab, 3), vocab)
-    negsets = sample_corpus_negatives(
+    negs = sample_corpus_negatives(
         world.train, build_confusion_table(vocab), [lm], [0] * len(world.train),
         n_samples=30, keep_k=5, p_sub=0.3, seed=seed,
     )
+    negsets = negative_sets(negs, world.train, vocab)
     # scores to 6 decimals: the digest pins the draws and the ranking, not
     # the last bits of a vectorized log
     records = [

@@ -12,6 +12,7 @@ from oracles import (
     lm_hidden_states,
     lm_logprob,
     lstm_step,
+    negative_sets,
     padded_cells,
     padded_lstm_backward,
     padded_lstm_forward,
@@ -69,10 +70,11 @@ def mini_world():
     tables = build_index(world.kb_entries)
     folds = assign_folds(world.train, 4, seed=3)
     full, fold_models = train_jackknife(world.train, vocab, 3, folds)
-    negsets = sample_corpus_negatives(
+    negs = sample_corpus_negatives(
         world.train[:60], build_confusion_table(vocab), fold_models, folds.fold_of[:60],
         n_samples=30, keep_k=5, p_sub=0.3, seed=3,
     )
+    negsets = negative_sets(negs, world.train[:60], vocab)
     candidates, rows, sizes = [], [], []
     for j, negset in enumerate(negsets):
         if negset is None:
