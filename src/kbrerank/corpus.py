@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -186,8 +187,8 @@ def pad_ids(rows) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad id sequences with 0 into a (B, L) array; returns (ids, lengths)."""
     lengths = np.array([len(r) for r in rows], dtype=np.intp)
     ids = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.intp)
-    for r, row in enumerate(rows):
-        ids[r, : len(row)] = row
+    flat = np.fromiter(itertools.chain.from_iterable(rows), np.intp, lengths.sum())
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = flat  # row-major: row by row
     return ids, lengths
 
 

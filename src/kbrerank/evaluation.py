@@ -297,12 +297,16 @@ def tune_weights(scored: ScoredSplit, scorer: str, grid) -> dict:
 
 def load_nbest(path) -> list[NBestList]:
     """The n-best lists of a JSON-lines file; each token field must be a list
-    of strings and each first-pass score a finite number, not a bool."""
+    of strings, a reference (missing or null when there is none) nonempty,
+    and each first-pass score a finite number, not a bool."""
     dataset = []
     for lineno, rec in read_jsonl(path):
         try:
             reference = rec.get("reference")
-            reference = Sentence(tokens_of(reference, "reference")) if reference else None
+            if reference is not None:
+                reference = Sentence(tokens_of(reference, "reference"))
+                if not reference.tokens:
+                    raise ValueError("reference may not be empty")
             hyps = tuple(
                 (Sentence(tokens_of(h["tokens"])), _first_pass_score(h["first_pass_score"]))
                 for h in rec["hypotheses"]

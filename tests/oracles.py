@@ -9,7 +9,9 @@ not the kernel's tanh form), ``padded_lstm_forward`` and
 replaced, every row stepped through every position, as that kernel's
 reference, the reference trainer scores and
 backpropagates one training instance per call, and the reference LM trainer
-runs its own epoch loop apart from the shared ``trainer._sgd``. The reference
+runs its own epoch loop apart from the shared ``trainer._sgd``;
+``position_logprobs`` scores the LM with a log-softmax at every position, not
+once per trie node. The reference
 n-gram model counts string-tuple dicts per model and scores by walking them
 one event at a time, apart from the id tables and batched walk of
 ``kbrerank.ngram``. The reference KB index (``dict_kb_index``) keeps the
@@ -59,10 +61,20 @@ from kbrerank.trainer import (
     LstmLmDims,
     LstmLmParams,
     TrainConfig,
+    _lm_forward,
     _lm_forward_backward_nce,
     _lm_forward_backward_softmax,
     unigram_distribution,
 )
+
+
+def loop_pad_ids(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``corpus.pad_ids`` one row at a time."""
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    ids = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.intp)
+    for r, row in enumerate(rows):
+        ids[r, : len(row)] = row
+    return ids, lengths
 
 
 def map_token(vocab, word: str) -> str:
@@ -561,6 +573,25 @@ def lm_hidden_states(params, ids):
         t["w"], t["b"], t["emb"][np.asarray(ids, dtype=np.intp).reshape(1, -1)]
     )
     return hs[0], steps
+
+
+def position_logprobs(params, sentences) -> np.ndarray:
+    """The LM's log-probability of each sentence with a log-softmax at every
+    real position, not once per trie node: 32 sentences per forward pass,
+    and each sentence's total ``np.sum`` over its own positions."""
+    encoded = [params.vocab.encode(getattr(s, "tokens", s)) for s in sentences]
+    out = np.empty(len(encoded))
+    for start in range(0, len(encoded), 32):
+        batch = _lm_forward(params, encoded[start : start + 32])
+        logits = batch.hs @ params.tensors["out_w"].T
+        logits += params.tensors["out_b"]
+        logits -= logits.max(axis=1, keepdims=True)
+        target = logits[np.arange(len(batch.targets)), batch.targets]
+        np.exp(logits, out=logits)
+        terms = target - np.log(logits.sum(axis=1))
+        for r, own in enumerate(np.split(terms, np.cumsum(batch.lengths + 1)[:-1])):
+            out[start + r] = np.sum(own)
+    return out
 
 
 def reference_lm_logprob(params, tokens) -> float:

@@ -1144,6 +1144,12 @@ class TestHostileArtifacts:
             ("kb_index.bin", lambda h, a: a.update(extra=np.zeros(2)), "unexpected member 'extra'"),
             ("kb_index.bin", lambda h, a: h.pop("n_entries"),
              "bad header (n_entries must be a number, got None)"),
+            ("kb_index.bin", lambda h, a: a.update(words=np.array("x")),
+             "member 'words' is <U1 of shape (), expected str_ with 1 dimension"),
+            ("kb_index.bin", lambda h, a: a.update(edge_keys=a["edge_keys"][:, None]),
+             "member 'edge_keys' is int64 of shape ("),
+            ("kb_index.bin", lambda h, a: a.update(pair_counts=a["pair_counts"] * 1.0),
+             "member 'pair_counts' is float64 of shape ("),
             ("ngram_full.bin", lambda h, a: a.pop("logprobs0"), "missing member 'logprobs0'"),
             ("ngram_full.bin", lambda h, a: h.update(order=9),
              "bad header (order must be an int in [1, 5], got 9)"),

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from oracles import indices_of, map_token
+from oracles import indices_of, loop_pad_ids, map_token
 
 from kbrerank.corpus import (
     UNK,
@@ -10,6 +11,7 @@ from kbrerank.corpus import (
     corpus_from_lines,
     load_corpus,
     load_vocabulary,
+    pad_ids,
     save_corpus,
     save_vocabulary,
     tokenize_line,
@@ -168,3 +170,20 @@ class TestCorpusIO:
         out = tmp_path / "copy.txt"
         save_corpus(corpus, out)
         assert load_corpus(out).sentences == corpus.sentences
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[]],
+        [(), [], np.array([], dtype=np.int32)],
+        [[3, 4], (5,), np.array([6, 7, 8], dtype=np.int32), [], np.array([9], dtype=np.int64)],
+        [list(range(k, 2 * k)) for k in range(12)],
+    ],
+)
+def test_pad_ids_match_row_loop(rows):
+    ids, lengths = pad_ids(rows)
+    want_ids, want_lengths = loop_pad_ids(rows)
+    np.testing.assert_array_equal(ids, want_ids, strict=True)
+    np.testing.assert_array_equal(lengths, want_lengths, strict=True)

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -408,6 +410,23 @@ class TestSerialization:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "u1"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="malformed n-best record"):
+            load_nbest(path)
+
+    def test_null_reference_is_none(self, tmp_path):
+        path = tmp_path / "nbest.jsonl"
+        hyps = [{"tokens": ["a"], "first_pass_score": -1.0}]
+        path.write_text(json.dumps({"id": "u1", "reference": None, "hypotheses": hyps}) + "\n")
+        assert load_nbest(path)[0].reference is None
+
+    @pytest.mark.parametrize("reference", ["", [], 0, False, {}])
+    def test_falsy_reference_refused(self, tmp_path, reference):
+        path = tmp_path / "nbest.jsonl"
+        hyps = [{"tokens": ["a"], "first_pass_score": -1.0}]
+        path.write_text(
+            json.dumps({"id": "u1", "reference": ["a"], "hypotheses": hyps}) + "\n"
+            + json.dumps({"id": "u2", "reference": reference, "hypotheses": hyps}) + "\n"
+        )
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: malformed n-best record"):
             load_nbest(path)
 
     def test_utterance_csv(self, tmp_path):

@@ -17,6 +17,7 @@ from oracles import (
     padded_lstm_backward,
     padded_lstm_forward,
     param_norm_sq,
+    position_logprobs,
     random_trie_rows,
     reference_dropout_mask,
     reference_heldout_wer,
@@ -563,8 +564,8 @@ class TestBatchedLm:
     WORDS = ("a", "b", "c", "d", "e", "f", "g", "h")
     LENGTHS = (0, 1, 3, 5)
 
-    def setup_lm(self, seed=0):
-        params, vocab = uniform_lm(self.WORDS)
+    def setup_lm(self, seed=0, dims=(6, 8)):
+        params, vocab = uniform_lm(self.WORDS, *dims)
         rng = np.random.default_rng(seed)
         for name, tensor in params.tensors.items():
             params.tensors[name] = tensor + rng.uniform(-0.5, 0.5, tensor.shape)
@@ -663,21 +664,31 @@ class TestBatchedLm:
             np.testing.assert_allclose(batch[name], summed[name], rtol=0, atol=1e-12)
 
     def test_logprobs_match_per_sentence_reference(self):
-        params, _, _, _ = self.setup_lm(seed=4)
         rng = np.random.default_rng(5)
-        n = 2 * trainer.LM_SCORE_CHUNK + 7
+        n = 2 * neural.FUSE_ROWS + 7
+        # 0-12 words: totals of 9+ terms take np.sum's pairwise branch
         sentences = [
-            tuple(rng.choice(self.WORDS[:6], size=rng.integers(0, 9))) for _ in range(n)
+            tuple(rng.choice(self.WORDS[:6], size=rng.integers(0, 13))) for _ in range(n)
         ]
-        sentences[trainer.LM_SCORE_CHUNK + 3] = ()
+        sentences[neural.FUSE_ROWS + 3] = ()
         sentences[0] = Sentence(("a", "zz", "b"))  # a Sentence, with an unknown word
-        got = params.logprobs(sentences)
-        assert got.shape == (n,)
-        for value, tokens in zip(got, sentences):
-            expected = reference_lm_logprob(params, getattr(tokens, "tokens", tokens))
-            assert math.isclose(value, expected, rel_tol=0, abs_tol=1e-12)
-        assert params.sentence_logprob(sentences[0]) == got[0]
-        assert params.logprobs([]).shape == (0,)
+        sentences[2] = tuple(rng.choice(self.WORDS[:6], size=12))
+        sentences[1] = sentences[2][:5]  # a prefix of another sentence
+        sentences[3] = sentences[4] = sentences[5]  # duplicates
+        for dims in ((6, 8), (3, 5)):
+            params, _, _, _ = self.setup_lm(seed=4, dims=dims)
+            got = params.logprobs(sentences)
+            assert got.shape == (n,)
+            np.testing.assert_allclose(
+                got, position_logprobs(params, sentences), rtol=0, atol=1e-12
+            )
+            for value, tokens in zip(got, sentences):
+                expected = reference_lm_logprob(params, getattr(tokens, "tokens", tokens))
+                assert math.isclose(value, expected, rel_tol=0, abs_tol=1e-12)
+                alone = params.logprobs([tokens])[0]
+                assert math.isclose(value, alone, rel_tol=0, abs_tol=1e-12)
+            assert params.sentence_logprob(sentences[0]) == got[0]
+            assert params.logprobs([]).shape == (0,)
 
 
 class TestLmLoopReference:
@@ -706,10 +717,10 @@ class TestLmLoopReference:
             np.testing.assert_array_equal(got.tensors[name], tensor, err_msg=name)
 
 
-def uniform_lm(words=("a", "b", "c", "d")):
+def uniform_lm(words=("a", "b", "c", "d"), word_dim=6, lstm_dim=8):
     corpus = corpus_from_lines([" ".join(words)])
     vocab = build_vocabulary(corpus, min_count=0)
-    dims = LstmLmDims(vocab_size=vocab.size, word_dim=6, lstm_dim=8)
+    dims = LstmLmDims(vocab_size=vocab.size, word_dim=word_dim, lstm_dim=lstm_dim)
     return LstmLmParams.initialize(dims, vocab, seed=0), vocab
 
 
