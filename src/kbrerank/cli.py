@@ -444,7 +444,7 @@ def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
         _require_file(paths.features, "run extract-features first"), vocab
     )
     heldout_data = evaluation.load_nbest(_require_file(paths.heldout, "held-out n-best"))
-    prepared = trainer.prepare_heldout(heldout_data, vocab, index, full)
+    prepared = trainer.prepare_heldout(heldout_data, vocab, index, full, paths.heldout)
     dims = RerankerDims(
         vocab_size=vocab.size,
         word_dim=cfg.word_dim,
@@ -555,17 +555,10 @@ def run_table_evaluation(cfg: PipelineConfig, heldout_path, test_path):
     """Score both splits once, tune each scorer's weights on the held-out
     scores, then decode both splits with them."""
     paths = Paths(cfg.out_dir)
-    splits = {
-        "heldout": evaluation.load_nbest(heldout_path),
-        "test": evaluation.load_nbest(test_path),
-    }
-    for name, dataset in splits.items():
-        if any(n.reference is None for n in dataset):
-            raise ValueError(f"references required in {name} data")
     models = _load_models(paths, evaluation.COMPONENTS)
     scored = {
-        split: evaluation.score_split(dataset, evaluation.COMPONENTS, models)
-        for split, dataset in splits.items()
+        split: evaluation.score_split(evaluation.load_nbest(path), evaluation.COMPONENTS, models, path)
+        for split, path in (("heldout", heldout_path), ("test", test_path))
     }
     rows = []
     tuned: dict = {}
@@ -590,10 +583,8 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     if args.nbest:
         dataset = evaluation.load_nbest(_require_file(Path(args.nbest), "n-best file"))
-        if any(n.reference is None for n in dataset):
-            raise ValueError("references required")
         models = _load_models(paths, evaluation.SCORER_COMPONENTS[args.scorer])
-        scored = evaluation.score_split(dataset, args.scorer, models)
+        scored = evaluation.score_split(dataset, args.scorer, models, args.nbest)
         report = evaluation.evaluate(scored, args.scorer, _parse_weights(args.weights))
         evaluation.write_utterance_csv(report, paths.report("custom", args.scorer))
         print(f"{args.scorer}: WER {100.0 * report.wer:.2f}")

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import atomic_text_writer, read_jsonl
-from .corpus import Sentence, Vocabulary, tokens_of
+from .corpus import Sentence, Vocabulary, pad_ids, tokens_of
 from .features import feature_bins
 from .kb import KBTables
 from .neural import RerankerParams, group_inputs, score_lists
-from .ngram import NGramModel, score_sentences
+from .ngram import NGramModel, score_ids
 
 # the components each scorer interpolates with the first pass, in the order
 # its weights are swept and reported
@@ -29,10 +29,10 @@ SCORERS = tuple(SCORER_COMPONENTS)
 # the components interpolated with the first pass, in the order combine()
 # adds them; the order fixes the totals' rounding
 COMPONENTS = ("ngram", "lstm", "reranker")
-# the loaded models each component reads
+# the loaded models each component reads; the vocabulary encodes the split
 MODELS_NEEDED = {
-    "ngram": ("ngram",),
-    "lstm": ("lstm",),
+    "ngram": ("ngram", "vocab"),
+    "lstm": ("lstm", "vocab"),
     "reranker": ("reranker", "ngram", "kb_index", "vocab"),
 }
 
@@ -63,48 +63,99 @@ class WerReport:
         return int(self.errors.sum()) / int(self.ref_words.sum())
 
 
-def _tokens(x) -> tuple:
-    return x.tokens if isinstance(x, Sentence) else tuple(x)
+def error_counts(ref_ids, ref_lengths, hyp_ids, hyp_lengths) -> np.ndarray:
+    """(S, D, I) of each right-padded reference row against the hypothesis
+    row beside it, (pairs, 3), by one Levenshtein program over all pairs. A
+    cell is errors·M² + insertions·M + deletions, M one more than the longest
+    row, so its minimum breaks ties between minimum-error alignments toward
+    fewer insertions, then fewer deletions. The program steps over reference
+    positions; along a row, the chain of insertions is one running minimum."""
+    if np.any(ref_lengths == 0):
+        raise ValueError("empty reference")
+    width = int(hyp_lengths.max(initial=0))
+    m = 1 + max(int(ref_lengths.max(initial=0)), width)
+    ramp = np.arange(width + 1) * (m * m + m)  # j insertions
+    hyp = hyp_ids[:, :width]
+    prev = np.broadcast_to(ramp, (len(hyp_lengths), width + 1))
+    out = np.empty(len(hyp_lengths), dtype=np.int64)
+    for i in range(1, int(ref_lengths.max(initial=0)) + 1):
+        cur = np.minimum(prev[:, :-1] + (hyp != ref_ids[:, i - 1 : i]) * (m * m), prev[:, 1:] + (m * m + 1))
+        cur = np.insert(cur, 0, i * (m * m + 1), axis=1)  # column 0: i deletions
+        prev = np.minimum.accumulate(cur - ramp, axis=1) + ramp
+        done = np.flatnonzero(ref_lengths == i)
+        out[done] = prev[done, hyp_lengths[done]]
+    errors, rest = np.divmod(out, m * m)
+    insertions, deletions = np.divmod(rest, m)
+    return np.stack([errors - insertions - deletions, deletions, insertions], axis=1)
+
+
+def _encode(rows, index: dict):
+    """``pad_ids`` of token ``rows`` as ids into ``index``, grown as needed."""
+    return pad_ids([[index.setdefault(t, len(index)) for t in row] for row in rows])
 
 
 def wer(reference, hypothesis):
-    """Levenshtein alignment counts (S, D, I, N) with unit costs.
+    """(S, D, I, N) of one pair of sentences or token sequences, the
+    hypothesis possibly empty: ``error_counts`` of a batch of one."""
+    index: dict = {}
+    (counts,) = error_counts(*_encode([reference], index), *_encode([hypothesis], index)).tolist()
+    return (*counts, len(reference))
 
-    Accepts sentences or raw token sequences; the hypothesis may be empty
-    (every reference word is then a deletion). Ties between minimum-error
-    alignments resolve toward fewer insertions, then fewer deletions, so the
-    breakdown is deterministic.
+
+@dataclass
+class ScoredSplit:
+    """A split's n-best lists as arrays, read in one pass over their tokens.
+
+    Words are ids into the split's own table, so two words unknown to a model
+    stay two words to WER. Hypotheses are flat in list order; ``valid`` lays
+    them out as (utterances × hypotheses), row u holding list u. Padding
+    scores and counts are 0, and ``valid`` keeps padding from being chosen.
     """
-    ref, hyp = _tokens(reference), _tokens(hypothesis)
-    if len(ref) == 0:
-        raise ValueError("empty reference")
-    # cells are (errors, insertions, deletions); lexicographic min
-    prev = [(j, j, 0) for j in range(len(hyp) + 1)]
-    for i in range(1, len(ref) + 1):
-        cur = [(i, 0, i)]
-        for j in range(1, len(hyp) + 1):
-            e, ins, dele = prev[j - 1]
-            best = (e + (ref[i - 1] != hyp[j - 1]), ins, dele)
-            e, ins, dele = prev[j]
-            cand = (e + 1, ins, dele + 1)
-            if cand < best:
-                best = cand
-            e, ins, dele = cur[j - 1]
-            cand = (e + 1, ins + 1, dele)
-            if cand < best:
-                best = cand
-            cur.append(best)
-        prev = cur
-    errors, insertions, deletions = prev[len(hyp)]
-    return errors - insertions - deletions, deletions, insertions, len(ref)
+
+    utt_ids: list
+    words: list  # the split's distinct words, in first-seen order
+    tokens: list  # each hypothesis's tokens, which the KB encodes itself
+    ids: np.ndarray  # (hypotheses, L) ids into words, right-padded
+    lengths: np.ndarray  # (hypotheses,)
+    ref_ids: np.ndarray | None  # (utterances, R) ids into words; None if a list has none
+    ref_words: np.ndarray | None  # (utterances,) reference lengths
+    valid: np.ndarray  # (utterances, hypotheses) real hypotheses
+    scores: dict  # first_pass, then each scored component, (utterances, hypotheses)
+    errors: np.ndarray | None = None  # (utterances, hypotheses, 3) S/D/I, once counted
+
+    def vocab_ids(self, vocab: Vocabulary) -> np.ndarray:
+        """``ids`` as ``vocab``'s ids, by one ``id_of`` per distinct word."""
+        return np.array([vocab.id_of(w) for w in self.words], dtype=np.intp)[self.ids]
+
+    def scorer_scores(self, scorer: str) -> dict:
+        """The arrays ``scorer`` interpolates, in the order ``combine`` sums them."""
+        return {name: self.scores[name] for name in ("first_pass",) + _component_names(scorer)}
+
+
+def read_split(dataset) -> ScoredSplit:
+    """The lists of ``dataset`` as one ``ScoredSplit``, first pass only."""
+    index: dict = {}
+    tokens = [h.tokens for nbest in dataset for h, _ in nbest.hypotheses]
+    ids, lengths = _encode(tokens, index)
+    ref_ids = ref_words = None
+    if all(nbest.reference is not None for nbest in dataset):
+        ref_ids, ref_words = _encode([nbest.reference.tokens for nbest in dataset], index)
+    sizes = np.array([len(nbest.hypotheses) for nbest in dataset], dtype=np.intp)
+    # width 1 for an empty dataset keeps an axis for argmax to reduce
+    valid = np.arange(max(sizes.max(initial=0), 1)) < sizes[:, None]
+    first_pass = np.zeros(valid.shape)
+    first_pass[valid] = [fp for nbest in dataset for _, fp in nbest.hypotheses]
+    utt_ids = [nbest.utt_id for nbest in dataset]
+    scores = {"first_pass": first_pass}
+    return ScoredSplit(utt_ids, list(index), tokens, ids, lengths, ref_ids, ref_words, valid, scores)
 
 
 @dataclass
 class RerankModels:
-    """Whatever models the requested scorer mode needs."""
+    """Whatever models the requested scorer mode needs, and their vocabulary."""
 
     ngram: NGramModel | None = None
-    lstm: object = None  # anything with .logprobs(sentences) -> array
+    lstm: object = None  # anything with .logprobs(ids, lengths) -> array
     reranker: RerankerParams | None = None
     kb_index: KBTables | None = None
     vocab: Vocabulary | None = None
@@ -129,31 +180,13 @@ def _component_names(scorer) -> tuple:
     return tuple(name for name in COMPONENTS if name in scorer)
 
 
-def dataset_inputs(dataset, vocab: Vocabulary, kb_index: KBTables, lm_logprobs) -> list:
-    """The reranker's inputs of every list of ``dataset``, one group per
-    list, given the hypotheses' n-gram log-probabilities ``lm_logprobs``
-    (flat in list order); one ``features.feature_bins`` call covers the whole
-    dataset."""
-    hyps = [h.tokens for nbest in dataset for h, _ in nbest.hypotheses]
-    sizes = [len(nbest.hypotheses) for nbest in dataset]
+def reranker_inputs(split: ScoredSplit, ids, kb_index: KBTables, lm_logprobs) -> list:
+    """The reranker's inputs of every list of ``split``, one group per list,
+    from its vocabulary ids ``ids`` and n-gram log-probabilities (flat in list
+    order); one ``features.feature_bins`` call covers the split."""
+    rows = [row[:n] for row, n in zip(ids.tolist(), split.lengths.tolist())]
     feats = -np.asarray(lm_logprobs, dtype=float)
-    ids = [vocab.encode(h) for h in hyps]
-    return group_inputs(ids, feature_bins(hyps, kb_index), feats, sizes)
-
-
-def score_ngram(dataset, models: RerankModels) -> np.ndarray:
-    """n-gram log-probability of every hypothesis of ``dataset``, flat in list
-    order, in one ``ngram.score_ids`` call."""
-    hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
-    return score_sentences(models.ngram, hyps)
-
-
-def score_reranker(dataset, models: RerankModels, lm_logprobs) -> np.ndarray:
-    """Interpolated deep score u of every hypothesis of ``dataset``, flat in
-    list order, given their n-gram log-probabilities (``score_ngram``); the
-    lists are scored together (``neural.score_lists``)."""
-    inputs = dataset_inputs(dataset, models.vocab, models.kb_index, lm_logprobs)
-    return score_lists(models.reranker, inputs)
+    return group_inputs(rows, feature_bins(split.tokens, kb_index), feats, split.valid.sum(axis=1))
 
 
 def combine(comps: dict, weights: dict) -> np.ndarray:
@@ -176,81 +209,60 @@ def combine(comps: dict, weights: dict) -> np.ndarray:
     return total
 
 
-def score_hypotheses(dataset, components, models: RerankModels) -> tuple[dict, np.ndarray]:
-    """Score every hypothesis of ``dataset`` once per component.
-
-    ``components`` is a scorer name or a collection of component names.
-    Returns (utterances × hypotheses) score arrays, the first pass first and
-    the rest in ``COMPONENTS`` order (the order ``combine`` sums them in),
-    and the mask of real hypotheses; row u holds list u in list order, and
-    padding scores are 0. References are not read.
-    """
+def score_hypotheses(split: ScoredSplit, components, models: RerankModels) -> dict:
+    """Score every hypothesis of ``split`` once per component of
+    ``components`` (a scorer name or a collection of component names) into
+    ``split.scores``, which it returns: after the first pass, in the order
+    ``combine`` sums them. Every component reads one id matrix,
+    ``split.vocab_ids(models.vocab)``. References are not read."""
     names = _component_names(components)
-    # width 1 for an empty dataset keeps an axis for argmax to reduce
-    shape = (len(dataset), max((len(n.hypotheses) for n in dataset), default=1))
-    valid = np.zeros(shape, dtype=bool)
-    for u, nbest in enumerate(dataset):
-        valid[u, : len(nbest.hypotheses)] = True
-    hyps = [h for nbest in dataset for h, _ in nbest.hypotheses]
-    flat = {"first_pass": [fp for nbest in dataset for _, fp in nbest.hypotheses]}
     for name in names:
         _require(models, name, *MODELS_NEEDED[name])
+    flat = {}
+    ids = split.vocab_ids(models.vocab) if names else None
     # the ngram component and the reranker's n-gram feature share one scoring
     if "ngram" in names or "reranker" in names:
-        lm_logprobs = score_ngram(dataset, models)
+        lm_logprobs = score_ids(models.ngram, ids, split.lengths)
     if "ngram" in names:
         flat["ngram"] = lm_logprobs
     if "lstm" in names:
-        flat["lstm"] = models.lstm.logprobs(hyps)
+        flat["lstm"] = models.lstm.logprobs(ids, split.lengths)
     if "reranker" in names:
-        flat["reranker"] = score_reranker(dataset, models, lm_logprobs)
-    scores = {}
+        inputs = reranker_inputs(split, ids, models.kb_index, lm_logprobs)
+        flat["reranker"] = score_lists(models.reranker, inputs)
     for name, values in flat.items():
-        scores[name] = np.zeros(shape)
-        scores[name][valid] = values
-    return scores, valid
+        split.scores[name] = np.zeros(split.valid.shape)
+        split.scores[name][split.valid] = values
+    return split.scores
 
 
 def rerank(dataset, scorer: str, weights: dict, models: RerankModels) -> np.ndarray:
     """Index of the best-scoring hypothesis of each list; ties keep
     first-pass order. References are optional."""
-    scores, valid = score_hypotheses(dataset, scorer, models)
-    return _choose(valid, scores, weights)
+    split = read_split(dataset)
+    return _choose(split.valid, score_hypotheses(split, scorer, models), weights)
 
 
-@dataclass
-class ScoredSplit:
-    """Every hypothesis of a split with references, scored once per component.
-
-    Row u holds utterance u's hypotheses in list order, padded to the longest
-    list. Padding scores and counts are 0, so a zero weight times padding is
-    never NaN, and ``valid`` keeps padding from being chosen.
-    """
-
-    utt_ids: list
-    scores: dict  # first_pass, then COMPONENTS -> (utterances, hypotheses)
-    errors: np.ndarray  # (utterances, hypotheses, 3) S/D/I
-    ref_words: np.ndarray  # (utterances,)
-    valid: np.ndarray  # (utterances, hypotheses) real hypotheses
-
-    def scorer_scores(self, scorer: str) -> dict:
-        """The arrays ``scorer`` interpolates, in the order ``combine`` sums them."""
-        return {name: self.scores[name] for name in ("first_pass",) + _component_names(scorer)}
+def count_errors(split: ScoredSplit, source: str = "n-best lists") -> ScoredSplit:
+    """``split`` with each hypothesis's S/D/I against its reference, all
+    pairs in one ``error_counts`` call. A split with no lists, or with a list
+    without a reference, is refused, naming ``source``."""
+    if not split.utt_ids:
+        raise ValueError(f"{source}: no n-best lists")
+    if split.ref_ids is None:
+        raise ValueError(f"{source}: references required")
+    utt = np.nonzero(split.valid)[0]  # each hypothesis's utterance
+    pairs = (split.ref_ids[utt], split.ref_words[utt], split.ids, split.lengths)
+    split.errors = np.zeros(split.valid.shape + (3,), dtype=np.int64)
+    split.errors[split.valid] = error_counts(*pairs)
+    return split
 
 
-def score_split(dataset, components, models: RerankModels) -> ScoredSplit:
-    """Count each hypothesis's substitutions, deletions and insertions against
-    its reference and score it once per requested component
-    (``score_hypotheses``)."""
-    if any(nbest.reference is None for nbest in dataset):
-        raise ValueError("references required")
-    scores, valid = score_hypotheses(dataset, components, models)
-    errors = np.zeros(valid.shape + (3,), dtype=np.int64)
-    for u, nbest in enumerate(dataset):
-        for k, (hyp, _) in enumerate(nbest.hypotheses):
-            errors[u, k] = wer(nbest.reference, hyp)[:3]
-    ref_words = np.array([len(nbest.reference) for nbest in dataset], dtype=np.int64)
-    return ScoredSplit([n.utt_id for n in dataset], scores, errors, ref_words, valid)
+def score_split(dataset, components, models: RerankModels, source: str = "n-best lists") -> ScoredSplit:
+    """``count_errors`` and ``score_hypotheses`` of ``dataset``, read once."""
+    split = count_errors(read_split(dataset), source)
+    score_hypotheses(split, components, models)
+    return split
 
 
 def _choose(valid: np.ndarray, comps: dict, weights: dict) -> np.ndarray:

@@ -19,7 +19,7 @@ ids, an (n, 5) bin array in ``features.BIN_FIELDS`` order and the n-gram
 features. One builder, ``group_inputs``, splits flat rows at given group
 sizes into them, for the training instances of ``features.jsonl``
 (``cli.load_feature_instances``) and for n-best lists
-(``evaluation.dataset_inputs``) alike. An empty candidate reads both
+(``evaluation.reranker_inputs``) alike. An empty candidate reads both
 directions' zero start state.
 """
 
@@ -409,8 +409,10 @@ def score_inputs(params: RerankerParams, parts, dropout_mask: np.ndarray | None 
 def score_lists(params: RerankerParams, inputs) -> np.ndarray:
     """u of every row of every ``RerankerInputs`` in ``inputs``, concatenated
     in order. The rows of all lists are sorted by length and scored
-    ``FUSE_ROWS`` at a time (``length_chunks``), with no activations kept; a
-    row's u does not depend on the chunk it is scored in."""
+    ``FUSE_ROWS`` at a time (``length_chunks``), with no activations kept. A
+    row's u is within 1e-12 of its u in any other chunk, and bit-equal at the
+    dims the tests use: the head products may round a row differently at
+    another row count."""
     rows = [row for x in inputs for row in x.ids]
     out = np.empty(len(rows))
     if not rows:

@@ -330,13 +330,6 @@ def score_ids(model: NGramModel, ids, lengths) -> np.ndarray:
     return total
 
 
-def score_sentences(model: NGramModel, sentences) -> np.ndarray:
-    """``score_ids`` of token sequences encoded with the model's vocabulary,
-    in one call."""
-    ids, lengths = pad_ids([model.vocab.encode(getattr(s, "tokens", s)) for s in sentences])
-    return score_ids(model, ids, lengths)
-
-
 def save_model(model: NGramModel, path) -> None:
     arrays = {f"{name}{i}": a for name in _TABLES for i, a in enumerate(getattr(model, name))}
     meta = {"order": model.order, "trained_on_folds": list(model.trained_on_folds)}

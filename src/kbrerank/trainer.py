@@ -35,7 +35,7 @@ from .neural import (
     score_lists,
     sgd_momentum_update,
 )
-from .ngram import NGramModel
+from .ngram import NGramModel, score_ids
 
 
 @dataclass
@@ -76,21 +76,20 @@ class EpochLog:
 
 
 class Heldout(NamedTuple):
-    """A held-out split as ``evaluation`` holds it, with no component scored
-    (first-pass scores, per-hypothesis S/D/I, ``valid`` mask, reference
-    lengths), and each list's reranker inputs."""
+    """A held-out split with its errors counted and no component scored
+    (``evaluation.count_errors``), and each list's reranker inputs."""
 
     split: evaluation.ScoredSplit
     inputs: list
 
 
 def prepare_heldout(
-    dataset, vocab: Vocabulary, kb_index: KBTables, ngram_model: NGramModel
+    dataset, vocab: Vocabulary, kb_index: KBTables, ngram_model: NGramModel, source="held-out lists"
 ) -> Heldout:
-    models = evaluation.RerankModels(ngram=ngram_model, vocab=vocab)
-    split = evaluation.score_split(dataset, (), models)  # needs every reference
-    lm_logprobs = evaluation.score_ngram(dataset, models)
-    return Heldout(split, evaluation.dataset_inputs(dataset, vocab, kb_index, lm_logprobs))
+    split = evaluation.count_errors(evaluation.read_split(dataset), source)  # needs every reference
+    ids = split.vocab_ids(vocab)
+    lm_logprobs = score_ids(ngram_model, ids, split.lengths)
+    return Heldout(split, evaluation.reranker_inputs(split, ids, kb_index, lm_logprobs))
 
 
 def heldout_wer(params: RerankerParams, heldout: Heldout) -> float:
@@ -294,54 +293,54 @@ class LstmLmParams:
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
-    def logprobs(self, sentences) -> np.ndarray:
-        """Log-probability of each sentence (a ``Sentence`` or a token
-        sequence, possibly empty), end-of-sentence included.
+    def logprobs(self, ids, lengths) -> np.ndarray:
+        """Log-probability of each row of a right-padded batch of word ids
+        (``pad_ids``), end-of-sentence included; a row may be empty.
 
-        Sentences are sorted by length and scored ``FUSE_ROWS`` at a time
+        Rows are sorted by length and scored ``FUSE_ROWS`` at a time
         (``length_chunks``), one forward pass over each chunk's prefix trie
         with no activations kept. The log-softmax runs once per trie node,
         one depth at a time, so the logits buffer holds at most one depth's
         nodes x events; a position's term is its node's logit at its target
-        less the node's log-normaliser. Each sentence's total sums its own
-        terms in position order. A total is within 1e-12 of the sentence
-        scored alone, but may differ in its last bits, because the BLAS may
-        round a node's logits differently at another node count. On the
-        acceptance fixture and the benchmark worlds the totals are bit-equal
-        to a log-softmax at every position, 32 sentences per pass.
+        less the node's log-normaliser. Each row's total sums its own terms
+        in position order. A total is within 1e-12 of the row scored alone,
+        but may differ in its last bits, because the BLAS may round a node's
+        logits differently at another node count. On the acceptance fixture
+        and the benchmark worlds the totals are bit-equal to a log-softmax at
+        every position, 32 sentences per pass.
         """
         t = self.tensors
-        encoded = [self.vocab.encode(getattr(s, "tokens", s)) for s in sentences]
-        out = np.empty(len(encoded))
-        for chunk in length_chunks([len(row) for row in encoded]):
-            ids, lengths = pad_ids([encoded[k] for k in chunk])
-            trie = _prefix_trie(ids, lengths)
+        out = np.empty(len(lengths))
+        for chunk in length_chunks(lengths.tolist()):
+            own = lengths[chunk]  # sorted: the last row is the longest
+            rows = ids[chunk, : own[-1]]
+            trie = _prefix_trie(rows, own)
             hs, _ = _lstm_forward(t["w"], t["b"], t["emb"], trie, keep=False)
             # terms[r, d]: row r's log-probability of its event after d words
-            width = ids.shape[1] + 1
+            width = rows.shape[1] + 1
             eos = self.dims.eos_id
             targets = np.full((len(chunk), width), eos, dtype=np.intp)
-            targets[:, :-1] = np.where(np.arange(width - 1) < lengths[:, None], ids, eos)
+            targets[:, :-1] = np.where(np.arange(width - 1) < own[:, None], rows, eos)
             terms = np.zeros((len(chunk), width))
             edges = [0, *trie.bounds]  # depth d's nodes are edges[d] .. edges[d + 1] - 1
             for d in range(width):
                 logits = hs[edges[d] : edges[d + 1]] @ t["out_w"].T
                 logits += t["out_b"]
                 logits -= logits.max(axis=1, keepdims=True)
-                rows = slice(np.searchsorted(lengths, d), None)  # lengths are sorted
-                node = trie.paths[rows, d] - edges[d]
-                target = logits[node, targets[rows, d]]
+                sel = slice(np.searchsorted(own, d), None)  # lengths are sorted
+                node = trie.paths[sel, d] - edges[d]
+                target = logits[node, targets[sel, d]]
                 np.exp(logits, out=logits)
-                terms[rows, d] = target - np.log(logits.sum(axis=1))[node]
+                terms[sel, d] = target - np.log(logits.sum(axis=1))[node]
             # one row-wise sum per run of equal lengths
-            starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
+            starts = np.flatnonzero(np.diff(own, prepend=-1)).tolist()
             for a, b in zip(starts, [*starts[1:], len(chunk)]):
-                out[chunk[a:b]] = terms[a:b, : lengths[a] + 1].sum(axis=1)
+                out[chunk[a:b]] = terms[a:b, : own[a] + 1].sum(axis=1)
         return out
 
     def sentence_logprob(self, sentence: Sentence) -> float:
         """``logprobs`` of one sentence."""
-        return float(self.logprobs([sentence])[0])
+        return float(self.logprobs(*pad_ids([self.vocab.encode(sentence)]))[0])
 
     def save(self, path) -> None:
         """Save the tensors, the dimensions and the vocabulary's hash."""
@@ -492,6 +491,8 @@ def train_lstm_lm(
             g /= n_tokens
         return [loss]
 
-    score = None if heldout is None else (lambda: -float(np.mean(params.logprobs(heldout))))
+    # the held-out sentences are encoded once per run, not once per epoch
+    held = None if heldout is None else pad_ids([vocab.encode(s.tokens) for s in heldout])
+    score = None if held is None else (lambda: -float(np.mean(params.logprobs(*held))))
     best, _ = _sgd(params, len(encoded), minibatch, score, config, rng)
     return best

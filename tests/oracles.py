@@ -1,7 +1,8 @@
 """Shared independent oracles and test-only helpers for the test suite.
 
 The oracles deliberately avoid the production code paths they check: the WER
-oracle enumerates raw edit sequences, the gradient checker perturbs tensors
+oracle enumerates raw edit sequences, ``loop_wer`` keeps the per-pair
+Levenshtein loop that the batched WER replaced, the gradient checker perturbs tensors
 one element at a time, ``lstm_step`` is a one-token LSTM cell written apart
 from the batched kernel in ``kbrerank.neural`` (with the exp-form sigmoid,
 not the kernel's tanh form), ``padded_lstm_forward`` and
@@ -55,7 +56,7 @@ from kbrerank.neural import (
     contrastive_loss,
     score_batch,
 )
-from kbrerank.ngram import BOS, EOS, event_logprobs
+from kbrerank.ngram import BOS, EOS, event_logprobs, score_ids
 from kbrerank.trainer import (
     EpochLog,
     LstmLmDims,
@@ -122,6 +123,27 @@ def exhaustive_wer(ref, hyp):
 
     walk(0, 0, 0, 0, 0)
     return best[0]
+
+
+def loop_wer(reference, hypothesis):
+    """(S, D, I, N) of one pair by the per-pair Levenshtein loop that
+    ``evaluation.error_counts`` replaced: cells are (errors, insertions,
+    deletions), each the lexicographic minimum of its three moves."""
+    ref, hyp = tuple(reference), tuple(hypothesis)
+    prev = [(j, j, 0) for j in range(len(hyp) + 1)]
+    for i in range(1, len(ref) + 1):
+        cur = [(i, 0, i)]
+        for j in range(1, len(hyp) + 1):
+            e, ins, dele = prev[j - 1]
+            best = (e + (ref[i - 1] != hyp[j - 1]), ins, dele)
+            e, ins, dele = prev[j]
+            best = min(best, (e + 1, ins, dele + 1))
+            e, ins, dele = cur[j - 1]
+            best = min(best, (e + 1, ins + 1, dele))
+            cur.append(best)
+        prev = cur
+    errors, insertions, deletions = prev[len(hyp)]
+    return errors - insertions - deletions, deletions, insertions, len(ref)
 
 
 def gradients_match(analytic, numeric, rel=1e-4, abs_tol=1e-7):
@@ -548,7 +570,7 @@ def reference_train_lstm_lm(
         if heldout is None:
             best_params = params
             continue
-        metric = float(np.mean(params.logprobs(heldout)))
+        metric = float(np.mean(sentence_logprobs(params, heldout)))
         if metric > best_metric:
             best_metric = metric
             best_params = params.copy()
@@ -563,6 +585,12 @@ def reference_train_lstm_lm(
 
 def lm_logprob(params, sentence) -> float:
     return params.sentence_logprob(sentence)
+
+
+def sentence_logprobs(params, sentences) -> np.ndarray:
+    """``LstmLmParams.logprobs`` of sentences or token sequences, encoded
+    with the LM's vocabulary."""
+    return params.logprobs(*pad_ids([params.vocab.encode(s) for s in sentences]))
 
 
 def lm_hidden_states(params, ids):
@@ -756,6 +784,12 @@ def jackknife_scores(corpus, folds, order=3, vocab=None) -> list:
         vocab = build_vocabulary(corpus)
     models = train_jackknife_models(corpus, vocab, order, folds)
     return [models[folds.fold_of[i]].score_tokens(sent.tokens) for i, sent in enumerate(corpus)]
+
+
+def score_sentences(model, sentences) -> np.ndarray:
+    """``ngram.score_ids`` of sentences or token sequences encoded with the
+    model's vocabulary, in one call."""
+    return score_ids(model, *pad_ids([model.vocab.encode(s) for s in sentences]))
 
 
 def model_tables(model) -> tuple[dict, dict]:

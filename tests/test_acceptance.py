@@ -30,6 +30,7 @@ from oracles import (
     lm_hidden_states,
     negative_sets,
     reference_bins,
+    score_sentences,
 )
 
 import kbrerank
@@ -41,8 +42,9 @@ from kbrerank.corpus import (
     assign_folds,
     build_vocabulary,
     corpus_from_lines,
+    pad_ids,
 )
-from kbrerank.evaluation import RerankModels, oracle_wer, score_split, wer
+from kbrerank.evaluation import RerankModels, error_counts, oracle_wer, score_split, wer
 from kbrerank.features import BIN_FIELDS, feature_bins, max_span_pairs
 from kbrerank.kb import KBEntry, build_index
 from kbrerank.negsampler import build_confusion_table, sample_corpus_negatives
@@ -53,7 +55,7 @@ from kbrerank.neural import (
     contrastive_loss,
     score_batch,
 )
-from kbrerank.ngram import count_ngrams, estimate, score_sentences, train_jackknife
+from kbrerank.ngram import count_ngrams, estimate, train_jackknife
 from kbrerank.trainer import LstmLmDims, LstmLmParams, heldout_wer, prepare_heldout
 
 SEED = 20260808
@@ -144,20 +146,25 @@ def test_c3_wer_oracle_equivalence(capsys):
     alpha = ("a", "b", "c")
     refs = [s for l in range(1, 6) for s in itertools.product(alpha, repeat=l)]
     hyps = [s for l in range(0, 6) for s in itertools.product(alpha, repeat=l)]
-    # WER sees tokens only through pairwise equality, so each equality
-    # pattern is checked once
-    seen = set()
-    pairs = 0
-    for ref in refs:
-        for hyp in hyps:
-            pairs += 1
-            sig = (len(ref), len(hyp), tuple(r == h for r in ref for h in hyp))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            s, d, i, n = wer(ref, hyp)
-            assert (s + d + i, i, d) == exhaustive_wer(ref, hyp), (ref, hyp)
-            assert n == len(ref)
+    # every pair in one batched call; WER sees tokens only through pairwise
+    # equality, so the exhaustive search runs once per equality pattern
+    code = {t: k for k, t in enumerate(alpha)}
+    ref_ids, ref_lengths = pad_ids([[code[t] for t in ref] for ref in refs])
+    hyp_ids, hyp_lengths = pad_ids([[code[t] for t in hyp] for hyp in hyps])
+    n_hyps = len(hyps)
+    pairs = len(refs) * n_hyps
+    counts = error_counts(
+        np.repeat(ref_ids, n_hyps, axis=0), np.repeat(ref_lengths, n_hyps),
+        np.tile(hyp_ids, (len(refs), 1)), np.tile(hyp_lengths, len(refs)),
+    ).tolist()
+    assert len(counts) == pairs == 132132
+    seen = {}
+    for p, (s, d, i) in enumerate(counts):
+        ref, hyp = refs[p // n_hyps], hyps[p % n_hyps]
+        sig = (len(ref), len(hyp), tuple(r == h for r in ref for h in hyp))
+        if sig not in seen:
+            seen[sig] = exhaustive_wer(ref, hyp)
+        assert (s + d + i, i, d) == seen[sig], (ref, hyp)
 
     rng = random.Random(SEED)
     words = ["a", "b", "c", "d", "e"]
@@ -185,7 +192,7 @@ def test_c3_wer_oracle_equivalence(capsys):
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"WER oracle check took {elapsed:.1f}s"
     with capsys.disabled():
-        print(f"\nACCEPTANCE 3 PASS - WER matches exhaustive edit search on "
+        print(f"\nACCEPTANCE 3 PASS - batched WER matches exhaustive edit search on "
               f"{pairs} pairs ({len(seen)} equality patterns) and oracle WER matches "
               f"brute force on 100 utterances ({elapsed:.1f}s)")
 

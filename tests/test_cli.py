@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import pickle
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kbrerank import features, negsampler, ngram, neural, trainer
+from kbrerank import features, kb, negsampler, ngram, neural, trainer
 from kbrerank.artifacts import atomic_text_writer, save_artifact
 from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
 from kbrerank.corpus import build_vocabulary, corpus_from_lines, load_corpus, load_vocabulary
@@ -539,6 +540,53 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"bad weight spec {spec!r}, expected name=<finite number>" in err
         assert not (run / "selections_reranker_lstm.jsonl").exists()
+
+
+class TestEvaluateSplits:
+    """``evaluate`` and ``train-reranker`` refuse a split they cannot count
+    errors on, naming the file; errors count surface words, not vocabulary
+    ids."""
+
+    @pytest.mark.parametrize("flag", ["--nbest", "--heldout", "--test"])
+    def test_empty_split_refused(self, pipeline_dir, tmp_path, capsys, flag):
+        run = copy_run(pipeline_dir, tmp_path)
+        empty = run / "empty.jsonl"
+        empty.write_text("")
+        args = {"--heldout": str(run / "heldout.jsonl"), "--test": str(run / "test.jsonl")}
+        args = {flag: str(empty)} if flag == "--nbest" else {**args, flag: str(empty)}
+        capsys.readouterr()
+        code = stage("evaluate", run, *itertools.chain(*args.items()), "--scorer", "first-pass")
+        assert code == 1
+        assert capsys.readouterr().err.strip() == f"error: {empty}: no n-best lists"
+
+    def test_train_reranker_names_the_heldout_file(self, pipeline_dir, tmp_path, capsys):
+        run = copy_run(pipeline_dir, tmp_path)
+        heldout = run / "heldout.jsonl"
+        records = [json.loads(line) for line in heldout.read_text().splitlines()]
+        records[3]["reference"] = None
+        heldout.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert stage("train-reranker", run) == 1
+        assert capsys.readouterr().err.strip() == f"error: {heldout}: references required"
+
+    def test_distinct_unknown_words_count_as_a_substitution(self, pipeline_dir, tmp_path):
+        run = copy_run(pipeline_dir, tmp_path)
+        vocab = load_vocabulary(run / "vocab.tsv")
+        index = kb.load_index(run / "kb_index.bin")
+        words = ("zzoovone", "zzoovtwo")
+        for word in words:  # one unknown word to every scorer
+            assert vocab.id_of(word) == vocab.unk_id and word not in index.word_id
+        record = json.loads((run / "test.jsonl").read_text().splitlines()[0])
+        ref = record["reference"]
+        nbest = run / "oov.jsonl"
+        nbest.write_text(json.dumps({
+            "id": "u0", "reference": [*ref, words[0]],
+            "hypotheses": [{"tokens": [*ref, words[1]], "first_pass_score": -1.0}],
+        }) + "\n")
+        args = ("--nbest", str(nbest), "--scorer", "reranker+lstm", "--weights", "reranker=1.0,lstm=0.5")
+        assert stage("evaluate", run, *args) == 0
+        rows = (run / "report_custom_reranker_lstm.csv").read_text().splitlines()
+        assert rows[1].split(",")[:6] == ["u0", "0", "1", "0", "0", str(len(ref) + 1)]
 
 
 class TestEmptyHypotheses:

@@ -9,9 +9,11 @@ import pytest
 
 from kbrerank import evaluation
 from kbrerank.corpus import Sentence, build_vocabulary, corpus_from_lines
+from kbrerank.corpus import pad_ids
 from kbrerank.evaluation import (
     NBestList,
     RerankModels,
+    error_counts,
     evaluate,
     load_nbest,
     oracle_wer,
@@ -38,7 +40,7 @@ def nbest(utt_id, ref, hyps_with_scores):
     )
 
 
-from oracles import exhaustive_wer, reference_counts, reference_decode, reference_tune
+from oracles import exhaustive_wer, loop_wer, reference_counts, reference_decode, reference_tune
 
 
 def scored(dataset, scorer="first-pass", models=None):
@@ -89,14 +91,49 @@ class TestWer:
         assert len(seen) > 20000
 
 
+    def test_batched_counts_match_the_per_pair_loop(self):
+        # mixed lengths, empty hypotheses, and rows of 64+ tokens, past what
+        # a fixed M = 64 could pack into one cell
+        rng = random.Random(11)
+        refs, hyps = [], []
+        for _ in range(3000):
+            long = rng.random() < 0.05
+            refs.append([rng.choice("abcd") for _ in range(rng.randint(1, 90 if long else 9))])
+            hyps.append([rng.choice("abcd") for _ in range(rng.randint(0, 90 if long else 11))])
+        hyps[:50] = [[] for _ in range(50)]
+        refs[0] = list("ab" * 40)  # 80 tokens against an empty hypothesis
+        assert max(map(len, refs)) > 63 and max(map(len, hyps)) > 63
+        code = {"a": 0, "b": 1, "c": 2, "d": 3}
+        encoded = [pad_ids([[code[t] for t in row] for row in rows]) for rows in (refs, hyps)]
+        got = error_counts(*encoded[0], *encoded[1])
+        assert got.tolist() == [list(loop_wer(r, h)[:3]) for r, h in zip(refs, hyps)]
+        assert got[0].tolist() == [0, 80, 0]
+
+
+def words_of(vocab, ids, lengths) -> list:
+    """Each row of a right-padded id batch as a tuple of ``vocab``'s words."""
+    return [tuple(vocab.id_to_word[i] for i in row[:n]) for row, n in zip(ids.tolist(), lengths.tolist())]
+
+
+def table_vocab(table):
+    """A vocabulary of every word of ``table``'s token-tuple keys."""
+    return build_vocabulary(corpus_from_lines(" ".join(k) for k in table if k), 0)
+
+
 class StubLm:
-    """Look-up language model for rerank tests."""
+    """Look-up language model for rerank tests: each row of ids is read back
+    as words of ``vocab``."""
 
-    def __init__(self, table):
-        self.table = table
+    def __init__(self, table, vocab):
+        self.table, self.vocab = table, vocab
 
-    def logprobs(self, sentences):
-        return np.array([self.table[s.tokens] for s in sentences])
+    def logprobs(self, ids, lengths):
+        return np.array([self.table[words] for words in words_of(self.vocab, ids, lengths)])
+
+
+def lm_models(table):
+    vocab = table_vocab(table)
+    return RerankModels(lstm=StubLm(table, vocab), vocab=vocab)
 
 
 class TestRerank:
@@ -105,7 +142,7 @@ class TestRerank:
         corpus = corpus_from_lines(["a b", "a x"])
         vocab = build_vocabulary(corpus, 0)
         model = estimate(count_ngrams(corpus, vocab, 2), vocab)
-        models = RerankModels(ngram=model)
+        models = RerankModels(ngram=model, vocab=vocab)
         assert rerank(lists, "ngram", {"ngram": 0.0}, models).tolist() == [0]
         assert rerank(lists, "first-pass", {}, models).tolist() == [0]
 
@@ -127,8 +164,7 @@ class TestRerank:
 
     def test_weighted_lstm_flips_choice(self):
         lists = [nbest("u1", "a b", [("a x", -1.0), ("a b", -1.5)])]
-        lm = StubLm({("a", "x"): -10.0, ("a", "b"): -1.0})
-        models = RerankModels(lstm=lm)
+        models = lm_models({("a", "x"): -10.0, ("a", "b"): -1.0})
         assert rerank(lists, "lstm", {"lstm": 0.0}, models).tolist() == [0]
         assert rerank(lists, "lstm", {"lstm": 1.0}, models).tolist() == [1]
 
@@ -147,8 +183,7 @@ class TestRerank:
             nbest("u2", None, [("a b", -3.0)]),
             nbest("u3", None, [("c", -2.0), ("a x", -2.5), ("a b", -2.1)]),
         ]
-        lm = StubLm({("a", "x"): -10.0, ("a", "b"): -1.0, ("c",): -9.0})
-        models = RerankModels(lstm=lm)
+        models = lm_models({("a", "x"): -10.0, ("a", "b"): -1.0, ("c",): -9.0})
         assert rerank(lists, "lstm", {"lstm": 1.0}, models).tolist() == [1, 0, 2]
         assert rerank(lists, "first-pass", {}, models).tolist() == [0, 0, 0]
         assert rerank([], "lstm", {"lstm": 1.0}, models).tolist() == []
@@ -265,7 +300,7 @@ class TestEvaluate:
         assert math.isclose(report.wer, total_errors / total_words, rel_tol=1e-12)
 
     def test_tuned_weights_never_worse_than_first_pass_on_tuning_data(self):
-        lm = StubLm(
+        models = lm_models(
             {
                 ("a", "b"): -1.0,
                 ("a", "x"): -9.0,
@@ -277,7 +312,6 @@ class TestEvaluate:
             nbest("u1", "a b", [("a x", -1.0), ("a b", -2.0)]),
             nbest("u2", "c", [("c", -0.5), ("d", -1.0)]),
         ]
-        models = RerankModels(lstm=lm)
         split = scored(dataset, "lstm", models)
         weights = tune_weights(split, "lstm", (0.0, 1.0, 4.0))
         tuned = evaluate(split, "lstm", weights).wer
@@ -313,18 +347,21 @@ class TestArrayPathMatchesReference:
 
     @staticmethod
     def stub_models(monkeypatch, tables):
-        """Models whose component scores are looked up by hypothesis tokens."""
-        def lookup(name, dataset):
-            return np.array([tables[name][h.tokens] for lists in dataset for h, _ in lists.hypotheses])
+        """Models whose component scores are looked up by hypothesis tokens,
+        read back from the id matrix every component is given."""
+        vocab = table_vocab(tables["lstm"])
 
-        monkeypatch.setattr(evaluation, "score_ngram", lambda dataset, models: lookup("ngram", dataset))
-        monkeypatch.setattr(
-            evaluation, "score_reranker", lambda dataset, models, lm: lookup("reranker", dataset)
-        )
+        def lookup(name, ids, lengths):
+            return np.array([tables[name][words] for words in words_of(vocab, ids, lengths)])
+
+        monkeypatch.setattr(evaluation, "score_ids", lambda model, ids, lengths: lookup("ngram", ids, lengths))
+        # the reranker's inputs are the id rows themselves
+        monkeypatch.setattr(evaluation, "reranker_inputs", lambda split, ids, kb, lm: (ids, split.lengths))
+        monkeypatch.setattr(evaluation, "score_lists", lambda params, rows: lookup("reranker", *rows))
         present = object()
         return RerankModels(
-            ngram=present, lstm=StubLm(tables["lstm"]), reranker=present,
-            kb_index=present, vocab=present,
+            ngram=present, lstm=StubLm(tables["lstm"], vocab), reranker=present,
+            kb_index=present, vocab=vocab,
         )
 
     @staticmethod

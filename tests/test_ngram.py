@@ -13,6 +13,7 @@ from oracles import (
     jackknife_scores,
     map_token,
     model_tables,
+    score_sentences,
     train_dict_ngram,
 )
 
@@ -37,7 +38,6 @@ from kbrerank.ngram import (
     load_model,
     save_model,
     score_ids,
-    score_sentences,
     train_jackknife,
 )
 

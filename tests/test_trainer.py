@@ -27,12 +27,14 @@ from oracles import (
     reference_train_reranker,
     score,
     score_alone,
+    score_sentences,
+    sentence_logprobs,
 )
 
 from kbrerank import evaluation, neural, synth, trainer
 from kbrerank.artifacts import ArtifactError
 from kbrerank.cli import load_feature_instances
-from kbrerank.corpus import Sentence, assign_folds, build_vocabulary, corpus_from_lines
+from kbrerank.corpus import Sentence, Vocabulary, assign_folds, build_vocabulary, corpus_from_lines
 from kbrerank.evaluation import NBestList, RerankModels, wer
 from kbrerank.features import BIN_FIELDS
 from kbrerank.kb import build_index
@@ -47,7 +49,7 @@ from kbrerank.neural import (
     pad_ids,
     score_batch,
 )
-from kbrerank.ngram import score_sentences, train_jackknife
+from kbrerank.ngram import train_jackknife
 from kbrerank.trainer import (
     LstmLmDims,
     LstmLmParams,
@@ -527,12 +529,52 @@ class TestChunkedScoring:
         params = RerankerParams.initialize(mini_world["dims"], seed=3)
         models = RerankModels(ngram=full, reranker=params, kb_index=tables, vocab=vocab)
         dataset = list(mini_world["world"].heldout) + unequal_length_lists(mini_world["world"])
-        scores, valid = evaluation.score_hypotheses(dataset, "reranker", models)
+        split = evaluation.read_split(dataset)
+        scores, valid = evaluation.score_hypotheses(split, "reranker", models), split.valid
         for u, nbest in enumerate(dataset):
             lm_logprobs = score_sentences(full, [h for h, _ in nbest.hypotheses]).tolist()
-            x = evaluation.dataset_inputs([nbest], vocab, tables, lm_logprobs)[0]
+            one = evaluation.read_split([nbest])
+            (x,) = evaluation.reranker_inputs(one, one.vocab_ids(vocab), tables, lm_logprobs)
             own, _ = score_alone(params, x)
             np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
+
+
+class TestVocabularyLookups:
+    """A split is encoded once: every component reads one id matrix, built by
+    one ``Vocabulary.id_of`` per distinct word of the split."""
+
+    @staticmethod
+    def count_lookups(monkeypatch) -> list:
+        calls = []
+        id_of = Vocabulary.id_of
+        monkeypatch.setattr(Vocabulary, "id_of", lambda self, word: calls.append(word) or id_of(self, word))
+        return calls
+
+    def test_split_encoded_once(self, mini_world, monkeypatch):
+        vocab = mini_world["vocab"]
+        lm = LstmLmParams.initialize(LstmLmDims(vocab_size=vocab.size, word_dim=4, lstm_dim=5), vocab)
+        models = RerankModels(
+            ngram=mini_world["full"], lstm=lm, reranker=RerankerParams.initialize(mini_world["dims"]),
+            kb_index=mini_world["tables"], vocab=vocab,
+        )
+        dataset = list(mini_world["world"].heldout)
+        words = {t for n in dataset for s in (n.reference, *(h for h, _ in n.hypotheses)) for t in s}
+        calls = self.count_lookups(monkeypatch)
+        evaluation.score_split(dataset, evaluation.COMPONENTS, models)
+        assert len(calls) == len(set(calls)) and set(calls) <= words
+        calls.clear()
+        evaluation.score_hypotheses(evaluation.read_split(dataset), evaluation.COMPONENTS, models)
+        assert len(calls) == len(set(calls)) and set(calls) <= words
+
+    def test_lm_heldout_encoded_once_per_run(self, monkeypatch):
+        corpus = corpus_from_lines(["a b c d", "a b c", "b c d e"] * 2)
+        heldout = corpus_from_lines(["e d c b a", "c a"])
+        vocab = build_vocabulary(corpus, min_count=0)
+        config = TrainConfig(max_epochs=3, patience=3, batch_size=2)
+        calls = self.count_lookups(monkeypatch)
+        train_lstm_lm(corpus, vocab, config=config, dims=LstmLmDims(vocab.size, 4, 5), heldout=heldout)
+        tokens = sum(len(s) for s in corpus) + sum(len(s) for s in heldout)
+        assert len(calls) == tokens  # each sentence once, not once per epoch
 
 
 class TestLstmLmGradients:
@@ -677,7 +719,7 @@ class TestBatchedLm:
         sentences[3] = sentences[4] = sentences[5]  # duplicates
         for dims in ((6, 8), (3, 5)):
             params, _, _, _ = self.setup_lm(seed=4, dims=dims)
-            got = params.logprobs(sentences)
+            got = sentence_logprobs(params, sentences)
             assert got.shape == (n,)
             np.testing.assert_allclose(
                 got, position_logprobs(params, sentences), rtol=0, atol=1e-12
@@ -685,10 +727,10 @@ class TestBatchedLm:
             for value, tokens in zip(got, sentences):
                 expected = reference_lm_logprob(params, getattr(tokens, "tokens", tokens))
                 assert math.isclose(value, expected, rel_tol=0, abs_tol=1e-12)
-                alone = params.logprobs([tokens])[0]
+                alone = sentence_logprobs(params, [tokens])[0]
                 assert math.isclose(value, alone, rel_tol=0, abs_tol=1e-12)
             assert params.sentence_logprob(sentences[0]) == got[0]
-            assert params.logprobs([]).shape == (0,)
+            assert sentence_logprobs(params, []).shape == (0,)
 
 
 class TestLmLoopReference:
