@@ -41,8 +41,9 @@ def save_artifact(path, kind: str, arrays: dict, meta: dict | None = None, vocab
 def load_artifact(path, kind: str, members, vocab=None) -> tuple[dict, dict]:
     """(header, arrays) of an artifact of ``kind``; given ``vocab``, the file
     must have been saved against it. ``members(header)`` maps each array the
-    file must hold to None or, for a float64 tensor, its shape; it raises
-    ``KeyError``, ``TypeError`` or ``ValueError`` on a header it cannot read.
+    file must hold to its (dtype, shape), None in the shape meaning any
+    extent; it raises ``KeyError``, ``TypeError`` or ``ValueError`` on a
+    header it cannot read. A string dtype takes any width.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(zipfile.stringFileHeader))
@@ -73,12 +74,14 @@ def load_artifact(path, kind: str, members, vocab=None) -> tuple[dict, dict]:
     ):
         if names:
             raise ArtifactError(f"{path}: {what} member {min(names)!r}")
-    for name, shape in expected.items():
+    for name, (dtype, shape) in expected.items():
         array = arrays[name]
-        if shape is not None and (array.dtype != np.float64 or array.shape != tuple(shape)):
+        if not np.issubdtype(array.dtype, dtype) or len(array.shape) != len(shape) or any(
+            want not in (None, got) for got, want in zip(array.shape, shape)
+        ):
             raise ArtifactError(
-                f"{path}: member {name!r} is {array.dtype} of shape {array.shape}, "
-                f"expected float64 of shape {tuple(shape)}"
+                f"{path}: member {name!r} is {array.dtype} of shape {array.shape}, expected "
+                f"{np.dtype(dtype).name} of shape {str(tuple(shape)).replace('None', 'any')}"
             )
     return header, arrays
 
@@ -96,7 +99,10 @@ def load_tensors(path, kind: str, dims_type, vocab) -> tuple:
             raise ValueError(f"dims must map {', '.join(names)} to ints >= 1, got {dims!r}")
         return dims_type(**dims)
 
-    header, tensors = load_artifact(path, kind, lambda h: dims_of(h).tensor_shapes, vocab)
+    def members(header):  # every tensor is float64
+        return {name: (np.float64, shape) for name, shape in dims_of(header).tensor_shapes.items()}
+
+    header, tensors = load_artifact(path, kind, members, vocab)
     return dims_of(header), tensors
 
 

@@ -33,7 +33,6 @@ from . import evaluation, features, kb, negsampler, neural, ngram, synth, traine
 from .artifacts import ArtifactError, atomic_text_writer, read_jsonl
 from .corpus import (
     Corpus,
-    FoldAssignment,
     assign_folds,
     build_vocabulary,
     load_corpus,
@@ -207,17 +206,14 @@ class Paths:
         self.test = self.out / "test.jsonl"
         self.vocab = self.out / "vocab.tsv"
         self.kb_index = self.out / "kb_index.bin"
-        self.folds = self.out / "folds.json"
         self.ngram_full = self.out / "ngram_full.bin"
+        self.ngram_folds = self.out / "ngram_folds.bin"
         self.negatives = self.out / "negatives.bin"
         self.features = self.out / "features.jsonl"
         self.reranker = self.out / "reranker.bin"
         self.train_log = self.out / "train_log.csv"
         self.lstm = self.out / "lstm_lm.bin"
         self.summary = self.out / "summary.txt"
-
-    def ngram_fold(self, fold: int) -> Path:
-        return self.out / f"ngram_fold{fold}.bin"
 
     def report(self, split: str, scorer: str) -> Path:
         return self.out / f"report_{split}_{scorer.replace('+', '_')}.csv"
@@ -241,26 +237,9 @@ def _load_vocab_checked(paths: Paths):
     return load_vocabulary(_require_file(paths.vocab, "run build-vocab first"))
 
 
-def _load_folds(paths: Paths, corpus: Corpus) -> FoldAssignment:
-    """The fold assignment ``train-ngram`` wrote: an int ``k`` and one int
-    fold per sentence of ``corpus``."""
-    path = _require_file(paths.folds, "run train-ngram first")
-    try:
-        data = json.loads(path.read_text())
-        fold_of = tuple(data["fold_of"])
-        if type(data["k"]) is not int or not all(type(f) is int for f in fold_of):
-            raise ValueError("k and every fold must be ints")
-        if len(fold_of) != len(corpus):
-            raise ValueError(f"{len(fold_of)} sentences have folds, the corpus has {len(corpus)}")
-        return FoldAssignment(fold_of, data["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{path} does not fit the corpus {corpus.source_path} ({exc!r}); rerun train-ngram"
-        ) from exc
-
-
-def _load_ngram_checked(path: Path, vocab) -> ngram.NGramModel:
-    return ngram.load_model(_require_file(path, "run train-ngram first"), vocab)
+def _load_ngram_checked(paths: Paths, vocab) -> ngram.NGramModel:
+    path = _require_file(paths.ngram_full, "run train-ngram first")
+    return ngram.load_models(path, vocab)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -308,12 +287,9 @@ def cmd_train_ngram(cfg: PipelineConfig, args) -> int:
     corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
     vocab = _load_vocab_checked(paths)
     folds = assign_folds(corpus, cfg.n_folds, cfg.seed)
-    with atomic_text_writer(paths.folds) as fh:
-        fh.write(json.dumps({"k": folds.k, "fold_of": list(folds.fold_of)}))
     full, fold_models = ngram.train_jackknife(corpus, vocab, cfg.ngram_order, folds)
-    ngram.save_model(full, paths.ngram_full)
-    for fold, model in enumerate(fold_models):
-        ngram.save_model(model, paths.ngram_fold(fold))
+    ngram.save_models(paths.ngram_full, [full])
+    ngram.save_models(paths.ngram_folds, fold_models, folds)
     print(f"ngram: order {cfg.ngram_order}, full model + {folds.k} jackknife models")
     return 0
 
@@ -322,8 +298,8 @@ def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
     vocab = _load_vocab_checked(paths)
-    folds = _load_folds(paths, corpus)
-    fold_models = [_load_ngram_checked(paths.ngram_fold(f), vocab) for f in range(folds.k)]
+    path = _require_file(paths.ngram_folds, "run train-ngram first")
+    fold_models, folds = ngram.load_models(path, vocab, corpus)
     negs = negsampler.sample_corpus_negatives(
         corpus,
         negsampler.build_confusion_table(vocab),
@@ -439,7 +415,7 @@ def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
     paths = Paths(cfg.out_dir)
     vocab = _load_vocab_checked(paths)
     index = kb.load_index(_require_file(paths.kb_index, "run build-kb-index first"))
-    full = _load_ngram_checked(paths.ngram_full, vocab)
+    full = _load_ngram_checked(paths, vocab)
     instances = load_feature_instances(
         _require_file(paths.features, "run extract-features first"), vocab
     )
@@ -505,7 +481,7 @@ def _load_models(paths: Paths, components) -> evaluation.RerankModels:
     if "vocab" in needed:
         models.vocab = vocab
     if "ngram" in needed:
-        models.ngram = _load_ngram_checked(paths.ngram_full, vocab)
+        models.ngram = _load_ngram_checked(paths, vocab)
     if "lstm" in needed:
         models.lstm = trainer.LstmLmParams.load(
             _require_file(paths.lstm, "run train-lstm-lm first"), vocab

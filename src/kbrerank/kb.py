@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import ArtifactError, atomic_text_writer, load_artifact, save_artifact
+from .artifacts import atomic_text_writer, load_artifact, save_artifact
 
 Phrase = tuple[str, ...]
 
@@ -297,56 +297,33 @@ def save_index(tables: KBTables, path) -> None:
 
 # the records of a ``kb-index`` file, by member-name prefix
 _RECORDS = (("", KBTables), ("cross_", PairArrays), ("intra_", PairArrays))
-# the dtype of each array field of KBTables and PairArrays (``words`` of any
-# string width); every array is 1-d
+# the dtype of each array field of KBTables and PairArrays that is not int64
+# (``words`` of any string width); every array is 1-d
 _DTYPES = {
     "words": np.str_,
-    "edge_keys": np.int64,
-    "edge_child": np.int64,
-    "artist_of": np.int64,
-    "song_of": np.int64,
-    "artist_freq": np.float64,
-    "song_freq": np.float64,
-    "pair_keys": np.int64,
-    "pair_counts": np.int64,
-    "in_left": np.bool_,
-    "in_right": np.bool_,
-    "marginal": np.float64,
-    "keys": np.int64,
-    "weights": np.float64,
+    **dict.fromkeys(("in_left", "in_right"), np.bool_),
+    **dict.fromkeys(("artist_freq", "song_freq", "marginal", "weights"), np.float64),
 }
 
 
 def _index_members(header) -> dict:
-    """The arrays of a ``kb-index`` file, of any shape: each array field of
-    ``KBTables`` and of its ``PairArrays`` (field f of ``cross`` as
-    ``cross_f``). The other fields are the header's numbers."""
+    """The arrays of a ``kb-index`` file: each array field of ``KBTables``
+    and of its ``PairArrays`` (field f of ``cross`` as ``cross_f``), of its
+    dtype and one dimension. The other fields are the header's numbers."""
     members = {}
     for prefix, record in _RECORDS:
         for f in fields(record):
             name = prefix + f.name
             if f.type == "np.ndarray":
-                members[name] = None
+                members[name] = (_DTYPES.get(f.name, np.int64), (None,))
             elif f.type != "PairArrays" and type(header.get(name)) not in (int, float):
                 raise ValueError(f"{name} must be a number, got {header.get(name)!r}")
     return members
 
 
 def load_index(path) -> KBTables:
-    """The tables saved by ``save_index``, each array checked against its
-    field's dtype and one dimension."""
+    """The tables saved by ``save_index``."""
     header, arrays = load_artifact(path, "kb-index", _index_members)
-    for prefix, record in _RECORDS:
-        for f in fields(record):
-            name = prefix + f.name
-            if name not in arrays:  # a header number, or a PairArrays
-                continue
-            array, dtype = arrays[name], _DTYPES[f.name]
-            if array.ndim != 1 or not np.issubdtype(array.dtype, dtype):
-                raise ArtifactError(
-                    f"{path}: member {name!r} is {array.dtype} of shape {array.shape}, "
-                    f"expected {dtype.__name__} with 1 dimension"
-                )
     values = {**header, **arrays}
     for side in ("cross", "intra"):
         values[side] = PairArrays(*(values[f"{side}_{f.name}"] for f in fields(PairArrays)))

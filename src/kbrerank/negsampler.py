@@ -300,7 +300,11 @@ def best_groups(negs: Negatives, top_m: int) -> list:
 
 
 _KIND = "negatives"
-_MEMBERS = {"sentence": (np.int64, 1), "ids": (np.int32, 2), "logprob": (np.float64, 1)}
+_MEMBERS = {
+    "sentence": (np.int64, (None,)),
+    "ids": (np.int32, (None, None)),
+    "logprob": (np.float64, (None,)),
+}
 
 
 def save_negatives(negs: Negatives, path, vocab: Vocabulary) -> None:
@@ -313,14 +317,13 @@ def load_negatives(path, corpus: Corpus, vocab: Vocabulary) -> Negatives:
     groups in ascending corpus order, each starting with its sentence's own
     ids and holding at least one negative of that length that differs from
     it. Each fault names the file and, where there is one, the sentence."""
-    _, arrays = load_artifact(path, _KIND, lambda header: dict.fromkeys(_MEMBERS), vocab)
-    rows = arrays["sentence"].shape[:1]  # (n,) for a column
-    for name, (dtype, ndim) in _MEMBERS.items():
-        array = arrays[name]
-        if array.dtype != dtype or array.ndim != ndim or array.shape[:1] != rows:
+    _, arrays = load_artifact(path, _KIND, lambda header: _MEMBERS, vocab)
+    n = len(arrays["sentence"])
+    for name, array in arrays.items():
+        if len(array) != n:
             raise ArtifactError(
-                f"{path}: member {name!r} is {array.dtype} of shape {array.shape}, expected "
-                f"{np.dtype(dtype)} with {ndim} dimension(s) and the sentence column's rows"
+                f"{path}: member {name!r} is {array.dtype} of shape {array.shape}, "
+                f"expected {array.dtype} with the sentence column's {n} rows"
             )
     negs = Negatives(**arrays)
     sentence = negs.sentence

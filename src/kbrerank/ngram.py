@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import atomic_text_writer, load_artifact, save_artifact
+from .artifacts import ArtifactError, atomic_text_writer, load_artifact, save_artifact
 from .corpus import BOS, EOS, Corpus, FoldAssignment, Vocabulary, pad_ids
 
 MAX_ORDER = 5
@@ -36,8 +36,11 @@ _MIN_DISCOUNT = 0.01
 # a packed key of `order` ids in base V+2 is at most (V+2)**order - 1
 _KEY_LIMIT = 2**63
 _KIND = "ngram-tables"
-# the per-order tables, each with how many fewer than ``order`` it holds
-_TABLES = {"gram_keys": 0, "logprobs": 0, "context_keys": 1, "backoffs": 1}
+# each table group: its dtype, and how many fewer tables than ``order`` a model has
+_TABLES = {
+    "gram_keys": (np.int64, 0), "logprobs": (np.float64, 0),
+    "context_keys": (np.int64, 1), "backoffs": (np.float64, 1),
+}
 
 
 def _estimate_discounts(counts: np.ndarray) -> tuple[float, float, float]:
@@ -87,7 +90,6 @@ class NGramModel:
     logprobs: tuple = field(repr=False)
     context_keys: tuple = field(repr=False)
     backoffs: tuple = field(repr=False)
-    trained_on_folds: tuple[int, ...] = ()
 
     @property
     def base(self) -> int:
@@ -255,9 +257,6 @@ def estimate(counts: NGramCounts, vocab: Vocabulary, exclude_fold=None) -> NGram
         gram_keys.append(keys[by_key])
         logprobs.append(_log_each(p)[by_key])
 
-    trained_on = () if exclude_fold is None else tuple(
-        f for f in range(counts.n_folds) if f != exclude_fold
-    )
     return NGramModel(
         order=order,
         vocab=vocab,
@@ -265,7 +264,6 @@ def estimate(counts: NGramCounts, vocab: Vocabulary, exclude_fold=None) -> NGram
         logprobs=tuple(logprobs),
         context_keys=tuple(context_keys),
         backoffs=tuple(backoffs),
-        trained_on_folds=trained_on,
     )
 
 
@@ -330,35 +328,73 @@ def score_ids(model: NGramModel, ids, lengths) -> np.ndarray:
     return total
 
 
-def save_model(model: NGramModel, path) -> None:
-    arrays = {f"{name}{i}": a for name in _TABLES for i, a in enumerate(getattr(model, name))}
-    meta = {"order": model.order, "trained_on_folds": list(model.trained_on_folds)}
-    save_artifact(path, _KIND, arrays, meta, model.vocab)
+def save_models(path, models, folds: FoldAssignment | None = None) -> None:
+    """Write ``models`` (one order, one vocabulary) to one file: each table
+    group one array of every model's tables, order by order, and the header's
+    ``lengths`` each model's gram then context table lengths. Given ``folds``,
+    model j is the one that leaves fold j out, and ``fold_of`` is saved."""
+    arrays = {
+        name: np.concatenate([np.zeros(0, dtype), *(t for m in models for t in getattr(m, name))])
+        for name, (dtype, _) in _TABLES.items()
+    }
+    if folds is not None:
+        arrays["fold_of"] = np.array(folds.fold_of, dtype=np.int64)
+    lengths = [[len(t) for t in (*m.gram_keys, *m.context_keys)] for m in models]
+    meta = {"order": models[0].order, "lengths": lengths}
+    save_artifact(path, _KIND, arrays, meta, models[0].vocab)
 
 
-def load_model(path, vocab: Vocabulary) -> NGramModel:
-    """Load a model saved against ``vocab`` and attach it."""
-    header, arrays = load_artifact(path, _KIND, _model_members, vocab)
-    order = header["order"]
-    return NGramModel(
-        order=order,
-        vocab=vocab,
-        trained_on_folds=tuple(header["trained_on_folds"]),
-        **{
-            name: tuple(arrays[f"{name}{i}"] for i in range(order - fewer))
-            for name, fewer in _TABLES.items()
-        },
-    )
-
-
-def _model_members(header) -> dict:
-    """The tables of a model file of the header's order, of any shape."""
-    order = header.get("order")
+def load_models(path, vocab: Vocabulary, corpus: Corpus | None = None) -> tuple:
+    """(models, fold assignment) of a ``save_models`` file, attached to
+    ``vocab``. Given ``corpus``, the file is the jackknife one, whose
+    ``fold_of`` gives each sentence one of its models; else it holds one
+    model and no assignment. Each table group must hold its header's lengths,
+    keys strictly ascending, values finite, unigrams exactly the V+1 events."""
+    spec = {name: (dtype, (None,)) for name, (dtype, _) in _TABLES.items()}
+    if corpus is not None:
+        spec["fold_of"] = (np.int64, (None,))
+    header, arrays = load_artifact(path, _KIND, lambda header: spec, vocab)
+    order, lengths = header.get("order"), header.get("lengths")
     if type(order) is not int or not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be an int in [1, {MAX_ORDER}], got {order!r}")
-    if not isinstance(header.get("trained_on_folds"), list):
-        raise ValueError(f"trained_on_folds must be a list, got {header.get('trained_on_folds')!r}")
-    return {f"{name}{i}": None for name, fewer in _TABLES.items() for i in range(order - fewer)}
+        raise ArtifactError(
+            f"{path}: bad header (order must be an int in [1, {MAX_ORDER}], got {order!r})"
+        )
+    models_ok = isinstance(lengths, list) and (len(lengths) == 1 or corpus is not None and lengths)
+    if not models_ok or not all(
+        type(m) is list and len(m) == 2 * order - 1 and all(type(x) is int and x >= 0 for x in m)
+        for m in lengths
+    ):
+        raise ArtifactError(
+            f"{path}: bad header (lengths must list {2 * order - 1} ints >= 0 per model)"
+        )
+    tables = []
+    for name, (_, fewer) in _TABLES.items():
+        sizes = [x for m in lengths for x in (m[:order] if fewer == 0 else m[order:])]
+        if len(arrays[name]) != sum(sizes):
+            raise ArtifactError(
+                f"{path}: member {name!r} holds {len(arrays[name])} values, its header {sum(sizes)}"
+            )
+        flat = iter(np.split(arrays[name], np.cumsum(sizes)))
+        tables.append([tuple(next(flat) for _ in range(order - fewer)) for _ in lengths])
+    models = [NGramModel(order, vocab, *model) for model in zip(*tables)]
+    if not (np.isfinite(arrays["logprobs"]).all() and np.isfinite(arrays["backoffs"]).all()):
+        raise ArtifactError(f"{path}: a log-probability or backoff weight is not finite")
+    for i, model in enumerate(models):
+        if not np.array_equal(model.gram_keys[0], np.arange(model.v_events)):
+            raise ArtifactError(f"{path}: model {i}'s unigram keys are not the V+1 events")
+        if not all(np.all(np.diff(keys) > 0) for keys in (*model.gram_keys, *model.context_keys)):
+            raise ArtifactError(f"{path}: model {i}'s keys are not strictly ascending")
+    if corpus is None:
+        return models, None
+    try:
+        if len(arrays["fold_of"]) != len(corpus):
+            raise ValueError(f"{len(arrays['fold_of'])} sentences have folds, not {len(corpus)}")
+        return models, FoldAssignment(tuple(arrays["fold_of"].tolist()), len(models))
+    except ValueError as exc:
+        raise ArtifactError(
+            f"{path}: fold_of does not fit the corpus {corpus.source_path} and {len(models)} "
+            f"models ({exc}); rerun train-ngram"
+        ) from exc
 
 
 def _gram_words(key: int, k: int, base: int, vocab: Vocabulary) -> tuple[str, ...]:

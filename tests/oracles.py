@@ -672,7 +672,6 @@ class DictNGramModel:
     v_events: int
     logprob: dict
     logbackoff: dict
-    trained_on_folds: tuple = ()
 
     def map_tokens(self, tokens) -> tuple:
         return tuple(map_token(self.vocab, t) for t in tokens)
@@ -738,7 +737,6 @@ def dict_mapped_sentences(corpus, vocab, folds=None, exclude_fold=None):
 def train_dict_ngram(corpus, vocab, order=3, exclude_fold=None, folds=None) -> DictNGramModel:
     """Count the kept sentences, then estimate gram by gram."""
     mapped = dict_mapped_sentences(corpus, vocab, folds, exclude_fold)
-    trained_on = () if exclude_fold is None else tuple(f for f in range(folds.k) if f != exclude_fold)
     adjusted = _dict_adjusted_tables(dict_count_tables(mapped, order), order)
     v_events = vocab.size + 1
     logprob, logbackoff = {}, {}
@@ -768,7 +766,7 @@ def train_dict_ngram(corpus, vocab, order=3, exclude_fold=None, folds=None) -> D
             lower = math.exp(logprob[gram[1:]])
             p = max(c - _discount_for(c, dk), 0.0) / ctx_total[ctx] + gamma * lower
             logprob[gram] = math.log(p)
-    return DictNGramModel(order, vocab, v_events, logprob, logbackoff, trained_on)
+    return DictNGramModel(order, vocab, v_events, logprob, logbackoff)
 
 
 def train_jackknife_models(corpus, vocab, order, folds) -> list:

@@ -436,7 +436,7 @@ def test_c8_early_stopping_returns_heldout_minimum(small_runs, capsys):
     vocab = load_vocabulary(paths.vocab)
     params = RerankerParams.load(paths.reranker, vocab)
     index = kb_mod.load_index(paths.kb_index)
-    full = ngram_mod.load_model(paths.ngram_full, vocab)
+    [full], _ = ngram_mod.load_models(paths.ngram_full, vocab)
     prepared = prepare_heldout(evaluation.load_nbest(paths.heldout), vocab, index, full)
     checkpoint_wer = heldout_wer(params, prepared)
     assert math.isclose(checkpoint_wer, min(logged), rel_tol=1e-12, abs_tol=1e-12)

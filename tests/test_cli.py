@@ -307,11 +307,16 @@ class TestPipeline:
     def test_artifacts_exist(self, pipeline_dir):
         for name in (
             "kb.tsv", "train.txt", "heldout.jsonl", "test.jsonl", "vocab.tsv",
-            "kb_index.bin", "folds.json", "ngram_full.bin", "ngram_fold0.bin",
+            "kb_index.bin", "ngram_full.bin", "ngram_folds.bin",
             "negatives.bin", "features.jsonl", "reranker.bin", "train_log.csv",
             "lstm_lm.bin", "summary.txt",
         ):
             assert (pipeline_dir / name).exists(), name
+        # train-ngram writes the full model and the jackknife file, nothing else
+        assert sorted(p.name for p in pipeline_dir.glob("*fold*")) == ["ngram_folds.bin"]
+        assert sorted(p.name for p in pipeline_dir.glob("ngram_*")) == [
+            "ngram_folds.bin", "ngram_full.bin"
+        ]
 
     def test_summary_has_all_scorer_rows(self, pipeline_dir):
         text = (pipeline_dir / "summary.txt").read_text()
@@ -378,12 +383,11 @@ class TestPipeline:
     def test_extract_features_reads_no_ngram_model(self, pipeline_dir, tmp_path):
         # gen-negatives scored every sentence with its draws
         run = copy_run(pipeline_dir, tmp_path)
-        for name in ("folds.json", "features.jsonl"):
+        (run / "features.jsonl").unlink()
+        models = sorted(p.name for p in run.glob("ngram_*.bin"))
+        assert models == ["ngram_folds.bin", "ngram_full.bin"]
+        for name in models:
             (run / name).unlink()
-        models = sorted(run.glob("ngram_*.bin"))
-        assert len(models) == 5
-        for path in models:
-            path.unlink()
         assert stage("extract-features", run) == 0
         written = (run / "features.jsonl").read_bytes()
         assert written == (pipeline_dir / "features.jsonl").read_bytes()
@@ -986,41 +990,55 @@ class TestInputRecords:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "damage", ["longer", "shorter", "no_fold_of", "float_fold", "not_json"]
+        "damage", ["longer", "shorter", "no_fold_of", "float_fold", "not_json", "models"]
     )
     def test_folds_not_fitting_the_corpus_fail_gen_negatives(
         self, pipeline_dir, tmp_path, capsys, damage
     ):
         # 40 more balanced entries would pass silently, one fewer fail as a
-        # traceback, a record without fold_of print only the key
+        # traceback; the fold assignment and its models share ngram_folds.bin
         run = copy_run(pipeline_dir, tmp_path)
-        path = run / "folds.json"
-        folds = json.loads(path.read_text())
-        fold_of, k = folds["fold_of"], folds["k"]
-        if damage == "longer":
-            fold_of += [i % k for i in range(40)]
-        elif damage == "shorter":
-            largest = max(range(k), key=fold_of.count)
-            del fold_of[len(fold_of) - 1 - fold_of[::-1].index(largest)]
-        elif damage == "no_fold_of":
-            del folds["fold_of"]
-        elif damage == "float_fold":
-            fold_of[0] = float(fold_of[0])
-        path.write_text("{" if damage == "not_json" else json.dumps(folds))
+        path = run / "ngram_folds.bin"
+
+        def edit(header, arrays):
+            fold_of = arrays["fold_of"]
+            k = len(header["lengths"])
+            if damage == "longer":
+                arrays["fold_of"] = np.r_[fold_of, np.arange(40) % k]
+            elif damage == "shorter":
+                largest = np.bincount(fold_of).argmax()
+                arrays["fold_of"] = np.delete(fold_of, np.flatnonzero(fold_of == largest)[-1])
+            elif damage == "no_fold_of":
+                del arrays["fold_of"]
+            elif damage == "float_fold":
+                arrays["fold_of"] = fold_of.astype(np.float64)
+            elif damage == "models":  # the last fold's model dropped
+                last, order = header["lengths"].pop(), header["order"]
+                for names, cut in (
+                    (("gram_keys", "logprobs"), sum(last[:order])),
+                    (("context_keys", "backoffs"), sum(last[order:])),
+                ):
+                    for name in names:
+                        arrays[name] = arrays[name][: len(arrays[name]) - cut]
+
+        if damage == "not_json":
+            path.write_bytes(b"{")
+        else:
+            rewrite_artifact(path, edit)
         (run / "negatives.bin").unlink()
         capsys.readouterr()
         assert stage("gen-negatives", run) == 1
         err = capsys.readouterr().err
-        corpus = run / "train.txt"
+        fits = f"fold_of does not fit the corpus {run / 'train.txt'} and"
         expected = {
-            "longer": "ValueError('290 sentences have folds, the corpus has 250')",
-            "shorter": "ValueError('249 sentences have folds, the corpus has 250')",
-            "no_fold_of": "KeyError('fold_of')",
-            "float_fold": "ValueError('k and every fold must be ints')",
-            "not_json": "JSONDecodeError(",
+            "longer": f"{fits} 4 models (290 sentences have folds, not 250); rerun train-ngram",
+            "shorter": f"{fits} 4 models (249 sentences have folds, not 250); rerun train-ngram",
+            "no_fold_of": "missing member 'fold_of'",
+            "float_fold": "member 'fold_of' is float64 of shape (250,), expected int64 of shape (any,)",
+            "not_json": "not an artifact (not an .npz archive)",
+            "models": f"{fits} 3 models (every fold must be non-empty); rerun train-ngram",
         }[damage]
-        assert f"{path} does not fit the corpus {corpus} ({expected}" in err
-        assert "; rerun train-ngram" in err
+        assert f"{path}: {expected}" in err
         assert "Traceback" not in err
         assert not (run / "negatives.bin").exists()
 
@@ -1086,8 +1104,10 @@ def rewrite_artifact(path, edit):
 
 
 def resave_ngram(path, vocab):
-    model = ngram.load_model(path, load_vocabulary(path.parent / "vocab.tsv"))
-    ngram.save_model(dataclasses.replace(model, vocab=vocab), path)
+    run = path.parent
+    corpus = load_corpus(run / "train.txt") if path.name == "ngram_folds.bin" else None
+    models, folds = ngram.load_models(path, load_vocabulary(run / "vocab.tsv"), corpus)
+    ngram.save_models(path, [dataclasses.replace(m, vocab=vocab) for m in models], folds)
 
 
 def resave_reranker(path, vocab):
@@ -1112,6 +1132,35 @@ def resave_lstm(path, vocab):
     trainer.LstmLmParams(lm.dims, lm.tensors, vocab).save(path)
 
 
+def ngram_table(header, name, k) -> slice:
+    """Where member ``name`` of an n-gram file holds the first model's
+    table of ``k`` ids."""
+    lengths, order = header["lengths"][0], header["order"]
+    lengths = lengths[:order] if name in ("gram_keys", "logprobs") else lengths[order:]
+    return slice(sum(lengths[: k - 1]), sum(lengths[:k]))
+
+
+def reverse_ngram_table(name, k):
+    def edit(header, arrays):
+        at = ngram_table(header, name, k)
+        arrays[name][at] = arrays[name][at][::-1].copy()
+
+    return edit
+
+
+def set_ngram_value(name, value):
+    def edit(header, arrays):
+        arrays[name][ngram_table(header, name, 2).start] = value
+
+    return edit
+
+
+def shift_unigram_event(header, arrays):
+    """The last unigram, end-of-sentence, moved to the bigram table."""
+    header["lengths"][0][0] -= 1
+    header["lengths"][0][1] += 1
+
+
 class TestHostileArtifacts:
     """Each binary artifact, as the stage that consumes it loads it: a pickle
     (whose loading would create a marker file), a truncated file, an artifact
@@ -1123,6 +1172,7 @@ class TestHostileArtifacts:
     CASES = {
         "kb_index.bin": (("extract-features",), "ngram_full.bin", None),
         "ngram_full.bin": (("rerank", "--scorer", "ngram"), "kb_index.bin", resave_ngram),
+        "ngram_folds.bin": (("gen-negatives",), "negatives.bin", resave_ngram),
         "reranker.bin": (("rerank", "--scorer", "reranker"), "lstm_lm.bin", resave_reranker),
         "lstm_lm.bin": (("rerank", "--scorer", "lstm"), "reranker.bin", resave_lstm),
         "negatives.bin": (("extract-features",), "kb_index.bin", resave_negatives),
@@ -1163,7 +1213,7 @@ class TestHostileArtifacts:
         self.fails(run, name, capsys, "artifact, found '")
 
     @pytest.mark.parametrize(
-        "name", ["ngram_full.bin", "reranker.bin", "lstm_lm.bin", "negatives.bin"]
+        "name", ["ngram_full.bin", "ngram_folds.bin", "reranker.bin", "lstm_lm.bin", "negatives.bin"]
     )
     def test_model_of_another_vocabulary(self, pipeline_dir, tmp_path, capsys, name):
         run = copy_run(pipeline_dir, tmp_path)
@@ -1193,14 +1243,39 @@ class TestHostileArtifacts:
             ("kb_index.bin", lambda h, a: h.pop("n_entries"),
              "bad header (n_entries must be a number, got None)"),
             ("kb_index.bin", lambda h, a: a.update(words=np.array("x")),
-             "member 'words' is <U1 of shape (), expected str_ with 1 dimension"),
+             "member 'words' is <U1 of shape (), expected str of shape (any,)"),
             ("kb_index.bin", lambda h, a: a.update(edge_keys=a["edge_keys"][:, None]),
              "member 'edge_keys' is int64 of shape ("),
             ("kb_index.bin", lambda h, a: a.update(pair_counts=a["pair_counts"] * 1.0),
              "member 'pair_counts' is float64 of shape ("),
-            ("ngram_full.bin", lambda h, a: a.pop("logprobs0"), "missing member 'logprobs0'"),
+            ("ngram_full.bin", lambda h, a: a.pop("logprobs"), "missing member 'logprobs'"),
             ("ngram_full.bin", lambda h, a: h.update(order=9),
              "bad header (order must be an int in [1, 5], got 9)"),
+            ("ngram_full.bin", lambda h, a: h["lengths"][0].pop(),
+             "bad header (lengths must list 5 ints >= 0 per model)"),
+            ("ngram_full.bin", lambda h, a: h["lengths"].append(h["lengths"][0]),
+             "bad header (lengths must list 5 ints >= 0 per model)"),
+            # a table cut short, a 2-d table, keys of another dtype
+            ("ngram_full.bin", lambda h, a: a.update(logprobs=a["logprobs"][:-1]),
+             "member 'logprobs' holds "),
+            ("ngram_full.bin", lambda h, a: a.update(logprobs=a["logprobs"][:, None]),
+             "member 'logprobs' is float64 of shape ("),
+            ("ngram_full.bin", lambda h, a: a.update(gram_keys=a["gram_keys"] * 1.0),
+             "member 'gram_keys' is float64 of shape ("),
+            ("ngram_folds.bin", lambda h, a: a.update(backoffs=a["backoffs"].astype(np.float32)),
+             "member 'backoffs' is float32 of shape ("),
+            ("ngram_folds.bin", lambda h, a: a.update(fold_of=a["fold_of"][:, None]),
+             "member 'fold_of' is int64 of shape (250, 1), expected int64 of shape (any,)"),
+            # tables that load with the right dtypes and lengths but would score wrongly
+            ("ngram_full.bin", reverse_ngram_table("gram_keys", 2),
+             "model 0's keys are not strictly ascending"),
+            ("ngram_folds.bin", reverse_ngram_table("context_keys", 1),
+             "model 0's keys are not strictly ascending"),
+            ("ngram_full.bin", shift_unigram_event, "model 0's unigram keys are not the V+1 events"),
+            ("ngram_full.bin", set_ngram_value("logprobs", math.nan),
+             "a log-probability or backoff weight is not finite"),
+            ("ngram_folds.bin", set_ngram_value("backoffs", -math.inf),
+             "a log-probability or backoff weight is not finite"),
             ("reranker.bin", lambda h, a: h["dims"].update(extra=3), "'extra': 3}"),
             ("reranker.bin", lambda h, a: h["dims"].pop("lstm_dim"), "bad header (dims must map"),
             ("reranker.bin", lambda h, a: h["dims"].update(word_dim=0), "'word_dim': 0"),
@@ -1255,9 +1330,11 @@ class TestLstmLmHeldoutReport:
 class TestNoUnusedPublicNames:
     """Every public function, class and method of ``src/kbrerank`` is named
     somewhere in ``src/`` outside its own definition; helpers only the tests
-    call belong in ``tests/oracles.py``. Names match by identifier (a Name or
-    an attribute), so a method counts as used when any object's attribute of
-    that name is read."""
+    call belong in ``tests/oracles.py``. A module-level name is resolved: it
+    is used through a bare name in its module or in one that imports it, or
+    as an attribute of its imported module (``ngram.score_ids``). A method
+    is matched by identifier, so it counts as used when any object's
+    attribute of that name is read."""
 
     # what is reached only from outside src/, each with the reason
     ALLOWED = {
@@ -1267,16 +1344,37 @@ class TestNoUnusedPublicNames:
         "cli.PipelineConfig.to_dict",
         # library API for the optional ARPA export (README); no stage writes ARPA
         "ngram.export_arpa",
+        # perfbench/checks.py counts the benchmark's WER with it
+        "evaluation.wer",
     }
 
     @staticmethod
-    def names_in(node) -> Counter:
+    def imports(tree) -> dict:
+        """Local name -> the module (``ngram``) or module-level name
+        (``ngram.score_ids``) a module binds it to by a relative import."""
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = f"{node.module}.{alias.name}" if node.module else alias.name
+                    bound[alias.asname or alias.name] = target
+        return bound
+
+    @staticmethod
+    def names_in(node, module, bound, modules) -> Counter:
+        """What ``node``, code of ``module``, refers to: ``module.name`` for
+        a bare name or an attribute of an imported module, ``.attr`` for any
+        other attribute."""
         names = Counter()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                names[sub.id] += 1
+                names[bound.get(sub.id, f"{module}.{sub.id}")] += 1
             elif isinstance(sub, ast.Attribute):
-                names[sub.attr] += 1
+                owner = sub.value.id if isinstance(sub.value, ast.Name) else None
+                if bound.get(owner) in modules:
+                    names[f"{bound[owner]}.{sub.attr}"] += 1
+                else:
+                    names[f".{sub.attr}"] += 1
         return names
 
     def unused(self, src: Path) -> list:
@@ -1285,24 +1383,28 @@ class TestNoUnusedPublicNames:
             for path in sorted(src.glob("*.py"))
         }
         assert trees
-        used = sum((self.names_in(tree) for tree in trees.values()), Counter())
+        bound = {module: self.imports(tree) for module, tree in trees.items()}
+        used = sum(
+            (self.names_in(tree, m, bound[m], trees) for m, tree in trees.items()), Counter()
+        )
         functions = (ast.FunctionDef, ast.AsyncFunctionDef)
         found = []
         for module, tree in trees.items():
             defs = []
             for node in tree.body:
                 if isinstance(node, (*functions, ast.ClassDef)):
-                    defs.append((node.name, node))
+                    defs.append((node.name, f"{module}.{node.name}", node))
                 if isinstance(node, ast.ClassDef):
                     defs += [
-                        (f"{node.name}.{sub.name}", sub)
+                        (f"{node.name}.{sub.name}", f".{sub.name}", sub)
                         for sub in node.body
                         if isinstance(sub, functions)
                     ]
-            for qualname, node in defs:
+            for qualname, key, node in defs:
                 # private and dunder names are skipped; a definition's own
                 # body (recursion) does not count as a use
-                if not node.name.startswith("_") and used[node.name] == self.names_in(node)[node.name]:
+                own = self.names_in(node, module, bound[module], trees)
+                if not node.name.startswith("_") and used[key] == own[key]:
                     found.append(f"{module}.{qualname}")
         return found
 
@@ -1323,6 +1425,27 @@ class TestNoUnusedPublicNames:
             "main()\n"
         )
         assert self.unused(tmp_path) == ["mod.A.lonely", "mod.recursive"]
+
+    def test_guard_resolves_module_level_names(self, tmp_path):
+        # a function is not used by an attribute of its name on another
+        # object (report.wer, model.load_model), nor by an attribute of
+        # another module; it is used through its module or an import of it
+        (tmp_path / "lib.py").write_text(
+            "def wer(a):\n    return a\n"
+            "def load_model(p):\n    return p\n"
+            "def save_model(p):\n    return p\n"
+            "def via_module(p):\n    return p\n"
+            "def via_import(p):\n    return p\n"
+        )
+        (tmp_path / "app.py").write_text(
+            "from . import lib, other\n"
+            "from .lib import via_import\n"
+            "def main(report, model):\n"
+            "    return report.wer, model.load_model(1), other.save_model,"
+            " lib.via_module(2), via_import(3)\n"
+        )
+        (tmp_path / "other.py").write_text("from . import app\napp.main(1, 2)\n")
+        assert self.unused(tmp_path) == ["lib.wer", "lib.load_model", "lib.save_model"]
 
 
 class TestNoPickle:

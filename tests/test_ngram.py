@@ -35,8 +35,8 @@ from kbrerank.ngram import (
     estimate,
     event_logprobs,
     export_arpa,
-    load_model,
-    save_model,
+    load_models,
+    save_models,
     score_ids,
     train_jackknife,
 )
@@ -160,7 +160,6 @@ class TestTraining:
         keep = [s.text() for i, s in enumerate(corpus) if folds.fold_of[i] != 1]
         complement = estimate(count_ngrams(make_corpus(*keep), vocab, 2), vocab)
         assert_same_tables(excluded, complement)
-        assert excluded.trained_on_folds == (0, 2)
 
     def test_order_validated(self):
         corpus = make_corpus("a b")
@@ -237,7 +236,10 @@ class TestJackknife:
         for i, sent in enumerate(corpus):
             other = models[folds.fold_of[i]]
             assert scores[i] == score_sentences(other, [sent])[0]
-            assert folds.fold_of[i] not in other.trained_on_folds
+            # the model never saw the sentence: it is the one trained without its fold
+            rest = [s.text() for j, s in enumerate(corpus) if folds.fold_of[j] != folds.fold_of[i]]
+            rest = make_corpus(*rest)
+            assert_same_tables(other, estimate(count_ngrams(rest, vocab, 1), vocab))
 
     def test_unique_word_scores_as_unk_under_jackknife_only(self):
         corpus = make_corpus("play zebra now", "play carrie now", "play carrie by sufjan", "download carrie")
@@ -411,7 +413,6 @@ class TestOnePassJackknife:
             ref = train_dict_ngram(corpus, vocab, order, exclude_fold=exclude, folds=folds)
             logprob, logbackoff = model_tables(model)
             assert logprob == ref.logprob and logbackoff == ref.logbackoff
-            assert model.trained_on_folds == ref.trained_on_folds
             counted = count_ngrams(corpus, vocab, order, folds if exclude is not None else None)
             assert_same_tables(model, estimate(counted, vocab, exclude))
 
@@ -421,34 +422,91 @@ class TestModelFile:
         corpus = make_corpus(*TOY)
         vocab = build_vocabulary(corpus, min_count=0)
         folds = assign_folds(corpus, 2, seed=0)
-        # order 1 has no context tables; a fold model records its folds
-        for order, exclude in ((1, None), (3, None), (3, 1)):
-            model = estimate(count_ngrams(corpus, vocab, order, folds), vocab, exclude)
+        # order 1 has no context tables
+        for order in (1, 3):
+            model = estimate(count_ngrams(corpus, vocab, order, folds), vocab)
             path = tmp_path / "ngram.bin"
-            save_model(model, path)
-            loaded = load_model(path, vocab)
+            save_models(path, [model])
+            [loaded], no_folds = load_models(path, vocab)
+            assert no_folds is None
             assert loaded.vocab is vocab and loaded.order == order
             assert_same_tables(loaded, model)
-            assert loaded.trained_on_folds == model.trained_on_folds
             assert score_sentences(loaded, corpus).tolist() == score_sentences(model, corpus).tolist()
         other = build_vocabulary(make_corpus("some other words"), min_count=0)
         with pytest.raises(ArtifactError, match="vocabulary-hash mismatch"):
-            load_model(path, other)
+            load_models(path, other)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_jackknife_file_roundtrip(self, tmp_path, order):
+        # model j of the file is the one that leaves fold j out
+        corpus = make_corpus(*TOY, "extra words here", "extra stuff")
+        vocab = build_vocabulary(corpus, min_count=0)
+        folds = assign_folds(corpus, 3, seed=5)
+        _, models = train_jackknife(corpus, vocab, order, folds)
+        path = tmp_path / "ngram_folds.bin"
+        save_models(path, models, folds)
+        loaded, loaded_folds = load_models(path, vocab, corpus)
+        assert loaded_folds == folds
+        assert len(loaded) == folds.k
+        for model, got in zip(models, loaded):
+            assert got.vocab is vocab and got.order == order
+            assert_same_tables(got, model)
+        with pytest.raises(ArtifactError, match="ngram_folds.bin: unexpected member 'fold_of'"):
+            load_models(path, vocab)
+        with pytest.raises(ArtifactError, match="fold_of does not fit the corpus .* and 3 models "
+                           r"\(6 sentences have folds, not 4\); rerun train-ngram"):
+            load_models(path, vocab, make_corpus(*TOY))
+        # three models without folds: only the jackknife file holds more than one
+        save_models(path, models)
+        with pytest.raises(ArtifactError, match=r"ngram_folds.bin: bad header \(lengths must list"):
+            load_models(path, vocab)
+
+    def test_file_has_one_array_per_table_group(self, tmp_path):
+        corpus = make_corpus(*TOY)
+        vocab = build_vocabulary(corpus, min_count=0)
+        folds = assign_folds(corpus, 2, seed=0)
+        full, models = train_jackknife(corpus, vocab, 3, folds)
+        for name, saved, members in (
+            ("ngram_full.bin", [full], {"gram_keys", "logprobs", "context_keys", "backoffs"}),
+            ("ngram_folds.bin", models, {"gram_keys", "logprobs", "context_keys", "backoffs"}),
+        ):
+            path = tmp_path / name
+            jackknife = name == "ngram_folds.bin"
+            save_models(path, saved, folds if jackknife else None)
+            if jackknife:
+                members.add("fold_of")
+            with np.load(path, allow_pickle=False) as archive:
+                assert set(archive.files) == members | {"header"}
 
     def test_other_format_version_refused(self, tmp_path, monkeypatch):
         vocab = build_vocabulary(make_corpus(*TOY), min_count=0)
         path = tmp_path / "ngram_full.bin"
         monkeypatch.setattr(artifacts, "FORMAT_VERSION", 3)
-        save_model(estimate(count_ngrams(make_corpus(*TOY), vocab, 2), vocab), path)
+        save_models(path, [estimate(count_ngrams(make_corpus(*TOY), vocab, 2), vocab)])
         monkeypatch.undo()
         with pytest.raises(ArtifactError, match="ngram_full.bin: unsupported format version 3"):
-            load_model(path, vocab)
+            load_models(path, vocab)
 
     def test_dict_model_file_refused_at_load(self, tmp_path):
         # an artifact of the earlier dict model's kind, "ngram-model"
-        path = tmp_path / "ngram_fold0.bin"
+        path = tmp_path / "ngram_folds.bin"
         vocab = build_vocabulary(make_corpus(*TOY), min_count=0)
         save_artifact(path, "ngram-model", {}, {"order": 3}, vocab)
-        with pytest.raises(ArtifactError, match="ngram_fold0.bin") as err:
-            load_model(path, vocab)
+        with pytest.raises(ArtifactError, match="ngram_folds.bin") as err:
+            load_models(path, vocab, make_corpus(*TOY))
         assert "'ngram-model'" in str(err.value)
+
+    def test_per_order_model_file_refused_at_load(self, tmp_path):
+        # the earlier layout: one file per model, each table its own member
+        corpus = make_corpus(*TOY)
+        vocab = build_vocabulary(corpus, min_count=0)
+        model = estimate(count_ngrams(corpus, vocab, 3), vocab)
+        arrays = {
+            f"{name}{i}": table
+            for name in ("gram_keys", "logprobs", "context_keys", "backoffs")
+            for i, table in enumerate(getattr(model, name))
+        }
+        path = tmp_path / "ngram_full.bin"
+        save_artifact(path, "ngram-tables", arrays, {"order": 3, "trained_on_folds": []}, vocab)
+        with pytest.raises(ArtifactError, match="ngram_full.bin: missing member 'backoffs'"):
+            load_models(path, vocab)
