@@ -7,6 +7,11 @@ the whole pipeline is a sequence of subcommands sharing one directory:
     gen-negatives -> extract-features -> train-reranker -> train-lstm-lm ->
     evaluate
 
+``FILES`` names each file once, with the stage that writes it. ``main`` makes
+the output directory and hands the stage one ``Inputs``, which loads each input
+on first use; a missing one fails naming the stage that writes it, or the
+option that gave its path (``--nbest``, config key ``corpus_path``).
+
 All knobs live in a flat JSON config (``--config``), overridable per key with
 ``--set key=value``; ``--seed`` overrides the global seed. Each
 ``trainer.TrainConfig`` field is a key of its own name, each
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -33,6 +39,7 @@ from . import evaluation, features, kb, negsampler, neural, ngram, synth, traine
 from .artifacts import ArtifactError, atomic_text_writer, read_jsonl
 from .corpus import (
     Corpus,
+    Vocabulary,
     assign_folds,
     build_vocabulary,
     load_corpus,
@@ -195,51 +202,83 @@ def _validate_flat(key: str, value) -> None:
         )
 
 
+# each conventional file under the output directory: Paths attribute ->
+# (file name, the stage that writes it)
+FILES = {
+    "kb": ("kb.tsv", "synth-world"),
+    "train": ("train.txt", "synth-world"),
+    "heldout": ("heldout.jsonl", "synth-world"),
+    "test": ("test.jsonl", "synth-world"),
+    "vocab": ("vocab.tsv", "build-vocab"),
+    "kb_index": ("kb_index.bin", "build-kb-index"),
+    "ngram_full": ("ngram_full.bin", "train-ngram"),
+    "ngram_folds": ("ngram_folds.bin", "train-ngram"),
+    "negatives": ("negatives.bin", "gen-negatives"),
+    "features": ("features.jsonl", "extract-features"),
+    "reranker": ("reranker.bin", "train-reranker"),
+    "train_log": ("train_log.csv", "train-reranker"),
+    "lstm": ("lstm_lm.bin", "train-lstm-lm"),
+    "summary": ("summary.txt", "evaluate"),
+}
+
+
 class Paths:
-    """Conventional artifact names under the output directory."""
+    """Conventional artifact names under the output directory (``FILES``)."""
 
     def __init__(self, out_dir: str):
         self.out = Path(out_dir)
-        self.kb = self.out / "kb.tsv"
-        self.train = self.out / "train.txt"
-        self.heldout = self.out / "heldout.jsonl"
-        self.test = self.out / "test.jsonl"
-        self.vocab = self.out / "vocab.tsv"
-        self.kb_index = self.out / "kb_index.bin"
-        self.ngram_full = self.out / "ngram_full.bin"
-        self.ngram_folds = self.out / "ngram_folds.bin"
-        self.negatives = self.out / "negatives.bin"
-        self.features = self.out / "features.jsonl"
-        self.reranker = self.out / "reranker.bin"
-        self.train_log = self.out / "train_log.csv"
-        self.lstm = self.out / "lstm_lm.bin"
-        self.summary = self.out / "summary.txt"
+        for attr, (name, _) in FILES.items():
+            setattr(self, attr, self.out / name)
 
     def report(self, split: str, scorer: str) -> Path:
         return self.out / f"report_{split}_{scorer.replace('+', '_')}.csv"
 
 
-def _corpus_path(cfg: PipelineConfig, paths: Paths) -> Path:
-    return Path(cfg.corpus_path) if cfg.corpus_path else paths.train
+class Inputs:
+    """One stage call's config, paths and inputs, each input loaded on first
+    use. The model attributes are those of ``evaluation.RerankModels``, so
+    scoring takes an ``Inputs`` as its models and loads only those its
+    components read (``evaluation.MODELS_NEEDED``). Every model is checked
+    against the vocabulary."""
 
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.paths = Paths(cfg.out_dir)
 
-def _kb_path(cfg: PipelineConfig, paths: Paths) -> Path:
-    return Path(cfg.kb_path) if cfg.kb_path else paths.kb
+    def path(self, name: str | None, given: str = "", option: str = "") -> Path:
+        """The file ``name`` (a ``FILES`` key), or ``given`` when ``option``
+        names it (always, without ``name``). A missing file is refused,
+        naming the stage that writes it or the option."""
+        own = name and not given
+        path = getattr(self.paths, name) if own else Path(given)
+        if not path.exists():
+            hint = f"run {FILES[name][1]} first" if own else f"given by {option}"
+            raise ValueError(f"missing input file {path} ({hint})")
+        return path
 
+    @functools.cached_property
+    def corpus(self) -> Corpus:
+        return load_corpus(self.path("train", self.cfg.corpus_path, "config key corpus_path"))
 
-def _require_file(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise ValueError(f"missing input file {path} ({hint})")
-    return path
+    @functools.cached_property
+    def vocab(self) -> Vocabulary:
+        return load_vocabulary(self.path("vocab"))
 
+    @functools.cached_property
+    def kb_index(self) -> kb.KBTables:
+        return kb.load_index(self.path("kb_index"))
 
-def _load_vocab_checked(paths: Paths):
-    return load_vocabulary(_require_file(paths.vocab, "run build-vocab first"))
+    @functools.cached_property
+    def ngram(self) -> ngram.NGramModel:
+        return ngram.load_models(self.path("ngram_full"), self.vocab)[0][0]
 
+    @functools.cached_property
+    def lstm(self) -> trainer.LstmLmParams:
+        return trainer.LstmLmParams.load(self.path("lstm"), self.vocab)
 
-def _load_ngram_checked(paths: Paths, vocab) -> ngram.NGramModel:
-    path = _require_file(paths.ngram_full, "run train-ngram first")
-    return ngram.load_models(path, vocab)[0][0]
+    @functools.cached_property
+    def reranker(self) -> RerankerParams:
+        return RerankerParams.load(self.path("reranker"), self.vocab)
 
 
 # --------------------------------------------------------------------------
@@ -247,9 +286,8 @@ def _load_ngram_checked(paths: Paths, vocab) -> ngram.NGramModel:
 # --------------------------------------------------------------------------
 
 
-def cmd_synth_world(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    paths.out.mkdir(parents=True, exist_ok=True)
+def cmd_synth_world(inp: Inputs, args) -> int:
+    cfg, paths = inp.cfg, inp.paths
     world = synth.generate_world(dataclasses.replace(cfg.synth, seed=cfg.seed))
     kb.save_kb(world.kb_entries, paths.kb)
     save_corpus(world.train, paths.train)
@@ -262,44 +300,33 @@ def cmd_synth_world(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_build_vocab(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    paths.out.mkdir(parents=True, exist_ok=True)
-    corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
-    vocab = build_vocabulary(corpus, cfg.vocab_min_count)
-    save_vocabulary(vocab, paths.vocab)
+def cmd_build_vocab(inp: Inputs, args) -> int:
+    vocab = build_vocabulary(inp.corpus, inp.cfg.vocab_min_count)
+    save_vocabulary(vocab, inp.paths.vocab)
     print(f"vocabulary: {vocab.size} entries (incl. unknown symbol)")
     return 0
 
 
-def cmd_build_kb_index(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    paths.out.mkdir(parents=True, exist_ok=True)
-    entries = kb.load_kb(_require_file(_kb_path(cfg, paths), "knowledge base"))
-    tables = kb.build_index(entries)
-    kb.save_index(tables, paths.kb_index)
+def cmd_build_kb_index(inp: Inputs, args) -> int:
+    tables = kb.build_index(kb.load_kb(inp.path("kb", inp.cfg.kb_path, "config key kb_path")))
+    kb.save_index(tables, inp.paths.kb_index)
     print(f"kb index: {tables.n_entries} entries, max co-occurrence {tables.max_cooccurrence}")
     return 0
 
 
-def cmd_train_ngram(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
-    vocab = _load_vocab_checked(paths)
+def cmd_train_ngram(inp: Inputs, args) -> int:
+    cfg, paths, corpus = inp.cfg, inp.paths, inp.corpus
     folds = assign_folds(corpus, cfg.n_folds, cfg.seed)
-    full, fold_models = ngram.train_jackknife(corpus, vocab, cfg.ngram_order, folds)
+    full, fold_models = ngram.train_jackknife(corpus, inp.vocab, cfg.ngram_order, folds)
     ngram.save_models(paths.ngram_full, [full])
     ngram.save_models(paths.ngram_folds, fold_models, folds)
     print(f"ngram: order {cfg.ngram_order}, full model + {folds.k} jackknife models")
     return 0
 
 
-def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
-    vocab = _load_vocab_checked(paths)
-    path = _require_file(paths.ngram_folds, "run train-ngram first")
-    fold_models, folds = ngram.load_models(path, vocab, corpus)
+def cmd_gen_negatives(inp: Inputs, args) -> int:
+    cfg, corpus, vocab = inp.cfg, inp.corpus, inp.vocab
+    fold_models, folds = ngram.load_models(inp.path("ngram_folds"), vocab, corpus)
     negs = negsampler.sample_corpus_negatives(
         corpus,
         negsampler.build_confusion_table(vocab),
@@ -311,20 +338,15 @@ def cmd_gen_negatives(cfg: PipelineConfig, args) -> int:
         seed=cfg.seed,
     )
     sampled = len(negs.groups())  # sentences without a confusable position leave training
-    negsampler.save_negatives(negs, paths.negatives, vocab)
+    negsampler.save_negatives(negs, inp.paths.negatives, vocab)
     print(f"negatives: {sampled} sentences sampled, {len(corpus) - sampled} dropped")
     return 0
 
 
-def cmd_extract_features(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
-    vocab = _load_vocab_checked(paths)
-    index = kb.load_index(_require_file(paths.kb_index, "run build-kb-index first"))
-    negs = negsampler.load_negatives(
-        _require_file(paths.negatives, "run gen-negatives first"), corpus, vocab
-    )
-    kept = negsampler.best_groups(negs, cfg.keep_top_m)
+def cmd_extract_features(inp: Inputs, args) -> int:
+    corpus, vocab, index = inp.corpus, inp.vocab, inp.kb_index
+    negs = negsampler.load_negatives(inp.path("negatives"), corpus, vocab)
+    kept = negsampler.best_groups(negs, inp.cfg.keep_top_m)
     # one row per candidate: each kept sentence, then its negatives
     rows, lps = [], negs.logprob.tolist()
     for group in kept:
@@ -333,7 +355,7 @@ def cmd_extract_features(cfg: PipelineConfig, args) -> int:
             rows.append((sid, hyp_id, words, lps[start + hyp_id]))
     bins = features.feature_bins([tokens for _, _, tokens, _ in rows], index).tolist()
     names = [name for name, _ in features.BIN_FIELDS]
-    with atomic_text_writer(paths.features) as fh:
+    with atomic_text_writer(inp.paths.features) as fh:
         for (sid, hyp_id, tokens, lp), row_bins in zip(rows, bins):
             rec = {
                 "sentence_id": sid,
@@ -411,16 +433,11 @@ def _train_config(cfg: PipelineConfig, **overrides) -> TrainConfig:
     return dataclasses.replace(cfg.train, seed=cfg.seed, **overrides)
 
 
-def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    vocab = _load_vocab_checked(paths)
-    index = kb.load_index(_require_file(paths.kb_index, "run build-kb-index first"))
-    full = _load_ngram_checked(paths, vocab)
-    instances = load_feature_instances(
-        _require_file(paths.features, "run extract-features first"), vocab
-    )
-    heldout_data = evaluation.load_nbest(_require_file(paths.heldout, "held-out n-best"))
-    prepared = trainer.prepare_heldout(heldout_data, vocab, index, full, paths.heldout)
+def cmd_train_reranker(inp: Inputs, args) -> int:
+    cfg, paths, vocab, index, full = inp.cfg, inp.paths, inp.vocab, inp.kb_index, inp.ngram
+    instances = load_feature_instances(inp.path("features"), vocab)
+    heldout = inp.path("heldout")
+    prepared = trainer.prepare_heldout(evaluation.load_nbest(heldout), vocab, index, full, heldout)
     dims = RerankerDims(
         vocab_size=vocab.size,
         word_dim=cfg.word_dim,
@@ -439,10 +456,8 @@ def cmd_train_reranker(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    corpus = load_corpus(_require_file(_corpus_path(cfg, paths), "corpus"))
-    vocab = _load_vocab_checked(paths)
+def cmd_train_lstm_lm(inp: Inputs, args) -> int:
+    cfg, paths, corpus, vocab = inp.cfg, inp.paths, inp.corpus, inp.vocab
     heldout = None
     if paths.heldout.exists():
         refs = [n.reference for n in evaluation.load_nbest(paths.heldout) if n.reference]
@@ -470,31 +485,6 @@ def cmd_train_lstm_lm(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_models(paths: Paths, components) -> evaluation.RerankModels:
-    """Load the models that scoring the given components needs
-    (``evaluation.MODELS_NEEDED``)."""
-    models = evaluation.RerankModels()
-    needed = {name for c in components for name in evaluation.MODELS_NEEDED[c]}
-    if not needed:
-        return models
-    vocab = _load_vocab_checked(paths)  # every model is checked against it
-    if "vocab" in needed:
-        models.vocab = vocab
-    if "ngram" in needed:
-        models.ngram = _load_ngram_checked(paths, vocab)
-    if "lstm" in needed:
-        models.lstm = trainer.LstmLmParams.load(
-            _require_file(paths.lstm, "run train-lstm-lm first"), vocab
-        )
-    if "reranker" in needed:
-        models.reranker = RerankerParams.load(
-            _require_file(paths.reranker, "run train-reranker first"), vocab
-        )
-    if "kb_index" in needed:
-        models.kb_index = kb.load_index(_require_file(paths.kb_index, "kb index"))
-    return models
-
-
 def _parse_weights(raw: str) -> dict:
     """``--weights`` as name -> weight; each weight must be a finite number."""
     weights = {}
@@ -511,13 +501,11 @@ def _parse_weights(raw: str) -> dict:
     return weights
 
 
-def cmd_rerank(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
-    dataset = evaluation.load_nbest(_require_file(Path(args.nbest), "n-best file"))
-    models = _load_models(paths, evaluation.SCORER_COMPONENTS[args.scorer])
+def cmd_rerank(inp: Inputs, args) -> int:
+    dataset = evaluation.load_nbest(inp.path(None, args.nbest, "--nbest"))
     weights = _parse_weights(args.weights)
-    choices = evaluation.rerank(dataset, args.scorer, weights, models).tolist()
-    out_path = paths.out / f"selections_{args.scorer.replace('+', '_')}.jsonl"
+    choices = evaluation.rerank(dataset, args.scorer, weights, inp).tolist()
+    out_path = inp.paths.out / f"selections_{args.scorer.replace('+', '_')}.jsonl"
     with atomic_text_writer(out_path) as fh:
         for nbest, chosen in zip(dataset, choices):
             tokens = list(nbest.hypotheses[chosen][0].tokens)
@@ -527,51 +515,50 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def run_table_evaluation(cfg: PipelineConfig, heldout_path, test_path):
+def run_table_evaluation(inp: Inputs, heldout_path, test_path):
     """Score both splits once, tune each scorer's weights on the held-out
     scores, then decode both splits with them."""
-    paths = Paths(cfg.out_dir)
-    models = _load_models(paths, evaluation.COMPONENTS)
     scored = {
-        split: evaluation.score_split(evaluation.load_nbest(path), evaluation.COMPONENTS, models, path)
+        split: evaluation.score_split(evaluation.load_nbest(path), evaluation.COMPONENTS, inp, path)
         for split, path in (("heldout", heldout_path), ("test", test_path))
     }
     rows = []
     tuned: dict = {}
     for scorer in evaluation.SCORERS:
-        weights = evaluation.tune_weights(scored["heldout"], scorer, cfg.weight_grid)
+        weights = evaluation.tune_weights(scored["heldout"], scorer, inp.cfg.weight_grid)
         tuned[scorer] = weights
         split_reports = {}
         for split, split_scores in scored.items():
             report = evaluation.evaluate(split_scores, scorer, weights)
-            evaluation.write_utterance_csv(report, paths.report(split, scorer))
+            evaluation.write_utterance_csv(report, inp.paths.report(split, scorer))
             split_reports[split] = report
         rows.append((scorer, split_reports))
     rows.append(("oracle", {split: evaluation.oracle_wer(ss) for split, ss in scored.items()}))
     table = evaluation.summary_table(rows)
     weight_lines = "\n".join(f"# {s}: weights {json.dumps(tuned[s])}" for s in tuned)
-    with atomic_text_writer(paths.summary) as fh:
+    with atomic_text_writer(inp.paths.summary) as fh:
         fh.write(table + "\n" + weight_lines + "\n")
     return rows, table
 
 
-def cmd_evaluate(cfg: PipelineConfig, args) -> int:
-    paths = Paths(cfg.out_dir)
+def cmd_evaluate(inp: Inputs, args) -> int:
+    # each mode refuses the flags only the other one reads
+    if args.nbest and (args.heldout or args.test):
+        raise ValueError(f"evaluate --nbest reads no {'--heldout' if args.heldout else '--test'}")
+    if args.weights and not args.nbest:
+        raise ValueError("evaluate reads --weights only with --nbest; without it, it tunes them")
     if args.nbest:
-        dataset = evaluation.load_nbest(_require_file(Path(args.nbest), "n-best file"))
-        models = _load_models(paths, evaluation.SCORER_COMPONENTS[args.scorer])
-        scored = evaluation.score_split(dataset, args.scorer, models, args.nbest)
+        path = inp.path(None, args.nbest, "--nbest")
+        scored = evaluation.score_split(evaluation.load_nbest(path), args.scorer, inp, args.nbest)
         report = evaluation.evaluate(scored, args.scorer, _parse_weights(args.weights))
-        evaluation.write_utterance_csv(report, paths.report("custom", args.scorer))
+        evaluation.write_utterance_csv(report, inp.paths.report("custom", args.scorer))
         print(f"{args.scorer}: WER {100.0 * report.wer:.2f}")
         return 0
-    heldout_path = Path(args.heldout) if args.heldout else paths.heldout
-    test_path = Path(args.test) if args.test else paths.test
-    _require_file(heldout_path, "held-out n-best")
-    _require_file(test_path, "test n-best")
-    _, table = run_table_evaluation(cfg, heldout_path, test_path)
+    heldout_path = inp.path("heldout", args.heldout, "--heldout")
+    test_path = inp.path("test", args.test, "--test")
+    _, table = run_table_evaluation(inp, heldout_path, test_path)
     print(table)
-    print(f"summary written to {paths.summary}")
+    print(f"summary written to {inp.paths.summary}")
     return 0
 
 
@@ -623,7 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args) -> PipelineConfig:
     if args.config:
-        cfg = PipelineConfig.from_dict(json.loads(Path(args.config).read_text()))
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # malformed JSON, or not UTF-8
+            raise ValueError(f"config {args.config}: malformed JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"config {args.config}: expected a JSON object of keys")
+        cfg = PipelineConfig.from_dict(data)
     else:
         cfg = PipelineConfig()
     for item in args.set:
@@ -641,8 +634,9 @@ def resolve_config(args) -> PipelineConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return args.func(cfg, args)
+        inp = Inputs(resolve_config(args))
+        inp.paths.out.mkdir(parents=True, exist_ok=True)  # every stage writes there
+        return args.func(inp, args)
     except (ValueError, OSError, KeyError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -152,7 +152,10 @@ def read_split(dataset) -> ScoredSplit:
 
 @dataclass
 class RerankModels:
-    """Whatever models the requested scorer mode needs, and their vocabulary."""
+    """Whatever models the requested scorer mode needs, and their vocabulary.
+    Scoring reads only the attributes ``MODELS_NEEDED`` names for its
+    components, so an object that loads each on first read (``cli.Inputs``)
+    serves as well."""
 
     ngram: NGramModel | None = None
     lstm: object = None  # anything with .logprobs(ids, lengths) -> array

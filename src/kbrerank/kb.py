@@ -11,6 +11,7 @@ those arrays (``save_index``/``load_index``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,8 +30,8 @@ class KBEntry:
     def __post_init__(self):
         if len(self.artist) == 0 or len(self.song) == 0:
             raise ValueError("artist and song phrases must be non-empty")
-        if not self.frequency >= 0:  # NaN included
-            raise ValueError("frequency must be >= 0")
+        if not 0 <= self.frequency < math.inf:  # NaN included
+            raise ValueError("frequency must be >= 0 and finite")
 
 
 def parse_kb_line(line: str, lineno: int) -> KBEntry:
@@ -47,7 +48,7 @@ def parse_kb_line(line: str, lineno: int) -> KBEntry:
         freq = float(parts[2])
     except ValueError as exc:
         raise ValueError(f"malformed line {lineno}: bad frequency {parts[2]!r}") from exc
-    if freq != freq:
+    if not math.isfinite(freq):
         raise ValueError(f"malformed line {lineno}: bad frequency {parts[2]!r}")
     if freq < 0:
         raise ValueError(f"malformed line {lineno}: negative frequency")

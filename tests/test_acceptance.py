@@ -35,7 +35,7 @@ from oracles import (
 
 import kbrerank
 from kbrerank import synth
-from kbrerank.cli import PipelineConfig, Paths, main, run_table_evaluation
+from kbrerank.cli import Inputs, PipelineConfig, Paths, main, run_table_evaluation
 from kbrerank.corpus import (
     UNK,
     Sentence,
@@ -402,7 +402,7 @@ def test_c7_end_to_end_directional(tmp_path_factory, capsys):
     out = tmp_path_factory.mktemp("world")
     cfg = run_pipeline(out, FIXTURE_SETS, evaluate=False)
     paths = Paths(cfg.out_dir)
-    rows, table = run_table_evaluation(cfg, paths.heldout, paths.test)
+    rows, table = run_table_evaluation(Inputs(cfg), paths.heldout, paths.test)
     with capsys.disabled():
         print("\n" + table)
     test_wer = {label: reports["test"].wer for label, reports in rows}

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib.util
@@ -14,7 +15,7 @@ import pytest
 
 from kbrerank import features, kb, negsampler, ngram, neural, trainer
 from kbrerank.artifacts import atomic_text_writer, save_artifact
-from kbrerank.cli import PipelineConfig, _train_config, build_parser, main, resolve_config
+from kbrerank.cli import FILES, PipelineConfig, _train_config, build_parser, main, resolve_config
 from kbrerank.corpus import build_vocabulary, corpus_from_lines, load_corpus, load_vocabulary
 from oracles import force_lstm_path
 
@@ -188,6 +189,27 @@ class TestConfig:
         assert "config key weight_grid must not be empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[]", "expected a JSON object of keys"),
+            (b'"x"', "expected a JSON object of keys"),
+            (b"3", "expected a JSON object of keys"),
+            (b"{bad", "malformed JSON (Expecting property name"),
+            (b'{"seed": 1', "malformed JSON (Expecting ',' delimiter"),
+            (b'\xff{"seed": 1}', "malformed JSON ('utf-8' codec can't decode"),
+        ],
+    )
+    def test_config_file_not_a_json_object_fails(self, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["synth-world", "--config", str(config), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config {config}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_reaches_nested_records(self, tmp_path):
         cfg = resolve_config(build_parser().parse_args(["train-reranker", "--seed", "9"]))
         assert cfg.seed == 9
@@ -223,6 +245,26 @@ class TestCliErrors:
         )
         assert code == 1
         assert "references required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--nbest", "a.jsonl", "--heldout", "b.jsonl"), "evaluate --nbest reads no --heldout"),
+            (("--nbest", "a.jsonl", "--test", "b.jsonl"), "evaluate --nbest reads no --test"),
+            (("--weights", "reranker=1.0"), "evaluate reads --weights only with --nbest"),
+        ],
+    )
+    def test_evaluate_refuses_flags_it_would_not_read(self, tmp_path, capsys, extra, message):
+        # refused before any input is looked for: none of these files exists
+        assert main(["evaluate", "--out-dir", str(tmp_path), *extra]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rerank_empty_nbest_path_fails_cleanly(self, tmp_path, capsys):
+        # an empty path names the current directory, which is no n-best file
+        argv = ["--nbest", "", "--scorer", "first-pass", "--out-dir", str(tmp_path)]
+        assert main(["rerank", *argv]) == 1
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("marker", ["</s>", "<s>"])
     def test_build_vocab_refuses_sentence_markers(self, tmp_path, capsys, marker):
@@ -1058,17 +1100,21 @@ class TestFormatDocs:
         assert {name: kind for name, kind in kinds.items() if f"`{kind}`" not in entry} == {}
 
 
-class TestModelsLoaded:
-    """``rerank`` loads only the models its scorer's components need
-    (``evaluation.MODELS_NEEDED``)."""
+# every model file rerank and evaluate may read, the vocabulary included
+MODEL_FILES = ("vocab.tsv", "ngram_full.bin", "lstm_lm.bin", "reranker.bin", "kb_index.bin")
+# (scorer, weights, files its components do not read)
+UNNEEDED_MODELS = [
+    ("lstm", "lstm=1.0", ("reranker.bin", "kb_index.bin")),
+    ("ngram", "ngram=1.0", ("lstm_lm.bin",)),
+    ("first-pass", "", MODEL_FILES),
+]
 
-    @pytest.mark.parametrize(
-        "scorer, weights, absent",
-        [
-            ("lstm", "lstm=1.0", ("reranker.bin", "kb_index.bin")),
-            ("ngram", "ngram=1.0", ("lstm_lm.bin",)),
-        ],
-    )
+
+class TestModelsLoaded:
+    """``rerank`` and ``evaluate --nbest`` load only the models their
+    scorer's components need (``evaluation.MODELS_NEEDED``)."""
+
+    @pytest.mark.parametrize("scorer, weights, absent", UNNEEDED_MODELS)
     def test_rerank_runs_without_unneeded_models(self, pipeline_dir, tmp_path, scorer, weights, absent):
         run = copy_run(pipeline_dir, tmp_path)
         for name in absent:
@@ -1076,6 +1122,137 @@ class TestModelsLoaded:
         nbest = str(run / "test.jsonl")
         assert stage("rerank", run, "--nbest", nbest, "--scorer", scorer, "--weights", weights) == 0
         assert len((run / f"selections_{scorer}.jsonl").read_text().splitlines()) == 40
+
+    @pytest.mark.parametrize("scorer, weights, absent", UNNEEDED_MODELS)
+    def test_evaluate_nbest_runs_without_unneeded_models(
+        self, pipeline_dir, tmp_path, scorer, weights, absent
+    ):
+        run = copy_run(pipeline_dir, tmp_path)
+        for name in absent:
+            (run / name).unlink()
+        nbest = str(run / "test.jsonl")
+        argv = ("--nbest", nbest, "--scorer", scorer, "--weights", weights)
+        assert stage("evaluate", run, *argv) == 0
+        assert len((run / f"report_custom_{scorer}.csv").read_text().splitlines()) == 1 + 40
+
+
+# the stage that writes each input file, as a missing one's error names it
+PRODUCERS = {
+    "kb.tsv": "synth-world",
+    "train.txt": "synth-world",
+    "heldout.jsonl": "synth-world",
+    "test.jsonl": "synth-world",
+    "vocab.tsv": "build-vocab",
+    "kb_index.bin": "build-kb-index",
+    "ngram_full.bin": "train-ngram",
+    "ngram_folds.bin": "train-ngram",
+    "negatives.bin": "gen-negatives",
+    "features.jsonl": "extract-features",
+    "reranker.bin": "train-reranker",
+    "lstm_lm.bin": "train-lstm-lm",
+}
+SCORE_ALL = ("--scorer", "reranker+lstm", "--weights", "reranker=1.0,lstm=1.0")
+REPORTS = tuple(
+    f"report_{split}_{scorer}.csv"
+    for split in ("heldout", "test")
+    for scorer in ("first-pass", "ngram", "lstm", "reranker", "reranker_lstm")
+)
+# (stage and its arguments, the files it reads, the files it writes), {run}
+# standing for the run directory. Each file read maps to the option or
+# config key that gives its path in the arguments, None for the stage's own
+STAGE_FILES = [
+    (("build-vocab",), {"train.txt": None}, ("vocab.tsv",)),
+    (
+        ("build-vocab", "--set", "corpus_path={run}/train.txt"),
+        {"train.txt": "config key corpus_path"},
+        ("vocab.tsv",),
+    ),
+    (("build-kb-index",), {"kb.tsv": None}, ("kb_index.bin",)),
+    (
+        ("build-kb-index", "--set", "kb_path={run}/kb.tsv"),
+        {"kb.tsv": "config key kb_path"},
+        ("kb_index.bin",),
+    ),
+    (
+        ("train-ngram",),
+        dict.fromkeys(("train.txt", "vocab.tsv")),
+        ("ngram_full.bin", "ngram_folds.bin"),
+    ),
+    (
+        ("gen-negatives",),
+        dict.fromkeys(("train.txt", "vocab.tsv", "ngram_folds.bin")),
+        ("negatives.bin",),
+    ),
+    (
+        ("extract-features",),
+        dict.fromkeys(("train.txt", "vocab.tsv", "kb_index.bin", "negatives.bin")),
+        ("features.jsonl",),
+    ),
+    (
+        ("train-reranker",),
+        dict.fromkeys(
+            ("vocab.tsv", "kb_index.bin", "ngram_full.bin", "features.jsonl", "heldout.jsonl")
+        ),
+        ("reranker.bin", "train_log.csv"),
+    ),
+    (("train-lstm-lm",), dict.fromkeys(("train.txt", "vocab.tsv")), ("lstm_lm.bin",)),
+    (
+        ("rerank", "--nbest", "{run}/test.jsonl", *SCORE_ALL),
+        {"test.jsonl": "--nbest", **dict.fromkeys(MODEL_FILES)},
+        ("selections_reranker_lstm.jsonl",),
+    ),
+    (
+        ("evaluate",),
+        dict.fromkeys(("heldout.jsonl", "test.jsonl", *MODEL_FILES)),
+        ("summary.txt", *REPORTS),
+    ),
+    (
+        ("evaluate", "--heldout", "{run}/heldout.jsonl", "--test", "{run}/test.jsonl"),
+        {"heldout.jsonl": "--heldout", "test.jsonl": "--test"},
+        ("summary.txt", *REPORTS),
+    ),
+    (
+        ("evaluate", "--nbest", "{run}/test.jsonl", *SCORE_ALL),
+        {"test.jsonl": "--nbest", **dict.fromkeys(MODEL_FILES)},
+        ("report_custom_reranker_lstm.csv",),
+    ),
+]
+
+
+def missing_input_cases():
+    for argv, inputs, outputs in STAGE_FILES:
+        for name, option in inputs.items():
+            yield pytest.param(argv, name, option, outputs, id=f"{'_'.join(argv[:2])}-{name}")
+
+
+class TestMissingInputs:
+    """Every stage refuses each missing input, naming the stage that writes
+    it, or the option or config key that gave its path, and writes nothing."""
+
+    @pytest.mark.parametrize("argv, name, option, outputs", missing_input_cases())
+    def test_missing_input_named(self, pipeline_dir, tmp_path, capsys, argv, name, option, outputs):
+        run = copy_run(pipeline_dir, tmp_path)
+        for out in outputs:
+            (run / out).unlink(missing_ok=True)
+        (run / name).unlink()
+        argv = [arg.replace("{run}", str(run)) for arg in argv]
+        capsys.readouterr()
+        assert stage(*argv[:1], run, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        hint = f"given by {option}" if option else f"run {PRODUCERS[name]} first"
+        assert f"missing input file {run / name} ({hint})" in err
+        assert "Traceback" not in err
+        for out in outputs:
+            assert not (run / out).exists(), out
+
+    def test_every_producer_is_a_stage(self):
+        [commands] = [
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert {stage for _, stage in FILES.values()} <= set(commands)
+        assert dict(FILES.values()).items() >= PRODUCERS.items()
 
 
 class Marker:

@@ -66,6 +66,16 @@ class TestLoading:
         with pytest.raises(ValueError, match="frequency must be >= 0"):
             KBEntry(("a",), ("b",), math.nan)
 
+    @pytest.mark.parametrize("raw", ["inf", "1e400", "-inf", "Infinity"])
+    def test_infinite_frequency(self, tmp_path, raw):
+        # an infinite frequency would put its entity in the top bin
+        path = tmp_path / "kb.tsv"
+        path.write_text(f"a\tb\t1\nc\td\t{raw}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"malformed line 2: bad frequency '{raw}'"):
+            load_kb(path)
+        with pytest.raises(ValueError, match="frequency must be >= 0 and finite"):
+            KBEntry(("a",), ("b",), float(raw))
+
     def test_load_lowercases_and_keeps_order(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("Sufjan Stevens\tChicago\t3\na\tb\t1\n", encoding="utf-8")
