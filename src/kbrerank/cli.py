@@ -547,12 +547,15 @@ def cmd_evaluate(inp: Inputs, args) -> int:
         raise ValueError(f"evaluate --nbest reads no {'--heldout' if args.heldout else '--test'}")
     if args.weights and not args.nbest:
         raise ValueError("evaluate reads --weights only with --nbest; without it, it tunes them")
+    if args.scorer and not args.nbest:
+        raise ValueError("evaluate reads --scorer only with --nbest; without it, it runs them all")
     if args.nbest:
+        scorer = args.scorer or "reranker"
         path = inp.path(None, args.nbest, "--nbest")
-        scored = evaluation.score_split(evaluation.load_nbest(path), args.scorer, inp, args.nbest)
-        report = evaluation.evaluate(scored, args.scorer, _parse_weights(args.weights))
-        evaluation.write_utterance_csv(report, inp.paths.report("custom", args.scorer))
-        print(f"{args.scorer}: WER {100.0 * report.wer:.2f}")
+        scored = evaluation.score_split(evaluation.load_nbest(path), scorer, inp, args.nbest)
+        report = evaluation.evaluate(scored, scorer, _parse_weights(args.weights))
+        evaluation.write_utterance_csv(report, inp.paths.report("custom", scorer))
+        print(f"{scorer}: WER {100.0 * report.wer:.2f}")
         return 0
     heldout_path = inp.path("heldout", args.heldout, "--heldout")
     test_path = inp.path("test", args.test, "--test")
@@ -602,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--heldout", help="held-out n-best for weight tuning")
     p_eval.add_argument("--test", help="test n-best for the summary table")
     p_eval.add_argument("--nbest", help="single n-best file (with --scorer/--weights)")
-    p_eval.add_argument("--scorer", default="reranker", choices=evaluation.SCORERS)
+    p_eval.add_argument("--scorer", choices=evaluation.SCORERS, help="with --nbest (reranker)")
     p_eval.add_argument("--weights", default="")
     p_eval.set_defaults(func=cmd_evaluate)
     return parser

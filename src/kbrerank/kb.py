@@ -34,34 +34,41 @@ class KBEntry:
             raise ValueError("frequency must be >= 0 and finite")
 
 
-def parse_kb_line(line: str, lineno: int) -> KBEntry:
+def parse_kb_line(line: str) -> KBEntry:
     parts = line.rstrip("\n").split("\t")
     if "\0" in line:  # the saved word list, a '<U' array, drops trailing NULs
-        raise ValueError(f"malformed line {lineno}: NUL character")
+        raise ValueError("NUL character")
     if len(parts) != 3:
-        raise ValueError(f"malformed line {lineno}: expected 3 tab-separated fields")
+        raise ValueError("expected 3 tab-separated fields")
     artist = tuple(parts[0].lower().split())
     song = tuple(parts[1].lower().split())
     if not artist or not song:
-        raise ValueError(f"malformed line {lineno}: empty phrase field")
+        raise ValueError("empty phrase field")
     try:
         freq = float(parts[2])
     except ValueError as exc:
-        raise ValueError(f"malformed line {lineno}: bad frequency {parts[2]!r}") from exc
+        raise ValueError(f"bad frequency {parts[2]!r}") from exc
     if not math.isfinite(freq):
-        raise ValueError(f"malformed line {lineno}: bad frequency {parts[2]!r}")
+        raise ValueError(f"bad frequency {parts[2]!r}")
     if freq < 0:
-        raise ValueError(f"malformed line {lineno}: negative frequency")
+        raise ValueError("negative frequency")
     return KBEntry(artist, song, freq)
 
 
 def load_kb(path) -> list[KBEntry]:
+    """A KB file's entries; a fault names the file, and a malformed line its number."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            entries.append(parse_kb_line(line, lineno))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    entries.append(parse_kb_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed KB line ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     return entries
 
 

@@ -7,17 +7,20 @@ fluent few are kept so the artificial n-best lists resemble real recognizer
 confusions rather than word salad.
 
 Sampling runs on vocabulary ids in three steps, one jackknife fold at a
-time: ``draw_negatives`` draws one sentence's distinct corruptions,
-``ngram.score_ids`` scores the fold's sentences and their draws in one call,
-and ``keep_negatives`` keeps the best few. An id corruption stands for
-exactly one surface corruption: a candidate is a vocabulary word other than
-the word it replaces. The kept rows are one ``Negatives`` id array, saved as
-an artifact of kind ``negatives``.
+time: ``draw_negatives`` draws one sentence's distinct corruptions (each
+draw ``rng.choice``'s, inline), ``ngram.score_ids`` scores the fold's
+sentences and their draws in one call, each distinct n-gram window once,
+and one sort of the fold's rows ranks each sentence's draws, of which the
+best few are kept. An id corruption stands for exactly one surface
+corruption: a candidate is a vocabulary word other than the word it
+replaces. The kept rows are one ``Negatives`` id array, saved as an artifact
+of kind ``negatives``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import ngram
 from .artifacts import ArtifactError, check_vocab_hash, load_artifact, save_artifact
-from .corpus import UNK, Corpus, Sentence, Vocabulary, pad_ids
+from .corpus import UNK, Corpus, Vocabulary, pad_ids
 
 # consonant classes; vowels and h/w/y carry no code
 _CLASS_OF = {}
@@ -90,28 +93,35 @@ class ConfusionTable:
     candidate_ids: dict  # word id -> its candidates' ids, in word order; none if empty
 
     def confusable(self, ids) -> list:
-        """(position, candidate ids) of each position of ``ids`` whose word
-        has candidates, in position order."""
-        return [(i, self.candidate_ids[w]) for i, w in enumerate(ids) if w in self.candidate_ids]
+        """(position, candidate ids, their count, the count's bit length) of
+        each position of ``ids`` whose word has candidates, in position order."""
+        found = [(i, self.candidate_ids[w]) for i, w in enumerate(ids) if w in self.candidate_ids]
+        return [(i, c, len(c), len(c).bit_length()) for i, c in found]
 
-    def corrupt(self, ids, confusable, p_sub: float, rng: random.Random):
-        """One corruption of ``ids`` as (new ids, substituted positions).
+    def corruptions(self, ids, confusable, p_sub: float, rng: random.Random):
+        """Endless corruptions of ``ids``, as new id tuples, one draw each.
 
         Each of the ``confusable`` positions (non-empty, as ``confusable``
         returns them) is substituted independently with probability
         ``p_sub`` by a uniform choice among its candidates; a draw that
         substitutes nothing is redrawn. Only confusable positions consume
-        ``rng``.
+        ``rng``, and only as each draw is taken. The choice is ``rng.choice``'s
+        own rejection loop (``Random._randbelow_with_getrandbits``), inline,
+        so the draws and the stream are ``rng.choice``'s.
         """
+        rand, getrandbits = rng.random, rng.getrandbits
         while True:
             out = list(ids)
-            positions = []
-            for i, cands in confusable:
-                if rng.random() < p_sub:
-                    out[i] = rng.choice(cands)
-                    positions.append(i)
-            if positions:
-                return tuple(out), tuple(positions)
+            hit = False
+            for i, cands, n, k in confusable:
+                if rand() < p_sub:
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    out[i] = cands[r]
+                    hit = True
+            if hit:
+                yield tuple(out)
 
 
 def build_confusion_table(vocab: Vocabulary) -> ConfusionTable:
@@ -147,60 +157,31 @@ def build_confusion_table(vocab: Vocabulary) -> ConfusionTable:
                     neighbours[k1].add(k2)
                     neighbours[k2].add(k1)
 
+    # each key's neighbourhood sorted once; a word's candidates are it less the word
+    near_ids = {
+        key: [vocab.word_to_id[w] for w in sorted(w for nk in near for w in by_key[nk])]
+        for key, near in neighbours.items()
+    }
     candidate_ids: dict = {}
     for word, key in key_of.items():
-        cands = set()
-        for nk in neighbours[key]:
-            cands.update(by_key[nk])
-        cands.discard(word)
+        wid = vocab.word_to_id[word]
+        cands = tuple(i for i in near_ids[key] if i != wid)
         if cands:
-            ids = map(vocab.word_to_id.__getitem__, sorted(cands))
-            candidate_ids[vocab.word_to_id[word]] = tuple(ids)
+            candidate_ids[wid] = cands
     return ConfusionTable(vocab, candidate_ids)
 
 
 def draw_negatives(source_ids, table: ConfusionTable, n_samples: int, p_sub: float, seed: int):
-    """Distinct id corruptions of one sentence, each mapped to the positions
-    its first draw substituted, in first-draw order; None when no position
-    is confusable.
-
-    Each draw is one ``ConfusionTable.corrupt``: every position with
-    confusable neighbours is substituted independently with probability
-    ``p_sub``, and a draw with no substitution is redrawn.
-    """
+    """The distinct id corruptions of one sentence, in first-draw order, from
+    its first ``n_samples`` ``ConfusionTable.corruptions``; None when no
+    position is confusable."""
     if not 0.0 < p_sub <= 1.0:
         raise ValueError("p_sub must be in (0, 1]")
     confusable = table.confusable(source_ids)
     if not confusable:
         return None
-    rng = random.Random(seed)
-    seen: dict = {}
-    for _ in range(n_samples):
-        ids, positions = table.corrupt(source_ids, confusable, p_sub, rng)
-        seen.setdefault(ids, positions)
-    return seen
-
-
-def _surface(sentence: Sentence, ids, positions, table: ConfusionTable) -> tuple[str, ...]:
-    tokens = list(sentence.tokens)
-    for p in positions:
-        tokens[p] = table.vocab.id_to_word[ids[p]]
-    return tuple(tokens)
-
-
-def keep_negatives(
-    sentence: Sentence, drawn: dict, scores, keep_k: int, table: ConfusionTable
-) -> list:
-    """The ``keep_k`` draws best by (-score, surface tokens), best first, as
-    (ids, score) pairs; ``scores`` are the draws' n-gram log-probabilities."""
-    draws = list(drawn.items())
-    scores = np.asarray(scores).tolist()
-    ranked = sorted(range(len(draws)), key=lambda i: -scores[i])
-    if len(ranked) > keep_k:  # only draws tied with the last kept one need their tokens
-        cut = -scores[ranked[keep_k - 1]]
-        ranked = [i for i in ranked if -scores[i] <= cut]
-    kept = sorted((-scores[i], _surface(sentence, *draws[i], table), i) for i in ranked)[:keep_k]
-    return [(draws[i][0], scores[i]) for _, _, i in kept]
+    draws = table.corruptions(source_ids, confusable, p_sub, random.Random(seed))
+    return list(dict.fromkeys(itertools.islice(draws, n_samples)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +225,11 @@ def sample_corpus_negatives(
 ) -> Negatives:
     """Each sentence j's group: ``draw_negatives`` with the seed
     ``derive_seed(seed, "neg", j)``, scored with the sentence itself by
-    ``fold_models[fold_of[j]]``, then ``keep_negatives``; a sentence without a
-    confusable position has no group. One fold at a time is drawn, scored in
-    one call and kept, so only one fold's draws are held at once."""
+    ``fold_models[fold_of[j]]``, then the ``keep_k`` draws best by (-score,
+    surface tokens); a sentence without a confusable position has no group.
+    One fold at a time is drawn, scored in one call and ranked in one sort
+    (and one more of its score ties), so only one fold's draws are held at
+    once."""
     if not 1 <= keep_k <= n_samples:
         raise ValueError(
             f"need 1 <= keep_k <= n_samples, got keep_k {keep_k}, n_samples {n_samples}"
@@ -256,29 +239,40 @@ def sample_corpus_negatives(
     table_hash = table.vocab.content_hash()  # the draws are ids of the table's vocabulary
     for model in fold_models:
         check_vocab_hash(model.vocab.content_hash(), table_hash, "jackknife n-gram model")
-    groups = [None] * len(corpus)
+    # comparing ranks compares words: the rows of a group share their length
+    # and their unsubstituted tokens, and a substituted position holds a word
+    words = table.vocab.id_to_word
+    rank = np.empty(len(words), dtype=np.int64)
+    rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    kept = []
     for fold, model in enumerate(fold_models):
-        drawn, rows = [], []
+        rows, sentence = [], []
         for j in (j for j, f in enumerate(fold_of) if f == fold):
             own = table.vocab.encode(corpus[j].tokens)
             draws = draw_negatives(own, table, n_samples, p_sub, derive_seed(seed, "neg", j))
             if draws is not None:
-                drawn.append((j, draws))
                 rows += [own, *draws]
-        scores = ngram.score_ids(model, *pad_ids(rows)).tolist()
-        at = 0
-        for j, draws in drawn:
-            n = len(draws)
-            kept = keep_negatives(corpus[j], draws, scores[at + 1 : at + 1 + n], keep_k, table)
-            groups[j] = [(rows[at], scores[at]), *kept]
-            at += 1 + n
-    rows = [(j, ids, score) for j, group in enumerate(groups) if group for ids, score in group]
-    ids, _ = pad_ids([ids for _, ids, _ in rows])
-    return Negatives(
-        sentence=np.array([j for j, _, _ in rows], dtype=np.int64),
-        ids=ids.astype(np.int32),
-        logprob=np.array([score for _, _, score in rows], dtype=np.float64),
-    )
+                sentence += [j] * (1 + len(draws))
+        ids, lengths = pad_ids(rows)
+        scores = ngram.score_ids(model, ids, lengths)
+        sentence = np.array(sentence, dtype=np.int64)
+        # by sentence, its own row (a group's first) first, then -score; a run
+        # of rows tied on both then by words, column by column
+        key = np.where(np.diff(sentence, prepend=-1) == 0, -scores, -np.inf)
+        order = np.lexsort((key, sentence))
+        same = np.diff(key[order], prepend=np.nan, append=np.nan) == 0  # as the row before
+        tied = same[:-1] | same[1:]
+        runs = order[tied]
+        order[tied] = runs[np.lexsort((*rank[ids[runs, ::-1]].T, key[runs], sentence[runs]))]
+        at = np.arange(len(order)) - np.searchsorted(sentence, sentence)  # place in its group
+        best = order[at <= keep_k]
+        kept.append((sentence[best], ids[best], scores[best]))
+    sentence, ids, logprob = zip(*kept)
+    width = max(part.shape[1] for part in ids)
+    ids = [np.pad(part, ((0, 0), (0, width - part.shape[1]))) for part in ids]
+    sentence, ids, logprob = map(np.concatenate, (sentence, ids, logprob))
+    by_sentence = np.argsort(sentence, kind="stable")  # groups in corpus order
+    return Negatives(sentence[by_sentence], ids[by_sentence].astype(np.int32), logprob[by_sentence])
 
 
 def derive_seed(global_seed: int, *parts) -> int:

@@ -297,12 +297,14 @@ THREAD_WORK = 2e6
 def _lstm_threads(rows: int, dims: RerankerDims) -> int:
     """Threads (1 or 2) on which ``score_batch`` and ``backprop_batch`` run
     the two LSTM directions of a ``rows``-row batch: 2 when the per-step
-    work reaches ``THREAD_WORK``, the process may run on two CPUs and the
+    work, a GEMM of at least ``_MIN_GEMM_ROWS`` rows (``_lstm_forward``),
+    reaches ``THREAD_WORK``, the process may run on two CPUs and the
     BLAS runs one thread (as OpenBLAS reads it: the first positive one of
     ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``;
     unset, it takes every CPU). A multi-threaded BLAS already keeps the
     CPUs busy, and a second sweep would only oversubscribe them."""
-    if rows * 4 * dims.lstm_dim * (dims.word_dim + dims.lstm_dim) < THREAD_WORK:
+    work = max(rows, _MIN_GEMM_ROWS) * 4 * dims.lstm_dim * (dims.word_dim + dims.lstm_dim)
+    if work < THREAD_WORK:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cpus or 1) < 2:

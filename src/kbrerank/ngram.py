@@ -102,26 +102,28 @@ class NGramModel:
 
 
 def _events(ids, lengths, order: int, vocab_size: int):
-    """A right-padded id batch as events: (seq, rows, ends). Row r of ``seq``
-    is order-1 begin-of-sentence ids, its words, then end-of-sentence ids to
-    the right edge; event i, in row-major order (the order of a sentence by
-    sentence walk), is ``seq[rows[i], ends[i]]``: each word, then one
-    end-of-sentence."""
-    n, width = ids.shape
+    """A right-padded id batch as events: (seq, events). Row r of ``seq`` is
+    order-1 begin-of-sentence ids, its words, then end-of-sentence ids to the
+    right edge; ``events`` (rows, width + 1) marks the cells c <= ``lengths[r]``,
+    and the event of cell (r, c) is ``seq[r, c + order - 1]``: each word, then
+    one end-of-sentence. Events in row-major order are a sentence by sentence
+    walk."""
+    width = ids.shape[1]
     cols = np.arange(width + 1)
-    seq = np.full((n, order + width), vocab_size + 1, dtype=np.int64)
+    seq = np.full((len(ids), order + width), vocab_size + 1, dtype=np.int64)
     words = np.pad(ids, ((0, 0), (0, 1)))
     seq[:, order - 1 :] = np.where(cols < lengths[:, None], words, vocab_size)
-    rows, ev_cols = np.nonzero(cols <= lengths[:, None])
-    return seq, rows, ev_cols + order - 1
+    return seq, cols <= lengths[:, None]
 
 
-def _windows(seq, rows, last, n: int, base: int):
-    """The packed windows of 1..n ids ending at column ``last`` of ``rows``."""
-    window = np.zeros(len(rows), dtype=np.int64)
+def _windows(seq, events, n: int, base: int):
+    """The packed windows of 1..n ids ending at each event, in event order."""
+    width = events.shape[1]
+    last = seq.shape[1] - width  # the column of the first cell's event
+    window = np.zeros(events.shape, dtype=np.int64)
     for k in range(1, n + 1):
-        window = seq[rows, last - k + 1] * base ** (k - 1) + window
-        yield window
+        window = seq[:, last - k + 1 : last - k + 1 + width] * base ** (k - 1) + window
+        yield window[events]
 
 
 def _check_key_range(order: int, vocab_size: int) -> None:
@@ -176,12 +178,13 @@ def count_ngrams(corpus: Corpus, vocab: Vocabulary, order: int, folds=None) -> N
     if folds is not None and len(folds.fold_of) != len(corpus):
         raise ValueError("fold assignment must cover the corpus")
     _check_key_range(order, vocab.size)
-    seq, rows, ends = _events(*pad_ids([vocab.encode(s.tokens) for s in corpus]), order, vocab.size)
-    ev_fold = np.asarray(folds.fold_of if folds is not None else [0] * len(corpus))[rows]
+    seq, events = _events(*pad_ids([vocab.encode(s.tokens) for s in corpus]), order, vocab.size)
+    row_fold = np.asarray(folds.fold_of if folds is not None else [0] * len(corpus))
+    ev_fold = np.broadcast_to(row_fold[:, None], events.shape)[events]
     n_folds = folds.k if folds is not None else 1
-    n_events = len(rows)
+    n_events = len(ev_fold)
     keys, counts, first = [], [], []
-    for window in _windows(seq, rows, ends, order, vocab.size + 2):
+    for window in _windows(seq, events, order, vocab.size + 2):
         uniq, inv = np.unique(window, return_inverse=True)
         pair = inv * n_folds + ev_fold
         pairs, pair_first = np.unique(pair, return_index=True)
@@ -289,6 +292,9 @@ def event_logprobs(model: NGramModel, ids, lengths) -> np.ndarray:
     column ``lengths[r]``; cells past it are 0.0, whatever the padding ids.
     Each event walks from the longest context down: ``acc + lp`` at the first
     order that holds the gram, ``acc`` the backoff weights passed on the way.
+    The walk reads nothing but the event's window of ``order`` ids, so each
+    distinct window walks once, and each order looks up its distinct grams
+    and their contexts in sorted order.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     ids = np.asarray(ids, dtype=np.int64)
@@ -296,24 +302,26 @@ def event_logprobs(model: NGramModel, ids, lengths) -> np.ndarray:
     real = np.arange(ids.shape[1]) < lengths[:, None]
     if np.any(real & ((ids < 0) | (ids >= model.vocab.size))):
         raise ValueError(f"word ids outside the vocabulary [0, {model.vocab.size})")
-    seq, rows, ends = _events(ids, lengths, order, model.vocab.size)
-    word = seq[rows, ends]
-    # ctx[m]: the m ids before each event, packed
-    ctx = [np.zeros(len(rows), dtype=np.int64), *_windows(seq, rows, ends - 1, order - 1, base)]
-    acc = np.zeros(len(rows))
-    flat = np.empty(len(rows))
-    todo = np.arange(len(rows))
+    seq, events = _events(ids, lengths, order, model.vocab.size)
+    *_, window = _windows(seq, events, order, base)
+    windows, inverse = np.unique(window, return_inverse=True)
+    acc = np.zeros(len(windows))
+    flat = np.empty(len(windows))
+    todo = np.arange(len(windows))
+    # the distinct grams of the order walked, and the one of each window in todo
+    grams, at = windows, todo
     # the unigram order holds every event, so each walk ends by m = 0
     for m in range(order - 1, -1, -1):
-        lp, found = _lookup(model.gram_keys[m], model.logprobs[m], ctx[m][todo] * base + word[todo])
-        hit = todo[found]
-        flat[hit] = acc[hit] + lp[found]
-        todo = todo[~found]
+        lp, found = _lookup(model.gram_keys[m], model.logprobs[m], grams)
+        hit = found[at]
+        flat[todo[hit]] = acc[todo[hit]] + lp[at[hit]]
+        todo, at = todo[~hit], at[~hit]
         if len(todo) == 0:
             break
-        acc[todo] += _lookup(model.context_keys[m - 1], model.backoffs[m - 1], ctx[m][todo])[0]
-    out = np.zeros((len(ids), ids.shape[1] + 1))
-    out[rows, ends - (order - 1)] = flat
+        acc[todo] += _lookup(model.context_keys[m - 1], model.backoffs[m - 1], grams // base)[0][at]
+        grams, at = np.unique(grams[at] % base**m, return_inverse=True)
+    out = np.zeros(events.shape)
+    out[events] = flat[inverse]
     return out
 
 

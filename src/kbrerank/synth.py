@@ -8,6 +8,7 @@ rate, which makes end-to-end reranking quality measurable against ground truth.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ def _check_reachable(config: SynthConfig, table: ConfusionTable, entries) -> Non
     for entry in entries:
         for tpl in config.templates:
             confusable = table.confusable(table.vocab.encode(_fill_template(tpl, entry)))
-            if math.prod(1 + len(cands) for _, cands in confusable) - 1 >= need:
+            if math.prod(1 + n for _, _, n, _ in confusable) - 1 >= need:
                 return
     raise ValueError(
         f"no query of this world has the hyps_per_utt - 1 = {need} distinct corruptions"
@@ -179,8 +180,8 @@ def _make_nbest(
         confusable = table.confusable(ref_ids)
         corruptions: list = []
         seen = {tuple(ref_ids)}
-        for _ in range(60 * n if confusable else 0):
-            corr = table.corrupt(ref_ids, confusable, config.corruption_p_sub, rng)[0]
+        draws = table.corruptions(ref_ids, confusable, config.corruption_p_sub, rng)
+        for corr in itertools.islice(draws, 60 * n if confusable else 0):
             if corr not in seen:
                 seen.add(corr)
                 corruptions.append(tuple(table.vocab.id_to_word[w] for w in corr))

@@ -252,6 +252,7 @@ class TestCliErrors:
             (("--nbest", "a.jsonl", "--heldout", "b.jsonl"), "evaluate --nbest reads no --heldout"),
             (("--nbest", "a.jsonl", "--test", "b.jsonl"), "evaluate --nbest reads no --test"),
             (("--weights", "reranker=1.0"), "evaluate reads --weights only with --nbest"),
+            (("--scorer", "lstm"), "evaluate reads --scorer only with --nbest"),
         ],
     )
     def test_evaluate_refuses_flags_it_would_not_read(self, tmp_path, capsys, extra, message):
@@ -600,8 +601,10 @@ class TestEvaluateSplits:
         empty.write_text("")
         args = {"--heldout": str(run / "heldout.jsonl"), "--test": str(run / "test.jsonl")}
         args = {flag: str(empty)} if flag == "--nbest" else {**args, flag: str(empty)}
+        if flag == "--nbest":  # the table mode runs every scorer and takes no --scorer
+            args["--scorer"] = "first-pass"
         capsys.readouterr()
-        code = stage("evaluate", run, *itertools.chain(*args.items()), "--scorer", "first-pass")
+        code = stage("evaluate", run, *itertools.chain(*args.items()))
         assert code == 1
         assert capsys.readouterr().err.strip() == f"error: {empty}: no n-best lists"
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +18,7 @@ from test_acceptance import FIXTURE_SETS, SEED
 from test_features import EDGE_KB, EDGE_WORDS
 
 from kbrerank import synth
-from kbrerank.cli import PipelineConfig
+from kbrerank.cli import PipelineConfig, main
 from kbrerank.corpus import Sentence
 from kbrerank.features import feature_bins
 from kbrerank.kb import (
@@ -39,30 +40,32 @@ def entry(artist, song, freq=1.0):
 
 class TestLoading:
     def test_parse_basic(self):
-        e = parse_kb_line("sufjan stevens\tcarrie and lowell live\t12.0", 1)
+        e = parse_kb_line("sufjan stevens\tcarrie and lowell live\t12.0")
         assert e.artist == ("sufjan", "stevens")
         assert e.song == ("carrie", "and", "lowell", "live")
         assert e.frequency == 12.0
 
     def test_zero_frequency_ok(self):
-        assert parse_kb_line("a\tb\t0", 1).frequency == 0.0
+        assert parse_kb_line("a\tb\t0").frequency == 0.0
 
     def test_missing_field(self):
-        with pytest.raises(ValueError, match="malformed line 1"):
-            parse_kb_line("a\tb", 1)
+        with pytest.raises(ValueError, match="expected 3 tab-separated fields"):
+            parse_kb_line("a\tb")
 
     def test_negative_frequency(self):
         with pytest.raises(ValueError, match="negative frequency"):
-            parse_kb_line("a\tb\t-1", 1)
+            parse_kb_line("a\tb\t-1")
 
-    def test_nul_character_rejected(self):
+    def test_nul_character_rejected(self, tmp_path):
         # a saved word list drops a word's trailing NULs
-        with pytest.raises(ValueError, match="malformed line 3: NUL character"):
-            parse_kb_line("a\0\tb\t1", 3)
+        path = tmp_path / "kb.tsv"
+        path.write_text("a\tb\t1\n\nc\0\td\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="kb.tsv:3: malformed KB line \\(NUL character\\)"):
+            load_kb(path)
 
     def test_nan_frequency(self):
         with pytest.raises(ValueError, match="bad frequency"):
-            parse_kb_line("a\tb\tnan", 1)
+            parse_kb_line("a\tb\tnan")
         with pytest.raises(ValueError, match="frequency must be >= 0"):
             KBEntry(("a",), ("b",), math.nan)
 
@@ -71,10 +74,30 @@ class TestLoading:
         # an infinite frequency would put its entity in the top bin
         path = tmp_path / "kb.tsv"
         path.write_text(f"a\tb\t1\nc\td\t{raw}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"malformed line 2: bad frequency '{raw}'"):
+        message = f"kb.tsv:2: malformed KB line \\(bad frequency '{raw}'\\)"
+        with pytest.raises(ValueError, match=message):
             load_kb(path)
         with pytest.raises(ValueError, match="frequency must be >= 0 and finite"):
             KBEntry(("a",), ("b",), float(raw))
+
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "kb.tsv"
+        path.write_text("a\tb\t1\nc\td\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_kb(path)
+        assert str(info.value) == f"{path}:2: malformed KB line (expected 3 tab-separated fields)"
+        argv = ["build-kb-index", "--out-dir", str(tmp_path / "run"), "--set", f"kb_path={path}"]
+        assert main(argv) == 1
+        assert f"error: {path}:2: malformed KB line" in capsys.readouterr().err
+
+    def test_kb_not_utf8_names_file(self, tmp_path, capsys):
+        path = tmp_path / "kb.tsv"
+        path.write_bytes(b"a\tb\t1\nc\xff\td\t1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
+            load_kb(path)
+        argv = ["build-kb-index", "--out-dir", str(tmp_path / "run"), "--set", f"kb_path={path}"]
+        assert main(argv) == 1
+        assert f"error: {path}: not valid UTF-8" in capsys.readouterr().err
 
     def test_load_lowercases_and_keeps_order(self, tmp_path):
         path = tmp_path / "kb.tsv"

@@ -24,18 +24,18 @@ from kbrerank.corpus import (
     pad_ids,
 )
 from kbrerank.negsampler import (
+    ConfusionTable,
     Negatives,
     best_groups,
     build_confusion_table,
     derive_seed,
     draw_negatives,
-    keep_negatives,
     load_negatives,
     phonetic_key,
     sample_corpus_negatives,
     save_negatives,
 )
-from kbrerank.ngram import count_ngrams, estimate
+from kbrerank.ngram import count_ngrams, estimate, score_ids
 
 
 def vocab_of(*words):
@@ -45,6 +45,20 @@ def vocab_of(*words):
 
 def toy_lm(vocab, *lines):
     return estimate(count_ngrams(corpus_from_lines(lines), vocab, 2), vocab)
+
+
+def choice_draw(ids, confusable, p_sub, rng):
+    """One corruption drawn with ``rng.random`` and ``rng.choice``: each
+    confusable position substituted with probability ``p_sub``, redrawn until
+    one is."""
+    while True:
+        out, hit = list(ids), False
+        for i, cands, *_ in confusable:
+            if rng.random() < p_sub:
+                out[i] = rng.choice(cands)
+                hit = True
+        if hit:
+            return tuple(out)
 
 
 def sample_one(sentence, table, lm, n_samples=30, keep_k=5, p_sub=0.3, seed=0):
@@ -222,12 +236,53 @@ class TestSampling:
             assert got == expected
             assert got[3] is None and all(got[:3])
 
+    def test_tied_scores_equal_string_space_sampler(self):
+        # unigram models over words of equal counts tie many draws, so the
+        # kept rows turn on the words of tied runs
+        words = ("jim", "gym", "kim", "tim", "dim", "nick", "neck", "knack", "bat", "pat", "fat")
+        for case in range(30):
+            rng = random.Random(case)
+            lines = [
+                " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+                for _ in range(rng.randint(2, 8))
+            ]
+            corpus = corpus_from_lines(lines)
+            vocab = build_vocabulary(corpus, min_count=0)
+            table = build_confusion_table(vocab)
+            halves = [corpus_from_lines(lines[k::2]) for k in range(2)]
+            models = [estimate(count_ngrams(half, vocab, 1), vocab) for half in halves]
+            ref_models = [train_dict_ngram(half, vocab, order=1) for half in halves]
+            fold_of = [j % 2 for j in range(len(corpus))]
+            negs = sample_corpus_negatives(corpus, table, models, fold_of, 25, 3, 1.0, case)
+            expected = [
+                reference_sample_negatives(
+                    source, table, ref_models[fold_of[j]], 25, 3, 1.0, derive_seed(case, "neg", j)
+                )
+                for j, source in enumerate(corpus)
+            ]
+            assert negative_sets(negs, corpus, vocab) == expected
+
     def test_draw_returns_none_without_confusable_position(self):
         table = build_confusion_table(vocab_of("blorkz", "jim", "gym"))
         assert draw_negatives(table.vocab.encode(("blorkz", "oov")), table, 5, 0.3, seed=0) is None
         drawn = draw_negatives(table.vocab.encode(("blorkz", "jim")), table, 5, 0.3, seed=0)
-        assert set(drawn) == {(1, table.vocab.id_of("gym"))}
-        assert drawn[(1, table.vocab.id_of("gym"))] == (1,)
+        assert drawn == [(table.vocab.id_of("blorkz"), table.vocab.id_of("gym"))]
+
+    @pytest.mark.parametrize("p_sub", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 256, 257])
+    def test_corruptions_equal_choice_draws(self, count, p_sub):
+        # word 1 has `count` candidates, word 2 has two and word 3 none; the
+        # same ids and the same generator state mean the same words consumed
+        vocab = vocab_of(*(f"w{i}" for i in range(1, 300)))
+        table = ConfusionTable(vocab, {1: tuple(range(10, 10 + count)), 2: (5, 6)})
+        ids = [1, 3, 2, 1]
+        confusable = table.confusable(ids)
+        assert [(i, n) for i, _, n, _ in confusable] == [(0, count), (2, 2), (3, count)]
+        for seed in range(3):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = list(itertools.islice(table.corruptions(ids, confusable, p_sub, rng), 200))
+            assert got == [choice_draw(ids, confusable, p_sub, ref_rng) for _ in range(200)]
+            assert rng.getstate() == ref_rng.getstate()
 
     def test_ties_break_on_tokens_not_ids(self):
         # ids run against the word order: gym and jim are tied, and jim has
@@ -236,12 +291,16 @@ class TestSampling:
         table = build_confusion_table(vocab)
         assert candidates_of(table, "kim") == ("gym", "jim")
         source = Sentence(("kim", "kim"))
-        drawn = draw_negatives(vocab.encode(source.tokens), table, 50, 1.0, seed=4)
+        drawn = draw_negatives(vocab.encode(source.tokens), table, 50, 1.0, derive_seed(4, "neg", 0))
         assert len(drawn) == 4
-        kept = keep_negatives(source, drawn, [-1.0] * len(drawn), 3, table)
-        words = [tuple(vocab.id_to_word[i] for i in ids) for ids, _ in kept]
+        # a unigram model of one sentence gives jim and gym one probability
+        lm = estimate(count_ngrams(corpus_from_lines(["jim kim gym"]), vocab, 1), vocab)
+        tie = set(score_ids(lm, *pad_ids(drawn)).tolist())
+        assert len(tie) == 1
+        negs = sample_corpus_negatives([source], table, [lm], [0], 50, 3, 1.0, seed=4)
+        words = [tuple(vocab.id_to_word[i] for i in row) for row in negs.ids[1:].tolist()]
         assert words == [("gym", "gym"), ("gym", "jim"), ("jim", "gym")]
-        assert [score for _, score in kept] == [-1.0, -1.0, -1.0]
+        assert negs.logprob[1:].tolist() == [*tie] * 3
 
 
 class TestGenNegatives:

@@ -810,7 +810,17 @@ class TestLstmThreadsRule:
             assert neural._lstm_threads(neural.FUSE_ROWS, dims) == 1
         assert neural._lstm_threads(neural.FUSE_ROWS, self.WIDE) == 2
         assert neural._lstm_threads(2, self.WIDE) == 2
-        assert neural._lstm_threads(1, self.WIDE) == 1
+
+    def test_small_chunks_count_the_gemm_minimum(self, monkeypatch):
+        # every step's GEMM runs on at least _MIN_GEMM_ROWS rows, so one row
+        # at 200/500 is as much work as 16, while 32/32 stays serial up to
+        # the largest chunk
+        force_lstm_path(monkeypatch, neural.THREAD_WORK)
+        assert neural._MIN_GEMM_ROWS * 4 * 500 * 700 >= neural.THREAD_WORK > 4 * 500 * 700
+        assert neural._lstm_threads(1, self.WIDE) == 2
+        fixture = RerankerDims(vocab_size=50, word_dim=32, lstm_dim=32)
+        for rows in (1, 65, neural.FUSE_ROWS):
+            assert neural._lstm_threads(rows, fixture) == 1
 
     @pytest.mark.parametrize(
         "env, threads",

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from oracles import (
+    DictNGramModel,
     dict_count_tables,
     dict_export_arpa,
     dict_mapped_sentences,
@@ -330,6 +331,33 @@ class TestScoreIds:
         got = score_ids(model, ids, lengths)
         assert got.tolist() == [ref.score_tokens(r) for r in rows]
         assert sum(len(r) == 0 for r in rows) >= 2
+
+    @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+    def test_repeated_rows_equal_dict_walk(self, order):
+        # each distinct window is walked once and scattered back to every
+        # event that has it: rows repeat many times, empty ones included
+        corpus = random_corpus(order)
+        vocab = build_vocabulary(corpus, min_count=1)
+        model = estimate(count_ngrams(corpus, vocab, order), vocab)
+        walk = DictNGramModel(order, vocab, model.v_events, *model_tables(model))
+        rng = random.Random(order)
+        pool = [f"w{i}" for i in range(30)] + ["oov"]
+        distinct = [s.tokens for s in corpus][:12] + [(), ("oov",) * 9]
+        distinct += [tuple(rng.choice(pool) for _ in range(rng.randint(1, 9))) for _ in range(12)]
+        rows = [rng.choice(distinct) for _ in range(400)]
+        ids, lengths = pad_ids([vocab.encode(r) for r in rows])
+        expected = np.zeros((len(rows), ids.shape[1] + 1))
+        for r, tokens in enumerate(rows):
+            mapped = walk.map_tokens(tokens)
+            padded = (BOS,) * (order - 1) + mapped
+            for i, event in enumerate((*mapped, EOS)):
+                expected[r, i] = walk.conditional_logprob(padded[i : i + order - 1], event)
+        assert sum(len(r) == 0 for r in rows) >= 10
+        assert event_logprobs(model, ids, lengths).tobytes() == expected.tobytes()
+        assert score_ids(model, ids, lengths).tolist() == [walk.score_tokens(r) for r in rows]
+        ids, lengths = pad_ids([])
+        assert event_logprobs(model, ids, lengths).shape == (0, 1)
+        assert score_ids(model, ids, lengths).shape == (0,)
 
     def test_pad_id_never_changes_a_score(self):
         corpus = random_corpus(3)

@@ -142,7 +142,7 @@ class TestGolden:
     """Pinned outputs: a change to the confusion draw alters every rerun the
     same way, so only a digest fixed in advance catches it. The digests were
     computed before the synthetic world and the negative sampler shared one
-    draw (``ConfusionTable.corrupt``)."""
+    draw (``ConfusionTable.corruptions``)."""
 
     # seed -> (world digest, negatives digest)
     DIGESTS = {
