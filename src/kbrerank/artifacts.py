@@ -123,20 +123,29 @@ def atomic_text_writer(path, binary: bool = False):
         raise
 
 
+def text_lines(path):
+    """Yield the lines of a UTF-8 text file; bytes that are not UTF-8 fail
+    as ``path: not valid UTF-8 (reason)``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
 def read_jsonl(path):
     """Yield (line number, record) for each non-blank line of a JSON-lines
     file; a line that is not one JSON object fails with ``path:line``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, rec
+    for lineno, line in enumerate(text_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, rec
 
 
 def check_vocab_hash(expected: str, actual: str, what: str) -> None:

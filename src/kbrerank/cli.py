@@ -44,11 +44,12 @@ from .corpus import (
     build_vocabulary,
     load_corpus,
     load_vocabulary,
+    pad_ids,
     save_corpus,
     save_vocabulary,
     tokens_of,
 )
-from .neural import RerankerDims, RerankerParams, group_inputs
+from .neural import RerankerDims, RerankerParams, RerankerRows
 from .synth import SynthConfig
 from .trainer import TrainConfig
 
@@ -373,9 +374,10 @@ _SCORE = "ngram_negative_logprob"
 _FEATURE_FIELDS = {"sentence_id", "hypothesis_id", "tokens", _SCORE, *dict(features.BIN_FIELDS)}
 
 
-def load_feature_instances(path, vocab) -> list:
-    """The feature dump as training instances (``neural.RerankerInputs``) in
-    ascending ``sentence_id``, each one's rows by ``hypothesis_id``.
+def load_feature_instances(path, vocab) -> RerankerRows:
+    """The feature dump as training instances, one group of
+    ``neural.RerankerRows`` each, in ascending ``sentence_id``, each one's
+    rows by ``hypothesis_id``.
 
     The rows are read and checked in one pass, each into the columns and
     then dropped: ids are ints, each row has exactly the dump's fields, its
@@ -383,7 +385,7 @@ def load_feature_instances(path, vocab) -> list:
     bin an integer in range
     (``features.BIN_FIELDS``). A sentence's rows must be hypotheses 0..n-1
     with n >= 2: row 0 is the source sentence, the correct candidate, and
-    the rest its negatives.
+    the rest its negatives. The ids are padded once, after every check.
     """
     sids, hyp_ids, feats, bins, ids = array("q"), array("q"), array("d"), array("q"), []
     for lineno, rec in read_jsonl(path):
@@ -424,8 +426,8 @@ def load_feature_instances(path, vocab) -> list:
                 f"{path}: sentence_id {sids[order[at]]} has hypothesis ids {got}, expected "
                 "0..n-1: the source sentence and at least one negative"
             )
-    rows = [ids[i] for i in order.tolist()]
-    return group_inputs(rows, bins[order], np.frombuffer(feats)[order], sizes)
+    ids, lengths = pad_ids([ids[i] for i in order.tolist()])
+    return RerankerRows(ids, lengths, bins[order], np.frombuffer(feats)[order], [*starts, len(ids)])
 
 
 def _train_config(cfg: PipelineConfig, **overrides) -> TrainConfig:

@@ -7,11 +7,10 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_text_writer
+from .artifacts import atomic_text_writer, text_lines
 
 UNK = "<unk>"
 # the n-gram model's sentence markers (``ngram.export_arpa`` writes them); a
@@ -87,8 +86,7 @@ def corpus_from_lines(lines, source_path: str = "<memory>") -> Corpus:
 
 
 def load_corpus(path) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        return corpus_from_lines(fh, source_path=str(path))
+    return corpus_from_lines(text_lines(path), source_path=str(path))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -159,7 +157,7 @@ def load_vocabulary(path) -> Vocabulary:
     once."""
     id_to_word: list[str] = []
     line_of: dict = {}  # word -> the line that named it
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text_lines(path), 1):
         if not line.strip():
             continue
         try:

@@ -13,7 +13,7 @@ from .artifacts import atomic_text_writer, read_jsonl
 from .corpus import Sentence, Vocabulary, pad_ids, tokens_of
 from .features import feature_bins
 from .kb import KBTables
-from .neural import RerankerParams, group_inputs, score_lists
+from .neural import RerankerParams, RerankerRows, score_lists
 from .ngram import NGramModel, score_ids
 
 # the components each scorer interpolates with the first pass, in the order
@@ -183,13 +183,14 @@ def _component_names(scorer) -> tuple:
     return tuple(name for name in COMPONENTS if name in scorer)
 
 
-def reranker_inputs(split: ScoredSplit, ids, kb_index: KBTables, lm_logprobs) -> list:
-    """The reranker's inputs of every list of ``split``, one group per list,
-    from its vocabulary ids ``ids`` and n-gram log-probabilities (flat in list
-    order); one ``features.feature_bins`` call covers the split."""
-    rows = [row[:n] for row, n in zip(ids.tolist(), split.lengths.tolist())]
-    feats = -np.asarray(lm_logprobs, dtype=float)
-    return group_inputs(rows, feature_bins(split.tokens, kb_index), feats, split.valid.sum(axis=1))
+def reranker_inputs(split: ScoredSplit, ids, kb_index: KBTables, lm_logprobs) -> RerankerRows:
+    """The reranker rows of ``split``, one group per list, from its
+    vocabulary ids ``ids`` (``ScoredSplit.vocab_ids``) and n-gram
+    log-probabilities (flat in list order); one ``features.feature_bins``
+    call covers the split."""
+    starts = np.cumsum([0, *split.valid.sum(axis=1)])
+    bins = feature_bins(split.tokens, kb_index)
+    return RerankerRows(ids, split.lengths, bins, -np.asarray(lm_logprobs, dtype=float), starts)
 
 
 def combine(comps: dict, weights: dict) -> np.ndarray:

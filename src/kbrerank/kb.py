@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .artifacts import atomic_text_writer, load_artifact, save_artifact
+from .artifacts import atomic_text_writer, load_artifact, save_artifact, text_lines
 
 Phrase = tuple[str, ...]
 
@@ -58,17 +58,13 @@ def parse_kb_line(line: str) -> KBEntry:
 def load_kb(path) -> list[KBEntry]:
     """A KB file's entries; a fault names the file, and a malformed line its number."""
     entries = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    entries.append(parse_kb_line(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed KB line ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    for lineno, line in enumerate(text_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            entries.append(parse_kb_line(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed KB line ({exc})") from exc
     return entries
 
 

@@ -14,13 +14,14 @@ Both LSTM directions, and the LSTM LM of ``trainer``, run one kernel
 (``_prefix_trie``): rows that share a prefix share its steps, so each
 distinct prefix is computed once and no padding is computed.
 
-Candidates reach the reranker in groups (``RerankerInputs``): each one's word
-ids, an (n, 5) bin array in ``features.BIN_FIELDS`` order and the n-gram
-features. One builder, ``group_inputs``, splits flat rows at given group
-sizes into them, for the training instances of ``features.jsonl``
-(``cli.load_feature_instances``) and for n-best lists
-(``evaluation.reranker_inputs``) alike. An empty candidate reads both
-directions' zero start state.
+Candidates reach the reranker as one ``RerankerRows`` record per loaded
+dataset: word ids right-padded once (``corpus.pad_ids``) with each row's
+length, an (n, 5) bin array in ``features.BIN_FIELDS`` order, the n-gram
+features, and the rows at which each group starts. The training instances of
+``features.jsonl`` (``cli.load_feature_instances``) and the n-best lists of a
+split (``evaluation.reranker_inputs``) are both such records. A scored chunk
+is a slice of its rows, cut to the chunk's longest (``RerankerRows.score``).
+An empty candidate reads both directions' zero start state.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import load_tensors, save_artifact
-from .corpus import Vocabulary, pad_ids
+from .corpus import Vocabulary
 from .features import BIN_FIELDS
 
 
@@ -348,29 +349,39 @@ def _directions(threads: int, fwd, bwd):
 
 
 @dataclass
-class RerankerInputs:
-    """A group of candidates as the reranker reads them: each candidate's
-    word ids, unpadded, its row of feature bins (an (n, 5) array in
-    ``BIN_FIELDS`` order) and its n-gram feature. Rows are padded only when
-    a chunk is scored (``score_inputs``, ``score_lists``)."""
+class RerankerRows:
+    """Groups of candidates as the reranker reads them: right-padded word ids
+    (``pad_ids``) and each row's length, each row's feature bins (an (n, 5)
+    array in ``BIN_FIELDS`` order) and its n-gram feature. Group g is rows
+    ``starts[g]`` .. ``starts[g + 1] - 1``; ``len()`` counts groups."""
 
-    ids: list
+    ids: np.ndarray
+    lengths: np.ndarray
     bins: np.ndarray
     ngram_feats: np.ndarray
+    starts: np.ndarray
 
+    def __post_init__(self):
+        self.bins = np.asarray(self.bins, dtype=np.intp)
+        self.ngram_feats = np.asarray(self.ngram_feats, dtype=float)
+        self.starts = np.asarray(self.starts, dtype=np.intp)
+        n = len(self.lengths)
+        shapes = (len(self.ids), self.bins.shape, len(self.ngram_feats), self.starts[[0, -1]].tolist())
+        if shapes != (n, (n, len(_BINS)), n, [0, n]):
+            raise ValueError("need one feature row per candidate")
 
-def group_inputs(ids, bins, ngram_feats, sizes) -> list[RerankerInputs]:
-    """Flat word-id rows ``ids`` (``Vocabulary.encode``), their (n, 5) bins
-    and their n-gram features, split into consecutive groups of ``sizes``
-    rows."""
-    bins = np.asarray(bins, dtype=np.intp)
-    feats = np.asarray(ngram_feats, dtype=float)
-    n = len(ids)
-    if bins.shape != (n, len(_BINS)) or len(feats) != n or sum(sizes) != n:
-        raise ValueError("need one feature row per candidate")
-    ends = np.cumsum(sizes, dtype=np.intp).tolist()
-    starts = [0, *ends[:-1]]
-    return [RerankerInputs(ids[a:b], bins[a:b], feats[a:b]) for a, b in zip(starts, ends)]
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def score(self, params: RerankerParams, rows, dropout_mask=None, keep: bool = True):
+        """``score_batch`` over ``rows`` (indices, in order), their ids cut
+        to the longest of them; returns (u, cache)."""
+        lengths = self.lengths[rows]
+        ids = self.ids[rows, : lengths.max(initial=0)]
+        return score_batch(
+            params, ids, self.bins[rows], self.ngram_feats[rows],
+            lengths=lengths, dropout_mask=dropout_mask, keep=keep,
+        )
 
 
 # candidate rows per fused score_batch call; bounds the activations a
@@ -399,32 +410,15 @@ def length_chunks(lengths, sizes=None) -> list[list[int]]:
     return chunks
 
 
-def score_inputs(params: RerankerParams, parts, dropout_mask: np.ndarray | None = None):
-    """``score_batch`` over the rows of the ``RerankerInputs`` ``parts``, in
-    order, right-padded once (``pad_ids``); returns (u, cache)."""
-    ids, lengths = pad_ids([row for x in parts for row in x.ids])
-    bins = np.concatenate([x.bins for x in parts])
-    feats = np.concatenate([x.ngram_feats for x in parts])
-    return score_batch(params, ids, bins, feats, lengths=lengths, dropout_mask=dropout_mask)
-
-
-def score_lists(params: RerankerParams, inputs) -> np.ndarray:
-    """u of every row of every ``RerankerInputs`` in ``inputs``, concatenated
-    in order. The rows of all lists are sorted by length and scored
-    ``FUSE_ROWS`` at a time (``length_chunks``), with no activations kept. A
-    row's u is within 1e-12 of its u in any other chunk, and bit-equal at the
-    dims the tests use: the head products may round a row differently at
-    another row count."""
-    rows = [row for x in inputs for row in x.ids]
-    out = np.empty(len(rows))
-    if not rows:
-        return out
-    bins = np.concatenate([x.bins for x in inputs])
-    feats = np.concatenate([x.ngram_feats for x in inputs])
-    for chunk in length_chunks([len(row) for row in rows]):
-        ids, lengths = pad_ids([rows[k] for k in chunk])
-        u, _ = score_batch(params, ids, bins[chunk], feats[chunk], lengths=lengths, keep=False)
-        out[chunk] = u
+def score_lists(params: RerankerParams, inputs: RerankerRows) -> np.ndarray:
+    """u of every row of ``inputs``, in order. The rows are sorted by length
+    and scored ``FUSE_ROWS`` at a time (``length_chunks``), with no
+    activations kept. A row's u is within 1e-12 of its u in any other chunk,
+    and bit-equal at the dims the tests use: the head products may round a
+    row differently at another row count."""
+    out = np.empty(len(inputs.lengths))
+    for chunk in length_chunks(inputs.lengths.tolist()):
+        out[chunk], _ = inputs.score(params, chunk, keep=False)
     return out
 
 

@@ -16,11 +16,12 @@ import numpy as np
 
 from . import evaluation
 from .artifacts import atomic_text_writer, load_tensors, save_artifact
-from .corpus import Corpus, Sentence, Vocabulary
+from .corpus import Corpus, Sentence, Vocabulary, pad_ids
 from .kb import KBTables
 from .negsampler import derive_seed
 from .neural import (
     RerankerParams,
+    RerankerRows,
     _lstm_backward,
     _lstm_forward,
     _prefix_trie,
@@ -30,8 +31,6 @@ from .neural import (
     contrastive_loss,
     draw_dropout,
     length_chunks,
-    pad_ids,
-    score_inputs,
     score_lists,
     sgd_momentum_update,
 )
@@ -77,10 +76,10 @@ class EpochLog:
 
 class Heldout(NamedTuple):
     """A held-out split with its errors counted and no component scored
-    (``evaluation.count_errors``), and each list's reranker inputs."""
+    (``evaluation.count_errors``), and its reranker rows, one group per list."""
 
     split: evaluation.ScoredSplit
-    inputs: list
+    rows: RerankerRows
 
 
 def prepare_heldout(
@@ -98,52 +97,45 @@ def heldout_wer(params: RerankerParams, heldout: Heldout) -> float:
     (``neural.score_lists``)."""
     split = heldout.split
     u = np.zeros(split.valid.shape)
-    u[split.valid] = score_lists(params, heldout.inputs)
+    u[split.valid] = score_lists(params, heldout.rows)
     comps = {"first_pass": split.scores["first_pass"], "reranker": u}
     return evaluation.decode(split, comps, {"reranker": 1.0}).wer
 
 
 def _minibatch_gradients(
-    params: RerankerParams, instances, batch, config: TrainConfig, epoch: int, grads: dict
+    params: RerankerParams, instances: RerankerRows, batch, config: TrainConfig, epoch: int, grads: dict
 ) -> list[float]:
-    """Add the summed contrastive gradients of ``instances[j]`` for j in
-    ``batch`` to ``grads``; returns each instance's loss in batch order.
+    """Add the summed contrastive gradients of the groups ``batch`` of
+    ``instances`` to ``grads``; returns each group's loss in batch order.
 
-    The instances are grouped by length (``neural.length_chunks``), each one
-    whole, and each chunk is fused into one ``score_inputs`` and one
-    ``backprop_batch`` call of at most ``neural.FUSE_ROWS`` rows, whose LSTM
-    runs once per distinct prefix of the chunk's rows. Each
-    instance keeps its own softmax over its own rows (correct row first) and
-    its own dropout stream, ``derive_seed(seed, "dropout", epoch, j)``.
+    The groups are sorted by their longest row (``neural.length_chunks``),
+    each one whole, and each chunk is fused into one ``RerankerRows.score``
+    and one ``backprop_batch`` call of at most ``neural.FUSE_ROWS`` rows,
+    whose LSTM runs once per distinct prefix of the chunk's rows. Each group
+    keeps its own softmax over its own rows (correct row first) and its own
+    dropout stream, ``derive_seed(seed, "dropout", epoch, j)``.
     """
     batch = [int(j) for j in batch]
     losses = [math.nan] * len(batch)
-    lengths = [max(map(len, instances[j].ids)) for j in batch]
-    for chunk in length_chunks(lengths, [len(instances[j].ids) for j in batch]):
-        members = [batch[k] for k in chunk]
+    spans = [range(instances.starts[j], instances.starts[j + 1]) for j in batch]
+    longest = [int(instances.lengths[own.start : own.stop].max()) for own in spans]
+    for chunk in length_chunks(longest, [len(own) for own in spans]):
         mask = None
         if config.dropout > 0.0:
-            mask = np.concatenate(
-                [
-                    draw_dropout(
-                        (len(instances[j].ids), params.dims.phi_dim),
-                        config.dropout,
-                        derive_seed(config.seed, "dropout", epoch, j),
-                    )
-                    for j in members
-                ]
-            )
-        u, cache = score_inputs(params, [instances[j] for j in members], dropout_mask=mask)
+            draws = ((len(spans[k]), derive_seed(config.seed, "dropout", epoch, batch[k])) for k in chunk)
+            mask = np.concatenate([draw_dropout((n, params.dims.phi_dim), config.dropout, s) for n, s in draws])
+        rows = [r for k in chunk for r in spans[k]]
+        u, cache = instances.score(params, rows, dropout_mask=mask)
         du = np.empty_like(u)
         row = 0
-        for k, j in zip(chunk, members):
-            own = slice(row, row + len(instances[j].ids))
+        for k in chunk:
+            own = slice(row, row + len(spans[k]))
             row = own.stop
             loss = math.nan
             if np.all(np.isfinite(u[own])):
                 loss, du[own] = contrastive_loss(u[own], 0)
             if not math.isfinite(loss):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}, instance {j}")
+                raise RuntimeError(f"non-finite loss at epoch {epoch}, instance {batch[k]}")
             losses[k] = loss
         backprop_batch(params, cache, du, out=grads)
         del cache  # the chunk's activations go before the next chunk's arrive
@@ -196,13 +188,13 @@ def _sgd(params, n_items: int, minibatch, heldout_score, config: TrainConfig, rn
 def train_reranker(instances, heldout: Heldout, params: RerankerParams, config: TrainConfig):
     """Minibatch contrastive training with early stopping on held-out WER.
 
-    ``instances`` are ``RerankerInputs``, one training softmax each: the
-    correct sentence in row 0, then its negatives. Returns (best-checkpoint
-    params, per-epoch log).
+    Each group of the ``RerankerRows`` ``instances`` is one training
+    softmax: the correct sentence in its first row, then its negatives.
+    Returns (best-checkpoint params, per-epoch log).
     """
-    if not instances:
+    if not len(instances):
         raise ValueError("no training instances")
-    if heldout is None or not heldout.inputs:
+    if heldout is None or not len(heldout.rows):
         raise ValueError("held-out data required for early stopping")
 
     def minibatch(batch, epoch, grads):
@@ -372,9 +364,9 @@ class _LmBatch:
     acts: tuple  # _lstm_forward's activations
 
 
-def _lm_forward(params: LstmLmParams, rows) -> _LmBatch:
+def _lm_forward(params: LstmLmParams, ids, lengths) -> _LmBatch:
+    """The forward pass over right-padded ``ids`` (``pad_ids``)."""
     t = params.tensors
-    ids, lengths = pad_ids(rows)
     trie = _prefix_trie(ids, lengths)
     states, acts = _lstm_forward(t["w"], t["b"], t["emb"], trie)
     mask = np.arange(ids.shape[1] + 1) <= lengths[:, None]
@@ -393,11 +385,11 @@ def _lm_backward(params: LstmLmParams, batch: _LmBatch, dh: np.ndarray, grads: d
     _lstm_backward(t["w"], batch.acts, batch.trie, grid, grads["w"], grads["b"], grads["emb"])
 
 
-def _lm_forward_backward_softmax(params: LstmLmParams, rows, grads: dict) -> float:
-    """Exact cross-entropy loss and gradients, summed over a batch of id
-    sequences scored as one batch."""
+def _lm_forward_backward_softmax(params: LstmLmParams, ids, lengths, grads: dict) -> float:
+    """Exact cross-entropy loss and gradients, summed over a right-padded
+    batch of id sequences scored as one batch."""
     t = params.tensors
-    batch = _lm_forward(params, rows)
+    batch = _lm_forward(params, ids, lengths)
     # softmax in one buffer, which then becomes the logits' gradient
     probs = batch.hs @ t["out_w"].T
     probs += t["out_b"]
@@ -414,12 +406,13 @@ def _lm_forward_backward_softmax(params: LstmLmParams, rows, grads: dict) -> flo
 
 
 def _lm_forward_backward_nce(
-    params: LstmLmParams, rows, noise_ids: np.ndarray, log_kq: np.ndarray, grads: dict
+    params: LstmLmParams, ids, lengths, noise_ids: np.ndarray, log_kq: np.ndarray, grads: dict
 ) -> float:
     """Binary noise-contrastive loss per real position against shared noise
-    words, summed over a batch of id sequences scored as one batch."""
+    words, summed over a right-padded batch of id sequences scored as one
+    batch."""
     t = params.tensors
-    batch = _lm_forward(params, rows)
+    batch = _lm_forward(params, ids, lengths)
     hs, targets = batch.hs, batch.targets
 
     tgt_w = t["out_w"][targets]
@@ -441,14 +434,12 @@ def _lm_forward_backward_nce(
     return loss
 
 
-def unigram_distribution(corpus: Corpus, vocab: Vocabulary) -> np.ndarray:
-    """Add-one-smoothed event distribution (words plus end-of-sentence)."""
-    n_out = vocab.size + 1
-    counts = np.ones(n_out)
-    for sent in corpus:
-        for wid in vocab.encode(sent.tokens):
-            counts[wid] += 1
-        counts[vocab.size] += 1
+def unigram_distribution(ids, lengths, vocab_size: int) -> np.ndarray:
+    """Add-one-smoothed event distribution (words, then end-of-sentence) of
+    the right-padded sentences ``ids``, counted by one ``np.bincount``."""
+    live = np.arange(ids.shape[1]) < lengths[:, None]
+    counts = np.bincount(ids[live], minlength=vocab_size + 1) + 1.0
+    counts[vocab_size] += len(lengths)
     return counts / counts.sum()
 
 
@@ -475,18 +466,19 @@ def train_lstm_lm(
         raise ValueError("dims do not match the vocabulary")
     params = LstmLmParams.initialize(dims, vocab, seed=config.seed)
     rng = np.random.default_rng(derive_seed(config.seed, "lstm-lm"))
-    encoded = [np.array(vocab.encode(s.tokens), dtype=np.intp) for s in corpus]
-    noise_dist = unigram_distribution(corpus, vocab) if mode == "nce" else None
+    ids, lengths = pad_ids([vocab.encode(s.tokens) for s in corpus])
+    noise_dist = unigram_distribution(ids, lengths, vocab.size) if mode == "nce" else None
     log_kq = np.log(nce_samples * noise_dist) if noise_dist is not None else None
 
     def minibatch(batch, epoch, grads):
-        rows = [encoded[int(j)] for j in batch]
+        own = lengths[batch]
+        rows = ids[batch, : own.max()]
         if mode == "full-softmax":
-            loss = _lm_forward_backward_softmax(params, rows, grads)
+            loss = _lm_forward_backward_softmax(params, rows, own, grads)
         else:
             noise_ids = rng.choice(dims.n_out, size=nce_samples, p=noise_dist)
-            loss = _lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
-        n_tokens = sum(len(ids) + 1 for ids in rows)
+            loss = _lm_forward_backward_nce(params, rows, own, noise_ids, log_kq, grads)
+        n_tokens = int(own.sum()) + len(own)
         for g in grads.values():
             g /= n_tokens
         return [loss]
@@ -494,5 +486,5 @@ def train_lstm_lm(
     # the held-out sentences are encoded once per run, not once per epoch
     held = None if heldout is None else pad_ids([vocab.encode(s.tokens) for s in heldout])
     score = None if held is None else (lambda: -float(np.mean(params.logprobs(*held))))
-    best, _ = _sgd(params, len(encoded), minibatch, score, config, rng)
+    best, _ = _sgd(params, len(lengths), minibatch, score, config, rng)
     return best

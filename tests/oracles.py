@@ -25,7 +25,10 @@ at a time, and ``map_token``, ``indices_of`` and ``candidates_of`` read a
 vocabulary, a fold assignment and a confusion table the way only tests need.
 ``NegativeSet`` holds one sentence's kept negatives as sentences, checked
 word by word against their source, and ``negative_sets`` rebuilds such sets
-from the sampler's id arrays.
+from the sampler's id arrays. ``reranker_rows``, ``group_of`` and
+``take_groups`` build and read ``neural.RerankerRows`` one group at a time,
+and ``loop_unigram_distribution`` counts the LM's noise distribution one
+token at a time, the reference for its one ``np.bincount``.
 """
 
 import math
@@ -51,6 +54,7 @@ from kbrerank.features import (
 from kbrerank.kb import PairTable
 from kbrerank.negsampler import derive_seed
 from kbrerank.neural import (
+    RerankerRows,
     _sigmoid,
     backprop_batch,
     contrastive_loss,
@@ -65,7 +69,6 @@ from kbrerank.trainer import (
     _lm_forward,
     _lm_forward_backward_nce,
     _lm_forward_backward_softmax,
-    unigram_distribution,
 )
 
 
@@ -432,12 +435,39 @@ def reference_dropout_mask(shape, p, seed):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def score_alone(params, inputs, dropout_mask=None):
-    """``score_batch`` over one ``RerankerInputs`` group, padded on its own."""
-    ids, lengths = pad_ids(inputs.ids)
-    return score_batch(
-        params, ids, inputs.bins, inputs.ngram_feats, lengths=lengths, dropout_mask=dropout_mask
+def reranker_rows(groups, pad=0) -> RerankerRows:
+    """One ``neural.RerankerRows`` of ``groups``, each (id rows, (n, 5) bins,
+    n-gram features), padded by ``pad_ids`` with ``pad`` past each row's end."""
+    ids, lengths = pad_ids([row for rows, _, _ in groups for row in rows])
+    ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad
+    bins = [np.reshape(bins, (-1, len(BIN_FIELDS))) for _, bins, _ in groups]
+    feats = [np.asarray(feats, dtype=float) for _, _, feats in groups]
+    starts = np.cumsum([0, *(len(rows) for rows, _, _ in groups)])
+    return RerankerRows(
+        ids, lengths, np.concatenate([np.zeros((0, len(BIN_FIELDS))), *bins]),
+        np.concatenate([np.zeros(0), *feats]), starts,
     )
+
+
+def group_of(x, g):
+    """Group g of the ``RerankerRows`` ``x`` as (unpadded id rows, bins,
+    n-gram features)."""
+    own = slice(x.starts[g], x.starts[g + 1])
+    rows = [row[:n] for row, n in zip(x.ids[own].tolist(), x.lengths[own].tolist())]
+    return rows, x.bins[own], x.ngram_feats[own]
+
+
+def take_groups(x, groups) -> RerankerRows:
+    """The groups ``groups`` of the ``RerankerRows`` ``x``, in that order."""
+    return reranker_rows([group_of(x, g) for g in groups])
+
+
+def score_alone(params, x, g, dropout_mask=None):
+    """``score_batch`` over group g of the ``RerankerRows`` ``x``, padded on
+    its own."""
+    rows, bins, feats = group_of(x, g)
+    ids, lengths = pad_ids(rows)
+    return score_batch(params, ids, bins, feats, lengths=lengths, dropout_mask=dropout_mask)
 
 
 def in_order_chunks(row_counts, cap) -> list[list[int]]:
@@ -468,15 +498,15 @@ def reference_minibatch_gradients(params, instances, batch, config, epoch, grads
     its own dropout draw; returns the losses in batch order."""
     losses = []
     for j in batch:
-        inst = instances[int(j)]
+        rows, _, _ = group_of(instances, int(j))
         mask = None
         if config.dropout > 0.0:
             mask = reference_dropout_mask(
-                (len(inst.ids), params.dims.phi_dim),
+                (len(rows), params.dims.phi_dim),
                 config.dropout,
                 derive_seed(config.seed, "dropout", epoch, int(j)),
             )
-        u, cache = score_alone(params, inst, dropout_mask=mask)
+        u, cache = score_alone(params, instances, int(j), dropout_mask=mask)
         loss, du = contrastive_loss(u, 0)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at epoch {epoch}, instance {int(j)}")
@@ -490,8 +520,8 @@ def reference_heldout_wer(params, heldout):
     scored by its own call and decoded by its own argmax."""
     split = heldout.split
     errors = ref_words = 0
-    for r, x in enumerate(heldout.inputs):
-        u, _ = score_alone(params, x)
+    for r in range(len(heldout.rows)):
+        u, _ = score_alone(params, heldout.rows, r)
         chosen = int(np.argmax(split.scores["first_pass"][r, : len(u)] + u))
         errors += int(split.errors[r, chosen].sum())
         ref_words += int(split.ref_words[r])
@@ -543,7 +573,7 @@ def reference_train_lstm_lm(
     velocity = params.zero_grads()
     rng = np.random.default_rng(derive_seed(config.seed, "lstm-lm"))
     encoded = [np.array(vocab.encode(s.tokens), dtype=np.intp) for s in corpus]
-    noise_dist = unigram_distribution(corpus, vocab) if mode == "nce" else None
+    noise_dist = loop_unigram_distribution(corpus, vocab) if mode == "nce" else None
     log_kq = np.log(nce_samples * noise_dist) if noise_dist is not None else None
 
     lr = config.lr
@@ -559,10 +589,10 @@ def reference_train_lstm_lm(
             grads = params.zero_grads()
             rows = [encoded[int(j)] for j in batch]
             if mode == "full-softmax":
-                _lm_forward_backward_softmax(params, rows, grads)
+                _lm_forward_backward_softmax(params, *pad_ids(rows), grads)
             else:
                 noise_ids = rng.choice(dims.n_out, size=nce_samples, p=noise_dist)
-                _lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
+                _lm_forward_backward_nce(params, *pad_ids(rows), noise_ids, log_kq, grads)
             n_tokens = sum(len(ids) + 1 for ids in rows)
             for g in grads.values():
                 g /= n_tokens
@@ -581,6 +611,16 @@ def reference_train_lstm_lm(
             if bad_epochs >= config.patience:
                 break
     return best_params, epochs
+
+
+def loop_unigram_distribution(corpus, vocab) -> np.ndarray:
+    """``trainer.unigram_distribution`` of a corpus, one token at a time."""
+    counts = np.ones(vocab.size + 1)
+    for sent in corpus:
+        for wid in vocab.encode(sent.tokens):
+            counts[wid] += 1
+        counts[vocab.size] += 1
+    return counts / counts.sum()
 
 
 def lm_logprob(params, sentence) -> float:
@@ -610,7 +650,7 @@ def position_logprobs(params, sentences) -> np.ndarray:
     encoded = [params.vocab.encode(getattr(s, "tokens", s)) for s in sentences]
     out = np.empty(len(encoded))
     for start in range(0, len(encoded), 32):
-        batch = _lm_forward(params, encoded[start : start + 32])
+        batch = _lm_forward(params, *pad_ids(encoded[start : start + 32]))
         logits = batch.hs @ params.tensors["out_w"].T
         logits += params.tensors["out_b"]
         logits -= logits.max(axis=1, keepdims=True)

@@ -354,10 +354,13 @@ class TestArrayPathMatchesReference:
         def lookup(name, ids, lengths):
             return np.array([tables[name][words] for words in words_of(vocab, ids, lengths)])
 
+        def no_bins(tokens, kb):
+            return np.zeros((len(tokens), 5), dtype=np.intp)
+
         monkeypatch.setattr(evaluation, "score_ids", lambda model, ids, lengths: lookup("ngram", ids, lengths))
-        # the reranker's inputs are the id rows themselves
-        monkeypatch.setattr(evaluation, "reranker_inputs", lambda split, ids, kb, lm: (ids, split.lengths))
-        monkeypatch.setattr(evaluation, "score_lists", lambda params, rows: lookup("reranker", *rows))
+        # the reranker reads the id rows its inputs pass through, and no bins
+        monkeypatch.setattr(evaluation, "feature_bins", no_bins)
+        monkeypatch.setattr(evaluation, "score_lists", lambda params, x: lookup("reranker", x.ids, x.lengths))
         present = object()
         return RerankModels(
             ngram=present, lstm=StubLm(tables["lstm"], vocab), reranker=present,

@@ -265,7 +265,8 @@ class TestExtractFeatures:
             self.load_row(tmp_path, 1.0, COOC_BINS, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="sentence_id 3: ngram_negative_logprob must be a finite number >= 0"):
             self.load_row(tmp_path, -1.0, 0, 0, 0, 0, 0)
-        (loaded,) = self.load_row(tmp_path, 0.0, COOC_BINS - 1, *(n - 1 for _, n in BIN_FIELDS[1:]))
+        loaded = self.load_row(tmp_path, 0.0, COOC_BINS - 1, *(n - 1 for _, n in BIN_FIELDS[1:]))
+        assert len(loaded) == 1 and loaded.starts.tolist() == [0, 2]
         assert loaded.bins[0].tolist() == [n - 1 for _, n in BIN_FIELDS]
 
     @pytest.mark.parametrize(

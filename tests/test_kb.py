@@ -18,8 +18,9 @@ from test_acceptance import FIXTURE_SETS, SEED
 from test_features import EDGE_KB, EDGE_WORDS
 
 from kbrerank import synth
+from kbrerank.artifacts import read_jsonl
 from kbrerank.cli import PipelineConfig, main
-from kbrerank.corpus import Sentence
+from kbrerank.corpus import Sentence, load_corpus, load_vocabulary
 from kbrerank.features import feature_bins
 from kbrerank.kb import (
     KBEntry,
@@ -98,6 +99,19 @@ class TestLoading:
         argv = ["build-kb-index", "--out-dir", str(tmp_path / "run"), "--set", f"kb_path={path}"]
         assert main(argv) == 1
         assert f"error: {path}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_text_inputs_not_utf8_name_file(self, tmp_path, capsys):
+        # the corpus, n-best, JSON-lines and vocabulary readers fail as the
+        # KB reader does
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"c\xff d\n")
+        for loader in (load_corpus, load_vocabulary, lambda p: list(read_jsonl(p))):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid UTF-8"):
+                loader(path)
+        run = str(tmp_path / "run")
+        for argv in (["build-vocab", "--set", f"corpus_path={path}"], ["evaluate", "--nbest", str(path)]):
+            assert main([*argv, "--out-dir", run]) == 1
+            assert f"error: {path}: not valid UTF-8" in capsys.readouterr().err
 
     def test_load_lowercases_and_keeps_order(self, tmp_path):
         path = tmp_path / "kb.tsv"

@@ -13,20 +13,18 @@ import pytest
 from kbrerank import neural
 from kbrerank.artifacts import ArtifactError
 from kbrerank.cli import load_feature_instances
-from kbrerank.corpus import build_vocabulary, corpus_from_lines
+from kbrerank.corpus import build_vocabulary, corpus_from_lines, pad_ids
 from kbrerank.features import BIN_FIELDS
 from kbrerank.neural import (
     RerankerDims,
-    RerankerInputs,
     RerankerParams,
+    RerankerRows,
     _sigmoid,
     backprop_batch,
     contrastive_loss,
     draw_dropout,
     length_chunks,
-    pad_ids,
     score_batch,
-    score_inputs,
     score_lists,
     sgd_momentum_update,
 )
@@ -43,6 +41,7 @@ from oracles import (
     padded_lstm_gradients,
     random_trie_rows,
     reference_sgd_momentum_update,
+    reranker_rows,
     score,
     score_alone,
     sentence_representation,
@@ -199,7 +198,8 @@ class TestBinTable:
         ]
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         vocab = build_vocabulary(corpus_from_lines(["a"]))
-        (inputs,) = load_feature_instances(path, vocab)
+        inputs = load_feature_instances(path, vocab)
+        assert len(inputs) == 1 and inputs.starts.tolist() == [0, 2]
         assert inputs.bins.shape == (2, len(self.LAYOUT)) and inputs.bins.dtype == np.intp
         for column, field, _, _ in self.LAYOUT:
             assert inputs.bins[:, column].tolist() == [self.ROW[field], self.ROW[field] + 1]
@@ -543,12 +543,12 @@ class TestSigmoid:
         np.testing.assert_array_equal(x, before)
 
 
-def random_inputs(rng, lengths, dims=TINY) -> RerankerInputs:
-    """One instance: candidates of the given lengths, their words drawn from
-    1 .. vocab_size - 2."""
+def random_group(rng, lengths, dims=TINY):
+    """One group for ``reranker_rows``: candidates of the given lengths, their
+    words drawn from 1 .. vocab_size - 2."""
     rows = [rng.integers(1, dims.vocab_size - 1, size=n).tolist() for n in lengths]
     _, bins, feats = tiny_instance(rng, n_candidates=len(lengths), length=1)
-    return RerankerInputs(rows, bins, feats)
+    return rows, bins, feats
 
 
 class TestFusedChunks:
@@ -604,51 +604,76 @@ class TestFusedChunks:
         assert padded_cells(rows, in_order_chunks([1] * 8, 2)) == 8 * 9
         assert padded_cells(rows, length_chunks(lengths)) == sum(lengths)
 
-    def test_concat_pads_and_stacks(self):
+    def test_score_slices_rows_padded_once(self):
         rng = np.random.default_rng(20)
-        parts = [random_inputs(rng, (3, 1)), random_inputs(rng, (5, 2, 4))]
+        groups = [random_group(rng, (3, 1)), random_group(rng, (5, 2, 4)), random_group(rng, (0, 2))]
+        x = reranker_rows(groups)
+        assert x.ids.shape == (7, 5) and len(x) == 3
+        rows = [row for group, _, _ in groups for row in group]
         params = RerankerParams.initialize(TINY, seed=20)
-        u, x = score_inputs(params, parts)
-        # the groups' rows, padded once with 0 to the longest row of the chunk
-        assert x.ids.shape == (5, 5)
-        np.testing.assert_array_equal(x.lengths, [3, 1, 5, 2, 4])
-        rows = [row for p in parts for row in p.ids]
-        for row, got, n in zip(rows, x.ids, x.lengths):
-            np.testing.assert_array_equal(got[:n], row)
-            assert not np.any(got[n:])
-        np.testing.assert_array_equal(x.bins, np.concatenate([p.bins for p in parts]))
-        np.testing.assert_array_equal(x.ngram_feats, np.concatenate([p.ngram_feats for p in parts]))
-        expected = np.concatenate([score_alone(params, p)[0] for p in parts])
-        np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-14)
+        for picked in ([3, 0, 4], [1, 5, 6], [2], [5], list(range(7))):
+            u, cache = x.score(params, picked)
+            # the picked rows in order, as pad_ids pads them on their own:
+            # cut to the longest of them
+            ids, lengths = pad_ids([rows[r] for r in picked])
+            np.testing.assert_array_equal(cache.ids, ids)
+            np.testing.assert_array_equal(cache.lengths, lengths)
+            np.testing.assert_array_equal(cache.bins, x.bins[picked])
+            np.testing.assert_array_equal(cache.ngram_feats, x.ngram_feats[picked])
+            expected, _ = score_batch(params, ids, x.bins[picked], x.ngram_feats[picked], lengths=lengths)
+            assert np.array_equal(u, expected)
+
+    def test_rows_need_one_feature_row_per_candidate(self):
+        rng = np.random.default_rng(23)
+        x = reranker_rows([random_group(rng, (3, 1)), random_group(rng, (2,))])
+        for bad in (
+            {"bins": x.bins[:2]},
+            {"ngram_feats": x.ngram_feats[:2]},
+            {"ids": x.ids[:2]},
+            {"starts": [0, 2, 4]},
+            {"starts": [1, 3]},
+        ):
+            with pytest.raises(ValueError, match="need one feature row per candidate"):
+                RerankerRows(**{**vars(x), **bad})
 
     def test_score_lists_match_one_call_per_list(self, monkeypatch):
         # a row's u has the same bits in any chunk, so sorting the rows of
         # all lists by length moves no score
         params = RerankerParams.initialize(TINY, seed=21)
         rng = np.random.default_rng(21)
-        inputs = [random_inputs(rng, rng.integers(0, 7, size=rng.integers(1, 6))) for _ in range(9)]
-        assert sum(len(set(map(len, x.ids))) > 1 for x in inputs) >= 5
-        expected = np.concatenate([score_alone(params, x)[0] for x in inputs])
+        groups = [random_group(rng, rng.integers(0, 7, size=rng.integers(1, 6))) for _ in range(9)]
+        assert sum(len(set(map(len, rows))) > 1 for rows, _, _ in groups) >= 5
+        x = reranker_rows(groups)
+        expected = np.concatenate([score_alone(params, x, g)[0] for g in range(len(x))])
         for fuse_rows in (1, 8, 32):
             monkeypatch.setattr(neural, "FUSE_ROWS", fuse_rows)
-            assert np.array_equal(score_lists(params, inputs), expected)
-        assert score_lists(params, []).shape == (0,)
+            assert np.array_equal(score_lists(params, x), expected)
+        assert score_lists(params, reranker_rows([])).shape == (0,)
 
     def test_score_lists_chunks_grouped_by_length(self, monkeypatch):
-        widths = []
+        calls = []
 
         def recording(params, ids, *args, **kwargs):
-            widths.append(ids.shape)
+            calls.append((ids, kwargs["lengths"]))
             return score_batch(params, ids, *args, **kwargs)
 
         monkeypatch.setattr(neural, "score_batch", recording)
         monkeypatch.setattr(neural, "FUSE_ROWS", 4)
         params = RerankerParams.initialize(TINY, seed=22)
         rng = np.random.default_rng(22)
-        inputs = [random_inputs(rng, lengths) for lengths in ((5, 1, 3), (2, 5), (1, 1, 4, 2))]
-        score_lists(params, inputs)
+        groups = [random_group(rng, lengths) for lengths in ((5, 1, 3), (2, 5), (1, 1, 4, 2))]
+        score_lists(params, reranker_rows(groups))
         # 9 rows by length, 4 at a time: 1 1 1 2 | 2 3 4 5 | 5
-        assert widths == [(4, 2), (4, 5), (1, 5)]
+        assert [ids.shape for ids, _ in calls] == [(4, 2), (4, 5), (1, 5)]
+        rows = [row for group, _, _ in groups for row in group]
+        by_length = sorted(range(len(rows)), key=lambda r: len(rows[r]))
+        for (ids, lengths), chunk in zip(calls, (by_length[:4], by_length[4:8], by_length[8:])):
+            # each chunk as wide as its longest row, and the same arrays as
+            # the chunk's own rows padded on their own
+            assert ids.shape[1] == lengths.max()
+            expected, expected_lengths = pad_ids([rows[r] for r in chunk])
+            np.testing.assert_array_equal(ids, expected)
+            np.testing.assert_array_equal(lengths, expected_lengths)
 
 
 class TestTwoThreads:

@@ -8,9 +8,11 @@ from oracles import (
     dict_kb_index,
     extract_features,
     finite_difference_check,
+    group_of,
     in_order_chunks,
     lm_hidden_states,
     lm_logprob,
+    loop_unigram_distribution,
     lstm_step,
     negative_sets,
     padded_cells,
@@ -25,28 +27,34 @@ from oracles import (
     reference_minibatch_gradients,
     reference_train_lstm_lm,
     reference_train_reranker,
+    reranker_rows,
     score,
     score_alone,
     score_sentences,
     sentence_logprobs,
+    take_groups,
 )
 
 from kbrerank import evaluation, neural, synth, trainer
 from kbrerank.artifacts import ArtifactError
 from kbrerank.cli import load_feature_instances
-from kbrerank.corpus import Sentence, Vocabulary, assign_folds, build_vocabulary, corpus_from_lines
+from kbrerank.corpus import (
+    Sentence,
+    Vocabulary,
+    assign_folds,
+    build_vocabulary,
+    corpus_from_lines,
+    pad_ids,
+)
 from kbrerank.evaluation import NBestList, RerankModels, wer
 from kbrerank.features import BIN_FIELDS
 from kbrerank.kb import build_index
 from kbrerank.negsampler import build_confusion_table, derive_seed, sample_corpus_negatives
 from kbrerank.neural import (
     RerankerDims,
-    RerankerInputs,
     RerankerParams,
     contrastive_loss,
     length_chunks,
-    group_inputs,
-    pad_ids,
     score_batch,
 )
 from kbrerank.ngram import train_jackknife
@@ -78,22 +86,20 @@ def mini_world():
         n_samples=30, keep_k=5, p_sub=0.3, seed=3,
     )
     negsets = negative_sets(negs, world.train[:60], vocab)
-    candidates, rows, sizes = [], [], []
+    groups = []
     for j, negset in enumerate(negsets):
         if negset is None:
             continue
         sent = world.train[j]
         (src_lp,) = score_sentences(fold_models[folds.fold_of[j]], [sent])
-        rows.append(extract_features(sent, src_lp, index))
-        rows.extend(
-            extract_features(neg, lp, index)
-            for neg, lp in zip(negset.negatives, negset.lm_logprobs)
-        )
-        candidates.extend([sent.tokens, *(neg.tokens for neg in negset.negatives)])
-        sizes.append(1 + len(negset.negatives))
-    bins = np.array([b for b, _ in rows])
-    ids = [vocab.encode(tokens) for tokens in candidates]
-    instances = group_inputs(ids, bins, [f for _, f in rows], sizes)
+        candidates = [sent, *negset.negatives]
+        rows = [
+            extract_features(c, lp, index)
+            for c, lp in zip(candidates, [src_lp, *negset.lm_logprobs])
+        ]
+        ids = [vocab.encode(c.tokens) for c in candidates]
+        groups.append((ids, np.array([b for b, _ in rows]), [f for _, f in rows]))
+    instances = reranker_rows(groups)
     dims = RerankerDims(vocab_size=vocab.size, word_dim=12, lstm_dim=12, hidden_dim=16)
     return {
         "world": world,
@@ -117,7 +123,7 @@ class TestTrainReranker:
         params = RerankerParams.initialize(mini_world["dims"], seed=0)
         config = TrainConfig(lr=0.01, l2=0.0, dropout=0.0, max_epochs=5, patience=5, seed=0)
         _, logs = train_reranker(
-            mini_world["instances"][:1], mini_world["heldout3"], params, config
+            take_groups(mini_world["instances"], range(1)), mini_world["heldout3"], params, config
         )
         losses = [l.mean_loss for l in logs]
         assert len(losses) == 5
@@ -140,7 +146,7 @@ class TestTrainReranker:
                 lr=0.0005, l2=l2, dropout=0.0, max_epochs=4, patience=4, batch_size=16, seed=2
             )
             trained, _ = train_reranker(
-                mini_world["instances"][:24], mini_world["heldout5"], params, config
+                take_groups(mini_world["instances"], range(24)), mini_world["heldout5"], params, config
             )
             runs[l2] = param_norm_sq(trained)
         assert runs[1000.0] < runs[0.0]
@@ -150,7 +156,7 @@ class TestTrainReranker:
             params = RerankerParams.initialize(mini_world["dims"], seed=4)
             config = TrainConfig(lr=0.1, max_epochs=3, patience=3, batch_size=16, seed=4)
             _, logs = train_reranker(
-                mini_world["instances"][:32], mini_world["heldout8"], params, config
+                take_groups(mini_world["instances"], range(32)), mini_world["heldout8"], params, config
             )
             return [(l.mean_loss, l.heldout_wer, l.lr) for l in logs]
 
@@ -185,21 +191,27 @@ class TestTrainReranker:
                        "ngram_negative_logprob": lp}
                 rec.update(zip((name for name, _ in BIN_FIELDS), bins))
                 fh.write(json.dumps(rec) + "\n")
-        first, second = load_feature_instances(path, vocab)
+        loaded = load_feature_instances(path, vocab)
         play, b, c, unk = (vocab.id_of(w) for w in ("play", "b", "c", "<unk>"))
-        assert first.ids == [[play, unk], [b], []]
-        assert second.ids == [[play, c], [c]]
-        for inputs in (first, second):
-            assert inputs.bins.dtype == np.intp and inputs.ngram_feats.dtype == np.float64
-        assert first.bins.tolist() == [[3, 0, 1, 2, 4], [0, 10, 20, 30, 40], [0, 0, 0, 50, 50]]
-        assert second.bins.tolist() == [[9, 99, 98, 97, 96], [1, 2, 3, 4, 5]]
-        assert first.ngram_feats.tolist() == [1.5, 2.0, 7.0]
-        assert second.ngram_feats.tolist() == [0.25, 4.5]
+        # sentence 2's rows, then sentence 9's, padded once with 0
+        assert len(loaded) == 2 and loaded.starts.tolist() == [0, 3, 5]
+        assert loaded.ids.tolist() == [[play, unk], [b, 0], [0, 0], [play, c], [c, 0]]
+        assert loaded.lengths.tolist() == [2, 1, 0, 2, 1]
+        assert loaded.ids.dtype == loaded.lengths.dtype == loaded.bins.dtype == np.intp
+        assert loaded.ngram_feats.dtype == np.float64
+        first, second = (group_of(loaded, g) for g in range(2))
+        assert first[0] == [[play, unk], [b], []]
+        assert second[0] == [[play, c], [c]]
+        assert first[1].tolist() == [[3, 0, 1, 2, 4], [0, 10, 20, 30, 40], [0, 0, 0, 50, 50]]
+        assert second[1].tolist() == [[9, 99, 98, 97, 96], [1, 2, 3, 4, 5]]
+        assert first[2].tolist() == [1.5, 2.0, 7.0]
+        assert second[2].tolist() == [0.25, 4.5]
 
     def test_empty_instances_rejected(self, mini_world):
         params = RerankerParams.initialize(mini_world["dims"], seed=5)
         with pytest.raises(ValueError, match="no training instances"):
-            train_reranker([], mini_world["heldout"], params, TrainConfig())
+            none = take_groups(mini_world["instances"], [])
+            train_reranker(none, mini_world["heldout"], params, TrainConfig())
 
 
 @pytest.mark.parametrize(
@@ -237,7 +249,9 @@ class TestHeldoutUnequalLengths:
         vocab, index, full = mini_world["vocab"], mini_world["index"], mini_world["full"]
         lists = unequal_length_lists(mini_world["world"])
         heldout = prepare_heldout(lists, vocab, mini_world["tables"], full)
-        assert all(len({len(row) for row in x.ids}) > 1 for x in heldout.inputs)
+        assert all(
+            len(set(map(len, group_of(heldout.rows, g)[0]))) > 1 for g in range(len(heldout.rows))
+        )
         chosen_lengths = set()
         for seed in range(4):
             params = RerankerParams.initialize(mini_world["dims"], seed=seed)
@@ -263,45 +277,39 @@ SMALL = RerankerDims(
 )
 
 
-def small_instances(rng, row_counts):
-    """Training instances of the given row counts; candidates of 1-5 words
-    drawn from ids 1 .. vocab_size - 2."""
-    instances = []
+def small_instances(rng, row_counts, pad=0):
+    """Training instances of the given row counts, padded with ``pad``;
+    candidates of 1-5 words drawn from ids 1 .. vocab_size - 2."""
+    groups = []
     for n in row_counts:
         rows = [rng.integers(1, SMALL.vocab_size - 1, size=k).tolist() for k in rng.integers(1, 6, size=n)]
         bins = np.stack([rng.integers(0, b.count, size=n) for b in neural._BINS], axis=1)
-        instances.append(RerankerInputs(rows, bins, rng.random(n) * 10))
-    return instances
+        groups.append((rows, bins, rng.random(n) * 10))
+    return reranker_rows(groups, pad)
 
 
 def sized_instances(rng, shapes):
     """Training instances of the given (rows, words) shapes, every row of an
     instance as long as the others, as a sentence and its corruptions are;
     words drawn from ids 1 .. vocab_size - 2."""
-    instances = []
+    groups = []
     for n, length in shapes:
         rows = rng.integers(1, SMALL.vocab_size - 1, size=(n, length)).tolist()
         bins = np.stack([rng.integers(0, b.count, size=n) for b in neural._BINS], axis=1)
-        instances.append(RerankerInputs(rows, bins, rng.random(n) * 10))
-    return instances
+        groups.append((rows, bins, rng.random(n) * 10))
+    return reranker_rows(groups)
 
 
-def padding_with(pad):
-    """``pad_ids`` with ``pad`` in place of 0 past each row's end."""
-    def pad_ids_with(rows):
-        ids, lengths = pad_ids(rows)
-        ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad
-        return ids, lengths
-
-    return pad_ids_with
+def group_rows(instances, j) -> list:
+    """The unpadded id rows of instance j."""
+    return group_of(instances, int(j))[0]
 
 
 def batch_chunks(instances, batch) -> list[list[int]]:
     """``neural.length_chunks`` of the instances ``batch``, as
     ``_minibatch_gradients`` groups them: positions in ``batch``."""
-    return neural.length_chunks(
-        [max(map(len, instances[j].ids)) for j in batch], [len(instances[j].ids) for j in batch]
-    )
+    rows = [group_rows(instances, j) for j in batch]
+    return neural.length_chunks([max(map(len, r)) for r in rows], [len(r) for r in rows])
 
 
 def visit_order(instances, batch) -> list[int]:
@@ -321,8 +329,7 @@ class TestFusedMinibatch:
     def test_fused_gradients_match_finite_differences(self, monkeypatch):
         monkeypatch.setattr(neural, "FUSE_ROWS", 8)
         params = RerankerParams.initialize(SMALL, seed=30)
-        monkeypatch.setattr(neural, "pad_ids", padding_with(5))
-        instances = small_instances(np.random.default_rng(30), self.ROWS)
+        instances = small_instances(np.random.default_rng(30), self.ROWS, pad=5)
         batch = np.array([4, 1, 2, 0, 3])
         assert batch_chunks(instances, batch) == [[3], [4], [0], [1, 2]]
         config = TrainConfig(dropout=0.3, seed=7)
@@ -333,11 +340,10 @@ class TestFusedMinibatch:
             # each instance's own softmax and dropout draw, scored alone
             total = 0.0
             for j in batch:
-                x = instances[j]
                 mask = reference_dropout_mask(
-                    (len(x.ids), SMALL.phi_dim), 0.3, derive_seed(7, "dropout", 2, int(j))
+                    (len(group_rows(instances, j)), SMALL.phi_dim), 0.3, derive_seed(7, "dropout", 2, int(j))
                 )
-                u, _ = score_alone(params, x, dropout_mask=mask)
+                u, _ = score_alone(params, instances, int(j), dropout_mask=mask)
                 total += contrastive_loss(u, 0)[0]
             return total
 
@@ -350,11 +356,9 @@ class TestFusedMinibatch:
         config = TrainConfig(dropout=0.3, seed=8)
         results = []
         for pad_id in (0, SMALL.vocab_size - 1):
-            instances = small_instances(np.random.default_rng(31), self.ROWS)
+            instances = small_instances(np.random.default_rng(31), self.ROWS, pad=pad_id)
             grads = params.zero_grads()
-            with monkeypatch.context() as m:
-                m.setattr(neural, "pad_ids", padding_with(pad_id))
-                losses = trainer._minibatch_gradients(params, instances, np.arange(5), config, 0, grads)
+            losses = trainer._minibatch_gradients(params, instances, np.arange(5), config, 0, grads)
             results.append((losses, grads))
         (losses0, grads0), (losses1, grads1) = results
         assert losses0 == losses1
@@ -399,7 +403,7 @@ class TestFusedMinibatch:
         expected = np.concatenate(
             [
                 reference_dropout_mask(
-                    (len(instances[j].ids), mini_world["dims"].phi_dim),
+                    (len(group_rows(instances, j)), mini_world["dims"].phi_dim),
                     0.2,
                     derive_seed(11, "dropout", 3, int(j)),
                 )
@@ -424,11 +428,11 @@ class TestFusedMinibatch:
     def test_dropout_rows_follow_their_instance(self, monkeypatch):
         seen = []
 
-        def recording(params, parts, dropout_mask=None):
-            seen.append((parts, dropout_mask))
-            return neural.score_inputs(params, parts, dropout_mask=dropout_mask)
+        def recording(params, ids, bins, feats, lengths=None, dropout_mask=None, **kwargs):
+            seen.append((ids, lengths, dropout_mask))
+            return score_batch(params, ids, bins, feats, lengths=lengths, dropout_mask=dropout_mask, **kwargs)
 
-        monkeypatch.setattr(trainer, "score_inputs", recording)
+        monkeypatch.setattr(neural, "score_batch", recording)
         monkeypatch.setattr(neural, "FUSE_ROWS", 8)
         params = RerankerParams.initialize(SMALL, seed=33)
         instances = sized_instances(
@@ -437,19 +441,29 @@ class TestFusedMinibatch:
         batch = np.array([5, 0, 4, 2, 3, 1])
         config = TrainConfig(dropout=0.3, seed=13)
         trainer._minibatch_gradients(params, instances, batch, config, 4, params.zero_grads())
+        own = {int(j): group_rows(instances, j) for j in batch}
         visited = []
-        for parts, mask in seen:
-            row = 0
-            for x in parts:
-                (j,) = [j for j in batch if instances[j] is x]
-                own = mask[row : row + len(x.ids)]
-                row += len(x.ids)
+        for ids, lengths, mask in seen:
+            # a chunk is as wide as its longest row
+            assert ids.shape[1] == lengths.max()
+            got = [r[:n] for r, n in zip(ids.tolist(), lengths.tolist())]
+            row, members = 0, []
+            while row < len(got):
+                # the instance whose rows come next, found by its words
+                (j,) = [j for j, rows in own.items() if got[row : row + len(rows)] == rows]
+                n = len(own[j])
                 expected = reference_dropout_mask(
-                    (len(x.ids), SMALL.phi_dim), 0.3, derive_seed(13, "dropout", 4, int(j))
+                    (n, SMALL.phi_dim), 0.3, derive_seed(13, "dropout", 4, int(j))
                 )
-                np.testing.assert_array_equal(own, expected)
-                visited.append(int(j))
+                np.testing.assert_array_equal(mask[row : row + n], expected)
+                row += n
+                members.append(int(j))
             assert row == len(mask)
+            # the same arrays as the members' rows padded on their own, in order
+            expected_ids, expected_lengths = pad_ids([r for j in members for r in own[j]])
+            np.testing.assert_array_equal(ids, expected_ids)
+            np.testing.assert_array_equal(lengths, expected_lengths)
+            visited.extend(members)
         assert sorted(visited) == sorted(batch.tolist())
         assert visited != batch.tolist()
 
@@ -458,7 +472,7 @@ class TestFusedMinibatch:
         rng = np.random.default_rng(34)
         for _ in range(5):
             batch = rng.permutation(len(instances))[:64]
-            rows = [instances[j].ids for j in batch]
+            rows = [group_rows(instances, j) for j in batch]
             grouped = padded_cells(rows, batch_chunks(instances, batch))
             in_order = padded_cells(rows, in_order_chunks(list(map(len, rows)), neural.FUSE_ROWS))
             assert grouped < in_order
@@ -479,9 +493,8 @@ class TestFusedMinibatch:
         assert seen and all(mask is None for mask in seen)
 
     def test_non_finite_loss_names_its_instance(self, mini_world):
-        instances = list(mini_world["instances"][:20])
-        bad = instances[13]
-        instances[13] = RerankerInputs(bad.ids, bad.bins, np.full_like(bad.ngram_feats, np.inf))
+        instances = take_groups(mini_world["instances"], range(20))
+        instances.ngram_feats[instances.starts[13] : instances.starts[14]] = np.inf
         params = RerankerParams.initialize(mini_world["dims"], seed=8)
         config = TrainConfig(batch_size=8, max_epochs=1, seed=0)
         with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 0, instance 13$"):
@@ -534,8 +547,8 @@ class TestChunkedScoring:
         for u, nbest in enumerate(dataset):
             lm_logprobs = score_sentences(full, [h for h, _ in nbest.hypotheses]).tolist()
             one = evaluation.read_split([nbest])
-            (x,) = evaluation.reranker_inputs(one, one.vocab_ids(vocab), tables, lm_logprobs)
-            own, _ = score_alone(params, x)
+            x = evaluation.reranker_inputs(one, one.vocab_ids(vocab), tables, lm_logprobs)
+            own, _ = score_alone(params, x, 0)
             np.testing.assert_allclose(scores["reranker"][u, valid[u]], own, rtol=1e-12, atol=1e-14)
 
 
@@ -590,8 +603,8 @@ class TestLstmLmGradients:
 
         def run(grads):
             if mode == "full-softmax":
-                return trainer._lm_forward_backward_softmax(params, [ids], grads)
-            return trainer._lm_forward_backward_nce(params, [ids], noise_ids, log_kq, grads)
+                return trainer._lm_forward_backward_softmax(params, *pad_ids([ids]), grads)
+            return trainer._lm_forward_backward_nce(params, *pad_ids([ids]), noise_ids, log_kq, grads)
 
         grads = params.zero_grads()
         run(grads)
@@ -617,10 +630,13 @@ class TestBatchedLm:
         return params, rows, noise_ids, log_kq
 
     @staticmethod
-    def run(params, mode, rows, noise_ids, log_kq, grads):
+    def run(params, mode, rows, noise_ids, log_kq, grads, pad=0):
+        """The loss of ``rows``, padded with ``pad``; adds its gradients."""
+        ids, lengths = pad_ids(rows)
+        ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad
         if mode == "full-softmax":
-            return trainer._lm_forward_backward_softmax(params, rows, grads)
-        return trainer._lm_forward_backward_nce(params, rows, noise_ids, log_kq, grads)
+            return trainer._lm_forward_backward_softmax(params, ids, lengths, grads)
+        return trainer._lm_forward_backward_nce(params, ids, lengths, noise_ids, log_kq, grads)
 
     @pytest.mark.parametrize("mode", trainer.LM_MODES)
     def test_padded_batch_gradients_match_finite_differences(self, mode):
@@ -653,8 +669,8 @@ class TestBatchedLm:
         t = params.tensors
         rng = np.random.default_rng(seed)
         rows = random_trie_rows(rng, 40, 7)
-        batch = trainer._lm_forward(params, rows)
         ids, lengths = pad_ids(rows)
+        batch = trainer._lm_forward(params, ids, lengths)
         real = np.arange(ids.shape[1] + 1) <= lengths[:, None]
         hs, steps = padded_lstm_forward(t["w"], t["b"], t["emb"][ids])
         assert np.array_equal(batch.hs, hs[real])
@@ -671,19 +687,12 @@ class TestBatchedLm:
             assert np.max(np.abs(grads[name] - tensor)) <= 1e-12 * np.max(np.abs(tensor)), name
 
     @pytest.mark.parametrize("mode", trainer.LM_MODES)
-    def test_pad_id_leaves_loss_and_gradients_bit_identical(self, mode, monkeypatch):
+    def test_pad_id_leaves_loss_and_gradients_bit_identical(self, mode):
         params, rows, noise_ids, log_kq = self.setup_lm(seed=2)
         results = {}
         for pad in (0, 7):
-            def pad_with(seqs, pad=pad):
-                ids, lengths = pad_ids(seqs)
-                ids[np.arange(ids.shape[1]) >= lengths[:, None]] = pad
-                return ids, lengths
-
-            with monkeypatch.context() as m:
-                m.setattr(trainer, "pad_ids", pad_with)
-                grads = params.zero_grads()
-                loss = self.run(params, mode, rows, noise_ids, log_kq, grads)
+            grads = params.zero_grads()
+            loss = self.run(params, mode, rows, noise_ids, log_kq, grads, pad=pad)
             results[pad] = (loss, grads)
         assert results[0][0] == results[7][0]
         for name in params.tensors:
@@ -757,6 +766,54 @@ class TestLmLoopReference:
             assert epochs == config.max_epochs
         for name, tensor in ref.tensors.items():
             np.testing.assert_array_equal(got.tensors[name], tensor, err_msg=name)
+
+    def test_minibatches_slice_the_corpus_padded_once(self, monkeypatch):
+        corpus, heldout = corpus_from_lines(self.CORPUS), corpus_from_lines(self.HELDOUT)
+        vocab = build_vocabulary(corpus, min_count=0)
+        config = TrainConfig(max_epochs=3, patience=3, batch_size=4, seed=5)
+        padded, seen = [], []
+        forward = trainer._lm_forward
+
+        def counting(rows):
+            padded.append(len(rows))
+            return pad_ids(rows)
+
+        def recording(params, ids, lengths):
+            seen.append((ids, lengths))
+            return forward(params, ids, lengths)
+
+        monkeypatch.setattr(trainer, "pad_ids", counting)
+        monkeypatch.setattr(trainer, "_lm_forward", recording)
+        train_lstm_lm(corpus, vocab, config=config, dims=LstmLmDims(vocab.size, 4, 5), heldout=heldout)
+        # the corpus and the held-out sentences, each padded once per run
+        assert padded == [len(corpus), len(heldout)]
+        # the full-softmax run draws nothing but each epoch's permutation
+        rng = np.random.default_rng(derive_seed(5, "lstm-lm"))
+        orders = [rng.permutation(len(corpus)) for _ in range(config.max_epochs)]
+        batches = [order[a : a + 4] for order in orders for a in range(0, len(corpus), 4)]
+        assert len(seen) == len(batches)
+        encoded = [vocab.encode(s.tokens) for s in corpus]
+        for (ids, lengths), batch in zip(seen, batches):
+            # as wide as the batch's longest sentence, and the same arrays
+            # as the batch's sentences padded on their own, in order
+            assert ids.shape[1] == lengths.max()
+            expected_ids, expected_lengths = pad_ids([encoded[j] for j in batch])
+            np.testing.assert_array_equal(ids, expected_ids)
+            np.testing.assert_array_equal(lengths, expected_lengths)
+
+    def test_unigram_distribution_matches_token_loop(self, mini_world):
+        # the fixture's training corpus, and one mostly unknown to its
+        # vocabulary: padding (id 0, the unknown word's) must not count
+        oov = corpus_from_lines(["a zz b", "yy a", "c"])
+        cases = [
+            (mini_world["world"].train, mini_world["vocab"]),
+            (oov, build_vocabulary(corpus_from_lines(["a a"]))),
+        ]
+        for corpus, vocab in cases:
+            ids, lengths = pad_ids([vocab.encode(s.tokens) for s in corpus])
+            assert np.any(ids[np.arange(ids.shape[1]) < lengths[:, None]] == vocab.unk_id)
+            got = trainer.unigram_distribution(ids, lengths, vocab.size)
+            assert np.array_equal(got, loop_unigram_distribution(corpus, vocab))
 
 
 def uniform_lm(words=("a", "b", "c", "d"), word_dim=6, lstm_dim=8):
