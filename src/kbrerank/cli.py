@@ -488,18 +488,22 @@ def cmd_train_lstm_lm(inp: Inputs, args) -> int:
 
 
 def _parse_weights(raw: str) -> dict:
-    """``--weights`` as name -> weight; each weight must be a finite number."""
+    """``--weights`` as name -> weight; each name must be nonempty and given
+    once, each weight a finite number."""
     weights = {}
     if raw:
         for part in raw.split(","):
             name, _, value = part.partition("=")
+            name = name.strip()
             try:
                 weight = float(value)
             except ValueError:  # no number at all, refused as NaN is
                 weight = math.nan
-            if not math.isfinite(weight):
-                raise ValueError(f"bad weight spec {part!r}, expected name=<finite number>")
-            weights[name.strip()] = weight
+            if not name or name in weights or not math.isfinite(weight):
+                raise ValueError(
+                    f"bad weight spec {part!r}, expected name=<finite number>, each name once"
+                )
+            weights[name] = weight
     return weights
 
 
@@ -518,17 +522,20 @@ def cmd_rerank(inp: Inputs, args) -> int:
 
 
 def run_table_evaluation(inp: Inputs, heldout_path, test_path):
-    """Score both splits once, tune each scorer's weights on the held-out
-    scores, then decode both splits with them."""
+    """Read both splits and count their errors, score the held-out split with
+    every component and tune each scorer's weights on it, score the test
+    split with the components some tuned weights read, then decode both."""
     scored = {
-        split: evaluation.score_split(evaluation.load_nbest(path), evaluation.COMPONENTS, inp, path)
+        split: evaluation.count_errors(evaluation.read_split(evaluation.load_nbest(path)), path)
         for split, path in (("heldout", heldout_path), ("test", test_path))
     }
+    evaluation.score_hypotheses(scored["heldout"], evaluation.COMPONENTS, inp)
+    grid = inp.cfg.weight_grid
+    tuned = {s: evaluation.tune_weights(scored["heldout"], s, grid) for s in evaluation.SCORERS}
+    read = {name for s, weights in tuned.items() for name in evaluation.weighted(s, weights)}
+    evaluation.score_hypotheses(scored["test"], read, inp)
     rows = []
-    tuned: dict = {}
-    for scorer in evaluation.SCORERS:
-        weights = evaluation.tune_weights(scored["heldout"], scorer, inp.cfg.weight_grid)
-        tuned[scorer] = weights
+    for scorer, weights in tuned.items():
         split_reports = {}
         for split, split_scores in scored.items():
             report = evaluation.evaluate(split_scores, scorer, weights)
@@ -553,9 +560,10 @@ def cmd_evaluate(inp: Inputs, args) -> int:
         raise ValueError("evaluate reads --scorer only with --nbest; without it, it runs them all")
     if args.nbest:
         scorer = args.scorer or "reranker"
-        path = inp.path(None, args.nbest, "--nbest")
-        scored = evaluation.score_split(evaluation.load_nbest(path), scorer, inp, args.nbest)
-        report = evaluation.evaluate(scored, scorer, _parse_weights(args.weights))
+        path, weights = inp.path(None, args.nbest, "--nbest"), _parse_weights(args.weights)
+        components = evaluation.weighted(scorer, weights)
+        scored = evaluation.score_split(evaluation.load_nbest(path), components, inp, args.nbest)
+        report = evaluation.evaluate(scored, scorer, weights)
         evaluation.write_utterance_csv(report, inp.paths.report("custom", scorer))
         print(f"{scorer}: WER {100.0 * report.wer:.2f}")
         return 0
@@ -572,6 +580,7 @@ def cmd_evaluate(inp: Inputs, args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # parsing never changes the parser: build it once per process
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON pipeline config")

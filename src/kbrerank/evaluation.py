@@ -29,7 +29,8 @@ SCORERS = tuple(SCORER_COMPONENTS)
 # the components interpolated with the first pass, in the order combine()
 # adds them; the order fixes the totals' rounding
 COMPONENTS = ("ngram", "lstm", "reranker")
-# the loaded models each component reads; the vocabulary encodes the split
+# the loaded models each component reads; the vocabulary encodes the split.
+# Only a component of non-zero weight is scored, so only its models load
 MODELS_NEEDED = {
     "ngram": ("ngram", "vocab"),
     "lstm": ("lstm", "vocab"),
@@ -128,7 +129,8 @@ class ScoredSplit:
         return np.array([vocab.id_of(w) for w in self.words], dtype=np.intp)[self.ids]
 
     def scorer_scores(self, scorer: str) -> dict:
-        """The arrays ``scorer`` interpolates, in the order ``combine`` sums them."""
+        """The first pass and the components of ``scorer`` (as
+        ``_component_names`` takes it), in the order ``combine`` sums them."""
         return {name: self.scores[name] for name in ("first_pass",) + _component_names(scorer)}
 
 
@@ -153,9 +155,10 @@ def read_split(dataset) -> ScoredSplit:
 @dataclass
 class RerankModels:
     """Whatever models the requested scorer mode needs, and their vocabulary.
-    Scoring reads only the attributes ``MODELS_NEEDED`` names for its
-    components, so an object that loads each on first read (``cli.Inputs``)
-    serves as well."""
+    Scoring reads only the attributes ``MODELS_NEEDED`` names for the
+    components it scores, those of non-zero weight when weights are given
+    (``weighted``), so an object that loads each on first read
+    (``cli.Inputs``) serves as well."""
 
     ngram: NGramModel | None = None
     lstm: object = None  # anything with .logprobs(ids, lengths) -> array
@@ -193,23 +196,29 @@ def reranker_inputs(split: ScoredSplit, ids, kb_index: KBTables, lm_logprobs) ->
     return RerankerRows(ids, split.lengths, bins, -np.asarray(lm_logprobs, dtype=float), starts)
 
 
-def combine(comps: dict, weights: dict) -> np.ndarray:
-    """First-pass score plus each weighted component, summed in ``comps`` order.
-
-    A component without a weight adds nothing; a weight naming no component
-    of ``comps`` is an error, not a silent no-op.
-    """
-    unused = [name for name in weights if name == "first_pass" or name not in comps]
+def weighted(scorer, weights: dict) -> tuple:
+    """The components of ``scorer`` (as ``_component_names`` takes it) that
+    ``weights`` gives a non-zero weight, in ``COMPONENTS`` order: the only
+    ones ``combine`` reads. A missing weight counts as 0; a weight naming no
+    component of the scorer is an error, not a silent no-op."""
+    names = _component_names(scorer)
+    unused = [name for name in weights if name not in names]
     if unused:
-        used = ", ".join(name for name in comps if name != "first_pass") or "none"
         raise ValueError(
             f"weights for components the scorer does not use: {', '.join(unused)} "
-            f"(its components: {used})"
+            f"(its components: {', '.join(names) or 'none'})"
         )
+    return tuple(name for name in names if weights.get(name, 0.0) != 0.0)
+
+
+def combine(comps: dict, weights: dict) -> np.ndarray:
+    """First-pass score plus each component of non-zero weight, summed in
+    ``COMPONENTS`` order. Only those components are read, so ``comps`` need
+    hold no other: adding ±0.0 to a finite total changes no comparison."""
     total = comps["first_pass"].copy()
-    for name, arr in comps.items():
-        if name != "first_pass":
-            total += weights.get(name, 0.0) * arr
+    for name in COMPONENTS:
+        if weights.get(name, 0.0) != 0.0:
+            total += weights[name] * comps[name]
     return total
 
 
@@ -242,9 +251,9 @@ def score_hypotheses(split: ScoredSplit, components, models: RerankModels) -> di
 
 def rerank(dataset, scorer: str, weights: dict, models: RerankModels) -> np.ndarray:
     """Index of the best-scoring hypothesis of each list; ties keep
-    first-pass order. References are optional."""
+    first-pass order. Only ``weighted`` components are scored; references are optional."""
     split = read_split(dataset)
-    return _choose(split.valid, score_hypotheses(split, scorer, models), weights)
+    return _choose(split.valid, score_hypotheses(split, weighted(scorer, weights), models), weights)
 
 
 def count_errors(split: ScoredSplit, source: str = "n-best lists") -> ScoredSplit:
@@ -286,7 +295,8 @@ def _report(scored: ScoredSplit, chosen: np.ndarray) -> WerReport:
 
 
 def evaluate(scored: ScoredSplit, scorer: str, weights: dict) -> WerReport:
-    return decode(scored, scored.scorer_scores(scorer), weights)
+    """``decode`` of ``scored``, reading only the components ``weighted`` names."""
+    return decode(scored, scored.scorer_scores(weighted(scorer, weights)), weights)
 
 
 def oracle_wer(scored: ScoredSplit) -> WerReport:

@@ -29,6 +29,9 @@ from the sampler's id arrays. ``reranker_rows``, ``group_of`` and
 ``take_groups`` build and read ``neural.RerankerRows`` one group at a time,
 and ``loop_unigram_distribution`` counts the LM's noise distribution one
 token at a time, the reference for its one ``np.bincount``.
+``every_component_scores`` scores every component of a split whatever the
+weights, so ``reference_decode`` of its scores is the decoding that a
+weight of 0 must not change.
 """
 
 import math
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kbrerank import neural
+from kbrerank import evaluation, neural
 from kbrerank.corpus import UNK, Sentence, build_vocabulary, pad_ids
 from kbrerank.features import (
     BIN_FIELDS,
@@ -190,6 +193,18 @@ def reference_combine(comps, names, weights):
         if name in names:
             total += weights.get(name, 0.0) * np.array(comps[name], dtype=float)
     return total
+
+
+def every_component_scores(dataset, models):
+    """Each list's first-pass and component scores, as ``reference_decode``
+    reads them, from one scoring of the whole split with every component,
+    whatever weight it will get."""
+    split = evaluation.read_split(dataset)
+    scores = evaluation.score_hypotheses(split, evaluation.COMPONENTS, models)
+    return [
+        {name: values[u, split.valid[u]].tolist() for name, values in scores.items()}
+        for u in range(len(dataset))
+    ]
 
 
 def reference_counts(ref, hyp):

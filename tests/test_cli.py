@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kbrerank import features, kb, negsampler, ngram, neural, trainer
+from kbrerank import cli, evaluation, features, kb, negsampler, ngram, neural, trainer
 from kbrerank.artifacts import atomic_text_writer, save_artifact
 from kbrerank.cli import FILES, PipelineConfig, _train_config, build_parser, main, resolve_config
 from kbrerank.corpus import build_vocabulary, corpus_from_lines, load_corpus, load_vocabulary
-from oracles import force_lstm_path
+from oracles import every_component_scores, force_lstm_path, reference_decode
 
 
 MINI_SETS = [
@@ -411,8 +411,8 @@ class TestPipeline:
              "--set", "vocab_min_count=3"]
         ) == 0
         code = main(
-            ["rerank", "--nbest", str(pipeline_dir / "test.jsonl"),
-             "--scorer", "reranker", "--out-dir", str(pipeline_dir), *MINI_SETS]
+            ["rerank", "--nbest", str(pipeline_dir / "test.jsonl"), "--scorer", "reranker",
+             "--weights", "reranker=1.0", "--out-dir", str(pipeline_dir), *MINI_SETS]
         )
         assert code == 1
         assert "vocabulary-hash mismatch" in capsys.readouterr().err
@@ -575,7 +575,10 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "weights, spec",
         [("reranker=nan,lstm=inf", "reranker=nan"), ("reranker=1.0,lstm=inf", "lstm=inf"),
-         ("reranker=-Infinity", "reranker=-Infinity"), ("reranker=", "reranker=")],
+         ("reranker=-Infinity", "reranker=-Infinity"), ("reranker=", "reranker="),
+         # the weights decide which models load: a name twice, or none
+         ("reranker=1,reranker=2", "reranker=2"), ("reranker=1, reranker =2", " reranker =2"),
+         ("=1", "=1"), ("reranker=1, =0.5", " =0.5")],
     )
     def test_non_finite_weight_rejected(self, pipeline_dir, tmp_path, capsys, weights, spec):
         run = copy_run(pipeline_dir, tmp_path)
@@ -587,6 +590,28 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"bad weight spec {spec!r}, expected name=<finite number>" in err
         assert not (run / "selections_reranker_lstm.jsonl").exists()
+
+    def test_parser_built_once_keeps_stages_apart(self, pipeline_dir, tmp_path, monkeypatch):
+        # main reuses one parser; each call still sees only its own stage's
+        # flags, and defaults that an earlier call's flags never touched
+        seen = []
+        resolve = cli.resolve_config
+        monkeypatch.setattr(cli, "resolve_config", lambda args: seen.append(vars(args)) or resolve(args))
+        run = copy_run(pipeline_dir, tmp_path)
+        nbest = str(run / "test.jsonl")
+        assert stage("rerank", run, "--nbest", nbest, "--scorer", "lstm", "--weights", "lstm=1.0") == 0
+        assert main(["evaluate", "--out-dir", str(run), "--nbest", nbest, "--scorer", "first-pass"]) == 0
+        assert main(["rerank", "--out-dir", str(run), "--nbest", nbest]) == 0
+        assert build_parser() is build_parser()
+        first, second, third = seen
+        assert first["set"] == MINI_SETS[1::2] and first["seed"] == 5
+        assert (first["scorer"], first["weights"], first["func"]) == ("lstm", "lstm=1.0", cli.cmd_rerank)
+        assert second["set"] == [] and second["seed"] is None
+        assert (second["scorer"], second["weights"], second["func"]) == ("first-pass", "", cli.cmd_evaluate)
+        assert (second["heldout"], second["test"]) == (None, None)
+        assert third["set"] == [] and third["seed"] is None
+        assert (third["scorer"], third["weights"], third["func"]) == ("reranker", "", cli.cmd_rerank)
+        assert "heldout" not in first and "heldout" not in third
 
 
 class TestEvaluateSplits:
@@ -1110,6 +1135,10 @@ UNNEEDED_MODELS = [
     ("lstm", "lstm=1.0", ("reranker.bin", "kb_index.bin")),
     ("ngram", "ngram=1.0", ("lstm_lm.bin",)),
     ("first-pass", "", MODEL_FILES),
+    # a component of weight 0, given or left out, is neither loaded nor scored
+    ("reranker+lstm", "reranker=1.0,lstm=0.0", ("lstm_lm.bin",)),
+    ("reranker+lstm", "reranker=1.0", ("lstm_lm.bin",)),
+    ("lstm", "lstm=0", MODEL_FILES),
 ]
 
 
@@ -1124,7 +1153,8 @@ class TestModelsLoaded:
             (run / name).unlink()
         nbest = str(run / "test.jsonl")
         assert stage("rerank", run, "--nbest", nbest, "--scorer", scorer, "--weights", weights) == 0
-        assert len((run / f"selections_{scorer}.jsonl").read_text().splitlines()) == 40
+        out = run / f"selections_{scorer.replace('+', '_')}.jsonl"
+        assert len(out.read_text().splitlines()) == 40
 
     @pytest.mark.parametrize("scorer, weights, absent", UNNEEDED_MODELS)
     def test_evaluate_nbest_runs_without_unneeded_models(
@@ -1136,7 +1166,61 @@ class TestModelsLoaded:
         nbest = str(run / "test.jsonl")
         argv = ("--nbest", nbest, "--scorer", scorer, "--weights", weights)
         assert stage("evaluate", run, *argv) == 0
-        assert len((run / f"report_custom_{scorer}.csv").read_text().splitlines()) == 1 + 40
+        out = run / f"report_custom_{scorer.replace('+', '_')}.csv"
+        assert len(out.read_text().splitlines()) == 1 + 40
+
+    @pytest.mark.parametrize(
+        "weights",
+        ["reranker=1.0,lstm=0.0", "reranker=1.0", "lstm=0", "", "reranker=0.5,lstm=2.0",
+         "lstm=-1.0"],
+    )
+    def test_choices_match_decoding_with_every_component_scored(self, pipeline_dir, tmp_path, weights):
+        run = copy_run(pipeline_dir, tmp_path)
+        nbest = run / "test.jsonl"
+        argv = ("--nbest", str(nbest), "--scorer", "reranker+lstm", "--weights", weights)
+        assert stage("rerank", run, *argv) == 0
+        assert stage("evaluate", run, *argv) == 0
+        dataset = evaluation.load_nbest(nbest)
+        comps = every_component_scores(dataset, cli.Inputs(PipelineConfig(out_dir=str(run))))
+        parsed = cli._parse_weights(weights)
+        picks, _ = reference_decode(dataset, comps, ("reranker", "lstm"), parsed)
+        selections = (run / "selections_reranker_lstm.jsonl").read_text().splitlines()
+        assert [json.loads(line)["chosen_index"] for line in selections] == [c for c, _ in picks]
+        rows = (run / "report_custom_reranker_lstm.csv").read_text().splitlines()[1:]
+        reported = [row.split(",") for row in rows]
+        assert [(int(r[1]), tuple(map(int, r[2:5]))) for r in reported] == picks
+
+
+class TestTableScoring:
+    """``evaluate`` scores the held-out split with every component, and the
+    test split only with those some tuned weights read."""
+
+    @staticmethod
+    def lm_rows(monkeypatch) -> list:
+        rows = []
+        logprobs = trainer.LstmLmParams.logprobs
+        monkeypatch.setattr(
+            trainer.LstmLmParams, "logprobs",
+            lambda self, ids, lengths: rows.append(len(lengths)) or logprobs(self, ids, lengths),
+        )
+        return rows
+
+    @pytest.mark.parametrize("grid, splits", [("[0.0]", ("heldout",)), ("[1.0]", ("heldout", "test"))])
+    def test_lm_scores_test_split_only_when_weighted(self, pipeline_dir, tmp_path, monkeypatch, grid, splits):
+        run = copy_run(pipeline_dir, tmp_path)
+        rows = self.lm_rows(monkeypatch)
+        assert stage("evaluate", run, "--set", f"weight_grid={grid}") == 0
+        lm_weights = [
+            json.loads(line.split(" weights ")[1]).get("lstm")
+            for line in (run / "summary.txt").read_text().splitlines()
+            if line.startswith("# lstm:") or line.startswith("# reranker+lstm:")
+        ]
+        assert lm_weights == [json.loads(grid)[0]] * 2
+        hypotheses = [
+            sum(len(n.hypotheses) for n in evaluation.load_nbest(run / f"{split}.jsonl"))
+            for split in splits
+        ]
+        assert rows == hypotheses
 
 
 # the stage that writes each input file, as a missing one's error names it
@@ -1348,13 +1432,22 @@ class TestHostileArtifacts:
     own message naming the file, and without a traceback."""
 
     # artifact -> (stage arguments, an artifact of another kind, re-saver
-    # against another vocabulary)
+    # against another vocabulary); rerank weights the component that reads
+    # the artifact, as a weight of 0 would leave it unloaded
     CASES = {
         "kb_index.bin": (("extract-features",), "ngram_full.bin", None),
-        "ngram_full.bin": (("rerank", "--scorer", "ngram"), "kb_index.bin", resave_ngram),
+        "ngram_full.bin": (
+            ("rerank", "--scorer", "ngram", "--weights", "ngram=1.0"), "kb_index.bin", resave_ngram
+        ),
         "ngram_folds.bin": (("gen-negatives",), "negatives.bin", resave_ngram),
-        "reranker.bin": (("rerank", "--scorer", "reranker"), "lstm_lm.bin", resave_reranker),
-        "lstm_lm.bin": (("rerank", "--scorer", "lstm"), "reranker.bin", resave_lstm),
+        "reranker.bin": (
+            ("rerank", "--scorer", "reranker", "--weights", "reranker=1.0"),
+            "lstm_lm.bin",
+            resave_reranker,
+        ),
+        "lstm_lm.bin": (
+            ("rerank", "--scorer", "lstm", "--weights", "lstm=1.0"), "reranker.bin", resave_lstm
+        ),
         "negatives.bin": (("extract-features",), "kb_index.bin", resave_negatives),
     }
 

@@ -171,7 +171,7 @@ class TestRerank:
     def test_missing_model_rejected(self):
         lists = [nbest("u1", "a b", [("a b", -1.0)])]
         with pytest.raises(ValueError, match="requires a loaded"):
-            rerank(lists, "ngram", {}, RerankModels())
+            rerank(lists, "ngram", {"ngram": 1.0}, RerankModels())
         with pytest.raises(ValueError, match="unknown scorer"):
             rerank(lists, "acoustic", {}, RerankModels())
 
