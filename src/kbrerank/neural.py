@@ -607,18 +607,32 @@ def contrastive_loss(scores, correct_index: int):
     return loss, grad
 
 
+# elements per block of the momentum step: its four operand blocks (2 MB) stay in L2
+UPDATE_BLOCK = 1 << 16
+
+
 def sgd_momentum_update(tensors: dict, grads: dict, velocity: dict, lr: float, momentum: float, l2: float = 0.0):
     """Classical momentum with L2 pulled into the gradient; updates in place.
 
-    ``v = momentum * v - lr * (g + l2 * theta)``, then ``theta += v``, with
-    one temporary per tensor.
+    ``v = momentum * v - lr * (g + l2 * theta)``, then ``theta += v``, over
+    ``UPDATE_BLOCK``-element blocks of each flat tensor through one scratch
+    block: no model-sized temporary, and every float as in one whole-tensor
+    pass. Arrays that are not C-contiguous (whose flat view is a copy) are refused.
     """
-    for name, theta in tensors.items():
-        step = theta * l2
-        step += grads[name]
-        step *= lr
-        v = velocity[name]
-        v *= momentum
-        v -= step
-        theta += v
+    arrays = {name: (theta, grads[name], velocity[name]) for name, theta in tensors.items()}
+    strided = [name for name, own in arrays.items() if not all(a.flags.c_contiguous for a in own)]
+    if strided:
+        raise ValueError(f"the momentum step needs C-contiguous arrays; not so for {', '.join(strided)}")
+    scratch = np.empty(min(UPDATE_BLOCK, max((t.size for t in tensors.values()), default=0)))
+    for theta, g, v in arrays.values():
+        theta, g, v = theta.reshape(-1), g.reshape(-1), v.reshape(-1)  # views: all C-contiguous
+        for start in range(0, theta.size, UPDATE_BLOCK):
+            block = slice(start, start + UPDATE_BLOCK)
+            th, vb = theta[block], v[block]
+            step = np.multiply(th, l2, out=scratch[: th.size])
+            step += g[block]
+            step *= lr
+            vb *= momentum
+            vb -= step
+            th += vb
     return tensors, velocity

@@ -16,9 +16,10 @@ KenLM's sorted tables (Heafield 2011). Scoring is a ``np.searchsorted`` walk
 over a whole batch at once (``score_ids``).
 
 Counting, packing and lookup are vectorized. Estimation (modified
-Kneser-Ney, Chen & Goodman 1998) calls ``math.log`` and ``math.exp`` once per
-gram and adds every float in the order a direct dict implementation does
-(``tests/oracles.py``), so the tables hold the same floats.
+Kneser-Ney, Chen & Goodman 1998) calls ``math.log`` once per distinct value
+and ``math.exp`` once per lower-order entry, and adds every float in the order
+a direct dict implementation does (``tests/oracles.py``), so the tables hold
+the same floats.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _discounts_for(counts: np.ndarray, d: tuple[float, float, float]) -> np.ndar
 
 def _log_each(values: np.ndarray) -> np.ndarray:
     # math.log, not np.log: the two differ in the last bit on some inputs
-    return np.array([math.log(x) for x in values.tolist()])
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([math.log(x) for x in distinct.tolist()])[inverse]
 
 
 @dataclass(eq=False)
@@ -248,13 +250,12 @@ def estimate(counts: NGramCounts, vocab: Vocabulary, exclude_fold=None) -> NGram
         disc = _discounts_for(c, _estimate_discounts(c))
         ctx, ctx_of = np.unique(keys // base, return_inverse=True)
         ctx_total = np.bincount(ctx_of, weights=c, minlength=len(ctx))
-        ctx_mass = np.zeros(len(ctx))
-        np.add.at(ctx_mass, ctx_of, disc)  # one add per gram, in insertion order
+        ctx_mass = np.bincount(ctx_of, weights=disc, minlength=len(ctx))  # adds in insertion order
         gamma = ctx_mass / ctx_total
         context_keys.append(ctx)
         backoffs.append(_log_each(gamma))
-        lower_lp = logprobs[-1][np.searchsorted(gram_keys[-1], keys % base ** (k - 1))]
-        lower = np.array([math.exp(x) for x in lower_lp.tolist()])
+        lower = np.array([math.exp(x) for x in logprobs[-1].tolist()])
+        lower = lower[np.searchsorted(gram_keys[-1], keys % base ** (k - 1))]
         p = np.maximum(c - disc, 0.0) / ctx_total[ctx_of] + gamma[ctx_of] * lower
         by_key = np.argsort(keys)
         gram_keys.append(keys[by_key])

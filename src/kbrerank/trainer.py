@@ -148,16 +148,16 @@ def _sgd(params, n_items: int, minibatch, heldout_score, config: TrainConfig, rn
 
     ``minibatch(batch, epoch, grads)`` adds the mean gradients of the items
     ``batch`` to the zeroed ``grads`` and returns their losses. After each
-    epoch, ``heldout_score()`` (lower is better) picks the best checkpoint; an
-    epoch without a new best decays the learning rate, and ``patience`` such
-    epochs in a row stop training. With no score, every epoch runs and the
-    final params are returned.
+    epoch, ``heldout_score()`` (lower is better, finite or a ``ValueError``)
+    picks the best checkpoint; an epoch without a new best decays the
+    learning rate, and ``patience`` such epochs in a row stop training. With
+    no score, every epoch runs and the final params are returned. A best
+    epoch is copied only if a later epoch may run; else ``params`` is returned.
     """
     velocity = params.zero_grads()
     grads = params.zero_grads()
     logs = []
-    best_score = math.inf
-    best_params = params.copy()
+    best_score, best_epoch, best_params = math.inf, None, None
     bad_epochs = 0
     lr = config.lr
     for epoch in range(config.max_epochs):
@@ -172,17 +172,23 @@ def _sgd(params, n_items: int, minibatch, heldout_score, config: TrainConfig, rn
         logs.append((epoch, float(np.mean(losses)) if losses else math.nan, score, lr))
         if heldout_score is None:
             continue
+        if not math.isfinite(score):
+            raise ValueError(f"non-finite held-out score at epoch {epoch}: {score!r}")
         if score < best_score:
-            best_score = score
-            for name, tensor in best_params.tensors.items():
-                np.copyto(tensor, params.tensors[name])
+            best_score, best_epoch = score, epoch
+            if epoch < config.max_epochs - 1:  # a later epoch may move params on
+                if best_params is None:
+                    best_params = params.copy()
+                else:
+                    for name, tensor in best_params.tensors.items():
+                        np.copyto(tensor, params.tensors[name])
             bad_epochs = 0
         else:
             bad_epochs += 1
             lr *= config.lr_decay
             if bad_epochs >= config.patience:
                 break
-    return (params if heldout_score is None else best_params), logs
+    return (params if best_epoch in (None, epoch) else best_params), logs
 
 
 def train_reranker(instances, heldout: Heldout, params: RerankerParams, config: TrainConfig):
@@ -478,6 +484,8 @@ def train_lstm_lm(
         else:
             noise_ids = rng.choice(dims.n_out, size=nce_samples, p=noise_dist)
             loss = _lm_forward_backward_nce(params, rows, own, noise_ids, log_kq, grads)
+        if not math.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at epoch {epoch}, minibatch from sentence {batch[0]}")
         n_tokens = int(own.sum()) + len(own)
         for g in grads.values():
             g /= n_tokens

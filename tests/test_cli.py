@@ -406,18 +406,17 @@ class TestPipeline:
     def test_vocab_hash_mismatch_detected(self, pipeline_dir, tmp_path, capsys):
         # models were trained against min_count=1; a coarser vocabulary must
         # be refused by every consumer of a trained model
+        run = copy_run(pipeline_dir, tmp_path)
         assert main(
-            ["build-vocab", "--out-dir", str(pipeline_dir), *MINI_SETS,
+            ["build-vocab", "--out-dir", str(run), *MINI_SETS,
              "--set", "vocab_min_count=3"]
         ) == 0
         code = main(
-            ["rerank", "--nbest", str(pipeline_dir / "test.jsonl"), "--scorer", "reranker",
-             "--weights", "reranker=1.0", "--out-dir", str(pipeline_dir), *MINI_SETS]
+            ["rerank", "--nbest", str(run / "test.jsonl"), "--scorer", "reranker",
+             "--weights", "reranker=1.0", "--out-dir", str(run), *MINI_SETS]
         )
         assert code == 1
         assert "vocabulary-hash mismatch" in capsys.readouterr().err
-        # restore the original vocabulary for any later test
-        assert main(["build-vocab", "--out-dir", str(pipeline_dir), *MINI_SETS]) == 0
 
     def test_features_keep_top_m_sentences(self, pipeline_dir):
         lines = (pipeline_dir / "features.jsonl").read_text().splitlines()

@@ -990,6 +990,43 @@ class TestSgdMomentum:
             np.testing.assert_array_equal(theta[k], ref_theta[k])
             np.testing.assert_array_equal(vel[k], ref_vel[k])
 
+    @pytest.mark.parametrize("block", [neural.UPDATE_BLOCK, 7])
+    def test_blocked_update_equals_reference_bit_for_bit(self, block, monkeypatch):
+        monkeypatch.setattr(neural, "UPDATE_BLOCK", block)
+        rng = np.random.default_rng(10)
+        # two tensors span several blocks and end inside one; alpha is (2,)
+        shapes = {"w": (3, neural.UPDATE_BLOCK // 2 + 5), "alpha": (2,), "b": (2 * neural.UPDATE_BLOCK + 3,)}
+        assert all(math.prod(sh) % block for sh in shapes.values())
+        assert math.prod(shapes["w"]) > block and math.prod(shapes["b"]) > block
+        fresh = {k: rng.normal(size=sh) * 3 for k, sh in shapes.items()}
+        runs = []
+        for update in (sgd_momentum_update, reference_sgd_momentum_update):
+            theta = {k: v.copy() for k, v in fresh.items()}
+            vel = {k: np.zeros(sh) for k, sh in shapes.items()}
+            step_rng = np.random.default_rng(11)
+            for lr, momentum, l2 in ((0.1, 0.9, 1e-6), (0.37, 0.5, 0.0), (1.3, 0.0, 0.02)):
+                grads = {k: step_rng.normal(size=sh) for k, sh in shapes.items()}
+                update(theta, grads, vel, lr, momentum, l2)
+            runs.append((theta, vel))
+        (theta, vel), (ref_theta, ref_vel) = runs
+        for k in shapes:
+            np.testing.assert_array_equal(theta[k], ref_theta[k], err_msg=k)
+            np.testing.assert_array_equal(vel[k], ref_vel[k], err_msg=k)
+
+    @pytest.mark.parametrize("strided", ["theta", "grads", "velocity"])
+    def test_non_contiguous_tensor_refused(self, strided):
+        arrays = {
+            part: {"a": np.ones(4), "w": np.ones((4, 6)) if part != strided else np.ones((4, 12))[:, ::2]}
+            for part in ("theta", "grads", "velocity")
+        }
+        before = {part: {k: v.copy() for k, v in own.items()} for part, own in arrays.items()}
+        with pytest.raises(ValueError, match=r"C-contiguous arrays; not so for w$"):
+            sgd_momentum_update(arrays["theta"], arrays["grads"], arrays["velocity"], 0.1, 0.9, 1e-6)
+        # refused before any tensor moved
+        for part, own in arrays.items():
+            for k, v in own.items():
+                np.testing.assert_array_equal(v, before[part][k])
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):

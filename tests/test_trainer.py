@@ -816,6 +816,124 @@ class TestLmLoopReference:
             assert np.array_equal(got, loop_unigram_distribution(corpus, vocab))
 
 
+class TestCheckpointBuffers:
+    """``trainer._sgd`` copies the best checkpoint only when a later epoch
+    may still move the parameters on, and returns the live parameters when
+    the best epoch is the last one run; the returned models equal the
+    reference loops' bit for bit."""
+
+    CORPUS, HELDOUT = TestLmLoopReference.CORPUS, TestLmLoopReference.HELDOUT
+
+    @staticmethod
+    def count_copies(monkeypatch, cls) -> list:
+        copies = []
+        copy = cls.copy
+        monkeypatch.setattr(cls, "copy", lambda self: copies.append(self) or copy(self))
+        return copies
+
+    @staticmethod
+    def record_scores(monkeypatch) -> list:
+        scores = []
+        sgd = trainer._sgd
+
+        def recording(params, n_items, minibatch, heldout_score, config, rng):
+            def score():
+                scores.append(heldout_score())
+                return scores[-1]
+
+            return sgd(params, n_items, minibatch, score, config, rng)
+
+        monkeypatch.setattr(trainer, "_sgd", recording)
+        return scores
+
+    def train_both(self, mini_world, monkeypatch, config):
+        # one instance per minibatch, so the fused and the per-instance
+        # gradients are the same floats
+        instances = take_groups(mini_world["instances"], range(24))
+        heldout = mini_world["heldout5"]
+        ref = reference_train_reranker(
+            instances, heldout, RerankerParams.initialize(mini_world["dims"], seed=9), config
+        )
+        copies = self.count_copies(monkeypatch, RerankerParams)
+        params = RerankerParams.initialize(mini_world["dims"], seed=9)
+        best, logs = train_reranker(instances, heldout, params, config)
+        assert logs == ref[1]
+        for name, tensor in ref[0].tensors.items():
+            np.testing.assert_array_equal(best.tensors[name], tensor, err_msg=name)
+        return params, best, logs, copies
+
+    def test_one_epoch_reranker_copies_nothing(self, mini_world, monkeypatch):
+        config = TrainConfig(lr=0.1, dropout=0.2, max_epochs=1, batch_size=1, seed=9)
+        params, best, _, copies = self.train_both(mini_world, monkeypatch, config)
+        assert copies == [] and best is params
+
+    def test_best_epoch_followed_by_others_is_copied_once(self, mini_world, monkeypatch):
+        config = TrainConfig(lr=0.1, dropout=0.2, max_epochs=3, patience=3, batch_size=1, seed=9)
+        params, best, logs, copies = self.train_both(mini_world, monkeypatch, config)
+        wers = [log.heldout_wer for log in logs]
+        assert len(wers) == 3 and wers.index(min(wers)) < 2
+        assert copies == [params] and best is not params
+
+    @pytest.mark.parametrize("mode", trainer.LM_MODES)
+    def test_lm_without_heldout_copies_nothing(self, mode, monkeypatch):
+        corpus = corpus_from_lines(self.CORPUS)
+        vocab = build_vocabulary(corpus, min_count=0)
+        kwargs = dict(
+            mode=mode, nce_samples=7, dims=LstmLmDims(vocab.size, 5, 6),
+            config=TrainConfig(lr=0.5, max_epochs=3, batch_size=4, seed=5),
+        )
+        ref, _ = reference_train_lstm_lm(corpus, vocab, **kwargs)
+        copies = self.count_copies(monkeypatch, LstmLmParams)
+        got = train_lstm_lm(corpus, vocab, **kwargs)
+        assert copies == []
+        for name, tensor in ref.tensors.items():
+            np.testing.assert_array_equal(got.tensors[name], tensor, err_msg=name)
+
+    def test_two_improving_lm_epochs_copy_once(self, monkeypatch):
+        corpus, heldout = corpus_from_lines(self.CORPUS), corpus_from_lines(self.HELDOUT)
+        vocab = build_vocabulary(corpus, min_count=0)
+        kwargs = dict(
+            dims=LstmLmDims(vocab.size, 5, 6), heldout=heldout,
+            config=TrainConfig(lr=0.5, max_epochs=2, patience=2, batch_size=4, seed=5),
+        )
+        ref, epochs = reference_train_lstm_lm(corpus, vocab, **kwargs)
+        copies = self.count_copies(monkeypatch, LstmLmParams)
+        scores = self.record_scores(monkeypatch)
+        got = train_lstm_lm(corpus, vocab, **kwargs)
+        assert epochs == 2 and len(scores) == 2 and scores[1] < scores[0]
+        # copied after epoch 0; epoch 1 is the last, so the live model returns
+        assert len(copies) == 1 and got is copies[0]
+        for name, tensor in ref.tensors.items():
+            np.testing.assert_array_equal(got.tensors[name], tensor, err_msg=name)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_heldout_score_names_its_epoch(self, mini_world, monkeypatch, bad):
+        wers = iter([0.5, bad])
+        monkeypatch.setattr(trainer, "heldout_wer", lambda params, heldout: next(wers))
+        params = RerankerParams.initialize(mini_world["dims"], seed=9)
+        config = TrainConfig(max_epochs=3, batch_size=16, seed=9)
+        instances = take_groups(mini_world["instances"], range(16))
+        with pytest.raises(ValueError, match=r"non-finite held-out score at epoch 1: "):
+            train_reranker(instances, mini_world["heldout3"], params, config)
+
+    @pytest.mark.parametrize("mode", trainer.LM_MODES)
+    def test_non_finite_lm_loss_names_its_minibatch(self, mode, monkeypatch):
+        corpus = corpus_from_lines(self.CORPUS)
+        vocab = build_vocabulary(corpus, min_count=0)
+        initialize = LstmLmParams.initialize.__func__
+
+        def poisoned(cls, *args, **kwargs):
+            params = initialize(cls, *args, **kwargs)
+            params.tensors["emb"][:] = np.nan
+            return params
+
+        monkeypatch.setattr(LstmLmParams, "initialize", classmethod(poisoned))
+        config = TrainConfig(max_epochs=2, batch_size=4, seed=5)
+        first = np.random.default_rng(derive_seed(5, "lstm-lm")).permutation(len(corpus))[0]
+        with pytest.raises(RuntimeError, match=rf"non-finite loss at epoch 0, minibatch from sentence {first}$"):
+            train_lstm_lm(corpus, vocab, mode=mode, nce_samples=7, config=config, dims=LstmLmDims(vocab.size, 5, 6))
+
+
 def uniform_lm(words=("a", "b", "c", "d"), word_dim=6, lstm_dim=8):
     corpus = corpus_from_lines([" ".join(words)])
     vocab = build_vocabulary(corpus, min_count=0)
